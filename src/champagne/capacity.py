@@ -45,6 +45,7 @@ from .criteria import (
 from .generators import AVOIDABLE_BUDGET
 from .geometry import (
     Configuration,
+    Disc,
     DiscBlock,
     Point,
     RingBlock,
@@ -663,24 +664,72 @@ def cluster_c2(
 # the cell capacity series
 
 
+def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
+    """Map (n, m) -> the discs whose closed disc meets the closed cell, in
+    canonical order, for explicit configurations.
+
+    Built once per configuration from :func:`cells_intersecting_disc` and
+    kept on the configuration, which is immutable, so that per-cell queries
+    over many cells of one configuration share a single gather.
+    """
+    memo = vars(c)
+    if "_cell_discs" not in memo:
+        cells: dict[tuple[int, int], list[Disc]] = {}
+        for b in c.blocks:
+            if isinstance(b, RingBlock):
+                raise CapacityError("explicit cell mapping got a ring block")
+            for i in range(len(b)):
+                d = b.disc(i)
+                for idx in cells_intersecting_disc(d):
+                    cells.setdefault((idx.n, idx.m), []).append(d)
+        memo["_cell_discs"] = {k: tuple(v) for k, v in cells.items()}
+    return memo["_cell_discs"]
+
+
+def _obstacle_sets(c: Configuration) -> dict:
+    """Obstacle set of every cell that holds discs, keyed like
+    :func:`cell_capacity_weights`: n -> the generation's cluster (all its
+    cells are congruent) for ring-structured configurations, (n, m) -> the
+    cell's discs for explicit ones."""
+    if any(isinstance(b, RingBlock) for b in c.blocks):
+        return generation_clusters(c)
+    return _cell_discs(c)
+
+
+def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
+    """Obstacle set of one cell, or None when no disc meets it."""
+    sets = _obstacle_sets(c)
+    # explicit sets are keyed by (n, m); ring sets by n alone
+    return sets.get((idx.n, idx.m), sets.get(idx.n))
+
+
+def _scaled_c2(obstacles, scale: float) -> tuple[float, float, int]:
+    """(C2 of the obstacle set scaled by ``scale``, sum of the scaled
+    per-disc C2 values, disc count) for a generation's cluster or one cell's
+    explicit discs."""
+    if isinstance(obstacles, GenerationCluster):
+        union_c2, _ = cluster_c2(obstacles, scale)
+        diag = LOG2 - (obstacles.log_rs + math.log(scale))
+        parts_sum = float(obstacles.columns * np.sum(1.0 / diag))
+        return union_c2, parts_sum, obstacles.columns * len(obstacles.rhos)
+    x = np.array([d.center.x for d in obstacles]) * scale
+    y = np.array([d.center.y for d in obstacles]) * scale
+    lr = np.array([d.log_radius for d in obstacles]) + math.log(scale)
+    union_c2, _ = c2_disc_system(x, y, lr)
+    return union_c2, float(np.sum(1.0 / (LOG2 - lr))), len(obstacles)
+
+
 def _explicit_cell_shapes(c: Configuration) -> dict[tuple[int, int], UnionShape]:
     """Map (n, m) -> union of disc-in-cell pieces, for explicit configs."""
-    shapes: dict[tuple[int, int], list[Shape]] = {}
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            raise CapacityError("explicit cell mapping got a ring block")
-        for i in range(len(b)):
-            d = b.disc(i)
-            for idx in cells_intersecting_disc(d):
-                cell = whitney_cell(idx)
-                ds = DiscShape(d.center, d.log_radius)
-                piece: Shape
-                if _disc_inside_cell(ds, cell):
-                    piece = ds
-                else:
-                    piece = ClippedDiscShape(ds, cell)
-                shapes.setdefault((idx.n, idx.m), []).append(piece)
-    return {k: UnionShape(tuple(v)) for k, v in shapes.items()}
+    shapes: dict[tuple[int, int], UnionShape] = {}
+    for (n, m), discs in _cell_discs(c).items():
+        cell = whitney_cell(WhitneyIndex(n, m))
+        pieces: list[Shape] = []
+        for d in discs:
+            ds = DiscShape(d.center, d.log_radius)
+            pieces.append(ds if _disc_inside_cell(ds, cell) else ClippedDiscShape(ds, cell))
+        shapes[(n, m)] = UnionShape(tuple(pieces))
+    return shapes
 
 
 def cell_capacity_weights(
@@ -764,6 +813,42 @@ def cell_capacity_series(
     return SeriesReport(y=y, kind="cell_capacity", per_generation=per, cumulative=tuple(cum))
 
 
+@dataclass(frozen=True)
+class CellCapacityRow:
+    """One entry of the per-cell capacity table.
+
+    ``ms`` holds the sectors m of the cells (n, m) the entry covers: every
+    cell of a ring generation, whose cells are congruent and share one
+    solve, or the single cell of an explicit configuration.
+    """
+
+    n: int
+    ms: range
+    weight: float
+    log_capacity: float
+    c2_scaled: float
+
+
+def cell_capacity_table(
+    c: Configuration, weights: dict, constants: CapacityConstants
+) -> list[CellCapacityRow]:
+    """One row per key of ``weights`` (from :func:`cell_capacity_weights`),
+    in (n, m) order, with the cell's log capacity and the C2 capacity of
+    its obstacle set scaled by ``constants.cell_scale(n)``."""
+    sets = _obstacle_sets(c)
+    rows = []
+    for key, w in weights.items():
+        if isinstance(key, tuple):
+            n, ms = key[0], range(key[1], key[1] + 1)
+        else:
+            n, ms = key, range(sector_count(key))
+        c2, _, _ = _scaled_c2(sets[key], constants.cell_scale(n))
+        # the weight is 1/(-n log 2 - log c), so invert it exactly
+        rows.append(CellCapacityRow(n, ms, w, float(-n * LOG2 - 1.0 / w), c2))
+    rows.sort(key=lambda row: (row.n, row.ms[0]))
+    return rows
+
+
 # ---------------------------------------------------------------------------
 # quasiadditivity and the log bound
 
@@ -801,34 +886,10 @@ def quasiadditivity_ratio(
             f"separation {sep.value:.4g} below the quasiadditivity floor "
             f"{constants.separation_floor:.4g}; offending pair {sep.argmin_pair}"
         )
-    scale = constants.cell_scale(idx.n)
-    if any(isinstance(b, RingBlock) for b in c.blocks):
-        clusters = generation_clusters(c)
-        if idx.n not in clusters:
-            raise CapacityError(f"no discs in generation {idx.n}")
-        cluster = clusters[idx.n]
-        union_c2, _ = cluster_c2(cluster, scale)
-        diag = LOG2 - (cluster.log_rs + math.log(scale))
-        parts_sum = float(cluster.columns * np.sum(1.0 / diag))
-        count = cluster.columns * len(cluster.rhos)
-    else:
-        cell = whitney_cell(idx)
-        xs, ys, lrs = [], [], []
-        for b in c.blocks:
-            for i in range(len(b)):
-                d = b.disc(i)
-                if cell.distance_to(d.center) <= d.radius:
-                    xs.append(d.center.x)
-                    ys.append(d.center.y)
-                    lrs.append(d.log_radius)
-        if not xs:
-            raise CapacityError(f"no discs meet cell {idx}")
-        x = np.array(xs) * scale
-        y_ = np.array(ys) * scale
-        lr = np.array(lrs) + math.log(scale)
-        union_c2, _ = c2_disc_system(x, y_, lr)
-        parts_sum = float(np.sum(1.0 / (LOG2 - lr)))
-        count = len(xs)
+    obstacles = _cell_obstacles(c, idx)
+    if obstacles is None:
+        raise CapacityError(f"no discs meet cell {idx}")
+    union_c2, parts_sum, count = _scaled_c2(obstacles, constants.cell_scale(idx.n))
     return QuasiadditivityReport(
         cell=idx,
         ratio=union_c2 / parts_sum,
@@ -848,34 +909,16 @@ def c2_log_bound(
     """(lhs, rhs) of the scaled-cell bound
     C2(scaled open cell set) <= {log(2^{-n}/c(cell set))}^{-1}."""
     constants = constants or CapacityConstants.for_configuration(c)
-    scale = constants.cell_scale(idx.n)
-    if any(isinstance(b, RingBlock) for b in c.blocks):
-        clusters = generation_clusters(c)
-        if idx.n not in clusters:
-            raise CapacityError("polar cell")
-        cluster = clusters[idx.n]
-        lhs, _ = cluster_c2(cluster, scale)
-        solve = cluster_log_capacity(cluster)
-        denom = -idx.n * LOG2 - solve.log_capacity
+    obstacles = _cell_obstacles(c, idx)
+    if obstacles is None:
+        raise CapacityError("polar cell")
+    lhs, _, _ = _scaled_c2(obstacles, constants.cell_scale(idx.n))
+    if isinstance(obstacles, GenerationCluster):
+        log_cap = cluster_log_capacity(obstacles).log_capacity
     else:
-        cell = whitney_cell(idx)
-        xs, ys, lrs = [], [], []
-        for b in c.blocks:
-            for i in range(len(b)):
-                d = b.disc(i)
-                if cell.distance_to(d.center) <= d.radius:
-                    xs.append(d.center.x)
-                    ys.append(d.center.y)
-                    lrs.append(d.log_radius)
-        if not xs:
-            raise CapacityError("polar cell")
-        lhs, _ = c2_disc_system(
-            np.array(xs) * scale, np.array(ys) * scale, np.array(lrs) + math.log(scale)
-        )
-        est = log_capacity(
-            UnionShape(tuple(DiscShape(Point(x, y), lr) for x, y, lr in zip(xs, ys, lrs)))
-        )
-        denom = -idx.n * LOG2 - est.log_value
+        shape = UnionShape(tuple(DiscShape(d.center, d.log_radius) for d in obstacles))
+        log_cap = log_capacity(shape).log_value
+    denom = -idx.n * LOG2 - log_cap
     if denom <= 0.0:
         raise CapacityError("cell capacity exceeds cell scale")
     return lhs, 1.0 / denom

@@ -16,7 +16,8 @@ Every output embeds the tool version, the full parameter set, the seed,
 and the SHA-256 of the input configuration; reruns with identical inputs
 are byte-identical (no timestamps, sorted keys, shortest-round-trip float
 formatting).  Exit codes: 0 success (including inconclusive diagnostics),
-1 configuration validation failure, 2 usage or I/O failure.
+1 validation failure (an invalid configuration, parameter or start point),
+2 usage or I/O failure, including a configuration file that does not parse.
 
 Environment overrides: ``CHAMPAGNE_OUT`` for the output directory,
 ``CHAMPAGNE_THREADS`` for the walker thread count.
@@ -40,6 +41,7 @@ from .capacity import (
     CapacityError,
     avoidability_certificate,
     cell_capacity_series,
+    cell_capacity_table,
     cell_capacity_weights,
     quasiadditivity_ratio,
 )
@@ -66,6 +68,7 @@ from .generators import (
 from .geometry import (
     TWO_PI,
     Configuration,
+    GeometryError,
     WhitneyIndex,
     chord,
     dumps_config,
@@ -76,6 +79,7 @@ from .geometry import (
 from .geometry import Point, SpatialIndex
 from .walker import (
     WalkParams,
+    WalkerError,
     concentric_obstacle_config,
     escape_vs_depth,
     estimate_escape,
@@ -130,8 +134,18 @@ def _default_jobs() -> int:
     return max(1, int(os.environ.get("CHAMPAGNE_THREADS", "1")))
 
 
+class InputFormatError(Exception):
+    """An input file that exists but does not parse as the expected document."""
+
+
 def _load_config(path: str) -> Configuration:
-    return loads_config(Path(path).read_text())
+    text = Path(path).read_text()
+    try:
+        return loads_config(text)
+    except GeometryError:
+        raise
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise InputFormatError(f"{path} is not a configuration document: {exc!r}") from exc
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -340,37 +354,33 @@ def cmd_capacity(args) -> int:
             config, constants.separation_floor
         )
 
-    log_caps = _cell_log_capacities(config, weights)
-    c2_values = _cell_c2_values(config, weights, constants)
+    sep = None
     rows: list[list] = []
-    emitted = 0
-    for key in sorted(weights, key=lambda k: k if isinstance(k, tuple) else (k, -1)):
-        if isinstance(key, tuple):
-            n, ms = key[0], [key[1]]
-        else:
-            n, ms = key, range(min(sector_count(key), args.max_cells_per_generation))
+    for entry in cell_capacity_table(config, weights, constants):
+        room = min(args.max_cells_per_generation, args.max_cells - len(rows))
+        ms = entry.ms[: max(room, 0)]
+        if not ms:
+            continue
+        quasi = ""
+        if args.quasiadditivity:
+            if sep is None:
+                sep = separation(quasi_cfg, kind="radius_log")
+            # one value per entry: the cells of a ring generation are congruent
+            try:
+                quasi = quasiadditivity_ratio(
+                    quasi_cfg, WhitneyIndex(entry.n, ms[0]), constants, sep=sep
+                ).ratio
+            except CapacityError:
+                quasi = ""
+        n, log_cap = entry.n, entry.log_capacity
+        with np.errstate(under="ignore"):
+            cap_value = math.exp(log_cap) if log_cap > -745.0 else 0.0
         for m in ms:
-            if emitted >= args.max_cells:
-                break
-            quasi = ""
-            if args.quasiadditivity:
-                try:
-                    quasi = quasiadditivity_ratio(
-                        quasi_cfg, WhitneyIndex(n, m), constants
-                    ).ratio
-                except CapacityError:
-                    quasi = ""
-            log_cap = float(log_caps[key])
             z_rho = 1.0 - 2.0 ** (-n)
             z_theta = TWO_PI * m / sector_count(n)
             dist2 = chord(1.0, z_rho, y0.theta - z_theta) ** 2
-            essen_term = float(2.0 ** (-2 * n) * weights[key] / dist2)
-            with np.errstate(under="ignore"):
-                cap_value = math.exp(log_cap) if log_cap > -745.0 else 0.0
-            rows.append(
-                [n, m, log_cap, cap_value, float(c2_values[key]), essen_term, quasi]
-            )
-            emitted += 1
+            essen_term = float(2.0 ** (-2 * n) * entry.weight / dist2)
+            rows.append([n, m, log_cap, cap_value, entry.c2_scaled, essen_term, quasi])
 
     series = cell_capacity_series(config, y0, weights=weights)
     cert = avoidability_certificate(config)
@@ -417,52 +427,8 @@ def cmd_capacity(args) -> int:
             ],
         ),
     )
-    print(f"capacity table for {emitted} cells -> capacity.csv")
+    print(f"capacity table for {len(rows)} cells -> capacity.csv")
     return EXIT_OK
-
-
-def _cell_log_capacities(config: Configuration, weights: dict) -> dict:
-    """log capacity of each cell's obstacle set, keyed like the weights."""
-    out: dict = {}
-    for key, w in weights.items():
-        n = key[0] if isinstance(key, tuple) else key
-        # the weight is 1/(-n log 2 - log c), so invert it exactly
-        out[key] = -n * math.log(2.0) - 1.0 / w
-    return out
-
-
-def _cell_c2_values(
-    config: Configuration, weights: dict, constants: CapacityConstants
-) -> dict:
-    """Truncated-kernel capacity of each scaled cell set."""
-    from .capacity import c2_disc_system, cluster_c2, generation_clusters
-    from .geometry import RingBlock, whitney_cell
-
-    out: dict = {}
-    if any(isinstance(b, RingBlock) for b in config.blocks):
-        clusters = generation_clusters(config)
-        for key in weights:
-            n = key[0] if isinstance(key, tuple) else key
-            value, _ = cluster_c2(clusters[n], constants.cell_scale(n))
-            out[key] = value
-        return out
-    for key in weights:
-        n, m = key
-        cell = whitney_cell(WhitneyIndex(n, m))
-        xs, ys, lrs = [], [], []
-        for b in config.blocks:
-            for i in range(len(b)):
-                d = b.disc(i)
-                if cell.distance_to(d.center) <= d.radius:
-                    xs.append(d.center.x)
-                    ys.append(d.center.y)
-                    lrs.append(d.log_radius)
-        scale = constants.cell_scale(n)
-        value, _ = c2_disc_system(
-            np.array(xs) * scale, np.array(ys) * scale, np.array(lrs) + math.log(scale)
-        )
-        out[key] = value
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -785,10 +751,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FileNotFoundError as exc:
+    except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (GeneratorError, CriteriaError, CapacityError) as exc:
+    except InputFormatError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (GeneratorError, CriteriaError, CapacityError, GeometryError, WalkerError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

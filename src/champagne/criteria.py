@@ -37,6 +37,8 @@ from .geometry import (
     Point,
     RingBlock,
     TWO_PI,
+    _block_offsets,
+    _ring_point_distance,
     chord,
     ring_min_center_distance,
 )
@@ -259,19 +261,6 @@ def _ring_weight(b: RingBlock, kind: str, phi: PhiSpec | None) -> float:
     return math.sqrt(log_term) / s
 
 
-def _explicit_weights(b: DiscBlock, kind: str, phi: PhiSpec | None) -> np.ndarray:
-    s = b.boundary_gap
-    if kind == "plain":
-        return 1.0 / s
-    if kind == "phi_log" and phi is not None:
-        rho = np.hypot(b.x, b.y)
-        return np.sqrt(-np.asarray(phi.log_phi(rho))) / s
-    log_term = np.log(s) - b.log_r
-    if np.any(log_term <= 0.0):
-        raise CriteriaError("separation log weight requires r < 1-|x|")
-    return np.sqrt(log_term) / s
-
-
 @dataclass(frozen=True)
 class _NeighborStructure:
     """Nearest-neighbor center distances, one entry per explicit disc and
@@ -289,12 +278,7 @@ class _NeighborStructure:
 
 
 def _neighbor_structure(c: Configuration) -> _NeighborStructure:
-    offsets = []
-    total = 0
-    for b in c.blocks:
-        offsets.append(total)
-        total += len(b)
-
+    offsets = _block_offsets(c)
     explicit = [
         (off, b) for off, b in zip(offsets, c.blocks) if isinstance(b, DiscBlock) and len(b)
     ]
@@ -317,7 +301,7 @@ def _neighbor_structure(c: Configuration) -> _NeighborStructure:
         for roff, rb in rings:
             for i in range(len(xs)):
                 p = Point(float(xs[i]), float(ys[i]))
-                d, a = _ring_nearest(rb, p)
+                d, a = _ring_point_distance(rb, p)
                 if d < nn[i]:
                     nn[i] = d
                     nn_j[i] = roff + (a - rb.a_start)
@@ -352,7 +336,7 @@ def _neighbor_structure(c: Configuration) -> _NeighborStructure:
         for eoff, eb in explicit:
             for i in range(len(eb)):
                 p = Point(float(eb.x[i]), float(eb.y[i]))
-                d, a = _ring_nearest(rb, p)
+                d, a = _ring_point_distance(rb, p)
                 if d < d_nn:
                     d_nn = d
                     pair = (eoff + i, roff + (a - rb.a_start))
@@ -437,17 +421,6 @@ def shrink_for_separation(
     if need <= 0.0:
         return c, 0.0
     return _shrink(c, log_delta=-need), -need
-
-
-def _ring_nearest(rb: RingBlock, p: Point) -> tuple[float, int]:
-    theta = p.angle()
-    rho_p = p.norm()
-    best, best_a = math.inf, rb.a_start
-    for a in rb.nearest_slots(theta):
-        d = chord(rho_p, rb.rho, theta - rb.angle_of(a))
-        if d < best:
-            best, best_a = d, int(a)
-    return best, best_a
 
 
 # ---------------------------------------------------------------------------

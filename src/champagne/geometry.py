@@ -256,14 +256,12 @@ def cells_intersecting_disc(d: Disc) -> list[WhitneyIndex]:
     r = d.radius
     s_center = d.boundary_gap
     s_lo = max(s_center - r, 1e-300)
-    s_hi = s_center + r
-    if s_lo > 0.5:
-        return []
-    s_hi = min(s_hi, 0.5)
-    n_lo = generation_of(s_hi)
-    n_hi = generation_of(s_lo)
-    if n_lo < 1:
-        n_lo = 1
+    s_hi = min(s_center + r, 0.5)
+    # s_center +- r may round onto a band edge 2^-n, so the generations of
+    # the rounded gaps are widened by one on each side; the exact distance
+    # test below decides every candidate cell
+    n_lo = max(generation_of(s_hi) - 1, 1)
+    n_hi = generation_of(s_lo) + 1
     out: list[WhitneyIndex] = []
     theta_c = d.center.angle()
     rho_c = d.center.norm()
@@ -933,10 +931,6 @@ def distance_to_obstacles(p: Point, idx: SpatialIndex) -> tuple[float, int | Non
 # serialization
 
 
-def _float_repr(v: float) -> float:
-    return float(v)
-
-
 def config_to_document(c: Configuration) -> dict:
     """JSON-style document; explicit discs in canonical order, rings as rows.
 
@@ -950,8 +944,8 @@ def config_to_document(c: Configuration) -> dict:
             rings.append(
                 {
                     "n": b.n,
-                    "rho": _float_repr(b.rho),
-                    "log_r": _float_repr(b.log_r),
+                    "rho": float(b.rho),
+                    "log_r": float(b.log_r),
                     "count": b.count,
                     "a_start": b.a_start,
                 }
@@ -962,10 +956,10 @@ def config_to_document(c: Configuration) -> dict:
             for i in range(len(b)):
                 discs.append(
                     {
-                        "x": _float_repr(b.x[i]),
-                        "y": _float_repr(b.y[i]),
-                        "r": _float_repr(rad[i]),
-                        "log_r": _float_repr(b.log_r[i]),
+                        "x": float(b.x[i]),
+                        "y": float(b.y[i]),
+                        "r": float(rad[i]),
+                        "log_r": float(b.log_r[i]),
                     }
                 )
     doc = {

@@ -25,6 +25,7 @@ from champagne.capacity import (
     minimize_simplex_energy,
     project_to_simplex,
     quasiadditivity_ratio,
+    _cell_discs,
     _circle_nodes,
     _disc_system_capacity,
     _log_kernel,
@@ -42,6 +43,7 @@ from champagne.geometry import (
     Point,
     WhitneyCell,
     WhitneyIndex,
+    sector_count,
     whitney_cell,
 )
 
@@ -321,6 +323,30 @@ class TestCellSeries:
             assert 1.0 / 50.0 <= ratio <= 50.0
 
 
+class TestCellGather:
+    def test_matches_bruteforce_scan(self):
+        # random small discs plus discs centred on the band edges 1 - 2^-n
+        rng = np.random.default_rng(8)
+        discs = []
+        for _ in range(40):
+            rho = rng.uniform(0.5, 0.97)
+            theta = rng.uniform(0, 2.0 * math.pi)
+            r = (1.0 - rho) * rng.uniform(0.001, 0.2)
+            discs.append(Disc.from_radius(Point(rho * math.cos(theta), rho * math.sin(theta)), r))
+        for n in range(1, 6):
+            rho, theta = 1.0 - 2.0 ** (-n), rng.uniform(0, 2.0 * math.pi)
+            discs.append(Disc(Point(rho * math.cos(theta), rho * math.sin(theta)), -40.0))
+        cfg = Configuration.from_discs(discs)
+        expect = {}
+        for n in range(1, 8):
+            for m in range(sector_count(n)):
+                cell = whitney_cell(WhitneyIndex(n, m))
+                hits = tuple(d for d in cfg.iter_discs() if cell.distance_to(d.center) <= d.radius)
+                if hits:
+                    expect[(n, m)] = hits
+        assert _cell_discs(cfg) == expect
+
+
 class TestQuasiadditivity:
     def _shrunk_config(self, n_max=6):
         from champagne.criteria import shrink_for_separation
@@ -344,6 +370,16 @@ class TestQuasiadditivity:
         rep = quasiadditivity_ratio(shrunk, WhitneyIndex(6, 0), constants)
         assert 0.0 < rep.ratio <= 1.0 + 1e-6
         assert rep.separation_value >= rep.separation_floor
+
+    def test_ring_ratio_same_for_every_cell_of_a_generation(self):
+        shrunk, constants = self._shrunk_config(n_max=4)
+        sep = separation(shrunk, kind="radius_log")
+        for n in range(1, 5):
+            ratios = {
+                quasiadditivity_ratio(shrunk, WhitneyIndex(n, m), constants, sep=sep).ratio
+                for m in range(sector_count(n))
+            }
+            assert len(ratios) == 1
 
     def test_single_disc_cell_ratio_one(self):
         idx = WhitneyIndex(4, 2)

@@ -2,6 +2,7 @@ import json
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from champagne.cli import main
@@ -212,6 +213,60 @@ class TestCapacityCommand:
             assert float(cols[4]) > 0.0  # scaled-cell truncated capacity
             if cols[6]:
                 assert 0.0 < float(cols[6]) <= 1.0 + 1e-6
+
+
+    @pytest.mark.parametrize("family", ["avoidable-ring", "phi-grid"])
+    def test_explicit_storage_one_row_per_cell(self, tmp_path, family):
+        from champagne.capacity import (
+            CapacityConstants,
+            c2_disc_system,
+            cell_capacity_weights,
+        )
+        from champagne.geometry import (
+            WhitneyIndex,
+            dumps_config,
+            loads_config,
+            whitney_cell,
+        )
+
+        grid = tmp_path / "grid.json"
+        extra = ["--per-cell", 2, "--n-max", 3] if family == "phi-grid" else []
+        assert run("generate", family, *extra, "-o", grid) == 0
+        cfg = loads_config(grid.read_text()).materialized()
+        path = tmp_path / "explicit.json"
+        path.write_text(dumps_config(cfg) + "\n")
+        out = tmp_path / "cap"
+        assert run("capacity", path, "--out-dir", out) == 0
+
+        rows = [line.split(",") for line in (out / "capacity.csv").read_text().splitlines()[1:]]
+        keys = [(int(row[0]), int(row[1])) for row in rows]
+        assert keys == sorted(cell_capacity_weights(cfg))
+        constants = CapacityConstants.for_configuration(cfg)
+        discs = list(cfg.iter_discs())
+        for (n, m), row in zip(keys, rows):
+            cell = whitney_cell(WhitneyIndex(n, m))
+            hits = [d for d in discs if cell.distance_to(d.center) <= d.radius]
+            scale = constants.cell_scale(n)
+            c2, _ = c2_disc_system(
+                np.array([d.center.x for d in hits]) * scale,
+                np.array([d.center.y for d in hits]) * scale,
+                np.array([d.log_radius for d in hits]) + math.log(scale),
+            )
+            assert float(row[4]) == c2
+
+
+class TestExitCodes:
+    def test_walker_error_exits_one(self, tmp_path, capsys):
+        # the default start, the origin, lies inside the annulus obstacle
+        assert run("simulate", "--annulus", 0.25, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ['{"discs": [{"x": 0.7,', '{"rings": [{"n": 1}]}'])
+    def test_unparseable_config_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.json"
+        path.write_text(text)
+        assert run("check", path, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:")
 
 
 class TestEnvOverrides:

@@ -146,6 +146,31 @@ class TestCellsIntersectingDisc:
                         expect.append(WhitneyIndex(n, m))
             assert got == expect
 
+    def test_band_edge_tangent_discs_match_predicate(self):
+        # discs centred on a band edge 1 - 2^-n or tangent to it from either
+        # side: s_center +- r rounds onto the edge, yet the closed disc still
+        # meets the closed cell across it
+        from champagne.generators import generate_avoidable_ring
+
+        rng = np.random.default_rng(5)
+        discs = list(generate_avoidable_ring().iter_discs())
+        for n in range(1, 6):
+            edge = 1.0 - 2.0 ** (-n)
+            for r in (1e-20, 1e-9, 1e-4 * 2.0 ** (-n)):
+                theta = rng.uniform(0, TWO_PI)
+                for rho in (edge, edge + r, edge - r):
+                    if rho - r > 0.0:
+                        discs.append(disc(rho * math.cos(theta), rho * math.sin(theta), r))
+        for d in discs:
+            n_mid = generation_of(d.boundary_gap)
+            expect = [
+                WhitneyIndex(n, m)
+                for n in range(max(1, n_mid - 2), n_mid + 3)
+                for m in range(sector_count(n))
+                if whitney_cell(WhitneyIndex(n, m)).distance_to(d.center) <= d.radius
+            ]
+            assert cells_intersecting_disc(d) == expect
+
 
 def _random_explicit_config(rng, count, rmin=1e-5, rmax=1e-3):
     discs = []
