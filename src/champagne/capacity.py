@@ -8,15 +8,15 @@ constant).  Three evaluation paths share that definition:
 * ``exact_disc``: a closed disc of radius r has capacity exactly r.
 * ``energy_minimization``: discretize the boundary into weighted arc
   nodes and minimize the quadratic energy over the probability simplex by
-  projected gradient.  The node self-energy is that of a uniform measure
-  on its arc, log(1/len) + 3/2.
+  one bordered linear solve (see :func:`minimize_simplex_energy`).  The
+  node self-energy is that of a uniform measure on its arc,
+  log(1/len) + 3/2.
 * ``disc_system``: for unions of disjoint discs, a measure that is uniform
   on each circle has exactly the energy of point charges at the centers
   with self-energies log(1/r_k); minimizing over the charge weights is the
-  same simplex program with an analytic kernel.  When the self-energies
-  dominate the couplings (the radii here are routinely exp(-10^6) or
-  smaller) the minimizer is the first-order closed form, accurate to
-  O((coupling/self)^2), and no iteration is needed.
+  same simplex program with an analytic kernel.  Self-energies that dwarf
+  the couplings (the radii here are routinely exp(-10^6) or smaller) need
+  no special case: the same bordered solve covers them.
 
 The C2 capacity uses the truncated kernel log+(2/|x-y|) and is normalized
 by the sampled minimum of the equilibrium potential, so that the reported
@@ -176,78 +176,55 @@ class C2Estimate:
 # simplex energy minimization
 
 
-def project_to_simplex(v: np.ndarray) -> np.ndarray:
-    """Euclidean projection onto the probability simplex."""
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    ks = np.arange(1, len(v) + 1)
-    cond = u - css / ks > 0
-    k = int(np.max(np.nonzero(cond)[0])) + 1
-    tau = css[k - 1] / k
-    return np.maximum(v - tau, 0.0)
-
-
 @dataclass(frozen=True)
 class EnergySolution:
     weights: np.ndarray
     energy: float
     gap: float
-    iterations: int
-    method: str
 
 
-def minimize_simplex_energy(
-    kernel: np.ndarray, max_iter: int = 800, tol: float = 1e-12
-) -> EnergySolution:
+def minimize_simplex_energy(kernel: np.ndarray) -> EnergySolution:
     """Minimize mu^T K mu over the probability simplex.
 
-    Plain projected gradient with a Lipschitz step from a power-iteration
-    eigenvalue estimate; the Frank-Wolfe gap mu^T g - min_i g_i upper
-    bounds the suboptimality and is recorded.  The kernel need only be
-    positive definite on zero-sum directions, which the log kernel is.
+    On its support the minimizer solves K mu = lam, sum mu = 1, where lam
+    is the minimal energy, so one solve of the bordered system
+    [[K, -1], [1^T, 0]] finds it.  The system is nonsingular when K is
+    positive definite on zero-sum directions: the log kernel is, and so is
+    the truncated kernel on sets of diameter below 1, where it equals the
+    log kernel plus log 2.  Nodes that come out with negative weight leave
+    the support and the solve repeats; a dropped node whose potential falls
+    below lam comes back.  The Frank-Wolfe gap mu^T g - min_i g_i of the
+    gradient g = 2 K mu bounds the suboptimality and is recorded.
     """
     n = len(kernel)
     if n == 0:
         raise CapacityError("empty kernel")
-    diag = np.diag(kernel)
-    if n >= 2:
-        off = kernel - np.diag(diag)
-        dominance = float(diag.min()) / max(float(np.abs(off).max()), 1e-300)
+    support = np.ones(n, dtype=bool)
+    for _ in range(2 * n):
+        idx = np.flatnonzero(support)
+        k = len(idx)
+        bordered = np.block(
+            [[kernel[np.ix_(idx, idx)], -np.ones((k, 1))], [np.ones((1, k)), 0.0]]
+        )
+        try:
+            sol = np.linalg.solve(bordered, np.r_[np.zeros(k), 1.0])
+        except np.linalg.LinAlgError as exc:
+            raise CapacityError(f"singular energy kernel: {exc}") from exc
+        w, lam = sol[:k], sol[k]
+        if np.any(w < 0.0):
+            support[idx[w < 0.0]] = False
+            continue
+        mu = np.zeros(n)
+        mu[idx] = w
+        potential = kernel @ mu
+        enter = ~support & (potential < lam)
+        if not enter.any():
+            break
+        support |= enter
     else:
-        dominance = math.inf
-    if dominance >= 1e4:
-        # first-order closed form: mu_i proportional to 1/K_ii; the
-        # relative error is below (coupling/self)^2 ~ 1e-8
-        inv = 1.0 / diag
-        mu = inv / inv.sum()
-        energy = float(mu @ kernel @ mu)
-        grad = 2.0 * (kernel @ mu)
-        gap = float(mu @ grad - grad.min())
-        return EnergySolution(mu, energy, gap, 0, "dominant_diagonal")
-
-    # power iteration for the step size
-    v = np.full(n, 1.0 / math.sqrt(n))
-    for _ in range(25):
-        w = kernel @ v
-        norm = np.linalg.norm(w)
-        if norm == 0.0:
-            break
-        v = w / norm
-    lam = float(abs(v @ (kernel @ v))) + 1e-12
-    step = 0.45 / lam
-
-    mu = np.full(n, 1.0 / n)
-    gap = math.inf
-    it = 0
-    for it in range(1, max_iter + 1):
-        grad = 2.0 * (kernel @ mu)
-        gap = float(mu @ grad - grad.min())
-        energy = float(mu @ (kernel @ mu))
-        if gap <= tol * max(abs(energy), 1.0):
-            break
-        mu = project_to_simplex(mu - step * grad)
-    energy = float(mu @ (kernel @ mu))
-    return EnergySolution(mu, energy, gap, it, "projected_gradient")
+        raise CapacityError("simplex energy support did not settle")
+    grad = 2.0 * potential
+    return EnergySolution(mu, float(mu @ potential), float(mu @ grad - grad.min()))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +315,9 @@ def _flatten_parts(shape: Shape) -> list[Shape]:
 def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
     """Logarithmic capacity estimate of a compact shape.
 
-    Discs are exact; disjoint unions of small discs use the analytic
-    disc-system kernel; everything else is discretized and minimized.
+    Discs are exact; disjoint unions of discs use the analytic disc-system
+    kernel; everything else, overlapping discs included, is discretized and
+    minimized.
     """
     parts = _flatten_parts(shape)
     parts = [p for p in parts if not _is_empty(p)]
@@ -359,7 +337,7 @@ def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
     if len(parts) == 1 and isinstance(parts[0], SegmentShape):
         if parts[0].length < POLAR_DIAMETER:
             return POLAR
-    if all(isinstance(p, DiscShape) for p in parts):
+    if all(isinstance(p, DiscShape) for p in parts) and _discs_disjoint(parts):
         return _disc_system_capacity(parts)
 
     pts, ell = _boundary_nodes(parts, n_boundary)
@@ -432,11 +410,28 @@ def _boundary_nodes(parts: Sequence[Shape], n_boundary: int):
 
 
 def _log_kernel(pts: np.ndarray, ell: np.ndarray) -> np.ndarray:
+    """Log kernel between arc nodes.  Two nodes closer than a quarter of
+    their summed arc lengths (where the boundaries of two parts cross)
+    count as that far apart: the point value -log d would exceed their
+    self-energies and leave the kernel indefinite on zero-sum directions.
+    Neighbors along one arc are never that close."""
     d = np.hypot(pts[:, 0:1] - pts[None, :, 0], pts[:, 1:2] - pts[None, :, 1])
+    d = np.maximum(d, 0.25 * (ell[:, None] + ell[None, :]))
     np.fill_diagonal(d, 1.0)
     kernel = -np.log(d)
     np.fill_diagonal(kernel, -np.log(ell) + 1.5)
     return kernel
+
+
+def _discs_disjoint(parts: Sequence[DiscShape]) -> bool:
+    """No two closed discs meet; only then are center charges with
+    self-energies log(1/r_k) the energy of a measure on the union."""
+    x = np.array([p.center.x for p in parts])
+    y = np.array([p.center.y for p in parts])
+    r = np.array([radius_from_log(p.log_r) for p in parts])
+    d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    np.fill_diagonal(d, np.inf)
+    return bool(np.all(d > r[:, None] + r[None, :]))
 
 
 def _disc_system_capacity(parts: Sequence[DiscShape]) -> CapacityEstimate:
@@ -447,8 +442,6 @@ def _disc_system_capacity(parts: Sequence[DiscShape]) -> CapacityEstimate:
     log_r = np.array([p.log_r for p in parts])
     d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
     np.fill_diagonal(d, 1.0)
-    if np.any(d <= 0.0):
-        raise CapacityError("coincident disc centers in a disc system")
     kernel = -np.log(d)
     np.fill_diagonal(kernel, -log_r)
     sol = minimize_simplex_energy(kernel)
@@ -666,34 +659,35 @@ def cluster_c2(
 
 def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
     """Map (n, m) -> the discs whose closed disc meets the closed cell, in
-    canonical order, for explicit configurations.
-
-    Built once per configuration from :func:`cells_intersecting_disc` and
-    kept on the configuration, which is immutable, so that per-cell queries
-    over many cells of one configuration share a single gather.
-    """
-    memo = vars(c)
-    if "_cell_discs" not in memo:
-        cells: dict[tuple[int, int], list[Disc]] = {}
-        for b in c.blocks:
-            if isinstance(b, RingBlock):
-                raise CapacityError("explicit cell mapping got a ring block")
-            for i in range(len(b)):
-                d = b.disc(i)
-                for idx in cells_intersecting_disc(d):
-                    cells.setdefault((idx.n, idx.m), []).append(d)
-        memo["_cell_discs"] = {k: tuple(v) for k, v in cells.items()}
-    return memo["_cell_discs"]
+    canonical order, for explicit configurations."""
+    cells: dict[tuple[int, int], list[Disc]] = {}
+    for b in c.blocks:
+        if isinstance(b, RingBlock):
+            raise CapacityError("explicit cell mapping got a ring block")
+        for i in range(len(b)):
+            d = b.disc(i)
+            for idx in cells_intersecting_disc(d):
+                cells.setdefault((idx.n, idx.m), []).append(d)
+    return {k: tuple(v) for k, v in cells.items()}
 
 
 def _obstacle_sets(c: Configuration) -> dict:
     """Obstacle set of every cell that holds discs, keyed like
     :func:`cell_capacity_weights`: n -> the generation's cluster (all its
     cells are congruent) for ring-structured configurations, (n, m) -> the
-    cell's discs for explicit ones."""
-    if any(isinstance(b, RingBlock) for b in c.blocks):
-        return generation_clusters(c)
-    return _cell_discs(c)
+    cell's discs for explicit ones.
+
+    Built once per configuration and kept on it, which is immutable, so
+    that the weights, the table, quasiadditivity and the log bound of one
+    configuration share a single build.
+    """
+    memo = vars(c)
+    if "_obstacle_sets" not in memo:
+        if any(isinstance(b, RingBlock) for b in c.blocks):
+            memo["_obstacle_sets"] = generation_clusters(c)
+        else:
+            memo["_obstacle_sets"] = _cell_discs(c)
+    return memo["_obstacle_sets"]
 
 
 def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
@@ -722,7 +716,7 @@ def _scaled_c2(obstacles, scale: float) -> tuple[float, float, int]:
 def _explicit_cell_shapes(c: Configuration) -> dict[tuple[int, int], UnionShape]:
     """Map (n, m) -> union of disc-in-cell pieces, for explicit configs."""
     shapes: dict[tuple[int, int], UnionShape] = {}
-    for (n, m), discs in _cell_discs(c).items():
+    for (n, m), discs in _obstacle_sets(c).items():
         cell = whitney_cell(WhitneyIndex(n, m))
         pieces: list[Shape] = []
         for d in discs:
@@ -745,9 +739,8 @@ def cell_capacity_weights(
     """
     keep_n = c.n_max if n_max is None else n_max
     if any(isinstance(b, RingBlock) for b in c.blocks):
-        clusters = generation_clusters(c)
         weights: dict = {}
-        for n, cluster in clusters.items():
+        for n, cluster in _obstacle_sets(c).items():
             if n > keep_n:
                 continue
             solve = cluster_log_capacity(cluster)

@@ -17,7 +17,8 @@ and the SHA-256 of the input configuration; reruns with identical inputs
 are byte-identical (no timestamps, sorted keys, shortest-round-trip float
 formatting).  Exit codes: 0 success (including inconclusive diagnostics),
 1 validation failure (an invalid configuration, parameter or start point),
-2 usage or I/O failure, including a configuration file that does not parse.
+2 usage or I/O failure, including a configuration file or a ``report``
+input that does not parse.
 
 Environment overrides: ``CHAMPAGNE_OUT`` for the output directory,
 ``CHAMPAGNE_THREADS`` for the walker thread count.
@@ -66,6 +67,7 @@ from .generators import (
     generate_subsquares,
 )
 from .geometry import (
+    SCHEMA_VERSION,
     TWO_PI,
     Configuration,
     GeometryError,
@@ -85,8 +87,6 @@ from .walker import (
     estimate_escape,
     run_walk,
 )
-
-SCHEMA_VERSION = 1
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -136,6 +136,16 @@ def _default_jobs() -> int:
 
 class InputFormatError(Exception):
     """An input file that exists but does not parse as the expected document."""
+
+
+def _load_json(path: str) -> dict:
+    try:
+        doc = json.loads(Path(path).read_text())
+    except ValueError as exc:
+        raise InputFormatError(f"{path} is not a JSON document: {exc!r}") from exc
+    if not isinstance(doc, dict):
+        raise InputFormatError(f"{path} does not hold a JSON object")
+    return doc
 
 
 def _load_config(path: str) -> Configuration:
@@ -579,8 +589,8 @@ def cmd_report(args) -> int:
         for p in missing:
             print(f"missing input: {p}", file=sys.stderr)
         return EXIT_IO
-    check_doc = json.loads(Path(args.check).read_text()) if args.check else None
-    sweep_doc = json.loads(Path(args.sweep).read_text()) if args.sweep else None
+    check_doc = _load_json(args.check) if args.check else None
+    sweep_doc = _load_json(args.sweep) if args.sweep else None
 
     verdicts: list[dict] = []
     summary: dict = {}

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.integrate import quad
+from numpy.polynomial.legendre import leggauss
 
 from .geometry import (
     Configuration,
@@ -428,24 +428,35 @@ def shrink_for_separation(
 
 
 def integral_test(m: MSpec, phi: PhiSpec, upper: float) -> float:
-    """int_0^upper M(t) / ((1-t) * log(1/phi(t))) dt by adaptive quadrature.
+    """int_0^upper M(t) / ((1-t) * log(1/phi(t))) dt.
 
-    Relative error <= 1e-6; raises SingularIntegrandError when the integrand
-    is not integrable on [0, upper].
+    In u = log(1/(1-t)) the integral is int_0^U M(t) / log(1/phi(t)) du
+    with U = log(1/(1-upper)); for the exp_power pair with matching
+    exponents the integrand is the constant c0.  It is evaluated by
+    composite Gauss-Legendre on panels of unit width in u, split at the
+    knots of a table profile, with 16 and with 32 nodes per panel.  Relative
+    error <= 1e-6: raises SingularIntegrandError when the two rules disagree
+    by more than that, or when log(1/phi) at a node is <= 0 or not finite.
     """
     if not (0.0 < upper < 1.0):
         raise CriteriaError("integration endpoint must lie in (0, 1)")
+    u_end = -math.log1p(-upper)
+    knots = [-math.log1p(-t) for t in phi.knots_t if 0.0 < t < upper]
+    edges = np.unique(np.concatenate([np.arange(math.ceil(u_end)), knots, [u_end]]))
+    lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
 
-    def integrand(t: float) -> float:
-        denom = (1.0 - t) * (-float(phi.log_phi(t)))
-        if denom <= 0.0 or not math.isfinite(denom):
-            raise SingularIntegrandError(f"integrand singular at t={t}")
-        return float(m.value(t)) / denom
+    def rule(nodes: int) -> float:
+        x, w = leggauss(nodes)
+        t = -np.expm1(-(lo + half * (x + 1.0)))
+        denom = -phi.log_phi(t)
+        if not np.all((denom > 0.0) & np.isfinite(denom)):
+            raise SingularIntegrandError(f"integrand singular on [0, {upper}]")
+        return float(np.sum(half * w * (m.value(t) / denom)))
 
-    value, abserr = quad(integrand, 0.0, upper, epsabs=0.0, epsrel=1e-9, limit=400)
-    if not math.isfinite(value) or (value != 0.0 and abserr / abs(value) > 1e-6):
+    coarse, value = rule(16), rule(32)
+    if not math.isfinite(value) or abs(value - coarse) > 1e-6 * abs(value):
         raise SingularIntegrandError(
-            f"quadrature did not converge: value={value}, abserr={abserr}"
+            f"quadrature did not converge: {value!r} against {coarse!r} at half the nodes"
         )
     return value
 

@@ -315,6 +315,9 @@ class DiscBlock:
         object.__setattr__(self, "log_r", _as_readonly(self.log_r))
         if not (len(self.x) == len(self.y) == len(self.log_r)):
             raise GeometryError("disc block arrays must have equal length")
+        for name in ("x", "y", "log_r"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise GeometryError(f"disc block has a non-finite {name}")
 
     def __len__(self) -> int:
         return len(self.x)

@@ -1,8 +1,10 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
+from champagne import capacity
 from champagne.capacity import (
     AvoidabilityCertificate,
     CapacityConstants,
@@ -16,6 +18,7 @@ from champagne.capacity import (
     c2_disc_system,
     c2_log_bound,
     cell_capacity_series,
+    cell_capacity_table,
     cell_capacity_weights,
     cluster_c2,
     cluster_log_capacity,
@@ -23,12 +26,13 @@ from champagne.capacity import (
     green_capacity_disc_bound,
     log_capacity,
     minimize_simplex_energy,
-    project_to_simplex,
     quasiadditivity_ratio,
+    _boundary_nodes,
     _cell_discs,
     _circle_nodes,
     _disc_system_capacity,
     _log_kernel,
+    _obstacle_sets,
 )
 from champagne.criteria import BoundaryPoint, log_weighted_series, separation
 from champagne.generators import (
@@ -48,18 +52,113 @@ from champagne.geometry import (
 )
 
 
-class TestSimplexProjection:
-    def test_already_on_simplex(self):
-        v = np.array([0.2, 0.3, 0.5])
-        np.testing.assert_allclose(project_to_simplex(v), v)
+def _sample_shapes() -> dict:
+    cell = whitney_cell(WhitneyIndex(2, 3))
+    th = 0.5 * (cell.theta_lo + cell.theta_hi)
+    on_edge = Point(cell.r_outer * math.cos(th), cell.r_outer * math.sin(th))
+    return {
+        "segment": [SegmentShape(Point(0.0, 0.0), Point(1.0, 0.0))],
+        "clipped-disc": [ClippedDiscShape(DiscShape(on_edge, math.log(0.05)), cell)],
+        "segment+disc": [
+            SegmentShape(Point(0.0, 0.0), Point(0.5, 0.0)),
+            DiscShape(Point(0.2, 0.3), math.log(0.1)),
+        ],
+        "disc+touching-segment": [
+            DiscShape(Point(0.0, 0.0), math.log(0.1)),
+            SegmentShape(Point(0.1, 0.0), Point(0.4, 0.0)),
+        ],
+    }
 
-    def test_projection_properties(self):
-        rng = np.random.default_rng(4)
-        for _ in range(50):
-            v = rng.normal(size=rng.integers(2, 30))
-            p = project_to_simplex(v)
-            assert p.min() >= 0
-            assert p.sum() == pytest.approx(1.0)
+
+def _support_enumeration_minimum(kernel: np.ndarray) -> float:
+    """Least energy over every support whose bordered solve is nonnegative."""
+    n = len(kernel)
+    best = math.inf
+    for k in range(1, n + 1):
+        for support in itertools.combinations(range(n), k):
+            sub = kernel[np.ix_(support, support)]
+            bordered = np.block([[sub, -np.ones((k, 1))], [np.ones((1, k)), np.zeros((1, 1))]])
+            w = np.linalg.solve(bordered, np.r_[np.zeros(k), 1.0])[:k]
+            if w.min() >= 0.0:
+                best = min(best, float(w @ sub @ w))
+    return best
+
+
+class TestSimplexEnergy:
+    @pytest.mark.parametrize("name", list(_sample_shapes()))
+    def test_sample_shapes_reach_the_minimum(self, name):
+        pts, ell = _boundary_nodes(_sample_shapes()[name], 512)
+        sol = minimize_simplex_energy(_log_kernel(pts, ell))
+        assert sol.weights.min() >= 0.0
+        assert sol.weights.sum() == pytest.approx(1.0, abs=1e-12)
+        assert sol.gap <= 1e-12 * max(abs(sol.energy), 1.0)
+
+    def test_matches_support_enumeration(self):
+        # log kernels with random self-energies, kept when positive definite
+        # on zero-sum directions; many minimizers drop nodes, some of which
+        # must come back into the support
+        rng = np.random.default_rng(3)
+        basis = np.linalg.qr(np.column_stack([np.ones(7), np.eye(7)[:, :6]]))[0][:, 1:]
+        checked = dropped = 0
+        while checked < 40:
+            p = rng.uniform(-0.5, 0.5, (7, 2))
+            d = np.hypot(p[:, None, 0] - p[None, :, 0], p[:, None, 1] - p[None, :, 1])
+            np.fill_diagonal(d, 1.0)
+            kernel = -np.log(d)
+            np.fill_diagonal(kernel, rng.uniform(0.5, 6.0, 7))
+            if np.linalg.eigvalsh(basis.T @ kernel @ basis).min() <= 0.0:
+                continue
+            sol = minimize_simplex_energy(kernel)
+            want = _support_enumeration_minimum(kernel)
+            assert sol.energy == pytest.approx(want, rel=1e-12)
+            assert sol.weights.min() >= 0.0
+            dropped += bool((sol.weights == 0.0).any())
+            checked += 1
+        assert dropped >= 10
+
+    def test_crossing_boundaries_keep_the_kernel_positive_on_zero_sum(self):
+        # where a circle crosses a cell edge or another circle, nodes of two
+        # parts can sit far closer than their arc lengths
+        rng = np.random.default_rng(8)
+        for _ in range(40):
+            n = int(rng.integers(2, 6))
+            cell = whitney_cell(WhitneyIndex(n, int(rng.integers(0, 2 ** (n + 4)))))
+            parts = []
+            for _ in range(int(rng.integers(1, 4))):
+                rho = rng.uniform(cell.r_inner, cell.r_outer)
+                th = rng.uniform(cell.theta_lo, cell.theta_hi)
+                center = Point(rho * math.cos(th), rho * math.sin(th))
+                r = rng.uniform(0.2, 1.2) * 2.0 ** (-n - 3)
+                parts.append(ClippedDiscShape(DiscShape(center, math.log(r)), cell))
+            pts, ell = _boundary_nodes(parts, 256)
+            if len(pts) < 2:
+                continue
+            basis = np.linalg.qr(np.column_stack([np.ones(len(pts)), np.eye(len(pts))[:, 1:]]))[0]
+            zero_sum = basis[:, 1:]
+            kernel = _log_kernel(pts, ell)
+            assert np.linalg.eigvalsh(zero_sum.T @ kernel @ zero_sum).min() > 0.0
+
+    def test_negative_weight_leaves_the_support(self):
+        # the unconstrained solve gives (3/2, -1/2); the minimum is at (1, 0)
+        sol = minimize_simplex_energy(np.array([[1.0, 2.0], [2.0, 5.0]]))
+        np.testing.assert_array_equal(sol.weights, [1.0, 0.0])
+        assert sol.energy == 1.0
+
+    @pytest.mark.parametrize("log_r", [-1e6, -1e9, -1e300])
+    def test_dominant_self_energy_matches_first_order_closed_form(self, log_r):
+        # with self-energies >= 1e6 the minimizer is mu_i ~ 1/K_ii up to
+        # O((coupling/self)^2)
+        rng = np.random.default_rng(11)
+        x, y = rng.uniform(-0.5, 0.5, 20), rng.uniform(-0.5, 0.5, 20)
+        d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+        np.fill_diagonal(d, 1.0)
+        kernel = -np.log(d)
+        np.fill_diagonal(kernel, -log_r * rng.uniform(1.0, 3.0, 20))
+        inv = 1.0 / np.diag(kernel)
+        mu = inv / inv.sum()
+        sol = minimize_simplex_energy(kernel)
+        assert sol.energy == pytest.approx(float(mu @ kernel @ mu), rel=1e-9)
+        np.testing.assert_allclose(sol.weights, mu, rtol=1e-5)
 
 
 class TestLogCapacity:
@@ -106,6 +205,17 @@ class TestLogCapacity:
         )
         assert est.method == "disc_system"
         assert est.log_value == pytest.approx(0.5 * (math.log(r) + math.log(d)), rel=1e-6)
+
+    @pytest.mark.parametrize("d", [0.02, 0.1, 0.19])
+    def test_overlapping_discs_are_discretized(self, d):
+        # the union lies between one disc and the disc of radius d/2 + r
+        # around the midpoint; center charges would not be its energy
+        r = 0.1
+        est = log_capacity(
+            UnionShape((DiscShape(Point(0.0, 0.0), math.log(r)), DiscShape(Point(d, 0.0), math.log(r))))
+        )
+        assert est.method == "energy_minimization"
+        assert r < est.value < d / 2.0 + r
 
     def test_union_monotone_in_parts(self):
         one = log_capacity(DiscShape(Point(0.0, 0.0), math.log(1e-4)))
@@ -269,6 +379,15 @@ class TestClusters:
         assert est.method == "disc_system"
         assert solve.log_capacity == pytest.approx(est.log_value, rel=1e-9)
 
+    def test_obstacle_sets_kept_per_configuration(self):
+        cfg = self._config()
+        assert _obstacle_sets(cfg) is _obstacle_sets(cfg)
+        small = shrink(cfg, log_delta=-10.0)
+        assert _obstacle_sets(small) is not _obstacle_sets(cfg)
+        np.testing.assert_allclose(
+            _obstacle_sets(small)[3].log_rs, _obstacle_sets(cfg)[3].log_rs - 10.0
+        )
+
     def test_rejects_prefixed_rings(self):
         from champagne.generators import truncate
 
@@ -380,6 +499,20 @@ class TestQuasiadditivity:
                 for m in range(sector_count(n))
             }
             assert len(ratios) == 1
+
+    def test_weights_table_quasi_and_bound_share_one_build(self, monkeypatch):
+        built = []
+        real = capacity.generation_clusters
+        monkeypatch.setattr(
+            capacity, "generation_clusters", lambda c: built.append(c) or real(c)
+        )
+        cfg, constants = self._shrunk_config(n_max=4)
+        weights = cell_capacity_weights(cfg)
+        cell_capacity_table(cfg, weights, constants)
+        for m in range(3):
+            quasiadditivity_ratio(cfg, WhitneyIndex(4, m), constants)
+        c2_log_bound(cfg, WhitneyIndex(4, 0), constants)
+        assert built == [cfg]
 
     def test_single_disc_cell_ratio_one(self):
         idx = WhitneyIndex(4, 2)

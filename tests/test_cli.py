@@ -269,6 +269,22 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
 
+    @pytest.mark.parametrize("command", ["check", "capacity", "simulate"])
+    def test_non_finite_disc_exits_one(self, tmp_path, capsys, command):
+        path = tmp_path / "nan.json"
+        path.write_text('{"discs": [{"x": NaN, "y": 0.1, "log_r": -5.0}], "n_max": 2}')
+        extra = ["--n-walks", 10] if command == "simulate" else []
+        assert run(command, path, *extra, "--out-dir", tmp_path) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("flag", ["--check", "--sweep"])
+    def test_malformed_report_input_exits_two(self, tmp_path, capsys, flag):
+        path = tmp_path / "bad.json"
+        path.write_text('{"summary": ')
+        assert run("report", flag, path, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
 class TestEnvOverrides:
     def test_out_dir_env(self, cfg_path, tmp_path, monkeypatch):
         target = tmp_path / "env_out"

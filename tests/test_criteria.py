@@ -1,7 +1,13 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import champagne
 
 from champagne.criteria import (
     BoundaryPoint,
@@ -286,6 +292,34 @@ class TestIntegralTest:
     def test_invalid_endpoint(self):
         with pytest.raises(CriteriaError):
             integral_test(MSpec(beta=1.0), PhiSpec(), 1.0)
+
+    def test_mismatched_power_pair_closed_form(self):
+        # M = (1-t)^{-2}, log(1/phi) = (1-t)^{-3/2}/c0: in u = log(1/(1-t))
+        # the integrand is c0 e^{u/2}, so the integral is 2 c0 (e^{U/2} - 1)
+        m = MSpec(beta=2.0)
+        phi = PhiSpec(c0=0.05, beta=1.5)
+        for upper in (0.5, 0.99, 0.999999):
+            u_end = math.log(1.0 / (1.0 - upper))
+            want = 2.0 * 0.05 * math.expm1(u_end / 2.0)
+            assert integral_test(m, phi, upper) == pytest.approx(want, rel=1e-9)
+
+    def test_table_profile_with_interior_knot(self):
+        # log(1/phi) is 1 on [0, 1/2], then a + b t with a = -1/4, b = 5/2;
+        # int dt/((1-t)(a+bt)) = log((a+bt)/(1-t))/(a+b)
+        m = MSpec(beta=1e-12)
+        phi = PhiSpec(form="table", knots_t=(0.0, 0.5, 0.9), knots_log_phi=(-1.0, -1.0, -2.0))
+        want = math.log(2.0) + math.log((1.75 / 0.2) / (1.0 / 0.5)) / 2.25
+        assert integral_test(m, phi, 0.8) == pytest.approx(want, rel=1e-9)
+
+    def test_cli_import_skips_scipy_integrate(self):
+        code = "import sys, champagne.cli; print('scipy.integrate' in sys.modules)"
+        env = dict(os.environ)
+        src = str(Path(champagne.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True
+        )
+        assert out.stdout.strip() == "False"
 
 
 class TestBudgets:

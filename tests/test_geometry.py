@@ -412,6 +412,17 @@ class TestSerialization:
         assert doc["schema_version"] == 1
         assert set(doc["discs"][0]) == {"x", "y", "r", "log_r"}
 
+    @pytest.mark.parametrize("field", ["x", "y", "log_r"])
+    def test_non_finite_disc_rejected_at_load(self, field):
+        entry = {"x": 0.6, "y": 0.1, "log_r": -5.0}
+        entry[field] = math.nan
+        with pytest.raises(GeometryError, match=field):
+            loads_config(json.dumps({"discs": [entry], "n_max": 2}))
+
+    def test_non_finite_disc_block_rejected(self):
+        with pytest.raises(GeometryError):
+            DiscBlock(np.array([0.6]), np.array([0.0]), np.array([-math.inf]))
+
     def test_underflowed_radius_survives(self):
         d = Disc(Point(0.9, 0.0), -1.0e6)
         assert d.radius == 0.0
