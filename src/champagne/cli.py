@@ -583,15 +583,12 @@ def _escape_trend(rows: list[dict]) -> dict:
     return {"p_escape": ps, "strictly_decreasing_beyond_2ci": decreasing}
 
 
-def cmd_report(args) -> int:
-    missing = [p for p in (args.check, args.sweep) if p and not Path(p).exists()]
-    if missing:
-        for p in missing:
-            print(f"missing input: {p}", file=sys.stderr)
-        return EXIT_IO
-    check_doc = _load_json(args.check) if args.check else None
-    sweep_doc = _load_json(args.sweep) if args.sweep else None
-
+def _report_verdicts(
+    check_doc: dict | None, sweep_doc: dict | None, threshold: float
+) -> tuple[dict, list[dict]]:
+    """(summary, verdicts) of ``report``; raises KeyError, TypeError or
+    AttributeError on a document that lacks a field it reads or holds one of
+    the wrong type."""
     verdicts: list[dict] = []
     summary: dict = {}
 
@@ -625,7 +622,7 @@ def cmd_report(args) -> int:
         growth_ok = bool((check_doc or {}).get("summary", {}).get("growth_all_positive"))
         sep = (check_doc or {}).get("summary", {}).get("separation", {})
         sep_value = sep.get("radius_log", {}).get("value")
-        sep_ok = sep_value is not None and sep_value > args.separation_threshold
+        sep_ok = sep_value is not None and sep_value > threshold
         trend = None
         if sweep_doc is not None:
             trend = _escape_trend(sweep_doc["rows"])
@@ -635,7 +632,7 @@ def cmd_report(args) -> int:
                 {
                     "verdict": "consistent with unavoidable",
                     "test": "series growth + separation + escape trend",
-                    "threshold": args.separation_threshold,
+                    "threshold": threshold,
                 }
             )
         else:
@@ -643,9 +640,25 @@ def cmd_report(args) -> int:
                 {
                     "verdict": "inconclusive",
                     "test": "series growth + separation + escape trend",
-                    "threshold": args.separation_threshold,
+                    "threshold": threshold,
                 }
             )
+    return summary, verdicts
+
+
+def cmd_report(args) -> int:
+    missing = [p for p in (args.check, args.sweep) if p and not Path(p).exists()]
+    if missing:
+        for p in missing:
+            print(f"missing input: {p}", file=sys.stderr)
+        return EXIT_IO
+    check_doc = _load_json(args.check) if args.check else None
+    sweep_doc = _load_json(args.sweep) if args.sweep else None
+    try:
+        summary, verdicts = _report_verdicts(check_doc, sweep_doc, args.separation_threshold)
+    except (KeyError, TypeError, AttributeError) as exc:
+        inputs = " and ".join(p for p in (args.check, args.sweep) if p)
+        raise InputFormatError(f"{inputs}: missing or mistyped field {exc!r}") from exc
 
     out = _out_dir(args)
     doc = _meta(

@@ -36,6 +36,7 @@ from .geometry import (
     DiscBlock,
     Point,
     RingBlock,
+    SpatialIndex,
     TWO_PI,
     _block_offsets,
     _ring_point_distance,
@@ -163,12 +164,8 @@ def _series(
             terms = s * s / dist2
             if weight_explicit is not None:
                 terms = terms * weight_explicit(b)
-            gens = b.generations
-            for n in np.unique(gens):
-                sel = gens == n
-                per_gen.setdefault(int(n), []).append(
-                    math.fsum(terms[sel].tolist())
-                )
+            for n, rows in b.generation_rows:
+                per_gen.setdefault(n, []).append(math.fsum(terms[rows].tolist()))
     gens_sorted = sorted(per_gen)
     per = tuple((n, math.fsum(per_gen[n])) for n in gens_sorted)
     cum = []
@@ -278,6 +275,16 @@ class _NeighborStructure:
 
 
 def _neighbor_structure(c: Configuration) -> _NeighborStructure:
+    """Built once per configuration and kept on it, which is immutable, so
+    that every separation statistic and shrink of one configuration shares a
+    single build."""
+    memo = vars(c)
+    if "_neighbor_structure" not in memo:
+        memo["_neighbor_structure"] = _build_neighbor_structure(c)
+    return memo["_neighbor_structure"]
+
+
+def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
     offsets = _block_offsets(c)
     explicit = [
         (off, b) for off, b in zip(offsets, c.blocks) if isinstance(b, DiscBlock) and len(b)
@@ -289,15 +296,7 @@ def _neighbor_structure(c: Configuration) -> _NeighborStructure:
         ys = np.concatenate([b.y for _, b in explicit])
         lrs = np.concatenate([b.log_r for _, b in explicit])
         ids = np.concatenate([off + np.arange(len(b)) for off, b in explicit]).astype(int)
-        nn = np.full(len(xs), np.inf)
-        nn_j = np.full(len(xs), -1, dtype=int)
-        if len(xs) >= 2:
-            from scipy.spatial import cKDTree
-
-            tree = cKDTree(np.column_stack([xs, ys]))
-            dist, j = tree.query(np.column_stack([xs, ys]), k=2)
-            nn = dist[:, 1]
-            nn_j = ids[j[:, 1]]
+        nn, nn_j = SpatialIndex(c).explicit_neighbors()
         for roff, rb in rings:
             for i in range(len(xs)):
                 p = Point(float(xs[i]), float(ys[i]))

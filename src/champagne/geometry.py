@@ -19,9 +19,11 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 TWO_PI = 2.0 * math.pi
 
@@ -322,13 +324,24 @@ class DiscBlock:
     def __len__(self) -> int:
         return len(self.x)
 
-    @property
-    def boundary_gap(self) -> np.ndarray:
-        return 1.0 - np.hypot(self.x, self.y)
+    # the block is immutable, so its derived arrays are computed once and
+    # handed out read-only
 
-    @property
+    @cached_property
+    def boundary_gap(self) -> np.ndarray:
+        return _as_readonly(1.0 - np.hypot(self.x, self.y))
+
+    @cached_property
     def generations(self) -> np.ndarray:
-        return generations_of(self.boundary_gap)
+        gens = generations_of(self.boundary_gap)
+        gens.setflags(write=False)
+        return gens
+
+    @cached_property
+    def generation_rows(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(n, indices of the discs of generation n), ascending in n."""
+        gens = self.generations
+        return tuple((int(n), np.flatnonzero(gens == n)) for n in np.unique(gens))
 
     @property
     def radius(self) -> np.ndarray:
@@ -640,7 +653,8 @@ def validate_configuration(c: Configuration) -> ValidationReport:
                     Violation("ratio", "disc radius >= 1-|center|", (offsets[bi] + int(i),))
                 )
 
-    overlap = _find_overlap(c, offsets)
+    index = SpatialIndex(c)
+    overlap = _find_overlap(c, index)
     if overlap is not None:
         violations.append(
             Violation("overlap", "closed discs intersect", overlap)
@@ -651,7 +665,6 @@ def validate_configuration(c: Configuration) -> ValidationReport:
         violations.append(Violation("ratio_sup", f"sup r/(1-|x|) >= 1 (log={lr_sup})"))
 
     if c.disc_count:
-        index = SpatialIndex(c)
         d0, covering = index.distance(Point(0.0, 0.0))
         if d0 <= 0.0:
             violations.append(
@@ -665,9 +678,13 @@ def validate_configuration(c: Configuration) -> ValidationReport:
     )
 
 
-def _find_overlap(c: Configuration, offsets: list[int]) -> tuple[int, int] | None:
-    """First pair of canonical indices whose closed discs intersect, if any."""
-    # explicit blocks against each other (single KD-tree over all of them)
+def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | None:
+    """A pair of canonical indices whose closed discs intersect, if any.
+
+    Among explicit discs the pair is the lowest-id disc that meets another,
+    with the lowest-id disc it meets.
+    """
+    offsets = index._offsets
     exp = [(bi, b) for bi, b in enumerate(c.blocks) if isinstance(b, DiscBlock)]
     rings = [(bi, b) for bi, b in enumerate(c.blocks) if isinstance(b, RingBlock)]
 
@@ -680,15 +697,15 @@ def _find_overlap(c: Configuration, offsets: list[int]) -> tuple[int, int] | Non
         ).astype(np.int64)
         with np.errstate(under="ignore"):
             radii = np.exp(lrs)
-        rmax = float(radii.max()) if len(radii) else 0.0
-        from scipy.spatial import cKDTree
-
-        tree = cKDTree(np.column_stack([xs, ys]))
-        pairs = tree.query_pairs(max(2.0 * rmax, 1e-15), output_type="ndarray")
-        for i, j in pairs:
-            d = math.hypot(xs[i] - xs[j], ys[i] - ys[j])
-            if d <= radii[i] + radii[j]:
-                a, bb = int(ids[i]), int(ids[j])
+        # disc i can meet disc j only if its center comes within r_i of disc
+        # j's boundary (up to rounding); the few discs that do are checked
+        # exactly against every explicit disc
+        _, near = index.explicit_neighbors(cutoff=radii + _CERT_SLACK, centers=False)
+        for i in np.flatnonzero(near >= 0):
+            hit = np.hypot(xs - xs[i], ys - ys[i]) <= radii + radii[i]
+            hit[i] = False
+            if hit.any():
+                a, bb = int(ids[i]), int(ids[np.argmax(hit)])
                 return (min(a, bb), max(a, bb))
 
         # explicit against rings: distance to the nearest ring slot, batched
@@ -748,44 +765,206 @@ def _ring_point_distance(rb: RingBlock, p: Point) -> tuple[float, int]:
     return best, best_a
 
 
+# An explicit band scans this many discs on either side of a query's angular
+# slot; bands of at most four times as many (64) are scanned whole, which
+# costs about as much.
+_HALF_WINDOW = 16
+# Margin of the window certificate: far above the rounding of any distance
+# inside the unit disc, far below the gaps it certifies.
+_CERT_SLACK = 1e-12
+# sqrt(dx*dx + dy*dy) and hypot(dx, dy) differ by a few ulps of a distance
+# inside the unit disc, far below this.
+_HYPOT_SLACK = 1e-13
+_NO_ID = np.iinfo(np.int64).max
+# Distances computed per numpy call: keeps temporaries cache-sized.
+_CHUNK = 1 << 13
+
+
+def _nearest_rows(
+    px: np.ndarray,
+    py: np.ndarray,
+    x: np.ndarray,
+    y: np.ndarray,
+    rad: np.ndarray | None,
+    gid: np.ndarray | None = None,
+    skip: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """For each point p_i, the minimum over the discs k of row i (or of
+    every disc, for 1-D arrays) of |p_i - x_k| - r_k, or of |p_i - x_k| when
+    ``rad`` is None, leaving out the entries where ``skip`` is set.  Given
+    the disc ids ``gid`` it also returns the lowest id attaining each
+    minimum (_NO_ID where every disc is left out).
+
+    Center distances are sqrt(dx*dx + dy*dy), the expression every
+    separation statistic has been reported with.  Boundary distances are
+    hypot(dx, dy) - r_k, the expression of a brute-force scan; hypot costs
+    several times more, so it is evaluated only where the sqrt form comes
+    within _HYPOT_SLACK of the row's minimum.
+    """
+    dx, dy = x - px[:, None], y - py[:, None]
+    d = dx * dx
+    d += dy * dy
+    np.sqrt(d, out=d)
+    if rad is not None:
+        d -= rad
+    if skip is not None:
+        d[skip] = np.inf
+    dmin = d.min(axis=1)
+    # the entries that can attain the minimum, row by row; every row has one
+    rows, cols = np.nonzero(d <= dmin[:, None] + (0.0 if rad is None else _HYPOT_SLACK))
+    vals = d[rows, cols]
+    if rad is not None:
+        exact = np.hypot(dx[rows, cols], dy[rows, cols]) - np.broadcast_to(rad, d.shape)[rows, cols]
+        vals = np.where(np.isinf(vals), np.inf, exact)
+    starts = np.flatnonzero(np.diff(rows, prepend=-1))
+    dmin = np.minimum.reduceat(vals, starts)
+    if gid is None:
+        return dmin, None
+    cand = np.where(vals == dmin[rows], np.broadcast_to(gid, d.shape)[rows, cols], _NO_ID)
+    ids = np.minimum.reduceat(cand, starts)
+    ids[np.isinf(dmin)] = _NO_ID
+    return dmin, ids
+
+
+class _DiscBand:
+    """The explicit discs of one generation band, sorted by center angle.
+
+    A query scans the 2 * _HALF_WINDOW discs nearest in angle to its
+    ``searchsorted`` slot.  Every other disc of the band lies at least
+    dtheta away in angle, where dtheta is the angular distance to the nearest
+    disc left out, so its distance is at least
+    sqrt(gap^2 + 4 rho_p rho_min sin^2(dtheta/2)) - r_max, with ``gap`` the
+    distance from rho_p to [rho_min, rho_max], the radii of the band's
+    centers.  A point whose bound does not clear the window's minimum by
+    _CERT_SLACK is scanned against the whole band.  Distances use the
+    expressions of a full scan, so minima are bit-equal to it.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, rad: np.ndarray, gid: np.ndarray):
+        theta = np.arctan2(y, x)
+        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+        order = np.argsort(theta, kind="stable")
+        self.theta = theta[order]
+        self.x, self.y, self.rad, self.gid = x[order], y[order], rad[order], gid[order]
+        self.r_max = float(rad.max())
+        rho = np.hypot(x, y)
+        self.rho_min, self.rho_max = float(rho.min()), float(rho.max())
+        self.windowed = len(x) > 4 * _HALF_WINDOW
+        if self.windowed:
+            # cyclic padding by W+1: for a point in slot k, padded positions
+            # k+1 .. k+2W hold the discs k-W .. k+W-1 of its window, and
+            # positions k and k+2W+1 the nearest discs left out on each side
+            pad = _HALF_WINDOW + 1
+
+            def windows(a: np.ndarray) -> np.ndarray:
+                # row k: the window of a point in slot k
+                padded = np.concatenate([a[-pad:], a, a[:pad]])
+                return sliding_window_view(padded[1:-1], 2 * _HALF_WINDOW)
+
+            self._x_win, self._y_win = windows(self.x), windows(self.y)
+            self._rad_win, self._gid_win = windows(self.rad), windows(self.gid)
+            self._theta_pad = np.concatenate(
+                [self.theta[-pad:] - TWO_PI, self.theta, self.theta[:pad] + TWO_PI]
+            )
+
+    def nearest(
+        self,
+        px: np.ndarray,
+        py: np.ndarray,
+        rho_p: np.ndarray,
+        theta_p: np.ndarray,
+        best: np.ndarray,
+        centers: bool = False,
+        exclude: np.ndarray | None = None,
+        with_ids: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(d, ids): for each point the smallest distance to a disc of the
+        band, |p - x_k| - r_k or, with ``centers``, |p - x_k|, skipping the
+        disc whose id is ``exclude[i]`` for point i.
+
+        d is exact wherever it is <= ``best``; elsewhere it only promises
+        that the band holds nothing within ``best``.  With ``with_ids`` each
+        d comes with the lowest id attaining it (_NO_ID where there is
+        none); otherwise ids is None.
+        """
+        d = np.full(len(px), np.inf)
+        ids = np.full(len(px), _NO_ID) if with_ids else None
+
+        def fill(sel, x, y, rad, gid, slot=None):
+            # points ``sel`` (None: all) against every disc of the band or,
+            # given each point's slot, against the rows of its window; in
+            # chunks of about _CHUNK distances
+            step = max(1, _CHUNK // x.shape[-1])
+            for lo in range(0, len(px) if sel is None else len(sel), step):
+                s = slice(lo, lo + step) if sel is None else sel[lo : lo + step]
+                part = slice(None) if slot is None else slot[s]
+                skip = None if exclude is None else gid[part] == exclude[s][:, None]
+                d[s], sub = _nearest_rows(
+                    px[s], py[s], x[part], y[part], None if centers else rad[part],
+                    gid[part] if with_ids else None, skip,
+                )
+                if with_ids:
+                    ids[s] = sub
+
+        scan = None
+        if self.windowed:
+            k = np.searchsorted(self.theta, theta_p)
+            fill(None, self._x_win, self._y_win, self._rad_win, self._gid_win, k)
+            dtheta = np.minimum(
+                self._theta_pad[k + 2 * _HALF_WINDOW + 1] - theta_p,
+                theta_p - self._theta_pad[k],
+            )
+            sin2 = np.sin(np.minimum(dtheta, math.pi) / 2.0) ** 2
+            gap = np.maximum(0.0, np.maximum(self.rho_min - rho_p, rho_p - self.rho_max))
+            bound = np.sqrt(gap * gap + 4.0 * rho_p * self.rho_min * sin2)
+            if not centers:
+                bound -= self.r_max
+            scan = np.flatnonzero(bound <= np.minimum(best, d) + _CERT_SLACK)
+        fill(scan, self.x, self.y, self.rad, self.gid)
+        return d, ids
+
+
 class SpatialIndex:
     """Immutable distance-query accelerator over a configuration.
 
     Explicit discs are bucketed by dyadic generation of their centers (with
-    a coarse bucket for the central region); ring blocks answer queries in
-    O(1) per ring via angular rounding.  Results agree exactly with a brute
-    force scan; bucketing only prunes whole generations whose radial band is
-    provably farther than the best candidate.
+    a coarse bucket for the central region), each bucket sorted by angle so
+    that a query scans a fixed window of angular neighbours (see
+    :class:`_DiscBand`).  Ring blocks answer queries in O(1) per ring via
+    angular rounding, rings with a dropped prefix through the arc endpoints
+    as extra candidates.  Results agree exactly with a brute force scan;
+    bucketing only prunes whole generations whose radial band is provably
+    farther than the best candidate, and windows only discs whose angular
+    offset provably puts them farther.
     """
 
     def __init__(self, config: Configuration):
         self.config = config
         self._offsets = _block_offsets(config)
+        explicit = [
+            (off, b)
+            for off, b in zip(self._offsets, config.blocks)
+            if isinstance(b, DiscBlock) and len(b)
+        ]
+        self._rings: list[tuple[int, RingBlock]] = [
+            (off, b) for off, b in zip(self._offsets, config.blocks) if isinstance(b, RingBlock)
+        ]
         # explicit discs, globally indexed, grouped by generation band
-        xs, ys, lrs, ids = [], [], [], []
-        self._rings: list[tuple[int, RingBlock]] = []
-        for bi, b in enumerate(config.blocks):
-            if isinstance(b, RingBlock):
-                self._rings.append((self._offsets[bi], b))
-            elif len(b):
-                xs.append(b.x)
-                ys.append(b.y)
-                lrs.append(b.log_r)
-                ids.append(self._offsets[bi] + np.arange(len(b), dtype=np.int64))
-        if xs:
-            x = np.concatenate(xs)
-            y = np.concatenate(ys)
-            lr = np.concatenate(lrs)
-            gid = np.concatenate(ids)
-            gen = generations_of(1.0 - np.hypot(x, y))
-            self._explicit: dict[int, tuple[np.ndarray, ...]] = {}
+        self._explicit: dict[int, _DiscBand] = {}
+        self._explicit_ids = np.empty(0, dtype=np.int64)
+        if explicit:
+            x = np.concatenate([b.x for _, b in explicit])
+            y = np.concatenate([b.y for _, b in explicit])
+            with np.errstate(under="ignore"):
+                rad = np.exp(np.concatenate([b.log_r for _, b in explicit]))
+            gid = np.concatenate(
+                [off + np.arange(len(b), dtype=np.int64) for off, b in explicit]
+            )
+            gen = np.concatenate([b.generations for _, b in explicit])
             for g in np.unique(gen):
                 sel = gen == g
-                with np.errstate(under="ignore"):
-                    rad = np.exp(lr[sel])
-                self._explicit[int(g)] = (x[sel], y[sel], rad, gid[sel])
-        else:
-            self._explicit = {}
+                self._explicit[int(g)] = _DiscBand(x[sel], y[sel], rad[sel], gid[sel])
+            self._explicit_ids = gid
         # ring tables grouped by generation: rows share count and phase
         self._ring_gens: dict[int, list[tuple[int, RingBlock]]] = {}
         for off, rb in self._rings:
@@ -796,9 +975,7 @@ class SpatialIndex:
         # prune must subtract it
         self._gen_max_radius: dict[int, float] = {}
         for n in self._gen_bands:
-            rmax = 0.0
-            if n in self._explicit:
-                rmax = float(self._explicit[n][2].max())
+            rmax = self._explicit[n].r_max if n in self._explicit else 0.0
             for _, rb in self._ring_gens.get(n, ()):
                 rmax = max(rmax, rb.radius)
             self._gen_max_radius[n] = rmax
@@ -829,12 +1006,13 @@ class SpatialIndex:
         for n in bands:
             if self._disc_gap(n, s) >= best:
                 break
-            if n in self._explicit:
-                x, y, rad, gid = self._explicit[n]
-                d = np.hypot(x - p.x, y - p.y) - rad
+            band = self._explicit.get(n)
+            if band is not None:
+                d = np.hypot(band.x - p.x, band.y - p.y) - band.rad
                 i = int(np.argmin(d))
                 if d[i] < best:
-                    best, best_id = float(d[i]), int(gid[i])
+                    # lowest id on ties, as a scan in canonical order finds
+                    best, best_id = float(d[i]), int(band.gid[d == d[i]].min())
             for off, rb in self._ring_gens.get(n, ()):  # noqa: B905
                 if abs(p.norm() - rb.rho) - rb.radius >= best:
                     continue
@@ -850,37 +1028,65 @@ class SpatialIndex:
 
     def distance_many(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
         """Unclamped signed distances (negative inside a disc) for a batch."""
-        m = len(px)
-        best = np.full(m, np.inf)
+        best = np.full(len(px), np.inf)
         rho_p = np.hypot(px, py)
         s = 1.0 - rho_p
         theta_p = np.arctan2(py, px)
         theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)
         for n in self._gen_bands:
             gaps = self._band_gap_vec(n, s) - self._gen_max_radius[n]
-            live = gaps < best
-            if not live.any():
+            live = np.flatnonzero(gaps < best)
+            if not len(live):
                 continue
-            if n in self._explicit:
-                x, y, rad, _ = self._explicit[n]
-                idx = np.nonzero(live)[0]
-                # chunk the disc axis so memory stays bounded
-                sub_best = best[idx]
-                for lo in range(0, len(x), 8192):
-                    hi = lo + 8192
-                    d = np.hypot(
-                        x[None, lo:hi] - px[idx, None], y[None, lo:hi] - py[idx, None]
-                    ) - rad[None, lo:hi]
-                    sub_best = np.minimum(sub_best, d.min(axis=1))
-                best[idx] = sub_best
+            if len(live) == len(px):
+                live = slice(None)  # views, not copies, of the whole batch
+            band = self._explicit.get(n)
+            if band is not None:
+                d, _ = band.nearest(px[live], py[live], rho_p[live], theta_p[live], best[live])
+                best[live] = np.minimum(best[live], d)
             rows = self._ring_gens.get(n)
             if rows:
-                idx = np.nonzero(live)[0]
-                best[idx] = np.minimum(
-                    best[idx],
-                    self._ring_rows_distance(rows, rho_p[idx], theta_p[idx]),
+                best[live] = np.minimum(
+                    best[live], self._ring_rows_distance(rows, rho_p[live], theta_p[live])
                 )
         return best
+
+    def explicit_neighbors(
+        self, cutoff: float | np.ndarray = math.inf, centers: bool = True
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """The nearest other explicit disc of every explicit disc.
+
+        Returns (d, ids) in canonical order of the explicit discs: the
+        distance between centers (with ``centers``) or from the center to
+        the other disc's boundary, and that disc's id, lowest on ties.  An
+        entry with no disc at most ``cutoff`` away (a scalar or one value
+        per disc) is (cutoff, -1).
+        """
+        d = np.array(np.broadcast_to(cutoff, self._explicit_ids.shape), dtype=np.float64)
+        nn = np.full(len(d), _NO_ID)
+        for g, own in self._explicit.items():
+            pos = np.searchsorted(self._explicit_ids, own.gid)
+            rho = np.hypot(own.x, own.y)
+            s = 1.0 - rho
+            best, best_id = d[pos], nn[pos]
+            # a disc's neighbours mostly share its band: search it first so
+            # that the other bands are pruned by a tight radius
+            for n in sorted(self._explicit, key=lambda n: abs(n - g)):
+                band = self._explicit[n]
+                gap = self._band_gap_vec(n, s)
+                reach = gap if centers else gap - band.r_max
+                live = np.flatnonzero(reach <= best)
+                if not len(live):
+                    continue
+                bd, bid = band.nearest(
+                    own.x[live], own.y[live], rho[live], own.theta[live], best[live],
+                    centers=centers, exclude=own.gid[live], with_ids=True,
+                )
+                take = (bd < best[live]) | ((bd == best[live]) & (bid < best_id[live]))
+                best[live[take]], best_id[live[take]] = bd[take], bid[take]
+            d[pos], nn[pos] = best, best_id
+        nn[nn == _NO_ID] = -1
+        return d, nn
 
     @staticmethod
     def _band_gap_vec(n: int, s: np.ndarray) -> np.ndarray:
@@ -911,11 +1117,22 @@ class SpatialIndex:
                     ) - rb.radius
                     np.minimum(out, d, out=out)
             return out
-        for i in range(len(rho_p)):
-            p = Point(float(rho_p[i] * math.cos(theta_p[i])), float(rho_p[i] * math.sin(theta_p[i])))
-            for _, rb in rows:
-                dc, _ = _ring_point_distance(rb, p)
-                out[i] = min(out[i], dc - rb.radius)
+        # rings with a dropped prefix [0, a_start): the nearest active slot
+        # is the floor or ceiling slot of the point's angle or, where that
+        # one is dropped, an end of the active arc.  A dropped candidate is
+        # clamped to a_start, the arc's first slot; count - 1, its last, is
+        # a candidate throughout.
+        for _, rb in rows:
+            base = np.floor(theta_p / rb.step - 0.5)
+            dr2 = (rho_p - rb.rho) ** 2
+            cross = 4.0 * rho_p * rb.rho
+            for a in (
+                np.maximum(np.mod(base, rb.count), rb.a_start),
+                np.maximum(np.mod(base + 1.0, rb.count), rb.a_start),
+                rb.count - 1.0,
+            ):
+                sin2 = np.sin((theta_p - (a + 0.5) * rb.step) / 2.0) ** 2
+                np.minimum(out, np.sqrt(dr2 + cross * sin2) - rb.radius, out=out)
         return out
 
 

@@ -1,11 +1,17 @@
 import json
 import math
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import champagne
 from champagne.cli import main
+from champagne.generators import GeneratorParams, generate_subsquares
+from champagne.geometry import dumps_config
 from champagne.walker import annulus_escape_probability
 
 
@@ -283,6 +289,41 @@ class TestExitCodes:
         path.write_text('{"summary": ')
         assert run("report", flag, path, "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("text", ["{}", '{"rows": [{"n_max": 6}]}', '{"rows": {"a": 1}}'])
+    def test_report_sweep_missing_field_exits_two(self, tmp_path, capsys, text):
+        path = tmp_path / "sweep.json"
+        path.write_text(text)
+        assert run("report", "--sweep", path, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+    def test_report_certificate_missing_field_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "check.json"
+        path.write_text('{"summary": {"avoidable_certificate": {"issued": true}}}')
+        assert run("report", "--check", path, "--out-dir", tmp_path) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+class TestWithoutScipy:
+    @pytest.mark.parametrize("command", [["check"], ["simulate", "--n-walks", "50"]])
+    def test_explicit_storage_leaves_scipy_unloaded(self, tmp_path, command):
+        # 3,072 explicit discs: validation, separation and walks all take
+        # the windowed band queries
+        path = tmp_path / "explicit.json"
+        rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
+        path.write_text(dumps_config(rings.materialized()))
+        code = (
+            "import sys; from champagne.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
+        )
+        env = dict(os.environ)
+        src = str(Path(champagne.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, command[0], str(path), *command[1:], "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split()[-2:] == ["0", "False"]
 
 
 class TestEnvOverrides:

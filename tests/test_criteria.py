@@ -180,6 +180,23 @@ class TestSeriesExamples:
 
 
 class TestSeparation:
+    def test_neighbor_structure_built_once_per_configuration(self, monkeypatch):
+        from champagne import criteria
+
+        calls = []
+        build = criteria._build_neighbor_structure
+        monkeypatch.setattr(
+            criteria, "_build_neighbor_structure", lambda c: calls.append(c) or build(c)
+        )
+        rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=3, n_max=5))
+        explicit = rings.materialized()
+        for cfg in (rings, explicit):
+            first = separation(cfg, kind="plain")
+            separation(cfg, kind="radius_log")
+            criteria.shrink_for_separation(cfg, threshold=1.0)
+            assert separation(cfg, kind="plain") == first
+        assert len(calls) == 2 and calls[0] is rings and calls[1] is explicit
+
     def test_two_discs_exact(self):
         c = Configuration.from_discs([disc(0.5, 0.0, 0.01), disc(0.7, 0.0, 0.001)])
         rep = separation(c, kind="plain")

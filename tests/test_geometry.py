@@ -439,6 +439,16 @@ class TestConfiguration:
         gens = c.blocks[0].generations
         assert list(gens) == sorted(gens)
 
+    def test_disc_block_derived_arrays_kept_read_only(self):
+        b = _random_explicit_config(np.random.default_rng(3), 60).blocks[0]
+        assert b.boundary_gap is b.boundary_gap and b.generations is b.generations
+        assert not b.boundary_gap.flags.writeable and not b.generations.flags.writeable
+        rows = b.generation_rows
+        assert [n for n, _ in rows] == sorted(set(b.generations.tolist()))
+        for n, idx in rows:
+            assert np.all(b.generations[idx] == n)
+        assert sorted(np.concatenate([idx for _, idx in rows])) == list(range(len(b)))
+
     def test_ratio_sup(self):
         c = Configuration.from_discs([disc(0.6, 0.0, 0.2), disc(0.9, 0.0, 0.01)])
         assert c.ratio_sup == pytest.approx(0.5)
@@ -453,3 +463,232 @@ class TestConfiguration:
         assert chord(0.5, 0.5, 0.0) == 0.0
         assert chord(0.5, 0.5, math.pi) == pytest.approx(1.0)
         assert chord(1.0, 1.0, 1e-9) == pytest.approx(1e-9, rel=1e-6)
+
+
+# ---------------------------------------------------------------------------
+# locality-bounded queries against brute-force scans
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from champagne.geometry import _find_overlap  # noqa: E402
+
+# drawn per band: (generation, disc count, angular centre, angular spread,
+# log10 of r_max / r_min); counts up to 64 are scanned whole, larger ones
+# through the angular window
+_band = st.tuples(
+    st.integers(0, 7),
+    st.one_of(st.integers(1, 64), st.integers(65, 400)),
+    st.one_of(st.just(0.0), st.floats(0.0, TWO_PI, exclude_max=True)),
+    st.sampled_from([0.05, 0.5, TWO_PI]),
+    st.sampled_from([0.0, 3.0, 12.0]),
+)
+
+
+def _explicit_bands(seed, bands, r_top=0.3):
+    """One explicit block with the discs of each band; around a centre of
+    angle 0 they sit on both sides of the seam theta = 0 = 2 pi.  Discs may
+    overlap: a distance query does not need a valid configuration."""
+    rng = np.random.default_rng(seed)
+    xs, ys, lrs = [], [], []
+    for n, count, centre, spread, decades in bands:
+        lo, hi = (0.5, 0.95) if n == 0 else (2.0 ** (-n - 1), 2.0 ** (-n))
+        s = rng.uniform(lo, hi, count)
+        theta = np.mod(centre + spread * rng.uniform(-0.5, 0.5, count), TWO_PI)
+        r = np.minimum(r_top * s, 0.9 * (hi - lo)) * 10.0 ** (-decades * rng.random(count))
+        xs.append((1.0 - s) * np.cos(theta))
+        ys.append((1.0 - s) * np.sin(theta))
+        lrs.append(np.log(r))
+    block = DiscBlock(np.concatenate(xs), np.concatenate(ys), np.concatenate(lrs))
+    return Configuration(blocks=(block,), n_max=8)
+
+
+def _query_points(seed, config, count=300):
+    """Points spread over the disc, points next to disc centres and points
+    on the seam at theta = 0."""
+    rng = np.random.default_rng(seed + 1)
+    x, y, _ = config.disc_arrays()
+    gap = np.exp(rng.uniform(math.log(1e-4), math.log(0.99), count))
+    theta = rng.uniform(0.0, TWO_PI, count)
+    theta[: count // 6] = rng.normal(0.0, 1e-3, count // 6)
+    px, py = (1.0 - gap) * np.cos(theta), (1.0 - gap) * np.sin(theta)
+    near = rng.integers(0, len(x), count // 3)
+    jitter = 10.0 ** rng.uniform(-9, -2, (2, len(near)))
+    px = np.concatenate([px, x[near] + jitter[0], [0.0]])
+    py = np.concatenate([py, y[near] - jitter[1], [0.0]])
+    keep = np.hypot(px, py) < 0.9999
+    return px[keep], py[keep]
+
+
+def _explicit_scan(config, px, py):
+    x, y, lr = config.disc_arrays()
+    return np.min(np.hypot(px[:, None] - x[None, :], py[:, None] - y[None, :]) - np.exp(lr), axis=1)
+
+
+def _ring_scan(rings, px, py):
+    """Every active slot of every ring, in the ring's own polar arithmetic."""
+    rho_p = np.hypot(px, py)
+    theta_p = np.arctan2(py, px)
+    theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)[:, None]
+    best = np.full(len(px), np.inf)
+    for rb in rings:
+        a = np.arange(rb.a_start, rb.count)
+        sin2 = np.sin((theta_p - (a + 0.5) * rb.step) / 2.0) ** 2
+        d = np.sqrt((rho_p[:, None] - rb.rho) ** 2 + 4.0 * rho_p[:, None] * rb.rho * sin2)
+        best = np.minimum(best, (d - rb.radius).min(axis=1))
+    return best
+
+
+def _neighbor_scan(config, centers=True):
+    """(distance, lowest id) of the nearest other disc, O(N^2): between
+    centres, or from the centre to the other disc's boundary; (inf, -1) for
+    a lone disc."""
+    x, y, lr = config.disc_arrays()
+    dx, dy = x[None, :] - x[:, None], y[None, :] - y[:, None]
+    d = np.sqrt(dx * dx + dy * dy) if centers else np.hypot(dx, dy) - np.exp(lr)[None, :]
+    np.fill_diagonal(d, np.inf)
+    nn = d.min(axis=1)
+    ids = np.argmax(d == nn[:, None], axis=1)
+    return nn, np.where(np.isinf(nn), -1, ids)
+
+
+class TestLocalityQueries:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(_band, min_size=1, max_size=3))
+    def test_explicit_distances_equal_scan(self, seed, bands):
+        config = _explicit_bands(seed, bands)
+        px, py = _query_points(seed, config)
+        got = SpatialIndex(config).distance_many(px, py)
+        np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
+
+    def test_windowed_band_with_huge_radius_spread(self):
+        # one disc 10^12 times larger than the rest of its 2000-disc band
+        config = _explicit_bands(3, [(4, 2000, 0.0, TWO_PI, 12.0), (4, 1, 1.0, 0.0, 0.0)])
+        px, py = _query_points(3, config, count=3000)
+        got = SpatialIndex(config).distance_many(px, py)
+        np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_nearest_disc_just_outside_the_window(self, side):
+        # the query's 32-disc window (16 on either side of its slot) sits
+        # 0.06 out radially; the nearest disc, 0.05 rad away at the query's
+        # radius, is the first disc left out on one side, and the next ones
+        # out on that side are 0.3 rad away
+        window = np.concatenate([-1e-3 * np.arange(1, 17), 1e-3 * np.arange(16)])
+        out = np.array([-0.05, -0.3, -0.31, -0.32])
+        fillers = np.linspace(0.5, 5.0, 60)
+        theta = 1.0 + side * np.concatenate([window, out, fillers])
+        rho = np.concatenate([np.full(32, 0.86), [0.8], np.full(63, 0.86)])
+        x, y = rho * np.cos(theta), rho * np.sin(theta)
+        config = Configuration(blocks=(DiscBlock(x, y, np.full(96, -30.0)),), n_max=2)
+        q = 1.0 - side * 5e-4
+        px, py = np.array([0.8 * math.cos(q)]), np.array([0.8 * math.sin(q)])
+        got = SpatialIndex(config).distance_many(px, py)
+        np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
+        assert got[0] < 0.045
+
+    @pytest.mark.parametrize("fillers", [0, 100])
+    def test_hypot_decides_near_ties(self, fillers):
+        # the two discs are equally far from p up to one ulp, and
+        # sqrt(dx^2 + dy^2) orders them the other way round from hypot
+        p = (-0.12519809902498447, 0.0008109267883478211)
+        near = ([0.08270449011782591, -0.14612757768289386], [0.058754668426739674, 0.21561995986295815])
+        theta = np.linspace(math.pi + 0.1, TWO_PI - 0.01, fillers)
+        x = np.concatenate([near[0], 0.45 * np.cos(theta)])
+        y = np.concatenate([near[1], 0.45 * np.sin(theta)])
+        config = Configuration(blocks=(DiscBlock(x, y, np.full(len(x), -20.0)),), n_max=0)
+        px, py = np.array([p[0]]), np.array([p[1]])
+        got = SpatialIndex(config).distance_many(px, py)
+        np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 6),
+        st.integers(8, 600),
+        st.lists(st.integers(0, 3), min_size=1, max_size=2),
+        st.sampled_from([1, 2, 3, 10, 0]),
+    )
+    def test_prefix_ring_distances_equal_scan(self, seed, n, count, rows, keep):
+        # keep = 0 drops a random prefix; otherwise only the last `keep`
+        # slots stay active, so most queries land on the dropped arc
+        rng = np.random.default_rng(seed)
+        lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
+        rings = []
+        for row in rows:
+            a_start = int(rng.integers(0, count)) if keep == 0 else max(0, count - keep - row)
+            rho = 1.0 - rng.uniform(lo, hi)
+            log_r = math.log((1.0 - rho) * 10.0 ** rng.uniform(-12, -0.5))
+            rings.append(RingBlock(n=n, rho=rho, log_r=log_r, count=count, a_start=a_start))
+        config = Configuration(blocks=tuple(rings), n_max=n)
+        # half the queries around the arc endpoints, some on the seam
+        ends = np.concatenate([[rb.angle_of(rb.a_start), rb.angle_of(rb.count - 1)] for rb in rings])
+        theta = np.concatenate(
+            [
+                ends[rng.integers(0, len(ends), 150)] + rng.normal(0.0, 3.0 * TWO_PI / count, 150),
+                rng.uniform(0.0, TWO_PI, 100),
+                rng.normal(0.0, 1e-3, 50),
+            ]
+        )
+        rho_q = 1.0 - np.concatenate([rng.uniform(lo, hi, 200), rng.uniform(1e-3, 0.99, 100)])
+        px, py = rho_q * np.cos(theta), rho_q * np.sin(theta)
+        got = SpatialIndex(config).distance_many(px, py)
+        np.testing.assert_array_equal(got, _ring_scan(rings, px, py))
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(_band, min_size=1, max_size=3), st.booleans())
+    def test_nearest_neighbours_equal_scan(self, seed, bands, centers):
+        config = _explicit_bands(seed, bands)
+        d, ids = SpatialIndex(config).explicit_neighbors(centers=centers)
+        want_d, want_ids = _neighbor_scan(config, centers)
+        np.testing.assert_array_equal(d, want_d)
+        np.testing.assert_array_equal(ids, want_ids)
+
+    def test_nearest_centre_ties_take_lowest_id(self):
+        # disc 0 at angle 0 has two neighbours at exactly the same distance:
+        # disc 1 just above the seam and disc 2 just below it, which comes
+        # first in angular order; 100 more discs make the band windowed
+        h = 2.0**-10
+        far = np.linspace(1.0, 5.0, 100)
+        x = np.concatenate([[0.75, 0.75, 0.75], 0.75 * np.cos(far)])
+        y = np.concatenate([[0.0, h, -h], 0.75 * np.sin(far)])
+        config = Configuration(blocks=(DiscBlock(x, y, np.full(len(x), -30.0)),), n_max=2)
+        d, ids = SpatialIndex(config).explicit_neighbors()
+        assert (d[0], ids[0]) == (h, 1)
+        want_d, want_ids = _neighbor_scan(config)
+        np.testing.assert_array_equal(d, want_d)
+        np.testing.assert_array_equal(ids, want_ids)
+
+    def test_nearest_centre_tie_across_bands_takes_lowest_id(self):
+        # disc 1 (generation 2) is 1/16 from disc 2 in its own band and from
+        # disc 0 in generation 1, which is searched second
+        x = np.array([0.6875, 0.75, 0.8125])
+        config = Configuration(blocks=(DiscBlock(x, np.zeros(3), np.full(3, -30.0)),), n_max=2)
+        d, ids = SpatialIndex(config).explicit_neighbors()
+        assert (d[1], ids[1]) == (0.0625, 0)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(_band, min_size=1, max_size=3),
+        st.sampled_from([1e-3, 0.05, 0.3]),
+        st.booleans(),
+    )
+    def test_overlap_found_exactly_when_scan_finds_one(self, seed, bands, r_top, tangent):
+        config = _explicit_bands(seed, bands, r_top=r_top)
+        if tangent:
+            # a disc placed to touch disc 0 exactly, as far as rounding allows
+            b = config.blocks[0]
+            r0, r1 = float(np.exp(b.log_r[0])), 1e-7
+            x = np.append(b.x, b.x[0] + (r0 + r1) * 0.6)
+            y = np.append(b.y, b.y[0] + (r0 + r1) * 0.8)
+            config = Configuration(blocks=(DiscBlock(x, y, np.append(b.log_r, math.log(r1))),), n_max=8)
+        x, y, lr = config.disc_arrays()
+        r = np.exp(lr)
+        meets = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :]) <= r[:, None] + r[None, :]
+        np.fill_diagonal(meets, False)
+        got = _find_overlap(config, SpatialIndex(config))
+        if not meets.any():
+            assert got is None
+        else:
+            i = int(np.argmax(meets.any(axis=1)))
+            assert got == (i, int(np.argmax(meets[i])))
