@@ -20,8 +20,11 @@ formatting).  Exit codes: 0 success (including inconclusive diagnostics),
 2 usage or I/O failure, including a configuration file or a ``report``
 input that does not parse.
 
-Environment overrides: ``CHAMPAGNE_OUT`` for the output directory,
-``CHAMPAGNE_THREADS`` for the walker thread count.
+Environment overrides: ``CHAMPAGNE_OUT`` for the output directory;
+``CHAMPAGNE_THREADS=k`` splits the walks of ``simulate`` and ``sweep`` into
+chunks of min(32768, ceil(n_walks / k)), run one after another.  Each walk
+is a pure function of the seed and its walk id, so every partition writes
+byte-identical artifacts; unset or 1 gives the default partition.
 """
 
 from __future__ import annotations
@@ -71,6 +74,7 @@ from .geometry import (
     TWO_PI,
     Configuration,
     GeometryError,
+    Point,
     WhitneyIndex,
     chord,
     dumps_config,
@@ -78,14 +82,13 @@ from .geometry import (
     sector_count,
     validate_configuration,
 )
-from .geometry import Point, SpatialIndex
 from .walker import (
+    OUTCOMES,
     WalkParams,
     WalkerError,
     concentric_obstacle_config,
     escape_vs_depth,
     estimate_escape,
-    run_walk,
 )
 
 EXIT_OK = 0
@@ -130,8 +133,10 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("CHAMPAGNE_OUT", "."))
 
 
-def _default_jobs() -> int:
-    return max(1, int(os.environ.get("CHAMPAGNE_THREADS", "1")))
+def _chunk_size(n_walks: int) -> int:
+    """Walks per chunk under CHAMPAGNE_THREADS (see the module docstring)."""
+    k = max(1, int(os.environ.get("CHAMPAGNE_THREADS", "1")))
+    return min(32_768, -(-n_walks // k))
 
 
 class InputFormatError(Exception):
@@ -156,6 +161,15 @@ def _load_config(path: str) -> Configuration:
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputFormatError(f"{path} is not a configuration document: {exc!r}") from exc
+
+
+def _valid(config: Configuration) -> bool:
+    """Validate a loaded configuration, printing one ``invalid:`` line per
+    violation to stderr."""
+    report = validate_configuration(config)
+    for v in report.violations:
+        print(f"invalid: {v.kind} {v.detail} indices={v.indices}", file=sys.stderr)
+    return report.ok
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -226,10 +240,7 @@ def cmd_generate(args) -> int:
 def cmd_check(args) -> int:
     path = Path(args.config)
     config = _load_config(str(path))
-    report = validate_configuration(config)
-    if not report.ok:
-        for v in report.violations:
-            print(f"invalid: {v.kind} {v.detail} indices={v.indices}", file=sys.stderr)
+    if not _valid(config):
         return EXIT_INVALID
 
     ys = BoundaryPoint.grid(args.y_grid)
@@ -452,7 +463,7 @@ def _walk_params(args, n_walks: int) -> WalkParams:
         start=Point(args.start_x, args.start_y),
         seed=args.seed,
         n_walks=n_walks,
-        n_jobs=_default_jobs(),
+        chunk_size=_chunk_size(n_walks),
     )
 
 
@@ -483,6 +494,8 @@ def cmd_simulate(args) -> int:
     else:
         path = Path(args.config)
         config = _load_config(str(path))
+        if not _valid(config):
+            return EXIT_INVALID
         input_hash = _sha256_file(path)
         config_name = str(path)
     params = _walk_params(args, args.n_walks)
@@ -508,9 +521,8 @@ def cmd_simulate(args) -> int:
         _csv(rows, ["n_max", "n_walks", "p_escape", "ci95", "n_censored", "mean_steps"]),
     )
     if args.trace:
-        idx = SpatialIndex(config)
         trace_rows = [
-            [w, (o := run_walk(params, idx, walk_id=w)).tag, o.steps]
+            [w, OUTCOMES[est.walk_outcome[w]], int(est.walk_steps[w])]
             for w in range(min(args.n_walks, args.trace))
         ]
         _write(out / "trace.csv", _csv(trace_rows, ["walk", "outcome", "steps"]))
@@ -526,6 +538,8 @@ def cmd_simulate(args) -> int:
 def cmd_sweep(args) -> int:
     path = Path(args.config)
     config = _load_config(str(path))
+    if not _valid(config):
+        return EXIT_INVALID
     depths = [int(d) for d in args.depths.split(",")]
     params = _walk_params(args, args.n_walks)
     table = escape_vs_depth(config, depths, params)

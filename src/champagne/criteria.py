@@ -39,9 +39,9 @@ from .geometry import (
     SpatialIndex,
     TWO_PI,
     _block_offsets,
-    _ring_point_distance,
     chord,
     ring_min_center_distance,
+    spatial_index,
 )
 from .generators import MSpec, PhiSpec
 
@@ -291,20 +291,26 @@ def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
     ]
     rings = [(off, b) for off, b in zip(offsets, c.blocks) if isinstance(b, RingBlock)]
 
+    # each ring's nearest explicit disc: (center distance, pair)
+    ring_to_explicit: list[tuple[float, tuple[int, int]]] = []
     if explicit:
         xs = np.concatenate([b.x for _, b in explicit])
         ys = np.concatenate([b.y for _, b in explicit])
         lrs = np.concatenate([b.log_r for _, b in explicit])
         ids = np.concatenate([off + np.arange(len(b)) for off, b in explicit]).astype(int)
-        nn, nn_j = SpatialIndex(c).explicit_neighbors()
-        for roff, rb in rings:
-            for i in range(len(xs)):
-                p = Point(float(xs[i]), float(ys[i]))
-                d, a = _ring_point_distance(rb, p)
-                if d < nn[i]:
-                    nn[i] = d
-                    nn_j[i] = roff + (a - rb.a_start)
+        nn, nn_j = spatial_index(c).explicit_neighbors()
         rho = np.hypot(xs, ys)
+        theta = np.arctan2(ys, xs)
+        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+        for roff, rb in rings:
+            # center distance from every explicit disc to the ring's nearest slot
+            d, slot = SpatialIndex._ring_rows_distance(
+                [(roff, rb)], rho, theta, with_ids=True, centers=True
+            )
+            take = d < nn
+            nn[take], nn_j[take] = d[take], slot[take]
+            i = int(np.argmin(d))
+            ring_to_explicit.append((float(d[i]), (int(ids[i]), int(slot[i]))))
         exp_part = (ids, 1.0 - rho, lrs, rho, nn, nn_j)
     else:
         z = np.empty(0)
@@ -332,13 +338,8 @@ def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
                     d_nn = d
                     pair = (roff2, roff)
                 q += direction
-        for eoff, eb in explicit:
-            for i in range(len(eb)):
-                p = Point(float(eb.x[i]), float(eb.y[i]))
-                d, a = _ring_point_distance(rb, p)
-                if d < d_nn:
-                    d_nn = d
-                    pair = (eoff + i, roff + (a - rb.a_start))
+        if ring_to_explicit and ring_to_explicit[t][0] < d_nn:
+            d_nn, pair = ring_to_explicit[t]
         ring_entries.append((roff, rb, d_nn, pair))
 
     return _NeighborStructure(*exp_part, rings=tuple(ring_entries))

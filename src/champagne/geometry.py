@@ -401,21 +401,6 @@ class RingBlock:
         th = self.angles()
         return self.rho * np.cos(th), self.rho * np.sin(th)
 
-    def nearest_slots(self, theta: float, width: int = 2) -> np.ndarray:
-        """Active slot indices nearest in angle to theta (small exact set)."""
-        u = theta / self.step - 0.5
-        base = int(math.floor(u))
-        cands = set()
-        for k in range(-width, width + 1):
-            a = (base + k) % self.count
-            if a >= self.a_start:
-                cands.add(a)
-        # with an excluded prefix the arc endpoints are extra candidates
-        if self.a_start > 0:
-            cands.add(self.a_start)
-            cands.add(self.count - 1)
-        return np.fromiter(cands, dtype=np.int64)
-
     def disc(self, a: int) -> Disc:
         th = self.angle_of(a)
         return Disc(Point(self.rho * math.cos(th), self.rho * math.sin(th)), self.log_r)
@@ -653,7 +638,7 @@ def validate_configuration(c: Configuration) -> ValidationReport:
                     Violation("ratio", "disc radius >= 1-|center|", (offsets[bi] + int(i),))
                 )
 
-    index = SpatialIndex(c)
+    index = spatial_index(c)
     overlap = _find_overlap(c, index)
     if overlap is not None:
         violations.append(
@@ -664,12 +649,9 @@ def validate_configuration(c: Configuration) -> ValidationReport:
     if lr_sup >= 0.0:
         violations.append(Violation("ratio_sup", f"sup r/(1-|x|) >= 1 (log={lr_sup})"))
 
-    if c.disc_count:
-        d0, covering = index.distance(Point(0.0, 0.0))
-        if d0 <= 0.0:
-            violations.append(
-                Violation("origin", "origin lies in a closed disc", (covering,))
-            )
+    d0, covering = distance_to_obstacles(Point(0.0, 0.0), index)
+    if d0 <= 0.0:
+        violations.append(Violation("origin", "origin lies in a closed disc", (covering,)))
 
     return ValidationReport(
         ok=not violations,
@@ -686,7 +668,7 @@ def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | 
     """
     offsets = index._offsets
     exp = [(bi, b) for bi, b in enumerate(c.blocks) if isinstance(b, DiscBlock)]
-    rings = [(bi, b) for bi, b in enumerate(c.blocks) if isinstance(b, RingBlock)]
+    rings = index._rings
 
     if exp:
         xs = np.concatenate([b.x for _, b in exp])
@@ -708,32 +690,31 @@ def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | 
                 a, bb = int(ids[i]), int(ids[np.argmax(hit)])
                 return (min(a, bb), max(a, bb))
 
-        # explicit against rings: distance to the nearest ring slot, batched
+        # explicit against rings: center distance to the nearest ring slot
         theta_pts = np.arctan2(ys, xs)
         theta_pts = np.where(theta_pts < 0.0, theta_pts + TWO_PI, theta_pts)
         rho_pts = np.hypot(xs, ys)
-        for bi, rb in rings:
+        for off, rb in rings:
             rr = rb.radius
-            hit = np.abs(rho_pts - rb.rho) <= radii + rr
-            if not hit.any():
+            k = np.flatnonzero(np.abs(rho_pts - rb.rho) <= radii + rr)
+            if not len(k):
                 continue
-            for k in np.nonzero(hit)[0]:
-                p = Point(float(xs[k]), float(ys[k]))
-                d, a = _ring_point_distance(rb, p)
-                if d <= radii[k] + rr:
-                    return (
-                        min(int(ids[k]), offsets[bi] + a - rb.a_start),
-                        max(int(ids[k]), offsets[bi] + a - rb.a_start),
-                    )
+            d, slot = SpatialIndex._ring_rows_distance(
+                [(off, rb)], rho_pts[k], theta_pts[k], with_ids=True, centers=True
+            )
+            hit = np.flatnonzero(d <= radii[k] + rr)
+            if len(hit):
+                a, bb = int(ids[k[hit[0]]]), int(slot[hit[0]])
+                return (min(a, bb), max(a, bb))
 
     # rings: adjacent slots within one ring, then cross pairs (numpy prefilter
     # on radial gaps; with the tiny radii this package generates, almost no
     # pair survives the prefilter)
-    for bi, rb in rings:
+    for off, rb in rings:
         if len(rb) >= 2:
             gap = chord(rb.rho, rb.rho, rb.step)
             if gap <= 2.0 * rb.radius:
-                return (offsets[bi], offsets[bi] + 1)
+                return (off, off + 1)
     if len(rings) >= 2:
         rho = np.array([rb.rho for _, rb in rings])
         rad = np.array([rb.radius for _, rb in rings])
@@ -742,27 +723,15 @@ def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | 
         for i, j in cand:
             if i >= j:
                 continue
-            bi, rb = rings[i]
-            bj, rb2 = rings[j]
+            off, rb = rings[i]
+            off2, rb2 = rings[j]
             if ring_min_center_distance(rb, rb2) <= rb.radius + rb2.radius:
-                return (offsets[bi], offsets[bj])
+                return (off, off2)
     return None
 
 
 # ---------------------------------------------------------------------------
 # distance queries
-
-
-def _ring_point_distance(rb: RingBlock, p: Point) -> tuple[float, int]:
-    """(center distance to nearest active ring disc, slot index)."""
-    theta = p.angle()
-    rho_p = p.norm()
-    best, best_a = math.inf, rb.a_start
-    for a in rb.nearest_slots(theta):
-        d = chord(rho_p, rb.rho, theta - rb.angle_of(a))
-        if d < best:
-            best, best_a = d, int(a)
-    return best, best_a
 
 
 # An explicit band scans this many discs on either side of a query's angular
@@ -980,76 +949,51 @@ class SpatialIndex:
                 rmax = max(rmax, rb.radius)
             self._gen_max_radius[n] = rmax
 
-    @staticmethod
-    def _band_gap(n: int, s: float) -> float:
-        """Lower bound on distance from gap s to any center in band n."""
-        if n == 0:
-            return max(0.0, 0.5 - s)  # central discs all have s > 1/2
-        lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
-        if s < lo:
-            return lo - s
-        if s > hi:
-            return s - hi
-        return 0.0
-
-    def _disc_gap(self, n: int, s: float) -> float:
-        """Lower bound on the signed distance to any disc of band n."""
-        return self._band_gap(n, s) - self._gen_max_radius[n]
-
-    # -- single-point query ------------------------------------------------
-
-    def distance(self, p: Point) -> tuple[float, int | None]:
-        """(min over discs of |p - x_k| - r_k clamped at 0, nearest id)."""
-        best, best_id = math.inf, None
-        s = 1.0 - p.norm()
-        bands = sorted(self._gen_bands, key=lambda n: self._disc_gap(n, s))
-        for n in bands:
-            if self._disc_gap(n, s) >= best:
-                break
-            band = self._explicit.get(n)
-            if band is not None:
-                d = np.hypot(band.x - p.x, band.y - p.y) - band.rad
-                i = int(np.argmin(d))
-                if d[i] < best:
-                    # lowest id on ties, as a scan in canonical order finds
-                    best, best_id = float(d[i]), int(band.gid[d == d[i]].min())
-            for off, rb in self._ring_gens.get(n, ()):  # noqa: B905
-                if abs(p.norm() - rb.rho) - rb.radius >= best:
-                    continue
-                dc, a = _ring_point_distance(rb, p)
-                d = dc - rb.radius
-                if d < best:
-                    best, best_id = d, off + (a - rb.a_start)
-        if best_id is None:
-            return math.inf, None
-        return max(best, 0.0), best_id
-
     # -- batched query (hot path for the walker) ----------------------------
 
-    def distance_many(self, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-        """Unclamped signed distances (negative inside a disc) for a batch."""
+    def distance_many(self, px: np.ndarray, py: np.ndarray, with_ids: bool = False):
+        """Unclamped signed distances (negative inside a disc) for a batch.
+
+        With ``with_ids`` returns (d, ids): each distance with the lowest
+        canonical id of a disc attaining it, -1 for an empty configuration.
+        """
         best = np.full(len(px), np.inf)
+        best_id = np.full(len(px), _NO_ID) if with_ids else None
         rho_p = np.hypot(px, py)
         s = 1.0 - rho_p
         theta_p = np.arctan2(py, px)
         theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)
         for n in self._gen_bands:
             gaps = self._band_gap_vec(n, s) - self._gen_max_radius[n]
-            live = np.flatnonzero(gaps < best)
+            # a band exactly as far as the best disc may hold a lower id
+            live = np.flatnonzero(gaps <= best if with_ids else gaps < best)
             if not len(live):
                 continue
-            if len(live) == len(px):
+            whole = len(live) == len(px)
+            if whole:
                 live = slice(None)  # views, not copies, of the whole batch
+            sub = best[live]
+            sub_id = None if best_id is None else best_id[live]
             band = self._explicit.get(n)
             if band is not None:
-                d, _ = band.nearest(px[live], py[live], rho_p[live], theta_p[live], best[live])
-                best[live] = np.minimum(best[live], d)
+                d, ids = band.nearest(
+                    px[live], py[live], rho_p[live], theta_p[live], sub, with_ids=with_ids
+                )
+                _keep_nearest(sub, sub_id, d, ids)
             rows = self._ring_gens.get(n)
             if rows:
-                best[live] = np.minimum(
-                    best[live], self._ring_rows_distance(rows, rho_p[live], theta_p[live])
+                d, ids = self._ring_rows_distance(
+                    rows, rho_p[live], theta_p[live], with_ids=with_ids
                 )
-        return best
+                _keep_nearest(sub, sub_id, d, ids)
+            if not whole:
+                best[live] = sub
+                if best_id is not None:
+                    best_id[live] = sub_id
+        if not with_ids:
+            return best
+        best_id[best_id == _NO_ID] = -1
+        return best, best_id
 
     def explicit_neighbors(
         self, cutoff: float | np.ndarray = math.inf, centers: bool = True
@@ -1097,10 +1041,27 @@ class SpatialIndex:
 
     @staticmethod
     def _ring_rows_distance(
-        rows: list[tuple[int, RingBlock]], rho_p: np.ndarray, theta_p: np.ndarray
-    ) -> np.ndarray:
-        """Min distance to the rings of one generation, vectorized in points."""
+        rows: list[tuple[int, RingBlock]],
+        rho_p: np.ndarray,
+        theta_p: np.ndarray,
+        with_ids: bool = False,
+        centers: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(d, ids): the min distance to the discs or, with ``centers``, to
+        the centers of the rings of one generation, vectorized in points.
+        With ``with_ids`` each d comes with the lowest slot id attaining it;
+        otherwise ids is None."""
         out = np.full(len(rho_p), np.inf)
+        ids = np.full(len(rho_p), _NO_ID) if with_ids else None
+
+        def keep(d, first_id, slot):
+            # slot: the candidate's slot index (float), first_id the id
+            # that slot 0 of its ring would have
+            if ids is None:
+                np.minimum(out, d, out=out)
+            else:
+                _keep_nearest(out, ids, d, first_id + np.asarray(slot, dtype=np.int64))
+
         first = rows[0][1]
         step = first.step
         plain = all(rb.a_start == 0 and rb.count == first.count for _, rb in rows)
@@ -1111,18 +1072,17 @@ class SpatialIndex:
             for k in (-1.0, 0.0, 1.0):
                 dth = theta_p - ((base + k) + 0.5) * step
                 sin2 = np.sin(dth / 2.0) ** 2
-                for _, rb in rows:
-                    d = np.sqrt(
-                        (rho_p - rb.rho) ** 2 + 4.0 * rho_p * rb.rho * sin2
-                    ) - rb.radius
-                    np.minimum(out, d, out=out)
-            return out
+                slot = np.mod(base + k, first.count) if with_ids else None
+                for off, rb in rows:
+                    d = np.sqrt((rho_p - rb.rho) ** 2 + 4.0 * rho_p * rb.rho * sin2)
+                    keep(d if centers else d - rb.radius, off, slot)
+            return out, ids
         # rings with a dropped prefix [0, a_start): the nearest active slot
         # is the floor or ceiling slot of the point's angle or, where that
         # one is dropped, an end of the active arc.  A dropped candidate is
         # clamped to a_start, the arc's first slot; count - 1, its last, is
         # a candidate throughout.
-        for _, rb in rows:
+        for off, rb in rows:
             base = np.floor(theta_p / rb.step - 0.5)
             dr2 = (rho_p - rb.rho) ** 2
             cross = 4.0 * rho_p * rb.rho
@@ -1132,19 +1092,43 @@ class SpatialIndex:
                 rb.count - 1.0,
             ):
                 sin2 = np.sin((theta_p - (a + 0.5) * rb.step) / 2.0) ** 2
-                np.minimum(out, np.sqrt(dr2 + cross * sin2) - rb.radius, out=out)
-        return out
+                d = np.sqrt(dr2 + cross * sin2)
+                keep(d if centers else d - rb.radius, off - rb.a_start, a)
+        return out, ids
+
+
+def _keep_nearest(best, best_id, d, ids) -> None:
+    """Merge distances d with their ids into the running (best, best_id) in
+    place, keeping the lowest id on equal distances; best_id is None when
+    ids are not tracked."""
+    if best_id is None:
+        np.minimum(best, d, out=best)
+        return
+    take = (d < best) | ((d == best) & (ids < best_id))
+    best[take], best_id[take] = d[take], np.broadcast_to(ids, d.shape)[take]
+
+
+def spatial_index(c: Configuration) -> SpatialIndex:
+    """The index of a configuration, built once and kept on it, which is
+    immutable, so that validation, separation and the walker share it."""
+    memo = vars(c)
+    if "_spatial_index" not in memo:
+        memo["_spatial_index"] = SpatialIndex(c)
+    return memo["_spatial_index"]
 
 
 def distance_to_obstacles(p: Point, idx: SpatialIndex) -> tuple[float, int | None]:
     """Distance from p to the obstacle union E, clamped at zero.
 
-    Returns (distance, nearest disc id) with the id in canonical order, or
-    (inf, None) for an empty configuration.
+    Returns (distance, nearest disc id, lowest on ties) with the id in
+    canonical order, or (inf, None) for an empty configuration.
     """
     if p.norm() >= 1.0:
         raise GeometryError("query point must lie inside the unit disc")
-    return idx.distance(p)
+    d, ids = idx.distance_many(np.array([p.x]), np.array([p.y]), with_ids=True)
+    if ids[0] < 0:
+        return math.inf, None
+    return max(float(d[0]), 0.0), int(ids[0])
 
 
 # ---------------------------------------------------------------------------

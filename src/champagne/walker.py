@@ -9,9 +9,10 @@ measure of the unit circle seen from the start point, the quantity whose
 vanishing defines an unavoidable obstacle union.
 
 Randomness is counter-based: the uniform used by walk w at step t is a
-pure function of (seed, w, t) through a splitmix-style mixer, so serial,
-chunked, and threaded executions produce bit-identical trajectories and
-the aggregate is independent of scheduling.
+pure function of (seed, w, t) through a splitmix-style mixer, so every
+partition of the walks into chunks produces bit-identical trajectories and
+the aggregate is independent of scheduling.  One batch kernel advances a
+chunk of walks together and records each walk's outcome and step count.
 
 Truncation bias is inherent and intentional: only materialized discs repel
 the walk, so a walk below the deepest stored generation sees no obstacles;
@@ -22,13 +23,19 @@ extrapolated to the infinite configuration.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
-from .geometry import Configuration, Point, SpatialIndex, TWO_PI
+from .geometry import (
+    Configuration,
+    Point,
+    SpatialIndex,
+    TWO_PI,
+    distance_to_obstacles,
+    spatial_index,
+)
 from .generators import truncate
 
 
@@ -58,8 +65,8 @@ def _mix64(z: np.ndarray) -> np.ndarray:
 def walk_uniforms(seed: int, walk_ids: np.ndarray, step: int) -> np.ndarray:
     """Uniforms in [0, 1) for the given walks at one step index.
 
-    A pure function of (seed, walk id, step): execution order, chunking,
-    and thread count cannot change any draw.
+    A pure function of (seed, walk id, step): neither execution order nor
+    chunking can change any draw.
     """
     base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     key = _mix64(base + (walk_ids.astype(np.uint64) + np.uint64(1)) * _GAMMA_WALK)
@@ -68,26 +75,14 @@ def walk_uniforms(seed: int, walk_ids: np.ndarray, step: int) -> np.ndarray:
     return (val >> _SHIFT11).astype(np.float64) * _INV53
 
 
-class WalkStream:
-    """Per-walk substream view for the single-walk API."""
-
-    def __init__(self, seed: int, walk_id: int):
-        self.seed = seed
-        self.walk_id = walk_id
-        self.step = 0
-
-    def uniform(self) -> float:
-        u = walk_uniforms(self.seed, np.array([self.walk_id], dtype=np.uint64), self.step)
-        self.step += 1
-        return float(u[0])
-
-
 # ---------------------------------------------------------------------------
 # parameters and outcomes
 
 ESCAPED = "escaped"
 HIT = "hit"
 CENSORED = "censored"
+# a walk's outcome is recorded as its index in this tuple
+OUTCOMES = (ESCAPED, HIT, CENSORED)
 
 
 @dataclass(frozen=True)
@@ -98,7 +93,6 @@ class WalkParams:
     seed: int = 0
     n_walks: int = 100_000
     chunk_size: int = 32_768
-    n_jobs: int = 1
 
     def __post_init__(self) -> None:
         if not (self.eps_shell > 0.0):
@@ -109,15 +103,8 @@ class WalkParams:
             raise WalkerError("n_walks must be >= 1")
         if self.start.norm() >= 1.0:
             raise WalkerError("start point must lie inside the unit disc")
-        if self.chunk_size < 1 or self.n_jobs < 1:
-            raise WalkerError("chunk_size and n_jobs must be >= 1")
-
-
-@dataclass(frozen=True)
-class WalkOutcome:
-    tag: str
-    steps: int
-    hit_disc: int | None = None
+        if self.chunk_size < 1:
+            raise WalkerError("chunk_size must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -130,12 +117,16 @@ class EscapeEstimate:
     n_censored: int
     mean_steps: float
     unreliable: bool
+    # per-walk records in walk order: outcome (index into OUTCOMES) and steps
+    walk_outcome: np.ndarray = field(repr=False, compare=False)
+    walk_steps: np.ndarray = field(repr=False, compare=False)
 
     @classmethod
-    def from_counts(
-        cls, n_escaped: int, n_hit: int, n_censored: int, total_steps: int
-    ) -> "EscapeEstimate":
-        n = n_escaped + n_hit + n_censored
+    def from_records(cls, outcome: np.ndarray, steps: np.ndarray) -> "EscapeEstimate":
+        n_escaped, n_hit, n_censored = (
+            int(k) for k in np.bincount(outcome, minlength=len(OUTCOMES))
+        )
+        n = len(outcome)
         p = n_escaped / n
         return cls(
             p_escape=p,
@@ -144,59 +135,34 @@ class EscapeEstimate:
             n_escaped=n_escaped,
             n_hit=n_hit,
             n_censored=n_censored,
-            mean_steps=total_steps / n,
+            mean_steps=int(steps.sum()) / n,
             unreliable=n_censored / n > 0.01,
+            walk_outcome=outcome,
+            walk_steps=steps,
         )
 
 
 # ---------------------------------------------------------------------------
-# stepping
-
-
-def wos_step(p: Point, idx: SpatialIndex, stream: WalkStream) -> Point:
-    """One jump: uniform point on the largest circle around p that stays
-    inside the domain.  Must not be called inside an absorption shell."""
-    s = 1.0 - p.norm()
-    d_obs, _ = idx.distance(p)
-    radius = min(s, d_obs)
-    eps = 0.0
-    if radius <= eps:
-        raise WalkerError("wos_step called at a point touching the boundary")
-    theta = TWO_PI * stream.uniform()
-    return Point(p.x + radius * math.cos(theta), p.y + radius * math.sin(theta))
-
-
-def run_walk(params: WalkParams, idx: SpatialIndex, walk_id: int = 0) -> WalkOutcome:
-    """Single trajectory with classification checked before each step."""
-    stream = WalkStream(params.seed, walk_id)
-    p = params.start
-    eps = params.eps_shell
-    for t in range(params.max_steps + 1):
-        s = 1.0 - p.norm()
-        if s < eps:
-            return WalkOutcome(tag=ESCAPED, steps=t)
-        d_obs, nearest = idx.distance(p)
-        if d_obs < eps:
-            return WalkOutcome(tag=HIT, steps=t, hit_disc=nearest)
-        if t == params.max_steps:
-            break
-        radius = min(s, d_obs)
-        theta = TWO_PI * stream.uniform()
-        p = Point(p.x + radius * math.cos(theta), p.y + radius * math.sin(theta))
-    return WalkOutcome(tag=CENSORED, steps=params.max_steps)
+# the batch kernel
 
 
 def _run_chunk(
     params: WalkParams, idx: SpatialIndex, walk_lo: int, walk_hi: int
-) -> tuple[int, int, int, int]:
-    """(escaped, hit, censored, total steps) over walks [walk_lo, walk_hi)."""
+) -> tuple[np.ndarray, np.ndarray]:
+    """(outcome, steps) of each walk in [walk_lo, walk_hi), in walk order.
+
+    A walk is classified before every jump: within eps_shell of the unit
+    circle it escapes, else within eps_shell of a disc it is hit, else it
+    jumps to a uniform point on the largest circle that avoids both.  A
+    walk still running after max_steps jumps is censored.
+    """
     m = walk_hi - walk_lo
+    outcome = np.empty(m, dtype=np.int8)
+    steps = np.empty(m, dtype=np.int64)
     ids = np.arange(walk_lo, walk_hi, dtype=np.uint64)
     px = np.full(m, params.start.x)
     py = np.full(m, params.start.y)
     eps = params.eps_shell
-    n_escaped = n_hit = n_censored = 0
-    total_steps = 0
     step = 0
     while len(ids):
         s = 1.0 - np.hypot(px, py)
@@ -205,15 +171,12 @@ def _run_chunk(
         hit = ~escaped & (d_obs < eps)
         done = escaped | hit
         if step == params.max_steps:
-            n_escaped += int(np.count_nonzero(escaped))
-            n_hit += int(np.count_nonzero(hit))
-            n_censored += int(np.count_nonzero(~done))
-            total_steps += step * len(ids)
-            break
+            done[:] = True
         if done.any():
-            n_escaped += int(np.count_nonzero(escaped))
-            n_hit += int(np.count_nonzero(hit))
-            total_steps += step * int(np.count_nonzero(done))
+            fin = ids[done] - np.uint64(walk_lo)
+            # indices into OUTCOMES: escaped 0, hit 1, censored 2
+            outcome[fin] = 2 - 2 * escaped[done] - hit[done]
+            steps[fin] = step
             keep = ~done
             ids, px, py, s, d_obs = ids[keep], px[keep], py[keep], s[keep], d_obs[keep]
             if not len(ids):
@@ -223,35 +186,27 @@ def _run_chunk(
         px = px + radius * np.cos(theta)
         py = py + radius * np.sin(theta)
         step += 1
-    return n_escaped, n_hit, n_censored, total_steps
+    return outcome, steps
 
 
-def estimate_escape(
-    params: WalkParams, config: Configuration, idx: SpatialIndex | None = None
-) -> EscapeEstimate:
+def estimate_escape(params: WalkParams, config: Configuration) -> EscapeEstimate:
     """Escape-probability estimate over independent per-walk substreams.
 
-    Aggregation is a sum of per-chunk counts, so the result is identical
-    for any chunk size, execution order, or thread count.
+    The walks run in chunks of ``params.chunk_size``; every walk's record is
+    a pure function of (seed, walk id), so the result is identical for any
+    chunk size or execution order.
     """
-    idx = idx or SpatialIndex(config)
-    d_start, _ = idx.distance(params.start)
+    idx = spatial_index(config)
+    d_start, _ = distance_to_obstacles(params.start, idx)
     if d_start <= 0.0:
         raise WalkerError("start point lies inside a closed obstacle disc")
-    bounds = list(range(0, params.n_walks, params.chunk_size)) + [params.n_walks]
-    chunks = list(zip(bounds, bounds[1:]))
-    if params.n_jobs > 1 and len(chunks) > 1:
-        with ThreadPoolExecutor(max_workers=params.n_jobs) as pool:
-            results = list(
-                pool.map(lambda c: _run_chunk(params, idx, c[0], c[1]), chunks)
-            )
-    else:
-        results = [_run_chunk(params, idx, lo, hi) for lo, hi in chunks]
-    n_escaped = sum(r[0] for r in results)
-    n_hit = sum(r[1] for r in results)
-    n_censored = sum(r[2] for r in results)
-    total_steps = sum(r[3] for r in results)
-    return EscapeEstimate.from_counts(n_escaped, n_hit, n_censored, total_steps)
+    records = [
+        _run_chunk(params, idx, lo, min(lo + params.chunk_size, params.n_walks))
+        for lo in range(0, params.n_walks, params.chunk_size)
+    ]
+    return EscapeEstimate.from_records(
+        np.concatenate([o for o, _ in records]), np.concatenate([t for _, t in records])
+    )
 
 
 # ---------------------------------------------------------------------------

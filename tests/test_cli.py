@@ -9,10 +9,17 @@ import numpy as np
 import pytest
 
 import champagne
-from champagne.cli import main
+from champagne.cli import _walk_params, build_parser, main
 from champagne.generators import GeneratorParams, generate_subsquares
-from champagne.geometry import dumps_config
-from champagne.walker import annulus_escape_probability
+from champagne.geometry import (
+    Configuration,
+    Disc,
+    Point,
+    SpatialIndex,
+    dumps_config,
+    loads_config,
+)
+from champagne.walker import OUTCOMES, WalkParams, annulus_escape_probability, estimate_escape
 
 
 def run(*argv) -> int:
@@ -100,6 +107,19 @@ class TestCheck:
     def test_missing_config_exit_two(self, tmp_path):
         assert run("check", tmp_path / "nope.json", "--out-dir", tmp_path) == 2
 
+    def test_one_spatial_index_per_check(self, tmp_path, monkeypatch):
+        # validation and separation share the index kept on the configuration
+        path = tmp_path / "explicit.json"
+        rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=6))
+        path.write_text(dumps_config(rings.materialized()))
+        builds = []
+        init = SpatialIndex.__init__
+        monkeypatch.setattr(
+            SpatialIndex, "__init__", lambda self, c: builds.append(c) or init(self, c)
+        )
+        assert run("check", path, "--y-grid", 4, "--out-dir", tmp_path / "o") == 0
+        assert len(builds) == 1
+
     def test_integral_summary_matches_closed_form(self, cfg_path, tmp_path):
         out = tmp_path / "oi"
         run("check", cfg_path, "--y-grid", 4, "--out-dir", out)
@@ -136,6 +156,53 @@ class TestSimulate:
         lines = (out / "trace.csv").read_text().splitlines()
         assert lines[0] == "walk,outcome,steps"
         assert len(lines) == 11
+
+    def test_trace_rows_are_the_walk_records(self, cfg_path, tmp_path):
+        out = tmp_path / "tr"
+        code = run(
+            "simulate", cfg_path, "--eps", 1e-6, "--n-walks", 300, "--seed", 4,
+            "--trace", 300, "--out-dir", out,
+        )
+        assert code == 0
+        doc = json.loads((out / "simulate.json").read_text())
+        est = estimate_escape(
+            WalkParams(eps_shell=1e-6, seed=4, n_walks=300), loads_config(cfg_path.read_text())
+        )
+        want = [
+            f"{w},{OUTCOMES[o]},{t}" for w, (o, t) in enumerate(zip(est.walk_outcome, est.walk_steps))
+        ]
+        rows = (out / "trace.csv").read_text().splitlines()[1:]
+        assert rows == want
+        outcomes = [r.split(",")[1] for r in rows]
+        assert doc["estimate"]["n_escaped"] == outcomes.count("escaped")
+        assert doc["estimate"]["n_hit"] == outcomes.count("hit")
+        assert doc["estimate"]["n_censored"] == outcomes.count("censored")
+        assert doc["estimate"]["mean_steps"] == sum(int(r.split(",")[2]) for r in rows) / 300
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_invalid_config_exit_one(self, tmp_path, capsys, command):
+        path = tmp_path / "overlap.json"
+        path.write_text(
+            dumps_config(
+                Configuration.from_discs(
+                    [Disc.from_radius(Point(0.6, 0.0), 0.05), Disc.from_radius(Point(0.62, 0.0), 0.05)]
+                )
+            )
+        )
+        out = tmp_path / "o"
+        assert run(command, path, "--n-walks", 10, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("invalid: overlap")
+        assert not out.exists()
+
+    def test_threads_env_picks_chunk_partition(self, monkeypatch):
+        args = build_parser().parse_args(["simulate", "--n-walks", "3000"])
+        assert _walk_params(args, 3000).chunk_size == 3000
+        monkeypatch.setenv("CHAMPAGNE_THREADS", "4")
+        params = _walk_params(args, 3000)
+        assert params.chunk_size == 750
+        assert len(range(0, params.n_walks, params.chunk_size)) == 4
+        # chunks never exceed the default size
+        assert _walk_params(args, 1_000_000).chunk_size == 32_768
 
 
 class TestSweepAndReport:

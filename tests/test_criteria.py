@@ -35,7 +35,7 @@ from champagne.generators import (
     shrink,
     truncate,
 )
-from champagne.geometry import Configuration, Disc, Point, RingBlock, TWO_PI
+from champagne.geometry import Configuration, Disc, DiscBlock, Point, RingBlock, TWO_PI
 
 
 def disc(x, y, r):
@@ -246,6 +246,43 @@ class TestSeparation:
             brute = float(np.min(dist * w[None, :]))
             assert v_ring == pytest.approx(brute, rel=1e-11)
 
+    @pytest.mark.parametrize("drop_first", [0, 300])
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    @pytest.mark.parametrize("kind", ["plain", "radius_log"])
+    def test_mixed_explicit_and_rings_match_quadratic_scan(self, drop_first, side, kind):
+        # rings of generations 5 and 6, with or without a dropped prefix, and
+        # 30 explicit discs each a fraction of a slot spacing radially out
+        # (side 1) or in (side -1) from a slot, dropped slots included
+        rings = generate_subsquares(
+            GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=5, n_max=6, drop_first=drop_first)
+        )
+        rng = np.random.default_rng(int(drop_first + 10 * side) % 97)
+        row = rng.integers(0, 2, 30)
+        rb = [rings.blocks[k] for k in row]
+        a = np.array([rng.integers(0, b.count) for b in rb])
+        theta = np.array([b.angle_of(int(k)) for b, k in zip(rb, a)])
+        spacing = np.array([b.rho * b.step for b in rb])
+        rho = np.array([b.rho for b in rb]) + side * rng.uniform(0.1, 0.4, 30) * spacing
+        theta = theta + rng.uniform(-0.05, 0.05, 30) * spacing
+        explicit = DiscBlock(rho * np.cos(theta), rho * np.sin(theta), np.full(30, -20.0))
+        config = Configuration(blocks=(explicit, *rings.blocks), n_max=6)
+
+        rep = separation(config, kind=kind)
+        x, y, lr = config.disc_arrays()
+        s = 1.0 - np.hypot(x, y)
+        w = (1.0 / s) if kind == "plain" else np.sqrt(np.log(s) - lr) / s
+        dist = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+        np.fill_diagonal(dist, np.inf)
+        scan = dist * w[None, :]
+        j, k = np.unravel_index(np.argmin(scan), scan.shape)
+        assert rep.value == pytest.approx(scan[j, k], rel=1e-12)
+        assert rep.argmin_pair == (j, k)
+        # the pair is mixed; under the plain weight 1/s the disc nearer the
+        # unit circle is the neighbour j
+        assert (j < 30) != (k < 30)
+        if kind == "plain":
+            assert (j < 30) == (side > 0)
+
     def test_shrink_increases_radius_log_value(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.0, c0=0.2, n_min=1, n_max=4))
         v0 = separation(cfg, kind="radius_log").value
@@ -329,7 +366,10 @@ class TestIntegralTest:
         assert integral_test(m, phi, 0.8) == pytest.approx(want, rel=1e-9)
 
     def test_cli_import_skips_scipy_integrate(self):
-        code = "import sys, champagne.cli; print('scipy.integrate' in sys.modules)"
+        code = (
+            "import sys, champagne.cli; "
+            "print('scipy.integrate' in sys.modules or 'concurrent.futures' in sys.modules)"
+        )
         env = dict(os.environ)
         src = str(Path(champagne.__file__).resolve().parent.parent)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))

@@ -258,9 +258,10 @@ class TestDistance:
         )
         batched = idx.distance_many(pts[:, 0], pts[:, 1])
         np.testing.assert_array_equal(batched, brute)
+        # one-point batches: the same kernel, clamped at zero
         for i in range(0, 10_000, 97):
-            d, _ = idx.distance(Point(*pts[i]))
-            assert d == pytest.approx(max(brute[i], 0.0), abs=1e-14)
+            d, _ = distance_to_obstacles(Point(*pts[i]), idx)
+            assert d == max(brute[i], 0.0)
 
     def test_large_disc_reaching_out_of_its_band(self):
         # a disc can extend far outside the radial band of its center, so
@@ -269,7 +270,7 @@ class TestDistance:
             [disc(0.49, 0.0, 0.2), disc(0.85, 0.0, 1e-6)]
         )
         idx = SpatialIndex(c)
-        d, k = idx.distance(Point(0.75, 0.0))
+        d, k = distance_to_obstacles(Point(0.75, 0.0), idx)
         assert d == pytest.approx(0.06, abs=1e-12)
         # canonical order puts the central-region disc first
         assert k == 0
@@ -325,9 +326,9 @@ class TestDistance:
         # a point sitting on an excluded slot must see the nearest active one
         theta_excluded = ring.angle_of(2)
         p = Point(0.8 * math.cos(theta_excluded), 0.8 * math.sin(theta_excluded))
-        d, _ = idx.distance(p)
+        d, _ = distance_to_obstacles(p, idx)
         flat = SpatialIndex(cfg.materialized())
-        d2, _ = flat.distance(p)
+        d2, _ = distance_to_obstacles(p, flat)
         assert d == pytest.approx(d2, abs=1e-14)
         assert d > 0.0
 
@@ -339,8 +340,8 @@ class TestDistance:
         idx, idx_rot = SpatialIndex(c), SpatialIndex(c_rot)
         for _ in range(200):
             p = Point(rng.uniform(-0.7, 0.7), rng.uniform(-0.7, 0.7))
-            d1, _ = idx.distance(p)
-            d2, _ = idx_rot.distance(p.rotated(angle))
+            d1, _ = distance_to_obstacles(p, idx)
+            d2, _ = distance_to_obstacles(p.rotated(angle), idx_rot)
             assert d2 == pytest.approx(d1, abs=1e-12)
 
 
@@ -692,3 +693,169 @@ class TestLocalityQueries:
         else:
             i = int(np.argmax(meets.any(axis=1)))
             assert got == (i, int(np.argmax(meets[i])))
+
+
+def _scan_with_ids(config, px, py):
+    """(distance, lowest id) of the nearest disc by a scan of every disc in
+    canonical order: explicit discs by hypot(dx, dy) - r, ring slots in the
+    ring arithmetic of the index, each slot of a generation of plain rings
+    at its angle unwrapped to within half a turn of the point; (inf, -1)
+    for an empty configuration."""
+    rho_p = np.hypot(px, py)
+    theta_p = np.arctan2(py, px)
+    theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)[:, None]
+    columns = [np.full((len(px), 1), np.inf)]
+    rings = [b for b in config.blocks if isinstance(b, RingBlock)]
+    for b in config.blocks:
+        if isinstance(b, DiscBlock):
+            columns.append(np.hypot(px[:, None] - b.x, py[:, None] - b.y) - np.exp(b.log_r))
+            continue
+        a = np.arange(b.a_start, b.count, dtype=np.float64)
+        if all(r.a_start == 0 and r.count == b.count for r in rings if r.n == b.n):
+            u = theta_p / b.step - 0.5
+            a = a + b.count * np.round((u - a) / b.count)
+        sin2 = np.sin((theta_p - (a + 0.5) * b.step) / 2.0) ** 2
+        d = np.sqrt((rho_p[:, None] - b.rho) ** 2 + 4.0 * rho_p[:, None] * b.rho * sin2)
+        columns.append(d - b.radius)
+    d = np.concatenate(columns, axis=1)
+    nearest = d.min(axis=1)
+    # column 0 is the inf placeholder, so ids are shifted by one
+    return nearest, np.argmax(d == nearest[:, None], axis=1) - 1
+
+
+# (generation, slot count, rows, active slots): None keeps every slot, 0 drops
+# a random prefix, k keeps only the last k + row slots
+_ring_spec = st.tuples(
+    st.integers(1, 6), st.integers(8, 300), st.integers(1, 2), st.sampled_from([None, 0, 1, 2, 10])
+)
+
+
+def _rings(rng, specs):
+    rings = []
+    for n, count, rows, keep in specs:
+        lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
+        for row in range(rows):
+            if keep is None:
+                a_start = 0
+            elif keep == 0:
+                a_start = int(rng.integers(1, count))
+            else:
+                a_start = max(1, count - keep - row)
+            rho = 1.0 - rng.uniform(lo, hi)
+            log_r = math.log((1.0 - rho) * 10.0 ** rng.uniform(-12, -0.5))
+            rings.append(RingBlock(n=n, rho=rho, log_r=log_r, count=count, a_start=a_start))
+    return rings
+
+
+class TestNearestIds:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(_band, max_size=2),
+        st.lists(_ring_spec, max_size=2, unique_by=lambda spec: spec[0]),
+    )
+    def test_ids_equal_scan_on_every_storage_kind(self, seed, bands, ring_specs):
+        rng = np.random.default_rng(seed)
+        blocks = _explicit_bands(seed, bands).blocks if bands else ()
+        rings = _rings(rng, ring_specs)
+        config = Configuration(blocks=(*blocks, *rings), n_max=8)
+        if config.disc_count:
+            px, py = _query_points(seed, config)
+        else:
+            px, py = np.array([0.0, 0.3]), np.array([0.0, -0.2])
+        # half turns of queries around both ends of every active arc
+        ends = [rb.angle_of(a) for rb in rings if rb.a_start for a in (rb.a_start, rb.count - 1)]
+        if ends:
+            theta = rng.choice(ends, 100) + rng.normal(0.0, 3.0 * TWO_PI / 300, 100)
+            rho = np.array([rb.rho for rb in rings])[rng.integers(0, len(rings), 100)]
+            rho = rho + rng.normal(0.0, 1e-3, 100)
+            px, py = np.concatenate([px, rho * np.cos(theta)]), np.concatenate([py, rho * np.sin(theta)])
+        got_d, got_ids = SpatialIndex(config).distance_many(px, py, with_ids=True)
+        want_d, want_ids = _scan_with_ids(config, px, py)
+        np.testing.assert_array_equal(got_d, want_d)
+        np.testing.assert_array_equal(got_ids, want_ids)
+
+    def test_exact_ties_take_lowest_id(self):
+        # disc 0 sits just below the seam, disc 1 just above it: both are
+        # exactly h - r from (0.75, 0); 100 more discs make the band windowed
+        h = 2.0**-10
+        far = np.linspace(1.0, 5.0, 100)
+        x = np.concatenate([[0.75, 0.75], 0.75 * np.cos(far)])
+        y = np.concatenate([[-h, h], 0.75 * np.sin(far)])
+        explicit = DiscBlock(x, y, np.full(len(x), -30.0))
+        # every slot of a ring is equally far from the origin: the lowest
+        # active slot wins, with or without a dropped prefix
+        plain = RingBlock(n=1, rho=0.6, log_r=-30.0, count=64)
+        prefix = RingBlock(n=3, rho=0.9, log_r=-30.0, count=128, a_start=7)
+        # disc 0 (generation 2) is 0.6875 from the origin, exactly as far as
+        # disc 1 (generation 1, searched first) and as generation 2's bound
+        # 0.75 - r_max, so its band must not be pruned
+        inner_edge = DiscBlock(np.array([0.75]), np.array([0.0]), np.array([math.log(2.0**-4)]))
+        farther = DiscBlock(np.array([0.0]), np.array([0.71875]), np.array([math.log(2.0**-5)]))
+        for blocks, point, want in (
+            ((explicit,), (0.75, 0.0), 0),
+            ((explicit, plain), (0.0, 0.0), 102),
+            ((prefix,), (0.0, 0.0), 0),
+            ((inner_edge, farther), (0.0, 0.0), 0),
+        ):
+            config = Configuration(blocks=blocks, n_max=3)
+            _, ids = SpatialIndex(config).distance_many(
+                np.array([point[0]]), np.array([point[1]]), with_ids=True
+            )
+            assert ids[0] == want
+            assert distance_to_obstacles(Point(*point), SpatialIndex(config))[1] == want
+
+    def test_empty_configuration_has_no_ids(self):
+        d, ids = SpatialIndex(Configuration(blocks=(), n_max=0)).distance_many(
+            np.array([0.0, 0.5]), np.array([0.0, 0.1]), with_ids=True
+        )
+        assert np.all(np.isinf(d)) and list(ids) == [-1, -1]
+
+
+def _mixed_config(seed, drop_prefix, overlap):
+    """Two rings of generation 3 and explicit discs next to their slots
+    (dropped ones included), a random fraction of them meeting a slot's
+    disc when ``overlap``; explicit discs never meet each other."""
+    rng = np.random.default_rng(seed)
+    a_start = 40 if drop_prefix else 0
+    rings = [
+        RingBlock(n=3, rho=0.9, log_r=math.log(1e-4), count=128, a_start=a_start),
+        RingBlock(n=3, rho=0.91, log_r=math.log(2e-4), count=128, a_start=a_start),
+    ]
+    slots = rng.choice(128, 30, replace=False)
+    row = rng.integers(0, 2, 30)
+    r_e = 1e-4
+    gap = rng.uniform(0.2, 1.0, 30) if overlap else rng.uniform(1.1, 3.0, 30)
+    reach = np.array([rings[k].radius for k in row]) + r_e
+    phi = rng.uniform(0.0, TWO_PI, 30)
+    theta = (slots + 0.5) * TWO_PI / 128
+    rho = np.array([rings[k].rho for k in row])
+    x = rho * np.cos(theta) + gap * reach * np.cos(phi)
+    y = rho * np.sin(theta) + gap * reach * np.sin(phi)
+    explicit = DiscBlock(x, y, np.full(30, math.log(r_e)))
+    return Configuration(blocks=(explicit, *rings), n_max=3)
+
+
+class TestMixedOverlap:
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("drop_prefix", [False, True])
+    @pytest.mark.parametrize("overlap", [False, True])
+    def test_explicit_against_rings_matches_pair_scan(self, seed, drop_prefix, overlap):
+        config = _mixed_config(seed, drop_prefix, overlap)
+        x, y, lr = config.disc_arrays()
+        r = np.exp(lr)
+        meets = np.hypot(x[:, None] - x, y[:, None] - y) <= r[:, None] + r
+        np.fill_diagonal(meets, False)
+        got = _find_overlap(config, SpatialIndex(config))
+        # the first ring block met by an explicit disc, its lowest such disc
+        # and the slot that disc meets
+        want = None
+        for lo, hi in ((30, 30 + len(config.blocks[1])), (30 + len(config.blocks[1]), len(x))):
+            hits = meets[:30, lo:hi]
+            if hits.any():
+                i = int(np.argmax(hits.any(axis=1)))
+                want = (i, lo + int(np.argmax(hits[i])))
+                break
+        assert not meets[:30, :30].any()
+        assert got == want
+        assert (want is not None) == (overlap and meets.any())

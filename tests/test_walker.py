@@ -4,25 +4,59 @@ import numpy as np
 import pytest
 
 from champagne.generators import GeneratorParams, generate_subsquares, truncate
-from champagne.geometry import Configuration, Disc, Point, SpatialIndex
+from champagne.geometry import (
+    TWO_PI,
+    Configuration,
+    Disc,
+    Point,
+    SpatialIndex,
+    distance_to_obstacles,
+)
 from champagne.walker import (
     CENSORED,
     ESCAPED,
     HIT,
+    OUTCOMES,
     EscapeEstimate,
     WalkParams,
-    WalkStream,
     WalkerError,
+    _run_chunk,
     annulus_escape_probability,
     concentric_obstacle_config,
     escape_vs_depth,
     estimate_escape,
-    run_walk,
     walk_uniforms,
-    wos_step,
 )
 
 EMPTY = Configuration(blocks=(), n_max=0)
+
+
+def _first_jump(cfg, start, eps, n_walks=64, seed=0):
+    """(kernel outcomes, expected outcomes) of walks stopped after one jump.
+
+    The expected outcome classifies the point reached by a jump of radius
+    min(1 - |p|, distance to the nearest disc) at the walk's first uniform,
+    with that distance and the landing point's from a brute-force scan.
+    """
+    x, y, lr = cfg.disc_arrays()
+    r = np.exp(lr)
+
+    def nearest(qx, qy):
+        if not len(x):
+            return np.full(len(qx), np.inf)
+        return np.min(np.hypot(qx[:, None] - x, qy[:, None] - y) - r, axis=1)
+
+    params = WalkParams(eps_shell=eps, max_steps=1, start=start, seed=seed, n_walks=n_walks)
+    outcome, steps = _run_chunk(params, SpatialIndex(cfg), 0, n_walks)
+    assert np.all(steps == 1)
+    radius = min(1.0 - start.norm(), float(nearest(np.array([start.x]), np.array([start.y]))[0]))
+    theta = TWO_PI * walk_uniforms(seed, np.arange(n_walks), 0)
+    qx, qy = start.x + radius * np.cos(theta), start.y + radius * np.sin(theta)
+    gap, d = 1.0 - np.hypot(qx, qy), nearest(qx, qy)
+    # the jump never leaves the domain: it stops on the nearer boundary
+    assert np.all(gap >= -1e-12) and np.all(d >= -1e-12)
+    assert not np.any((abs(gap - eps) < 1e-12) | (abs(d - eps) < 1e-12))
+    return outcome, np.select([gap < eps, d < eps], [0, 1], 2)
 
 
 class TestRandomness:
@@ -45,13 +79,6 @@ class TestRandomness:
         parts = np.concatenate([walk_uniforms(9, ids[:300], 5), walk_uniforms(9, ids[300:], 5)])
         np.testing.assert_array_equal(whole, parts)
 
-    def test_stream_matches_vector(self):
-        stream = WalkStream(seed=4, walk_id=17)
-        seq = [stream.uniform() for _ in range(5)]
-        ids = np.array([17], dtype=np.uint64)
-        expect = [float(walk_uniforms(4, ids, t)[0]) for t in range(5)]
-        assert seq == expect
-
     def test_steps_decorrelated(self):
         ids = np.arange(20_000, dtype=np.uint64)
         u0 = walk_uniforms(2, ids, 0)
@@ -61,18 +88,22 @@ class TestRandomness:
 
 
 class TestWosStep:
+    """One jump of the batch kernel: walks stopped after their first jump."""
+
     def test_empty_config_step_radius_is_boundary_gap(self):
-        idx = SpatialIndex(EMPTY)
-        p2 = wos_step(Point(0.0, 0.0), idx, WalkStream(0, 0))
-        assert p2.norm() == pytest.approx(1.0)
+        # from the origin the only boundary is the unit circle, one jump away
+        outcome, _ = _first_jump(EMPTY, Point(0.0, 0.0), eps=1e-9)
+        assert np.all(outcome == OUTCOMES.index(ESCAPED))
 
     def test_equidistant_point(self):
         cfg = Configuration.from_discs([Disc.from_radius(Point(0.5, 0.0), 0.1)])
-        idx = SpatialIndex(cfg)
         # point at (0.2, 0): distance to disc = 0.2, to boundary = 0.8
-        p2 = wos_step(Point(0.2, 0.0), idx, WalkStream(0, 0))
-        d = math.hypot(p2.x - 0.2, p2.y)
-        assert d == pytest.approx(0.2)
+        d, k = distance_to_obstacles(Point(0.2, 0.0), SpatialIndex(cfg))
+        assert (d, k) == (pytest.approx(0.2), 0)
+        # a jump of 0.2 lands within 0.05 of the disc only near angle 0
+        outcome, want = _first_jump(cfg, Point(0.2, 0.0), eps=0.05, n_walks=400)
+        np.testing.assert_array_equal(outcome, want)
+        assert 0 < np.count_nonzero(want == OUTCOMES.index(HIT)) < 400
 
     def test_step_radius_never_exceeds_either_distance(self):
         rng = np.random.default_rng(5)
@@ -84,58 +115,62 @@ class TestWosStep:
         ]
         cfg = Configuration.from_discs(discs)
         idx = SpatialIndex(cfg)
-        x, y, lr = cfg.disc_arrays()
-        r = np.exp(lr)
-        stream = WalkStream(1, 0)
         checked = 0
-        while checked < 10_000:
+        while checked < 150:
             p = Point(rng.uniform(-0.9, 0.9), rng.uniform(-0.9, 0.9))
             if p.norm() >= 0.99:
                 continue
-            brute = float(np.min(np.hypot(x - p.x, y - p.y) - r))
-            if brute <= 1e-6:
+            d, _ = distance_to_obstacles(p, idx)
+            if d <= 1e-6:
                 continue
-            p2 = wos_step(p, idx, stream)
-            step = math.hypot(p2.x - p.x, p2.y - p.y)
-            assert step <= (1.0 - p.norm()) + 1e-12
-            assert step <= brute + 1e-12
+            # a shell a fifth of the jump radius: where a jump lands decides its outcome
+            eps = 0.2 * min(1.0 - p.norm(), d)
+            outcome, want = _first_jump(cfg, p, eps=eps, seed=checked)
+            np.testing.assert_array_equal(outcome, want)
             checked += 1
 
 
 class TestRunWalk:
+    """Per-walk records of the batch kernel."""
+
     def test_empty_config_escapes_fast(self):
-        idx = SpatialIndex(EMPTY)
-        out = run_walk(WalkParams(seed=0, n_walks=1), idx)
-        assert out.tag == ESCAPED
-        assert out.steps <= 3
+        outcome, steps = _run_chunk(WalkParams(seed=0, n_walks=1), SpatialIndex(EMPTY), 0, 1)
+        assert OUTCOMES[outcome[0]] == ESCAPED
+        assert steps[0] <= 3
 
     def test_start_inside_shell_hits_at_step_zero(self):
         cfg = Configuration.from_discs([Disc.from_radius(Point(0.5, 0.0), 0.1)])
         idx = SpatialIndex(cfg)
-        params = WalkParams(eps_shell=1e-3, start=Point(0.3995, 0.0), seed=0)
-        out = run_walk(params, idx)
-        assert out.tag == HIT
-        assert out.steps == 0
-        assert out.hit_disc == 0
+        params = WalkParams(eps_shell=1e-3, start=Point(0.3995, 0.0), seed=0, n_walks=5)
+        outcome, steps = _run_chunk(params, idx, 0, 5)
+        assert [OUTCOMES[o] for o in outcome] == [HIT] * 5
+        assert np.all(steps == 0)
+        # the disc that absorbs them
+        assert distance_to_obstacles(params.start, idx)[1] == 0
 
     def test_censoring(self):
         cfg = Configuration.from_discs([Disc.from_radius(Point(0.5, 0.0), 0.1)])
         idx = SpatialIndex(cfg)
-        out = run_walk(WalkParams(max_steps=1, seed=5, start=Point(-0.5, 0.0)), idx)
-        assert out.tag in (CENSORED, ESCAPED, HIT)
-        assert out.steps <= 1
+        params = WalkParams(max_steps=1, seed=5, start=Point(-0.5, 0.0), n_walks=200)
+        outcome, steps = _run_chunk(params, idx, 0, 200)
+        assert np.all(steps == 1)
+        # one jump of 0.5 from (-0.5, 0) stays far from the disc and comes
+        # within eps of the unit circle only near (-1, 0)
+        tags = [OUTCOMES[o] for o in outcome]
+        assert HIT not in tags and tags.count(CENSORED) > tags.count(ESCAPED)
 
     def test_single_walk_matches_batch(self):
         cfg = concentric_obstacle_config(0.25)
         idx = SpatialIndex(cfg)
         params = WalkParams(eps_shell=1e-4, seed=21, n_walks=500, start=Point(0.5, 0.0))
-        est = estimate_escape(params, cfg, idx)
-        singles = [run_walk(params, idx, walk_id=w) for w in range(500)]
-        assert est.n_escaped == sum(1 for o in singles if o.tag == ESCAPED)
-        assert est.n_hit == sum(1 for o in singles if o.tag == HIT)
-        assert est.n_censored == sum(1 for o in singles if o.tag == CENSORED)
-        total = sum(o.steps for o in singles)
-        assert est.mean_steps == pytest.approx(total / 500)
+        est = estimate_escape(params, cfg)
+        singles = [_run_chunk(params, idx, w, w + 1) for w in range(500)]
+        np.testing.assert_array_equal(est.walk_outcome, [o[0] for o, _ in singles])
+        np.testing.assert_array_equal(est.walk_steps, [t[0] for _, t in singles])
+        assert est.n_escaped == np.count_nonzero(est.walk_outcome == OUTCOMES.index(ESCAPED))
+        assert est.n_hit == np.count_nonzero(est.walk_outcome == OUTCOMES.index(HIT))
+        assert est.n_censored == np.count_nonzero(est.walk_outcome == OUTCOMES.index(CENSORED))
+        assert est.mean_steps == est.walk_steps.sum() / 500
 
 
 class TestEstimateEscape:
@@ -161,18 +196,14 @@ class TestEstimateEscape:
         cfg = concentric_obstacle_config(0.3)
         base = WalkParams(seed=13, n_walks=4000, start=Point(0.6, 0.0))
         ref = estimate_escape(base, cfg)
-        for chunk, jobs in ((500, 1), (1000, 2), (4000, 1), (333, 4)):
+        for chunk in (500, 1000, 4000, 333):
             alt = estimate_escape(
-                WalkParams(
-                    seed=13,
-                    n_walks=4000,
-                    start=Point(0.6, 0.0),
-                    chunk_size=chunk,
-                    n_jobs=jobs,
-                ),
+                WalkParams(seed=13, n_walks=4000, start=Point(0.6, 0.0), chunk_size=chunk),
                 cfg,
             )
             assert alt == ref
+            np.testing.assert_array_equal(alt.walk_outcome, ref.walk_outcome)
+            np.testing.assert_array_equal(alt.walk_steps, ref.walk_steps)
 
     def test_superset_never_increases_escape(self):
         # identical substreams: a walk in the superset follows the same
