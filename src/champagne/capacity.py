@@ -25,6 +25,35 @@ value is the mass required to push the potential to 1 on the set.
 Grid configurations built from ring blocks are handled per generation:
 all cells of one generation hold congruent disc clusters, so one cluster
 solve per generation covers the whole cell series.
+
+A cluster solve needs the mutual potential of -log d at every one of its
+p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
+equally spaced in radius, h apart, so with k = i - i' and
+S = sin^2(delta * dtheta / 2) the squared distance between node (i, j) and
+node (i', j + delta) is h^2 k^2 (1 - S) + 4 rhobar^2 S, where rhobar is the
+mean radius of the two rows.  Only rhobar ties the kernel to the rows
+themselves, and it varies by a small fraction of the cell.
+:func:`_cluster_mutual` therefore fits -log d by a polynomial of degree T in
+nu = (rhobar - rho_c) / H, the mean row position mapped onto [-1, 1],
+interpolating at T + 1 nodes; expands nu^m = ((nu_i + nu_i') / 2)^m
+binomially; and is left with, for every column and power, a sum over rows
+i' that is a symmetric Toeplitz product in k, done by FFT.  That costs
+O(T p^2) logarithms, O(T p^2 log p) for the FFTs and O(T^2 p^2) for their
+products, with memory O(p^2) for the result.
+
+T is read off the Chebyshev tail.  In nu, every kernel row is
+-log rhobar, or -log of the product of two conjugate linear factors, plus
+a constant, so its Chebyshev coefficients are at most 2 / (j b^j) with
+b = r + sqrt(r^2 - 1) and r = rho_c / H (for a generation-n grid r is
+about 2^(n+2)).  T is the least degree whose doubled tail bound, which
+covers interpolation, is below 2^-52, capped at 10; only generation-1
+clusters of seven rows or more (beta of 5.6 or more) reach the cap, with
+a bound below 5e-12.  rhobar takes only 2R - 1 values for R rows, and when
+that is no more than T + 1 they are the nodes and the fit is exact.
+
+C2 of a scaled cluster uses the same sum: its scaled diameter is below 2
+(checked from the closed-form largest pair distance), where the truncated
+kernel max(log 2 - log(scale d), 0) is exactly (log 2 - log scale) - log d.
 """
 
 from __future__ import annotations
@@ -547,9 +576,14 @@ def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
                     f" {expected} slots at generation {n}"
                 )
         rows = sorted(rows, key=lambda r: r.rho)
+        rhos = np.array([r.rho for r in rows])
+        if np.abs(rhos - np.linspace(rhos[0], rhos[-1], p)).max() > _ROW_SPACING_TOL:
+            raise CapacityError(
+                f"generation clusters need equally spaced rows at generation {n}"
+            )
         out[n] = GenerationCluster(
             n=n,
-            rhos=np.array([r.rho for r in rows]),
+            rhos=rhos,
             log_rs=np.array([r.log_r for r in rows]),
             columns=p,
             delta_theta=TWO_PI / expected,
@@ -557,38 +591,116 @@ def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
     return out
 
 
-def _cluster_mutual(
-    cluster: GenerationCluster,
-    weights_row: np.ndarray,
-    kernel_of_distance: Callable[[np.ndarray], np.ndarray],
-    scale: float = 1.0,
-) -> np.ndarray:
-    """Per-node mutual potential mut[i, j0] = sum over other nodes (i', j')
-    of w_row[i'] * kernel(scale * distance).
+# rows may sit off their equally spaced positions by rounding alone
+_ROW_SPACING_TOL = 1e-14
+# the largest degree of the radial fit in _cluster_mutual
+_MAX_DEGREE = 10
+# column offsets per FFT batch, which bounds the batch's memory
+_COLUMN_CHUNK = 32
 
-    The kernel between rows i and i' depends on the column offset only, so
-    the column sum for every base column j0 comes from one cumulative sum
-    per row pair: the offsets delta = j' - j0 sweep [-j0, p-1-j0] and the
-    window total is csum[j0] + csum[p-1-j0] - g[0].
+
+def _radial_nodes(rows: int, ratio: float) -> np.ndarray:
+    """Interpolation nodes in nu for the radial fit of a cluster of ``rows``
+    rows spanning rho_c +- H, with ratio = rho_c / H (see the module
+    docstring): the 2 rows - 1 values nu takes when that many suffice,
+    otherwise the Chebyshev points of the least degree T <= 10 whose doubled
+    tail bound 4 b^-(T+1) / ((T+1)(1 - 1/b)) is below 2^-52."""
+    degree = 0
+    if rows > 1:
+        b = ratio + math.sqrt(ratio * ratio - 1.0)
+        while degree < _MAX_DEGREE and (
+            4.0 * b ** -(degree + 1) / ((degree + 1) * (1.0 - 1.0 / b)) > 2.0**-52
+        ):
+            degree += 1
+    if 2 * rows - 1 <= degree + 1:
+        return np.linspace(-1.0, 1.0, 2 * rows - 1)
+    return np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
+
+
+def _fft_length(n: int) -> int:
+    """Least 2^a 3^b 5^c >= n."""
+    best = 1 << (n - 1).bit_length()
+    f5 = 1
+    while f5 < best:
+        f35 = f5
+        while f35 < best:
+            m = f35
+            while m < n:
+                m *= 2
+            best = min(best, m)
+            f35 *= 3
+        f5 *= 5
+    return best
+
+
+def _cluster_mutual(cluster: GenerationCluster, w: np.ndarray) -> np.ndarray:
+    """Per-node mutual potential mut[i, j0] = sum over the other nodes
+    (i', j') of w[i'] * (-log distance), for row weights ``w``.
+
+    With the radial fit of the module docstring,
+    -log d = sum_m a_m(k, delta) nu^m, where nu = (nu_i + nu_i') / 2 and the
+    node itself has a_m = 0.  Summing over the offsets up to delta gives
+    cumulative coefficients A_m(k, delta), computed at the fit nodes and
+    carried from one batch of offsets to the next.  Writing
+    nu^m = 2^-m sum_s C(m, s) nu_i^s nu_i'^(m-s), the row sum for offset
+    delta is part[i, delta] = sum_s nu_i^s sum_m 2^-m C(m, s)
+    (T_m (w nu^(m-s)))[i], where T_m is the symmetric Toeplitz matrix of
+    A_m(., delta) over k = i - i'.  The products run in Fourier space, one
+    inverse FFT per power s.  The offsets j' - j0 of base column j0 sweep
+    [-j0, p-1-j0] and the kernel is even in the offset, so
+    mut[:, j0] = part[:, j0] + part[:, p-1-j0] - part[:, 0].  The node values
+    become Chebyshev coefficients before monomial ones, so that rounding
+    enters as a small change of the fitted function rather than through the
+    ill-conditioned monomial Vandermonde matrix.  Memory is the output plus
+    one batch: O(p^2 + T L batch) for FFT length L >= 2 rows - 1.
     """
-    p = cluster.columns
-    rows = len(cluster.rhos)
-    dth = cluster.delta_theta
-    sin2 = np.sin(np.arange(p, dtype=np.float64) * dth / 2.0) ** 2
-    j0 = np.arange(p)
-    mut = np.empty((rows, p))
-    for i in range(rows):
-        # (rows, p) distances from row i nodes to all rows at each offset
-        dist = np.sqrt(
-            (cluster.rhos[i] - cluster.rhos[:, None]) ** 2
-            + 4.0 * cluster.rhos[i] * cluster.rhos[:, None] * sin2[None, :]
-        )
-        dist[i, 0] = 1.0  # the node itself; its term is zeroed below
-        g = kernel_of_distance(scale * dist)
-        g[i, 0] = 0.0
-        csum = np.cumsum(g, axis=1)
-        window = csum[:, j0] + csum[:, p - 1 - j0] - g[:, 0][:, None]
-        mut[i] = weights_row @ window
+    rhos, p = cluster.rhos, cluster.columns
+    rows = len(rhos)
+    centre, half = 0.5 * (rhos[-1] + rhos[0]), 0.5 * (rhos[-1] - rhos[0])
+    x = _radial_nodes(rows, centre / half if rows > 1 else math.inf)
+    size = len(x)
+    sin2 = np.sin(np.arange(p) * (cluster.delta_theta / 2.0)) ** 2
+    hk2 = (2.0 * half / max(rows - 1, 1) * np.arange(rows)) ** 2
+    rho2 = 4.0 * (centre + half * x) ** 2
+    to_cheb = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, size - 1))
+    # column j: the monomial coefficients of T_j
+    to_mono = np.zeros((size, size))
+    for j in range(size):
+        to_mono[: j + 1, j] = np.polynomial.chebyshev.cheb2poly(np.eye(j + 1)[j])
+    nu_pow = np.linspace(-1.0, 1.0, rows)[None, :] ** np.arange(size)[:, None]
+    length = _fft_length(2 * rows - 1)
+    w_spec = np.fft.rfft(w * nu_pow, n=length)
+    # mix[s, m] = 2^-m C(m, s) times the spectrum of w nu^(m-s), then laid
+    # out as real rows over imaginary rows for one real product per frequency
+    mix = np.zeros((size, size, length // 2 + 1), dtype=complex)
+    for m in range(size):
+        for s in range(m + 1):
+            mix[s, m] = math.comb(m, s) * 0.5**m * w_spec[m - s]
+    mix = np.concatenate([mix.real, mix.imag]).transpose(2, 0, 1).copy()
+    part = np.empty((rows, p))
+    carry = np.zeros((size, rows))
+    for start in range(0, p, _COLUMN_CHUNK):
+        delta = slice(start, min(start + _COLUMN_CHUNK, p))
+        sb = sin2[delta]
+        csum = hk2 * (1.0 - sb)[None, :, None] + (rho2[:, None] * sb)[:, :, None]
+        if start == 0:
+            csum[:, 0, 0] = 1.0  # the node itself: log 1 = 0
+        np.log(csum, out=csum)
+        csum *= -0.5
+        csum[:, 0] += carry
+        np.cumsum(csum, axis=1, out=csum)
+        carry = csum[:, -1]
+        coef = np.tensordot(to_mono, np.tensordot(to_cheb, csum, 1), 1)
+        kernel = np.zeros(coef.shape[:2] + (length,))
+        kernel[..., :rows] = coef
+        kernel[..., length - rows + 1 :] = coef[..., :0:-1]
+        # an even sequence has a real spectrum
+        spec = np.fft.rfft(kernel).real
+        prod = mix @ spec.transpose(2, 0, 1)
+        out = np.fft.irfft(prod[:, :size] + 1j * prod[:, size:], n=length, axis=0)
+        part[:, delta] = np.einsum("si,isc->ic", nu_pow, out[:rows])
+    mut = part + part[:, ::-1]
+    mut -= part[:, :1]
     return mut
 
 
@@ -612,7 +724,7 @@ def cluster_log_capacity(cluster: GenerationCluster) -> ClusterSolve:
     denom = p * inv.sum()
     w_row = inv / denom
     e0 = 1.0 / denom
-    mut = _cluster_mutual(cluster, w_row, lambda d: -np.log(d))
+    mut = _cluster_mutual(cluster, w_row)
     mutual = float(np.sum(w_row[:, None] * mut))
     energy = e0 + mutual
     hint = (abs(mutual) / float(self_energy.min())) ** 2 + abs(mutual) / float(
@@ -627,25 +739,30 @@ def cluster_log_capacity(cluster: GenerationCluster) -> ClusterSolve:
     )
 
 
-def cluster_c2(
-    cluster: GenerationCluster, scale: float, extra_log_shrink: float = 0.0
-) -> tuple[float, float]:
+def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
     """(C2 of the scaled cluster, potential minimum).
 
-    The cluster is scaled by ``scale`` (so distances multiply) and radii may
-    carry an extra log shrink; self-energies become log(2/(scale*r)).
+    The cluster is scaled by ``scale`` (so distances multiply);
+    self-energies become log(2/(scale*r)).  Every scaled pair distance must
+    stay below 2, where the truncated kernel is log 2 - log scale - log d.
     """
     p = cluster.columns
-    log_r_scaled = cluster.log_rs + extra_log_shrink + math.log(scale)
-    diag = LOG2 - log_r_scaled
+    lo, hi = float(cluster.rhos[0]), float(cluster.rhos[-1])
+    s_max = math.sin((p - 1) * cluster.delta_theta / 2.0) ** 2
+    diameter = math.sqrt(max((hi - lo) ** 2 + 4.0 * hi * lo * s_max, 4.0 * hi * hi * s_max))
+    if scale * diameter >= 2.0:
+        raise CapacityError(
+            f"scaled cluster diameter {scale * diameter:.6g} reaches 2,"
+            " where the truncated kernel starts to bind"
+        )
+    diag = LOG2 - (cluster.log_rs + math.log(scale))
     if np.any(diag <= 0.0):
         raise CapacityError("scaled cluster discs must have radius < 2")
     inv = 1.0 / diag
     denom = p * inv.sum()
     w_row = inv / denom
-    mut = _cluster_mutual(
-        cluster, w_row, lambda d: np.maximum(LOG2 - np.log(d), 0.0), scale=scale
-    )
+    others = p * w_row.sum() - w_row
+    mut = (LOG2 - math.log(scale)) * others[:, None] + _cluster_mutual(cluster, w_row)
     potential = w_row[:, None] * diag[:, None] + mut
     u_min = float(potential.min())
     if u_min <= 0.0:

@@ -133,14 +133,22 @@ def _out_dir(args) -> Path:
     return Path(os.environ.get("CHAMPAGNE_OUT", "."))
 
 
+class UsageError(Exception):
+    """Input the command cannot use as given: exit 2."""
+
+
+class InputFormatError(UsageError):
+    """An input file that exists but does not parse as the expected document."""
+
+
 def _chunk_size(n_walks: int) -> int:
     """Walks per chunk under CHAMPAGNE_THREADS (see the module docstring)."""
-    k = max(1, int(os.environ.get("CHAMPAGNE_THREADS", "1")))
+    value = os.environ.get("CHAMPAGNE_THREADS", "1")
+    try:
+        k = max(1, int(value))
+    except ValueError:
+        raise UsageError(f"CHAMPAGNE_THREADS must be an integer, got {value!r}") from None
     return min(32_768, -(-n_walks // k))
-
-
-class InputFormatError(Exception):
-    """An input file that exists but does not parse as the expected document."""
 
 
 def _load_json(path: str) -> dict:
@@ -791,7 +799,7 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"I/O failure: {exc}", file=sys.stderr)
         return EXIT_IO
-    except InputFormatError as exc:
+    except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
     except (GeneratorError, CriteriaError, CapacityError, GeometryError, WalkerError) as exc:

@@ -227,6 +227,12 @@ def escape_vs_depth(
     rows = []
     for n_max in depths:
         cut = truncate(config, n_max=n_max)
+        if len(cut.blocks) == len(config.blocks) and all(
+            a is b for a, b in zip(cut.blocks, config.blocks)
+        ):
+            # nothing cut: walk the configuration itself, whose spatial
+            # index validation may already have built
+            cut = config
         rows.append(DepthRow(n_max=n_max, estimate=estimate_escape(params, cut)))
     return rows
 

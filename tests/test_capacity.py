@@ -30,7 +30,10 @@ from champagne.capacity import (
     _boundary_nodes,
     _cell_discs,
     _circle_nodes,
+    GenerationCluster,
+    _cluster_mutual,
     _disc_system_capacity,
+    _radial_nodes,
     _log_kernel,
     _obstacle_sets,
 )
@@ -40,11 +43,14 @@ from champagne.generators import (
     generate_avoidable_ring,
     generate_subsquares,
     shrink,
+    subdivision_count,
 )
+from hypothesis import assume, given, settings, strategies as st
 from champagne.geometry import (
     Configuration,
     Disc,
     Point,
+    RingBlock,
     WhitneyCell,
     WhitneyIndex,
     sector_count,
@@ -394,6 +400,123 @@ class TestClusters:
         cfg = truncate(self._config(), drop_first=3)
         with pytest.raises(CapacityError):
             generation_clusters(cfg)
+
+    def test_rejects_unequally_spaced_rows(self):
+        rows = generation_clusters(self._config())[3].rhos
+        count = sector_count(3) * len(rows)
+        moved = [RingBlock(3, rho + (1e-6 if i == 1 else 0.0), -50.0, count) for i, rho in enumerate(rows)]
+        with pytest.raises(CapacityError, match="equally spaced"):
+            generation_clusters(Configuration(blocks=tuple(moved), n_max=3))
+
+
+def _cubic_mutual(cluster: GenerationCluster, w: np.ndarray, rows=None) -> np.ndarray:
+    """Reference for the structured sum: for each row i asked for, every
+    pair distance from the stored row radii, p^2 kernel values per row."""
+    p = cluster.columns
+    rows = range(len(cluster.rhos)) if rows is None else rows
+    sin2 = np.sin(np.arange(p, dtype=np.float64) * cluster.delta_theta / 2.0) ** 2
+    j0 = np.arange(p)
+    mut = []
+    for i in rows:
+        dist = np.sqrt(
+            (cluster.rhos[i] - cluster.rhos[:, None]) ** 2
+            + 4.0 * cluster.rhos[i] * cluster.rhos[:, None] * sin2[None, :]
+        )
+        dist[i, 0] = 1.0  # the node itself; its term is zeroed below
+        g = -np.log(dist)
+        g[i, 0] = 0.0
+        csum = np.cumsum(g, axis=1)
+        mut.append(w @ (csum[:, j0] + csum[:, p - 1 - j0] - g[:, 0][:, None]))
+    return np.array(mut)
+
+
+def _cluster(beta: float, n: int) -> GenerationCluster:
+    cfg = generate_subsquares(GeneratorParams.exp_power(beta=beta, c0=0.05, n_min=n, n_max=n))
+    return generation_clusters(cfg)[n]
+
+
+def _assert_mutual_matches_cubic(cluster, w, rows=None):
+    fast = _cluster_mutual(cluster, w)
+    rows = range(len(cluster.rhos)) if rows is None else rows
+    ref = _cubic_mutual(cluster, w, rows)
+    assert np.abs(fast[list(rows)] - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+class TestClusterMutual:
+    @pytest.mark.parametrize(
+        "beta,n",
+        [(b, n) for b in (1.2, 1.5, 2.0) for n in range(1, 11)] + [(1.5, 11), (1.5, 12)],
+    )
+    def test_matches_cubic_sum(self, beta, n):
+        cluster = _cluster(beta, n)
+        size = len(cluster.rhos)
+        rng = np.random.default_rng([int(10 * beta), n])
+        w = rng.uniform(0.05, 1.0, size)
+        # the reference costs p^2 per row: deep clusters check a sample of
+        # rows that includes both edges and a neighbouring pair
+        rows = None
+        if size > 64:
+            rows = sorted({0, 1, size // 2, size - 1, *rng.integers(0, size, 4).tolist()})
+        _assert_mutual_matches_cubic(cluster, w, rows)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.floats(1.0, 6.5),
+        st.integers(1, 4),
+        st.lists(st.floats(1e-3, 1.0), min_size=64, max_size=64),
+    )
+    def test_matches_cubic_sum_on_wide_clusters(self, beta, n, weights):
+        # steep subdivisions put many rows across a shallow cell: exact nodes,
+        # Chebyshev nodes and the degree cap all occur here
+        assume(subdivision_count(n, beta) <= 64)
+        cluster = _cluster(beta, n)
+        _assert_mutual_matches_cubic(cluster, np.array(weights[: len(cluster.rhos)]))
+
+    def test_single_row(self):
+        # one row: mut is w times the column sum of -log(2 rho sin(delta dth / 2))
+        rho, p, dth = 0.9, 7, 0.05
+        cluster = GenerationCluster(n=3, rhos=np.array([rho]), log_rs=np.array([-50.0]), columns=p, delta_theta=dth)
+        mut = _cluster_mutual(cluster, np.array([0.3]))
+        expect = [
+            0.3 * sum(-math.log(2.0 * rho * math.sin(abs(j - j0) * dth / 2.0)) for j in range(p) if j != j0)
+            for j0 in range(p)
+        ]
+        np.testing.assert_allclose(mut[0], expect, rtol=1e-14)
+        single = GenerationCluster(n=1, rhos=np.array([rho]), log_rs=np.array([-50.0]), columns=1, delta_theta=dth)
+        assert _cluster_mutual(single, np.array([1.0])).tolist() == [[0.0]]
+
+    def test_two_rows(self):
+        # two rows: the three values of the mean radius are the fit's nodes
+        np.testing.assert_array_equal(_radial_nodes(2, 10.0), [-1.0, 0.0, 1.0])
+        assert len(_cluster(2.0, 1).rhos) == 2
+        _assert_mutual_matches_cubic(_cluster(2.0, 1), np.array([0.2, 0.7]))
+        wide = GenerationCluster(
+            n=2, rhos=np.array([0.8, 0.85]), log_rs=np.array([-50.0, -60.0]), columns=9, delta_theta=0.01
+        )
+        _assert_mutual_matches_cubic(wide, np.array([0.6, 0.4]))
+
+    def test_c2_matches_truncated_kernel_sum(self):
+        # below scaled diameter 2 the truncated kernel is log 2 - log scale - log d
+        cluster = _cluster(1.5, 6)
+        scale = CapacityConstants().cell_scale(6)
+        union, u_min = cluster_c2(cluster, scale)
+        diag = math.log(2.0) - (cluster.log_rs + math.log(scale))
+        w = (1.0 / diag) / (cluster.columns * np.sum(1.0 / diag))
+        others = cluster.columns * w.sum() - w
+        mut = (math.log(2.0) - math.log(scale)) * others[:, None] + _cubic_mutual(cluster, w)
+        expect = float((w[:, None] * diag[:, None] + mut).min())
+        assert u_min == pytest.approx(expect, rel=1e-13)
+        assert union == pytest.approx(1.0 / expect, rel=1e-13)
+
+    def test_c2_rejects_scaled_diameter_of_two(self):
+        cluster = _cluster(1.5, 4)
+        lo, hi = cluster.rhos[0], cluster.rhos[-1]
+        s_max = math.sin((cluster.columns - 1) * cluster.delta_theta / 2.0) ** 2
+        diameter = math.sqrt((hi - lo) ** 2 + 4.0 * hi * lo * s_max)
+        cluster_c2(cluster, 1.99 / diameter)
+        for scale in (2.0 / diameter, 3.0 / diameter):
+            with pytest.raises(CapacityError, match="diameter"):
+                cluster_c2(cluster, scale)
 
 
 class TestCellSeries:

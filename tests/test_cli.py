@@ -206,6 +206,18 @@ class TestSimulate:
 
 
 class TestSweepAndReport:
+    def test_one_spatial_index_per_depth_below_the_file(self, cfg_path, tmp_path, monkeypatch):
+        # a depth that cuts nothing walks the validated configuration itself
+        builds = []
+        init = SpatialIndex.__init__
+        monkeypatch.setattr(
+            SpatialIndex, "__init__", lambda self, c: builds.append(c) or init(self, c)
+        )
+        argv = ("sweep", cfg_path, "--depths", "7,8,9", "--n-walks", 200, "--out-dir", tmp_path / "s")
+        assert run(*argv) == 0
+        assert len(builds) == 2
+        assert [sum(len(b) for b in c.blocks) for c in builds][1] < sum(len(b) for b in builds[0].blocks)
+
     def test_sweep_decreasing_and_report_verdict(self, cfg_path, tmp_path):
         out = tmp_path / "sr"
         assert run("check", cfg_path, "--y-grid", 4, "--out-dir", out) == 0
@@ -394,6 +406,14 @@ class TestWithoutScipy:
 
 
 class TestEnvOverrides:
+    def test_threads_env_not_an_integer_is_a_usage_failure(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("CHAMPAGNE_THREADS", "two")
+        argv = ("simulate", "--annulus", 0.25, "--start-x", 0.5, "--n-walks", 10, "--out-dir", tmp_path)
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: CHAMPAGNE_THREADS") and "Traceback" not in err
+        assert not (tmp_path / "simulate.json").exists()
+
     def test_out_dir_env(self, cfg_path, tmp_path, monkeypatch):
         target = tmp_path / "env_out"
         monkeypatch.setenv("CHAMPAGNE_OUT", str(target))
