@@ -901,6 +901,11 @@ def cell_capacity_series(
     if weights is None:
         weights = cell_capacity_weights(c, n_max=n_max, cap=cap)
     psi = y.theta
+    rings = [n for n in weights if not isinstance(n, tuple)]
+    totals = equally_spaced_inverse_square_sum(
+        [1.0 - 2.0 ** (-n) for n in rings], [sector_count(n) for n in rings], 0.0, psi
+    )
+    ring_totals = dict(zip(rings, totals.tolist()))
     per_gen: dict[int, list[float]] = {}
     for key, w in weights.items():
         if isinstance(key, tuple):
@@ -911,16 +916,9 @@ def cell_capacity_series(
             per_gen.setdefault(n, []).append(2.0 ** (-2 * n) * w / dist2)
         else:
             n = key
-            z = 1.0 - 2.0 ** (-n)
-            total = equally_spaced_inverse_square_sum(z, sector_count(n), 0.0, psi)
-            per_gen.setdefault(n, []).append(2.0 ** (-2 * n) * w * total)
-    gens = sorted(per_gen)
-    per = tuple((n, math.fsum(per_gen[n])) for n in gens)
-    cum, running = [], 0.0
-    for n, v in per:
-        running += v
-        cum.append((n, running))
-    return SeriesReport(y=y, kind="cell_capacity", per_generation=per, cumulative=tuple(cum))
+            per_gen.setdefault(n, []).append(2.0 ** (-2 * n) * w * ring_totals[n])
+    per = tuple((n, math.fsum(per_gen[n])) for n in sorted(per_gen))
+    return SeriesReport.from_generations(y, "cell_capacity", per)
 
 
 @dataclass(frozen=True)

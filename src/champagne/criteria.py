@@ -18,15 +18,19 @@ The diagnostics evaluated here:
 Ring blocks are summed in closed form: for J equally spaced points at
 radius rho, sum_a 1/|y - rho*e^{i theta_a}|^2 collapses through the Poisson
 kernel identity sum_a K_rho(psi - theta_a) = J * K_{rho^J}(J(psi - theta_0)),
-so a generation with 10^10 discs costs O(rows), not O(discs).  Every closed
-form is cross-checked against brute-force summation in the test suite.
+so a generation with 10^10 discs costs O(rows), not O(discs).  The row
+constants (q = rho^J and the reciprocal-log weight) and the positive-log
+check are computed once per configuration; a boundary grid then costs
+O(rows x points) in numpy passes of SERIES_CHUNK points each, and
+O(discs) per point for explicit blocks.  Every closed form is
+cross-checked against brute-force summation in the test suite.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
@@ -76,6 +80,16 @@ class SeriesReport:
     per_generation: tuple[tuple[int, float], ...]
     cumulative: tuple[tuple[int, float], ...]
 
+    @classmethod
+    def from_generations(
+        cls, y: BoundaryPoint, kind: str, per: tuple[tuple[int, float], ...]
+    ) -> "SeriesReport":
+        cum, running = [], 0.0
+        for n, v in per:
+            running += v
+            cum.append((n, running))
+        return cls(y=y, kind=kind, per_generation=per, cumulative=tuple(cum))
+
     @property
     def total(self) -> float:
         return self.cumulative[-1][1] if self.cumulative else 0.0
@@ -107,93 +121,190 @@ class BudgetSums:
 # ring closed forms
 
 
-def equally_spaced_inverse_square_sum(
-    rho: float, count: int, phase: float, psi: float, a_start: int = 0
-) -> float:
+@dataclass(frozen=True)
+class _RingRows:
+    """Equally spaced rows, slot a of a row at angle phase + a*2pi/count for
+    a_start <= a < count, with the constants of their closed form.
+
+    The constants are computed once per row with ``math``, as a scalar
+    evaluation computes them: num = J(1 - q^2), den = 1 - rho^2 and
+    q = rho^J, taken as 0 once J log(rho) <= -745, below the smallest
+    subnormal.  Every value :meth:`sums` returns is therefore the scalar
+    closed form bit for bit.
+    """
+
+    count: np.ndarray
+    phase: np.ndarray
+    num: np.ndarray
+    den: np.ndarray
+    q: np.ndarray
+    # (row, rho, phase, count, a_start) of the rows with an excluded prefix
+    prefixes: tuple[tuple[int, float, float, int, int], ...]
+
+    @classmethod
+    def build(cls, rho, count, phase, a_start) -> "_RingRows":
+        num, den, q, prefixes = [], [], [], []
+        for i, (r, j, ph, a0) in enumerate(zip(rho, count, phase, a_start)):
+            r, j, ph, a0 = float(r), int(j), float(ph), int(a0)
+            log_q = j * math.log(r)
+            qi = math.exp(log_q) if log_q > -745.0 else 0.0
+            num.append(j * (1.0 - qi * qi))
+            den.append(1.0 - r * r)
+            q.append(qi)
+            if a0:
+                prefixes.append((i, r, ph, j, a0))
+        arrays = (np.asarray(v, dtype=np.float64) for v in (count, phase, num, den, q))
+        return cls(*arrays, prefixes=tuple(prefixes))
+
+    def sums(self, psi: np.ndarray) -> np.ndarray:
+        """(rows, angles): sum over the active slots of each row of
+        |e^{i psi} - x_a|^{-2}, one column per angle of ``psi``.
+
+        A full row is J * K_{q}(J(psi - phase)) / (1 - rho^2) by the Poisson
+        kernel aggregation identity; an excluded prefix is subtracted term by
+        term, in increasing slot order.
+        """
+        q = self.q[:, None]
+        t = self.count[:, None] * (psi[None, :] - self.phase[:, None])
+        out = self.num[:, None] / (self.den[:, None] * (1.0 - 2.0 * q * np.cos(t) + q * q))
+        for i, rho, phase, count, a_start in self.prefixes:
+            out[i] -= _prefix_sum(rho, phase, count, a_start, psi)
+        return out
+
+
+def _prefix_sum(rho: float, phase: float, count: int, a_start: int, psi: np.ndarray) -> np.ndarray:
+    """sum over a < a_start of chord(1, rho, psi - phase - a*step)^{-2} at
+    every angle of ``psi``.  ``float_power`` calls the C library's pow, as
+    ``**`` on a Python float does, so each term equals the scalar one."""
+    step = TWO_PI / count
+    gap2 = (1.0 - rho) ** 2
+    removed = np.zeros(len(psi))
+    for a in range(a_start):
+        half = np.sin((psi - (phase + a * step)) / 2.0)
+        d = np.sqrt(gap2 + 4.0 * rho * np.float_power(half, 2.0))
+        removed += 1.0 / np.float_power(d, 2.0)
+    return removed
+
+
+def equally_spaced_inverse_square_sum(rho, count, phase, psi, a_start=0):
     """sum over a in [a_start, count) of |y - rho*e^{i(phase + a*step)}|^{-2}
     for y = e^{i psi}, via the Poisson kernel aggregation identity.
+
+    ``rho``, ``count``, ``phase`` and ``a_start`` are scalars or equal-length
+    sequences, one entry per row; ``psi`` is an angle or a sequence of them.
+    The result is an array with a row axis and an angle axis, each dropped
+    where a scalar was given.
     """
-    step = TWO_PI / count
-    with np.errstate(under="ignore"):
-        q = math.exp(count * math.log(rho)) if count * math.log(rho) > -745.0 else 0.0
-    t = count * (psi - phase)
-    denom = 1.0 - 2.0 * q * math.cos(t) + q * q
-    full = count * (1.0 - q * q) / ((1.0 - rho * rho) * denom)
-    if a_start == 0:
-        return full
-    # remove the excluded prefix explicitly (prefixes are short)
-    removed = 0.0
-    for a in range(a_start):
-        theta = phase + a * step
-        removed += 1.0 / chord(1.0, rho, psi - theta) ** 2
-    return full - removed
-
-
-def _ring_poisson_mass(rb: RingBlock, psi: float) -> float:
-    """(1 - rho)^2 * sum_a |y - x_a|^{-2} over the active slots of a ring."""
-    s = rb.boundary_gap
-    total = equally_spaced_inverse_square_sum(
-        rb.rho, rb.count, rb.step / 2.0, psi, rb.a_start
-    )
-    return s * s * total
+    row_args = (rho, count, phase, a_start)
+    size = {len(v) for v in row_args if np.ndim(v)}
+    if len(size) > 1:
+        raise CriteriaError("row arguments must have equal lengths")
+    rows = _RingRows.build(*(v if np.ndim(v) else [v] * max(size, default=1) for v in row_args))
+    out = rows.sums(np.atleast_1d(np.asarray(psi, dtype=np.float64)))
+    if np.ndim(psi) == 0:
+        out = out[:, 0]
+    if all(np.ndim(v) == 0 for v in row_args):
+        out = out[0]
+    return out
 
 
 # ---------------------------------------------------------------------------
 # series criteria
 
+SERIES_KINDS = ("log_weighted", "poisson")
+# Boundary points evaluated per numpy pass: temporaries stay at a few
+# (ring rows x SERIES_CHUNK) arrays whatever the grid size.
+SERIES_CHUNK = 64
 
-def _series(
-    c: Configuration,
-    y: BoundaryPoint,
-    kind: str,
-    weight_explicit: Callable[[DiscBlock], np.ndarray] | None,
-    weight_ring: Callable[[RingBlock], float] | None,
-) -> SeriesReport:
-    psi = y.theta
-    yx, yy = y.point.x, y.point.y
-    per_gen: dict[int, list[float]] = {}
+
+@dataclass(frozen=True)
+class _SeriesTerms:
+    """A configuration's series terms with the boundary point left free.
+
+    The summands of each per-generation compensated sum are its entries, in
+    canonical block order: one per ring row, and one per generation of each
+    explicit block, itself a compensated sum over that block's discs.
+    Entry e of a ring row is weight * s^2 * (closed-form row sum); entry e of
+    an explicit block's generation sums weight * s^2 / |y - x_k|^2.
+    """
+
+    gens: tuple[int, ...]
+    entries: tuple[np.ndarray, ...]  # per generation in ``gens``, its entries
+    n_entries: int
+    rings: _RingRows
+    ring_entry: np.ndarray
+    ring_s2: np.ndarray
+    ring_weight: np.ndarray
+    # (x, y, s, weight or None, ((entry, disc indices), ...)) per explicit block
+    explicit: tuple
+
+    def values(self, psi: np.ndarray) -> np.ndarray:
+        """(entries, points) at the boundary angles ``psi``."""
+        out = np.empty((self.n_entries, len(psi)))
+        if len(self.ring_entry):
+            row_sums = self.rings.sums(psi)
+            out[self.ring_entry] = self.ring_weight[:, None] * (self.ring_s2[:, None] * row_sums)
+        for j, theta in enumerate(psi.tolist()):
+            yx, yy = math.cos(theta), math.sin(theta)
+            for x, y, s, w, parts in self.explicit:
+                terms = s * s / ((x - yx) ** 2 + (y - yy) ** 2)
+                if w is not None:
+                    terms = terms * w
+                for e, rows in parts:
+                    out[e, j] = math.fsum(terms[rows].tolist())
+        return out
+
+
+def _series_terms(c: Configuration, kind: str) -> _SeriesTerms:
+    """Built once per configuration and series kind and kept on the
+    configuration, which is immutable."""
+    memo = vars(c)
+    key = f"_series_terms_{kind}"
+    if key not in memo:
+        memo[key] = _build_series_terms(c, kind)
+    return memo[key]
+
+
+def _build_series_terms(c: Configuration, kind: str) -> _SeriesTerms:
+    if kind not in SERIES_KINDS:
+        raise CriteriaError(f"unknown series kind {kind!r}")
+    weighted = kind == "log_weighted"
+    if weighted:
+        _check_positive_log(c)
+    entry_gen: list[int] = []  # the generation of each entry, in block order
+    rings: list[RingBlock] = []
+    ring_entry, ring_weight, explicit = [], [], []
     for b in c.blocks:
         if isinstance(b, RingBlock):
-            if not len(b):
-                continue
-            w = 1.0 if weight_ring is None else weight_ring(b)
-            per_gen.setdefault(b.n, []).append(w * _ring_poisson_mass(b, psi))
+            rings.append(b)
+            ring_weight.append(1.0 / (math.log(b.boundary_gap) - b.log_r) if weighted else 1.0)
+            ring_entry.append(len(entry_gen))
+            entry_gen.append(b.n)
         elif len(b):
             s = b.boundary_gap
-            dist2 = (b.x - yx) ** 2 + (b.y - yy) ** 2
-            terms = s * s / dist2
-            if weight_explicit is not None:
-                terms = terms * weight_explicit(b)
+            w = 1.0 / (np.log(s) - b.log_r) if weighted else None
+            parts = []
             for n, rows in b.generation_rows:
-                per_gen.setdefault(n, []).append(math.fsum(terms[rows].tolist()))
-    gens_sorted = sorted(per_gen)
-    per = tuple((n, math.fsum(per_gen[n])) for n in gens_sorted)
-    cum = []
-    running = 0.0
-    for n, v in per:
-        running += v
-        cum.append((n, running))
-    return SeriesReport(y=y, kind=kind, per_generation=per, cumulative=tuple(cum))
-
-
-def log_weighted_series(c: Configuration, y: BoundaryPoint) -> SeriesReport:
-    """Terms (1-|x_k|)^2 / |y-x_k|^2 * {log((1-|x_k|)/r_k)}^{-1} by generation.
-
-    Rejects any disc with r_k >= 1-|x_k| (the log weight must be positive).
-    """
-    _check_positive_log(c)
-    return _series(
-        c,
-        y,
-        "log_weighted",
-        weight_explicit=lambda b: 1.0 / (np.log(b.boundary_gap) - b.log_r),
-        weight_ring=lambda b: 1.0 / (math.log(b.boundary_gap) - b.log_r),
+                parts.append((len(entry_gen), rows))
+                entry_gen.append(n)
+            explicit.append((b.x, b.y, s, w, tuple(parts)))
+    gen_of = np.array(entry_gen, dtype=np.int64)
+    gens = tuple(sorted(set(entry_gen)))
+    return _SeriesTerms(
+        gens=gens,
+        entries=tuple(np.flatnonzero(gen_of == n) for n in gens),
+        n_entries=len(entry_gen),
+        rings=_RingRows.build(
+            [b.rho for b in rings],
+            [b.count for b in rings],
+            [b.step / 2.0 for b in rings],
+            [b.a_start for b in rings],
+        ),
+        ring_entry=np.array(ring_entry, dtype=np.int64),
+        ring_s2=np.array([b.boundary_gap * b.boundary_gap for b in rings], dtype=np.float64),
+        ring_weight=np.array(ring_weight, dtype=np.float64),
+        explicit=tuple(explicit),
     )
-
-
-def poisson_series(c: Configuration, y: BoundaryPoint) -> SeriesReport:
-    """Plain Poisson-weighted terms (1-|x_k|)^2 / |y-x_k|^2 by generation."""
-    return _series(c, y, "poisson", weight_explicit=None, weight_ring=None)
 
 
 def _check_positive_log(c: Configuration) -> None:
@@ -209,12 +320,45 @@ def _check_positive_log(c: Configuration) -> None:
         offset += len(b)
 
 
+def _series_at(c: Configuration, kind: str, ys: Sequence[BoundaryPoint]) -> list[SeriesReport]:
+    """One report per boundary point: SERIES_CHUNK points per numpy pass
+    over the ring rows, then one compensated sum per generation and point."""
+    terms = _series_terms(c, kind)
+    reports = []
+    for lo in range(0, len(ys), SERIES_CHUNK):
+        chunk = ys[lo : lo + SERIES_CHUNK]
+        values = terms.values(np.array([y.theta for y in chunk], dtype=np.float64))
+        sums = [[math.fsum(col) for col in values[e].T.tolist()] for e in terms.entries]
+        for j, y in enumerate(chunk):
+            per = tuple((n, s[j]) for n, s in zip(terms.gens, sums))
+            reports.append(SeriesReport.from_generations(y, kind, per))
+    return reports
+
+
 def series_over_grid(
     c: Configuration, kind: str = "log_weighted", y_count: int = 64
 ) -> list[SeriesReport]:
-    """One report per boundary grid point."""
-    fn = log_weighted_series if kind == "log_weighted" else poisson_series
-    return [fn(c, y) for y in BoundaryPoint.grid(y_count)]
+    """One report per point of the ``y_count``-point boundary grid.
+
+    A grid costs O(ring rows x points) in numpy passes plus O(discs) per
+    point for explicit blocks; the per-row constants and, for
+    ``log_weighted``, the positive-log check are computed once per
+    configuration.
+    """
+    return _series_at(c, kind, BoundaryPoint.grid(y_count))
+
+
+def log_weighted_series(c: Configuration, y: BoundaryPoint) -> SeriesReport:
+    """Terms (1-|x_k|)^2 / |y-x_k|^2 * {log((1-|x_k|)/r_k)}^{-1} by generation.
+
+    Rejects any disc with r_k >= 1-|x_k| (the log weight must be positive).
+    """
+    return _series_at(c, "log_weighted", [y])[0]
+
+
+def poisson_series(c: Configuration, y: BoundaryPoint) -> SeriesReport:
+    """Plain Poisson-weighted terms (1-|x_k|)^2 / |y-x_k|^2 by generation."""
+    return _series_at(c, "poisson", [y])[0]
 
 
 def affine_growth(

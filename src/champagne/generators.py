@@ -163,6 +163,12 @@ class GeneratorParams:
             raise GeneratorError("need 1 <= n_min <= n_max")
         if self.drop_first < 0:
             raise GeneratorError("drop_first must be >= 0")
+        # subdivision reads beta and the radii read phi: they must agree
+        if self.phi.form == "exp_power" and (self.phi.beta, self.phi.c0) != (self.beta, self.c0):
+            raise GeneratorError(
+                f"phi has (beta, c0) = ({self.phi.beta}, {self.phi.c0}) but the parameters "
+                f"have ({self.beta}, {self.c0}); use GeneratorParams.exp_power"
+            )
         if self.certify_budget:
             if not (self.alpha > 1.0):
                 raise GeneratorError("budget certification needs alpha > 1")

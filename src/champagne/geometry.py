@@ -707,27 +707,43 @@ def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | 
                 a, bb = int(ids[k[hit[0]]]), int(slot[hit[0]])
                 return (min(a, bb), max(a, bb))
 
-    # rings: adjacent slots within one ring, then cross pairs (numpy prefilter
-    # on radial gaps; with the tiny radii this package generates, almost no
-    # pair survives the prefilter)
+    # rings: adjacent slots within one ring, then cross pairs
     for off, rb in rings:
         if len(rb) >= 2:
             gap = chord(rb.rho, rb.rho, rb.step)
             if gap <= 2.0 * rb.radius:
                 return (off, off + 1)
-    if len(rings) >= 2:
-        rho = np.array([rb.rho for _, rb in rings])
-        rad = np.array([rb.radius for _, rb in rings])
-        gaps = np.abs(rho[:, None] - rho[None, :])
-        cand = np.argwhere(gaps <= rad[:, None] + rad[None, :])
-        for i, j in cand:
-            if i >= j:
-                continue
-            off, rb = rings[i]
-            off2, rb2 = rings[j]
-            if ring_min_center_distance(rb, rb2) <= rb.radius + rb2.radius:
-                return (off, off2)
+    for i, j in _ring_pair_candidates(
+        np.array([rb.rho for _, rb in rings]), np.array([rb.radius for _, rb in rings])
+    ):
+        off, rb = rings[i]
+        off2, rb2 = rings[j]
+        if ring_min_center_distance(rb, rb2) <= rb.radius + rb2.radius:
+            return (off, off2)
     return None
+
+
+def _ring_pair_candidates(rho: np.ndarray, rad: np.ndarray):
+    """Pairs (i, j), i < j in row-major order, of rings whose radial gap
+    |rho_i - rho_j| is at most rad_i + rad_j.
+
+    Ring i's partners lie within rad_i + max(rad) of rho_i, so each ring
+    searches a window of the rho-sorted rings: memory stays O(rings), and
+    with the tiny radii this package generates almost every window holds
+    the ring alone.
+    """
+    if len(rho) < 2:
+        return
+    order = np.argsort(rho, kind="stable")
+    sorted_rho = rho[order]
+    reach = rad + rad.max() + _CERT_SLACK
+    lo = np.searchsorted(sorted_rho, rho - reach, side="left")
+    hi = np.searchsorted(sorted_rho, rho + reach, side="right")
+    for i in np.flatnonzero(hi - lo > 1).tolist():
+        js = order[lo[i] : hi[i]]
+        js = np.sort(js[(js > i) & (np.abs(rho[i] - rho[js]) <= rad[i] + rad[js])])
+        for j in js.tolist():
+            yield i, j
 
 
 # ---------------------------------------------------------------------------

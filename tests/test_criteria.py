@@ -35,7 +35,17 @@ from champagne.generators import (
     shrink,
     truncate,
 )
-from champagne.geometry import Configuration, Disc, DiscBlock, Point, RingBlock, TWO_PI
+from champagne.geometry import (
+    TWO_PI,
+    Configuration,
+    Disc,
+    DiscBlock,
+    Point,
+    RingBlock,
+    chord,
+    dumps_config,
+    loads_config,
+)
 
 
 def disc(x, y, r):
@@ -44,6 +54,20 @@ def disc(x, y, r):
 
 SINGLE = Configuration.from_discs([disc(0.5, 0.0, 0.05)])
 Y0 = BoundaryPoint(0.0)
+
+
+def scalar_inverse_square_sum(rho, count, phase, psi, a_start=0):
+    """The scalar closed form the grid engine replaced, kept as its
+    bit-for-bit reference: one row, one boundary angle."""
+    step = TWO_PI / count
+    q = math.exp(count * math.log(rho)) if count * math.log(rho) > -745.0 else 0.0
+    t = count * (psi - phase)
+    denom = 1.0 - 2.0 * q * math.cos(t) + q * q
+    full = count * (1.0 - q * q) / ((1.0 - rho * rho) * denom)
+    removed = 0.0
+    for a in range(a_start):
+        removed += 1.0 / chord(1.0, rho, psi - (phase + a * step)) ** 2
+    return full - removed
 
 
 class TestRingClosedForm:
@@ -65,6 +89,28 @@ class TestRingClosedForm:
         count = 2**16 * 512
         got = equally_spaced_inverse_square_sum(rho, count, 0.0, 0.3)
         assert got == pytest.approx(count / (1.0 - rho * rho), rel=1e-12)
+
+    def test_array_shapes(self):
+        rows = ([0.6, 0.9, 0.8], [17, 64, 40], [0.1, 0.0, 0.2], [0, 0, 7])
+        psi = [0.0, 0.3, 2.0, 4.9]
+        grid = equally_spaced_inverse_square_sum(*rows[:3], psi, rows[3])
+        assert grid.shape == (3, 4)
+        assert equally_spaced_inverse_square_sum(*rows[:3], 0.3, rows[3]).shape == (3,)
+        assert equally_spaced_inverse_square_sum(0.8, 40, 0.2, psi, 7).shape == (4,)
+        for i, (rho, count, phase, a_start) in enumerate(zip(*rows)):
+            for j, angle in enumerate(psi):
+                assert grid[i, j] == scalar_inverse_square_sum(rho, count, phase, angle, a_start)
+
+    @pytest.mark.parametrize("rho,count,a_start", [(0.97, 4, 3), (0.9, 7, 6), (0.99, 64, 40), (0.8, 3, 2)])
+    def test_prefix_bit_equal_on_dense_angles(self, rho, count, a_start):
+        # rows whose prefix outweighs the active slots, where an ulp of a
+        # removed term shows in the result: every term must round as the
+        # scalar chord(...) ** 2 does
+        psi = np.linspace(0.0, TWO_PI, 4096, endpoint=False)
+        phase = math.pi / count
+        got = equally_spaced_inverse_square_sum(rho, count, phase, psi, a_start)
+        want = [scalar_inverse_square_sum(rho, count, phase, x, a_start) for x in psi.tolist()]
+        assert got.tolist() == want
 
 
 class TestSeriesExamples:
@@ -177,6 +223,136 @@ class TestSeriesExamples:
                     dz = math.hypot(z.x - y.x, z.y - y.y)
                     dx = math.hypot(d.center.x - y.x, d.center.y - y.y)
                     assert 1.0 / comparability <= dz / dx <= comparability
+
+
+# ---------------------------------------------------------------------------
+# the series grid engine against the scalar closed form and a disc scan
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from champagne import criteria  # noqa: E402
+
+
+def _flagship8(drop_first=0):
+    params = GeneratorParams.exp_power(beta=1.5, c0=0.05, n_max=8, drop_first=drop_first)
+    return loads_config(dumps_config(generate_subsquares(params)))
+
+
+def _scan_series(cfg, kind, ys):
+    """Per-generation sums over every materialised disc, one dict per point."""
+    xs, ys_, gens, lrs = [], [], [], []
+    for b in cfg.blocks:
+        if isinstance(b, RingBlock):
+            x, y = b.positions()
+            n = np.full(len(b), b.n)
+            lr = np.full(len(b), b.log_r)
+        else:
+            x, y, n, lr = b.x, b.y, b.generations, b.log_r
+        xs.append(x), ys_.append(y), gens.append(n), lrs.append(lr)
+    x, y, n, lr = (np.concatenate(v) if v else np.empty(0) for v in (xs, ys_, gens, lrs))
+    s = 1.0 - np.hypot(x, y)
+    w = 1.0 / (np.log(s) - lr) if kind == "log_weighted" else np.ones(len(x))
+    out = []
+    for point in ys:
+        terms = s * s / ((x - math.cos(point.theta)) ** 2 + (y - math.sin(point.theta)) ** 2) * w
+        out.append({int(g): math.fsum(terms[n == g].tolist()) for g in np.unique(n)})
+    return out
+
+
+# one ring row: (generation n, position of its boundary gap s in the band
+# [2^-n-1, 2^-n), slots per gap so that the spacing is at most s as in every
+# generated row, excluded prefix as a fraction of the row, log10(r / s))
+_series_row = st.tuples(
+    st.integers(1, 7),
+    st.floats(0.0, 1.0, exclude_max=True),
+    st.integers(1, 6),
+    st.sampled_from([0.0, 0.0, 0.01, 0.3, 0.6]),
+    st.floats(-8.0, -0.5),
+)
+
+
+def _series_config(rows, n_explicit, explicit_at, seed):
+    blocks = []
+    for n, frac, per_gap, drop, log_ratio in rows:
+        s = 2.0 ** (-n - 1) * (1.0 + frac)
+        count = math.ceil(per_gap * TWO_PI / s)
+        log_r = math.log(s) + log_ratio * math.log(10.0)
+        blocks.append(RingBlock(n=n, rho=1.0 - s, log_r=log_r, count=count, a_start=int(drop * count)))
+    if n_explicit:
+        rng = np.random.default_rng(seed)
+        s = np.exp(rng.uniform(math.log(2.0**-8), math.log(0.5), n_explicit))
+        theta = rng.uniform(0.0, TWO_PI, n_explicit)
+        log_r = np.log(s) - rng.uniform(0.5, 18.0, n_explicit)
+        block = DiscBlock((1.0 - s) * np.cos(theta), (1.0 - s) * np.sin(theta), log_r)
+        blocks.insert(min(explicit_at, len(blocks)), block)
+    return Configuration(blocks=tuple(blocks), n_max=8)
+
+
+class TestSeriesGrid:
+    @pytest.mark.parametrize("drop_first", [0, 5])
+    @pytest.mark.parametrize("kind", criteria.SERIES_KINDS)
+    def test_rows_bit_equal_to_scalar_closed_form(self, kind, drop_first):
+        cfg = _flagship8(drop_first)
+        assert all(isinstance(b, RingBlock) for b in cfg.blocks)
+        ys = BoundaryPoint.grid(64)
+        reports = series_over_grid(cfg, kind, y_count=64)
+        # entries of a ring-only configuration are its rows, in block order
+        per_row = criteria._series_terms(cfg, kind).values(np.array([y.theta for y in ys]))
+        for j, (y, rep) in enumerate(zip(ys, reports)):
+            per_gen = {}
+            for i, b in enumerate(cfg.blocks):
+                s = b.boundary_gap
+                w = 1.0 / (math.log(s) - b.log_r) if kind == "log_weighted" else 1.0
+                row = scalar_inverse_square_sum(b.rho, b.count, b.step / 2.0, y.theta, b.a_start)
+                assert per_row[i, j] == w * (s * s * row)
+                per_gen.setdefault(b.n, []).append(w * (s * s * row))
+            assert rep.y == y and rep.kind == kind
+            assert rep.per_generation == tuple((n, math.fsum(v)) for n, v in sorted(per_gen.items()))
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.lists(_series_row, max_size=6),
+        st.integers(0, 60),
+        st.integers(0, 6),
+        st.integers(0, 2**32 - 1),
+        st.integers(1, 150),
+        st.sampled_from(criteria.SERIES_KINDS),
+    )
+    def test_matches_disc_scan(self, rows, n_explicit, explicit_at, seed, y_count, kind):
+        cfg = _series_config(rows, n_explicit, explicit_at, seed)
+        reports = series_over_grid(cfg, kind, y_count=y_count)
+        ys = BoundaryPoint.grid(y_count)
+        assert [rep.y for rep in reports] == ys
+        for rep, want in zip(reports, _scan_series(cfg, kind, ys)):
+            got = dict(rep.per_generation)
+            assert sorted(got) == sorted(want)
+            for n in want:
+                assert got[n] == pytest.approx(want[n], rel=1e-11)
+        # one-point calls are the same engine on one column
+        one = log_weighted_series if kind == "log_weighted" else poisson_series
+        for k in {0, y_count // 2, y_count - 1}:
+            assert one(cfg, ys[k]) == reports[k]
+
+    def test_chunking_does_not_change_reports(self, monkeypatch):
+        cfg = _series_config([(3, 0.2, 2, 0.3, -3.0), (3, 0.7, 1, 0.0, -5.0)], 20, 1, 7)
+        whole = series_over_grid(cfg, "log_weighted", y_count=50)
+        monkeypatch.setattr(criteria, "SERIES_CHUNK", 7)
+        assert series_over_grid(cfg, "log_weighted", y_count=50) == whole
+
+    def test_log_weight_checked_once_per_configuration(self, monkeypatch):
+        calls = []
+        check = criteria._check_positive_log
+        monkeypatch.setattr(criteria, "_check_positive_log", lambda c: calls.append(c) or check(c))
+        cfg = _flagship8()
+        series_over_grid(cfg, "log_weighted", y_count=16)
+        for y in BoundaryPoint.grid(8):
+            log_weighted_series(cfg, y)
+        poisson_series(cfg, Y0)
+        assert len(calls) == 1 and calls[0] is cfg
+
+    def test_unknown_kind_rejected(self):
+        with pytest.raises(CriteriaError):
+            series_over_grid(SINGLE, "plain")
 
 
 class TestSeparation:

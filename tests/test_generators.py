@@ -101,6 +101,17 @@ class TestSubsquares:
             GeneratorParams.exp_power(beta=0.9, alpha=2.0, certify_budget=True)
         GeneratorParams.exp_power(beta=1.5, alpha=2.0, certify_budget=True)
 
+    def test_phi_and_params_must_agree_on_beta_and_c0(self):
+        # subdivision would read beta=1.5 and the radii phi's beta=0.1
+        with pytest.raises(GeneratorError, match="beta, c0"):
+            GeneratorParams(phi=PhiSpec(beta=0.1, c0=0.3), beta=1.5, c0=0.05)
+        with pytest.raises(GeneratorError):
+            GeneratorParams(phi=PhiSpec(beta=1.5, c0=0.3), beta=1.5, c0=0.05)
+        GeneratorParams()
+        GeneratorParams(phi=PhiSpec(beta=0.1, c0=0.3), beta=0.1, c0=0.3)
+        table = PhiSpec(form="table", knots_t=(0.0, 0.9), knots_log_phi=(-1.0, -50.0))
+        GeneratorParams(phi=table, beta=1.5, c0=0.05)
+
     def test_budget_bound_holds(self):
         # every disc has log(1/r) >= (1/c0)(1-|x|)^{-beta}, so the
         # generation-counted geometric bound dominates the true sum

@@ -859,3 +859,74 @@ class TestMixedOverlap:
         assert not meets[:30, :30].any()
         assert got == want
         assert (want is not None) == (overlap and meets.any())
+
+
+# ---------------------------------------------------------------------------
+# the windowed ring cross-pair prefilter against the dense one it replaced
+
+from champagne.geometry import _ring_pair_candidates  # noqa: E402
+
+
+def _dense_ring_pairs(rho, rad):
+    """Candidate pairs from dense rings x rings gap and radius-sum arrays,
+    i < j in row-major order."""
+    gaps = np.abs(rho[:, None] - rho[None, :])
+    cand = np.argwhere(gaps <= rad[:, None] + rad[None, :])
+    return [(int(i), int(j)) for i, j in cand if i < j]
+
+
+def _dense_ring_overlap(rings):
+    """The ring part of the overlap check with the dense prefilter."""
+    for off, rb in rings:
+        if len(rb) >= 2 and chord(rb.rho, rb.rho, rb.step) <= 2.0 * rb.radius:
+            return (off, off + 1)
+    rho = np.array([rb.rho for _, rb in rings])
+    rad = np.array([rb.radius for _, rb in rings])
+    for i, j in _dense_ring_pairs(rho, rad):
+        (off, rb), (off2, rb2) = rings[i], rings[j]
+        if ring_min_center_distance(rb, rb2) <= rb.radius + rb2.radius:
+            return (off, off2)
+    return None
+
+
+# one ring: (placement against the previous ring, circle radius, disc
+# radius, slot count, excluded prefix as a fraction of the row); "touch"
+# puts its row at the sum of the two radii from the previous row, exactly
+# for the dyadic draws (powers of two that survive exp(log(r)) unchanged),
+# "nested" inside the previous ring's radial band, "same" on the previous
+# ring's circle
+_pair_ring = st.tuples(
+    st.sampled_from(["free", "touch", "nested", "same"]),
+    st.one_of(st.floats(0.3, 0.9), st.integers(307, 921).map(lambda k: k / 1024)),
+    st.one_of(
+        st.floats(-7.0, -2.5).map(lambda e: 10.0**e),
+        st.sampled_from([-20, -19, -10, -9]).map(lambda k: 2.0**k),
+    ),
+    st.sampled_from([1, 2, 3, 7, 64, 96, 128, 500]),
+    st.sampled_from([0.0, 0.0, 0.5]),
+)
+
+
+class TestRingPairPrefilter:
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(_pair_ring, min_size=1, max_size=12))
+    def test_window_returns_the_dense_pair(self, specs):
+        blocks = []
+        for place, rho, rad, count, drop in specs:
+            if blocks and place != "free":
+                prev = blocks[-1]
+                rho = {
+                    "touch": prev.rho + (prev.radius + math.exp(math.log(rad))),
+                    "nested": prev.rho + 0.5 * prev.radius,
+                    "same": prev.rho,
+                }[place]
+            blocks.append(
+                RingBlock(n=1, rho=rho, log_r=math.log(rad), count=count, a_start=int(drop * count))
+            )
+        config = Configuration(blocks=tuple(blocks), n_max=1)
+        offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])[:-1]])
+        rings = [(int(off), b) for off, b in zip(offsets, blocks)]
+        rho = np.array([b.rho for b in blocks])
+        rad = np.array([b.radius for b in blocks])
+        assert list(_ring_pair_candidates(rho, rad)) == _dense_ring_pairs(rho, rad)
+        assert _find_overlap(config, SpatialIndex(config)) == _dense_ring_overlap(rings)
