@@ -433,8 +433,13 @@ def _boundary_nodes(parts: Sequence[Shape], n_boundary: int):
         inside = np.hypot(pts[:, 0] - cx, pts[:, 1] - cy) < r * (1.0 - 1e-12)
         keep &= ~(inside & (owner != pi))
     pts, ell = pts[keep], ell[keep]
-    _, first = np.unique(pts, axis=0, return_index=True)
-    first.sort()
+    # the first of each run of equal points, in the stable (x, y) order;
+    # a sort, not np.unique, whose first call imports numpy.ma
+    order = np.lexsort((pts[:, 1], pts[:, 0]))
+    ranked = pts[order]
+    first = np.ones(len(order), dtype=bool)
+    first[1:] = np.any(ranked[1:] != ranked[:-1], axis=1)
+    first = np.sort(order[first])
     return pts[first], ell[first]
 
 
@@ -791,8 +796,9 @@ def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
 def _obstacle_sets(c: Configuration) -> dict:
     """Obstacle set of every cell that holds discs, keyed like
     :func:`cell_capacity_weights`: n -> the generation's cluster (all its
-    cells are congruent) for ring-structured configurations, (n, m) -> the
-    cell's discs for explicit ones.
+    cells are congruent) for the full ring generations, (n, m) -> the
+    cell's discs for explicit configurations and for the generations whose
+    rings have a dropped prefix.
 
     Built once per configuration and kept on it, which is immutable, so
     that the weights, the table, quasiadditivity and the log bound of one
@@ -800,10 +806,19 @@ def _obstacle_sets(c: Configuration) -> dict:
     """
     memo = vars(c)
     if "_obstacle_sets" not in memo:
-        if any(isinstance(b, RingBlock) for b in c.blocks):
-            memo["_obstacle_sets"] = generation_clusters(c)
+        rings = [b for b in c.blocks if isinstance(b, RingBlock)]
+        cut = {b.n for b in rings if b.a_start}
+        if not rings:
+            sets = _cell_discs(c)
+        elif not cut:
+            sets = generation_clusters(c)
         else:
-            memo["_obstacle_sets"] = _cell_discs(c)
+            # the generations with a dropped prefix, materialized, go cell by cell
+            full = tuple(b for b in c.blocks if not (isinstance(b, RingBlock) and b.n in cut))
+            partial = tuple(b for b in rings if b.n in cut)
+            sets = generation_clusters(Configuration(blocks=full, n_max=c.n_max))
+            sets.update(_cell_discs(Configuration(blocks=partial, n_max=c.n_max).materialized()))
+        memo["_obstacle_sets"] = sets
     return memo["_obstacle_sets"]
 
 
@@ -830,17 +845,14 @@ def _scaled_c2(obstacles, scale: float) -> tuple[float, float, int]:
     return union_c2, float(np.sum(1.0 / (LOG2 - lr))), len(obstacles)
 
 
-def _explicit_cell_shapes(c: Configuration) -> dict[tuple[int, int], UnionShape]:
-    """Map (n, m) -> union of disc-in-cell pieces, for explicit configs."""
-    shapes: dict[tuple[int, int], UnionShape] = {}
-    for (n, m), discs in _obstacle_sets(c).items():
-        cell = whitney_cell(WhitneyIndex(n, m))
-        pieces: list[Shape] = []
-        for d in discs:
-            ds = DiscShape(d.center, d.log_radius)
-            pieces.append(ds if _disc_inside_cell(ds, cell) else ClippedDiscShape(ds, cell))
-        shapes[(n, m)] = UnionShape(tuple(pieces))
-    return shapes
+def _cell_shape(idx: WhitneyIndex, discs) -> UnionShape:
+    """The union of the pieces of ``discs`` inside cell ``idx``."""
+    cell = whitney_cell(idx)
+    pieces: list[Shape] = []
+    for d in discs:
+        ds = DiscShape(d.center, d.log_radius)
+        pieces.append(ds if _disc_inside_cell(ds, cell) else ClippedDiscShape(ds, cell))
+    return UnionShape(tuple(pieces))
 
 
 def cell_capacity_weights(
@@ -850,39 +862,36 @@ def cell_capacity_weights(
 ) -> dict:
     """Per-cell weights {log(2^{-n}/c(E of the cell))}^{-1}.
 
-    For ring-structured grids, one cluster solve per generation gives the
-    shared weight of all its cells; the result maps n -> weight.  For
-    explicit configurations the map key is (n, m).
+    One cluster solve per full ring generation gives the shared weight of
+    all its cells, keyed n; every other cell (of an explicit configuration,
+    or of a ring generation with a dropped prefix) is solved on its own
+    discs with ``cap`` and keyed (n, m).
     """
     keep_n = c.n_max if n_max is None else n_max
-    if any(isinstance(b, RingBlock) for b in c.blocks):
-        weights: dict = {}
-        for n, cluster in _obstacle_sets(c).items():
-            if n > keep_n:
-                continue
-            solve = cluster_log_capacity(cluster)
-            denom = -n * LOG2 - solve.log_capacity
+    cap = cap or log_capacity
+    weights: dict = {}
+    for key, obstacles in _obstacle_sets(c).items():
+        n = key[0] if isinstance(key, tuple) else key
+        if n > keep_n:
+            continue
+        if isinstance(obstacles, GenerationCluster):
+            denom = -n * LOG2 - cluster_log_capacity(obstacles).log_capacity
             if denom <= 0.0:
                 raise CapacityError(
                     f"cell capacity exceeds the cell scale at generation {n}"
                 )
-            weights[n] = 1.0 / denom
-        return weights
-    cap = cap or log_capacity
-    weights = {}
-    for (n, m), shape in _explicit_cell_shapes(c).items():
-        if n > keep_n:
-            continue
-        try:
-            est = cap(shape)
-        except CapacityError as exc:
-            raise CapacityError(f"capacity failed at cell (n={n}, m={m}): {exc}")
-        if est.polar:
-            continue
-        denom = -n * LOG2 - est.log_value
-        if denom <= 0.0:
-            raise CapacityError(f"cell capacity exceeds cell scale at (n={n}, m={m})")
-        weights[(n, m)] = 1.0 / denom
+        else:
+            m = key[1]
+            try:
+                est = cap(_cell_shape(WhitneyIndex(n, m), obstacles))
+            except CapacityError as exc:
+                raise CapacityError(f"capacity failed at cell (n={n}, m={m}): {exc}")
+            if est.polar:
+                continue
+            denom = -n * LOG2 - est.log_value
+            if denom <= 0.0:
+                raise CapacityError(f"cell capacity exceeds cell scale at (n={n}, m={m})")
+        weights[key] = 1.0 / denom
     return weights
 
 

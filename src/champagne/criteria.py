@@ -46,6 +46,7 @@ from .geometry import (
     chord,
     ring_min_center_distance,
     spatial_index,
+    unique_sorted,
 )
 from .generators import MSpec, PhiSpec
 
@@ -586,7 +587,7 @@ def integral_test(m: MSpec, phi: PhiSpec, upper: float) -> float:
         raise CriteriaError("integration endpoint must lie in (0, 1)")
     u_end = -math.log1p(-upper)
     knots = [-math.log1p(-t) for t in phi.knots_t if 0.0 < t < upper]
-    edges = np.unique(np.concatenate([np.arange(math.ceil(u_end)), knots, [u_end]]))
+    edges = unique_sorted(np.concatenate([np.arange(math.ceil(u_end)), knots, [u_end]]))
     lo, half = edges[:-1, None], 0.5 * np.diff(edges)[:, None]
 
     def rule(nodes: int) -> float:

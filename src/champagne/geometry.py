@@ -119,6 +119,16 @@ class Disc:
             )
 
 
+def unique_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct values of a 1-D array, ascending, as ``np.unique``
+    gives them.  Sort and compare: the first ``np.unique`` call of a
+    process imports ``numpy.ma``, which costs about 12 ms."""
+    a = np.sort(a)
+    keep = np.ones(len(a), dtype=bool)
+    keep[1:] = a[1:] != a[:-1]
+    return a[keep]
+
+
 def generation_of(s: float) -> int:
     """Dyadic generation of a boundary gap s = 1 - |x|.
 
@@ -341,7 +351,7 @@ class DiscBlock:
     def generation_rows(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(n, indices of the discs of generation n), ascending in n."""
         gens = self.generations
-        return tuple((int(n), np.flatnonzero(gens == n)) for n in np.unique(gens))
+        return tuple((int(n), np.flatnonzero(gens == n)) for n in unique_sorted(gens))
 
     @property
     def radius(self) -> np.ndarray:
@@ -576,7 +586,7 @@ class Configuration:
             if isinstance(b, RingBlock):
                 gens.add(b.n)
             elif len(b):
-                gens.update(int(g) for g in np.unique(b.generations))
+                gens.update(int(g) for g in unique_sorted(b.generations))
         return sorted(gens)
 
     def rotated(self, angle: float) -> "Configuration":
@@ -946,7 +956,7 @@ class SpatialIndex:
                 [off + np.arange(len(b), dtype=np.int64) for off, b in explicit]
             )
             gen = np.concatenate([b.generations for _, b in explicit])
-            for g in np.unique(gen):
+            for g in unique_sorted(gen):
                 sel = gen == g
                 self._explicit[int(g)] = _DiscBand(x[sel], y[sel], rad[sel], gid[sel])
             self._explicit_ids = gid
@@ -967,22 +977,43 @@ class SpatialIndex:
 
     # -- batched query (hot path for the walker) ----------------------------
 
-    def distance_many(self, px: np.ndarray, py: np.ndarray, with_ids: bool = False):
+    def distance_many(
+        self, px: np.ndarray, py: np.ndarray, with_ids: bool = False, depths=None
+    ):
         """Unclamped signed distances (negative inside a disc) for a batch.
 
         With ``with_ids`` returns (d, ids): each distance with the lowest
         canonical id of a disc attaining it, -1 for an empty configuration.
+
+        Given ``depths = (lo, hi)``, per-point generation depths with
+        lo <= hi, point i sees only the bands n <= hi[i] and the result is
+        (d_lo, d_hi): its distance to the discs of generation <= lo[i] and
+        to those of generation <= hi[i], each bit-equal to a query of the
+        configuration truncated at that depth.  Ids are not tracked then.
         """
+        if with_ids and depths is not None:
+            raise GeometryError("distance ids are not tracked per depth")
         best = np.full(len(px), np.inf)
         best_id = np.full(len(px), _NO_ID) if with_ids else None
         rho_p = np.hypot(px, py)
         s = 1.0 - rho_p
         theta_p = np.arctan2(py, px)
         theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)
+        if depths is not None:
+            lo, hi = depths
+            best_lo = best.copy()
+            lo_max, hi_max = lo.max(initial=-1), hi.max(initial=-1)
+            hi_min = hi.min(initial=hi_max)
         for n in self._gen_bands:
             gaps = self._band_gap_vec(n, s) - self._gen_max_radius[n]
             # a band exactly as far as the best disc may hold a lower id
-            live = np.flatnonzero(gaps <= best if with_ids else gaps < best)
+            near = gaps <= best if with_ids else gaps < best
+            if depths is not None:
+                if n > hi_max:
+                    break
+                if n > hi_min:
+                    near &= hi >= n
+            live = np.flatnonzero(near)
             if not len(live):
                 continue
             whole = len(live) == len(px)
@@ -1006,6 +1037,11 @@ class SpatialIndex:
                 best[live] = sub
                 if best_id is not None:
                     best_id[live] = sub_id
+            if depths is not None and n <= lo_max:
+                # a band no point reaches leaves best_lo == best as it was
+                np.copyto(best_lo, best, where=lo >= n)
+        if depths is not None:
+            return best_lo, best
         if not with_ids:
             return best
         best_id[best_id == _NO_ID] = -1

@@ -11,8 +11,25 @@ vanishing defines an unavoidable obstacle union.
 Randomness is counter-based: the uniform used by walk w at step t is a
 pure function of (seed, w, t) through a splitmix-style mixer, so every
 partition of the walks into chunks produces bit-identical trajectories and
-the aggregate is independent of scheduling.  One batch kernel advances a
-chunk of walks together and records each walk's outcome and step count.
+the aggregate is independent of scheduling.  One batch kernel advances up
+to a chunk of walks together, admits more as they finish, and records each
+walk's outcome and step count.
+
+A depth sweep is one coupled pass of the same kernel.  Truncation at depth
+D keeps the generation bands n <= D, so D's distance is the running
+minimum over those bands and its jump radius min(s, d_<=D) cannot grow with
+D.  Walk w uses the same uniform at step t for every depth, so a particle
+(walk id, a contiguous range of depths, position) carries the walk for all
+the depths whose trajectories still agree.  Before each jump the particle
+is classified once: an escape ends every depth it carries, the hit depths
+are a suffix of its range, and the rest split into runs of equal radius,
+each a particle of its own.  ``SpatialIndex.distance_many`` returns the
+distances at a particle's first and last depth in one band loop, and only
+particles that split query the depths between.  The pass costs one query
+per particle-step, not one per walk-step and depth: 2.69M query points
+against 7.38M walk-steps for 50,000 walks over depths 6, 8, 10, 12 of the
+beta = 0.1, c0 = 0.3 family at eps 1e-8.  Every depth's per-walk records
+are bit-identical to a separate walk on the truncated configuration.
 
 Truncation bias is inherent and intentional: only materialized discs repel
 the walk, so a walk below the deepest stored generation sees no obstacles;
@@ -33,10 +50,8 @@ from .geometry import (
     Point,
     SpatialIndex,
     TWO_PI,
-    distance_to_obstacles,
     spatial_index,
 )
-from .generators import truncate
 
 
 class WalkerError(ValueError):
@@ -53,6 +68,7 @@ _SHIFT31 = np.uint64(31)
 _SHIFT11 = np.uint64(11)
 _MUL1 = np.uint64(0xBF58476D1CE4E5B9)
 _MUL2 = np.uint64(0x94D049BB133111EB)
+_STEP_MUL = np.uint64(0xD1B54A32D192ED03)
 _INV53 = 1.0 / float(1 << 53)
 
 
@@ -62,15 +78,17 @@ def _mix64(z: np.ndarray) -> np.ndarray:
     return z ^ (z >> _SHIFT31)
 
 
-def walk_uniforms(seed: int, walk_ids: np.ndarray, step: int) -> np.ndarray:
-    """Uniforms in [0, 1) for the given walks at one step index.
+def walk_uniforms(seed: int, walk_ids: np.ndarray, step) -> np.ndarray:
+    """Uniforms in [0, 1) for the given walks at one step index each.
 
     A pure function of (seed, walk id, step): neither execution order nor
-    chunking can change any draw.
+    chunking can change any draw.  ``step`` is one index for every walk or
+    an array of one per walk.
     """
     base = np.uint64(seed & 0xFFFFFFFFFFFFFFFF)
     key = _mix64(base + (walk_ids.astype(np.uint64) + np.uint64(1)) * _GAMMA_WALK)
-    step_term = np.uint64(((step + 1) * 0xD1B54A32D192ED03) & 0xFFFFFFFFFFFFFFFF)
+    # a ufunc product wraps modulo 2^64 without the scalar overflow warning
+    step_term = np.multiply(np.asarray(step, dtype=np.uint64) + np.uint64(1), _STEP_MUL)
     val = _mix64(key + step_term)
     return (val >> _SHIFT11).astype(np.float64) * _INV53
 
@@ -147,66 +165,182 @@ class EscapeEstimate:
 
 
 def _run_chunk(
-    params: WalkParams, idx: SpatialIndex, walk_lo: int, walk_hi: int
+    params: WalkParams,
+    idx: SpatialIndex,
+    walk_lo: int,
+    walk_hi: int,
+    depths: Sequence[int] | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(outcome, steps) of each walk in [walk_lo, walk_hi), in walk order.
 
     A walk is classified before every jump: within eps_shell of the unit
     circle it escapes, else within eps_shell of a disc it is hit, else it
     jumps to a uniform point on the largest circle that avoids both.  A
-    walk still running after max_steps jumps is censored.
+    walk still running after max_steps jumps is censored.  At most
+    ``params.chunk_size`` walks (a quarter as many with ``depths``) are
+    live at once; more are admitted whenever half of them have finished.
+
+    Given ascending generation ``depths``, the records have shape
+    (len(depths), walks), row j holding the walks on the configuration
+    truncated at depths[j], and the depths are walked together: a particle
+    is one walk for a contiguous range of depth columns whose trajectories
+    still agree, and it splits only where their jump radii differ.  Their
+    steps stay int32 where max_steps allows; one depth's are int64.
     """
-    m = walk_hi - walk_lo
-    outcome = np.empty(m, dtype=np.int8)
-    steps = np.empty(m, dtype=np.int64)
-    ids = np.arange(walk_lo, walk_hi, dtype=np.uint64)
-    px = np.full(m, params.start.x)
-    py = np.full(m, params.start.y)
+    cols = 1 if depths is None else len(depths)
+    cut = None if depths is None else np.asarray(depths, dtype=np.int64)
+    outcome = np.empty((cols, walk_hi - walk_lo), dtype=np.int8)
+    # steps are kept narrow while the walks run and widened per depth after
+    steps = np.empty(
+        (cols, walk_hi - walk_lo), dtype=np.int32 if params.max_steps < 2**31 else np.int64
+    )
     eps = params.eps_shell
-    step = 0
-    while len(ids):
+    # a coupled pass keeps more per particle through the query and refills
+    # its pool in odd sizes that fragment the heap; a quarter of the chunk
+    # keeps its peak RSS below that of a one-depth chunk
+    room = params.chunk_size if depths is None else max(1, params.chunk_size // 4)
+    # the live particles: walk id, jumps taken, position and, with depths,
+    # the first and last depth column the particle carries
+    live = [np.empty(0, dtype=np.int64)] * 2 + [np.empty(0)] * 2
+    if cut is not None:
+        live += [np.empty(0, dtype=np.int64)] * 2
+    admitted = walk_lo
+    while True:
+        n_live = len(live[0])
+        if admitted < walk_hi and n_live <= room // 2:
+            k = min(walk_hi - admitted, room - n_live)
+            live = _admit(live, admitted, k, params.start, cols)
+            admitted += k
+        elif not n_live:
+            break
+        wid, t, px, py = live[:4]
         s = 1.0 - np.hypot(px, py)
         escaped = s < eps
-        d_obs = idx.distance_many(px, py)
-        hit = ~escaped & (d_obs < eps)
-        done = escaped | hit
-        if step == params.max_steps:
-            done[:] = True
-        if done.any():
-            fin = ids[done] - np.uint64(walk_lo)
-            # indices into OUTCOMES: escaped 0, hit 1, censored 2
-            outcome[fin] = 2 - 2 * escaped[done] - hit[done]
-            steps[fin] = step
-            keep = ~done
-            ids, px, py, s, d_obs = ids[keep], px[keep], py[keep], s[keep], d_obs[keep]
-            if not len(ids):
-                break
-        radius = np.minimum(s, d_obs)
-        theta = TWO_PI * walk_uniforms(params.seed, ids, step)
-        px = px + radius * np.cos(theta)
-        py = py + radius * np.sin(theta)
-        step += 1
+        if cut is None:
+            d_lo = d_hi = idx.distance_many(px, py)
+        else:
+            d_lo, d_hi = idx.distance_many(px, py, depths=(cut[live[4]], cut[live[5]]))
+        radius = np.minimum(s, d_hi)
+        stop = escaped | (d_hi < eps) | (t == params.max_steps)
+        if cut is not None:
+            stop |= np.minimum(s, d_lo) != radius
+        if stop.any():
+            r, keep = np.flatnonzero(stop), ~stop
+            query = (s, escaped, d_lo, d_hi)
+            run = _settle(params, idx, cut, walk_lo, outcome, steps, live, r, query)
+            live, radius = [a[keep] for a in live], radius[keep]
+            if run:
+                live = [np.concatenate([a, b]) for a, b in zip(live, run)]
+                radius = np.concatenate([radius, run[-1]])
+            wid, t, px, py = live[:4]
+        theta = TWO_PI * walk_uniforms(params.seed, wid, t)
+        px += radius * np.cos(theta)
+        py += radius * np.sin(theta)
+        t += 1
+    if depths is None:
+        return outcome[0], steps[0].astype(np.int64)
     return outcome, steps
+
+
+def _admit(live: list, first: int, k: int, start: Point, cols: int) -> list:
+    """The live arrays of :func:`_run_chunk` with walks first .. first+k-1
+    appended, each at ``start`` and carrying every depth column."""
+    new = [
+        np.arange(first, first + k),
+        np.zeros(k, dtype=np.int64),
+        np.full(k, start.x),
+        np.full(k, start.y),
+        np.zeros(k, dtype=np.int64),
+        np.full(k, cols - 1),
+    ][: len(live)]
+    if not len(live[0]):
+        return new
+    return [np.concatenate([a, b]) for a, b in zip(live, new)]
+
+
+def _settle(params, idx, cut, walk_lo, outcome, steps, live, r, query) -> list:
+    """Record the finished depth columns of the stopped particles ``r`` and
+    return the columns that go on as new particles, one per run of columns
+    with equal jump radius: their live arrays as in :func:`_run_chunk`,
+    then the radius; an empty list when none goes on.
+
+    ``query`` holds every live particle's boundary gap, escape flag and
+    distances at its first and last column.  The hit columns of a particle
+    are a suffix of its range, since distances cannot grow with depth; the
+    columns between the ends are queried only for particles that split.
+    """
+    eps = params.eps_shell
+    wid, t = live[0][r], live[1][r]
+    s, escaped, d_lo, d_hi = (a[r] for a in query)
+    if cut is None:
+        # one column: every stopped particle has escaped, been hit or run out
+        # of steps; indices into OUTCOMES: escaped 0, hit 1, censored 2
+        outcome[0, wid - walk_lo] = np.where(escaped, 0, np.where(d_hi < eps, 1, 2))
+        steps[0, wid - walk_lo] = t
+        return []
+    px, py, lo, hi = (a[r] for a in live[2:])
+    width = hi - lo + 1
+    first = np.cumsum(width) - width
+    # one entry per (particle, column) pair, in particle then column order
+    pair = np.repeat(np.arange(len(wid)), width)
+    col = np.arange(len(pair)) - np.repeat(first - lo, width)
+    # d_hi stands in between the ends where both ends have one radius: the
+    # columns between share it, and their hit status, since a partly hit
+    # particle that has not escaped has radius d_hi < eps <= its first one
+    d = d_hi[pair]
+    at_lo = col == lo[pair]
+    d[at_lo] = d_lo[pair[at_lo]]
+    split = ~escaped & (width > 2) & (np.minimum(s, d_lo) != np.minimum(s, d_hi))
+    inner = np.flatnonzero(split)
+    a, b = lo[inner] + 1, hi[inner] - 1
+    while len(inner):
+        # two columns per query, from the outside in
+        da, db = idx.distance_many(px[inner], py[inner], depths=(cut[a], cut[b]))
+        d[first[inner] + a - lo[inner]] = da
+        d[first[inner] + b - lo[inner]] = db
+        more = a + 1 <= b - 1
+        inner, a, b = inner[more], a[more] + 1, b[more] - 1
+    esc, hit = escaped[pair], d < eps
+    done = esc | hit | (t[pair] == params.max_steps)
+    w = wid[pair[done]] - walk_lo
+    # indices into OUTCOMES: escaped 0, hit 1, censored 2
+    outcome[col[done], w] = np.where(esc[done], 0, np.where(hit[done], 1, 2))
+    steps[col[done], w] = t[pair[done]]
+    go = np.flatnonzero(~done)
+    if not len(go):
+        return []
+    p, c = pair[go], col[go]
+    radius = np.minimum(s[p], d[go])
+    head = np.ones(len(go), dtype=bool)
+    head[1:] = (p[1:] != p[:-1]) | (radius[1:] != radius[:-1])
+    last = np.ones(len(go), dtype=bool)
+    last[:-1] = head[1:]
+    h = np.flatnonzero(head)
+    return [wid[p[h]], t[p[h]], px[p[h]], py[p[h]], c[h], c[last], radius[h]]
+
+
+def _check_start(params: WalkParams, idx: SpatialIndex, depth: int | None = None) -> None:
+    """Reject a start point inside a closed disc, of the discs of generation
+    <= ``depth`` when one is given."""
+    px, py = np.array([params.start.x]), np.array([params.start.y])
+    if depth is None:
+        d = idx.distance_many(px, py)
+    else:
+        _, d = idx.distance_many(px, py, depths=(np.array([depth]), np.array([depth])))
+    if d[0] <= 0.0:
+        raise WalkerError("start point lies inside a closed obstacle disc")
 
 
 def estimate_escape(params: WalkParams, config: Configuration) -> EscapeEstimate:
     """Escape-probability estimate over independent per-walk substreams.
 
-    The walks run in chunks of ``params.chunk_size``; every walk's record is
-    a pure function of (seed, walk id), so the result is identical for any
-    chunk size or execution order.
+    At most ``params.chunk_size`` walks are live at once; every walk's
+    record is a pure function of (seed, walk id), so the result is
+    identical for any chunk size or execution order.
     """
     idx = spatial_index(config)
-    d_start, _ = distance_to_obstacles(params.start, idx)
-    if d_start <= 0.0:
-        raise WalkerError("start point lies inside a closed obstacle disc")
-    records = [
-        _run_chunk(params, idx, lo, min(lo + params.chunk_size, params.n_walks))
-        for lo in range(0, params.n_walks, params.chunk_size)
-    ]
-    return EscapeEstimate.from_records(
-        np.concatenate([o for o, _ in records]), np.concatenate([t for _, t in records])
-    )
+    _check_start(params, idx)
+    return EscapeEstimate.from_records(*_run_chunk(params, idx, 0, params.n_walks))
 
 
 # ---------------------------------------------------------------------------
@@ -222,19 +356,40 @@ class DepthRow:
 def escape_vs_depth(
     config: Configuration, depths: Sequence[int], params: WalkParams
 ) -> list[DepthRow]:
-    """One estimate per truncation depth, sharing the seed policy so that
-    deeper rows see identical trajectories until the added discs act."""
-    rows = []
-    for n_max in depths:
-        cut = truncate(config, n_max=n_max)
-        if len(cut.blocks) == len(config.blocks) and all(
-            a is b for a, b in zip(cut.blocks, config.blocks)
-        ):
-            # nothing cut: walk the configuration itself, whose spatial
-            # index validation may already have built
-            cut = config
-        rows.append(DepthRow(n_max=n_max, estimate=estimate_escape(params, cut)))
-    return rows
+    """One estimate per truncation depth, in the order of ``depths``, all
+    from one coupled walk pass over the configuration.
+
+    Truncation at depth D keeps the generation bands n <= D, so D's
+    distance is the running minimum over those bands and its jump radius
+    cannot grow with D.  Walk w draws the same uniforms at every depth, so
+    one particle carries it for every depth until a deeper depth's discs
+    shorten a jump or absorb it; there the particle splits into runs of
+    depths with equal radius (see :func:`_run_chunk`).  The pass costs one
+    distance query per particle-step instead of one per walk-step and
+    depth, and each row is bit-identical to ``estimate_escape(params,
+    truncate(config, D))``.  A start inside a disc deeper than every depth
+    is allowed.
+    """
+    if not len(depths):
+        return []
+    idx = spatial_index(config)
+    # the index's bands are the generations, which truncation keeps or cuts
+    # whole; depths that keep the same ones share one column of the pass
+    bands = config.generations_present()
+    keeps = [max((n for n in bands if n <= d), default=-1) for d in depths]
+    columns = sorted(set(keeps))
+    _check_start(params, idx, columns[-1])
+    whole = columns == [max(bands, default=-1)]
+    outcome, steps = _run_chunk(params, idx, 0, params.n_walks, None if whole else columns)
+    if whole:
+        outcome, steps = outcome[None], steps[None]
+    return [
+        DepthRow(
+            n_max=d,
+            estimate=EscapeEstimate.from_records(outcome[j], steps[j].astype(np.int64)),
+        )
+        for d, j in zip(depths, (columns.index(k) for k in keeps))
+    ]
 
 
 def concentric_obstacle_config(r0: float) -> Configuration:

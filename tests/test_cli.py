@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 import os
@@ -207,7 +208,7 @@ class TestSimulate:
 
 class TestSweepAndReport:
     def test_one_spatial_index_per_depth_below_the_file(self, cfg_path, tmp_path, monkeypatch):
-        # a depth that cuts nothing walks the validated configuration itself
+        # every depth, cut or not, is walked on the validated configuration's index
         builds = []
         init = SpatialIndex.__init__
         monkeypatch.setattr(
@@ -215,8 +216,8 @@ class TestSweepAndReport:
         )
         argv = ("sweep", cfg_path, "--depths", "7,8,9", "--n-walks", 200, "--out-dir", tmp_path / "s")
         assert run(*argv) == 0
-        assert len(builds) == 2
-        assert [sum(len(b) for b in c.blocks) for c in builds][1] < sum(len(b) for b in builds[0].blocks)
+        assert len(builds) == 1
+        assert builds[0].n_max == 8 and "truncated" not in builds[0].provenance
 
     def test_sweep_decreasing_and_report_verdict(self, cfg_path, tmp_path):
         out = tmp_path / "sr"
@@ -340,6 +341,30 @@ class TestCapacityCommand:
             assert float(row[4]) == c2
 
 
+    def test_dropped_prefix_matches_materialized_twin(self, tmp_path):
+        # full generations stay clusters; the cut one is solved cell by cell
+        path, twin = tmp_path / "prefix.json", tmp_path / "twin.json"
+        assert run(
+            "generate", "subsquares", "--beta", 0.1, "--c0", 0.3, "--n-min", 6,
+            "--n-max", 8, "--drop-first", 5, "-o", path,
+        ) == 0
+        twin.write_text(dumps_config(loads_config(path.read_text()).materialized()))
+        tables = []
+        for cfg in (path, twin):
+            assert run("capacity", cfg, "--quasiadditivity", "--out-dir", tmp_path / cfg.stem) == 0
+            with open(tmp_path / cfg.stem / "capacity.csv", newline="") as fh:
+                tables.append({(int(r["n"]), int(r["m"])): r for r in csv.DictReader(fh)})
+        rows, twin_rows = tables
+        # the cut generation has no row for its dropped cells 0..4, and one
+        # for every other cell; full generations keep 64 rows each
+        assert sorted(m for n, m in rows if n == 6) == list(range(5, 1024))
+        assert [sum(n == g for n, _ in rows) for g in (7, 8)] == [64, 64]
+        for key, row in rows.items():
+            want = float(twin_rows[key]["log_capacity"])
+            assert float(row["log_capacity"]) == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert row["quasiadditivity_ratio"] == twin_rows[key]["quasiadditivity_ratio"]
+
+
 class TestExitCodes:
     def test_walker_error_exits_one(self, tmp_path, capsys):
         # the default start, the origin, lies inside the annulus obstacle
@@ -361,6 +386,20 @@ class TestExitCodes:
         extra = ["--n-walks", 10] if command == "simulate" else []
         assert run(command, path, *extra, "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("depths", ["6,x", "", "6,,8", "6.5", "-3", "6,-1"])
+    def test_bad_sweep_depths_exit_two(self, cfg_path, tmp_path, capsys, depths):
+        out = tmp_path / "s"
+        assert run("sweep", cfg_path, "--depths", depths, "--n-walks", 10, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --depths") and "Traceback" not in err
+        assert not (out / "sweep.json").exists()
+
+    def test_sweep_depth_zero_walks_no_disc(self, cfg_path, tmp_path):
+        out = tmp_path / "s"
+        assert run("sweep", cfg_path, "--depths", "0", "--n-walks", 50, "--out-dir", out) == 0
+        row = json.loads((out / "sweep.json").read_text())["rows"][0]
+        assert row["n_max"] == 0 and row["estimate"]["p_escape"] == 1.0
 
     @pytest.mark.parametrize("flag", ["--check", "--sweep"])
     def test_malformed_report_input_exits_two(self, tmp_path, capsys, flag):
@@ -400,6 +439,27 @@ class TestWithoutScipy:
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
         out = subprocess.run(
             [sys.executable, "-c", code, command[0], str(path), *command[1:], "--out-dir", str(tmp_path)],
+            env=env, capture_output=True, text=True, check=True,
+        )
+        assert out.stdout.split()[-2:] == ["0", "False"]
+
+
+class TestWithoutNumpyMa:
+    @pytest.mark.parametrize(
+        "command",
+        [["check"], ["capacity"], ["sweep", "--depths", "6,8", "--n-walks", "50"]],
+    )
+    def test_commands_leave_numpy_ma_unloaded(self, cfg_path, tmp_path, command):
+        # np.unique and np.median import numpy.ma on their first call
+        code = (
+            "import sys; from champagne.cli import main; rc = main(sys.argv[1:]); "
+            "print(rc, 'numpy.ma' in sys.modules)"
+        )
+        env = dict(os.environ)
+        src = str(Path(champagne.__file__).resolve().parent.parent)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        out = subprocess.run(
+            [sys.executable, "-c", code, command[0], str(cfg_path), *command[1:], "--out-dir", str(tmp_path)],
             env=env, capture_output=True, text=True, check=True,
         )
         assert out.stdout.split()[-2:] == ["0", "False"]

@@ -24,6 +24,7 @@ from champagne.geometry import (
     loads_config,
     ring_min_center_distance,
     sector_count,
+    unique_sorted,
     validate_configuration,
     whitney_cell,
 )
@@ -49,6 +50,14 @@ class TestGeneration:
         vec = generations_of(s)
         for si, ni in zip(s, vec):
             assert generation_of(float(si)) == ni
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 40])
+    def test_unique_sorted_matches_np_unique(self, size):
+        rng = np.random.default_rng(size)
+        for a in (rng.integers(-3, 9, size), rng.integers(0, 4, size) * 0.25 - 0.5):
+            got = unique_sorted(a)
+            np.testing.assert_array_equal(got, np.unique(a))
+            assert got.dtype == a.dtype
 
 
 class TestWhitneyCells:

@@ -292,3 +292,120 @@ class TestAnnulusHelpers:
             WalkParams(eps_shell=0.0)
         with pytest.raises(WalkerError):
             WalkParams(start=Point(1.5, 0.0))
+
+
+# ---------------------------------------------------------------------------
+# the coupled depth pass against one walk per depth
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from champagne.geometry import DiscBlock, RingBlock  # noqa: E402
+
+_FAMILY = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=4, n_max=7))
+
+
+def _explicit(rb: RingBlock) -> DiscBlock:
+    x, y = rb.positions()
+    return DiscBlock(x, y, np.full(len(x), rb.log_r))
+
+
+def _interleaved() -> Configuration:
+    """Sparse rings of generations 3..8, each at the outer edge of its band
+    and 6 and 7 nearly on one circle: near them the nearest disc changes
+    generation often, so particles of five or six depth columns split with
+    distances between their ends that differ from both."""
+    rows = [(3, 0.0626, 24), (4, 0.0313, 40), (5, 0.0157, 56), (6, 0.0079, 72), (7, 0.0078, 88), (8, 0.0039, 104)]
+    blocks = tuple(RingBlock(n, 1.0 - s, math.log(2e-4), count) for n, s, count in rows)
+    return Configuration(blocks=blocks, n_max=8)
+
+
+def _storage(kind: str) -> Configuration:
+    """The n = 4..7 family as plain rings, rings with a dropped prefix,
+    explicit discs, or generations 5 and 7 explicit beside rings 4 and 6;
+    or the interleaved rings."""
+    if kind == "interleaved":
+        return _interleaved()
+    if kind == "plain":
+        return _FAMILY
+    if kind == "prefix":
+        return truncate(_FAMILY, drop_first=100)
+    if kind == "explicit":
+        return _FAMILY.materialized()
+    blocks = tuple(_explicit(b) if b.n % 2 else b for b in _FAMILY.blocks)
+    return Configuration(blocks=blocks, n_max=_FAMILY.n_max)
+
+
+STORAGE = ("plain", "prefix", "explicit", "mixed", "interleaved")
+
+
+def _assert_rows_match_per_depth_walks(cfg, depths, params):
+    rows = escape_vs_depth(cfg, depths, params)
+    assert [r.n_max for r in rows] == list(depths)
+    for row, d in zip(rows, depths):
+        want = estimate_escape(params, truncate(cfg, n_max=d))
+        np.testing.assert_array_equal(row.estimate.walk_outcome, want.walk_outcome)
+        np.testing.assert_array_equal(row.estimate.walk_steps, want.walk_steps)
+        assert row.estimate == want
+    return rows
+
+
+class TestCoupledDepths:
+    """Every row of the one-pass sweep equals a separate walk on the
+    configuration truncated at its depth, walk by walk."""
+
+    @pytest.mark.parametrize("kind", STORAGE)
+    @pytest.mark.parametrize(
+        "depths",
+        [(4, 5, 6, 7), (7, 5, 4, 6), (6, 4, 6, 9, 3), (8, 3, 4, 5, 6, 7), (5,), (3, 9), (2,)],
+    )
+    def test_rows_equal_walks_per_depth(self, kind, depths):
+        params = WalkParams(eps_shell=1e-8, seed=11, n_walks=300, chunk_size=333)
+        rows = _assert_rows_match_per_depth_walks(_storage(kind), depths, params)
+        if {4, 7} <= set(depths):
+            # the walks do split: the depths' records differ
+            outcomes = {r.estimate.walk_outcome.tobytes() for r in rows}
+            assert len(outcomes) > 1
+
+    @pytest.mark.parametrize("kind", ["mixed", "interleaved"])
+    @pytest.mark.parametrize("chunk, n_walks", [(1, 40), (333, 700), (4000, 700)])
+    def test_chunk_sizes(self, kind, chunk, n_walks):
+        params = WalkParams(eps_shell=1e-6, seed=5, n_walks=n_walks, chunk_size=chunk)
+        _assert_rows_match_per_depth_walks(_storage(kind), (4, 5, 6, 7, 8), params)
+
+    @pytest.mark.parametrize("kind", STORAGE)
+    def test_censoring(self, kind):
+        params = WalkParams(eps_shell=1e-8, seed=2, n_walks=400, max_steps=12, chunk_size=64)
+        rows = _assert_rows_match_per_depth_walks(_storage(kind), (4, 5, 6, 7), params)
+        assert all(0 < r.estimate.n_censored < 400 for r in rows)
+
+    def test_off_origin_start(self):
+        params = WalkParams(eps_shell=1e-8, seed=9, n_walks=300, start=Point(0.3, -0.6))
+        _assert_rows_match_per_depth_walks(_storage("prefix"), (7, 4, 5), params)
+
+    def test_start_in_a_disc_below_every_depth_is_allowed(self):
+        deep = next(b for b in _FAMILY.blocks if b.n == 7).disc(3).center
+        params = WalkParams(eps_shell=1e-8, seed=1, n_walks=50, start=deep)
+        _assert_rows_match_per_depth_walks(_FAMILY, (4, 6), params)
+        with pytest.raises(WalkerError):
+            escape_vs_depth(_FAMILY, (4, 7), params)
+        with pytest.raises(WalkerError):
+            escape_vs_depth(_FAMILY, (9,), params)
+
+    def test_no_depths(self):
+        assert escape_vs_depth(_FAMILY, [], WalkParams(n_walks=10)) == []
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        kind=st.sampled_from(STORAGE),
+        depths=st.lists(st.integers(2, 9), min_size=1, max_size=5),
+        seed=st.integers(0, 2**32 - 1),
+        n_walks=st.integers(1, 80),
+        chunk=st.sampled_from([1, 2, 7, 64, 4000]),
+        max_steps=st.sampled_from([4, 1000]),
+        eps=st.sampled_from([1e-3, 1e-8]),
+    )
+    def test_matches_per_depth_walks(self, kind, depths, seed, n_walks, chunk, max_steps, eps):
+        params = WalkParams(
+            eps_shell=eps, seed=seed, n_walks=n_walks, chunk_size=chunk, max_steps=max_steps
+        )
+        _assert_rows_match_per_depth_walks(_storage(kind), depths, params)
