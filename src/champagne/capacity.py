@@ -22,9 +22,12 @@ The C2 capacity uses the truncated kernel log+(2/|x-y|) and is normalized
 by the sampled minimum of the equilibrium potential, so that the reported
 value is the mass required to push the potential to 1 on the set.
 
-Grid configurations built from ring blocks are handled per generation:
-all cells of one generation hold congruent disc clusters, so one cluster
-solve per generation covers the whole cell series.
+The cell capacity series reads one record per obstacle set,
+(n, ms, obstacles): the cells (n, m), m in the range ms, share it.  A ring
+generation of full rings that no explicit disc reaches holds congruent
+clusters, so one record and one cluster solve cover all its cells.  Every
+other cell, of explicit discs or of rings with a dropped prefix or reached
+by an explicit disc, is a record of its own.
 
 A cluster solve needs the mutual potential of -log d at every one of its
 p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
@@ -58,9 +61,10 @@ kernel max(log 2 - log(scale d), 0) is exactly (log 2 - log scale) - log d.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -780,12 +784,12 @@ def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
 
 
 def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
-    """Map (n, m) -> the discs whose closed disc meets the closed cell, in
-    canonical order, for explicit configurations."""
+    """Map (n, m) -> the discs of the explicit blocks of ``c`` whose closed
+    disc meets the closed cell, in canonical order."""
     cells: dict[tuple[int, int], list[Disc]] = {}
     for b in c.blocks:
         if isinstance(b, RingBlock):
-            raise CapacityError("explicit cell mapping got a ring block")
+            continue
         for i in range(len(b)):
             d = b.disc(i)
             for idx in cells_intersecting_disc(d):
@@ -793,12 +797,23 @@ def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
     return {k: tuple(v) for k, v in cells.items()}
 
 
-def _obstacle_sets(c: Configuration) -> dict:
-    """Obstacle set of every cell that holds discs, keyed like
-    :func:`cell_capacity_weights`: n -> the generation's cluster (all its
-    cells are congruent) for the full ring generations, (n, m) -> the
-    cell's discs for explicit configurations and for the generations whose
-    rings have a dropped prefix.
+class ObstacleSet(NamedTuple):
+    """The cells (n, m), m in ``ms``, that share one obstacle set: a ring
+    generation's cluster, congruent in each of its cells, or one cell's
+    gathered discs."""
+
+    n: int
+    ms: range
+    obstacles: GenerationCluster | tuple[Disc, ...]
+
+
+def _obstacle_sets(c: Configuration) -> list[ObstacleSet]:
+    """Obstacle set of every cell that holds discs, in (n, ms.start) order.
+
+    A generation made only of full rings, which no explicit disc reaches,
+    is one cluster.  Every other disc is gathered cell by cell: the explicit
+    discs, then the rings of a generation that has a dropped prefix or that
+    an explicit disc reaches, materialized.
 
     Built once per configuration and kept on it, which is immutable, so
     that the weights, the table, quasiadditivity and the log bound of one
@@ -806,18 +821,20 @@ def _obstacle_sets(c: Configuration) -> dict:
     """
     memo = vars(c)
     if "_obstacle_sets" not in memo:
+        cells = _cell_discs(c)
         rings = [b for b in c.blocks if isinstance(b, RingBlock)]
-        cut = {b.n for b in rings if b.a_start}
-        if not rings:
-            sets = _cell_discs(c)
-        elif not cut:
-            sets = generation_clusters(c)
-        else:
-            # the generations with a dropped prefix, materialized, go cell by cell
-            full = tuple(b for b in c.blocks if not (isinstance(b, RingBlock) and b.n in cut))
-            partial = tuple(b for b in rings if b.n in cut)
-            sets = generation_clusters(Configuration(blocks=full, n_max=c.n_max))
-            sets.update(_cell_discs(Configuration(blocks=partial, n_max=c.n_max).materialized()))
+        gathered = {n for n, _ in cells} | {b.n for b in rings if b.a_start}
+        cut = Configuration(blocks=tuple(b for b in rings if b.n in gathered), n_max=c.n_max)
+        for key, discs in _cell_discs(cut.materialized()).items():
+            cells[key] = cells.get(key, ()) + discs
+        kept = tuple(b for b in rings if b.n not in gathered)
+        full = c if len(kept) == len(c.blocks) else Configuration(blocks=kept, n_max=c.n_max)
+        sets = [
+            ObstacleSet(n, range(sector_count(n)), cluster)
+            for n, cluster in generation_clusters(full).items()
+        ]
+        sets += [ObstacleSet(n, range(m, m + 1), discs) for (n, m), discs in cells.items()]
+        sets.sort(key=lambda s: (s.n, s.ms.start))
         memo["_obstacle_sets"] = sets
     return memo["_obstacle_sets"]
 
@@ -825,8 +842,10 @@ def _obstacle_sets(c: Configuration) -> dict:
 def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
     """Obstacle set of one cell, or None when no disc meets it."""
     sets = _obstacle_sets(c)
-    # explicit sets are keyed by (n, m); ring sets by n alone
-    return sets.get((idx.n, idx.m), sets.get(idx.n))
+    i = bisect.bisect_right(sets, (idx.n, idx.m), key=lambda s: (s.n, s.ms.start)) - 1
+    if i >= 0 and sets[i].n == idx.n and idx.m in sets[i].ms:
+        return sets[i].obstacles
+    return None
 
 
 def _scaled_c2(obstacles, scale: float) -> tuple[float, float, int]:
@@ -855,115 +874,93 @@ def _cell_shape(idx: WhitneyIndex, discs) -> UnionShape:
     return UnionShape(tuple(pieces))
 
 
-def cell_capacity_weights(
-    c: Configuration,
-    n_max: int | None = None,
-    cap: Callable[[Shape], CapacityEstimate] | None = None,
-) -> dict:
-    """Per-cell weights {log(2^{-n}/c(E of the cell))}^{-1}.
+class CellWeight(NamedTuple):
+    """The cells (n, m), m in ``ms``, their log capacity log c(E cap cell)
+    and their weight {log(2^{-n}/c(E cap cell))}^{-1}."""
 
-    One cluster solve per full ring generation gives the shared weight of
-    all its cells, keyed n; every other cell (of an explicit configuration,
-    or of a ring generation with a dropped prefix) is solved on its own
-    discs with ``cap`` and keyed (n, m).
+    n: int
+    ms: range
+    log_capacity: float
+    weight: float
+
+
+def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> list[CellWeight]:
+    """One weight row per obstacle set of generation at most ``n_max``, in
+    (n, ms.start) order.
+
+    One cluster solve gives the shared weight of all cells of a clustered
+    ring generation; every other cell is solved on its own discs.  Polar
+    cells have no row.
     """
     keep_n = c.n_max if n_max is None else n_max
-    cap = cap or log_capacity
-    weights: dict = {}
-    for key, obstacles in _obstacle_sets(c).items():
-        n = key[0] if isinstance(key, tuple) else key
+    rows = []
+    for n, ms, obstacles in _obstacle_sets(c):
         if n > keep_n:
-            continue
+            break
         if isinstance(obstacles, GenerationCluster):
-            denom = -n * LOG2 - cluster_log_capacity(obstacles).log_capacity
-            if denom <= 0.0:
-                raise CapacityError(
-                    f"cell capacity exceeds the cell scale at generation {n}"
-                )
+            log_cap = cluster_log_capacity(obstacles).log_capacity
         else:
-            m = key[1]
             try:
-                est = cap(_cell_shape(WhitneyIndex(n, m), obstacles))
+                est = log_capacity(_cell_shape(WhitneyIndex(n, ms.start), obstacles))
             except CapacityError as exc:
-                raise CapacityError(f"capacity failed at cell (n={n}, m={m}): {exc}")
+                raise CapacityError(f"capacity failed at cell (n={n}, m={ms.start}): {exc}")
             if est.polar:
                 continue
-            denom = -n * LOG2 - est.log_value
-            if denom <= 0.0:
-                raise CapacityError(f"cell capacity exceeds cell scale at (n={n}, m={m})")
-        weights[key] = 1.0 / denom
-    return weights
+            log_cap = est.log_value
+        denom = -n * LOG2 - log_cap
+        if denom <= 0.0:
+            raise CapacityError(f"cell capacity exceeds the cell scale at (n={n}, m={ms.start})")
+        rows.append(CellWeight(n, ms, log_cap, 1.0 / denom))
+    return rows
+
+
+def cell_series_term(n: int, m: int, weight: float, psi: float) -> float:
+    """(2^{-n}/|z_{m,n}-y|)^2 times ``weight`` for the boundary point y at
+    angle ``psi``, where z_{m,n} is the reference point of cell (n, m)."""
+    z = 1.0 - 2.0 ** (-n)
+    theta = TWO_PI * m / sector_count(n)
+    return 2.0 ** (-2 * n) * weight / chord(1.0, z, psi - theta) ** 2
 
 
 def cell_capacity_series(
-    c: Configuration,
-    y: BoundaryPoint,
-    n_max: int | None = None,
-    cap: Callable[[Shape], CapacityEstimate] | None = None,
-    weights: dict | None = None,
+    c: Configuration, y: BoundaryPoint, weights: list[CellWeight] | None = None
 ) -> SeriesReport:
     """Sum over cells of (2^{-n}/|z_{m,n}-y|)^2 {log(2^{-n}/c(E cap cell))}^{-1}.
 
     Polar cells contribute zero.  Pass precomputed ``weights`` (from
     :func:`cell_capacity_weights`) when evaluating many boundary points.
+    A row that covers a whole generation takes the closed-form ring sum.
     """
     if weights is None:
-        weights = cell_capacity_weights(c, n_max=n_max, cap=cap)
+        weights = cell_capacity_weights(c)
     psi = y.theta
-    rings = [n for n in weights if not isinstance(n, tuple)]
+    rings = [row.n for row in weights if len(row.ms) == sector_count(row.n)]
     totals = equally_spaced_inverse_square_sum(
         [1.0 - 2.0 ** (-n) for n in rings], [sector_count(n) for n in rings], 0.0, psi
     )
     ring_totals = dict(zip(rings, totals.tolist()))
     per_gen: dict[int, list[float]] = {}
-    for key, w in weights.items():
-        if isinstance(key, tuple):
-            n, m = key
-            z = 1.0 - 2.0 ** (-n)
-            theta = TWO_PI * m / sector_count(n)
-            dist2 = chord(1.0, z, psi - theta) ** 2
-            per_gen.setdefault(n, []).append(2.0 ** (-2 * n) * w / dist2)
+    for n, ms, _, w in weights:
+        if len(ms) == sector_count(n):
+            terms = [2.0 ** (-2 * n) * w * ring_totals[n]]
         else:
-            n = key
-            per_gen.setdefault(n, []).append(2.0 ** (-2 * n) * w * ring_totals[n])
+            terms = [cell_series_term(n, m, w, psi) for m in ms]
+        per_gen.setdefault(n, []).extend(terms)
     per = tuple((n, math.fsum(per_gen[n])) for n in sorted(per_gen))
     return SeriesReport.from_generations(y, "cell_capacity", per)
 
 
-@dataclass(frozen=True)
-class CellCapacityRow:
-    """One entry of the per-cell capacity table.
-
-    ``ms`` holds the sectors m of the cells (n, m) the entry covers: every
-    cell of a ring generation, whose cells are congruent and share one
-    solve, or the single cell of an explicit configuration.
-    """
-
-    n: int
-    ms: range
-    weight: float
-    log_capacity: float
-    c2_scaled: float
-
-
 def cell_capacity_table(
-    c: Configuration, weights: dict, constants: CapacityConstants
-) -> list[CellCapacityRow]:
-    """One row per key of ``weights`` (from :func:`cell_capacity_weights`),
-    in (n, m) order, with the cell's log capacity and the C2 capacity of
-    its obstacle set scaled by ``constants.cell_scale(n)``."""
-    sets = _obstacle_sets(c)
-    rows = []
-    for key, w in weights.items():
-        if isinstance(key, tuple):
-            n, ms = key[0], range(key[1], key[1] + 1)
-        else:
-            n, ms = key, range(sector_count(key))
-        c2, _, _ = _scaled_c2(sets[key], constants.cell_scale(n))
-        # the weight is 1/(-n log 2 - log c), so invert it exactly
-        rows.append(CellCapacityRow(n, ms, w, float(-n * LOG2 - 1.0 / w), c2))
-    rows.sort(key=lambda row: (row.n, row.ms[0]))
-    return rows
+    c: Configuration, weights: list[CellWeight], constants: CapacityConstants
+) -> list[tuple[CellWeight, float]]:
+    """Each row of ``weights`` (from :func:`cell_capacity_weights`, whose
+    ``ms`` may be cut short) with the C2 capacity of its obstacle set scaled
+    by ``constants.cell_scale(n)``."""
+    table = []
+    for row in weights:
+        obstacles = _cell_obstacles(c, WhitneyIndex(row.n, row.ms.start))
+        table.append((row, _scaled_c2(obstacles, constants.cell_scale(row.n))[0]))
+    return table
 
 
 # ---------------------------------------------------------------------------

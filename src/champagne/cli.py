@@ -37,8 +37,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import __version__
 from .capacity import (
     CapacityConstants,
@@ -47,6 +45,7 @@ from .capacity import (
     cell_capacity_series,
     cell_capacity_table,
     cell_capacity_weights,
+    cell_series_term,
     quasiadditivity_ratio,
 )
 from .criteria import (
@@ -71,15 +70,13 @@ from .generators import (
 )
 from .geometry import (
     SCHEMA_VERSION,
-    TWO_PI,
     Configuration,
     GeometryError,
     Point,
     WhitneyIndex,
-    chord,
     dumps_config,
     loads_config,
-    sector_count,
+    radius_from_log,
     validate_configuration,
 )
 from .walker import (
@@ -90,6 +87,8 @@ from .walker import (
     escape_vs_depth,
     estimate_escape,
 )
+
+CRITERIA = ("log_weighted", "poisson", "separation", "budgets", "integral")
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -254,13 +253,17 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    if args.y_grid < 1:
+        raise UsageError(f"--y-grid must be >= 1, got {args.y_grid}")
+    selected = set(args.criteria.split(","))
+    if not selected <= set(CRITERIA):
+        raise UsageError(f"--criteria takes {','.join(CRITERIA)}, got {args.criteria!r}")
     path = Path(args.config)
     config = _load_config(str(path))
     if not _valid(config):
         return EXIT_INVALID
 
     ys = BoundaryPoint.grid(args.y_grid)
-    selected = set(args.criteria.split(","))
     rows: list[list] = []
     summary: dict = {}
 
@@ -391,13 +394,17 @@ def cmd_capacity(args) -> int:
             config, constants.separation_floor
         )
 
+    # the C2 of a row is solved only for the cells written
+    written, count = [], 0
+    for row in weights:
+        ms = row.ms[: max(min(args.max_cells_per_generation, args.max_cells - count), 0)]
+        if ms:
+            written.append(row._replace(ms=ms))
+            count += len(ms)
+
     sep = None
     rows: list[list] = []
-    for entry in cell_capacity_table(config, weights, constants):
-        room = min(args.max_cells_per_generation, args.max_cells - len(rows))
-        ms = entry.ms[: max(room, 0)]
-        if not ms:
-            continue
+    for (n, ms, log_cap, weight), c2 in cell_capacity_table(config, written, constants):
         quasi = ""
         if args.quasiadditivity:
             if sep is None:
@@ -405,19 +412,14 @@ def cmd_capacity(args) -> int:
             # one value per entry: the cells of a ring generation are congruent
             try:
                 quasi = quasiadditivity_ratio(
-                    quasi_cfg, WhitneyIndex(entry.n, ms[0]), constants, sep=sep
+                    quasi_cfg, WhitneyIndex(n, ms.start), constants, sep=sep
                 ).ratio
             except CapacityError:
                 quasi = ""
-        n, log_cap = entry.n, entry.log_capacity
-        with np.errstate(under="ignore"):
-            cap_value = math.exp(log_cap) if log_cap > -745.0 else 0.0
+        cap_value = radius_from_log(log_cap)
         for m in ms:
-            z_rho = 1.0 - 2.0 ** (-n)
-            z_theta = TWO_PI * m / sector_count(n)
-            dist2 = chord(1.0, z_rho, y0.theta - z_theta) ** 2
-            essen_term = float(2.0 ** (-2 * n) * entry.weight / dist2)
-            rows.append([n, m, log_cap, cap_value, entry.c2_scaled, essen_term, quasi])
+            essen_term = cell_series_term(n, m, weight, y0.theta)
+            rows.append([n, m, log_cap, cap_value, c2, essen_term, quasi])
 
     series = cell_capacity_series(config, y0, weights=weights)
     cert = avoidability_certificate(config)
@@ -755,10 +757,7 @@ def build_parser() -> argparse.ArgumentParser:
     c = sub.add_parser("check", help="evaluate analytic criteria")
     c.add_argument("config")
     c.add_argument("--y-grid", type=int, default=64)
-    c.add_argument(
-        "--criteria",
-        default="log_weighted,poisson,separation,budgets,integral",
-    )
+    c.add_argument("--criteria", default=",".join(CRITERIA))
     c.add_argument("--alpha", type=float, default=2.0)
     c.add_argument("--integral-upper", type=float, default=0.999)
     c.add_argument("--growth-n-lo", type=int, default=6)

@@ -38,7 +38,7 @@ class GeometryError(ValueError):
     """Invalid geometric object or query."""
 
 
-class ConfigurationTooLarge(RuntimeError):
+class ConfigurationTooLarge(GeometryError):
     """Materializing this configuration would exceed the requested limit."""
 
 

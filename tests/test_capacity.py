@@ -20,6 +20,7 @@ from champagne.capacity import (
     cell_capacity_series,
     cell_capacity_table,
     cell_capacity_weights,
+    cell_series_term,
     cluster_c2,
     cluster_log_capacity,
     generation_clusters,
@@ -29,6 +30,7 @@ from champagne.capacity import (
     quasiadditivity_ratio,
     _boundary_nodes,
     _cell_discs,
+    _cell_obstacles,
     _circle_nodes,
     GenerationCluster,
     _cluster_mutual,
@@ -44,11 +46,13 @@ from champagne.generators import (
     generate_subsquares,
     shrink,
     subdivision_count,
+    truncate,
 )
 from hypothesis import assume, given, settings, strategies as st
 from champagne.geometry import (
     Configuration,
     Disc,
+    DiscBlock,
     Point,
     RingBlock,
     WhitneyCell,
@@ -390,9 +394,10 @@ class TestClusters:
         assert _obstacle_sets(cfg) is _obstacle_sets(cfg)
         small = shrink(cfg, log_delta=-10.0)
         assert _obstacle_sets(small) is not _obstacle_sets(cfg)
-        np.testing.assert_allclose(
-            _obstacle_sets(small)[3].log_rs, _obstacle_sets(cfg)[3].log_rs - 10.0
-        )
+        # generation 3 is the only obstacle set: one cluster row
+        (row,), (small_row,) = _obstacle_sets(cfg), _obstacle_sets(small)
+        assert row.n == small_row.n == 3
+        np.testing.assert_allclose(small_row.obstacles.log_rs, row.obstacles.log_rs - 10.0)
 
     def test_rejects_prefixed_rings(self):
         from champagne.generators import truncate
@@ -543,8 +548,28 @@ class TestCellSeries:
     def test_ring_config_weights_shared_per_generation(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.2, c0=0.05, n_min=2, n_max=4))
         weights = cell_capacity_weights(cfg)
-        assert set(weights) == {2, 3, 4}
-        assert all(w > 0 for w in weights.values())
+        assert [(row.n, row.ms) for row in weights] == [
+            (n, range(sector_count(n))) for n in (2, 3, 4)
+        ]
+        assert all(row.weight > 0 for row in weights)
+
+    @pytest.mark.parametrize("beta, n_min, n_max", [(1.2, 1, 4), (1.5, 2, 3), (0.1, 1, 4)])
+    def test_ring_series_matches_every_cell_term(self, beta, n_min, n_max):
+        # the closed-form ring sum against the sum of every cell's own term
+        cfg = generate_subsquares(
+            GeneratorParams.exp_power(beta=beta, c0=0.05, n_min=n_min, n_max=n_max)
+        )
+        weights = cell_capacity_weights(cfg)
+        assert all(len(row.ms) == sector_count(row.n) for row in weights)
+        for y in BoundaryPoint.grid(5):
+            rep = cell_capacity_series(cfg, y, weights=weights)
+            for (n, value), row in zip(rep.per_generation, weights):
+                brute = math.fsum(cell_series_term(n, m, row.weight, y.theta) for m in row.ms)
+                assert value == pytest.approx(brute, rel=1e-12, abs=0.0)
+            brute = math.fsum(
+                cell_series_term(row.n, m, row.weight, y.theta) for row in weights for m in row.ms
+            )
+            assert rep.total == pytest.approx(brute, rel=1e-12, abs=0.0)
 
     def test_cumulative_monotone_and_nonnegative(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.2, c0=0.05, n_min=1, n_max=5))
@@ -563,6 +588,51 @@ class TestCellSeries:
             direct = log_weighted_series(cfg, y).total
             ratio = essen / direct
             assert 1.0 / 50.0 <= ratio <= 50.0
+
+
+class TestObstacleRows:
+    def _mixed(self):
+        # rings of generations 6-8 with a dropped prefix in 6, plus explicit
+        # discs in generation 1 and on a cell edge of generation 7
+        rings = truncate(
+            generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=8)),
+            drop_first=5,
+        )
+        theta, rho = 2.0 * math.pi * 40 / sector_count(7), rings.blocks[1].rho
+        explicit = DiscBlock(
+            np.array([0.6, rho * math.cos(theta)]),
+            np.array([0.0, rho * math.sin(theta)]),
+            np.array([-7.0, -12.0]),
+        )
+        return Configuration(blocks=(explicit,) + rings.blocks, n_max=8)
+
+    def test_rows_sorted_and_disjoint(self):
+        cfg = self._mixed()
+        sets = _obstacle_sets(cfg)
+        weights = cell_capacity_weights(cfg)
+        for rows in (sets, weights):
+            keys = [(row.n, row.ms.start) for row in rows]
+            assert keys == sorted(keys)
+            for a, b in zip(rows, rows[1:]):
+                assert a.n < b.n or a.ms.stop <= b.ms.start
+        assert [(row.n, row.ms) for row in weights] == [(row.n, row.ms) for row in sets]
+        # generation 8 alone is a cluster; 6 is cut and 7 is reached
+        assert [row.n for row in sets if len(row.ms) > 1] == [8]
+        assert [row.ms.start for row in sets if row.n == 6] == list(range(5, 1024))
+        assert len([row for row in sets if row.n == 7]) == 2048
+
+    def test_cell_lookup(self):
+        cfg = self._mixed()
+        sets = _obstacle_sets(cfg)
+        for row in sets:
+            for m in (row.ms.start, row.ms.stop - 1):
+                assert _cell_obstacles(cfg, WhitneyIndex(row.n, m)) is row.obstacles
+        for idx in (WhitneyIndex(1, 5), WhitneyIndex(6, 0), WhitneyIndex(6, 4), WhitneyIndex(9, 0)):
+            assert _cell_obstacles(cfg, idx) is None
+        # the edge disc joins the ring discs of both cells it meets
+        assert [len(_cell_obstacles(cfg, WhitneyIndex(7, m))) for m in (38, 39, 40, 41)] == [
+            1, 2, 2, 1,
+        ]
 
 
 class TestCellGather:

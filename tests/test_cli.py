@@ -15,10 +15,12 @@ from champagne.generators import GeneratorParams, generate_subsquares
 from champagne.geometry import (
     Configuration,
     Disc,
+    DiscBlock,
     Point,
     SpatialIndex,
     dumps_config,
     loads_config,
+    sector_count,
 )
 from champagne.walker import OUTCOMES, WalkParams, annulus_escape_probability, estimate_escape
 
@@ -326,7 +328,9 @@ class TestCapacityCommand:
 
         rows = [line.split(",") for line in (out / "capacity.csv").read_text().splitlines()[1:]]
         keys = [(int(row[0]), int(row[1])) for row in rows]
-        assert keys == sorted(cell_capacity_weights(cfg))
+        weights = cell_capacity_weights(cfg)
+        assert all(len(row.ms) == 1 for row in weights)
+        assert keys == sorted(keys) == [(row.n, row.ms.start) for row in weights]
         constants = CapacityConstants.for_configuration(cfg)
         discs = list(cfg.iter_discs())
         for (n, m), row in zip(keys, rows):
@@ -365,11 +369,82 @@ class TestCapacityCommand:
             assert row["quasiadditivity_ratio"] == twin_rows[key]["quasiadditivity_ratio"]
 
 
+    def test_mixed_storage_matches_materialized_twin(self, tmp_path):
+        # p = 1 rings, whose one-disc clusters are exact, plus two explicit
+        # discs: one in generation 1, which holds no rings, and one on the
+        # edge between the generation-6 cells 99 and 100, which reaches
+        # that ring generation and sends it cell by cell
+        rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
+        theta, rho = 2.0 * math.pi * 100 / sector_count(6), rings.blocks[0].rho
+        explicit = DiscBlock(
+            np.array([0.6, rho * math.cos(theta)]),
+            np.array([0.0, rho * math.sin(theta)]),
+            np.array([math.log(1e-3), math.log(1e-5)]),
+        )
+        cfg = Configuration(blocks=(explicit,) + rings.blocks, n_max=7)
+        path, twin = tmp_path / "mixed.json", tmp_path / "twin.json"
+        path.write_text(dumps_config(cfg))
+        twin.write_text(dumps_config(cfg.materialized()))
+        tables = []
+        for f in (path, twin):
+            assert run("capacity", f, "--out-dir", tmp_path / f.stem) == 0
+            with open(tmp_path / f.stem / "capacity.csv", newline="") as fh:
+                tables.append({(int(r["n"]), int(r["m"])): r for r in csv.DictReader(fh)})
+        rows, twin_rows = tables
+        assert sorted(rows) == [(1, 0), (1, 31)] + [(6, m) for m in range(1024)] + [
+            (7, m) for m in range(64)
+        ]
+        assert rows[(6, 99)]["log_capacity"] != rows[(6, 98)]["log_capacity"]
+        for key, row in rows.items():
+            want = float(twin_rows[key]["log_capacity"])
+            assert float(row["log_capacity"]) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    def test_c2_solved_only_for_rows_written(self, tmp_path, monkeypatch):
+        from champagne import capacity
+
+        grid = tmp_path / "grid.json"
+        assert run("generate", "phi-grid", "--per-cell", 2, "--n-max", 3, "-o", grid) == 0
+        path = tmp_path / "explicit.json"
+        path.write_text(dumps_config(loads_config(grid.read_text()).materialized()))
+        calls = []
+        real = capacity._scaled_c2
+        monkeypatch.setattr(
+            capacity, "_scaled_c2", lambda *a: calls.append(a) or real(*a)
+        )
+        assert run("capacity", path, "--max-cells", 5, "--out-dir", tmp_path / "cap") == 0
+        assert len(calls) == 5
+        lines = (tmp_path / "cap" / "capacity.csv").read_text().splitlines()
+        assert len(lines) == 6
+
+
 class TestExitCodes:
     def test_walker_error_exits_one(self, tmp_path, capsys):
         # the default start, the origin, lies inside the annulus obstacle
         assert run("simulate", "--annulus", 0.25, "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    def test_materialization_too_large_exits_one(self, tmp_path, capsys):
+        # the prefix cuts generation 8 of the flagship, 16.7M discs, which
+        # are too many to gather cell by cell
+        path = tmp_path / "big.json"
+        assert run(
+            "generate", "subsquares", "--beta", 1.5, "--c0", 0.05, "--n-max", 8,
+            "--drop-first", 3558177, "-o", path,
+        ) == 0
+        assert run("capacity", path, "--out-dir", tmp_path / "cap") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "materialization limit" in err
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--y-grid", 0), ("--y-grid", -3), ("--criteria", "bogus"), ("--criteria", "poisson,")],
+    )
+    def test_check_unusable_argument_exits_two(self, cfg_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "c"
+        assert run("check", cfg_path, flag, value, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag}") and "Traceback" not in err
+        assert not (out / "check.json").exists()
 
     @pytest.mark.parametrize("text", ['{"discs": [{"x": 0.7,', '{"rings": [{"n": 1}]}'])
     def test_unparseable_config_exits_two(self, tmp_path, capsys, text):
