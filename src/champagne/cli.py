@@ -394,13 +394,16 @@ def cmd_capacity(args) -> int:
             config, constants.separation_floor
         )
 
-    # the C2 of a row is solved only for the cells written
-    written, count = [], 0
+    # the C2 of a row is solved only for the cells written; the rows of one
+    # generation share its cap
+    written, count, in_generation = [], 0, {}
     for row in weights:
-        ms = row.ms[: max(min(args.max_cells_per_generation, args.max_cells - count), 0)]
+        done = in_generation.get(row.n, 0)
+        ms = row.ms[: max(min(args.max_cells_per_generation - done, args.max_cells - count), 0)]
         if ms:
             written.append(row._replace(ms=ms))
             count += len(ms)
+            in_generation[row.n] = done + len(ms)
 
     sep = None
     rows: list[list] = []

@@ -40,8 +40,8 @@ from .geometry import (
     DiscBlock,
     Point,
     RingBlock,
-    SpatialIndex,
     TWO_PI,
+    _RingTable,
     _block_offsets,
     chord,
     ring_min_center_distance,
@@ -449,9 +449,7 @@ def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
         theta = np.where(theta < 0.0, theta + TWO_PI, theta)
         for roff, rb in rings:
             # center distance from every explicit disc to the ring's nearest slot
-            d, slot = SpatialIndex._ring_rows_distance(
-                [(roff, rb)], rho, theta, with_ids=True, centers=True
-            )
+            d, slot = _RingTable([(roff, rb)]).distance(rho, theta, 0, with_ids=True, centers=True)
             take = d < nn
             nn[take], nn_j[take] = d[take], slot[take]
             i = int(np.argmin(d))

@@ -640,6 +640,17 @@ def validate_configuration(c: Configuration) -> ValidationReport:
                 violations.append(
                     Violation("ratio", f"ring block {bi} has r >= 1-|x|", (offsets[bi],))
                 )
+            # depth queries take the rows of generation <= D as a prefix of
+            # the rho order, which needs every label to match its circle
+            g = generation_of(b.boundary_gap)
+            if g != b.n:
+                violations.append(
+                    Violation(
+                        "generation",
+                        f"ring block {bi} is labelled n={b.n} but its circle lies in generation {g}",
+                        (offsets[bi],),
+                    )
+                )
         elif len(b):
             s = b.boundary_gap
             bad = np.nonzero(b.log_r >= np.log(np.maximum(s, 1e-300)))[0]
@@ -709,8 +720,8 @@ def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | 
             k = np.flatnonzero(np.abs(rho_pts - rb.rho) <= radii + rr)
             if not len(k):
                 continue
-            d, slot = SpatialIndex._ring_rows_distance(
-                [(off, rb)], rho_pts[k], theta_pts[k], with_ids=True, centers=True
+            d, slot = _RingTable([(off, rb)]).distance(
+                rho_pts[k], theta_pts[k], 0, with_ids=True, centers=True
             )
             hit = np.flatnonzero(d <= radii[k] + rr)
             if len(hit):
@@ -919,18 +930,210 @@ class _DiscBand:
         return d, ids
 
 
+class _RingTable:
+    """Every ring row of a configuration, sorted by circle radius rho (then
+    generation), one row per :class:`RingBlock`.
+
+    :meth:`distance` is the slot kernel: a point's distance to the discs of
+    one row is the least over a few candidate slots around its angle.  A row
+    is *plain* when every row of its generation keeps all its slots and
+    shares its slot count; its candidates are the slots ``base`` and
+    ``base + 1`` on either side of the point's angle, at unwrapped angles
+    (``base - 1`` is a whole slot step farther than ``base``).  A row of any
+    other generation takes those two slots reduced mod its count and
+    clamped to its first active slot, plus its last slot.
+
+    :meth:`nearest` evaluates, for each point, the radially nearer of the
+    two rows around its rho, and widens on a side while the next row there
+    could still come nearer: while |rho_p - rho_row| - r_max <= best +
+    _CERT_SLACK, with r_max the largest radius of the rows not yet
+    evaluated on that side.  Minima and ids are those of every row's
+    kernel, bit for bit.
+    """
+
+    def __init__(self, rings: Sequence[tuple[int, RingBlock]]):
+        counts: dict[int, set[int]] = {}
+        for _, rb in rings:
+            counts.setdefault(rb.n, set()).add(rb.count if rb.a_start == 0 else -1)
+        rows = sorted(rings, key=lambda row: (row[1].rho, row[1].n))
+        table = np.array(
+            [(rb.rho, rb.radius, rb.step, rb.count, rb.a_start) for _, rb in rows], dtype=np.float64
+        ).reshape(-1, 5)
+        self.rho, self.rad, self.step, self.count, self.a_start = table.T.copy()
+        self.plain = np.array([counts[rb.n] == {rb.count} for _, rb in rows], dtype=bool)
+        self.any_prefix = not self.plain.all()
+        # the canonical id that slot 0 of the row would have
+        self.first = np.array([off - rb.a_start for off, rb in rows], dtype=np.int64)
+        # rows k < a lie at least rho_p - inner_edge[a] inward of a point,
+        # rows k >= b at least outer_edge[b] - rho_p outward, less their
+        # radii: each edge carries the largest radius of the rows beyond it
+        inf = np.array([np.inf])
+        self.inner_edge = np.concatenate([-inf, self.rho + np.maximum.accumulate(self.rad)])
+        reach_out = np.maximum.accumulate(self.rad[::-1])[::-1]
+        self.outer_edge = np.concatenate([self.rho - reach_out, inf])
+        self.rho_below = np.concatenate([-inf, self.rho])
+        self.rho_above = np.concatenate([self.rho, inf])
+        # rows of generation <= D: a prefix of the table when rho order
+        # agrees with generation order, as it does once labels validate;
+        # a circle inside the unit disc has 1 - rho >= 2^-53, so a label
+        # that validates is at most 53
+        gens = [rb.n for _, rb in rows]
+        self.ordered = gens == sorted(gens) and max(gens, default=0) <= 53
+        if self.ordered:
+            self.ends = np.searchsorted(np.array(gens, dtype=np.int64), np.arange(55), side="right")
+
+    def depth_ends(self, depth: np.ndarray) -> np.ndarray:
+        """For each depth D, the number of rows of generation <= D."""
+        if not self.ordered:
+            raise GeometryError("ring generations disagree with their radii")
+        return self.ends.take(depth, mode="clip")
+
+    def distance(
+        self,
+        rho_p: np.ndarray,
+        theta_p: np.ndarray,
+        j,
+        with_ids: bool = False,
+        centers: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None]:
+        """(d, ids): each point's distance to the discs of row j[i] (of row
+        j for a scalar) or, with ``centers``, to their centers.  With
+        ``with_ids`` each d comes with the lowest slot id attaining it;
+        otherwise ids is None.
+
+        The arithmetic is that of sqrt((rho_p - rho)^2 + 4 rho_p rho
+        sin^2((theta_p - (a + 1/2) step) / 2)) - r, done in place."""
+        if np.ndim(j) == 0:
+            j = np.full(len(rho_p), j)
+        rho, step = self.rho[j], self.step[j]
+        base = theta_p / step
+        base -= 0.5
+        np.floor(base, out=base)
+        dr2 = rho_p - rho
+        dr2 *= dr2
+        cross = 4.0 * rho_p
+        cross *= rho
+        rad = None if centers else self.rad[j]
+        count = self.count[j] if with_ids or self.any_prefix else None
+        first = self.first[j] if with_ids else None
+
+        def at(a, sel=slice(None)):
+            # the distances to slot a of the points sel, and its ids
+            d = a + 0.5
+            d *= step[sel]
+            np.subtract(theta_p[sel], d, out=d)
+            d /= 2.0
+            np.sin(d, out=d)
+            d *= d
+            d *= cross[sel]
+            d += dr2[sel]
+            np.sqrt(d, out=d)
+            if rad is not None:
+                d -= rad[sel]
+            ids = None if first is None else first[sel] + np.mod(a, count[sel]).astype(np.int64)
+            return d, ids
+
+        pre = np.flatnonzero(~self.plain[j]) if self.any_prefix else ()
+        if not len(pre):
+            out, ids = at(base)
+            _keep_nearest(out, ids, *at(base + 1.0))
+            return out, ids
+        # the nearest active slot of a row with a dropped prefix is the
+        # floor or ceiling slot of the point's angle or, where that one is
+        # dropped, an end of the active arc: a dropped candidate is clamped
+        # to the arc's first slot, and its last slot is a candidate too
+        low, high = base, base + 1.0
+        for a in (low, high):
+            a[pre] = np.maximum(np.mod(a[pre], count[pre]), self.a_start[j[pre]])
+        out, ids = at(low)
+        _keep_nearest(out, ids, *at(high))
+        sub, sub_ids = out[pre], None if ids is None else ids[pre]
+        _keep_nearest(sub, sub_ids, *at(count[pre] - 1.0, pre))
+        out[pre] = sub
+        if ids is not None:
+            ids[pre] = sub_ids
+        return out, ids
+
+    def nearest(
+        self,
+        rho_p: np.ndarray,
+        theta_p: np.ndarray,
+        end: np.ndarray | None = None,
+        with_ids: bool = False,
+    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+        """(d, ids, row): for each point the smallest distance to a disc of
+        the rows below end[i] (of every row when ``end`` is None), the
+        lowest id attaining it with ``with_ids`` (ids is None otherwise),
+        and a row attaining it (-1 where there is none)."""
+        size = len(rho_p)
+        if not len(self.rho):
+            return np.full(size, np.inf), np.full(size, _NO_ID) if with_ids else None, np.full(size, -1)
+        outer = np.searchsorted(self.rho, rho_p)
+        gap_out = self.rho_above[outer] - rho_p
+        if end is not None:
+            np.minimum(outer, end, out=outer)
+            gap_out[outer >= end] = np.inf
+        # the radially nearer of the rows outer - 1 and outer goes first;
+        # -1 where there is no row
+        row = outer - (rho_p - self.rho_below[outer] <= gap_out)
+        found = row >= 0
+        if found.all():
+            best, best_id = self.distance(rho_p, theta_p, row, with_ids)
+        else:
+            best = np.full(size, np.inf)
+            best_id = np.full(size, _NO_ID) if with_ids else None
+            k = np.flatnonzero(found)
+            best[k], ids = self.distance(rho_p[k], theta_p[k], row[k], with_ids)
+            if with_ids:
+                best_id[k] = ids
+        # rows lo .. hi - 1 have been evaluated; the points whose next row
+        # inward or outward may still come nearer go on
+        lo, hi = np.maximum(row, 0), row + 1
+        b = best + _CERT_SLACK
+        more = rho_p - self.inner_edge[lo] <= b
+        go_out = self.outer_edge[hi] - rho_p <= b
+        if end is not None:
+            go_out &= hi < end
+        more |= go_out
+        live = np.flatnonzero(more & found)
+        while len(live):
+            rp, b = rho_p[live], best[live] + _CERT_SLACK
+            i, o = lo[live], hi[live]
+            go_in = rp - self.inner_edge[i] <= b
+            go_out = self.outer_edge[o] - rp <= b
+            if end is not None:
+                go_out &= o < end[live]
+            for go, j in ((go_in, i - 1), (go_out, o)):
+                if not go.any():
+                    continue
+                k, j = live[go], j[go]
+                d, ids = self.distance(rho_p[k], theta_p[k], j, with_ids)
+                sub = best[k]
+                take = d < sub if ids is None else (d < sub) | ((d == sub) & (ids < best_id[k]))
+                k = k[take]
+                best[k], row[k] = d[take], j[take]
+                if ids is not None:
+                    best_id[k] = ids[take]
+            lo[live] = i - go_in
+            hi[live] = o + go_out
+            live = live[go_in | go_out]
+        return best, best_id, row
+
+
 class SpatialIndex:
     """Immutable distance-query accelerator over a configuration.
 
-    Explicit discs are bucketed by dyadic generation of their centers (with
-    a coarse bucket for the central region), each bucket sorted by angle so
-    that a query scans a fixed window of angular neighbours (see
-    :class:`_DiscBand`).  Ring blocks answer queries in O(1) per ring via
-    angular rounding, rings with a dropped prefix through the arc endpoints
-    as extra candidates.  Results agree exactly with a brute force scan;
-    bucketing only prunes whole generations whose radial band is provably
-    farther than the best candidate, and windows only discs whose angular
-    offset provably puts them farther.
+    Every ring row, plain or with a dropped prefix, sits in one table sorted
+    by rho (see :class:`_RingTable`): a query evaluates the radially nearer
+    of the two rows around its radius, and further rows only while their
+    radial gap, less the largest radius beyond, leaves them a chance to come
+    nearer.  Explicit
+    discs are bucketed by dyadic generation of their centers (with a coarse
+    bucket for the central region), each bucket sorted by angle so that a
+    query scans a fixed window of angular neighbours (see
+    :class:`_DiscBand`); a bucket whose radial band is provably farther
+    than the nearest ring disc or the buckets already searched is skipped.
+    Results agree exactly with a scan of every row and every disc.
     """
 
     def __init__(self, config: Configuration):
@@ -944,6 +1147,7 @@ class SpatialIndex:
         self._rings: list[tuple[int, RingBlock]] = [
             (off, b) for off, b in zip(self._offsets, config.blocks) if isinstance(b, RingBlock)
         ]
+        self._ring_table = _RingTable(self._rings)
         # explicit discs, globally indexed, grouped by generation band
         self._explicit: dict[int, _DiscBand] = {}
         self._explicit_ids = np.empty(0, dtype=np.int64)
@@ -960,20 +1164,6 @@ class SpatialIndex:
                 sel = gen == g
                 self._explicit[int(g)] = _DiscBand(x[sel], y[sel], rad[sel], gid[sel])
             self._explicit_ids = gid
-        # ring tables grouped by generation: rows share count and phase
-        self._ring_gens: dict[int, list[tuple[int, RingBlock]]] = {}
-        for off, rb in self._rings:
-            self._ring_gens.setdefault(rb.n, []).append((off, rb))
-        self._gen_bands = sorted(set(self._explicit) | set(self._ring_gens))
-        # largest obstacle radius per generation: discs can reach this far
-        # outside the radial band their centers live in, so every band-gap
-        # prune must subtract it
-        self._gen_max_radius: dict[int, float] = {}
-        for n in self._gen_bands:
-            rmax = self._explicit[n].r_max if n in self._explicit else 0.0
-            for _, rb in self._ring_gens.get(n, ()):
-                rmax = max(rmax, rb.radius)
-            self._gen_max_radius[n] = rmax
 
     # -- batched query (hot path for the walker) ----------------------------
 
@@ -986,60 +1176,67 @@ class SpatialIndex:
         canonical id of a disc attaining it, -1 for an empty configuration.
 
         Given ``depths = (lo, hi)``, per-point generation depths with
-        lo <= hi, point i sees only the bands n <= hi[i] and the result is
-        (d_lo, d_hi): its distance to the discs of generation <= lo[i] and
-        to those of generation <= hi[i], each bit-equal to a query of the
-        configuration truncated at that depth.  Ids are not tracked then.
+        lo <= hi, point i sees only the discs of generation <= hi[i] and the
+        result is (d_lo, d_hi): its distance to the discs of generation
+        <= lo[i] and to those of generation <= hi[i], each bit-equal to a
+        query of the configuration truncated at that depth.  Ids are not
+        tracked then.
         """
         if with_ids and depths is not None:
             raise GeometryError("distance ids are not tracked per depth")
-        best = np.full(len(px), np.inf)
-        best_id = np.full(len(px), _NO_ID) if with_ids else None
         rho_p = np.hypot(px, py)
-        s = 1.0 - rho_p
         theta_p = np.arctan2(py, px)
         theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)
-        if depths is not None:
+        table = self._ring_table
+        if depths is None:
+            best, best_id, _ = table.nearest(rho_p, theta_p, with_ids=with_ids)
+        else:
             lo, hi = depths
+            end_lo = table.depth_ends(lo)
+            best, best_id, row = table.nearest(rho_p, theta_p, table.depth_ends(hi))
+            # a point whose nearest row is shallow enough has d_lo == d_hi
             best_lo = best.copy()
-            lo_max, hi_max = lo.max(initial=-1), hi.max(initial=-1)
-            hi_min = hi.min(initial=hi_max)
-        for n in self._gen_bands:
-            gaps = self._band_gap_vec(n, s) - self._gen_max_radius[n]
+            again = np.flatnonzero(row >= end_lo)
+            if len(again):
+                best_lo[again] = table.nearest(rho_p[again], theta_p[again], end_lo[again])[0]
+            if self._explicit:
+                lo_max, hi_max = lo.max(initial=-1), hi.max(initial=-1)
+                hi_min = hi.min(initial=hi_max)
+        s = 1.0 - rho_p if self._explicit else None
+        for n, band in self._explicit.items():
+            gaps = self._band_gap_vec(n, s) - band.r_max
             # a band exactly as far as the best disc may hold a lower id
+            reach, reach_lo = best, None
             near = gaps <= best if with_ids else gaps < best
             if depths is not None:
                 if n > hi_max:
                     break
+                if n <= lo_max:
+                    # best_lo >= best: a point that keeps this band at lo
+                    # needs it while it may come nearer than best_lo
+                    reach_lo = lo >= n
+                    reach = np.where(reach_lo, best_lo, best)
+                    near = gaps < reach
                 if n > hi_min:
                     near &= hi >= n
             live = np.flatnonzero(near)
             if not len(live):
                 continue
-            whole = len(live) == len(px)
-            if whole:
+            if len(live) == len(px):
                 live = slice(None)  # views, not copies, of the whole batch
             sub = best[live]
             sub_id = None if best_id is None else best_id[live]
-            band = self._explicit.get(n)
-            if band is not None:
-                d, ids = band.nearest(
-                    px[live], py[live], rho_p[live], theta_p[live], sub, with_ids=with_ids
-                )
-                _keep_nearest(sub, sub_id, d, ids)
-            rows = self._ring_gens.get(n)
-            if rows:
-                d, ids = self._ring_rows_distance(
-                    rows, rho_p[live], theta_p[live], with_ids=with_ids
-                )
-                _keep_nearest(sub, sub_id, d, ids)
-            if not whole:
-                best[live] = sub
-                if best_id is not None:
-                    best_id[live] = sub_id
-            if depths is not None and n <= lo_max:
-                # a band no point reaches leaves best_lo == best as it was
-                np.copyto(best_lo, best, where=lo >= n)
+            d, ids = band.nearest(
+                px[live], py[live], rho_p[live], theta_p[live], reach[live], with_ids=with_ids
+            )
+            _keep_nearest(sub, sub_id, d, ids)
+            best[live] = sub
+            if best_id is not None:
+                best_id[live] = sub_id
+            if reach_lo is not None:
+                sub = best_lo[live]
+                np.minimum(sub, d, out=sub, where=reach_lo[live])
+                best_lo[live] = sub
         if depths is not None:
             return best_lo, best
         if not with_ids:
@@ -1090,63 +1287,6 @@ class SpatialIndex:
             return np.maximum(0.0, 0.5 - s)
         lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
         return np.where(s < lo, lo - s, np.where(s > hi, s - hi, 0.0))
-
-    @staticmethod
-    def _ring_rows_distance(
-        rows: list[tuple[int, RingBlock]],
-        rho_p: np.ndarray,
-        theta_p: np.ndarray,
-        with_ids: bool = False,
-        centers: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None]:
-        """(d, ids): the min distance to the discs or, with ``centers``, to
-        the centers of the rings of one generation, vectorized in points.
-        With ``with_ids`` each d comes with the lowest slot id attaining it;
-        otherwise ids is None."""
-        out = np.full(len(rho_p), np.inf)
-        ids = np.full(len(rho_p), _NO_ID) if with_ids else None
-
-        def keep(d, first_id, slot):
-            # slot: the candidate's slot index (float), first_id the id
-            # that slot 0 of its ring would have
-            if ids is None:
-                np.minimum(out, d, out=out)
-            else:
-                _keep_nearest(out, ids, d, first_id + np.asarray(slot, dtype=np.int64))
-
-        first = rows[0][1]
-        step = first.step
-        plain = all(rb.a_start == 0 and rb.count == first.count for _, rb in rows)
-        if plain:
-            # shared angular grid: three candidate offsets serve every row
-            u = theta_p / step - 0.5
-            base = np.floor(u)
-            for k in (-1.0, 0.0, 1.0):
-                dth = theta_p - ((base + k) + 0.5) * step
-                sin2 = np.sin(dth / 2.0) ** 2
-                slot = np.mod(base + k, first.count) if with_ids else None
-                for off, rb in rows:
-                    d = np.sqrt((rho_p - rb.rho) ** 2 + 4.0 * rho_p * rb.rho * sin2)
-                    keep(d if centers else d - rb.radius, off, slot)
-            return out, ids
-        # rings with a dropped prefix [0, a_start): the nearest active slot
-        # is the floor or ceiling slot of the point's angle or, where that
-        # one is dropped, an end of the active arc.  A dropped candidate is
-        # clamped to a_start, the arc's first slot; count - 1, its last, is
-        # a candidate throughout.
-        for off, rb in rows:
-            base = np.floor(theta_p / rb.step - 0.5)
-            dr2 = (rho_p - rb.rho) ** 2
-            cross = 4.0 * rho_p * rb.rho
-            for a in (
-                np.maximum(np.mod(base, rb.count), rb.a_start),
-                np.maximum(np.mod(base + 1.0, rb.count), rb.a_start),
-                rb.count - 1.0,
-            ):
-                sin2 = np.sin((theta_p - (a + 0.5) * rb.step) / 2.0) ** 2
-                d = np.sqrt(dr2 + cross * sin2)
-                keep(d if centers else d - rb.radius, off - rb.a_start, a)
-        return out, ids
 
 
 def _keep_nearest(best, best_id, d, ids) -> None:

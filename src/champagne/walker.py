@@ -24,7 +24,7 @@ the depths whose trajectories still agree.  Before each jump the particle
 is classified once: an escape ends every depth it carries, the hit depths
 are a suffix of its range, and the rest split into runs of equal radius,
 each a particle of its own.  ``SpatialIndex.distance_many`` returns the
-distances at a particle's first and last depth in one band loop, and only
+distances at a particle's first and last depth in one query, and only
 particles that split query the depths between.  The pass costs one query
 per particle-step, not one per walk-step and depth: 2.69M query points
 against 7.38M walk-steps for 50,000 walks over depths 6, 8, 10, 12 of the
@@ -373,8 +373,8 @@ def escape_vs_depth(
     if not len(depths):
         return []
     idx = spatial_index(config)
-    # the index's bands are the generations, which truncation keeps or cuts
-    # whole; depths that keep the same ones share one column of the pass
+    # truncation keeps or cuts whole generations; depths that keep the same
+    # ones share one column of the pass
     bands = config.generations_present()
     keeps = [max((n for n in bands if n <= d), default=-1) for d in depths]
     columns = sorted(set(keeps))

@@ -17,6 +17,7 @@ from champagne.geometry import (
     Disc,
     DiscBlock,
     Point,
+    RingBlock,
     SpatialIndex,
     dumps_config,
     loads_config,
@@ -324,7 +325,8 @@ class TestCapacityCommand:
         path = tmp_path / "explicit.json"
         path.write_text(dumps_config(cfg) + "\n")
         out = tmp_path / "cap"
-        assert run("capacity", path, "--out-dir", out) == 0
+        # every cell is written: generation 3 of the grid has 128
+        assert run("capacity", path, "--max-cells-per-generation", 128, "--out-dir", out) == 0
 
         rows = [line.split(",") for line in (out / "capacity.csv").read_text().splitlines()[1:]]
         keys = [(int(row[0]), int(row[1])) for row in rows]
@@ -359,9 +361,9 @@ class TestCapacityCommand:
             with open(tmp_path / cfg.stem / "capacity.csv", newline="") as fh:
                 tables.append({(int(r["n"]), int(r["m"])): r for r in csv.DictReader(fh)})
         rows, twin_rows = tables
-        # the cut generation has no row for its dropped cells 0..4, and one
-        # for every other cell; full generations keep 64 rows each
-        assert sorted(m for n, m in rows if n == 6) == list(range(5, 1024))
+        # the cut generation has no row for its dropped cells 0..4, and its
+        # next 64 cells are written, as for full generations
+        assert sorted(m for n, m in rows if n == 6) == list(range(5, 69))
         assert [sum(n == g for n, _ in rows) for g in (7, 8)] == [64, 64]
         for key, row in rows.items():
             want = float(twin_rows[key]["log_capacity"])
@@ -387,17 +389,43 @@ class TestCapacityCommand:
         twin.write_text(dumps_config(cfg.materialized()))
         tables = []
         for f in (path, twin):
-            assert run("capacity", f, "--out-dir", tmp_path / f.stem) == 0
+            argv = ("capacity", f, "--max-cells-per-generation", 1024, "--out-dir", tmp_path / f.stem)
+            assert run(*argv) == 0
             with open(tmp_path / f.stem / "capacity.csv", newline="") as fh:
                 tables.append({(int(r["n"]), int(r["m"])): r for r in csv.DictReader(fh)})
         rows, twin_rows = tables
         assert sorted(rows) == [(1, 0), (1, 31)] + [(6, m) for m in range(1024)] + [
-            (7, m) for m in range(64)
+            (7, m) for m in range(1024)
         ]
         assert rows[(6, 99)]["log_capacity"] != rows[(6, 98)]["log_capacity"]
         for key, row in rows.items():
             want = float(twin_rows[key]["log_capacity"])
             assert float(row["log_capacity"]) == pytest.approx(want, rel=1e-12, abs=0.0)
+
+    @pytest.mark.parametrize("storage", ["explicit", "cut", "reached"])
+    def test_cells_capped_per_generation(self, tmp_path, storage):
+        # an explicit generation, a cut one and one that an explicit disc
+        # reaches are written cell by cell, ten cells each; generation 7 of
+        # the cut and reached files is a full ring generation
+        rings = generate_subsquares(
+            GeneratorParams.exp_power(
+                beta=0.1, c0=0.3, n_min=6, n_max=7, drop_first=5 if storage == "cut" else 0
+            )
+        )
+        cfg = rings.materialized() if storage == "explicit" else rings
+        if storage == "reached":
+            theta, rho = 2.0 * math.pi * 100 / sector_count(6), rings.blocks[0].rho
+            edge = DiscBlock(
+                np.array([rho * math.cos(theta)]), np.array([rho * math.sin(theta)]), np.array([-11.5])
+            )
+            cfg = Configuration(blocks=(edge,) + rings.blocks, n_max=7)
+        path, out = tmp_path / "cfg.json", tmp_path / "cap"
+        path.write_text(dumps_config(cfg))
+        assert run("capacity", path, "--max-cells-per-generation", 10, "--out-dir", out) == 0
+        with open(out / "capacity.csv", newline="") as fh:
+            keys = [(int(r["n"]), int(r["m"])) for r in csv.DictReader(fh)]
+        first = 5 if storage == "cut" else 0
+        assert keys == [(6, m) for m in range(first, first + 10)] + [(7, m) for m in range(10)]
 
     def test_c2_solved_only_for_rows_written(self, tmp_path, monkeypatch):
         from champagne import capacity
@@ -461,6 +489,21 @@ class TestExitCodes:
         extra = ["--n-walks", 10] if command == "simulate" else []
         assert run(command, path, *extra, "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err.startswith("error:")
+
+    @pytest.mark.parametrize("command", ["check", "capacity", "simulate", "sweep"])
+    def test_mislabelled_ring_exits_one(self, tmp_path, capsys, command):
+        # ring 1 is labelled n=2 but its circle lies in generation 0
+        rings = (
+            RingBlock(n=1, rho=0.6, log_r=math.log(0.01), count=8),
+            RingBlock(n=2, rho=0.3, log_r=math.log(0.01), count=8),
+        )
+        path = tmp_path / "mislabelled.json"
+        path.write_text(dumps_config(Configuration(blocks=rings, n_max=2)))
+        extra = ["--n-walks", 10] if command in ("simulate", "sweep") else []
+        assert run(command, path, *extra, "--out-dir", tmp_path / "out") == 1
+        if command != "capacity":
+            assert "invalid: generation ring block 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("depths", ["6,x", "", "6,,8", "6.5", "-3", "6,-1"])
     def test_bad_sweep_depths_exit_two(self, cfg_path, tmp_path, capsys, depths):

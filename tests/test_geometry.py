@@ -228,6 +228,29 @@ class TestValidation:
         c = Configuration(blocks=(ring,), n_max=2)
         assert validate_configuration(c).ok
 
+    def test_mislabelled_ring_generation_reported(self):
+        # the second ring is labelled n=2, but 1 - rho = 0.7 lies in the
+        # central region: generation 0
+        rings = (
+            RingBlock(n=1, rho=0.6, log_r=math.log(0.01), count=8),
+            RingBlock(n=2, rho=0.3, log_r=math.log(0.01), count=8),
+        )
+        c = Configuration(blocks=rings, n_max=2)
+        report = validate_configuration(c)
+        assert [(v.kind, v.indices) for v in report.violations] == [("generation", (8,))]
+        # a query without depths reads every row whatever its label: at the
+        # centre of a slot of the rho = 0.3 ring it lies 0.01 inside a disc
+        th = rings[1].angle_of(3)
+        px, py = np.array([0.3 * math.cos(th)]), np.array([0.3 * math.sin(th)])
+        assert SpatialIndex(c).distance_many(px, py)[0] == pytest.approx(-0.01, abs=1e-12)
+        # generation prefixes need labels that agree with the radii
+        with pytest.raises(GeometryError, match="generations"):
+            SpatialIndex(c).distance_many(px, py, depths=(np.array([1]), np.array([2])))
+        # a label that no circle can carry is reported the same way
+        far = RingBlock(n=10**12, rho=0.6, log_r=math.log(0.01), count=8)
+        report = validate_configuration(Configuration(blocks=(far,), n_max=2))
+        assert [v.kind for v in report.violations] == ["generation"]
+
 
 class TestDistance:
     def test_single_disc_from_origin(self):
@@ -819,6 +842,145 @@ class TestNearestIds:
             np.array([0.0, 0.5]), np.array([0.0, 0.1]), with_ids=True
         )
         assert np.all(np.isinf(d)) and list(ids) == [-1, -1]
+
+
+# ---------------------------------------------------------------------------
+# the rho-sorted ring-row table against a scan of every slot
+
+from champagne.generators import truncate  # noqa: E402
+
+# (generation, rows, storage, slots per row per sector): "plain" keeps every
+# slot, "cut" drops a prefix of the first row only, as a canonical prefix
+# cut does, "prefix" a random prefix of every row
+_table_gen = st.tuples(
+    st.integers(1, 5), st.integers(1, 24), st.sampled_from(["plain", "plain", "cut", "prefix"]), st.integers(1, 2)
+)
+
+
+def _table_config(seed, gens, big, explicit):
+    """Rings of several generations, each with many rows as on the
+    flagship, their rows random within the generation band and their radii
+    over 13 decades; with ``big`` one more row of the shallowest generation
+    whose radius is 0.45 of its boundary gap, so that it reaches across
+    rows of tiny discs; with ``explicit`` discs beside random slots.  Discs
+    may overlap: a distance query does not need a valid configuration."""
+    rng = np.random.default_rng(seed)
+    rings = []
+    for n, rows, storage, per in gens:
+        count = sector_count(n) * per
+        lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
+        for row, s in enumerate(rng.uniform(lo, hi, rows)):
+            a_start = 0
+            if storage == "prefix" or (storage == "cut" and row == 0):
+                a_start = int(rng.integers(1, count))
+            log_r = math.log(s) + math.log(0.2) - rng.uniform(0.0, 30.0)
+            rings.append(RingBlock(n=n, rho=1.0 - s, log_r=log_r, count=count, a_start=a_start))
+    if big:
+        n = min(g[0] for g in gens)
+        s = 2.0 ** (-n) * 0.9
+        rings.append(RingBlock(n=n, rho=1.0 - s, log_r=math.log(0.45 * s), count=sector_count(n)))
+    blocks = tuple(rings)
+    if explicit:
+        near = [rings[k] for k in rng.integers(0, len(rings), 12)]
+        slot = [rb.a_start + int(rng.integers(0, len(rb))) for rb in near]
+        theta = np.array([rb.angle_of(a) for rb, a in zip(near, slot)])
+        rho = np.array([rb.rho for rb in near]) + rng.normal(0.0, 1e-3, len(near))
+        r = np.array([(1.0 - rb.rho) * 1e-3 for rb in near])
+        phi = rng.uniform(0.0, TWO_PI, len(near))
+        x = rho * np.cos(theta) + 3.0 * r * np.cos(phi)
+        y = rho * np.sin(theta) + 3.0 * r * np.sin(phi)
+        blocks = (DiscBlock(x, y, np.log(r)), *rings)
+    return Configuration(blocks=blocks, n_max=6), rings
+
+
+def _table_queries(seed, rings, count=160):
+    """Points just inside and just outside random rows, most near one of
+    their slots, some on or near the seam theta = 0 = 2 pi, and points
+    anywhere."""
+    rng = np.random.default_rng(seed + 1)
+    rows = [rings[k] for k in rng.integers(0, len(rings), count)]
+    s = np.array([1.0 - rb.rho for rb in rows])
+    rho = 1.0 - s * (1.0 + rng.normal(0.0, 0.2, count))
+    slot = np.array([rng.integers(0, rb.count) for rb in rows], dtype=np.float64)
+    step = np.array([rb.step for rb in rows])
+    theta = (slot + 0.5 + rng.normal(0.0, 1.0, count)) * step
+    theta[: count // 4] = rng.uniform(0.0, TWO_PI, count // 4)
+    theta[count // 4 : count // 2] = np.mod(rng.normal(0.0, 2.0, count // 4) * step[: count // 4], TWO_PI)
+    theta[count // 2 : count // 2 + count // 8] = 0.0
+    rho[: count // 8] = rng.uniform(0.0, 0.999, count // 8)
+    keep = (rho > 0.0) & (rho < 0.9999)
+    return rho[keep] * np.cos(theta[keep]), rho[keep] * np.sin(theta[keep])
+
+
+def _chunked_scan(config, px, py):
+    parts = [_scan_with_ids(config, px[i : i + 16], py[i : i + 16]) for i in range(0, len(px), 16)]
+    return np.concatenate([d for d, _ in parts]), np.concatenate([ids for _, ids in parts])
+
+
+class TestRingTable:
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(_table_gen, min_size=1, max_size=3, unique_by=lambda g: g[0]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_distances_and_ids_equal_scan(self, seed, gens, big, explicit):
+        config, rings = _table_config(seed, gens, big, explicit)
+        px, py = _table_queries(seed, rings)
+        got_d, got_ids = SpatialIndex(config).distance_many(px, py, with_ids=True)
+        want_d, want_ids = _chunked_scan(config, px, py)
+        np.testing.assert_array_equal(got_d, want_d)
+        np.testing.assert_array_equal(got_ids, want_ids)
+        np.testing.assert_array_equal(SpatialIndex(config).distance_many(px, py), want_d)
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(_table_gen, min_size=1, max_size=3, unique_by=lambda g: g[0]),
+        st.booleans(),
+        st.booleans(),
+    )
+    def test_depth_columns_equal_truncated_queries(self, seed, gens, big, explicit):
+        config, rings = _table_config(seed, gens, big, explicit)
+        px, py = _table_queries(seed, rings)
+        rng = np.random.default_rng(seed + 2)
+        lo = rng.integers(0, 7, len(px))
+        hi = lo + rng.integers(0, 4, len(px))
+        d_lo, d_hi = SpatialIndex(config).distance_many(px, py, depths=(lo, hi))
+        for depth, got in ((lo, d_lo), (hi, d_hi)):
+            for d in np.unique(depth):
+                at = depth == d
+                want = SpatialIndex(truncate(config, n_max=int(d))).distance_many(px[at], py[at])
+                np.testing.assert_array_equal(got[at], want)
+
+    def test_rows_at_equal_distance_take_the_lowest_id(self):
+        # the point lies midway between the rows, on a slot of both: the
+        # inner row is evaluated first, the outer one holds the lower ids
+        outer = RingBlock(3, 0.875, math.log(1e-3), 64)
+        inner = RingBlock(2, 0.75, math.log(1e-3), 64)
+        config = Configuration(blocks=(outer, inner), n_max=3)
+        th = outer.angle_of(3)
+        px, py = np.array([0.8125 * math.cos(th)]), np.array([0.8125 * math.sin(th)])
+        d, ids = SpatialIndex(config).distance_many(px, py, with_ids=True)
+        assert (d[0], ids[0]) == (0.0625 - outer.radius, 3)
+
+    def test_far_row_reaches_across_rows_of_tiny_discs(self):
+        # the point lies 0.005 from a disc of the generation-2 row at
+        # 1 - rho = 0.2, of radius 0.09, and about 0.0057 from the nearest
+        # disc of radius 1e-9 of the generation-3 row just outside it; the
+        # next row inward, at 1 - rho = 0.124, lies 0.019 away radially, so
+        # only the radius of the row beyond it sends the query on
+        tiny = [RingBlock(3, 1.0 - s, math.log(1e-9), 1024) for s in (0.124, 0.1, 0.08)]
+        far = RingBlock(2, 0.8, math.log(0.09), 64)
+        config = Configuration(blocks=(far, *tiny), n_max=3)
+        th = far.angle_of(5)
+        px, py = np.array([0.895 * math.cos(th)]), np.array([0.895 * math.sin(th)])
+        d, ids = SpatialIndex(config).distance_many(px, py, with_ids=True)
+        assert ids[0] == 5 and d[0] == pytest.approx(0.005, abs=1e-12)
+        want_d, want_ids = _scan_with_ids(config, px, py)
+        np.testing.assert_array_equal(d, want_d)
+        np.testing.assert_array_equal(ids, want_ids)
 
 
 def _mixed_config(seed, drop_prefix, overlap):
