@@ -68,6 +68,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
+from . import ChampagneError
 from .criteria import (
     BoundaryPoint,
     SeriesReport,
@@ -95,7 +96,7 @@ from .geometry import (
 LOG2 = math.log(2.0)
 
 
-class CapacityError(ValueError):
+class CapacityError(ChampagneError):
     """Invalid capacity query or estimator precondition failure."""
 
 

@@ -16,9 +16,13 @@ Every output embeds the tool version, the full parameter set, the seed,
 and the SHA-256 of the input configuration; reruns with identical inputs
 are byte-identical (no timestamps, sorted keys, shortest-round-trip float
 formatting).  Exit codes: 0 success (including inconclusive diagnostics),
-1 validation failure (an invalid configuration, parameter or start point),
-2 usage or I/O failure, including a configuration file or a ``report``
-input that does not parse.
+1 validation failure (a ``ChampagneError``: an invalid configuration,
+parameter or start point), 2 usage or I/O failure, including a
+configuration file or a ``report`` input that does not parse.
+
+Each subcommand imports the champagne modules it runs inside its own
+function, so ``report`` loads neither numpy nor a champagne submodule, and
+``simulate`` and ``sweep`` load geometry and the walker only.
 
 Environment overrides: ``CHAMPAGNE_OUT`` for the output directory;
 ``CHAMPAGNE_THREADS=k`` splits the walks of ``simulate`` and ``sweep`` into
@@ -36,57 +40,13 @@ import math
 import os
 import sys
 from pathlib import Path
+from typing import TYPE_CHECKING
 
-from . import __version__
-from .capacity import (
-    CapacityConstants,
-    CapacityError,
-    avoidability_certificate,
-    cell_capacity_series,
-    cell_capacity_table,
-    cell_capacity_weights,
-    cell_series_term,
-    quasiadditivity_ratio,
-)
-from .criteria import (
-    BoundaryPoint,
-    CriteriaError,
-    affine_growth,
-    budget_sums,
-    integral_test,
-    log_weighted_series,
-    poisson_series,
-    separation,
-    shrink_for_separation,
-)
-from .generators import (
-    GeneratorError,
-    GeneratorParams,
-    MSpec,
-    PhiSpec,
-    generate_avoidable_ring,
-    generate_phi_grid,
-    generate_subsquares,
-)
-from .geometry import (
-    SCHEMA_VERSION,
-    Configuration,
-    GeometryError,
-    Point,
-    WhitneyIndex,
-    dumps_config,
-    loads_config,
-    radius_from_log,
-    validate_configuration,
-)
-from .walker import (
-    OUTCOMES,
-    WalkParams,
-    WalkerError,
-    concentric_obstacle_config,
-    escape_vs_depth,
-    estimate_escape,
-)
+from . import SCHEMA_VERSION, ChampagneError, __version__
+
+if TYPE_CHECKING:
+    from .geometry import Configuration
+    from .walker import WalkParams
 
 CRITERIA = ("log_weighted", "poisson", "separation", "budgets", "integral")
 
@@ -169,10 +129,12 @@ def _load_json(path: str) -> dict:
 
 
 def _load_config(path: str) -> Configuration:
+    from .geometry import loads_config
+
     text = Path(path).read_text()
     try:
         return loads_config(text)
-    except GeometryError:
+    except ChampagneError:
         raise
     except (ValueError, KeyError, TypeError, AttributeError) as exc:
         raise InputFormatError(f"{path} is not a configuration document: {exc!r}") from exc
@@ -181,6 +143,8 @@ def _load_config(path: str) -> Configuration:
 def _valid(config: Configuration) -> bool:
     """Validate a loaded configuration, printing one ``invalid:`` line per
     violation to stderr."""
+    from .geometry import validate_configuration
+
     report = validate_configuration(config)
     for v in report.violations:
         print(f"invalid: {v.kind} {v.detail} indices={v.indices}", file=sys.stderr)
@@ -203,6 +167,16 @@ def _csv(rows: list[list], header: list[str]) -> str:
 
 
 def cmd_generate(args) -> int:
+    from .generators import (
+        GeneratorError,
+        GeneratorParams,
+        PhiSpec,
+        generate_avoidable_ring,
+        generate_phi_grid,
+        generate_subsquares,
+    )
+    from .geometry import dumps_config
+
     if args.family == "subsquares":
         params = GeneratorParams.exp_power(
             beta=args.beta,
@@ -240,6 +214,8 @@ def cmd_generate(args) -> int:
         print(f"generation {n}: {counts[n]} discs")
     print(f"total {config.disc_count} discs -> {out}")
     if args.family == "avoidable-ring":
+        from .capacity import avoidability_certificate
+
         cert = avoidability_certificate(config)
         if cert.issued:
             print(
@@ -253,6 +229,18 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .capacity import avoidability_certificate
+    from .criteria import (
+        BoundaryPoint,
+        affine_growth,
+        budget_sums,
+        integral_test,
+        log_weighted_series,
+        poisson_series,
+        separation,
+    )
+    from .generators import MSpec, PhiSpec
+
     if args.y_grid < 1:
         raise UsageError(f"--y-grid must be >= 1, got {args.y_grid}")
     selected = set(args.criteria.split(","))
@@ -377,6 +365,23 @@ def cmd_check(args) -> int:
 
 
 def cmd_capacity(args) -> int:
+    from .capacity import (
+        CapacityConstants,
+        CapacityError,
+        avoidability_certificate,
+        cell_capacity_series,
+        cell_capacity_table,
+        cell_capacity_weights,
+        cell_series_term,
+        quasiadditivity_ratio,
+    )
+    from .criteria import BoundaryPoint, separation, shrink_for_separation
+    from .geometry import WhitneyIndex, radius_from_log, validate_configuration
+
+    for flag in ("n_max", "max_cells", "max_cells_per_generation"):
+        value = getattr(args, flag)
+        if value is not None and value < 1:
+            raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     path = Path(args.config)
     config = _load_config(str(path))
     report = validate_configuration(config)
@@ -478,6 +483,9 @@ def cmd_capacity(args) -> int:
 
 
 def _walk_params(args, n_walks: int) -> WalkParams:
+    from .geometry import Point
+    from .walker import WalkParams
+
     return WalkParams(
         eps_shell=args.eps,
         max_steps=args.max_steps,
@@ -502,6 +510,8 @@ def _estimate_doc(est) -> dict:
 
 
 def cmd_simulate(args) -> int:
+    from .walker import OUTCOMES, concentric_obstacle_config, estimate_escape
+
     if args.n_walks < 1:
         print("n_walks must be >= 1", file=sys.stderr)
         return EXIT_IO
@@ -568,6 +578,8 @@ def _parse_depths(text: str) -> list[int]:
 
 
 def cmd_sweep(args) -> int:
+    from .walker import escape_vs_depth
+
     depths = _parse_depths(args.depths)
     path = Path(args.config)
     config = _load_config(str(path))
@@ -693,6 +705,10 @@ def _report_verdicts(
 
 
 def cmd_report(args) -> int:
+    if not math.isfinite(args.separation_threshold):
+        raise UsageError(
+            f"--separation-threshold must be finite, got {args.separation_threshold!r}"
+        )
     missing = [p for p in (args.check, args.sweep) if p and not Path(p).exists()]
     if missing:
         for p in missing:
@@ -823,7 +839,7 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
-    except (GeneratorError, CriteriaError, CapacityError, GeometryError, WalkerError) as exc:
+    except ChampagneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID
 

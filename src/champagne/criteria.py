@@ -35,6 +35,7 @@ from typing import Sequence
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
+from . import ChampagneError
 from .geometry import (
     Configuration,
     DiscBlock,
@@ -51,7 +52,7 @@ from .geometry import (
 from .generators import MSpec, PhiSpec
 
 
-class CriteriaError(ValueError):
+class CriteriaError(ChampagneError):
     """Invalid input to a criterion evaluation."""
 
 

@@ -29,6 +29,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import ChampagneError
 from .geometry import (
     Configuration,
     Disc,
@@ -37,6 +38,7 @@ from .geometry import (
     Point,
     RingBlock,
     TWO_PI,
+    check_id_range,
     generations_of,
     sector_count,
     validate_configuration,
@@ -48,7 +50,7 @@ from .geometry import (
 AVOIDABLE_BUDGET = 1.0 / (2.0 * math.log(4.0))
 
 
-class GeneratorError(ValueError):
+class GeneratorError(ChampagneError):
     """Rejected generator parameters or an invalid generated configuration."""
 
 
@@ -217,8 +219,16 @@ def _row_gaps(n: int, p: int) -> np.ndarray:
 
 
 def _grid_rings(
-    phi: PhiSpec, p_of_n: Callable[[int], int], n_min: int, n_max: int
+    phi: PhiSpec, p_of_n: Callable[[int], int], n_min: int, n_max: int, drop_first: int = 0
 ) -> list[RingBlock]:
+    """The p_n rows of each generation, less a canonical prefix of
+    ``drop_first`` discs (see :func:`_apply_drop`)."""
+    # generation n holds sector_count(n) * p_n^2 discs: refuse before a row
+    # is built, so that a configuration too large for int64 ids fails fast
+    total = -drop_first
+    for n in range(n_min, n_max + 1):
+        total += sector_count(n) * p_of_n(n) ** 2
+        check_id_range(total)
     rings: list[RingBlock] = []
     for n in range(n_min, n_max + 1):
         p = p_of_n(n)
@@ -227,7 +237,7 @@ def _grid_rings(
             rho = 1.0 - s
             log_r = math.log(s) + float(phi.log_phi(rho))
             rings.append(RingBlock(n=n, rho=rho, log_r=log_r, count=count))
-    return rings
+    return _apply_drop(rings, drop_first)
 
 
 def _apply_drop(rings: list[RingBlock], drop_first: int) -> list[RingBlock]:
@@ -297,8 +307,8 @@ def generate_subsquares(params: GeneratorParams) -> Configuration:
         lambda n: subdivision_count(n, params.beta),
         params.n_min,
         params.n_max,
+        params.drop_first,
     )
-    rings = _apply_drop(rings, params.drop_first)
     provenance = {
         "generator": "subsquares",
         "phi": params.phi.to_dict(),

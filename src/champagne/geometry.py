@@ -25,21 +25,34 @@ from typing import Iterator, Mapping, Sequence
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-TWO_PI = 2.0 * math.pi
+from . import SCHEMA_VERSION, ChampagneError
 
-SCHEMA_VERSION = 1
+TWO_PI = 2.0 * math.pi
 
 # exp(x) underflows to 0.0 below roughly -745; radii smaller than that are
 # exactly zero in distance arithmetic but keep their exact log value.
 LOG_UNDERFLOW = -745.0
 
 
-class GeometryError(ValueError):
+class GeometryError(ChampagneError):
     """Invalid geometric object or query."""
 
 
 class ConfigurationTooLarge(GeometryError):
-    """Materializing this configuration would exceed the requested limit."""
+    """The configuration exceeds a size limit: a materialization limit, or
+    the int64 range of canonical disc ids."""
+
+
+# canonical disc ids are int64
+MAX_DISC_COUNT = 2**63 - 1
+
+
+def check_id_range(disc_count: int) -> None:
+    """Refuse a configuration whose canonical disc ids leave int64."""
+    if disc_count > MAX_DISC_COUNT:
+        raise ConfigurationTooLarge(
+            f"{disc_count} discs exceed the int64 range of canonical disc ids"
+        )
 
 
 def wrap_angle(theta: float) -> float:
@@ -626,6 +639,7 @@ def _block_offsets(config: Configuration) -> list[int]:
     for b in config.blocks:
         offsets.append(total)
         total += len(b)
+    check_id_range(total)
     return offsets
 
 

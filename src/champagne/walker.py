@@ -45,6 +45,7 @@ from typing import Sequence
 
 import numpy as np
 
+from . import ChampagneError
 from .geometry import (
     Configuration,
     Point,
@@ -54,7 +55,7 @@ from .geometry import (
 )
 
 
-class WalkerError(ValueError):
+class WalkerError(ChampagneError):
     """Invalid walk parameters or a contract violation."""
 
 
@@ -113,8 +114,8 @@ class WalkParams:
     chunk_size: int = 32_768
 
     def __post_init__(self) -> None:
-        if not (self.eps_shell > 0.0):
-            raise WalkerError("eps_shell must be positive")
+        if not (0.0 < self.eps_shell < 1.0):
+            raise WalkerError(f"eps_shell must lie in (0, 1), got {self.eps_shell!r}")
         if self.max_steps < 1:
             raise WalkerError("max_steps must be >= 1")
         if self.n_walks < 1:

@@ -519,6 +519,39 @@ class TestExitCodes:
         row = json.loads((out / "sweep.json").read_text())["rows"][0]
         assert row["n_max"] == 0 and row["estimate"]["p_escape"] == 1.0
 
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--max-cells", 0), ("--max-cells-per-generation", -1), ("--n-max", -3), ("--n-max", 0)],
+    )
+    def test_capacity_cap_below_one_exits_two(self, cfg_path, tmp_path, capsys, flag, value):
+        out = tmp_path / "k"
+        assert run("capacity", cfg_path, flag, value, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {flag} must be >= 1") and "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    def test_infinite_eps_exits_one(self, cfg_path, tmp_path, capsys, command):
+        out = tmp_path / "w"
+        assert run(command, cfg_path, "--eps", "inf", "--n-walks", 10, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error: eps_shell must lie in (0, 1)")
+        assert not out.exists()
+
+    def test_ids_beyond_int64_exit_one_before_generating(self, tmp_path, capsys):
+        # generation 24 of the flagship alone holds 2^(24+4) * (2^18)^2 = 2^64 discs
+        out = tmp_path / "big.json"
+        assert run("generate", "subsquares", "--n-max", 24, "-o", out) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "int64" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_report_non_finite_threshold_exits_two(self, tmp_path, capsys, value):
+        out = tmp_path / "r"
+        assert run("report", f"--separation-threshold={value}", "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error: --separation-threshold must be finite")
+        assert not (out / "report.json").exists()
+
     @pytest.mark.parametrize("flag", ["--check", "--sweep"])
     def test_malformed_report_input_exits_two(self, tmp_path, capsys, flag):
         path = tmp_path / "bad.json"

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 from champagne.geometry import (
+    MAX_DISC_COUNT,
     Configuration,
+    ConfigurationTooLarge,
     Disc,
     DiscBlock,
     GeometryError,
@@ -16,6 +18,7 @@ from champagne.geometry import (
     WhitneyIndex,
     cell_center,
     cells_intersecting_disc,
+    check_id_range,
     chord,
     distance_to_obstacles,
     dumps_config,
@@ -250,6 +253,20 @@ class TestValidation:
         far = RingBlock(n=10**12, rho=0.6, log_r=math.log(0.01), count=8)
         report = validate_configuration(Configuration(blocks=(far,), n_max=2))
         assert [v.kind for v in report.violations] == ["generation"]
+
+    def test_ids_beyond_int64_refused_before_the_index(self):
+        # two rows of 2^62 slots: the last canonical id would be 2^63
+        rings = tuple(
+            RingBlock(n=2, rho=rho, log_r=-100.0, count=2**62) for rho in (0.8, 0.82)
+        )
+        c = Configuration(blocks=rings, n_max=2)
+        with pytest.raises(ConfigurationTooLarge, match="int64"):
+            validate_configuration(c)
+        with pytest.raises(ConfigurationTooLarge, match="int64"):
+            SpatialIndex(c)
+        check_id_range(MAX_DISC_COUNT)
+        with pytest.raises(ConfigurationTooLarge):
+            check_id_range(MAX_DISC_COUNT + 1)
 
 
 class TestDistance:

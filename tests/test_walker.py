@@ -293,6 +293,13 @@ class TestAnnulusHelpers:
         with pytest.raises(WalkerError):
             WalkParams(start=Point(1.5, 0.0))
 
+    @pytest.mark.parametrize("eps", [math.inf, math.nan, 1.0, 2.0, -1e-4])
+    def test_eps_shell_outside_unit_interval_rejected(self, eps):
+        # eps >= 1 absorbs every start point at the unit circle before its
+        # first jump: p_escape = 1 would answer a different question
+        with pytest.raises(WalkerError, match="eps_shell"):
+            WalkParams(eps_shell=eps)
+
 
 # ---------------------------------------------------------------------------
 # the coupled depth pass against one walk per depth
