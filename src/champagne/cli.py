@@ -25,10 +25,12 @@ function, so ``report`` loads neither numpy nor a champagne submodule, and
 ``simulate`` and ``sweep`` load geometry and the walker only.
 
 Environment overrides: ``CHAMPAGNE_OUT`` for the output directory;
-``CHAMPAGNE_THREADS=k`` splits the walks of ``simulate`` and ``sweep`` into
-chunks of min(32768, ceil(n_walks / k)), run one after another.  Each walk
-is a pure function of the seed and its walk id, so every partition writes
-byte-identical artifacts; unset or 1 gives the default partition.
+``CHAMPAGNE_THREADS=k`` sets the chunk size of ``simulate`` and ``sweep`` to
+min(32768, ceil(n_walks / k)).  One kernel call runs every walk, and the
+chunk size only caps how many walks are live at once; a sweep's coupled
+pass holds half as many.  Each walk is a pure function of the seed and its
+walk id, so every chunk size writes byte-identical artifacts; unset or 1
+gives the default.
 """
 
 from __future__ import annotations
@@ -109,7 +111,7 @@ class InputFormatError(UsageError):
 
 
 def _chunk_size(n_walks: int) -> int:
-    """Walks per chunk under CHAMPAGNE_THREADS (see the module docstring)."""
+    """The cap on live walks under CHAMPAGNE_THREADS (see the module docstring)."""
     value = os.environ.get("CHAMPAGNE_THREADS", "1")
     try:
         k = max(1, int(value))

@@ -613,8 +613,8 @@ def budget_sums(c: Configuration, alpha: float) -> BudgetSums:
     """(sum r^alpha, sum {log 1/r}^{-alpha}, sum {log 1/r}^{-1}),
     compensated-summed in canonical order.
     """
-    if not (alpha > 0.0):
-        raise CriteriaError("alpha must be positive")
+    if not (0.0 < alpha < math.inf):
+        raise CriteriaError(f"alpha must be positive and finite, got {alpha!r}")
     t_r, t_la, t_l1 = [], [], []
     for b in c.blocks:
         if isinstance(b, RingBlock):

@@ -165,6 +165,8 @@ class GeneratorParams:
             raise GeneratorError("need 1 <= n_min <= n_max")
         if self.drop_first < 0:
             raise GeneratorError("drop_first must be >= 0")
+        if not math.isfinite(self.alpha):
+            raise GeneratorError(f"alpha must be finite, got {self.alpha!r}")
         # subdivision reads beta and the radii read phi: they must agree
         if self.phi.form == "exp_power" and (self.phi.beta, self.phi.c0) != (self.beta, self.c0):
             raise GeneratorError(
@@ -366,6 +368,8 @@ def generate_avoidable_ring(
     and ``target`` must not exceed 1/(2 log 4); every closed disc must avoid
     the closed central disc of radius 1/2.
     """
+    if not math.isfinite(target):
+        raise GeneratorError(f"avoidable budget target must be finite, got {target!r}")
     if target > AVOIDABLE_BUDGET + 1e-15:
         raise GeneratorError(
             f"avoidable budget target {target} exceeds threshold {AVOIDABLE_BUDGET}"

@@ -1182,7 +1182,7 @@ class SpatialIndex:
     # -- batched query (hot path for the walker) ----------------------------
 
     def distance_many(
-        self, px: np.ndarray, py: np.ndarray, with_ids: bool = False, depths=None
+        self, px: np.ndarray, py: np.ndarray, with_ids: bool = False, depths=None, rho=None
     ):
         """Unclamped signed distances (negative inside a disc) for a batch.
 
@@ -1195,10 +1195,13 @@ class SpatialIndex:
         <= lo[i] and to those of generation <= hi[i], each bit-equal to a
         query of the configuration truncated at that depth.  Ids are not
         tracked then.
+
+        ``rho``, when given, is the caller's ``np.hypot(px, py)``, used
+        instead of computing it again.
         """
         if with_ids and depths is not None:
             raise GeometryError("distance ids are not tracked per depth")
-        rho_p = np.hypot(px, py)
+        rho_p = np.hypot(px, py) if rho is None else rho
         theta_p = np.arctan2(py, px)
         theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)
         table = self._ring_table

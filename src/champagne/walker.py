@@ -178,8 +178,9 @@ def _run_chunk(
     circle it escapes, else within eps_shell of a disc it is hit, else it
     jumps to a uniform point on the largest circle that avoids both.  A
     walk still running after max_steps jumps is censored.  At most
-    ``params.chunk_size`` walks (a quarter as many with ``depths``) are
-    live at once; more are admitted whenever half of them have finished.
+    ``params.chunk_size`` particles (half as many with ``depths``) are
+    live at once, and walks are admitted whenever the pool has room, so
+    every query carries a full pool until the last walk is admitted.
 
     Given ascending generation ``depths``, the records have shape
     (len(depths), walks), row j holding the walks on the configuration
@@ -196,10 +197,10 @@ def _run_chunk(
         (cols, walk_hi - walk_lo), dtype=np.int32 if params.max_steps < 2**31 else np.int64
     )
     eps = params.eps_shell
-    # a coupled pass keeps more per particle through the query and refills
-    # its pool in odd sizes that fragment the heap; a quarter of the chunk
-    # keeps its peak RSS below that of a one-depth chunk
-    room = params.chunk_size if depths is None else max(1, params.chunk_size // 4)
+    # a coupled pass keeps more per particle through the query; half the
+    # chunk keeps its peak RSS below that of a one-depth chunk, since a pool
+    # refilled every step keeps one size and reuses its freed blocks
+    room = params.chunk_size if depths is None else max(1, params.chunk_size // 2)
     # the live particles: walk id, jumps taken, position and, with depths,
     # the first and last depth column the particle carries
     live = [np.empty(0, dtype=np.int64)] * 2 + [np.empty(0)] * 2
@@ -208,26 +209,29 @@ def _run_chunk(
     admitted = walk_lo
     while True:
         n_live = len(live[0])
-        if admitted < walk_hi and n_live <= room // 2:
+        if admitted < walk_hi and n_live < room:
             k = min(walk_hi - admitted, room - n_live)
             live = _admit(live, admitted, k, params.start, cols)
             admitted += k
         elif not n_live:
             break
         wid, t, px, py = live[:4]
-        s = 1.0 - np.hypot(px, py)
+        rho = np.hypot(px, py)
+        s = 1.0 - rho
         escaped = s < eps
         if cut is None:
-            d_lo = d_hi = idx.distance_many(px, py)
+            d_lo = d_hi = idx.distance_many(px, py, rho=rho)
         else:
-            d_lo, d_hi = idx.distance_many(px, py, depths=(cut[live[4]], cut[live[5]]))
+            d_lo, d_hi = idx.distance_many(
+                px, py, depths=(cut[live[4]], cut[live[5]]), rho=rho
+            )
         radius = np.minimum(s, d_hi)
         stop = escaped | (d_hi < eps) | (t == params.max_steps)
         if cut is not None:
             stop |= np.minimum(s, d_lo) != radius
         if stop.any():
             r, keep = np.flatnonzero(stop), ~stop
-            query = (s, escaped, d_lo, d_hi)
+            query = (rho, s, escaped, d_lo, d_hi)
             run = _settle(params, idx, cut, walk_lo, outcome, steps, live, r, query)
             live, radius = [a[keep] for a in live], radius[keep]
             if run:
@@ -265,14 +269,15 @@ def _settle(params, idx, cut, walk_lo, outcome, steps, live, r, query) -> list:
     with equal jump radius: their live arrays as in :func:`_run_chunk`,
     then the radius; an empty list when none goes on.
 
-    ``query`` holds every live particle's boundary gap, escape flag and
-    distances at its first and last column.  The hit columns of a particle
-    are a suffix of its range, since distances cannot grow with depth; the
-    columns between the ends are queried only for particles that split.
+    ``query`` holds every live particle's |p|, boundary gap, escape flag
+    and distances at its first and last column.  The hit columns of a
+    particle are a suffix of its range, since distances cannot grow with
+    depth; the columns between the ends are queried only for particles
+    that split.
     """
     eps = params.eps_shell
     wid, t = live[0][r], live[1][r]
-    s, escaped, d_lo, d_hi = (a[r] for a in query)
+    rho, s, escaped, d_lo, d_hi = (a[r] for a in query)
     if cut is None:
         # one column: every stopped particle has escaped, been hit or run out
         # of steps; indices into OUTCOMES: escaped 0, hit 1, censored 2
@@ -296,7 +301,9 @@ def _settle(params, idx, cut, walk_lo, outcome, steps, live, r, query) -> list:
     a, b = lo[inner] + 1, hi[inner] - 1
     while len(inner):
         # two columns per query, from the outside in
-        da, db = idx.distance_many(px[inner], py[inner], depths=(cut[a], cut[b]))
+        da, db = idx.distance_many(
+            px[inner], py[inner], depths=(cut[a], cut[b]), rho=rho[inner]
+        )
         d[first[inner] + a - lo[inner]] = da
         d[first[inner] + b - lo[inner]] = db
         more = a + 1 <= b - 1
@@ -335,9 +342,10 @@ def _check_start(params: WalkParams, idx: SpatialIndex, depth: int | None = None
 def estimate_escape(params: WalkParams, config: Configuration) -> EscapeEstimate:
     """Escape-probability estimate over independent per-walk substreams.
 
-    At most ``params.chunk_size`` walks are live at once; every walk's
-    record is a pure function of (seed, walk id), so the result is
-    identical for any chunk size or execution order.
+    At most ``params.chunk_size`` walks are live at once, new ones
+    admitted at every step that others finished; every walk's record is a
+    pure function of (seed, walk id), so the result is identical for any
+    chunk size or execution order.
     """
     idx = spatial_index(config)
     _check_start(params, idx)

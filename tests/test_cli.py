@@ -552,6 +552,27 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: --separation-threshold must be finite")
         assert not (out / "report.json").exists()
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("avoidable-ring", "--target", "nan"), "avoidable budget target must be finite"),
+            (("subsquares", "--n-max", 2, "--alpha", "nan"), "alpha must be finite"),
+            (("subsquares", "--n-max", 2, "--alpha", "inf"), "alpha must be finite"),
+        ],
+    )
+    def test_generate_non_finite_parameter_exits_one(self, tmp_path, capsys, argv, message):
+        out = tmp_path / "g.json"
+        assert run("generate", *argv, "-o", out) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_check_non_finite_alpha_exits_one(self, cfg_path, tmp_path, capsys, value):
+        out = tmp_path / "c"
+        assert run("check", cfg_path, "--alpha", value, "--y-grid", 2, "--out-dir", out) == 1
+        assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--check", "--sweep"])
     def test_malformed_report_input_exits_two(self, tmp_path, capsys, flag):
         path = tmp_path / "bad.json"

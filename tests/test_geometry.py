@@ -971,6 +971,31 @@ class TestRingTable:
                 want = SpatialIndex(truncate(config, n_max=int(d))).distance_many(px[at], py[at])
                 np.testing.assert_array_equal(got[at], want)
 
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(_table_gen, min_size=1, max_size=3, unique_by=lambda g: g[0]),
+        st.sampled_from(["rings", "mixed", "explicit"]),
+    )
+    def test_given_rho_is_bit_equal(self, seed, gens, storage):
+        # "rings" draws plain and dropped-prefix rows
+        config, rings = _table_config(seed, gens, False, storage == "mixed")
+        if storage == "explicit":
+            config = config.materialized()
+        px, py = _table_queries(seed, rings)
+        rng = np.random.default_rng(seed + 2)
+        lo = rng.integers(0, 7, len(px))
+        depths = (lo, lo + rng.integers(0, 4, len(px)))
+        rho = np.hypot(px, py)
+        index = SpatialIndex(config)
+        for kwargs in ({}, {"with_ids": True}, {"depths": depths}):
+            want = index.distance_many(px, py, **kwargs)
+            got = index.distance_many(px, py, rho=rho, **kwargs)
+            if not kwargs:
+                got, want = (got,), (want,)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+
     def test_rows_at_equal_distance_take_the_lowest_id(self):
         # the point lies midway between the rows, on a slot of both: the
         # inner row is evaluated first, the outer one holds the lower ids

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from champagne.geometry import (
     SpatialIndex,
     distance_to_obstacles,
 )
+from champagne import walker
 from champagne.walker import (
     CENSORED,
     ESCAPED,
@@ -416,3 +418,45 @@ class TestCoupledDepths:
             eps_shell=eps, seed=seed, n_walks=n_walks, chunk_size=chunk, max_steps=max_steps
         )
         _assert_rows_match_per_depth_walks(_storage(kind), depths, params)
+
+
+class TestSteadyPool:
+    """The kernel tops its pool up at every step: while walks remain to be
+    admitted, each main query carries at least a full pool, and admission
+    never takes the pool above it."""
+
+    @pytest.mark.parametrize("chunk", [1, 7, 64, WalkParams().chunk_size])
+    @pytest.mark.parametrize("depths", [None, (4, 5, 6, 7)])
+    def test_every_query_carries_a_full_pool(self, monkeypatch, chunk, depths):
+        room = chunk if depths is None else max(1, chunk // 2)
+        n_walks = 3 * room + 5 if chunk < 64 else room + 2000
+        events = []
+        query, admit = SpatialIndex.distance_many, walker._admit
+
+        def recording_query(self, px, *args, **kwargs):
+            # the kernel's main query, not a split query or the start check
+            if sys._getframe(1).f_code.co_name == "_run_chunk":
+                events.append(("query", len(px)))
+            return query(self, px, *args, **kwargs)
+
+        def recording_admit(live, first, k, start, cols):
+            new = admit(live, first, k, start, cols)
+            events.append(("admit", first + k, len(live[0]), len(new[0])))
+            return new
+
+        monkeypatch.setattr(SpatialIndex, "distance_many", recording_query)
+        monkeypatch.setattr(walker, "_admit", recording_admit)
+        params = WalkParams(eps_shell=1e-3, seed=3, n_walks=n_walks, chunk_size=chunk)
+        if depths is None:
+            estimate_escape(params, _FAMILY)
+        else:
+            escape_vs_depth(_FAMILY, depths, params)
+        admitted, queries = 0, 0
+        for event in events:
+            if event[0] == "admit":
+                _, admitted, before, after = event
+                assert before < room and after <= room
+            elif admitted < n_walks:
+                assert event[1] >= room
+                queries += 1
+        assert admitted == n_walks and queries > 1
