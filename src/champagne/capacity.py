@@ -88,6 +88,7 @@ from .geometry import (
     WhitneyIndex,
     cells_intersecting_disc,
     chord,
+    generations_of,
     radius_from_log,
     sector_count,
     whitney_cell,
@@ -784,17 +785,103 @@ def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
 # the cell capacity series
 
 
+# A (disc, cell) pair whose distance clears the disc's radius by at least
+# this, either way, is decided in numpy: far above the rounding of any
+# distance inside the unit disc.  Nearer pairs take the exact scalar test.
+_GATHER_SLACK = 1e-12
+# Discs gathered per numpy pass: keeps the pair arrays a few MB.
+_GATHER_CHUNK = 1 << 12
+
+
+def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(owner, k) for k in range(counts[owner]) of every owner, in order."""
+    owner = np.repeat(np.arange(len(counts)), counts)
+    starts = np.cumsum(counts) - counts
+    return owner, np.arange(len(owner)) - starts[owner]
+
+
+def _cell_pairs(x: np.ndarray, y: np.ndarray, log_r: np.ndarray):
+    """(i, n, m, exact): the cells (n, m) that disc i surely meets, and a
+    mask of the discs left to :func:`cells_intersecting_disc`.
+
+    A disc's candidates are the cells of the generations around
+    s = 1 - |x| +- r, widened by one, whose radial band comes within
+    r + _GATHER_SLACK of the center, in the sectors around its angle
+    +- asin((r + _GATHER_SLACK) / |x|), widened by one on either side: every
+    other cell is farther from the center.  A disc is left to the exact test
+    when one of its pairs comes within _GATHER_SLACK of tangency, when its
+    candidate sectors cover a whole generation, and when it spans more than
+    five generations.
+    """
+    with np.errstate(under="ignore"):
+        r = np.exp(log_r)
+    rho = np.hypot(x, y)
+    theta = np.mod(np.arctan2(y, x), TWO_PI)
+    s = 1.0 - rho
+    reach = r + _GATHER_SLACK
+    n_lo = np.maximum(generations_of(np.clip(s + reach, 1e-300, 0.5)) - 1, 1)
+    n_hi = generations_of(np.clip(s - reach, 1e-300, 0.5)) + 1
+    exact = (rho <= reach) | (n_hi - n_lo > 4)
+    i, k = _expand(np.where(exact, 0, n_hi - n_lo + 1))
+    n = n_lo[i] + k
+    gap = np.maximum(np.ldexp(1.0, -n - 1) - s[i], s[i] - np.ldexp(1.0, -n))
+    keep = gap <= reach[i]
+    i, n = i[keep], n[keep]
+    sectors = np.ldexp(1.0, n + 4)
+    step = TWO_PI / sectors
+    half = np.arcsin(np.minimum(1.0, reach[i] / rho[i]))
+    m_lo = np.floor((theta[i] - half) / step) - 1.0
+    spans = (np.floor((theta[i] + half) / step) + 2.0 - m_lo).astype(np.int64)
+    wide = spans >= sectors
+    exact[i[wide]] = True
+    j, k = _expand(np.where(wide, 0, spans))
+    i, n, step = i[j], n[j], step[j]
+    m = np.mod(m_lo[j] + k, sectors[j])
+    # the distance from the center to the closed cell, as WhitneyCell.distance_to
+    r_in, r_out = 1.0 - np.ldexp(1.0, -n), 1.0 - np.ldexp(1.0, -n - 1)
+    lo, hi = m * step, (m + 1.0) * step
+    px, py, p_rho = x[i], y[i], rho[i]
+    rel = np.mod(theta[i] - lo, TWO_PI)
+    within = rel <= hi - lo
+    d = np.maximum(np.maximum(r_in - p_rho, p_rho - r_out), 0.0)
+    edge = np.full(len(i), np.inf)
+    for e in (lo, hi):
+        ex, ey = np.cos(e), np.sin(e)
+        t = np.clip(px * ex + py * ey, r_in, r_out)
+        np.minimum(edge, np.hypot(px - t * ex, py - t * ey), out=edge)
+    d = np.where(within, d, edge)
+    # a center inside the cell by the margin is at distance 0 in any rounding
+    inside = (
+        within
+        & (np.minimum(rel, hi - lo - rel) >= _GATHER_SLACK)
+        & (np.minimum(p_rho - r_in, r_out - p_rho) >= _GATHER_SLACK)
+    )
+    hit = inside | (d <= r[i] - _GATHER_SLACK)
+    exact[i[~hit & (d < r[i] + _GATHER_SLACK)]] = True
+    hit &= ~exact[i]
+    return i[hit], n[hit], m[hit].astype(np.int64), exact
+
+
 def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
     """Map (n, m) -> the discs of the explicit blocks of ``c`` whose closed
-    disc meets the closed cell, in canonical order."""
+    disc meets the closed cell, in canonical order: the cells of
+    :func:`cells_intersecting_disc`, decided in numpy for every pair that
+    is not near tangency (see :func:`_cell_pairs`)."""
     cells: dict[tuple[int, int], list[Disc]] = {}
     for b in c.blocks:
         if isinstance(b, RingBlock):
             continue
-        for i in range(len(b)):
-            d = b.disc(i)
-            for idx in cells_intersecting_disc(d):
-                cells.setdefault((idx.n, idx.m), []).append(d)
+        for lo in range(0, len(b), _GATHER_CHUNK):
+            part = slice(lo, lo + _GATHER_CHUNK)
+            i, n, m, exact = _cell_pairs(b.x[part], b.y[part], b.log_r[part])
+            pairs = list(zip(i.tolist(), n.tolist(), m.tolist()))
+            for e in np.flatnonzero(exact).tolist():
+                pairs += [(e, idx.n, idx.m) for idx in cells_intersecting_disc(b.disc(lo + e))]
+            discs = {}
+            for e, n, m in sorted(pairs):
+                if e not in discs:
+                    discs[e] = b.disc(lo + e)
+                cells.setdefault((n, m), []).append(discs[e])
     return {k: tuple(v) for k, v in cells.items()}
 
 

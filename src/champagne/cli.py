@@ -236,6 +236,8 @@ def cmd_check(args) -> int:
         BoundaryPoint,
         affine_growth,
         budget_sums,
+        check_alpha,
+        check_integral_upper,
         integral_test,
         log_weighted_series,
         poisson_series,
@@ -248,6 +250,9 @@ def cmd_check(args) -> int:
     selected = set(args.criteria.split(","))
     if not selected <= set(CRITERIA):
         raise UsageError(f"--criteria takes {','.join(CRITERIA)}, got {args.criteria!r}")
+    # both values are written to check.json whichever criteria run
+    check_alpha(args.alpha)
+    check_integral_upper(args.integral_upper)
     path = Path(args.config)
     config = _load_config(str(path))
     if not _valid(config):

@@ -253,7 +253,7 @@ class _SeriesTerms:
                 if w is not None:
                     terms = terms * w
                 for e, rows in parts:
-                    out[e, j] = math.fsum(terms[rows].tolist())
+                    out[e, j] = math.fsum(memoryview(terms[rows]))
         return out
 
 
@@ -571,6 +571,12 @@ def shrink_for_separation(
 # integral test
 
 
+def check_integral_upper(upper: float) -> None:
+    """Refuse an integration endpoint outside (0, 1)."""
+    if not (0.0 < upper < 1.0):
+        raise CriteriaError(f"integration endpoint must lie in (0, 1), got {upper!r}")
+
+
 def integral_test(m: MSpec, phi: PhiSpec, upper: float) -> float:
     """int_0^upper M(t) / ((1-t) * log(1/phi(t))) dt.
 
@@ -582,8 +588,7 @@ def integral_test(m: MSpec, phi: PhiSpec, upper: float) -> float:
     error <= 1e-6: raises SingularIntegrandError when the two rules disagree
     by more than that, or when log(1/phi) at a node is <= 0 or not finite.
     """
-    if not (0.0 < upper < 1.0):
-        raise CriteriaError("integration endpoint must lie in (0, 1)")
+    check_integral_upper(upper)
     u_end = -math.log1p(-upper)
     knots = [-math.log1p(-t) for t in phi.knots_t if 0.0 < t < upper]
     edges = unique_sorted(np.concatenate([np.arange(math.ceil(u_end)), knots, [u_end]]))
@@ -609,12 +614,17 @@ def integral_test(m: MSpec, phi: PhiSpec, upper: float) -> float:
 # budget sums
 
 
+def check_alpha(alpha: float) -> None:
+    """Refuse a budget exponent outside (0, inf)."""
+    if not (0.0 < alpha < math.inf):
+        raise CriteriaError(f"alpha must be positive and finite, got {alpha!r}")
+
+
 def budget_sums(c: Configuration, alpha: float) -> BudgetSums:
     """(sum r^alpha, sum {log 1/r}^{-alpha}, sum {log 1/r}^{-1}),
     compensated-summed in canonical order.
     """
-    if not (0.0 < alpha < math.inf):
-        raise CriteriaError(f"alpha must be positive and finite, got {alpha!r}")
+    check_alpha(alpha)
     t_r, t_la, t_l1 = [], [], []
     for b in c.blocks:
         if isinstance(b, RingBlock):

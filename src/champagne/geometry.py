@@ -785,16 +785,12 @@ def _ring_pair_candidates(rho: np.ndarray, rad: np.ndarray):
 # distance queries
 
 
-# An explicit band scans this many discs on either side of a query's angular
-# slot; bands of at most four times as many (64) are scanned whole, which
-# costs about as much.
+# An explicit band scans at most this many discs on either side of a query's
+# angular slot.
 _HALF_WINDOW = 16
 # Margin of the window certificate: far above the rounding of any distance
 # inside the unit disc, far below the gaps it certifies.
 _CERT_SLACK = 1e-12
-# sqrt(dx*dx + dy*dy) and hypot(dx, dy) differ by a few ulps of a distance
-# inside the unit disc, far below this.
-_HYPOT_SLACK = 1e-13
 _NO_ID = np.iinfo(np.int64).max
 # Distances computed per numpy call: keeps temporaries cache-sized.
 _CHUNK = 1 << 13
@@ -815,52 +811,47 @@ def _nearest_rows(
     the disc ids ``gid`` it also returns the lowest id attaining each
     minimum (_NO_ID where every disc is left out).
 
-    Center distances are sqrt(dx*dx + dy*dy), the expression every
-    separation statistic has been reported with.  Boundary distances are
-    hypot(dx, dy) - r_k, the expression of a brute-force scan; hypot costs
-    several times more, so it is evaluated only where the sqrt form comes
-    within _HYPOT_SLACK of the row's minimum.
+    Every entry is evaluated with the expression of a brute-force scan:
+    hypot(dx, dy) - r_k for boundary distances, and sqrt(dx*dx + dy*dy), the
+    expression every separation statistic has been reported with, for
+    center distances.
     """
     dx, dy = x - px[:, None], y - py[:, None]
-    d = dx * dx
-    d += dy * dy
-    np.sqrt(d, out=d)
-    if rad is not None:
+    if rad is None:
+        d = dx * dx
+        d += dy * dy
+        np.sqrt(d, out=d)
+    else:
+        d = np.hypot(dx, dy)
         d -= rad
     if skip is not None:
         d[skip] = np.inf
     dmin = d.min(axis=1)
-    # the entries that can attain the minimum, row by row; every row has one
-    rows, cols = np.nonzero(d <= dmin[:, None] + (0.0 if rad is None else _HYPOT_SLACK))
-    vals = d[rows, cols]
-    if rad is not None:
-        exact = np.hypot(dx[rows, cols], dy[rows, cols]) - np.broadcast_to(rad, d.shape)[rows, cols]
-        vals = np.where(np.isinf(vals), np.inf, exact)
-    starts = np.flatnonzero(np.diff(rows, prepend=-1))
-    dmin = np.minimum.reduceat(vals, starts)
     if gid is None:
         return dmin, None
-    cand = np.where(vals == dmin[rows], np.broadcast_to(gid, d.shape)[rows, cols], _NO_ID)
-    ids = np.minimum.reduceat(cand, starts)
+    ids = np.where(d == dmin[:, None], gid, _NO_ID).min(axis=1)
     ids[np.isinf(dmin)] = _NO_ID
     return dmin, ids
 
 
 class _DiscBand:
-    """The explicit discs of one generation band, sorted by center angle.
+    """The explicit discs of generation band ``n``, sorted by center angle.
 
-    A query scans the 2 * _HALF_WINDOW discs nearest in angle to its
-    ``searchsorted`` slot.  Every other disc of the band lies at least
-    dtheta away in angle, where dtheta is the angular distance to the nearest
-    disc left out, so its distance is at least
+    A query scans the 2 * ``half`` discs nearest in angle to its
+    ``searchsorted`` slot, where ``half`` is twice the largest number of the
+    band's discs in one sector of generation n, between 2 and _HALF_WINDOW:
+    a band with one disc per sector scans 4 discs.  Every other disc of the
+    band lies at least dtheta away in angle, where dtheta is the angular
+    distance to the nearest disc left out, so its distance is at least
     sqrt(gap^2 + 4 rho_p rho_min sin^2(dtheta/2)) - r_max, with ``gap`` the
     distance from rho_p to [rho_min, rho_max], the radii of the band's
     centers.  A point whose bound does not clear the window's minimum by
-    _CERT_SLACK is scanned against the whole band.  Distances use the
-    expressions of a full scan, so minima are bit-equal to it.
+    _CERT_SLACK is scanned against the whole band, as is every point of a
+    band of at most 4 * ``half`` discs.  Distances use the expressions of a
+    full scan, so minima are bit-equal to it.
     """
 
-    def __init__(self, x: np.ndarray, y: np.ndarray, rad: np.ndarray, gid: np.ndarray):
+    def __init__(self, n: int, x: np.ndarray, y: np.ndarray, rad: np.ndarray, gid: np.ndarray):
         theta = np.arctan2(y, x)
         theta = np.where(theta < 0.0, theta + TWO_PI, theta)
         order = np.argsort(theta, kind="stable")
@@ -869,17 +860,21 @@ class _DiscBand:
         self.r_max = float(rad.max())
         rho = np.hypot(x, y)
         self.rho_min, self.rho_max = float(rho.min()), float(rho.max())
-        self.windowed = len(x) > 4 * _HALF_WINDOW
+        sectors = (self.theta * (sector_count(n) / TWO_PI)).astype(np.int64)
+        crowd = int(np.bincount(sectors).max())
+        self.half = min(max(2 * crowd, 2), _HALF_WINDOW)
+        self.windowed = len(x) > 4 * self.half
         if self.windowed:
-            # cyclic padding by W+1: for a point in slot k, padded positions
-            # k+1 .. k+2W hold the discs k-W .. k+W-1 of its window, and
-            # positions k and k+2W+1 the nearest discs left out on each side
-            pad = _HALF_WINDOW + 1
+            # cyclic padding by half+1: for a point in slot k, padded
+            # positions k+1 .. k+2*half hold the discs k-half .. k+half-1 of
+            # its window, and positions k and k+2*half+1 the nearest discs
+            # left out on each side
+            pad = self.half + 1
 
             def windows(a: np.ndarray) -> np.ndarray:
                 # row k: the window of a point in slot k
                 padded = np.concatenate([a[-pad:], a, a[:pad]])
-                return sliding_window_view(padded[1:-1], 2 * _HALF_WINDOW)
+                return sliding_window_view(padded[1:-1], 2 * self.half)
 
             self._x_win, self._y_win = windows(self.x), windows(self.y)
             self._rad_win, self._gid_win = windows(self.rad), windows(self.gid)
@@ -931,7 +926,7 @@ class _DiscBand:
             k = np.searchsorted(self.theta, theta_p)
             fill(None, self._x_win, self._y_win, self._rad_win, self._gid_win, k)
             dtheta = np.minimum(
-                self._theta_pad[k + 2 * _HALF_WINDOW + 1] - theta_p,
+                self._theta_pad[k + 2 * self.half + 1] - theta_p,
                 theta_p - self._theta_pad[k],
             )
             sin2 = np.sin(np.minimum(dtheta, math.pi) / 2.0) ** 2
@@ -1144,9 +1139,10 @@ class SpatialIndex:
     nearer.  Explicit
     discs are bucketed by dyadic generation of their centers (with a coarse
     bucket for the central region), each bucket sorted by angle so that a
-    query scans a fixed window of angular neighbours (see
-    :class:`_DiscBand`); a bucket whose radial band is provably farther
-    than the nearest ring disc or the buckets already searched is skipped.
+    query scans a window of angular neighbours as wide as the bucket's most
+    crowded sector needs (see :class:`_DiscBand`); a bucket whose radial
+    band is provably farther than the nearest ring disc or the buckets
+    already searched is skipped.
     Results agree exactly with a scan of every row and every disc.
     """
 
@@ -1176,7 +1172,7 @@ class SpatialIndex:
             gen = np.concatenate([b.generations for _, b in explicit])
             for g in unique_sorted(gen):
                 sel = gen == g
-                self._explicit[int(g)] = _DiscBand(x[sel], y[sel], rad[sel], gid[sel])
+                self._explicit[int(g)] = _DiscBand(int(g), x[sel], y[sel], rad[sel], gid[sel])
             self._explicit_ids = gid
 
     # -- batched query (hot path for the walker) ----------------------------

@@ -57,6 +57,7 @@ from champagne.geometry import (
     RingBlock,
     WhitneyCell,
     WhitneyIndex,
+    cells_intersecting_disc,
     sector_count,
     whitney_cell,
 )
@@ -657,6 +658,28 @@ class TestCellGather:
                 if hits:
                     expect[(n, m)] = hits
         assert _cell_discs(cfg) == expect
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_per_disc_gather(self, seed):
+        # centers on band edges 1 - 2^-n and on sector edges, radii from
+        # e^-2000 to nearly 1 - |x|: the numpy pass decides the clear pairs,
+        # and every other disc must get the cells of the exact scalar test
+        rng = np.random.default_rng(seed)
+        count = 300
+        rho, theta = rng.uniform(0.3, 0.999, count), rng.uniform(0.0, 2.0 * math.pi, count)
+        n = rng.integers(1, 8, count)
+        on_band_edge, on_sector_edge = rng.random((2, count)) < 0.3
+        rho = np.where(on_band_edge, 1.0 - 2.0 ** -n, rho)
+        theta = np.where(on_sector_edge, 2.0 * math.pi * rng.integers(0, 2 ** (n + 4)) / 2.0 ** (n + 4), theta)
+        log_r = np.log(1.0 - rho) - 10.0 ** rng.uniform(-2.0, 3.3, count)
+        cfg = Configuration(
+            blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), log_r),), n_max=8
+        )
+        expect: dict = {}
+        for d in cfg.iter_discs():
+            for idx in cells_intersecting_disc(d):
+                expect.setdefault((idx.n, idx.m), []).append(d)
+        assert _cell_discs(cfg) == {k: tuple(v) for k, v in expect.items()}
 
 
 class TestQuasiadditivity:

@@ -573,6 +573,34 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error: alpha must be positive and finite")
         assert not out.exists()
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            *(("--alpha", v, "alpha must be positive and finite") for v in ("nan", "0", "-1")),
+            *(
+                ("--integral-upper", v, "integration endpoint must lie in (0, 1)")
+                for v in ("nan", "inf", "0", "1", "-0.5")
+            ),
+        ],
+    )
+    @pytest.mark.parametrize("criteria", ["poisson", "integral"])
+    @pytest.mark.parametrize("provenance", [True, False])
+    def test_check_bad_alpha_or_upper_exits_one_whatever_runs(
+        self, cfg_path, tmp_path, capsys, flag, value, message, criteria, provenance
+    ):
+        # both values are written to check.json, so neither may be NaN there
+        # or out of range, even when no selected criterion reads it
+        path = cfg_path
+        if not provenance:
+            path = tmp_path / "plain.json"
+            block = DiscBlock(np.array([0.7]), np.array([0.0]), np.array([-8.0]))
+            path.write_text(dumps_config(Configuration(blocks=(block,), n_max=2)))
+        out = tmp_path / "c"
+        argv = ("check", path, "--criteria", criteria, flag, value, "--out-dir", out)
+        assert run(*argv) == 1
+        assert capsys.readouterr().err.startswith(f"error: {message}")
+        assert not out.exists()
+
     @pytest.mark.parametrize("flag", ["--check", "--sweep"])
     def test_malformed_report_input_exits_two(self, tmp_path, capsys, flag):
         path = tmp_path / "bad.json"

@@ -520,11 +520,11 @@ class TestConfiguration:
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from champagne.geometry import _find_overlap  # noqa: E402
+from champagne.geometry import _NO_ID, _DiscBand, _find_overlap, _nearest_rows  # noqa: E402
 
 # drawn per band: (generation, disc count, angular centre, angular spread,
-# log10 of r_max / r_min); counts up to 64 are scanned whole, larger ones
-# through the angular window
+# log10 of r_max / r_min); a band of more than 4w discs, w its window's
+# half-width (2 to 16), is scanned through the angular window
 _band = st.tuples(
     st.integers(0, 7),
     st.one_of(st.integers(1, 64), st.integers(65, 400)),
@@ -601,6 +601,60 @@ def _neighbor_scan(config, centers=True):
     return nn, np.where(np.isinf(nn), -1, ids)
 
 
+def _rows_scan(px, py, x, y, rad, gid, skip):
+    """Row by row and entry by entry: the least hypot(dx, dy) - r_k, or
+    sqrt(dx*dx + dy*dy) for ``rad`` None, over the entries not skipped, and
+    the lowest id attaining it."""
+    d_out, id_out = [], []
+    for i in range(len(px)):
+        xs, ys, rs, gs = (a if a is None or a.ndim == 1 else a[i] for a in (x, y, rad, gid))
+        best, best_id = math.inf, _NO_ID
+        for k in range(len(xs)):
+            if skip is not None and skip[i, k]:
+                continue
+            dx, dy = xs[k] - px[i], ys[k] - py[i]
+            d = math.sqrt(dx * dx + dy * dy) if rs is None else float(np.hypot(dx, dy)) - rs[k]
+            if d < best or (d == best and gs[k] < best_id):
+                best, best_id = d, int(gs[k])
+        d_out.append(best)
+        id_out.append(best_id)
+    return np.array(d_out), np.array(id_out)
+
+
+# coordinates on a grid of eighths, where exact ties are common, or
+# anywhere, where sqrt(dx*dx + dy*dy) and hypot(dx, dy) often differ
+_coordinate = st.one_of(
+    st.integers(-6, 6).map(lambda k: k / 8.0), st.floats(-0.75, 0.75, allow_subnormal=False)
+)
+
+
+class TestNearestRows:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(1, 5),
+        st.integers(1, 9),
+        st.booleans(),
+        st.booleans(),
+        st.booleans(),
+        st.data(),
+    )
+    def test_equals_entrywise_scan(self, points, width, per_row, centers, skipping, data):
+        shape = (points, width) if per_row else (width,)
+        cells = int(np.prod(shape))
+        draw = lambda elements, n: np.array(data.draw(st.lists(elements, min_size=n, max_size=n)))
+        px, py = draw(_coordinate, points), draw(_coordinate, points)
+        x, y = draw(_coordinate, cells).reshape(shape), draw(_coordinate, cells).reshape(shape)
+        rad = None if centers else draw(st.sampled_from([0.0, 0.125, 0.25]), cells).reshape(shape)
+        # ids out of order, so that the lowest id is not the first entry
+        gid = draw(st.integers(0, 50), cells).reshape(shape)
+        skip = draw(st.booleans(), points * width).reshape(points, width) if skipping else None
+        d, ids = _nearest_rows(px, py, x, y, rad, gid, skip)
+        want_d, want_ids = _rows_scan(px, py, x, y, rad, gid, skip)
+        np.testing.assert_array_equal(d, want_d)
+        np.testing.assert_array_equal(ids, want_ids)
+        np.testing.assert_array_equal(_nearest_rows(px, py, x, y, rad, None, skip)[0], want_d)
+
+
 class TestLocalityQueries:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, 2**32 - 1), st.lists(_band, min_size=1, max_size=3))
@@ -635,6 +689,38 @@ class TestLocalityQueries:
         got = SpatialIndex(config).distance_many(px, py)
         np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
         assert got[0] < 0.045
+
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_nearest_disc_just_outside_a_narrow_window(self, side):
+        # one disc in each of the 64 sectors of generation 2, so the query
+        # scans 4 discs, 2 on either side of its slot; those sit 0.12 inward
+        # of it, and the first disc left out on one side, 2.5 sectors away at
+        # the query's own radius, is 0.094 away from its boundary
+        step = TWO_PI / sector_count(2)
+        theta = 1.0 + side * step * (np.arange(-32, 32) + 0.5)
+        rho = np.where(np.arange(-32, 32) == 2, 0.874, 0.751)
+        log_r = np.where(np.arange(-32, 32) == 2, math.log(0.12), -30.0)
+        config = Configuration(
+            blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), log_r),), n_max=2
+        )
+        index = SpatialIndex(config)
+        assert index._explicit[2].half == 2
+        px, py = np.array([0.874 * math.cos(1.0)]), np.array([0.874 * math.sin(1.0)])
+        got = index.distance_many(px, py)
+        np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
+        assert got[0] < 0.1
+
+    @pytest.mark.parametrize("crowd, half", [(1, 2), (2, 4), (3, 6), (8, 16), (20, 16)])
+    def test_window_width_follows_the_most_crowded_sector(self, crowd, half):
+        # one disc in each of the 128 sectors of generation 3, and `crowd`
+        # discs in sector 5
+        step = TWO_PI / sector_count(3)
+        theta = np.concatenate(
+            [(np.arange(128) + 0.5) * step, (5.0 + np.linspace(0.1, 0.9, crowd - 1)) * step]
+        )
+        x, y = 0.9 * np.cos(theta), 0.9 * np.sin(theta)
+        band = _DiscBand(3, x, y, np.full(len(x), 1e-9), np.arange(len(x)))
+        assert band.half == half and band.windowed
 
     @pytest.mark.parametrize("fillers", [0, 100])
     def test_hypot_decides_near_ties(self, fillers):
