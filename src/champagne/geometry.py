@@ -860,8 +860,11 @@ class _DiscBand:
         self.r_max = float(rad.max())
         rho = np.hypot(x, y)
         self.rho_min, self.rho_max = float(rho.min()), float(rho.max())
+        # theta is sorted, so each sector's discs form one run; counting runs
+        # needs no histogram over the 2^(n+4) sectors of a deep generation
         sectors = (self.theta * (sector_count(n) / TWO_PI)).astype(np.int64)
-        crowd = int(np.bincount(sectors).max())
+        starts = np.flatnonzero(np.diff(sectors, prepend=-1))
+        crowd = int(np.diff(starts, append=len(sectors)).max())
         self.half = min(max(2 * crowd, 2), _HALF_WINDOW)
         self.windowed = len(x) > 4 * self.half
         if self.windowed:

@@ -722,6 +722,25 @@ class TestLocalityQueries:
         band = _DiscBand(3, x, y, np.full(len(x), 1e-9), np.arange(len(x)))
         assert band.half == half and band.windowed
 
+    @pytest.mark.parametrize("s, count", [(1e-9, 1), (1e-6, 1), (1e-9, 40), (1e-6, 40)])
+    def test_deep_generation_band(self, s, count):
+        # generations 29 and 19 have 2^33 and 2^23 sectors: the window width
+        # is found without a per-sector table, and the band validates and
+        # answers queries like a full scan
+        theta = 0.3 + np.arange(count) * (TWO_PI / count)
+        discs = [Disc.from_radius(Point((1.0 - s) * math.cos(t), (1.0 - s) * math.sin(t)), s / 4)
+                 for t in theta.tolist()]
+        config = Configuration.from_discs(discs + [Disc.from_radius(Point(0.0, 0.5), 0.1)])
+        assert generation_of(s) in (19, 29)
+        assert validate_configuration(config).ok
+        index = SpatialIndex(config)
+        assert index._explicit[generation_of(s)].half == 2
+        px, py = _query_points(5, config, count=200)
+        got = index.distance_many(px, py)
+        np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
+        d, k = distance_to_obstacles(Point((1.0 - 2 * s) * math.cos(0.3), (1.0 - 2 * s) * math.sin(0.3)), index)
+        assert k is not None and d == pytest.approx(0.75 * s, rel=1e-3)
+
     @pytest.mark.parametrize("fillers", [0, 100])
     def test_hypot_decides_near_ties(self, fillers):
         # the two discs are equally far from p up to one ulp, and
