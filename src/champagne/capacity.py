@@ -320,18 +320,9 @@ def _disc_inside_cell(d: DiscShape, cell: WhitneyCell) -> bool:
     r = radius_from_log(d.log_r)
     if not cell.contains(d.center):
         return False
-    return _cell_boundary_distance(cell, d.center) >= r
-
-
-def _cell_boundary_distance(cell: WhitneyCell, p: Point) -> float:
-    rho = p.norm()
-    radial = min(rho - cell.r_inner, cell.r_outer - rho)
-    best = radial
-    for theta in (cell.theta_lo, cell.theta_hi):
-        ex, ey = math.cos(theta), math.sin(theta)
-        t = min(max(p.x * ex + p.y * ey, cell.r_inner), cell.r_outer)
-        best = min(best, math.hypot(p.x - t * ex, p.y - t * ey))
-    return best
+    # the distance from the center to the cell's boundary
+    rho = d.center.norm()
+    return min(rho - cell.r_inner, cell.r_outer - rho, cell.radial_edge_distance(d.center)) >= r
 
 
 # ---------------------------------------------------------------------------
@@ -715,16 +706,7 @@ def _cluster_mutual(cluster: GenerationCluster, w: np.ndarray) -> np.ndarray:
     return mut
 
 
-@dataclass(frozen=True)
-class ClusterSolve:
-    log_capacity: float
-    energy: float
-    self_energy_part: float
-    mutual_part: float
-    error_hint: float
-
-
-def cluster_log_capacity(cluster: GenerationCluster) -> ClusterSolve:
+def cluster_log_capacity(cluster: GenerationCluster) -> float:
     """Log capacity of the per-cell cluster by the dominant-self-energy
     closed form: weights 1/L_i normalized, energy E0 + mutual correction."""
     p = cluster.columns
@@ -734,20 +716,8 @@ def cluster_log_capacity(cluster: GenerationCluster) -> ClusterSolve:
     inv = 1.0 / self_energy
     denom = p * inv.sum()
     w_row = inv / denom
-    e0 = 1.0 / denom
     mut = _cluster_mutual(cluster, w_row)
-    mutual = float(np.sum(w_row[:, None] * mut))
-    energy = e0 + mutual
-    hint = (abs(mutual) / float(self_energy.min())) ** 2 + abs(mutual) / float(
-        self_energy.min()
-    ) * abs(mutual)
-    return ClusterSolve(
-        log_capacity=-energy,
-        energy=energy,
-        self_energy_part=e0,
-        mutual_part=mutual,
-        error_hint=hint,
-    )
+    return -(1.0 / denom + float(np.sum(w_row[:, None] * mut)))
 
 
 def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
@@ -986,7 +956,7 @@ def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> list[Ce
         if n > keep_n:
             break
         if isinstance(obstacles, GenerationCluster):
-            log_cap = cluster_log_capacity(obstacles).log_capacity
+            log_cap = cluster_log_capacity(obstacles)
         else:
             try:
                 est = log_capacity(_cell_shape(WhitneyIndex(n, ms.start), obstacles))
@@ -1116,7 +1086,7 @@ def c2_log_bound(
         raise CapacityError("polar cell")
     lhs, _, _ = _scaled_c2(obstacles, constants.cell_scale(idx.n))
     if isinstance(obstacles, GenerationCluster):
-        log_cap = cluster_log_capacity(obstacles).log_capacity
+        log_cap = cluster_log_capacity(obstacles)
     else:
         shape = UnionShape(tuple(DiscShape(d.center, d.log_radius) for d in obstacles))
         log_cap = log_capacity(shape).log_value

@@ -445,6 +445,7 @@ def cmd_capacity(args) -> int:
             "config": str(path),
             "n_max": args.n_max,
             "max_cells": args.max_cells,
+            "max_cells_per_generation": args.max_cells_per_generation,
             "quasiadditivity": args.quasiadditivity,
             "shrink_to_floor": args.shrink_to_floor,
         },
@@ -489,17 +490,20 @@ def cmd_capacity(args) -> int:
 # simulate and sweep
 
 
-def _walk_params(args, n_walks: int) -> WalkParams:
+def _walk_params(args) -> WalkParams:
+    """The walk parameters of ``simulate`` and ``sweep``."""
     from .geometry import Point
     from .walker import WalkParams
 
+    if args.n_walks < 1:
+        raise UsageError(f"--n-walks must be >= 1, got {args.n_walks}")
     return WalkParams(
         eps_shell=args.eps,
         max_steps=args.max_steps,
         start=Point(args.start_x, args.start_y),
         seed=args.seed,
-        n_walks=n_walks,
-        chunk_size=_chunk_size(n_walks),
+        n_walks=args.n_walks,
+        chunk_size=_chunk_size(args.n_walks),
     )
 
 
@@ -519,9 +523,9 @@ def _estimate_doc(est) -> dict:
 def cmd_simulate(args) -> int:
     from .walker import OUTCOMES, concentric_obstacle_config, estimate_escape
 
-    if args.n_walks < 1:
-        print("n_walks must be >= 1", file=sys.stderr)
-        return EXIT_IO
+    params = _walk_params(args)
+    if args.trace < 0:
+        raise UsageError(f"--trace must be >= 0, got {args.trace}")
     if args.annulus is not None:
         config = concentric_obstacle_config(args.annulus)
         input_hash = None
@@ -536,7 +540,6 @@ def cmd_simulate(args) -> int:
             return EXIT_INVALID
         input_hash = _sha256_file(path)
         config_name = str(path)
-    params = _walk_params(args, args.n_walks)
     est = estimate_escape(params, config)
     out = _out_dir(args)
     doc = _meta(
@@ -588,11 +591,11 @@ def cmd_sweep(args) -> int:
     from .walker import escape_vs_depth
 
     depths = _parse_depths(args.depths)
+    params = _walk_params(args)
     path = Path(args.config)
     config = _load_config(str(path))
     if not _valid(config):
         return EXIT_INVALID
-    params = _walk_params(args, args.n_walks)
     table = escape_vs_depth(config, depths, params)
     rows = [
         [

@@ -38,12 +38,10 @@ from numpy.polynomial.legendre import leggauss
 from . import ChampagneError
 from .geometry import (
     Configuration,
-    DiscBlock,
     Point,
     RingBlock,
     TWO_PI,
     _RingTable,
-    _block_offsets,
     chord,
     ring_min_center_distance,
     spatial_index,
@@ -431,23 +429,15 @@ def _neighbor_structure(c: Configuration) -> _NeighborStructure:
 
 
 def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
-    offsets = _block_offsets(c)
-    explicit = [
-        (off, b) for off, b in zip(offsets, c.blocks) if isinstance(b, DiscBlock) and len(b)
-    ]
-    rings = [(off, b) for off, b in zip(offsets, c.blocks) if isinstance(b, RingBlock)]
+    index = spatial_index(c)
+    rings = index.rings
 
     # each ring's nearest explicit disc: (center distance, pair)
     ring_to_explicit: list[tuple[float, tuple[int, int]]] = []
-    if explicit:
-        xs = np.concatenate([b.x for _, b in explicit])
-        ys = np.concatenate([b.y for _, b in explicit])
-        lrs = np.concatenate([b.log_r for _, b in explicit])
-        ids = np.concatenate([off + np.arange(len(b)) for off, b in explicit]).astype(int)
-        nn, nn_j = spatial_index(c).explicit_neighbors()
-        rho = np.hypot(xs, ys)
-        theta = np.arctan2(ys, xs)
-        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
+    ids = index.exp_ids
+    if len(ids):
+        nn, nn_j = index.explicit_neighbors()
+        rho, theta = index.exp_polar
         for roff, rb in rings:
             # center distance from every explicit disc to the ring's nearest slot
             d, slot = _RingTable([(roff, rb)]).distance(rho, theta, 0, with_ids=True, centers=True)
@@ -455,7 +445,7 @@ def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
             nn[take], nn_j[take] = d[take], slot[take]
             i = int(np.argmin(d))
             ring_to_explicit.append((float(d[i]), (int(ids[i]), int(slot[i]))))
-        exp_part = (ids, 1.0 - rho, lrs, rho, nn, nn_j)
+        exp_part = (ids, 1.0 - rho, index.exp_log_r, rho, nn, nn_j)
     else:
         z = np.empty(0)
         exp_part = (z.astype(int), z, z, z, z, z.astype(int))

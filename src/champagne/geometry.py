@@ -142,27 +142,13 @@ def unique_sorted(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def generation_of(s: float) -> int:
-    """Dyadic generation of a boundary gap s = 1 - |x|.
+def generations_of(s: np.ndarray) -> np.ndarray:
+    """Dyadic generations of boundary gaps s = 1 - |x|.
 
-    Returns the n >= 1 with 2^{-n-1} < s <= 2^{-n}; the boundary value
-    s = 2^{-n} belongs to generation n.  Returns 0 for s > 1/2 (the central
+    Each is the n >= 1 with 2^{-n-1} < s <= 2^{-n}; the boundary value
+    s = 2^{-n} belongs to generation n.  It is 0 for s > 1/2 (the central
     region carries no grid cells).
     """
-    if not (0.0 < s <= 1.0):
-        raise GeometryError(f"boundary gap must be in (0, 1], got {s}")
-    if s > 0.5:
-        return 0
-    n = int(math.floor(-math.log2(s)))
-    while 2.0 ** (-n) < s:
-        n -= 1
-    while s <= 2.0 ** (-n - 1):
-        n += 1
-    return n
-
-
-def generations_of(s: np.ndarray) -> np.ndarray:
-    """Vectorized :func:`generation_of`."""
     s = np.asarray(s, dtype=np.float64)
     if np.any(s <= 0.0) or np.any(s > 1.0):
         raise GeometryError("boundary gaps must be in (0, 1]")
@@ -245,6 +231,10 @@ class WhitneyCell:
                 return r - self.r_outer
             return 0.0
         # nearest point lies on one of the two radial edge segments
+        return self.radial_edge_distance(p)
+
+    def radial_edge_distance(self, p: Point) -> float:
+        """Distance from p to the nearer of the cell's two radial edges."""
         best = math.inf
         for theta in (self.theta_lo, self.theta_hi):
             ex, ey = math.cos(theta), math.sin(theta)
@@ -285,8 +275,8 @@ def cells_intersecting_disc(d: Disc) -> list[WhitneyIndex]:
     # s_center +- r may round onto a band edge 2^-n, so the generations of
     # the rounded gaps are widened by one on each side; the exact distance
     # test below decides every candidate cell
-    n_lo = max(generation_of(s_hi) - 1, 1)
-    n_hi = generation_of(s_lo) + 1
+    g_hi, g_lo = generations_of(np.array([s_hi, s_lo])).tolist()
+    n_lo, n_hi = max(g_hi - 1, 1), g_lo + 1
     out: list[WhitneyIndex] = []
     theta_c = d.center.angle()
     rho_c = d.center.norm()
@@ -440,49 +430,27 @@ def chord(rho1: float, rho2: float, dtheta: float) -> float:
 
 
 def ring_min_center_distance(r1: RingBlock, r2: RingBlock) -> float:
-    """Exact minimal center distance between two distinct rings."""
-    dth = _ring_min_angle_offset(r1, r2)
-    return chord(r1.rho, r2.rho, dth)
-
-
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return a, 1, 0
-    g, p, q = _egcd(b, a % b)
-    return g, q, p - (a // b) * q
-
-
-def _ring_min_angle_offset(r1: RingBlock, r2: RingBlock) -> float:
-    """Minimal |angle difference| over active slot pairs of two rings."""
+    """Exact minimal center distance between two distinct rings, symmetric
+    in its arguments."""
     j1, j2 = r1.count, r2.count
-    if j1 == j2:
-        # same phase grid: offset 0 at any common active slot
-        if max(r1.a_start, r2.a_start) < j1:
-            return 0.0
     g = math.gcd(j1, j2)
-    d = (j2 - j1) // g
-    # angle difference = pi * ((2a+1) j2 - (2b+1) j1) / (j1 j2); the integer
-    # numerator ranges over g * (2k + d) as (a, b) range over full rings.
     if r1.a_start == 0 and r2.a_start == 0:
-        best = 0 if d % 2 == 0 else 1
-        return math.pi * g * best / (j1 * j2)
-    # excluded prefixes: scan feasible pairs near the optimal residue class
+        # angle difference = pi * ((2a+1) j2 - (2b+1) j1) / (j1 j2); the
+        # integer numerator ranges over g * (2k + (j2 - j1) / g) as (a, b)
+        # range over full rings
+        return chord(r1.rho, r2.rho, math.pi * g * ((j2 - j1) // g % 2) / (j1 * j2))
+    # a slot pair's angle difference repeats when a advances by j1/g and b
+    # by j2/g, so some nearest pair has a within one period of r1's first
+    # active slot or b within one period of r2's: each such window is
+    # queried against the other ring through the slot kernel
     best = math.inf
-    span1 = max(1, j1 // g)
-    limit = min(j1, r1.a_start + 4 * span1 + 4)
-    for a in range(r1.a_start, limit):
-        target = (r1.angle_of(a) / r2.step) - 0.5
-        for bb in (math.floor(target), math.ceil(target)):
-            b = int(bb) % j2
-            if b < r2.a_start:
-                b = r2.a_start
-            off = abs(
-                math.remainder(r1.angle_of(a) - r2.angle_of(b), TWO_PI)
-            )
-            best = min(best, off)
-        for b in (r2.a_start, j2 - 1):
-            off = abs(math.remainder(r1.angle_of(a) - r2.angle_of(b), TWO_PI))
-            best = min(best, off)
+    for ring, other in ((r1, r2), (r2, r1)):
+        table = _RingTable([(0, other)])
+        end = min(ring.count, ring.a_start + ring.count // g)
+        for lo in range(ring.a_start, end, _CHUNK):
+            theta = (np.arange(lo, min(lo + _CHUNK, end), dtype=np.float64) + 0.5) * ring.step
+            d, _ = table.distance(np.full(len(theta), ring.rho), theta, 0, centers=True)
+            best = min(best, float(d.min()))
     return best
 
 
@@ -494,8 +462,10 @@ def _ring_min_angle_offset(r1: RingBlock, r2: RingBlock) -> float:
 class Configuration:
     """A finite truncation of an obstacle configuration inside the unit disc.
 
-    ``blocks`` are kept in canonical order: ascending generation, explicit
-    blocks before ring blocks of the same generation, rings by radial row.
+    ``blocks`` are kept in the order given, and canonical disc ids count
+    through them in that order.  Nothing sorts or checks that order: the
+    generators emit ascending generation and rings by radial row, while a
+    loaded file puts its explicit discs first, then its rings in file order.
     """
 
     blocks: tuple[Block, ...]
@@ -511,10 +481,11 @@ class Configuration:
     ) -> "Configuration":
         if not discs:
             return cls(blocks=(), n_max=int(n_max or 0), provenance=dict(provenance or {}))
+        gens = generations_of([d.boundary_gap for d in discs]).tolist()
         order = sorted(
             range(len(discs)),
             key=lambda i: (
-                generation_of(discs[i].boundary_gap),
+                gens[i],
                 discs[i].center.angle(),
                 discs[i].boundary_gap,
                 discs[i].center.x,
@@ -524,11 +495,9 @@ class Configuration:
         x = np.array([discs[i].center.x for i in order])
         y = np.array([discs[i].center.y for i in order])
         lr = np.array([discs[i].log_radius for i in order])
-        gens = generations_of(1.0 - np.hypot(x, y))
-        inferred = int(gens.max()) if len(gens) else 0
         return cls(
             blocks=(DiscBlock(x, y, lr),),
-            n_max=int(n_max if n_max is not None else inferred),
+            n_max=int(n_max if n_max is not None else max(gens)),
             provenance=dict(provenance or {}),
         )
 
@@ -647,6 +616,11 @@ def validate_configuration(c: Configuration) -> ValidationReport:
     """Report-style check of every configuration invariant."""
     violations: list[Violation] = []
     offsets = _block_offsets(c)
+    # depth queries take the rows of generation <= D as a prefix of the rho
+    # order, which needs every ring's label to match its circle
+    ring_gens = iter(
+        generations_of([b.boundary_gap for b in c.blocks if isinstance(b, RingBlock)]).tolist()
+    )
 
     for bi, b in enumerate(c.blocks):
         if isinstance(b, RingBlock):
@@ -654,9 +628,7 @@ def validate_configuration(c: Configuration) -> ValidationReport:
                 violations.append(
                     Violation("ratio", f"ring block {bi} has r >= 1-|x|", (offsets[bi],))
                 )
-            # depth queries take the rows of generation <= D as a prefix of
-            # the rho order, which needs every label to match its circle
-            g = generation_of(b.boundary_gap)
+            g = next(ring_gens)
             if g != b.n:
                 violations.append(
                     Violation(
@@ -674,7 +646,7 @@ def validate_configuration(c: Configuration) -> ValidationReport:
                 )
 
     index = spatial_index(c)
-    overlap = _find_overlap(c, index)
+    overlap = _find_overlap(index)
     if overlap is not None:
         violations.append(
             Violation("overlap", "closed discs intersect", overlap)
@@ -695,25 +667,15 @@ def validate_configuration(c: Configuration) -> ValidationReport:
     )
 
 
-def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | None:
+def _find_overlap(index: "SpatialIndex") -> tuple[int, int] | None:
     """A pair of canonical indices whose closed discs intersect, if any.
 
     Among explicit discs the pair is the lowest-id disc that meets another,
     with the lowest-id disc it meets.
     """
-    offsets = index._offsets
-    exp = [(bi, b) for bi, b in enumerate(c.blocks) if isinstance(b, DiscBlock)]
-    rings = index._rings
-
-    if exp:
-        xs = np.concatenate([b.x for _, b in exp])
-        ys = np.concatenate([b.y for _, b in exp])
-        lrs = np.concatenate([b.log_r for _, b in exp])
-        ids = np.concatenate(
-            [offsets[bi] + np.arange(len(b)) for bi, b in exp]
-        ).astype(np.int64)
-        with np.errstate(under="ignore"):
-            radii = np.exp(lrs)
+    rings = index.rings
+    if len(index.exp_ids):
+        xs, ys, radii, ids = index.exp_x, index.exp_y, index.exp_rad, index.exp_ids
         # disc i can meet disc j only if its center comes within r_i of disc
         # j's boundary (up to rounding); the few discs that do are checked
         # exactly against every explicit disc
@@ -726,9 +688,7 @@ def _find_overlap(c: Configuration, index: "SpatialIndex") -> tuple[int, int] | 
                 return (min(a, bb), max(a, bb))
 
         # explicit against rings: center distance to the nearest ring slot
-        theta_pts = np.arctan2(ys, xs)
-        theta_pts = np.where(theta_pts < 0.0, theta_pts + TWO_PI, theta_pts)
-        rho_pts = np.hypot(xs, ys)
+        rho_pts, theta_pts = index.exp_polar
         for off, rb in rings:
             rr = rb.radius
             k = np.flatnonzero(np.abs(rho_pts - rb.rho) <= radii + rr)
@@ -1151,32 +1111,42 @@ class SpatialIndex:
 
     def __init__(self, config: Configuration):
         self.config = config
-        self._offsets = _block_offsets(config)
+        offsets = _block_offsets(config)
         explicit = [
-            (off, b)
-            for off, b in zip(self._offsets, config.blocks)
-            if isinstance(b, DiscBlock) and len(b)
+            (off, b) for off, b in zip(offsets, config.blocks) if isinstance(b, DiscBlock) and len(b)
         ]
-        self._rings: list[tuple[int, RingBlock]] = [
-            (off, b) for off, b in zip(self._offsets, config.blocks) if isinstance(b, RingBlock)
+        self.rings: list[tuple[int, RingBlock]] = [
+            (off, b) for off, b in zip(offsets, config.blocks) if isinstance(b, RingBlock)
         ]
-        self._ring_table = _RingTable(self._rings)
-        # explicit discs, globally indexed, grouped by generation band
+        self._ring_table = _RingTable(self.rings)
+        # the explicit discs in canonical order, with their radii and ids,
+        # and grouped by generation band
         self._explicit: dict[int, _DiscBand] = {}
-        self._explicit_ids = np.empty(0, dtype=np.int64)
+        self.exp_x = self.exp_y = self.exp_log_r = self.exp_rad = np.empty(0)
+        self.exp_ids = np.empty(0, dtype=np.int64)
         if explicit:
-            x = np.concatenate([b.x for _, b in explicit])
-            y = np.concatenate([b.y for _, b in explicit])
+            # a single block's read-only arrays serve as they are
+            join = np.concatenate if len(explicit) > 1 else lambda parts: parts[0]
+            self.exp_x = join([b.x for _, b in explicit])
+            self.exp_y = join([b.y for _, b in explicit])
+            self.exp_log_r = join([b.log_r for _, b in explicit])
             with np.errstate(under="ignore"):
-                rad = np.exp(np.concatenate([b.log_r for _, b in explicit]))
-            gid = np.concatenate(
+                self.exp_rad = np.exp(self.exp_log_r)
+            self.exp_ids = np.concatenate(
                 [off + np.arange(len(b), dtype=np.int64) for off, b in explicit]
             )
             gen = np.concatenate([b.generations for _, b in explicit])
             for g in unique_sorted(gen):
                 sel = gen == g
-                self._explicit[int(g)] = _DiscBand(int(g), x[sel], y[sel], rad[sel], gid[sel])
-            self._explicit_ids = gid
+                self._explicit[int(g)] = _DiscBand(
+                    int(g), self.exp_x[sel], self.exp_y[sel], self.exp_rad[sel], self.exp_ids[sel]
+                )
+
+    @cached_property
+    def exp_polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, theta in [0, 2 pi)) of the explicit discs' centers."""
+        theta = np.arctan2(self.exp_y, self.exp_x)
+        return np.hypot(self.exp_x, self.exp_y), np.where(theta < 0.0, theta + TWO_PI, theta)
 
     # -- batched query (hot path for the walker) ----------------------------
 
@@ -1271,10 +1241,10 @@ class SpatialIndex:
         entry with no disc at most ``cutoff`` away (a scalar or one value
         per disc) is (cutoff, -1).
         """
-        d = np.array(np.broadcast_to(cutoff, self._explicit_ids.shape), dtype=np.float64)
+        d = np.array(np.broadcast_to(cutoff, self.exp_ids.shape), dtype=np.float64)
         nn = np.full(len(d), _NO_ID)
         for g, own in self._explicit.items():
-            pos = np.searchsorted(self._explicit_ids, own.gid)
+            pos = np.searchsorted(self.exp_ids, own.gid)
             rho = np.hypot(own.x, own.y)
             s = 1.0 - rho
             best, best_id = d[pos], nn[pos]

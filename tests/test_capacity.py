@@ -368,19 +368,19 @@ class TestClusters:
     def test_cluster_matches_disc_system(self):
         cfg = self._config()
         cluster = generation_clusters(cfg)[3]
-        solve = cluster_log_capacity(cluster)
+        log_cap = cluster_log_capacity(cluster)
         parts = []
         for rho, lr in zip(cluster.rhos, cluster.log_rs):
             for j in range(cluster.columns):
                 th = (j + 0.5) * cluster.delta_theta
                 parts.append(DiscShape(Point(rho * math.cos(th), rho * math.sin(th)), lr))
         est = _disc_system_capacity(parts)
-        assert solve.log_capacity == pytest.approx(est.log_value, abs=2e-3)
+        assert log_cap == pytest.approx(est.log_value, abs=2e-3)
 
     def test_cluster_exact_in_dominant_regime(self):
         cfg = shrink(self._config(), log_delta=-1e9)
         cluster = generation_clusters(cfg)[3]
-        solve = cluster_log_capacity(cluster)
+        log_cap = cluster_log_capacity(cluster)
         parts = []
         for rho, lr in zip(cluster.rhos, cluster.log_rs):
             for j in range(cluster.columns):
@@ -388,7 +388,7 @@ class TestClusters:
                 parts.append(DiscShape(Point(rho * math.cos(th), rho * math.sin(th)), lr))
         est = _disc_system_capacity(parts)
         assert est.method == "disc_system"
-        assert solve.log_capacity == pytest.approx(est.log_value, rel=1e-9)
+        assert log_cap == pytest.approx(est.log_value, rel=1e-9)
 
     def test_obstacle_sets_kept_per_configuration(self):
         cfg = self._config()

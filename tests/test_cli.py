@@ -147,8 +147,21 @@ class TestSimulate:
         assert doc["seed"] == 3
         assert "seed 3" in capsys.readouterr().out
 
-    def test_zero_walks_rejected(self, tmp_path):
-        assert run("simulate", "--annulus", 0.25, "--n-walks", 0, "--out-dir", tmp_path) == 2
+    @pytest.mark.parametrize("command", ["simulate", "sweep"])
+    @pytest.mark.parametrize("n_walks", [0, -5])
+    def test_no_walks_is_a_usage_failure(self, cfg_path, tmp_path, capsys, command, n_walks):
+        out = tmp_path / "w"
+        assert run(command, cfg_path, "--n-walks", n_walks, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --n-walks must be >= 1") and "Traceback" not in err
+        assert not out.exists()
+
+    def test_negative_trace_is_a_usage_failure(self, tmp_path, capsys):
+        out = tmp_path / "tr"
+        argv = ("simulate", "--annulus", 0.25, "--start-x", 0.5, "--n-walks", 50, "--trace", -3)
+        assert run(*argv, "--out-dir", out) == 2
+        assert capsys.readouterr().err.startswith("error: --trace must be >= 0")
+        assert not out.exists()
 
     def test_trace_rows(self, tmp_path):
         out = tmp_path / "tr"
@@ -199,14 +212,16 @@ class TestSimulate:
         assert not out.exists()
 
     def test_threads_env_picks_chunk_partition(self, monkeypatch):
-        args = build_parser().parse_args(["simulate", "--n-walks", "3000"])
-        assert _walk_params(args, 3000).chunk_size == 3000
+        def params(n_walks):
+            return _walk_params(build_parser().parse_args(["simulate", "--n-walks", str(n_walks)]))
+
+        assert params(3000).chunk_size == 3000
         monkeypatch.setenv("CHAMPAGNE_THREADS", "4")
-        params = _walk_params(args, 3000)
-        assert params.chunk_size == 750
-        assert len(range(0, params.n_walks, params.chunk_size)) == 4
+        four = params(3000)
+        assert four.chunk_size == 750
+        assert len(range(0, four.n_walks, four.chunk_size)) == 4
         # chunks never exceed the default size
-        assert _walk_params(args, 1_000_000).chunk_size == 32_768
+        assert params(1_000_000).chunk_size == 32_768
 
 
 class TestSweepAndReport:
@@ -503,6 +518,27 @@ class TestExitCodes:
         assert run(command, path, *extra, "--out-dir", tmp_path / "out") == 1
         if command != "capacity":
             assert "invalid: generation ring block 1" in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("command", ["check", "capacity", "simulate"])
+    @pytest.mark.parametrize("storage", ["rings", "reversed", "materialized"])
+    def test_overlap_across_a_dropped_prefix_exits_one(self, tmp_path, capsys, command, storage):
+        # slot 180 of the first ring and slot 123 of the second sit on one
+        # ray, 0.01 apart, and their discs of radius 0.006 meet; the
+        # verdict does not depend on block order or storage
+        rings = (
+            RingBlock(n=1, rho=0.7, log_r=math.log(0.006), count=190),
+            RingBlock(n=1, rho=0.71, log_r=math.log(0.006), count=130, a_start=113),
+        )
+        config = Configuration(blocks=rings[::-1] if storage == "reversed" else rings, n_max=1)
+        if storage == "materialized":
+            config = config.materialized()
+        path = tmp_path / "pair.json"
+        path.write_text(dumps_config(config))
+        extra = ["--n-walks", 10] if command == "simulate" else []
+        assert run(command, path, *extra, "--out-dir", tmp_path / "out") == 1
+        if command != "capacity":
+            assert capsys.readouterr().err.startswith("invalid: overlap")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("depths", ["6,x", "", "6,,8", "6.5", "-3", "6,-1"])

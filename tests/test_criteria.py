@@ -459,6 +459,30 @@ class TestSeparation:
         if kind == "plain":
             assert (j < 30) == (side > 0)
 
+    @pytest.mark.parametrize(
+        "rings, radius",
+        [
+            # the only aligned pair of active slots lies nine of the first
+            # ring's slot periods past its first slot
+            (((1, 0.7, 190, 0), (1, 0.71, 130, 113)), 0.004),
+            (((2, 0.8, 48, 7), (2, 0.84, 80, 3)), 1e-3),
+            (((1, 0.6, 97, 40), (1, 0.605, 101, 90)), 1e-3),
+            (((3, 0.88, 300, 250), (3, 0.8805, 7, 2)), 1e-5),
+        ],
+    )
+    @pytest.mark.parametrize("order", [1, -1])
+    @pytest.mark.parametrize("kind", ["plain", "radius_log"])
+    def test_prefix_rings_match_materialized(self, rings, radius, order, kind):
+        blocks = tuple(
+            RingBlock(n=n, rho=rho, log_r=math.log(radius), count=count, a_start=a_start)
+            for n, rho, count, a_start in rings
+        )[::order]
+        config = Configuration(blocks=blocks, n_max=3)
+        rep = separation(config, kind=kind)
+        # a pair across the two rings sets the minimum
+        assert sorted(rep.argmin_pair) == [0, len(blocks[0])]
+        assert rep.value == pytest.approx(separation(config.materialized(), kind=kind).value, rel=1e-12)
+
     def test_shrink_increases_radius_log_value(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.0, c0=0.2, n_min=1, n_max=4))
         v0 = separation(cfg, kind="radius_log").value

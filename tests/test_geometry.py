@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from champagne.geometry import (
     MAX_DISC_COUNT,
@@ -22,7 +23,6 @@ from champagne.geometry import (
     chord,
     distance_to_obstacles,
     dumps_config,
-    generation_of,
     generations_of,
     loads_config,
     ring_min_center_distance,
@@ -37,22 +37,49 @@ def disc(x, y, r):
     return Disc.from_radius(Point(x, y), r)
 
 
+def generation_of(s: float) -> int:
+    return int(generations_of([s])[0])
+
+
+def _assert_generation_rule(s: np.ndarray) -> None:
+    """generations_of(s) is the n >= 1 with 2^-n-1 < s <= 2^-n, or 0 for
+    s > 1/2."""
+    n = generations_of(s)
+    central = n == 0
+    assert np.all(s[central] > 0.5)
+    s, n = s[~central], n[~central].astype(np.float64)
+    assert np.all(n >= 1)
+    assert np.all((2.0 ** (-n - 1.0) < s) & (s <= 2.0**-n))
+
+
 class TestGeneration:
     def test_band_membership(self):
-        assert generation_of(0.3) == 1
-        assert generation_of(0.6) == 0
-        # upper band edge belongs to that generation
-        assert generation_of(0.25) == 2
-        assert generation_of(0.5) == 1
-        # lower edge rolls to the deeper generation whose upper edge it is
-        assert generation_of(0.125) == 3
+        # an upper band edge 2^-n belongs to generation n, so a lower edge
+        # rolls to the deeper generation whose upper edge it is
+        got = generations_of([0.3, 0.6, 0.25, 0.5, 0.125, 1.0])
+        assert got.tolist() == [1, 0, 2, 1, 3, 0]
 
-    def test_vectorized_matches_scalar(self):
-        rng = np.random.default_rng(7)
-        s = rng.uniform(1e-6, 1.0, size=500)
-        vec = generations_of(s)
-        for si, ni in zip(s, vec):
-            assert generation_of(float(si)) == ni
+    def test_every_band_edge_and_its_neighbours(self):
+        edges = 2.0 ** -np.arange(1075.0)
+        s = np.concatenate([edges, np.nextafter(edges, 0.0), np.nextafter(edges, 2.0)])
+        _assert_generation_rule(s[(s > 0.0) & (s <= 1.0)])
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.one_of(
+                st.floats(0.0, 1.0, exclude_min=True),
+                st.tuples(st.integers(0, 1074), st.sampled_from([0.0, 2.0])).map(
+                    lambda e: float(np.nextafter(2.0 ** -e[0], e[1]))
+                ),
+            ),
+            min_size=1,
+            max_size=40,
+        )
+    )
+    def test_matches_the_defining_inequality(self, gaps):
+        s = np.array(gaps)
+        _assert_generation_rule(s[(s > 0.0) & (s <= 1.0)])
 
     @pytest.mark.parametrize("size", [0, 1, 2, 40])
     def test_unique_sorted_matches_np_unique(self, size):
@@ -394,7 +421,45 @@ class TestDistance:
             assert d2 == pytest.approx(d1, abs=1e-12)
 
 
+@st.composite
+def _ring_pair(draw):
+    """Two rings with slot counts 1..200, equal or not, on equal or unequal
+    circles, each keeping all its slots or dropping a prefix."""
+    j1 = draw(st.integers(1, 200))
+    j2 = draw(st.one_of(st.just(j1), st.integers(1, 200)))
+    rho1 = draw(st.floats(0.2, 0.95))
+    rho2 = draw(st.one_of(st.just(rho1), st.floats(0.2, 0.95)))
+
+    def ring(count, rho):
+        a_start = draw(st.one_of(st.just(0), st.integers(0, count - 1)))
+        return RingBlock(n=1, rho=rho, log_r=-60.0, count=count, a_start=a_start)
+
+    return ring(j1, rho1), ring(j2, rho2)
+
+
 class TestRingHelpers:
+    @settings(max_examples=400, deadline=None)
+    @given(_ring_pair())
+    # the only radially aligned pair of active slots is slot 180 of the
+    # first ring with slot 123 of the second: within one period (13 slots)
+    # of the second ring's first active slot, but nine periods (19 slots
+    # each) past the first ring's first slot
+    @example(
+        (
+            RingBlock(n=1, rho=0.7, log_r=math.log(0.006), count=190),
+            RingBlock(n=1, rho=0.71, log_r=math.log(0.006), count=130, a_start=113),
+        )
+    )
+    def test_min_center_distance_is_the_slot_pair_minimum(self, rings):
+        r1, r2 = rings
+        got = ring_min_center_distance(r1, r2)
+        assert got == ring_min_center_distance(r2, r1)
+        dth = r1.angles()[:, None] - r2.angles()[None, :]
+        brute = np.sqrt((r1.rho - r2.rho) ** 2 + 4.0 * r1.rho * r2.rho * np.sin(dth / 2.0) ** 2)
+        # the absolute term covers slot pairs that coincide in exact
+        # arithmetic, whose rounded angles differ by about 1e-15
+        assert got == pytest.approx(float(brute.min()), rel=1e-12, abs=1e-12)
+
     def test_same_grid_rings_align_radially(self):
         r1 = RingBlock(n=2, rho=0.80, log_r=-50.0, count=64)
         r2 = RingBlock(n=2, rho=0.82, log_r=-50.0, count=64)
@@ -517,8 +582,6 @@ class TestConfiguration:
 
 # ---------------------------------------------------------------------------
 # locality-bounded queries against brute-force scans
-
-from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from champagne.geometry import _NO_ID, _DiscBand, _find_overlap, _nearest_rows  # noqa: E402
 
@@ -841,7 +904,7 @@ class TestLocalityQueries:
         r = np.exp(lr)
         meets = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :]) <= r[:, None] + r[None, :]
         np.fill_diagonal(meets, False)
-        got = _find_overlap(config, SpatialIndex(config))
+        got = _find_overlap(SpatialIndex(config))
         if not meets.any():
             assert got is None
         else:
@@ -1164,7 +1227,7 @@ class TestMixedOverlap:
         r = np.exp(lr)
         meets = np.hypot(x[:, None] - x, y[:, None] - y) <= r[:, None] + r
         np.fill_diagonal(meets, False)
-        got = _find_overlap(config, SpatialIndex(config))
+        got = _find_overlap(SpatialIndex(config))
         # the first ring block met by an explicit disc, its lowest such disc
         # and the slot that disc meets
         want = None
@@ -1247,4 +1310,4 @@ class TestRingPairPrefilter:
         rho = np.array([b.rho for b in blocks])
         rad = np.array([b.radius for b in blocks])
         assert list(_ring_pair_candidates(rho, rad)) == _dense_ring_pairs(rho, rad)
-        assert _find_overlap(config, SpatialIndex(config)) == _dense_ring_overlap(rings)
+        assert _find_overlap(SpatialIndex(config)) == _dense_ring_overlap(rings)
