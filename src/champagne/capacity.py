@@ -23,11 +23,11 @@ by the sampled minimum of the equilibrium potential, so that the reported
 value is the mass required to push the potential to 1 on the set.
 
 The cell capacity series reads one record per obstacle set,
-(n, ms, obstacles): the cells (n, m), m in the range ms, share it.  A ring
-generation of full rings that no explicit disc reaches holds congruent
-clusters, so one record and one cluster solve cover all its cells.  Every
-other cell, of explicit discs or of rings with a dropped prefix or reached
-by an explicit disc, is a record of its own.
+(n, ms, obstacles): the cells (n, m), m in the range ms, share it.  Cell m
+of a ring generation of rows of sector_count(n) * p slots holds slots
+[m p, (m + 1) p) of every row.  Each run of cells that keep all their slots
+and that no explicit disc reaches is one record of the generation's
+cluster, solved once.  Every other cell is gathered by slot index.
 
 A cluster solve needs the mutual potential of -log d at every one of its
 p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
@@ -182,8 +182,6 @@ class CapacityEstimate:
 
     log_value: float | None
     method: str
-    boundary_points: int = 0
-    error_hint: float = 0.0
     polar: bool = False
 
     @property
@@ -357,9 +355,7 @@ def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
         for p in parts
     ]
     if len(parts) == 1 and isinstance(parts[0], DiscShape):
-        return CapacityEstimate(
-            log_value=parts[0].log_r, method="exact_disc", error_hint=0.0
-        )
+        return CapacityEstimate(log_value=parts[0].log_r, method="exact_disc")
     if len(parts) == 1 and isinstance(parts[0], SegmentShape):
         if parts[0].length < POLAR_DIAMETER:
             return POLAR
@@ -371,17 +367,10 @@ def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
         return POLAR
     if len(pts) == 1:
         return POLAR if ell[0] < POLAR_DIAMETER else CapacityEstimate(
-            log_value=math.log(ell[0] / 4.0), method="energy_minimization",
-            boundary_points=1,
+            log_value=math.log(ell[0] / 4.0), method="energy_minimization"
         )
-    kernel = _log_kernel(pts, ell)
-    sol = minimize_simplex_energy(kernel)
-    return CapacityEstimate(
-        log_value=-sol.energy,
-        method="energy_minimization",
-        boundary_points=len(pts),
-        error_hint=sol.gap + 1.0 / len(pts),
-    )
+    sol = minimize_simplex_energy(_log_kernel(pts, ell))
+    return CapacityEstimate(log_value=-sol.energy, method="energy_minimization")
 
 
 def _is_empty(p: Shape) -> bool:
@@ -467,7 +456,6 @@ def _discs_disjoint(parts: Sequence[DiscShape]) -> bool:
 
 def _disc_system_capacity(parts: Sequence[DiscShape]) -> CapacityEstimate:
     """Union of disjoint discs via center charges with exact self-energies."""
-    n = len(parts)
     x = np.array([p.center.x for p in parts])
     y = np.array([p.center.y for p in parts])
     log_r = np.array([p.log_r for p in parts])
@@ -476,14 +464,7 @@ def _disc_system_capacity(parts: Sequence[DiscShape]) -> CapacityEstimate:
     kernel = -np.log(d)
     np.fill_diagonal(kernel, -log_r)
     sol = minimize_simplex_energy(kernel)
-    off = kernel - np.diag(np.diag(kernel))
-    rel = float(np.abs(off).max()) / float(np.diag(kernel).min())
-    return CapacityEstimate(
-        log_value=-sol.energy,
-        method="disc_system",
-        boundary_points=n,
-        error_hint=max(sol.gap, rel * rel),
-    )
+    return CapacityEstimate(log_value=-sol.energy, method="disc_system")
 
 
 # ---------------------------------------------------------------------------
@@ -553,30 +534,33 @@ class GenerationCluster:
     delta_theta: float      # angular spacing between columns
 
 
-def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
-    """Extract per-generation clusters from a ring-structured configuration.
-
-    Requires full rings (no dropped prefix) whose slot count is the sector
-    count times the row count, i.e. the output of the grid generators.
-    """
-    by_gen: dict[int, list[RingBlock]] = {}
+def _generation_rows(c: Configuration) -> dict[int, list[RingBlock]]:
+    """The ring blocks of each generation of ``c``, in block order."""
+    rows: dict[int, list[RingBlock]] = {}
     for b in c.blocks:
         if isinstance(b, RingBlock):
-            by_gen.setdefault(b.n, []).append(b)
-        elif len(b):
-            raise CapacityError(
-                "generation clusters need a ring-structured configuration"
-            )
+            rows.setdefault(b.n, []).append(b)
+    return rows
+
+
+def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
+    """The cluster that each ring generation of ``c`` places in its full
+    cells, whatever prefix its rows drop; explicit blocks are skipped.
+
+    Generation n needs rows of sector_count(n) * p slots, at most p of them.
+    p rows must be equally spaced; fewer, whose first rows were dropped
+    whole, leave no full cell and no cluster.
+    """
     out: dict[int, GenerationCluster] = {}
-    for n, rows in by_gen.items():
-        p = len(rows)
-        expected = sector_count(n) * p
-        for r in rows:
-            if r.a_start != 0 or r.count != expected:
-                raise CapacityError(
-                    "generation clusters need full rings with p rows of"
-                    f" {expected} slots at generation {n}"
-                )
+    for n, rows in _generation_rows(c).items():
+        p = rows[0].count // sector_count(n)
+        if len(rows) > p or {r.count for r in rows} != {sector_count(n) * p}:
+            raise CapacityError(
+                f"generation clusters need at most p rows of p * {sector_count(n)}"
+                f" slots at generation {n}"
+            )
+        if len(rows) < p:
+            continue
         rows = sorted(rows, key=lambda r: r.rho)
         rhos = np.array([r.rho for r in rows])
         if np.abs(rhos - np.linspace(rhos[0], rhos[-1], p)).max() > _ROW_SPACING_TOL:
@@ -588,7 +572,7 @@ def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
             rhos=rhos,
             log_rs=np.array([r.log_r for r in rows]),
             columns=p,
-            delta_theta=TWO_PI / expected,
+            delta_theta=TWO_PI / rows[0].count,
         )
     return out
 
@@ -855,23 +839,47 @@ def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
     return {k: tuple(v) for k, v in cells.items()}
 
 
+# The most discs a gathered cell may hold: each of its solves builds k x k
+# kernels, 32 MB apiece at this bound.
+_CELL_DISCS = 2048
+
+
 class ObstacleSet(NamedTuple):
     """The cells (n, m), m in ``ms``, that share one obstacle set: a ring
-    generation's cluster, congruent in each of its cells, or one cell's
-    gathered discs."""
+    generation's cluster, congruent in each cell of a run of its full cells,
+    or one cell's gathered discs."""
 
     n: int
     ms: range
     obstacles: GenerationCluster | tuple[Disc, ...]
 
 
+def _gather_cell(n: int, m: int, explicit_cells: dict, rows: list[RingBlock]) -> tuple[Disc, ...]:
+    """The discs of cell (n, m): its explicit ones (see :func:`_cell_discs`),
+    then by slot index its ring discs, row by row in the order of ``rows``,
+    placed as :meth:`RingBlock.positions` places them.  Refuses more than
+    _CELL_DISCS."""
+    explicit, cells = explicit_cells.get((n, m), ()), sector_count(n)
+    spans = [(r, max(r.a_start, m * r.count // cells), (m + 1) * r.count // cells) for r in rows]
+    count = len(explicit) + sum(max(hi - lo, 0) for _, lo, hi in spans)
+    if count > _CELL_DISCS:
+        raise CapacityError(f"cell (n={n}, m={m}) holds {count} discs, more than {_CELL_DISCS}")
+    discs = list(explicit)
+    for r, lo, hi in spans:
+        th = (np.arange(lo, hi, dtype=np.float64) + 0.5) * r.step
+        xs, ys = (r.rho * np.cos(th)).tolist(), (r.rho * np.sin(th)).tolist()
+        discs += [Disc(Point(x, y), r.log_r) for x, y in zip(xs, ys)]
+    return tuple(discs)
+
+
 def _obstacle_sets(c: Configuration) -> list[ObstacleSet]:
     """Obstacle set of every cell that holds discs, in (n, ms.start) order.
 
-    A generation made only of full rings, which no explicit disc reaches,
-    is one cluster.  Every other disc is gathered cell by cell: the explicit
-    discs, then the rings of a generation that has a dropped prefix or that
-    an explicit disc reaches, materialized.
+    Each maximal run of a ring generation's full cells that no explicit disc
+    reaches shares the generation's cluster.  The cells between the runs
+    are gathered by :func:`_gather_cell`: the partial cells of a dropped
+    prefix, from floor(min a_start / p) up to the first full cell
+    ceil(max a_start / p), and the cells that an explicit disc reaches.
 
     Built once per configuration and kept on it, which is immutable, so
     that the weights, the table, quasiadditivity and the log bound of one
@@ -879,19 +887,23 @@ def _obstacle_sets(c: Configuration) -> list[ObstacleSet]:
     """
     memo = vars(c)
     if "_obstacle_sets" not in memo:
-        cells = _cell_discs(c)
-        rings = [b for b in c.blocks if isinstance(b, RingBlock)]
-        gathered = {n for n, _ in cells} | {b.n for b in rings if b.a_start}
-        cut = Configuration(blocks=tuple(b for b in rings if b.n in gathered), n_max=c.n_max)
-        for key, discs in _cell_discs(cut.materialized()).items():
-            cells[key] = cells.get(key, ()) + discs
-        kept = tuple(b for b in rings if b.n not in gathered)
-        full = c if len(kept) == len(c.blocks) else Configuration(blocks=kept, n_max=c.n_max)
-        sets = [
-            ObstacleSet(n, range(sector_count(n)), cluster)
-            for n, cluster in generation_clusters(full).items()
+        explicit = _cell_discs(c)
+        clusters = generation_clusters(c)
+        rings = _generation_rows(c)
+        reached, gathered, sets = sorted(explicit), set(explicit), []
+        for n, rows in rings.items():
+            p, starts = rows[0].count // sector_count(n), [r.a_start for r in rows]
+            full = -(-max(starts) // p) if n in clusters else sector_count(n)
+            gathered.update((n, m) for m in range(min(starts) // p, full))
+            lo, i = full, bisect.bisect_left(reached, (n, full))
+            for _, m in reached[i : bisect.bisect_left(reached, (n + 1,))] + [(n, sector_count(n))]:
+                if lo < m:
+                    sets.append(ObstacleSet(n, range(lo, m), clusters[n]))
+                lo = m + 1
+        sets += [
+            ObstacleSet(n, range(m, m + 1), _gather_cell(n, m, explicit, rings.get(n, [])))
+            for n, m in sorted(gathered)
         ]
-        sets += [ObstacleSet(n, range(m, m + 1), discs) for (n, m), discs in cells.items()]
         sets.sort(key=lambda s: (s.n, s.ms.start))
         memo["_obstacle_sets"] = sets
     return memo["_obstacle_sets"]
@@ -946,17 +958,19 @@ def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> list[Ce
     """One weight row per obstacle set of generation at most ``n_max``, in
     (n, ms.start) order.
 
-    One cluster solve gives the shared weight of all cells of a clustered
-    ring generation; every other cell is solved on its own discs.  Polar
-    cells have no row.
+    One cluster solve gives the shared weight of every run of a ring
+    generation's full cells; every other cell is solved on its own discs.
+    Polar cells have no row.
     """
     keep_n = c.n_max if n_max is None else n_max
-    rows = []
+    rows, solved = [], {}
     for n, ms, obstacles in _obstacle_sets(c):
         if n > keep_n:
             break
         if isinstance(obstacles, GenerationCluster):
-            log_cap = cluster_log_capacity(obstacles)
+            if n not in solved:
+                solved[n] = cluster_log_capacity(obstacles)
+            log_cap = solved[n]
         else:
             try:
                 est = log_capacity(_cell_shape(WhitneyIndex(n, ms.start), obstacles))
@@ -1013,11 +1027,14 @@ def cell_capacity_table(
 ) -> list[tuple[CellWeight, float]]:
     """Each row of ``weights`` (from :func:`cell_capacity_weights`, whose
     ``ms`` may be cut short) with the C2 capacity of its obstacle set scaled
-    by ``constants.cell_scale(n)``."""
-    table = []
+    by ``constants.cell_scale(n)``, solved once for all runs of a cluster."""
+    table, solved = [], {}
     for row in weights:
         obstacles = _cell_obstacles(c, WhitneyIndex(row.n, row.ms.start))
-        table.append((row, _scaled_c2(obstacles, constants.cell_scale(row.n))[0]))
+        key = row.n if isinstance(obstacles, GenerationCluster) else (row.n, row.ms.start)
+        if key not in solved:
+            solved[key] = _scaled_c2(obstacles, constants.cell_scale(row.n))[0]
+        table.append((row, solved[key]))
     return table
 
 

@@ -383,7 +383,7 @@ def cmd_capacity(args) -> int:
         quasiadditivity_ratio,
     )
     from .criteria import BoundaryPoint, separation, shrink_for_separation
-    from .geometry import WhitneyIndex, radius_from_log, validate_configuration
+    from .geometry import WhitneyIndex, radius_from_log
 
     for flag in ("n_max", "max_cells", "max_cells_per_generation"):
         value = getattr(args, flag)
@@ -391,9 +391,7 @@ def cmd_capacity(args) -> int:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     path = Path(args.config)
     config = _load_config(str(path))
-    report = validate_configuration(config)
-    if not report.ok:
-        print("configuration invalid; run check for details", file=sys.stderr)
+    if not _valid(config):
         return EXIT_INVALID
     constants = CapacityConstants.for_configuration(config)
     weights = cell_capacity_weights(config, n_max=args.n_max)
@@ -526,13 +524,13 @@ def cmd_simulate(args) -> int:
     params = _walk_params(args)
     if args.trace < 0:
         raise UsageError(f"--trace must be >= 0, got {args.trace}")
+    if (args.annulus is None) == (args.config is None):
+        both = "" if args.config is None else f", not both {args.config} and --annulus {args.annulus!r}"
+        raise UsageError(f"pass a configuration file or --annulus R0{both}")
     if args.annulus is not None:
         config = concentric_obstacle_config(args.annulus)
         input_hash = None
         config_name = f"annulus(r0={args.annulus!r})"
-    elif args.config is None:
-        print("pass a configuration file or --annulus R0", file=sys.stderr)
-        return EXIT_IO
     else:
         path = Path(args.config)
         config = _load_config(str(path))

@@ -48,7 +48,7 @@ from champagne.generators import (
     subdivision_count,
     truncate,
 )
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 from champagne.geometry import (
     Configuration,
     Disc,
@@ -400,12 +400,35 @@ class TestClusters:
         assert row.n == small_row.n == 3
         np.testing.assert_allclose(small_row.obstacles.log_rs, row.obstacles.log_rs - 10.0)
 
-    def test_rejects_prefixed_rings(self):
-        from champagne.generators import truncate
+    @pytest.mark.parametrize("drop_first", [3, 9 * 20 + 4, 9 * 127 + 3, 9 * 127 + 2])
+    def test_prefixed_rows_keep_the_cluster(self, drop_first):
+        # generation 3 of beta 1.2 has p = 3 rows of 384 slots; the last two
+        # prefixes end inside its last cell, the first by dropping whole rows
+        full = generation_clusters(self._config())[3]
+        cut = generate_subsquares(
+            GeneratorParams.exp_power(beta=1.2, c0=0.05, n_min=3, n_max=3, drop_first=drop_first)
+        )
+        clusters = generation_clusters(cut)
+        if len(cut.blocks) < full.columns:
+            assert clusters == {}
+            return
+        assert full.columns == clusters[3].columns == 3
+        assert clusters[3].delta_theta == full.delta_theta
+        np.testing.assert_array_equal(clusters[3].rhos, full.rhos)
+        np.testing.assert_array_equal(clusters[3].log_rs, full.log_rs)
 
-        cfg = truncate(self._config(), drop_first=3)
-        with pytest.raises(CapacityError):
-            generation_clusters(cfg)
+    def test_skips_explicit_blocks(self):
+        cfg = self._config()
+        explicit = DiscBlock(np.array([0.6]), np.zeros(1), np.array([-9.0]))
+        clusters = generation_clusters(Configuration(blocks=(explicit,) + cfg.blocks, n_max=3))
+        assert list(clusters) == [3]
+        np.testing.assert_array_equal(clusters[3].rhos, generation_clusters(cfg)[3].rhos)
+
+    def test_rejects_more_rows_than_p(self):
+        rows = self._config().blocks
+        extra = RingBlock(3, 0.5 * (rows[0].rho + rows[1].rho), -50.0, rows[0].count)
+        with pytest.raises(CapacityError, match="at most p rows"):
+            generation_clusters(Configuration(blocks=rows + (extra,), n_max=3))
 
     def test_rejects_unequally_spaced_rows(self):
         rows = generation_clusters(self._config())[3].rhos
@@ -617,10 +640,16 @@ class TestObstacleRows:
             for a, b in zip(rows, rows[1:]):
                 assert a.n < b.n or a.ms.stop <= b.ms.start
         assert [(row.n, row.ms) for row in weights] == [(row.n, row.ms) for row in sets]
-        # generation 8 alone is a cluster; 6 is cut and 7 is reached
-        assert [row.n for row in sets if len(row.ms) > 1] == [8]
-        assert [row.ms.start for row in sets if row.n == 6] == list(range(5, 1024))
-        assert len([row for row in sets if row.n == 7]) == 2048
+        # runs of full cells share their generation's cluster: 6 is cut
+        # before cell 5, and the edge disc reaches cells 39 and 40 of 7
+        runs = [(row.n, row.ms) for row in sets if isinstance(row.obstacles, GenerationCluster)]
+        assert runs == [(6, range(5, 1024)), (7, range(39)), (7, range(41, 2048)), (8, range(4096))]
+        gathered = [
+            (row.n, row.ms.start, len(row.obstacles))
+            for row in sets
+            if row.n > 1 and not isinstance(row.obstacles, GenerationCluster)
+        ]
+        assert gathered == [(7, 39, 2), (7, 40, 2)]
 
     def test_cell_lookup(self):
         cfg = self._mixed()
@@ -630,10 +659,57 @@ class TestObstacleRows:
                 assert _cell_obstacles(cfg, WhitneyIndex(row.n, m)) is row.obstacles
         for idx in (WhitneyIndex(1, 5), WhitneyIndex(6, 0), WhitneyIndex(6, 4), WhitneyIndex(9, 0)):
             assert _cell_obstacles(cfg, idx) is None
-        # the edge disc joins the ring discs of both cells it meets
-        assert [len(_cell_obstacles(cfg, WhitneyIndex(7, m))) for m in (38, 39, 40, 41)] == [
-            1, 2, 2, 1,
-        ]
+        # the runs on either side of the edge disc share one cluster, and the
+        # two cells it meets hold it before their ring disc
+        cluster = _cell_obstacles(cfg, WhitneyIndex(7, 38))
+        assert _cell_obstacles(cfg, WhitneyIndex(7, 41)) is cluster
+        for m in (39, 40):
+            edge, ring = _cell_obstacles(cfg, WhitneyIndex(7, m))
+            assert edge.log_radius == -12.0 and ring.log_radius == cluster.log_rs[0]
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        beta=st.sampled_from([1.2, 1.5]),
+        n_max=st.integers(1, 4),
+        drop=st.integers(0, 10**6),
+        edge=st.none() | st.integers(0, 10**6),
+    )
+    # n <= 4 at beta 1.5 holds 18,720 discs: the first drop ends in the last
+    # cell of generation 4 and omits its first row, the second drop ends
+    # on the edge between cells 9 and 10 of generation 4, where the third
+    # example puts an explicit disc
+    @example(beta=1.5, n_max=4, drop=18664, edge=None)
+    @example(beta=1.5, n_max=4, drop=2336 + 640, edge=None)
+    @example(beta=1.5, n_max=4, drop=2336 + 640, edge=10)
+    def test_sets_match_the_materialized_gather(self, beta, n_max, drop, edge):
+        # a generated file, less any prefix, with or without one explicit
+        # disc centred on a radial cell edge of one of its ring generations
+        total = sum(sector_count(n) * subdivision_count(n, beta) ** 2 for n in range(1, n_max + 1))
+        rings = generate_subsquares(
+            GeneratorParams.exp_power(beta=beta, c0=0.05, n_min=1, n_max=n_max, drop_first=drop % total)
+        )
+        cfg = rings
+        if edge is not None:
+            gens = sorted({b.n for b in rings.blocks})
+            n = gens[edge % len(gens)]
+            theta = 2.0 * math.pi * (edge // len(gens) % sector_count(n)) / sector_count(n)
+            rho = 1.0 - 0.75 * 2.0**-n
+            explicit = DiscBlock(
+                np.array([rho * math.cos(theta)]), np.array([rho * math.sin(theta)]), np.array([-9.0 - n])
+            )
+            cfg = Configuration(blocks=(explicit,) + rings.blocks, n_max=n_max)
+        want = _cell_discs(cfg.materialized())
+        got = {}
+        for n, ms, obstacles in _obstacle_sets(cfg):
+            for m in ms:
+                assert (n, m) not in got
+                got[(n, m)] = obstacles
+        assert got.keys() == want.keys()
+        for key, obstacles in got.items():
+            if isinstance(obstacles, GenerationCluster):
+                assert len(want[key]) == obstacles.columns**2 == obstacles.columns * len(obstacles.rhos)
+            else:
+                assert obstacles == want[key]
 
 
 class TestCellGather:

@@ -163,6 +163,21 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("error: --trace must be >= 0")
         assert not out.exists()
 
+    def test_config_and_annulus_is_a_usage_failure(self, cfg_path, tmp_path, capsys):
+        out = tmp_path / "both"
+        argv = ("simulate", cfg_path, "--annulus", 0.25, "--start-x", 0.5, "--n-walks", 100)
+        assert run(*argv, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: pass a configuration file or --annulus R0")
+        assert str(cfg_path) in err and "--annulus 0.25" in err
+        assert not out.exists()
+
+    def test_no_input_is_a_usage_failure(self, tmp_path, capsys):
+        out = tmp_path / "none"
+        assert run("simulate", "--n-walks", 100, "--out-dir", out) == 2
+        assert capsys.readouterr().err == "error: pass a configuration file or --annulus R0\n"
+        assert not out.exists()
+
     def test_trace_rows(self, tmp_path):
         out = tmp_path / "tr"
         code = run(
@@ -417,6 +432,47 @@ class TestCapacityCommand:
             want = float(twin_rows[key]["log_capacity"])
             assert float(row["log_capacity"]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    def test_cut_cell_alone_is_gathered(self, tmp_path):
+        # the flagship n <= 6 less 3000 discs: the prefix ends inside cell 10
+        # of generation 4 (p = 8), which is solved on its own discs; every
+        # other row is the unprefixed file's, its run sharing the cluster
+        from champagne.capacity import (
+            CapacityConstants,
+            _cell_discs,
+            _cell_shape,
+            c2_disc_system,
+            log_capacity,
+        )
+        from champagne.geometry import WhitneyIndex
+
+        tables = {}
+        for drop in (0, 3000):
+            path, out = tmp_path / f"drop{drop}.json", tmp_path / f"cap{drop}"
+            assert run(
+                "generate", "subsquares", "--beta", 1.5, "--c0", 0.05, "--n-max", 6,
+                "--drop-first", drop, "-o", path,
+            ) == 0
+            assert run("capacity", path, "--max-cells-per-generation", 1024, "--out-dir", out) == 0
+            with open(out / "capacity.csv", newline="") as fh:
+                tables[drop] = {(int(r["n"]), int(r["m"])): r for r in csv.DictReader(fh)}
+        cut, full = tables[3000], tables[0]
+        assert sorted(cut) == [k for k in sorted(full) if k >= (4, 10)]
+        for key, row in cut.items():
+            if key != (4, 10):
+                assert row == full[key]
+        cfg = loads_config((tmp_path / "drop3000.json").read_text())
+        discs = _cell_discs(cfg.materialized())[(4, 10)]
+        assert len(discs) == 40
+        est = log_capacity(_cell_shape(WhitneyIndex(4, 10), discs))
+        assert cut[(4, 10)]["log_capacity"] == repr(est.log_value)
+        scale = CapacityConstants.for_configuration(cfg).cell_scale(4)
+        c2, _ = c2_disc_system(
+            np.array([d.center.x for d in discs]) * scale,
+            np.array([d.center.y for d in discs]) * scale,
+            np.array([d.log_radius for d in discs]) + math.log(scale),
+        )
+        assert cut[(4, 10)]["c2_scaled"] == repr(c2)
+
     @pytest.mark.parametrize("storage", ["explicit", "cut", "reached"])
     def test_cells_capped_per_generation(self, tmp_path, storage):
         # an explicit generation, a cut one and one that an explicit disc
@@ -466,9 +522,9 @@ class TestExitCodes:
         assert run("simulate", "--annulus", 0.25, "--out-dir", tmp_path) == 1
         assert capsys.readouterr().err.startswith("error:")
 
-    def test_materialization_too_large_exits_one(self, tmp_path, capsys):
-        # the prefix cuts generation 8 of the flagship, 16.7M discs, which
-        # are too many to gather cell by cell
+    def test_cell_bound_exits_one(self, tmp_path, capsys):
+        # the prefix cuts cell 0 of generation 8 of the flagship, whose
+        # 4095 discs are too many for one cell's solve
         path = tmp_path / "big.json"
         assert run(
             "generate", "subsquares", "--beta", 1.5, "--c0", 0.05, "--n-max", 8,
@@ -476,7 +532,8 @@ class TestExitCodes:
         ) == 0
         assert run("capacity", path, "--out-dir", tmp_path / "cap") == 1
         err = capsys.readouterr().err
-        assert err.startswith("error:") and "materialization limit" in err
+        assert err.startswith("error: cell (n=8, m=0) holds 4095 discs") and "Traceback" not in err
+        assert not (tmp_path / "cap").exists()
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -516,8 +573,7 @@ class TestExitCodes:
         path.write_text(dumps_config(Configuration(blocks=rings, n_max=2)))
         extra = ["--n-walks", 10] if command in ("simulate", "sweep") else []
         assert run(command, path, *extra, "--out-dir", tmp_path / "out") == 1
-        if command != "capacity":
-            assert "invalid: generation ring block 1" in capsys.readouterr().err
+        assert "invalid: generation ring block 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["check", "capacity", "simulate"])
@@ -537,8 +593,7 @@ class TestExitCodes:
         path.write_text(dumps_config(config))
         extra = ["--n-walks", 10] if command == "simulate" else []
         assert run(command, path, *extra, "--out-dir", tmp_path / "out") == 1
-        if command != "capacity":
-            assert capsys.readouterr().err.startswith("invalid: overlap")
+        assert capsys.readouterr().err.startswith("invalid: overlap")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("depths", ["6,x", "", "6,,8", "6.5", "-3", "6,-1"])
