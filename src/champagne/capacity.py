@@ -27,7 +27,9 @@ The cell capacity series reads one record per obstacle set,
 of a ring generation of rows of sector_count(n) * p slots holds slots
 [m p, (m + 1) p) of every row.  Each run of cells that keep all their slots
 and that no explicit disc reaches is one record of the generation's
-cluster, solved once.  Every other cell is gathered by slot index.
+cluster, solved once.  Every other cell is gathered as arrays: its explicit
+discs, found from the cell that holds each centre (a disc inside that cell
+meets no other), then its ring discs by slot index.
 
 A cluster solve needs the mutual potential of -log d at every one of its
 p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
@@ -91,6 +93,7 @@ from .geometry import (
     generations_of,
     radius_from_log,
     sector_count,
+    spatial_index,
     whitney_cell,
 )
 
@@ -739,104 +742,54 @@ def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
 # the cell capacity series
 
 
-# A (disc, cell) pair whose distance clears the disc's radius by at least
-# this, either way, is decided in numpy: far above the rounding of any
-# distance inside the unit disc.  Nearer pairs take the exact scalar test.
+# A disc whose distance to the boundary of the cell holding its centre
+# exceeds its radius by more than this is decided in numpy: far above the
+# rounding of any distance inside the unit disc.  Every other disc takes the
+# exact scalar test.
 _GATHER_SLACK = 1e-12
-# Discs gathered per numpy pass: keeps the pair arrays a few MB.
-_GATHER_CHUNK = 1 << 12
 
 
-def _expand(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(owner, k) for k in range(counts[owner]) of every owner, in order."""
-    owner = np.repeat(np.arange(len(counts)), counts)
-    starts = np.cumsum(counts) - counts
-    return owner, np.arange(len(owner)) - starts[owner]
-
-
-def _cell_pairs(x: np.ndarray, y: np.ndarray, log_r: np.ndarray):
-    """(i, n, m, exact): the cells (n, m) that disc i surely meets, and a
-    mask of the discs left to :func:`cells_intersecting_disc`.
-
-    A disc's candidates are the cells of the generations around
-    s = 1 - |x| +- r, widened by one, whose radial band comes within
-    r + _GATHER_SLACK of the center, in the sectors around its angle
-    +- asin((r + _GATHER_SLACK) / |x|), widened by one on either side: every
-    other cell is farther from the center.  A disc is left to the exact test
-    when one of its pairs comes within _GATHER_SLACK of tangency, when its
-    candidate sectors cover a whole generation, and when it spans more than
-    five generations.
-    """
+def _home_cells(x: np.ndarray, y: np.ndarray, log_r: np.ndarray):
+    """(n, m, inside) per disc: the cell (n, m) that holds its centre, n = 0
+    in the central region, and whether the disc lies inside that cell with
+    _GATHER_SLACK to spare, when it meets that cell and no other.  The
+    centre is at least rho sin(angle to the nearer edge) from the radial
+    edges, its distance to their lines."""
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
     rho = np.hypot(x, y)
-    theta = np.mod(np.arctan2(y, x), TWO_PI)
-    s = 1.0 - rho
-    reach = r + _GATHER_SLACK
-    n_lo = np.maximum(generations_of(np.clip(s + reach, 1e-300, 0.5)) - 1, 1)
-    n_hi = generations_of(np.clip(s - reach, 1e-300, 0.5)) + 1
-    exact = (rho <= reach) | (n_hi - n_lo > 4)
-    i, k = _expand(np.where(exact, 0, n_hi - n_lo + 1))
-    n = n_lo[i] + k
-    gap = np.maximum(np.ldexp(1.0, -n - 1) - s[i], s[i] - np.ldexp(1.0, -n))
-    keep = gap <= reach[i]
-    i, n = i[keep], n[keep]
+    n = generations_of(1.0 - rho)
     sectors = np.ldexp(1.0, n + 4)
     step = TWO_PI / sectors
-    half = np.arcsin(np.minimum(1.0, reach[i] / rho[i]))
-    m_lo = np.floor((theta[i] - half) / step) - 1.0
-    spans = (np.floor((theta[i] + half) / step) + 2.0 - m_lo).astype(np.int64)
-    wide = spans >= sectors
-    exact[i[wide]] = True
-    j, k = _expand(np.where(wide, 0, spans))
-    i, n, step = i[j], n[j], step[j]
-    m = np.mod(m_lo[j] + k, sectors[j])
-    # the distance from the center to the closed cell, as WhitneyCell.distance_to
-    r_in, r_out = 1.0 - np.ldexp(1.0, -n), 1.0 - np.ldexp(1.0, -n - 1)
-    lo, hi = m * step, (m + 1.0) * step
-    px, py, p_rho = x[i], y[i], rho[i]
-    rel = np.mod(theta[i] - lo, TWO_PI)
-    within = rel <= hi - lo
-    d = np.maximum(np.maximum(r_in - p_rho, p_rho - r_out), 0.0)
-    edge = np.full(len(i), np.inf)
-    for e in (lo, hi):
-        ex, ey = np.cos(e), np.sin(e)
-        t = np.clip(px * ex + py * ey, r_in, r_out)
-        np.minimum(edge, np.hypot(px - t * ex, py - t * ey), out=edge)
-    d = np.where(within, d, edge)
-    # a center inside the cell by the margin is at distance 0 in any rounding
-    inside = (
-        within
-        & (np.minimum(rel, hi - lo - rel) >= _GATHER_SLACK)
-        & (np.minimum(p_rho - r_in, r_out - p_rho) >= _GATHER_SLACK)
+    theta = np.mod(np.arctan2(y, x), TWO_PI)
+    m = np.floor(theta / step)
+    rel = theta - m * step
+    margin = np.minimum(
+        np.minimum(rho - (1.0 - np.ldexp(1.0, -n)), 1.0 - np.ldexp(1.0, -n - 1) - rho),
+        rho * np.sin(np.minimum(rel, step - rel)),
     )
-    hit = inside | (d <= r[i] - _GATHER_SLACK)
-    exact[i[~hit & (d < r[i] + _GATHER_SLACK)]] = True
-    hit &= ~exact[i]
-    return i[hit], n[hit], m[hit].astype(np.int64), exact
+    inside = (n > 0) & (margin - r > _GATHER_SLACK)
+    return n, np.mod(m, sectors).astype(np.int64), inside
 
 
-def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
-    """Map (n, m) -> the discs of the explicit blocks of ``c`` whose closed
-    disc meets the closed cell, in canonical order: the cells of
-    :func:`cells_intersecting_disc`, decided in numpy for every pair that
-    is not near tangency (see :func:`_cell_pairs`)."""
-    cells: dict[tuple[int, int], list[Disc]] = {}
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            continue
-        for lo in range(0, len(b), _GATHER_CHUNK):
-            part = slice(lo, lo + _GATHER_CHUNK)
-            i, n, m, exact = _cell_pairs(b.x[part], b.y[part], b.log_r[part])
-            pairs = list(zip(i.tolist(), n.tolist(), m.tolist()))
-            for e in np.flatnonzero(exact).tolist():
-                pairs += [(e, idx.n, idx.m) for idx in cells_intersecting_disc(b.disc(lo + e))]
-            discs = {}
-            for e, n, m in sorted(pairs):
-                if e not in discs:
-                    discs[e] = b.disc(lo + e)
-                cells.setdefault((n, m), []).append(discs[e])
-    return {k: tuple(v) for k, v in cells.items()}
+def _cell_discs(c: Configuration) -> dict[tuple[int, int], np.ndarray]:
+    """Map (n, m) -> the indices into ``spatial_index(c).exp_*`` of the
+    explicit discs whose closed disc meets the closed cell, ascending: the
+    cells of :func:`cells_intersecting_disc`.  A disc inside its home cell
+    (see :func:`_home_cells`) meets that cell alone; every other disc takes
+    the scalar test."""
+    ex = spatial_index(c)
+    n, m, inside = _home_cells(ex.exp_x, ex.exp_y, ex.exp_log_r)
+    pairs = [np.stack([n, m, np.arange(len(n))])[:, inside]]
+    for e in np.flatnonzero(~inside).tolist():
+        d = Disc(Point(float(ex.exp_x[e]), float(ex.exp_y[e])), float(ex.exp_log_r[e]))
+        pairs += [np.array([[idx.n], [idx.m], [e]]) for idx in cells_intersecting_disc(d)]
+    n, m, i = np.concatenate(pairs, axis=1)
+    order = np.lexsort((i, m, n))
+    n, m, i = n[order], m[order], i[order]
+    starts = np.flatnonzero(np.diff(n, prepend=-1) | np.diff(m, prepend=-1)).tolist()
+    cells = zip(n[starts].tolist(), m[starts].tolist())
+    return {cell: i[lo:hi] for cell, lo, hi in zip(cells, starts, starts[1:] + [len(i)])}
 
 
 # The most discs a gathered cell may hold: each of its solves builds k x k
@@ -844,32 +797,60 @@ def _cell_discs(c: Configuration) -> dict[tuple[int, int], tuple[Disc, ...]]:
 _CELL_DISCS = 2048
 
 
+class CellDiscs(NamedTuple):
+    """The discs that meet one gathered cell, as arrays, with ``inside``
+    true where a disc lies inside this cell, its home cell, with
+    _GATHER_SLACK to spare (see :func:`_home_cells`)."""
+
+    x: np.ndarray
+    y: np.ndarray
+    log_r: np.ndarray
+    inside: np.ndarray
+
+
 class ObstacleSet(NamedTuple):
     """The cells (n, m), m in ``ms``, that share one obstacle set: a ring
     generation's cluster, congruent in each cell of a run of its full cells,
-    or one cell's gathered discs."""
+    or one cell's gathered discs as arrays."""
 
     n: int
     ms: range
-    obstacles: GenerationCluster | tuple[Disc, ...]
+    obstacles: GenerationCluster | CellDiscs
 
 
-def _gather_cell(n: int, m: int, explicit_cells: dict, rows: list[RingBlock]) -> tuple[Disc, ...]:
-    """The discs of cell (n, m): its explicit ones (see :func:`_cell_discs`),
-    then by slot index its ring discs, row by row in the order of ``rows``,
-    placed as :meth:`RingBlock.positions` places them.  Refuses more than
-    _CELL_DISCS."""
-    explicit, cells = explicit_cells.get((n, m), ()), sector_count(n)
-    spans = [(r, max(r.a_start, m * r.count // cells), (m + 1) * r.count // cells) for r in rows]
-    count = len(explicit) + sum(max(hi - lo, 0) for _, lo, hi in spans)
-    if count > _CELL_DISCS:
-        raise CapacityError(f"cell (n={n}, m={m}) holds {count} discs, more than {_CELL_DISCS}")
-    discs = list(explicit)
-    for r, lo, hi in spans:
-        th = (np.arange(lo, hi, dtype=np.float64) + 0.5) * r.step
-        xs, ys = (r.rho * np.cos(th)).tolist(), (r.rho * np.sin(th)).tolist()
-        discs += [Disc(Point(x, y), r.log_r) for x, y in zip(xs, ys)]
-    return tuple(discs)
+def _gather(cells: list, explicit: dict, rings: dict, stored: tuple) -> list[CellDiscs]:
+    """The discs of each cell (n, m) of ``cells``: its explicit ones, the
+    entries of ``explicit`` (see :func:`_cell_discs`) into the arrays
+    ``stored`` = (x, y, log_r), then by slot index its ring discs, row by
+    row in block order, placed as :meth:`RingBlock.positions` places them.
+    One :func:`_home_cells` pass marks the discs inside their cell.  Refuses
+    a cell of more than _CELL_DISCS discs."""
+    parts, picks, none = [stored], [], np.empty(0, dtype=np.int64)
+    size = len(stored[0])
+    for n, m in cells:
+        pick = [explicit.get((n, m), none)]
+        for r in rings.get(n, ()):
+            p = r.count // sector_count(n)
+            lo, hi = max(r.a_start, m * p), (m + 1) * p
+            if lo < hi:
+                th = (np.arange(lo, hi, dtype=np.float64) + 0.5) * r.step
+                parts.append((r.rho * np.cos(th), r.rho * np.sin(th), np.full(hi - lo, r.log_r)))
+                pick.append(np.arange(size, size + hi - lo))
+                size += hi - lo
+        count = sum(map(len, pick))
+        if count > _CELL_DISCS:
+            raise CapacityError(f"cell (n={n}, m={m}) holds {count} discs, more than {_CELL_DISCS}")
+        picks.append(pick[0] if len(pick) == 1 else np.concatenate(pick))
+    order, sizes = np.concatenate([none, *picks]), [len(p) for p in picks]
+    x, y, log_r = (np.concatenate(a)[order] for a in zip(*parts))
+    n, m, inside = _home_cells(x, y, log_r)
+    home = np.repeat(np.array(cells, dtype=np.int64).reshape(-1, 2), sizes, axis=0)
+    inside &= (n == home[:, 0]) & (m == home[:, 1])
+    for a in (x, y, log_r, inside):
+        a.setflags(write=False)
+    ends = np.cumsum(sizes).tolist()
+    bounds = zip([0] + ends, ends)
+    return [CellDiscs(x[lo:hi], y[lo:hi], log_r[lo:hi], inside[lo:hi]) for lo, hi in bounds]
 
 
 def _obstacle_sets(c: Configuration) -> list[ObstacleSet]:
@@ -877,9 +858,10 @@ def _obstacle_sets(c: Configuration) -> list[ObstacleSet]:
 
     Each maximal run of a ring generation's full cells that no explicit disc
     reaches shares the generation's cluster.  The cells between the runs
-    are gathered by :func:`_gather_cell`: the partial cells of a dropped
-    prefix, from floor(min a_start / p) up to the first full cell
-    ceil(max a_start / p), and the cells that an explicit disc reaches.
+    are gathered by :func:`_gather` as arrays: the partial cells of a
+    dropped prefix, from floor(min a_start / p) up to the first full cell
+    ceil(max a_start / p), and the cells that an explicit disc reaches,
+    found from the cell that holds each disc's centre.
 
     Built once per configuration and kept on it, which is immutable, so
     that the weights, the table, quasiadditivity and the log bound of one
@@ -887,22 +869,27 @@ def _obstacle_sets(c: Configuration) -> list[ObstacleSet]:
     """
     memo = vars(c)
     if "_obstacle_sets" not in memo:
-        explicit = _cell_discs(c)
+        explicit, stored = {}, (np.empty(0),) * 3
+        if any(isinstance(b, DiscBlock) and len(b) for b in c.blocks):
+            ex = spatial_index(c)
+            explicit, stored = _cell_discs(c), (ex.exp_x, ex.exp_y, ex.exp_log_r)
         clusters = generation_clusters(c)
         rings = _generation_rows(c)
-        reached, gathered, sets = sorted(explicit), set(explicit), []
+        # _cell_discs lists its cells in (n, m) order
+        reached, gathered, sets = list(explicit), dict.fromkeys(explicit), []
         for n, rows in rings.items():
             p, starts = rows[0].count // sector_count(n), [r.a_start for r in rows]
             full = -(-max(starts) // p) if n in clusters else sector_count(n)
-            gathered.update((n, m) for m in range(min(starts) // p, full))
+            gathered.update(dict.fromkeys((n, m) for m in range(min(starts) // p, full)))
             lo, i = full, bisect.bisect_left(reached, (n, full))
             for _, m in reached[i : bisect.bisect_left(reached, (n + 1,))] + [(n, sector_count(n))]:
                 if lo < m:
                     sets.append(ObstacleSet(n, range(lo, m), clusters[n]))
                 lo = m + 1
+        gathered = sorted(gathered)
         sets += [
-            ObstacleSet(n, range(m, m + 1), _gather_cell(n, m, explicit, rings.get(n, [])))
-            for n, m in sorted(gathered)
+            ObstacleSet(n, range(m, m + 1), discs)
+            for (n, m), discs in zip(gathered, _gather(gathered, explicit, rings, stored))
         ]
         sets.sort(key=lambda s: (s.n, s.ms.start))
         memo["_obstacle_sets"] = sets
@@ -921,27 +908,29 @@ def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
 def _scaled_c2(obstacles, scale: float) -> tuple[float, float, int]:
     """(C2 of the obstacle set scaled by ``scale``, sum of the scaled
     per-disc C2 values, disc count) for a generation's cluster or one cell's
-    explicit discs."""
+    gathered discs."""
     if isinstance(obstacles, GenerationCluster):
         union_c2, _ = cluster_c2(obstacles, scale)
         diag = LOG2 - (obstacles.log_rs + math.log(scale))
         parts_sum = float(obstacles.columns * np.sum(1.0 / diag))
         return union_c2, parts_sum, obstacles.columns * len(obstacles.rhos)
-    x = np.array([d.center.x for d in obstacles]) * scale
-    y = np.array([d.center.y for d in obstacles]) * scale
-    lr = np.array([d.log_radius for d in obstacles]) + math.log(scale)
-    union_c2, _ = c2_disc_system(x, y, lr)
-    return union_c2, float(np.sum(1.0 / (LOG2 - lr))), len(obstacles)
+    lr = obstacles.log_r + math.log(scale)
+    union_c2, _ = c2_disc_system(obstacles.x * scale, obstacles.y * scale, lr)
+    return union_c2, float(np.sum(1.0 / (LOG2 - lr))), len(lr)
 
 
-def _cell_shape(idx: WhitneyIndex, discs) -> UnionShape:
-    """The union of the pieces of ``discs`` inside cell ``idx``."""
+def _disc_shapes(discs: CellDiscs) -> list[DiscShape]:
+    xs, ys, log_rs = discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist()
+    return [DiscShape(Point(x, y), log_r) for x, y, log_r in zip(xs, ys, log_rs)]
+
+
+def _cell_shape(idx: WhitneyIndex, discs: CellDiscs) -> UnionShape:
+    """The union of the pieces of ``discs`` inside cell ``idx``: whole the
+    discs marked inside it, clipped to it the others, which
+    :func:`log_capacity` decides exactly."""
     cell = whitney_cell(idx)
-    pieces: list[Shape] = []
-    for d in discs:
-        ds = DiscShape(d.center, d.log_radius)
-        pieces.append(ds if _disc_inside_cell(ds, cell) else ClippedDiscShape(ds, cell))
-    return UnionShape(tuple(pieces))
+    pieces = zip(_disc_shapes(discs), discs.inside.tolist())
+    return UnionShape(tuple(d if inside else ClippedDiscShape(d, cell) for d, inside in pieces))
 
 
 class CellWeight(NamedTuple):
@@ -959,8 +948,9 @@ def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> list[Ce
     (n, ms.start) order.
 
     One cluster solve gives the shared weight of every run of a ring
-    generation's full cells; every other cell is solved on its own discs.
-    Polar cells have no row.
+    generation's full cells; every other cell is solved on its own discs,
+    and a cell that one disc meets, lying inside it, has that disc's log
+    radius (the ``exact_disc`` value).  Polar cells have no row.
     """
     keep_n = c.n_max if n_max is None else n_max
     rows, solved = [], {}
@@ -971,6 +961,8 @@ def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> list[Ce
             if n not in solved:
                 solved[n] = cluster_log_capacity(obstacles)
             log_cap = solved[n]
+        elif len(obstacles.inside) == 1 and obstacles.inside[0]:
+            log_cap = float(obstacles.log_r[0])
         else:
             try:
                 est = log_capacity(_cell_shape(WhitneyIndex(n, ms.start), obstacles))
@@ -1105,8 +1097,7 @@ def c2_log_bound(
     if isinstance(obstacles, GenerationCluster):
         log_cap = cluster_log_capacity(obstacles)
     else:
-        shape = UnionShape(tuple(DiscShape(d.center, d.log_radius) for d in obstacles))
-        log_cap = log_capacity(shape).log_value
+        log_cap = log_capacity(UnionShape(tuple(_disc_shapes(obstacles)))).log_value
     denom = -idx.n * LOG2 - log_cap
     if denom <= 0.0:
         raise CapacityError("cell capacity exceeds cell scale")

@@ -34,7 +34,9 @@ from champagne.capacity import (
     _circle_nodes,
     GenerationCluster,
     _cluster_mutual,
+    _disc_inside_cell,
     _disc_system_capacity,
+    _home_cells,
     _radial_nodes,
     _log_kernel,
     _obstacle_sets,
@@ -59,8 +61,22 @@ from champagne.geometry import (
     WhitneyIndex,
     cells_intersecting_disc,
     sector_count,
+    spatial_index,
     whitney_cell,
 )
+
+
+def _gathered(cfg) -> dict:
+    """_cell_discs of ``cfg`` as (x, y, log_r) per disc, cell by cell."""
+    ex = spatial_index(cfg)
+    return {
+        key: list(zip(ex.exp_x[i].tolist(), ex.exp_y[i].tolist(), ex.exp_log_r[i].tolist()))
+        for key, i in _cell_discs(cfg).items()
+    }
+
+
+def _floats(discs) -> list:
+    return [(d.center.x, d.center.y, d.log_radius) for d in discs]
 
 
 def _sample_shapes() -> dict:
@@ -645,7 +661,7 @@ class TestObstacleRows:
         runs = [(row.n, row.ms) for row in sets if isinstance(row.obstacles, GenerationCluster)]
         assert runs == [(6, range(5, 1024)), (7, range(39)), (7, range(41, 2048)), (8, range(4096))]
         gathered = [
-            (row.n, row.ms.start, len(row.obstacles))
+            (row.n, row.ms.start, len(row.obstacles.x))
             for row in sets
             if row.n > 1 and not isinstance(row.obstacles, GenerationCluster)
         ]
@@ -660,12 +676,27 @@ class TestObstacleRows:
         for idx in (WhitneyIndex(1, 5), WhitneyIndex(6, 0), WhitneyIndex(6, 4), WhitneyIndex(9, 0)):
             assert _cell_obstacles(cfg, idx) is None
         # the runs on either side of the edge disc share one cluster, and the
-        # two cells it meets hold it before their ring disc
+        # two cells it meets hold it, straddling, before their ring disc,
+        # which lies inside its cell
         cluster = _cell_obstacles(cfg, WhitneyIndex(7, 38))
         assert _cell_obstacles(cfg, WhitneyIndex(7, 41)) is cluster
         for m in (39, 40):
-            edge, ring = _cell_obstacles(cfg, WhitneyIndex(7, m))
-            assert edge.log_radius == -12.0 and ring.log_radius == cluster.log_rs[0]
+            discs = _cell_obstacles(cfg, WhitneyIndex(7, m))
+            assert discs.log_r.tolist() == [-12.0, cluster.log_rs[0]]
+            assert discs.inside.tolist() == [False, True]
+
+    def test_scalar_search_only_for_discs_not_inside(self, monkeypatch):
+        # a materialised ring file gathers no disc by the scalar test; the
+        # mixed file's two explicit discs, on a sector edge and a cell edge,
+        # each take it once
+        calls = []
+        real = capacity.cells_intersecting_disc
+        monkeypatch.setattr(capacity, "cells_intersecting_disc", lambda d: calls.append(d) or real(d))
+        rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
+        sets = _obstacle_sets(rings.materialized())
+        assert len(sets) == rings.disc_count and calls == []
+        _obstacle_sets(self._mixed())
+        assert [d.log_radius for d in calls] == [-7.0, -12.0]
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -698,7 +729,7 @@ class TestObstacleRows:
                 np.array([rho * math.cos(theta)]), np.array([rho * math.sin(theta)]), np.array([-9.0 - n])
             )
             cfg = Configuration(blocks=(explicit,) + rings.blocks, n_max=n_max)
-        want = _cell_discs(cfg.materialized())
+        want = _gathered(cfg.materialized())
         got = {}
         for n, ms, obstacles in _obstacle_sets(cfg):
             for m in ms:
@@ -709,7 +740,7 @@ class TestObstacleRows:
             if isinstance(obstacles, GenerationCluster):
                 assert len(want[key]) == obstacles.columns**2 == obstacles.columns * len(obstacles.rhos)
             else:
-                assert obstacles == want[key]
+                assert list(zip(obstacles.x.tolist(), obstacles.y.tolist(), obstacles.log_r.tolist())) == want[key]
 
 
 class TestCellGather:
@@ -730,16 +761,17 @@ class TestCellGather:
         for n in range(1, 8):
             for m in range(sector_count(n)):
                 cell = whitney_cell(WhitneyIndex(n, m))
-                hits = tuple(d for d in cfg.iter_discs() if cell.distance_to(d.center) <= d.radius)
+                hits = [d for d in cfg.iter_discs() if cell.distance_to(d.center) <= d.radius]
                 if hits:
-                    expect[(n, m)] = hits
-        assert _cell_discs(cfg) == expect
+                    expect[(n, m)] = _floats(hits)
+        assert _gathered(cfg) == expect
 
     @pytest.mark.parametrize("seed", range(3))
     def test_matches_per_disc_gather(self, seed):
         # centers on band edges 1 - 2^-n and on sector edges, radii from
-        # e^-2000 to nearly 1 - |x|: the numpy pass decides the clear pairs,
-        # and every other disc must get the cells of the exact scalar test
+        # e^-2000 to nearly 1 - |x|: the numpy pass decides the discs inside
+        # their home cell, and every disc must get the cells of the exact
+        # scalar test
         rng = np.random.default_rng(seed)
         count = 300
         rho, theta = rng.uniform(0.3, 0.999, count), rng.uniform(0.0, 2.0 * math.pi, count)
@@ -755,7 +787,60 @@ class TestCellGather:
         for d in cfg.iter_discs():
             for idx in cells_intersecting_disc(d):
                 expect.setdefault((idx.n, idx.m), []).append(d)
-        assert _cell_discs(cfg) == {k: tuple(v) for k, v in expect.items()}
+        assert _gathered(cfg) == {k: _floats(v) for k, v in expect.items()}
+
+    @settings(max_examples=400, deadline=None)
+    @given(
+        n=st.integers(1, 30),
+        k=st.integers(0, 2**34 - 1),
+        radial=st.sampled_from(["inner edge", "outer edge", "band"]),
+        angular=st.sampled_from(["sector edge", "sector"]),
+        offsets=st.tuples(*[st.just(0.0) | st.floats(-15.0, -9.0).map(lambda e: 10.0**e)] * 2),
+        signs=st.tuples(st.sampled_from([-1.0, 1.0]), st.sampled_from([-1.0, 1.0])),
+        u=st.floats(0.0, 1.0),
+        size=st.sampled_from(["e^-2000", "log-uniform", "tangent"]),
+        t=st.floats(0.0, 1.0),
+    )
+    # a tiny disc centred 1e-10 inside |x| < 1/2, in no cell; a disc that
+    # nearly touches the sector edge 1e-15 from its centre
+    @example(
+        n=1, k=0, radial="inner edge", angular="sector", offsets=(1e-10, 0.0),
+        signs=(-1.0, 1.0), u=0.5, size="e^-2000", t=0.0,
+    )
+    @example(
+        n=3, k=5, radial="band", angular="sector edge", offsets=(0.0, 1e-15),
+        signs=(1.0, 1.0), u=0.5, size="tangent", t=0.5,
+    )
+    def test_home_cell_inside_meets_it_alone(self, n, k, radial, angular, offsets, signs, u, size, t):
+        # centres on the band edges 1 - 2^-n and on sector edges, or within
+        # 1e-15 to 1e-9 of them; radii from e^-2000 to 0.99 (1 - |x|), and
+        # radii within rounding of the distance to the home cell's boundary
+        step = 2.0 * math.pi / sector_count(n)
+        rho = {
+            "inner edge": 1.0 - 2.0**-n + signs[0] * offsets[0],
+            "outer edge": 1.0 - 2.0 ** -(n + 1) + signs[0] * offsets[0],
+            "band": 1.0 - 2.0**-n + u * 2.0 ** -(n + 1),
+        }[radial]
+        theta = (k % sector_count(n) + (u if angular == "sector" else 0.0)) * step
+        theta += signs[1] * offsets[1] / rho
+        x, y = rho * math.cos(theta), rho * math.sin(theta)
+        s = 1.0 - math.hypot(x, y)
+        assume(s > 0.0)
+        top = math.log(0.99 * s)
+        log_r = {"e^-2000": -2000.0, "log-uniform": -2000.0 + t * (top + 2000.0), "tangent": top}[size]
+        (hn,), (hm,), _ = _home_cells(np.array([x]), np.array([y]), np.array([log_r]))
+        if size == "tangent" and hn > 0:
+            cell = whitney_cell(WhitneyIndex(int(hn), int(hm)))
+            p = Point(x, y)
+            gap = min(p.norm() - cell.r_inner, cell.r_outer - p.norm(), cell.radial_edge_distance(p))
+            assume(0.0 < gap < 0.99 * s)
+            log_r = math.log(gap * (1.0 + (t - 0.5) * 1e-15))
+        _, _, (inside,) = _home_cells(np.array([x]), np.array([y]), np.array([log_r]))
+        if inside:
+            idx = WhitneyIndex(int(hn), int(hm))
+            disc = Disc(Point(x, y), log_r)
+            assert cells_intersecting_disc(disc) == [idx]
+            assert _disc_inside_cell(DiscShape(disc.center, log_r), whitney_cell(idx))
 
 
 class TestQuasiadditivity:

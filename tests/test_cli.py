@@ -438,12 +438,13 @@ class TestCapacityCommand:
         # other row is the unprefixed file's, its run sharing the cluster
         from champagne.capacity import (
             CapacityConstants,
+            CellDiscs,
             _cell_discs,
             _cell_shape,
             c2_disc_system,
             log_capacity,
         )
-        from champagne.geometry import WhitneyIndex
+        from champagne.geometry import WhitneyIndex, spatial_index
 
         tables = {}
         for drop in (0, 3000):
@@ -461,16 +462,15 @@ class TestCapacityCommand:
             if key != (4, 10):
                 assert row == full[key]
         cfg = loads_config((tmp_path / "drop3000.json").read_text())
-        discs = _cell_discs(cfg.materialized())[(4, 10)]
-        assert len(discs) == 40
+        twin = cfg.materialized()
+        i, ex = _cell_discs(twin)[(4, 10)], spatial_index(twin)
+        assert len(i) == 40
+        # every disc clipped: log_capacity decides each one exactly
+        discs = CellDiscs(ex.exp_x[i], ex.exp_y[i], ex.exp_log_r[i], np.zeros(len(i), dtype=bool))
         est = log_capacity(_cell_shape(WhitneyIndex(4, 10), discs))
         assert cut[(4, 10)]["log_capacity"] == repr(est.log_value)
         scale = CapacityConstants.for_configuration(cfg).cell_scale(4)
-        c2, _ = c2_disc_system(
-            np.array([d.center.x for d in discs]) * scale,
-            np.array([d.center.y for d in discs]) * scale,
-            np.array([d.log_radius for d in discs]) + math.log(scale),
-        )
+        c2, _ = c2_disc_system(discs.x * scale, discs.y * scale, discs.log_r + math.log(scale))
         assert cut[(4, 10)]["c2_scaled"] == repr(c2)
 
     @pytest.mark.parametrize("storage", ["explicit", "cut", "reached"])
