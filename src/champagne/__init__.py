@@ -58,12 +58,14 @@ _EXPORTS = {
         "truncate",
     ),
     "criteria": (
+        "AvoidabilityCertificate",
         "BoundaryPoint",
         "BudgetSums",
         "CriteriaError",
         "SeparationReport",
         "SeriesReport",
         "affine_growth",
+        "avoidability_certificate",
         "budget_sums",
         "count_centers_within",
         "density_bounds",
@@ -75,7 +77,6 @@ _EXPORTS = {
         "shrink_for_separation",
     ),
     "capacity": (
-        "AvoidabilityCertificate",
         "C2Estimate",
         "CapacityConstants",
         "CapacityError",
@@ -84,7 +85,6 @@ _EXPORTS = {
         "DiscShape",
         "SegmentShape",
         "UnionShape",
-        "avoidability_certificate",
         "c2_disc",
         "c2_disc_system",
         "c2_log_bound",

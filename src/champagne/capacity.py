@@ -74,11 +74,9 @@ from . import ChampagneError
 from .criteria import (
     BoundaryPoint,
     SeriesReport,
-    budget_sums,
     equally_spaced_inverse_square_sum,
     separation,
 )
-from .generators import AVOIDABLE_BUDGET
 from .geometry import (
     Configuration,
     Disc,
@@ -1105,7 +1103,7 @@ def c2_log_bound(
 
 
 # ---------------------------------------------------------------------------
-# the avoidability certificate
+# the Green capacity of a small disc
 
 
 def green_capacity_disc_bound(
@@ -1122,55 +1120,3 @@ def green_capacity_disc_bound(
     if log_r >= 0.0:
         raise CapacityError("bound needs r < 1")
     return 1.0 / (-log_r)
-
-
-@dataclass(frozen=True)
-class AvoidabilityCertificate:
-    issued: bool
-    budget: float
-    threshold: float
-    outside_half_disc: bool
-    reason: str
-
-
-def avoidability_certificate(c: Configuration) -> AvoidabilityCertificate:
-    """Certify avoidability from the reciprocal-log capacity budget.
-
-    Issued when sum_k 1/log(1/r_k) <= 1/(2 log 4) and every closed disc
-    avoids the closed central disc of radius 1/2; the capacitary potential
-    of the union is then at most 1/2 at the origin, so Brownian motion
-    escapes with probability at least 1/2.
-    """
-    if c.disc_count == 0:
-        return AvoidabilityCertificate(
-            issued=True,
-            budget=0.0,
-            threshold=AVOIDABLE_BUDGET,
-            outside_half_disc=True,
-            reason="empty configuration",
-        )
-    sums = budget_sums(c, alpha=1.0)
-    outside = True
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            if b.rho - b.radius <= 0.5:
-                outside = False
-        else:
-            rho = np.hypot(b.x, b.y)
-            with np.errstate(under="ignore"):
-                if np.any(rho - np.exp(b.log_r) <= 0.5):
-                    outside = False
-    issued = outside and sums.sum_log_inv_1 <= AVOIDABLE_BUDGET + 1e-15
-    if issued:
-        reason = "reciprocal-log budget within threshold and discs outside |x|<=1/2"
-    elif not outside:
-        reason = "a disc reaches into the central disc |x| <= 1/2"
-    else:
-        reason = "reciprocal-log budget exceeds the threshold"
-    return AvoidabilityCertificate(
-        issued=issued,
-        budget=sums.sum_log_inv_1,
-        threshold=AVOIDABLE_BUDGET,
-        outside_half_disc=outside,
-        reason=reason,
-    )

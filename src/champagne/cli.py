@@ -25,12 +25,13 @@ function, so ``report`` loads neither numpy nor a champagne submodule, and
 ``simulate`` and ``sweep`` load geometry and the walker only.
 
 Environment overrides: ``CHAMPAGNE_OUT`` for the output directory;
-``CHAMPAGNE_THREADS=k`` sets the chunk size of ``simulate`` and ``sweep`` to
-min(32768, ceil(n_walks / k)).  One kernel call runs every walk, and the
-chunk size only caps how many walks are live at once; a sweep's coupled
-pass holds half as many.  Each walk is a pure function of the seed and its
-walk id, so every chunk size writes byte-identical artifacts; unset or 1
-gives the default.
+``CHAMPAGNE_THREADS=k``, an integer k >= 1, caps the processes that
+``simulate`` and ``sweep`` split their walks over (unset: the CPUs this
+process may run on; one where the platform cannot fork).  A run gets one
+process per pool of 32,768 live walks (16,384 for a sweep's coupled pass),
+up to the cap, and forks the extra ones.  Each walk is a pure function of
+the seed and its walk id, so every process count writes byte-identical
+artifacts.
 """
 
 from __future__ import annotations
@@ -110,14 +111,22 @@ class InputFormatError(UsageError):
     """An input file that exists but does not parse as the expected document."""
 
 
-def _chunk_size(n_walks: int) -> int:
-    """The cap on live walks under CHAMPAGNE_THREADS (see the module docstring)."""
-    value = os.environ.get("CHAMPAGNE_THREADS", "1")
+def _processes() -> int:
+    """The cap on walk processes under CHAMPAGNE_THREADS (see the module
+    docstring)."""
+    value = os.environ.get("CHAMPAGNE_THREADS")
+    if value is None:
+        try:
+            return len(os.sched_getaffinity(0))
+        except AttributeError:
+            return os.cpu_count() or 1
     try:
-        k = max(1, int(value))
+        k = int(value)
     except ValueError:
-        raise UsageError(f"CHAMPAGNE_THREADS must be an integer, got {value!r}") from None
-    return min(32_768, -(-n_walks // k))
+        k = 0
+    if k < 1:
+        raise UsageError(f"CHAMPAGNE_THREADS must be an integer >= 1, got {value!r}")
+    return k
 
 
 def _load_json(path: str) -> dict:
@@ -216,7 +225,7 @@ def cmd_generate(args) -> int:
         print(f"generation {n}: {counts[n]} discs")
     print(f"total {config.disc_count} discs -> {out}")
     if args.family == "avoidable-ring":
-        from .capacity import avoidability_certificate
+        from .criteria import avoidability_certificate
 
         cert = avoidability_certificate(config)
         if cert.issued:
@@ -231,10 +240,10 @@ def cmd_generate(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .capacity import avoidability_certificate
     from .criteria import (
         BoundaryPoint,
         affine_growth,
+        avoidability_certificate,
         budget_sums,
         check_alpha,
         check_integral_upper,
@@ -375,14 +384,18 @@ def cmd_capacity(args) -> int:
     from .capacity import (
         CapacityConstants,
         CapacityError,
-        avoidability_certificate,
         cell_capacity_series,
         cell_capacity_table,
         cell_capacity_weights,
         cell_series_term,
         quasiadditivity_ratio,
     )
-    from .criteria import BoundaryPoint, separation, shrink_for_separation
+    from .criteria import (
+        BoundaryPoint,
+        avoidability_certificate,
+        separation,
+        shrink_for_separation,
+    )
     from .geometry import WhitneyIndex, radius_from_log
 
     for flag in ("n_max", "max_cells", "max_cells_per_generation"):
@@ -501,7 +514,7 @@ def _walk_params(args) -> WalkParams:
         start=Point(args.start_x, args.start_y),
         seed=args.seed,
         n_walks=args.n_walks,
-        chunk_size=_chunk_size(args.n_walks),
+        processes=_processes(),
     )
 
 

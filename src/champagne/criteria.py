@@ -12,8 +12,8 @@ The diagnostics evaluated here:
 * The integral test int_0^T M(t) / ((1-t) * log(1/phi(t))) dt for grid
   configurations with radius profile phi and center density M.
 * Budget sums: sum r_k^alpha, sum {log(1/r_k)}^{-alpha}, and the
-  reciprocal-log budget sum {log(1/r_k)}^{-1} used by the avoidability
-  certificate.
+  reciprocal-log budget sum {log(1/r_k)}^{-1}, with the avoidability
+  certificate it issues.
 
 Ring blocks are summed in closed form: for J equally spaced points at
 radius rho, sum_a 1/|y - rho*e^{i theta_a}|^2 collapses through the Poisson
@@ -47,7 +47,7 @@ from .geometry import (
     spatial_index,
     unique_sorted,
 )
-from .generators import MSpec, PhiSpec
+from .generators import AVOIDABLE_BUDGET, MSpec, PhiSpec
 
 
 class CriteriaError(ChampagneError):
@@ -637,6 +637,58 @@ def budget_sums(c: Configuration, alpha: float) -> BudgetSums:
         sum_log_inv_alpha=math.fsum(t_la),
         sum_log_inv_1=math.fsum(t_l1),
         alpha=alpha,
+    )
+
+
+@dataclass(frozen=True)
+class AvoidabilityCertificate:
+    issued: bool
+    budget: float
+    threshold: float
+    outside_half_disc: bool
+    reason: str
+
+
+def avoidability_certificate(c: Configuration) -> AvoidabilityCertificate:
+    """Certify avoidability from the reciprocal-log capacity budget.
+
+    Issued when sum_k 1/log(1/r_k) <= 1/(2 log 4) and every closed disc
+    avoids the closed central disc of radius 1/2; the capacitary potential
+    of the union is then at most 1/2 at the origin, so Brownian motion
+    escapes with probability at least 1/2.
+    """
+    if c.disc_count == 0:
+        return AvoidabilityCertificate(
+            issued=True,
+            budget=0.0,
+            threshold=AVOIDABLE_BUDGET,
+            outside_half_disc=True,
+            reason="empty configuration",
+        )
+    sums = budget_sums(c, alpha=1.0)
+    outside = True
+    for b in c.blocks:
+        if isinstance(b, RingBlock):
+            if b.rho - b.radius <= 0.5:
+                outside = False
+        else:
+            rho = np.hypot(b.x, b.y)
+            with np.errstate(under="ignore"):
+                if np.any(rho - np.exp(b.log_r) <= 0.5):
+                    outside = False
+    issued = outside and sums.sum_log_inv_1 <= AVOIDABLE_BUDGET + 1e-15
+    if issued:
+        reason = "reciprocal-log budget within threshold and discs outside |x|<=1/2"
+    elif not outside:
+        reason = "a disc reaches into the central disc |x| <= 1/2"
+    else:
+        reason = "reciprocal-log budget exceeds the threshold"
+    return AvoidabilityCertificate(
+        issued=issued,
+        budget=sums.sum_log_inv_1,
+        threshold=AVOIDABLE_BUDGET,
+        outside_half_disc=outside,
+        reason=reason,
     )
 
 

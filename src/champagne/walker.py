@@ -15,6 +15,14 @@ the aggregate is independent of scheduling.  One batch kernel advances up
 to a chunk of walks together, admits more as they finish, and records each
 walk's outcome and step count.
 
+The same purity lets the walks run in several processes.  With
+``WalkParams.processes`` = k > 1 and more than one pool of walks, the walk
+ids are cut into at most k contiguous ranges, one pool or more each; the
+caller runs the first range and forks one worker per other range, each
+writing its records into a shared anonymous map.  Threads would not help:
+the kernel holds the GIL between its numpy calls.  The records are
+bit-identical for every process count.
+
 A depth sweep is one coupled pass of the same kernel.  Truncation at depth
 D keeps the generation bands n <= D, so D's distance is the running
 minimum over those bands and its jump radius min(s, d_<=D) cannot grow with
@@ -40,6 +48,9 @@ extrapolated to the infinite configuration.
 from __future__ import annotations
 
 import math
+import mmap
+import os
+import signal
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -112,6 +123,8 @@ class WalkParams:
     seed: int = 0
     n_walks: int = 100_000
     chunk_size: int = 32_768
+    # the most processes the walks are split over (see _run_walks)
+    processes: int = 1
 
     def __post_init__(self) -> None:
         if not (0.0 < self.eps_shell < 1.0):
@@ -124,6 +137,8 @@ class WalkParams:
             raise WalkerError("start point must lie inside the unit disc")
         if self.chunk_size < 1:
             raise WalkerError("chunk_size must be >= 1")
+        if self.processes < 1:
+            raise WalkerError("processes must be >= 1")
 
 
 @dataclass(frozen=True)
@@ -197,10 +212,7 @@ def _run_chunk(
         (cols, walk_hi - walk_lo), dtype=np.int32 if params.max_steps < 2**31 else np.int64
     )
     eps = params.eps_shell
-    # a coupled pass keeps more per particle through the query; half the
-    # chunk keeps its peak RSS below that of a one-depth chunk, since a pool
-    # refilled every step keeps one size and reuses its freed blocks
-    room = params.chunk_size if depths is None else max(1, params.chunk_size // 2)
+    room = _pool_size(params, depths)
     # the live particles: walk id, jumps taken, position and, with depths,
     # the first and last depth column the particle carries
     live = [np.empty(0, dtype=np.int64)] * 2 + [np.empty(0)] * 2
@@ -245,6 +257,80 @@ def _run_chunk(
     if depths is None:
         return outcome[0], steps[0].astype(np.int64)
     return outcome, steps
+
+
+def _pool_size(params: WalkParams, depths: Sequence[int] | None) -> int:
+    """The most particles :func:`_run_chunk` keeps live.  A coupled pass
+    keeps more per particle through the query; half the chunk keeps its
+    peak RSS below that of a one-depth chunk, since a pool refilled every
+    step keeps one size and reuses its freed blocks."""
+    return params.chunk_size if depths is None else max(1, params.chunk_size // 2)
+
+
+def _run_walks(
+    params: WalkParams, idx: SpatialIndex, depths: Sequence[int] | None = None
+) -> tuple[np.ndarray, np.ndarray]:
+    """The records of every walk, as ``_run_chunk(params, idx, 0,
+    params.n_walks, depths)`` gives them (with int64 steps once forked),
+    over up to ``params.processes`` processes.
+
+    The walk ids are cut into k = min(processes, ceil(n_walks / pool))
+    contiguous ranges, so a run of at most one pool stays in one process:
+    its steps are bound by per-call overhead, not by its size, and splitting
+    it saves nothing.
+    The caller runs the first range and forks a worker for each other one;
+    a worker writes its records into an anonymous shared map allocated
+    before the fork and leaves through ``os._exit``, so it flushes no stdio
+    and runs no exit handler.  Every worker is reaped, killed first if the
+    caller's own range fails or is interrupted, and a worker that does not
+    exit 0 raises :class:`WalkerError`.
+
+    Fork, not spawn: a spawned worker would import numpy and rebuild the
+    index before its first step.  A forked worker holds only the calling
+    thread, so a caller whose other threads may hold locks the kernel takes
+    keeps ``processes`` at 1.  numpy's BLAS threads are no such risk:
+    OpenBLAS stops its pool before a fork, and the kernel makes no BLAS
+    call.
+    """
+    n = params.n_walks
+    k = min(params.processes, -(-n // _pool_size(params, depths)))
+    if k == 1 or not hasattr(os, "fork"):
+        return _run_chunk(params, idx, 0, n, depths)
+    cols = 1 if depths is None else len(depths)
+    shared = mmap.mmap(-1, 9 * cols * n)
+    steps = np.frombuffer(shared, np.int64, cols * n).reshape(cols, n)
+    outcome = np.frombuffer(shared, np.int8, cols * n, offset=8 * cols * n).reshape(cols, n)
+
+    def run(lo: int, hi: int) -> None:
+        o, s = _run_chunk(params, idx, lo, hi, depths)
+        outcome[:, lo:hi] = o.reshape(cols, -1)
+        steps[:, lo:hi] = s.reshape(cols, -1)
+
+    bounds = [n * i // k for i in range(k + 1)]
+    workers: dict[int, tuple[int, int]] = {}
+    try:
+        for lo, hi in zip(bounds[1:-1], bounds[2:]):
+            pid = os.fork()
+            if pid == 0:
+                status = 1
+                try:
+                    run(lo, hi)
+                    status = 0
+                finally:
+                    os._exit(status)
+            workers[pid] = (lo, hi)
+        run(bounds[0], bounds[1])
+    except BaseException:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        exits = {pid: os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]) for pid in workers}
+    for pid, code in exits.items():
+        if code:
+            lo, hi = workers[pid]
+            raise WalkerError(f"the worker for walks [{lo}, {hi}) exited with status {code}")
+    return (outcome[0], steps[0]) if depths is None else (outcome, steps)
 
 
 def _admit(live: list, first: int, k: int, start: Point, cols: int) -> list:
@@ -349,7 +435,7 @@ def estimate_escape(params: WalkParams, config: Configuration) -> EscapeEstimate
     """
     idx = spatial_index(config)
     _check_start(params, idx)
-    return EscapeEstimate.from_records(*_run_chunk(params, idx, 0, params.n_walks))
+    return EscapeEstimate.from_records(*_run_walks(params, idx))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +475,7 @@ def escape_vs_depth(
     columns = sorted(set(keeps))
     _check_start(params, idx, columns[-1])
     whole = columns == [max(bands, default=-1)]
-    outcome, steps = _run_chunk(params, idx, 0, params.n_walks, None if whole else columns)
+    outcome, steps = _run_walks(params, idx, None if whole else columns)
     if whole:
         outcome, steps = outcome[None], steps[None]
     return [

@@ -32,7 +32,6 @@ from champagne.capacity import (
     DiscShape,
     SegmentShape,
     UnionShape,
-    avoidability_certificate,
     c2_disc,
     cell_capacity_series,
     cell_capacity_weights,
@@ -42,6 +41,7 @@ from champagne.capacity import (
 from champagne.criteria import (
     BoundaryPoint,
     affine_growth,
+    avoidability_certificate,
     budget_sums,
     integral_test,
     log_weighted_series,

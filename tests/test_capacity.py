@@ -6,14 +6,12 @@ import pytest
 
 from champagne import capacity
 from champagne.capacity import (
-    AvoidabilityCertificate,
     CapacityConstants,
     CapacityError,
     ClippedDiscShape,
     DiscShape,
     SegmentShape,
     UnionShape,
-    avoidability_certificate,
     c2_disc,
     c2_disc_system,
     c2_log_bound,
@@ -41,7 +39,12 @@ from champagne.capacity import (
     _log_kernel,
     _obstacle_sets,
 )
-from champagne.criteria import BoundaryPoint, log_weighted_series, separation
+from champagne.criteria import (
+    BoundaryPoint,
+    avoidability_certificate,
+    log_weighted_series,
+    separation,
+)
 from champagne.generators import (
     GeneratorParams,
     generate_avoidable_ring,

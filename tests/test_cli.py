@@ -226,17 +226,17 @@ class TestSimulate:
         assert capsys.readouterr().err.startswith("invalid: overlap")
         assert not out.exists()
 
-    def test_threads_env_picks_chunk_partition(self, monkeypatch):
+    def test_threads_env_caps_processes(self, monkeypatch):
         def params(n_walks):
             return _walk_params(build_parser().parse_args(["simulate", "--n-walks", str(n_walks)]))
 
-        assert params(3000).chunk_size == 3000
+        monkeypatch.delenv("CHAMPAGNE_THREADS", raising=False)
+        assert params(3000).processes == len(os.sched_getaffinity(0))
         monkeypatch.setenv("CHAMPAGNE_THREADS", "4")
         four = params(3000)
-        assert four.chunk_size == 750
-        assert len(range(0, four.n_walks, four.chunk_size)) == 4
-        # chunks never exceed the default size
-        assert params(1_000_000).chunk_size == 32_768
+        assert four.processes == 4
+        # the variable no longer sets the chunk size
+        assert four.chunk_size == params(1_000_000).chunk_size == WalkParams().chunk_size == 32_768
 
 
 class TestSweepAndReport:
@@ -713,6 +713,20 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith("error:")
 
 
+def _main_in_fresh_process(argv, probe: str) -> list[str]:
+    """[exit code, str(probe)] of ``main(argv)`` in a new interpreter, where
+    probe is a Python expression read after main returns."""
+    code = f"import sys; from champagne.cli import main; rc = main(sys.argv[1:]); print(rc, {probe})"
+    env = dict(os.environ)
+    src = str(Path(champagne.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    out = subprocess.run(
+        [sys.executable, "-c", code, *map(str, argv)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return out.stdout.split()[-2:]
+
+
 class TestWithoutScipy:
     @pytest.mark.parametrize("command", [["check"], ["simulate", "--n-walks", "50"]])
     def test_explicit_storage_leaves_scipy_unloaded(self, tmp_path, command):
@@ -721,18 +735,9 @@ class TestWithoutScipy:
         path = tmp_path / "explicit.json"
         rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
         path.write_text(dumps_config(rings.materialized()))
-        code = (
-            "import sys; from champagne.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules))"
-        )
-        env = dict(os.environ)
-        src = str(Path(champagne.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code, command[0], str(path), *command[1:], "--out-dir", str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.split()[-2:] == ["0", "False"]
+        loaded = "any(m == 'scipy' or m.startswith('scipy.') for m in sys.modules)"
+        argv = [command[0], path, *command[1:], "--out-dir", tmp_path]
+        assert _main_in_fresh_process(argv, loaded) == ["0", "False"]
 
 
 class TestWithoutNumpyMa:
@@ -742,23 +747,27 @@ class TestWithoutNumpyMa:
     )
     def test_commands_leave_numpy_ma_unloaded(self, cfg_path, tmp_path, command):
         # np.unique and np.median import numpy.ma on their first call
-        code = (
-            "import sys; from champagne.cli import main; rc = main(sys.argv[1:]); "
-            "print(rc, 'numpy.ma' in sys.modules)"
-        )
-        env = dict(os.environ)
-        src = str(Path(champagne.__file__).resolve().parent.parent)
-        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        out = subprocess.run(
-            [sys.executable, "-c", code, command[0], str(cfg_path), *command[1:], "--out-dir", str(tmp_path)],
-            env=env, capture_output=True, text=True, check=True,
-        )
-        assert out.stdout.split()[-2:] == ["0", "False"]
+        argv = [command[0], cfg_path, *command[1:], "--out-dir", tmp_path]
+        assert _main_in_fresh_process(argv, "'numpy.ma' in sys.modules") == ["0", "False"]
+
+
+class TestCheckWithoutCapacity:
+    @pytest.mark.parametrize("config", ["rings", "avoidable"])
+    def test_check_leaves_capacity_unloaded(self, cfg_path, tmp_path, config):
+        # the avoidability certificate is a budget criterion: check needs no
+        # capacity solver
+        path = cfg_path
+        if config == "avoidable":
+            path = tmp_path / "ring.json"
+            assert run("generate", "avoidable-ring", "-o", path) == 0
+        argv = ["check", path, "--out-dir", tmp_path]
+        assert _main_in_fresh_process(argv, "'champagne.capacity' in sys.modules") == ["0", "False"]
 
 
 class TestEnvOverrides:
-    def test_threads_env_not_an_integer_is_a_usage_failure(self, tmp_path, monkeypatch, capsys):
-        monkeypatch.setenv("CHAMPAGNE_THREADS", "two")
+    @pytest.mark.parametrize("value", ["two", "0", "-3"])
+    def test_threads_env_not_an_integer_is_a_usage_failure(self, tmp_path, monkeypatch, capsys, value):
+        monkeypatch.setenv("CHAMPAGNE_THREADS", value)
         argv = ("simulate", "--annulus", 0.25, "--start-x", 0.5, "--n-walks", 10, "--out-dir", tmp_path)
         assert run(*argv) == 2
         err = capsys.readouterr().err

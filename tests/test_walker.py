@@ -1,5 +1,8 @@
+import dataclasses
 import math
+import os
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -12,8 +15,9 @@ from champagne.geometry import (
     Point,
     SpatialIndex,
     distance_to_obstacles,
+    dumps_config,
 )
-from champagne import walker
+from champagne import cli, walker
 from champagne.walker import (
     CENSORED,
     ESCAPED,
@@ -294,6 +298,8 @@ class TestAnnulusHelpers:
             WalkParams(eps_shell=0.0)
         with pytest.raises(WalkerError):
             WalkParams(start=Point(1.5, 0.0))
+        with pytest.raises(WalkerError):
+            WalkParams(processes=0)
 
     @pytest.mark.parametrize("eps", [math.inf, math.nan, 1.0, 2.0, -1e-4])
     def test_eps_shell_outside_unit_interval_rejected(self, eps):
@@ -460,3 +466,121 @@ class TestSteadyPool:
                 assert event[1] >= room
                 queries += 1
         assert admitted == n_walks and queries > 1
+
+
+class TestProcesses:
+    """Walk ranges split over forked workers give the records of one
+    process bit for bit, and no worker outlives the call."""
+
+    @staticmethod
+    def _assert_no_child_left():
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @staticmethod
+    def _fail_in_workers(monkeypatch):
+        parent, run_chunk = os.getpid(), walker._run_chunk
+
+        def failing(params, idx, lo, hi, depths=None):
+            if os.getpid() != parent:
+                raise ZeroDivisionError
+            return run_chunk(params, idx, lo, hi, depths)
+
+        monkeypatch.setattr(walker, "_run_chunk", failing)
+
+    @staticmethod
+    def _cli_pools_of_500(monkeypatch):
+        walk_params = cli._walk_params
+        monkeypatch.setattr(
+            cli, "_walk_params", lambda args: dataclasses.replace(walk_params(args), chunk_size=500)
+        )
+
+    @pytest.mark.parametrize("depths", [None, (4, 5, 6, 7)])
+    def test_records_equal_for_every_process_count(self, monkeypatch, depths):
+        forks, fork = [], os.fork
+
+        def counting_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counting_fork)
+        runs = {}
+        for k in (1, 2, 3):
+            # 3,000 walks in pools of 500, or 250 in the coupled pass
+            params = WalkParams(eps_shell=1e-8, seed=7, n_walks=3000, chunk_size=500, processes=k)
+            forks.clear()
+            if depths is None:
+                runs[k] = [estimate_escape(params, _FAMILY)]
+            else:
+                runs[k] = [r.estimate for r in escape_vs_depth(_FAMILY, depths, params)]
+            assert len(forks) == k - 1
+        for k in (2, 3):
+            for one, split in zip(runs[1], runs[k]):
+                assert split == one
+                for a, b in ((split.walk_outcome, one.walk_outcome), (split.walk_steps, one.walk_steps)):
+                    assert a.dtype == b.dtype
+                    np.testing.assert_array_equal(a, b)
+        self._assert_no_child_left()
+
+    def test_trace_rows_equal_for_every_process_count(self, monkeypatch, tmp_path):
+        self._cli_pools_of_500(monkeypatch)
+        files = {}
+        for k in (1, 2, 3):
+            monkeypatch.setenv("CHAMPAGNE_THREADS", str(k))
+            out = tmp_path / str(k)
+            argv = ["simulate", "--annulus", "0.25", "--start-x", "0.5", "--n-walks", "3000",
+                    "--seed", "3", "--trace", "3000", "--out-dir", str(out)]
+            assert cli.main(argv) == 0
+            files[k] = [(out / f).read_bytes() for f in ("simulate.json", "simulate.csv", "trace.csv")]
+        assert files[1] == files[2] == files[3]
+        self._assert_no_child_left()
+
+    def test_failing_worker_raises_and_is_reaped(self, monkeypatch):
+        self._fail_in_workers(monkeypatch)
+        params = WalkParams(eps_shell=1e-8, seed=1, n_walks=3000, chunk_size=500, processes=3)
+        with pytest.raises(WalkerError, match=r"walks \[1000, 2000\) exited with status 1"):
+            estimate_escape(params, _FAMILY)
+        self._assert_no_child_left()
+
+    def test_failing_worker_exits_one_without_traceback(self, monkeypatch, capfd, tmp_path):
+        self._fail_in_workers(monkeypatch)
+        self._cli_pools_of_500(monkeypatch)
+        monkeypatch.setenv("CHAMPAGNE_THREADS", "2")
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(dumps_config(_FAMILY))
+        argv = ["sweep", str(cfg), "--depths", "4,6", "--n-walks", "3000", "--out-dir", str(tmp_path)]
+        assert cli.main(argv) == 1
+        err = capfd.readouterr().err
+        assert err == "error: the worker for walks [1500, 3000) exited with status 1\n"
+        assert not (tmp_path / "sweep.json").exists()
+        self._assert_no_child_left()
+
+    def test_failing_caller_kills_its_workers(self, monkeypatch):
+        parent, run_chunk = os.getpid(), walker._run_chunk
+
+        def stalled_workers(params, idx, lo, hi, depths=None):
+            if os.getpid() != parent:
+                time.sleep(60)
+                return run_chunk(params, idx, lo, hi, depths)
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(walker, "_run_chunk", stalled_workers)
+        params = WalkParams(seed=1, n_walks=3000, chunk_size=500, processes=3)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            estimate_escape(params, _FAMILY)
+        assert time.monotonic() - start < 30.0
+        self._assert_no_child_left()
+
+    def test_default_and_single_pool_runs_never_fork(self, monkeypatch):
+        def no_fork():
+            raise AssertionError("forked")
+
+        monkeypatch.setattr(os, "fork", no_fork)
+        assert estimate_escape(WalkParams(), EMPTY).p_escape == 1.0
+        escape_vs_depth(_FAMILY, [4, 6], WalkParams(eps_shell=1e-3))
+        # a run of at most one pool stays in one process whatever the cap
+        estimate_escape(WalkParams(eps_shell=1e-3, n_walks=500, chunk_size=500, processes=4), _FAMILY)
+        escape_vs_depth(
+            _FAMILY, [4, 6], WalkParams(eps_shell=1e-3, n_walks=250, chunk_size=500, processes=4)
+        )
