@@ -64,6 +64,7 @@ kernel max(log 2 - log(scale d), 0) is exactly (log 2 - log scale) - log d.
 from __future__ import annotations
 
 import bisect
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -984,6 +985,25 @@ def cell_series_term(n: int, m: int, weight: float, psi: float) -> float:
     return 2.0 ** (-2 * n) * weight / chord(1.0, z, psi - theta) ** 2
 
 
+def cell_series_terms(weights: Sequence[CellWeight], psi: float) -> dict[int, np.ndarray]:
+    """:func:`cell_series_term` of every cell of the rows ``weights``, keyed
+    by generation, each generation's cells in row order.  One numpy pass per
+    generation repeats the scalar's arithmetic step for step
+    (``np.float_power`` for ``**``), so each entry equals the scalar's."""
+    by_generation: dict[int, list[CellWeight]] = {}
+    for row in weights:
+        by_generation.setdefault(row.n, []).append(row)
+    terms = {}
+    for n, rows in by_generation.items():
+        m = np.fromiter(itertools.chain.from_iterable(row.ms for row in rows), dtype=np.float64)
+        weight = np.repeat([row.weight for row in rows], [len(row.ms) for row in rows])
+        z = 1.0 - 2.0 ** (-n)
+        theta = TWO_PI * m / sector_count(n)
+        d = np.sqrt((1.0 - z) ** 2 + 4.0 * 1.0 * z * np.float_power(np.sin((psi - theta) / 2.0), 2))
+        terms[n] = 2.0 ** (-2 * n) * weight / np.float_power(d, 2)
+    return terms
+
+
 def cell_capacity_series(
     c: Configuration, y: BoundaryPoint, weights: list[CellWeight] | None = None
 ) -> SeriesReport:
@@ -996,18 +1016,15 @@ def cell_capacity_series(
     if weights is None:
         weights = cell_capacity_weights(c)
     psi = y.theta
-    rings = [row.n for row in weights if len(row.ms) == sector_count(row.n)]
+    full, partial = [], []
+    for row in weights:
+        (full if len(row.ms) == sector_count(row.n) else partial).append(row)
     totals = equally_spaced_inverse_square_sum(
-        [1.0 - 2.0 ** (-n) for n in rings], [sector_count(n) for n in rings], 0.0, psi
+        [1.0 - 2.0 ** (-row.n) for row in full], [sector_count(row.n) for row in full], 0.0, psi
     )
-    ring_totals = dict(zip(rings, totals.tolist()))
-    per_gen: dict[int, list[float]] = {}
-    for n, ms, _, w in weights:
-        if len(ms) == sector_count(n):
-            terms = [2.0 ** (-2 * n) * w * ring_totals[n]]
-        else:
-            terms = [cell_series_term(n, m, w, psi) for m in ms]
-        per_gen.setdefault(n, []).extend(terms)
+    per_gen = {n: terms.tolist() for n, terms in cell_series_terms(partial, psi).items()}
+    for (n, _, _, w), total in zip(full, totals.tolist()):
+        per_gen.setdefault(n, []).append(2.0 ** (-2 * n) * w * total)
     per = tuple((n, math.fsum(per_gen[n])) for n in sorted(per_gen))
     return SeriesReport.from_generations(y, "cell_capacity", per)
 

@@ -66,33 +66,29 @@ def _canonical_json(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":")) + "\n"
 
 
-def _write(path: Path, text: str) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(text)
-
-
-def _sha256_file(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _meta(command: str, params: dict, input_hash: str | None = None, seed=None) -> dict:
-    meta = {
+def _write_artifacts(
+    args, params: dict, fields: dict, tables: dict[str, str], input_hash: str | None = None
+) -> None:
+    """Write ``<command>.json`` and ``tables`` (file name -> text) to the
+    output directory: ``--out-dir``, else ``CHAMPAGNE_OUT``, else the
+    working directory.  The document holds the run's metadata, ``params``,
+    ``fields``, the input's SHA-256 when given and the seed of a command
+    that takes one."""
+    doc = {
         "schema_version": SCHEMA_VERSION,
         "tool_version": __version__,
-        "command": command,
+        "command": args.command,
         "params": params,
+        **fields,
     }
     if input_hash is not None:
-        meta["input_sha256"] = input_hash
-    if seed is not None:
-        meta["seed"] = seed
-    return meta
-
-
-def _out_dir(args) -> Path:
-    if args.out_dir is not None:
-        return Path(args.out_dir)
-    return Path(os.environ.get("CHAMPAGNE_OUT", "."))
+        doc["input_sha256"] = input_hash
+    if getattr(args, "seed", None) is not None:
+        doc["seed"] = args.seed
+    out = Path(args.out_dir if args.out_dir is not None else os.environ.get("CHAMPAGNE_OUT", "."))
+    out.mkdir(parents=True, exist_ok=True)
+    for name, text in {f"{args.command}.json": _canonical_json(doc), **tables}.items():
+        (out / name).write_text(text)
 
 
 def _median(values: list[float]) -> float:
@@ -109,6 +105,11 @@ class UsageError(Exception):
 
 class InputFormatError(UsageError):
     """An input file that exists but does not parse as the expected document."""
+
+
+class InvalidConfiguration(Exception):
+    """A configuration file that fails validation: exit 1 once its
+    violations are printed."""
 
 
 def _processes() -> int:
@@ -132,34 +133,40 @@ def _processes() -> int:
 def _load_json(path: str) -> dict:
     try:
         doc = json.loads(Path(path).read_text())
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise InputFormatError(f"{path} is not a JSON document: {exc!r}") from exc
     if not isinstance(doc, dict):
         raise InputFormatError(f"{path} does not hold a JSON object")
     return doc
 
 
-def _load_config(path: str) -> Configuration:
-    from .geometry import loads_config
+def _load_config(path: Path) -> tuple[Configuration, str]:
+    """The configuration in ``path`` and the SHA-256 of the bytes read, the
+    file read once.  Prints one ``invalid:`` line per violation to stderr
+    and raises InvalidConfiguration when it fails validation."""
+    from .geometry import loads_config, validate_configuration
 
-    text = Path(path).read_text()
+    data = path.read_bytes()
+    input_hash = hashlib.sha256(data).hexdigest()
     try:
-        return loads_config(text)
+        # a non-UTF-8 file fails to decode (ValueError); a count or n_max of
+        # Infinity or 1e999 parses as inf, which int() refuses (OverflowError);
+        # json gives up on arrays nested too deep for the stack (RecursionError)
+        text = data.decode()
+        # the parse is the command's memory peak: kept, the bytes would add
+        # the file's size to it (3.3 MB for the 31,744-disc explicit file)
+        del data
+        config = loads_config(text)
     except ChampagneError:
         raise
-    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+    except (ValueError, KeyError, TypeError, AttributeError, OverflowError, RecursionError) as exc:
         raise InputFormatError(f"{path} is not a configuration document: {exc!r}") from exc
-
-
-def _valid(config: Configuration) -> bool:
-    """Validate a loaded configuration, printing one ``invalid:`` line per
-    violation to stderr."""
-    from .geometry import validate_configuration
-
     report = validate_configuration(config)
     for v in report.violations:
         print(f"invalid: {v.kind} {v.detail} indices={v.indices}", file=sys.stderr)
-    return report.ok
+    if not report.ok:
+        raise InvalidConfiguration
+    return config, input_hash
 
 
 def _csv(rows: list[list], header: list[str]) -> str:
@@ -213,7 +220,8 @@ def cmd_generate(args) -> int:
     else:
         raise GeneratorError(f"unknown family {args.family}")
     out = Path(args.output)
-    _write(out, dumps_config(config) + "\n")
+    out.parent.mkdir(parents=True, exist_ok=True)
+    out.write_text(dumps_config(config) + "\n")
     counts: dict[int, int] = {}
     for b in config.blocks:
         if hasattr(b, "n"):
@@ -262,53 +270,35 @@ def cmd_check(args) -> int:
     # both values are written to check.json whichever criteria run
     check_alpha(args.alpha)
     check_integral_upper(args.integral_upper)
-    path = Path(args.config)
-    config = _load_config(str(path))
-    if not _valid(config):
-        return EXIT_INVALID
+    config, input_hash = _load_config(args.config)
 
     ys = BoundaryPoint.grid(args.y_grid)
     rows: list[list] = []
     summary: dict = {}
-
-    if "log_weighted" in selected or "poisson" in selected:
-        growth = []
-        totals_log, totals_poisson = [], []
-        for yi, y in enumerate(ys):
-            if "log_weighted" in selected:
-                rep = log_weighted_series(config, y)
-                totals_log.append(rep.total)
-                for (n, v), (_, cum) in zip(rep.per_generation, rep.cumulative):
-                    rows.append(["log_weighted", yi, y.theta, n, v, cum])
+    growth = []
+    kinds = {"log_weighted": log_weighted_series, "poisson": poisson_series}
+    totals = {kind: [] for kind in kinds if kind in selected}
+    for yi, y in enumerate(ys):
+        for kind in totals:
+            rep = kinds[kind](config, y)
+            totals[kind].append(rep.total)
+            for (n, v), (_, cum) in zip(rep.per_generation, rep.cumulative):
+                rows.append([kind, yi, y.theta, n, v, cum])
+            if kind == "log_weighted":
                 gens = [n for n, _ in rep.per_generation]
                 if gens and max(gens) - max(min(gens), args.growth_n_lo) >= 2:
-                    slope, resid = affine_growth(
-                        rep, args.growth_n_lo, max(gens)
-                    )
+                    slope, resid = affine_growth(rep, args.growth_n_lo, max(gens))
                     growth.append({"y_index": yi, "slope": slope, "residual_fraction": resid})
-            if "poisson" in selected:
-                rep = poisson_series(config, y)
-                totals_poisson.append(rep.total)
-                for (n, v), (_, cum) in zip(rep.per_generation, rep.cumulative):
-                    rows.append(["poisson", yi, y.theta, n, v, cum])
-        if totals_log:
-            summary["log_weighted_totals"] = {
-                "min": min(totals_log),
-                "median": _median(totals_log),
-                "max": max(totals_log),
-            }
-        if totals_poisson:
-            summary["poisson_totals"] = {
-                "min": min(totals_poisson),
-                "median": _median(totals_poisson),
-                "max": max(totals_poisson),
-            }
-        if growth:
-            summary["growth"] = growth
-            summary["growth_all_positive"] = all(g["slope"] > 0 for g in growth)
-            summary["growth_max_residual_fraction"] = max(
-                g["residual_fraction"] for g in growth
-            )
+    for kind, values in totals.items():
+        summary[f"{kind}_totals"] = {
+            "min": min(values),
+            "median": _median(values),
+            "max": max(values),
+        }
+    if growth:
+        summary["growth"] = growth
+        summary["growth_all_positive"] = all(g["slope"] > 0 for g in growth)
+        summary["growth_max_residual_fraction"] = max(g["residual_fraction"] for g in growth)
 
     if "separation" in selected and config.disc_count >= 2:
         sep_summary = {}
@@ -350,25 +340,17 @@ def cmd_check(args) -> int:
         "reason": cert.reason,
     }
 
-    out = _out_dir(args)
-    doc = _meta(
-        "check",
-        {
-            "config": str(path),
-            "y_grid": args.y_grid,
-            "criteria": sorted(selected),
-            "alpha": args.alpha,
-            "integral_upper": args.integral_upper,
-            "growth_n_lo": args.growth_n_lo,
-        },
-        input_hash=_sha256_file(path),
-    )
-    doc["summary"] = summary
-    _write(out / "check.json", _canonical_json(doc))
-    _write(
-        out / "series.csv",
-        _csv(rows, ["kind", "y_index", "theta", "n", "per_generation", "cumulative"]),
-    )
+    params = {
+        "config": str(args.config),
+        "y_grid": args.y_grid,
+        "criteria": sorted(selected),
+        "alpha": args.alpha,
+        "integral_upper": args.integral_upper,
+        "growth_n_lo": args.growth_n_lo,
+    }
+    header = ["kind", "y_index", "theta", "n", "per_generation", "cumulative"]
+    tables = {"series.csv": _csv(rows, header)}
+    _write_artifacts(args, params, {"summary": summary}, tables, input_hash)
     if cert.issued:
         print("certified avoidable (capacity budget)")
     else:
@@ -387,7 +369,7 @@ def cmd_capacity(args) -> int:
         cell_capacity_series,
         cell_capacity_table,
         cell_capacity_weights,
-        cell_series_term,
+        cell_series_terms,
         quasiadditivity_ratio,
     )
     from .criteria import (
@@ -402,10 +384,7 @@ def cmd_capacity(args) -> int:
         value = getattr(args, flag)
         if value is not None and value < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
-    path = Path(args.config)
-    config = _load_config(str(path))
-    if not _valid(config):
-        return EXIT_INVALID
+    config, input_hash = _load_config(args.config)
     constants = CapacityConstants.for_configuration(config)
     weights = cell_capacity_weights(config, n_max=args.n_max)
     y0 = BoundaryPoint(0.0)
@@ -430,7 +409,8 @@ def cmd_capacity(args) -> int:
 
     sep = None
     rows: list[list] = []
-    for (n, ms, log_cap, weight), c2 in cell_capacity_table(config, written, constants):
+    terms = {n: iter(t.tolist()) for n, t in cell_series_terms(written, y0.theta).items()}
+    for (n, ms, log_cap, _), c2 in cell_capacity_table(config, written, constants):
         quasi = ""
         if args.quasiadditivity:
             if sep is None:
@@ -443,26 +423,19 @@ def cmd_capacity(args) -> int:
             except CapacityError:
                 quasi = ""
         cap_value = radius_from_log(log_cap)
-        for m in ms:
-            essen_term = cell_series_term(n, m, weight, y0.theta)
-            rows.append([n, m, log_cap, cap_value, c2, essen_term, quasi])
+        rows.extend([n, m, log_cap, cap_value, c2, next(terms[n]), quasi] for m in ms)
 
     series = cell_capacity_series(config, y0, weights=weights)
     cert = avoidability_certificate(config)
-    out = _out_dir(args)
-    doc = _meta(
-        "capacity",
-        {
-            "config": str(path),
-            "n_max": args.n_max,
-            "max_cells": args.max_cells,
-            "max_cells_per_generation": args.max_cells_per_generation,
-            "quasiadditivity": args.quasiadditivity,
-            "shrink_to_floor": args.shrink_to_floor,
-        },
-        input_hash=_sha256_file(path),
-    )
-    doc["summary"] = {
+    params = {
+        "config": str(args.config),
+        "n_max": args.n_max,
+        "max_cells": args.max_cells,
+        "max_cells_per_generation": args.max_cells_per_generation,
+        "quasiadditivity": args.quasiadditivity,
+        "shrink_to_floor": args.shrink_to_floor,
+    }
+    summary = {
         "constants": {
             "cell_comparability": constants.cell_comparability,
             "c2_bracket": constants.c2_bracket,
@@ -477,22 +450,10 @@ def cmd_capacity(args) -> int:
             "reason": cert.reason,
         },
     }
-    _write(out / "capacity.json", _canonical_json(doc))
-    _write(
-        out / "capacity.csv",
-        _csv(
-            rows,
-            [
-                "n",
-                "m",
-                "log_capacity",
-                "capacity",
-                "c2_scaled",
-                "cell_series_term",
-                "quasiadditivity_ratio",
-            ],
-        ),
-    )
+    header = ["n", "m", "log_capacity", "capacity", "c2_scaled", "cell_series_term",
+              "quasiadditivity_ratio"]
+    tables = {"capacity.csv": _csv(rows, header)}
+    _write_artifacts(args, params, {"summary": summary}, tables, input_hash)
     print(f"capacity table for {len(rows)} cells -> capacity.csv")
     return EXIT_OK
 
@@ -518,6 +479,24 @@ def _walk_params(args) -> WalkParams:
     )
 
 
+def _walk_doc(args, config_name: str) -> dict:
+    """The params block of ``simulate`` and ``sweep``."""
+    return {
+        "config": config_name,
+        "eps": args.eps,
+        "n_walks": args.n_walks,
+        "max_steps": args.max_steps,
+        "start": [args.start_x, args.start_y],
+    }
+
+
+ESTIMATE_HEADER = ["n_max", "n_walks", "p_escape", "ci95", "n_censored", "mean_steps"]
+
+
+def _estimate_row(n_max: int, est) -> list:
+    return [n_max, est.n_walks, est.p_escape, est.ci95_halfwidth, est.n_censored, est.mean_steps]
+
+
 def _estimate_doc(est) -> dict:
     return {
         "p_escape": est.p_escape,
@@ -541,43 +520,21 @@ def cmd_simulate(args) -> int:
         both = "" if args.config is None else f", not both {args.config} and --annulus {args.annulus!r}"
         raise UsageError(f"pass a configuration file or --annulus R0{both}")
     if args.annulus is not None:
-        config = concentric_obstacle_config(args.annulus)
-        input_hash = None
+        config, input_hash = concentric_obstacle_config(args.annulus), None
         config_name = f"annulus(r0={args.annulus!r})"
     else:
-        path = Path(args.config)
-        config = _load_config(str(path))
-        if not _valid(config):
-            return EXIT_INVALID
-        input_hash = _sha256_file(path)
-        config_name = str(path)
+        config, input_hash = _load_config(args.config)
+        config_name = str(args.config)
     est = estimate_escape(params, config)
-    out = _out_dir(args)
-    doc = _meta(
-        "simulate",
-        {
-            "config": config_name,
-            "eps": args.eps,
-            "n_walks": args.n_walks,
-            "max_steps": args.max_steps,
-            "start": [args.start_x, args.start_y],
-        },
-        input_hash=input_hash,
-        seed=args.seed,
-    )
-    doc["estimate"] = _estimate_doc(est)
-    _write(out / "simulate.json", _canonical_json(doc))
-    rows = [[config.n_max, est.n_walks, est.p_escape, est.ci95_halfwidth, est.n_censored, est.mean_steps]]
-    _write(
-        out / "simulate.csv",
-        _csv(rows, ["n_max", "n_walks", "p_escape", "ci95", "n_censored", "mean_steps"]),
-    )
+    tables = {"simulate.csv": _csv([_estimate_row(config.n_max, est)], ESTIMATE_HEADER)}
     if args.trace:
         trace_rows = [
             [w, OUTCOMES[est.walk_outcome[w]], int(est.walk_steps[w])]
             for w in range(min(args.n_walks, args.trace))
         ]
-        _write(out / "trace.csv", _csv(trace_rows, ["walk", "outcome", "steps"]))
+        tables["trace.csv"] = _csv(trace_rows, ["walk", "outcome", "steps"])
+    fields = {"estimate": _estimate_doc(est)}
+    _write_artifacts(args, _walk_doc(args, config_name), fields, tables, input_hash)
     print(f"seed {args.seed}: p_escape = {est.p_escape!r} +- {est.ci95_halfwidth!r}")
     if est.unreliable:
         print(
@@ -603,44 +560,13 @@ def cmd_sweep(args) -> int:
 
     depths = _parse_depths(args.depths)
     params = _walk_params(args)
-    path = Path(args.config)
-    config = _load_config(str(path))
-    if not _valid(config):
-        return EXIT_INVALID
+    config, input_hash = _load_config(args.config)
     table = escape_vs_depth(config, depths, params)
-    rows = [
-        [
-            row.n_max,
-            row.estimate.n_walks,
-            row.estimate.p_escape,
-            row.estimate.ci95_halfwidth,
-            row.estimate.n_censored,
-            row.estimate.mean_steps,
-        ]
-        for row in table
-    ]
-    out = _out_dir(args)
-    doc = _meta(
-        "sweep",
-        {
-            "config": str(path),
-            "depths": depths,
-            "eps": args.eps,
-            "n_walks": args.n_walks,
-            "max_steps": args.max_steps,
-            "start": [args.start_x, args.start_y],
-        },
-        input_hash=_sha256_file(path),
-        seed=args.seed,
-    )
-    doc["rows"] = [
-        {"n_max": row.n_max, "estimate": _estimate_doc(row.estimate)} for row in table
-    ]
-    _write(out / "sweep.json", _canonical_json(doc))
-    _write(
-        out / "sweep.csv",
-        _csv(rows, ["n_max", "n_walks", "p_escape", "ci95", "n_censored", "mean_steps"]),
-    )
+    params = {**_walk_doc(args, str(args.config)), "depths": depths}
+    fields = {"rows": [{"n_max": r.n_max, "estimate": _estimate_doc(r.estimate)} for r in table]}
+    rows = [_estimate_row(r.n_max, r.estimate) for r in table]
+    tables = {"sweep.csv": _csv(rows, ESTIMATE_HEADER)}
+    _write_artifacts(args, params, fields, tables, input_hash)
     for row in table:
         print(
             f"n_max={row.n_max}: p_escape={row.estimate.p_escape!r} "
@@ -743,25 +669,18 @@ def cmd_report(args) -> int:
         inputs = " and ".join(p for p in (args.check, args.sweep) if p)
         raise InputFormatError(f"{inputs}: missing or mistyped field {exc!r}") from exc
 
-    out = _out_dir(args)
-    doc = _meta(
-        "report",
-        {
-            "check": args.check,
-            "sweep": args.sweep,
-            "separation_threshold": args.separation_threshold,
-        },
-    )
-    doc["summary"] = summary
-    doc["verdicts"] = verdicts
-    _write(out / "report.json", _canonical_json(doc))
     lines = ["cross-check report", "=================="]
     for v in verdicts:
         lines.append(f"{v['verdict']}  [{v['test']}; threshold={v['threshold']!r}]")
     if "escape_trend" in summary:
         lines.append(f"escape trend: {summary['escape_trend']['p_escape']!r}")
     text = "\n".join(lines) + "\n"
-    _write(out / "report.txt", text)
+    params = {
+        "check": args.check,
+        "sweep": args.sweep,
+        "separation_threshold": args.separation_threshold,
+    }
+    _write_artifacts(args, params, {"summary": summary, "verdicts": verdicts}, {"report.txt": text})
     print(text, end="")
     return EXIT_OK
 
@@ -795,56 +714,50 @@ def build_parser() -> argparse.ArgumentParser:
     g.set_defaults(func=cmd_generate)
 
     c = sub.add_parser("check", help="evaluate analytic criteria")
-    c.add_argument("config")
+    c.add_argument("config", type=Path)
     c.add_argument("--y-grid", type=int, default=64)
     c.add_argument("--criteria", default=",".join(CRITERIA))
     c.add_argument("--alpha", type=float, default=2.0)
     c.add_argument("--integral-upper", type=float, default=0.999)
     c.add_argument("--growth-n-lo", type=int, default=6)
-    c.add_argument("--out-dir", default=None)
     c.set_defaults(func=cmd_check)
 
     k = sub.add_parser("capacity", help="per-cell capacity diagnostics")
-    k.add_argument("config")
+    k.add_argument("config", type=Path)
     k.add_argument("--n-max", type=int, default=None)
     k.add_argument("--max-cells", type=int, default=4096)
     k.add_argument("--max-cells-per-generation", type=int, default=64)
     k.add_argument("--quasiadditivity", action="store_true")
     k.add_argument("--shrink-to-floor", action="store_true")
-    k.add_argument("--out-dir", default=None)
     k.set_defaults(func=cmd_capacity)
 
     s = sub.add_parser("simulate", help="walk-on-spheres escape estimate")
-    s.add_argument("config", nargs="?", default=None)
+    s.add_argument("config", type=Path, nargs="?", default=None)
     s.add_argument("--annulus", type=float, default=None, metavar="R0")
-    s.add_argument("--eps", type=float, default=1e-4)
-    s.add_argument("--n-walks", type=int, default=100_000)
-    s.add_argument("--max-steps", type=int, default=1_000_000)
-    s.add_argument("--seed", type=int, default=0)
-    s.add_argument("--start-x", type=float, default=0.0)
-    s.add_argument("--start-y", type=float, default=0.0)
     s.add_argument("--trace", type=int, default=0)
-    s.add_argument("--out-dir", default=None)
     s.set_defaults(func=cmd_simulate)
 
     w = sub.add_parser("sweep", help="escape estimates per truncation depth")
-    w.add_argument("config")
+    w.add_argument("config", type=Path)
     w.add_argument("--depths", default="6,8,10,12")
-    w.add_argument("--eps", type=float, default=1e-4)
-    w.add_argument("--n-walks", type=int, default=100_000)
-    w.add_argument("--max-steps", type=int, default=1_000_000)
-    w.add_argument("--seed", type=int, default=0)
-    w.add_argument("--start-x", type=float, default=0.0)
-    w.add_argument("--start-y", type=float, default=0.0)
-    w.add_argument("--out-dir", default=None)
     w.set_defaults(func=cmd_sweep)
+
+    for walks in (s, w):
+        walks.add_argument("--eps", type=float, default=1e-4)
+        walks.add_argument("--n-walks", type=int, default=100_000)
+        walks.add_argument("--max-steps", type=int, default=1_000_000)
+        walks.add_argument("--seed", type=int, default=0)
+        walks.add_argument("--start-x", type=float, default=0.0)
+        walks.add_argument("--start-y", type=float, default=0.0)
 
     r = sub.add_parser("report", help="join artifacts into verdicts")
     r.add_argument("--check", default=None)
     r.add_argument("--sweep", default=None)
     r.add_argument("--separation-threshold", type=float, default=0.0)
-    r.add_argument("--out-dir", default=None)
     r.set_defaults(func=cmd_report)
+
+    for command in (c, k, s, w, r):
+        command.add_argument("--out-dir", default=None)
 
     return parser
 
@@ -860,6 +773,8 @@ def main(argv=None) -> int:
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO
+    except InvalidConfiguration:
+        return EXIT_INVALID
     except ChampagneError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

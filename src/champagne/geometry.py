@@ -505,7 +505,9 @@ class Configuration:
     def disc_count(self) -> int:
         return sum(len(b) for b in self.blocks)
 
-    @property
+    # the configuration is immutable: validation and the capacity constants
+    # share one pass over its blocks
+    @cached_property
     def log_ratio_sup(self) -> float:
         """log of sup r_k / (1 - |x_k|); -inf for an empty configuration."""
         best = -math.inf

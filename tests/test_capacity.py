@@ -8,6 +8,7 @@ from champagne import capacity
 from champagne.capacity import (
     CapacityConstants,
     CapacityError,
+    CellWeight,
     ClippedDiscShape,
     DiscShape,
     SegmentShape,
@@ -19,6 +20,7 @@ from champagne.capacity import (
     cell_capacity_table,
     cell_capacity_weights,
     cell_series_term,
+    cell_series_terms,
     cluster_c2,
     cluster_log_capacity,
     generation_clusters,
@@ -613,6 +615,34 @@ class TestCellSeries:
                 cell_series_term(row.n, m, row.weight, y.theta) for row in weights for m in row.ms
             )
             assert rep.total == pytest.approx(brute, rel=1e-12, abs=0.0)
+
+    def test_array_terms_equal_the_scalar_term(self):
+        rng = np.random.default_rng(11)
+        rows = []
+        for n in (1, 2, 5, 9, 17, 30):
+            for start in rng.integers(0, sector_count(n), size=4).tolist():
+                ms = range(start, min(start + int(rng.integers(1, 40)), sector_count(n)))
+                rows.append(CellWeight(n, ms, 0.0, float(rng.uniform(1e-6, 2.0))))
+        for psi in rng.uniform(-7.0, 7.0, size=25).tolist():
+            terms = cell_series_terms(rows, psi)
+            want = {}
+            for n, ms, _, w in rows:
+                want.setdefault(n, []).extend(cell_series_term(n, m, w, psi) for m in ms)
+            assert {n: t.tolist() for n, t in terms.items()} == want
+
+    @pytest.mark.parametrize("drop_first", [0, 5])
+    def test_explicit_series_is_the_sum_of_scalar_terms(self, drop_first):
+        # every row of an explicit file holds one cell: no ring sum runs
+        cfg = generate_subsquares(
+            GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=4, n_max=6, drop_first=drop_first)
+        ).materialized()
+        weights = cell_capacity_weights(cfg)
+        y = BoundaryPoint(0.7)
+        per = {}
+        for n, ms, _, w in weights:
+            per.setdefault(n, []).extend(cell_series_term(n, m, w, y.theta) for m in ms)
+        rep = cell_capacity_series(cfg, y, weights=weights)
+        assert rep.per_generation == tuple((n, math.fsum(per[n])) for n in sorted(per))
 
     def test_cumulative_monotone_and_nonnegative(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.2, c0=0.05, n_min=1, n_max=5))

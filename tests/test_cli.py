@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 import math
 import os
@@ -692,10 +693,11 @@ class TestExitCodes:
         assert capsys.readouterr().err.startswith(f"error: {message}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("text", ['{"summary": ', "[" * 100_000 + "]" * 100_000])
     @pytest.mark.parametrize("flag", ["--check", "--sweep"])
-    def test_malformed_report_input_exits_two(self, tmp_path, capsys, flag):
+    def test_malformed_report_input_exits_two(self, tmp_path, capsys, flag, text):
         path = tmp_path / "bad.json"
-        path.write_text('{"summary": ')
+        path.write_text(text)
         assert run("report", flag, path, "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err.startswith("error:")
 
@@ -711,6 +713,53 @@ class TestExitCodes:
         path.write_text('{"summary": {"avoidable_certificate": {"issued": true}}}')
         assert run("report", "--check", path, "--out-dir", tmp_path) == 2
         assert capsys.readouterr().err.startswith("error:")
+
+
+CONFIG_COMMANDS = {
+    "check": ["--y-grid", 2],
+    "capacity": [],
+    "simulate": ["--n-walks", 20],
+    "sweep": ["--depths", "6,7", "--n-walks", 20],
+}
+
+
+class TestConfigurationInput:
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b'{"n_max": 1, "provenance": {"name": "caf\xe9"}}',
+            b'{"rings": [{"n": 1, "rho": 0.7, "log_r": -6.0, "count": Infinity}], "n_max": 1}',
+            b'{"rings": [], "n_max": 1e999}',
+            b'{"discs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+        ],
+        ids=["not-utf8", "infinite-count", "overflowing-n-max", "too-deep"],
+    )
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_malformed_file_exits_two(self, tmp_path, capsys, command, content):
+        path = tmp_path / "bad.json"
+        path.write_bytes(content)
+        out = tmp_path / "out"
+        assert run(command, path, *CONFIG_COMMANDS[command], "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path} is not a configuration document")
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_one_read_per_input(self, cfg_path, tmp_path, monkeypatch, command):
+        want = hashlib.sha256(cfg_path.read_bytes()).hexdigest()
+        opens, open_ = [], Path.open
+
+        def counting_open(self, *args, **kwargs):
+            if self == cfg_path:
+                opens.append(args)
+            return open_(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        out = tmp_path / "out"
+        assert run(command, cfg_path, *CONFIG_COMMANDS[command], "--out-dir", out) == 0
+        assert len(opens) == 1
+        assert json.loads((out / f"{command}.json").read_text())["input_sha256"] == want
 
 
 def _main_in_fresh_process(argv, probe: str) -> list[str]:

@@ -1,5 +1,6 @@
 import json
 import math
+from functools import cached_property
 
 import numpy as np
 import pytest
@@ -567,6 +568,19 @@ class TestConfiguration:
     def test_ratio_sup(self):
         c = Configuration.from_discs([disc(0.6, 0.0, 0.2), disc(0.9, 0.0, 0.01)])
         assert c.ratio_sup == pytest.approx(0.5)
+
+    def test_log_ratio_sup_computed_once(self, monkeypatch):
+        # validation reads it as itself and through ratio_sup, and the
+        # capacity constants read ratio_sup again
+        calls = []
+        compute = Configuration.log_ratio_sup.func
+        counted = cached_property(lambda c: calls.append(c) or compute(c))
+        counted.__set_name__(Configuration, "log_ratio_sup")
+        monkeypatch.setattr(Configuration, "log_ratio_sup", counted)
+        c = Configuration.from_discs([disc(0.6, 0.0, 0.2), disc(0.9, 0.0, 0.01)])
+        assert validate_configuration(c).ok
+        assert c.ratio_sup == pytest.approx(0.5)
+        assert len(calls) == 1
 
     def test_disc_count_with_rings(self):
         ring = RingBlock(n=2, rho=0.8, log_r=-50.0, count=64, a_start=10)
