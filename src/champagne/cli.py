@@ -580,9 +580,13 @@ def cmd_sweep(args) -> int:
 
 
 def _escape_trend(rows: list[dict]) -> dict:
+    """The escape estimates in ascending depth, and whether each falls below
+    the one before by more than twice the larger 95% half-width: a trend,
+    so it needs two depths at least."""
+    rows = sorted(rows, key=lambda r: r["n_max"])
     ps = [r["estimate"]["p_escape"] for r in rows]
     cis = [r["estimate"]["ci95_halfwidth"] for r in rows]
-    decreasing = all(
+    decreasing = len(ps) >= 2 and all(
         ps[i] - ps[i + 1] > 2.0 * max(cis[i], cis[i + 1]) for i in range(len(ps) - 1)
     )
     return {"p_escape": ps, "strictly_decreasing_beyond_2ci": decreasing}

@@ -88,6 +88,9 @@ class Point:
         return Point(c * self.x - s * self.y, s * self.x + c * self.y)
 
     def __post_init__(self) -> None:
+        # stored as floats, so that arrays filled from a point are float arrays
+        object.__setattr__(self, "x", float(self.x))
+        object.__setattr__(self, "y", float(self.y))
         if not (math.isfinite(self.x) and math.isfinite(self.y)):
             raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
@@ -318,7 +321,9 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class DiscBlock:
-    """Explicitly stored discs (coordinates plus log radii)."""
+    """Explicitly stored discs (coordinates plus log radii).  Like
+    :class:`Disc` and :class:`RingBlock`, the block refuses a disc with
+    r >= 1-|x|, so every criterion may take log((1-|x_k|)/r_k) > 0."""
 
     x: np.ndarray
     y: np.ndarray
@@ -333,6 +338,11 @@ class DiscBlock:
         for name in ("x", "y", "log_r"):
             if not np.all(np.isfinite(getattr(self, name))):
                 raise GeometryError(f"disc block has a non-finite {name}")
+        # a center on or outside the unit circle fails too: log(1-|x|) is -inf or nan
+        with np.errstate(divide="ignore", invalid="ignore"):
+            bad = np.flatnonzero(~(self.log_r < np.log(self.boundary_gap)))
+        if len(bad):
+            raise GeometryError(f"disc {bad[0]} of the block does not satisfy r < 1-|x|")
 
     def __len__(self) -> int:
         return len(self.x)
@@ -615,37 +625,24 @@ def _block_offsets(config: Configuration) -> list[int]:
 
 
 def validate_configuration(c: Configuration) -> ValidationReport:
-    """Report-style check of every configuration invariant."""
+    """Report-style check of the invariants that span a configuration: ring
+    labels, overlap and the origin.  The per-disc invariants (finite values,
+    r < 1-|x|) are checked where the blocks are built."""
     violations: list[Violation] = []
     offsets = _block_offsets(c)
     # depth queries take the rows of generation <= D as a prefix of the rho
     # order, which needs every ring's label to match its circle
-    ring_gens = iter(
-        generations_of([b.boundary_gap for b in c.blocks if isinstance(b, RingBlock)]).tolist()
-    )
-
-    for bi, b in enumerate(c.blocks):
-        if isinstance(b, RingBlock):
-            if b.log_r >= math.log(b.boundary_gap):
-                violations.append(
-                    Violation("ratio", f"ring block {bi} has r >= 1-|x|", (offsets[bi],))
+    rings = [(bi, b) for bi, b in enumerate(c.blocks) if isinstance(b, RingBlock)]
+    ring_gens = generations_of([b.boundary_gap for _, b in rings]).tolist()
+    for (bi, b), g in zip(rings, ring_gens):
+        if g != b.n:
+            violations.append(
+                Violation(
+                    "generation",
+                    f"ring block {bi} is labelled n={b.n} but its circle lies in generation {g}",
+                    (offsets[bi],),
                 )
-            g = next(ring_gens)
-            if g != b.n:
-                violations.append(
-                    Violation(
-                        "generation",
-                        f"ring block {bi} is labelled n={b.n} but its circle lies in generation {g}",
-                        (offsets[bi],),
-                    )
-                )
-        elif len(b):
-            s = b.boundary_gap
-            bad = np.nonzero(b.log_r >= np.log(np.maximum(s, 1e-300)))[0]
-            for i in bad:
-                violations.append(
-                    Violation("ratio", "disc radius >= 1-|center|", (offsets[bi] + int(i),))
-                )
+            )
 
     index = spatial_index(c)
     overlap = _find_overlap(index)
@@ -653,10 +650,6 @@ def validate_configuration(c: Configuration) -> ValidationReport:
         violations.append(
             Violation("overlap", "closed discs intersect", overlap)
         )
-
-    lr_sup = c.log_ratio_sup
-    if lr_sup >= 0.0:
-        violations.append(Violation("ratio_sup", f"sup r/(1-|x|) >= 1 (log={lr_sup})"))
 
     d0, covering = distance_to_obstacles(Point(0.0, 0.0), index)
     if d0 <= 0.0:

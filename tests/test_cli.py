@@ -275,6 +275,31 @@ class TestSweepAndReport:
         assert report["verdicts"][0]["verdict"] == "consistent with unavoidable"
         assert report["verdicts"][0]["test"]
 
+    def test_one_depth_is_no_trend(self, cfg_path, tmp_path):
+        out = tmp_path / "one"
+        assert run("check", cfg_path, "--y-grid", 4, "--out-dir", out) == 0
+        assert run("sweep", cfg_path, "--depths", "8", "--n-walks", 200, "--out-dir", out) == 0
+        argv = ("report", "--check", out / "check.json", "--sweep", out / "sweep.json")
+        assert run(*argv, "--out-dir", out) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert not report["summary"]["escape_trend"]["strictly_decreasing_beyond_2ci"]
+        assert report["verdicts"][0]["verdict"] == "inconclusive"
+
+    def test_trend_read_in_ascending_depth(self, cfg_path, tmp_path):
+        check = tmp_path / "check.json"
+        assert run("check", cfg_path, "--y-grid", 4, "--out-dir", tmp_path) == 0
+        reports = []
+        for depths in ("6,7,8", "8,6,7"):
+            out = tmp_path / depths.replace(",", "")
+            argv = ("--eps", 1e-8, "--n-walks", 4000, "--seed", 7, "--out-dir", out)
+            assert run("sweep", cfg_path, "--depths", depths, *argv) == 0
+            argv = ("report", "--check", check, "--sweep", out / "sweep.json")
+            assert run(*argv, "--out-dir", out) == 0
+            report = json.loads((out / "report.json").read_text())
+            reports.append((report["summary"], report["verdicts"]))
+        assert reports[1] == reports[0]
+        assert reports[0][1][0]["verdict"] == "consistent with unavoidable"
+
     def test_avoidable_report(self, tmp_path):
         ring = tmp_path / "ring.json"
         out = tmp_path / "ro"
@@ -743,6 +768,17 @@ class TestConfigurationInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} is not a configuration document")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_disc_at_or_beyond_its_bound_exits_one(self, tmp_path, capsys, command):
+        # r = e^-1 against 1 - |x| = 0.1: refused when the block is built
+        path = tmp_path / "wide.json"
+        path.write_text('{"discs": [{"x": 0.9, "y": 0.0, "log_r": -1.0}], "n_max": 2}')
+        out = tmp_path / "out"
+        assert run(command, path, *CONFIG_COMMANDS[command], "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == ["error: disc 0 of the block does not satisfy r < 1-|x|"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)

@@ -40,6 +40,7 @@ from champagne.geometry import (
     Configuration,
     Disc,
     DiscBlock,
+    GeometryError,
     Point,
     RingBlock,
     chord,
@@ -146,16 +147,10 @@ class TestSeriesExamples:
         assert rep1.total == pytest.approx(rep0.total, rel=1e-12)
 
     def test_nonpositive_log_rejected(self):
-        # raw block arrays bypass the Disc invariant, so the series op must
-        # reject r >= 1-|x| itself
-        from champagne.geometry import DiscBlock
-
-        bad = Configuration(
-            blocks=(DiscBlock(np.array([0.6]), np.array([0.0]), np.array([math.log(0.5)])),),
-            n_max=1,
-        )
-        with pytest.raises(CriteriaError):
-            log_weighted_series(bad, Y0)
+        # r >= 1-|x| is refused where the block is built, so no series ever
+        # meets a nonpositive log weight
+        with pytest.raises(GeometryError, match="disc 0 of the block"):
+            DiscBlock(np.array([0.6]), np.array([0.0]), np.array([math.log(0.5)]))
 
     def test_ring_blocks_match_materialized(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.0, c0=0.2, n_min=1, n_max=4))
@@ -338,17 +333,6 @@ class TestSeriesGrid:
         whole = series_over_grid(cfg, "log_weighted", y_count=50)
         monkeypatch.setattr(criteria, "SERIES_CHUNK", 7)
         assert series_over_grid(cfg, "log_weighted", y_count=50) == whole
-
-    def test_log_weight_checked_once_per_configuration(self, monkeypatch):
-        calls = []
-        check = criteria._check_positive_log
-        monkeypatch.setattr(criteria, "_check_positive_log", lambda c: calls.append(c) or check(c))
-        cfg = _flagship8()
-        series_over_grid(cfg, "log_weighted", y_count=16)
-        for y in BoundaryPoint.grid(8):
-            log_weighted_series(cfg, y)
-        poisson_series(cfg, Y0)
-        assert len(calls) == 1 and calls[0] is cfg
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(CriteriaError):

@@ -539,6 +539,34 @@ class TestSerialization:
         with pytest.raises(GeometryError):
             DiscBlock(np.array([0.6]), np.array([0.0]), np.array([-math.inf]))
 
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.0, 0.999),
+                st.floats(0.0, 2 * math.pi),
+                st.floats(-1e6, -1e-6),
+            ),
+            min_size=1,
+            max_size=20,
+        ),
+        st.data(),
+    )
+    def test_disc_block_refuses_the_first_disc_at_its_bound(self, discs, data):
+        rho, theta, log_ratio = (np.array(v) for v in zip(*discs))
+        x, y = rho * np.cos(theta), rho * np.sin(theta)
+        log_s = np.log(1.0 - np.hypot(x, y))
+        DiscBlock(x, y, log_s + log_ratio)
+        k = data.draw(st.integers(0, len(discs) - 1))
+        lifted = log_s + log_ratio
+        lifted[k] = log_s[k] + data.draw(st.sampled_from([0.0, 1e-3, 5.0]))
+        with pytest.raises(GeometryError, match=f"disc {k} of the block"):
+            DiscBlock(x, y, lifted)
+
+    @pytest.mark.parametrize("x", [1.0, 1.5, -3.0])
+    def test_disc_block_refuses_a_center_off_the_open_disc(self, x):
+        with pytest.raises(GeometryError, match="disc 1 of the block"):
+            DiscBlock(np.array([0.6, x]), np.array([0.0, 0.0]), np.array([-5.0, -5.0]))
+
     def test_underflowed_radius_survives(self):
         d = Disc(Point(0.9, 0.0), -1.0e6)
         assert d.radius == 0.0
@@ -570,8 +598,8 @@ class TestConfiguration:
         assert c.ratio_sup == pytest.approx(0.5)
 
     def test_log_ratio_sup_computed_once(self, monkeypatch):
-        # validation reads it as itself and through ratio_sup, and the
-        # capacity constants read ratio_sup again
+        # validation reads it through ratio_sup, and the capacity constants
+        # read ratio_sup again
         calls = []
         compute = Configuration.log_ratio_sup.func
         counted = cached_property(lambda c: calls.append(c) or compute(c))

@@ -191,6 +191,16 @@ class TestEstimateEscape:
         est = estimate_escape(params, cfg)
         assert est.n_escaped + est.n_hit + est.n_censored == est.n_walks == 3000
 
+    def test_integer_start_coordinate_is_a_float(self):
+        cfg = concentric_obstacle_config(0.25)
+        start = Point(0.5, 0)
+        got = estimate_escape(WalkParams(seed=4, n_walks=500, start=start), cfg)
+        want = estimate_escape(WalkParams(seed=4, n_walks=500, start=Point(0.5, 0.0)), cfg)
+        np.testing.assert_array_equal(got.walk_outcome, want.walk_outcome)
+        np.testing.assert_array_equal(got.walk_steps, want.walk_steps)
+        assert (got.p_escape, got.mean_steps) == (want.p_escape, want.mean_steps)
+        assert type(start.y) is float
+
     def test_annulus_oracle(self):
         cfg = concentric_obstacle_config(0.25)
         params = WalkParams(eps_shell=1e-4, seed=3, n_walks=40_000, start=Point(0.5, 0.0))
