@@ -22,14 +22,14 @@ The C2 capacity uses the truncated kernel log+(2/|x-y|) and is normalized
 by the sampled minimum of the equilibrium potential, so that the reported
 value is the mass required to push the potential to 1 on the set.
 
-The cell capacity series reads one record per obstacle set,
-(n, ms, obstacles): the cells (n, m), m in the range ms, share it.  Cell m
-of a ring generation of rows of sector_count(n) * p slots holds slots
+The cell capacity series reads its rows as columns (:class:`CellRows`):
+row k holds the cells (n, m), m_lo <= m < m_hi, of one obstacle set.  Cell
+m of a ring generation of rows of sector_count(n) * p slots holds slots
 [m p, (m + 1) p) of every row.  Each run of cells that keep all their slots
-and that no explicit disc reaches is one record of the generation's
-cluster, solved once.  Every other cell is gathered as arrays: its explicit
-discs, found from the cell that holds each centre (a disc inside that cell
-meets no other), then its ring discs by slot index.
+and that no explicit disc reaches is one row on the generation's cluster,
+solved once.  A disc inside the cell that holds its centre meets no other,
+and a cell that it meets alone has its log radius.  Every other cell is
+gathered as arrays, explicit discs then ring discs by slot index.
 
 A cluster solve needs the mutual potential of -log d at every one of its
 p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
@@ -63,8 +63,6 @@ kernel max(log 2 - log(scale d), 0) is exactly (log 2 - log scale) - log d.
 
 from __future__ import annotations
 
-import bisect
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -81,7 +79,6 @@ from .criteria import (
 from .geometry import (
     Configuration,
     Disc,
-    DiscBlock,
     Point,
     RingBlock,
     TWO_PI,
@@ -93,6 +90,7 @@ from .geometry import (
     radius_from_log,
     sector_count,
     spatial_index,
+    unique_sorted,
     whitney_cell,
 )
 
@@ -771,24 +769,22 @@ def _home_cells(x: np.ndarray, y: np.ndarray, log_r: np.ndarray):
     return n, np.mod(m, sectors).astype(np.int64), inside
 
 
-def _cell_discs(c: Configuration) -> dict[tuple[int, int], np.ndarray]:
-    """Map (n, m) -> the indices into ``spatial_index(c).exp_*`` of the
-    explicit discs whose closed disc meets the closed cell, ascending: the
-    cells of :func:`cells_intersecting_disc`.  A disc inside its home cell
-    (see :func:`_home_cells`) meets that cell alone; every other disc takes
-    the scalar test."""
+def _cell_discs(c: Configuration) -> tuple:
+    """(n, m, i, inside) in (n, m, i) order: every pair of a cell (n, m),
+    n <= c.n_max, and an explicit disc i, an index into
+    ``spatial_index(c).exp_*``, whose closed disc meets the closed cell, as
+    :func:`cells_intersecting_disc` finds them.  ``inside`` marks a disc
+    inside its home cell (see :func:`_home_cells`), which it alone meets;
+    every other disc takes the scalar test."""
     ex = spatial_index(c)
     n, m, inside = _home_cells(ex.exp_x, ex.exp_y, ex.exp_log_r)
-    pairs = [np.stack([n, m, np.arange(len(n))])[:, inside]]
+    pairs = [np.stack([n, m, np.arange(len(n)), inside])[:, inside & (n <= c.n_max)]]
     for e in np.flatnonzero(~inside).tolist():
         d = Disc(Point(float(ex.exp_x[e]), float(ex.exp_y[e])), float(ex.exp_log_r[e]))
-        pairs += [np.array([[idx.n], [idx.m], [e]]) for idx in cells_intersecting_disc(d)]
-    n, m, i = np.concatenate(pairs, axis=1)
+        pairs += [np.array([[idx.n], [idx.m], [e], [0]]) for idx in cells_intersecting_disc(d, c.n_max)]
+    n, m, i, inside = np.concatenate(pairs, axis=1)
     order = np.lexsort((i, m, n))
-    n, m, i = n[order], m[order], i[order]
-    starts = np.flatnonzero(np.diff(n, prepend=-1) | np.diff(m, prepend=-1)).tolist()
-    cells = zip(n[starts].tolist(), m[starts].tolist())
-    return {cell: i[lo:hi] for cell, lo, hi in zip(cells, starts, starts[1:] + [len(i)])}
+    return n[order], m[order], i[order], inside[order].astype(bool)
 
 
 # The most discs a gathered cell may hold: each of its solves builds k x k
@@ -797,35 +793,21 @@ _CELL_DISCS = 2048
 
 
 class CellDiscs(NamedTuple):
-    """The discs that meet one gathered cell, as arrays, with ``inside``
-    true where a disc lies inside this cell, its home cell, with
-    _GATHER_SLACK to spare (see :func:`_home_cells`)."""
+    """The discs that meet one gathered cell, as arrays."""
 
     x: np.ndarray
     y: np.ndarray
     log_r: np.ndarray
-    inside: np.ndarray
 
 
-class ObstacleSet(NamedTuple):
-    """The cells (n, m), m in ``ms``, that share one obstacle set: a ring
-    generation's cluster, congruent in each cell of a run of its full cells,
-    or one cell's gathered discs as arrays."""
-
-    n: int
-    ms: range
-    obstacles: GenerationCluster | CellDiscs
-
-
-def _gather(cells: list, explicit: dict, rings: dict, stored: tuple) -> list[CellDiscs]:
+def _gather(cells: list, explicit: dict, rings: dict, ex) -> list[CellDiscs]:
     """The discs of each cell (n, m) of ``cells``: its explicit ones, the
-    entries of ``explicit`` (see :func:`_cell_discs`) into the arrays
-    ``stored`` = (x, y, log_r), then by slot index its ring discs, row by
-    row in block order, placed as :meth:`RingBlock.positions` places them.
-    One :func:`_home_cells` pass marks the discs inside their cell.  Refuses
-    a cell of more than _CELL_DISCS discs."""
-    parts, picks, none = [stored], [], np.empty(0, dtype=np.int64)
-    size = len(stored[0])
+    entry (n, m) of ``explicit``, indices into ``ex.exp_*`` of the spatial
+    index ``ex``, then by slot index its ring discs, row by row in block
+    order, placed as :meth:`RingBlock.positions` places them.  Refuses a
+    cell of more than _CELL_DISCS discs."""
+    parts, picks, none = [(ex.exp_x, ex.exp_y, ex.exp_log_r)], [], np.empty(0, dtype=np.int64)
+    size = len(ex.exp_x)
     for n, m in cells:
         pick = [explicit.get((n, m), none)]
         for r in rings.get(n, ()):
@@ -842,66 +824,93 @@ def _gather(cells: list, explicit: dict, rings: dict, stored: tuple) -> list[Cel
         picks.append(pick[0] if len(pick) == 1 else np.concatenate(pick))
     order, sizes = np.concatenate([none, *picks]), [len(p) for p in picks]
     x, y, log_r = (np.concatenate(a)[order] for a in zip(*parts))
-    n, m, inside = _home_cells(x, y, log_r)
-    home = np.repeat(np.array(cells, dtype=np.int64).reshape(-1, 2), sizes, axis=0)
-    inside &= (n == home[:, 0]) & (m == home[:, 1])
-    for a in (x, y, log_r, inside):
+    for a in (x, y, log_r):
         a.setflags(write=False)
     ends = np.cumsum(sizes).tolist()
-    bounds = zip([0] + ends, ends)
-    return [CellDiscs(x[lo:hi], y[lo:hi], log_r[lo:hi], inside[lo:hi]) for lo, hi in bounds]
+    return [CellDiscs(x[lo:hi], y[lo:hi], log_r[lo:hi]) for lo, hi in zip([0] + ends, ends)]
 
 
-def _obstacle_sets(c: Configuration) -> list[ObstacleSet]:
-    """Obstacle set of every cell that holds discs, in (n, ms.start) order.
+class CellRows(NamedTuple):
+    """Rows of cells as columns, in (n, m_lo) order.  Row k covers the cells
+    (n[k], m), m_lo[k] <= m < m_hi[k], which share one log capacity
+    log c(E cap cell) and one weight {log(2^{-n}/c(E cap cell))}^{-1}.
+    ``solve`` names the row's obstacle set: s >= 0 is set s of
+    :func:`_obstacle_rows`, a generation's cluster or one gathered cell;
+    ~e < 0 is the explicit disc e, alone in the cell and inside it."""
 
-    Each maximal run of a ring generation's full cells that no explicit disc
-    reaches shares the generation's cluster.  The cells between the runs
-    are gathered by :func:`_gather` as arrays: the partial cells of a
+    n: np.ndarray
+    m_lo: np.ndarray
+    m_hi: np.ndarray
+    log_capacity: np.ndarray
+    weight: np.ndarray
+    solve: np.ndarray
+
+    def take(self, keep: np.ndarray) -> "CellRows":
+        return CellRows(*(a[keep] for a in self))
+
+
+def _obstacle_rows(c: Configuration) -> tuple:
+    """(n, m_lo, m_hi, solve, sets): the :class:`CellRows` columns but the
+    capacities, for the cells of generation at most c.n_max that discs meet,
+    and the obstacle sets that ``solve`` indexes: the clusters, then the
+    cells gathered by :func:`_gather`.  Those are the partial cells of a
     dropped prefix, from floor(min a_start / p) up to the first full cell
-    ceil(max a_start / p), and the cells that an explicit disc reaches,
-    found from the cell that holds each disc's centre.
+    ceil(max a_start / p), and the cells that several discs or one disc not
+    inside them meet.
 
     Built once per configuration and kept on it, which is immutable, so
     that the weights, the table, quasiadditivity and the log bound of one
     configuration share a single build.
     """
     memo = vars(c)
-    if "_obstacle_sets" not in memo:
-        explicit, stored = {}, (np.empty(0),) * 3
-        if any(isinstance(b, DiscBlock) and len(b) for b in c.blocks):
-            ex = spatial_index(c)
-            explicit, stored = _cell_discs(c), (ex.exp_x, ex.exp_y, ex.exp_log_r)
-        clusters = generation_clusters(c)
-        rings = _generation_rows(c)
-        # _cell_discs lists its cells in (n, m) order
-        reached, gathered, sets = list(explicit), dict.fromkeys(explicit), []
-        for n, rows in rings.items():
-            p, starts = rows[0].count // sector_count(n), [r.a_start for r in rows]
-            full = -(-max(starts) // p) if n in clusters else sector_count(n)
-            gathered.update(dict.fromkeys((n, m) for m in range(min(starts) // p, full)))
-            lo, i = full, bisect.bisect_left(reached, (n, full))
-            for _, m in reached[i : bisect.bisect_left(reached, (n + 1,))] + [(n, sector_count(n))]:
-                if lo < m:
-                    sets.append(ObstacleSet(n, range(lo, m), clusters[n]))
-                lo = m + 1
-        gathered = sorted(gathered)
-        sets += [
-            ObstacleSet(n, range(m, m + 1), discs)
-            for (n, m), discs in zip(gathered, _gather(gathered, explicit, rings, stored))
-        ]
-        sets.sort(key=lambda s: (s.n, s.ms.start))
-        memo["_obstacle_sets"] = sets
-    return memo["_obstacle_sets"]
+    if "_obstacle_rows" not in memo:
+        n, m, i, inside = _cell_discs(c)
+        # the cells that explicit discs meet, each the span [first, end) of its pairs
+        first = np.flatnonzero(np.diff(n, prepend=-1) | np.diff(m, prepend=-1))
+        end = np.append(first[1:], len(n))
+        alone = (end - first == 1) & inside[first]
+        clusters, rings = generation_clusters(c), _generation_rows(c)
+        sets, rows, partial = [], [], []
+        for g in sorted(k for k in rings if k <= c.n_max):
+            p, starts = rings[g][0].count // sector_count(g), [r.a_start for r in rings[g]]
+            full = -(-max(starts) // p) if g in clusters else sector_count(g)
+            lo, hi = np.searchsorted(n[first], [g, g + 1]).tolist()
+            reached = m[first[lo:hi]]
+            alone[lo:hi] &= reached < min(starts) // p
+            partial += [(g, k) for k in range(min(starts) // p, full)]
+            # the runs of full cells between those that explicit discs reach
+            edges = np.concatenate([[full - 1], reached[reached >= full], [sector_count(g)]])
+            run = np.flatnonzero(np.diff(edges) > 1)
+            if len(run):
+                rows.append(np.stack([np.full_like(run, g), edges[run] + 1, edges[run + 1], np.full_like(run, len(sets))]))
+                sets.append(clusters[g])
+        crowded = zip(first[~alone].tolist(), end[~alone].tolist())
+        explicit = {(int(n[a]), int(m[a])): i[a:b] for a, b in crowded}
+        gathered = sorted(explicit.keys() | set(partial))
+        cells = np.array(gathered, dtype=np.int64).reshape(-1, 2).T
+        rows.append(np.stack([*cells, cells[1] + 1, len(sets) + np.arange(len(gathered))]))
+        sets += _gather(gathered, explicit, rings, spatial_index(c))
+        own = first[alone]
+        rows.append(np.stack([n[own], m[own], m[own] + 1, ~i[own]]))
+        n, m_lo, m_hi, solve = np.concatenate(rows, axis=1)
+        order = np.lexsort((m_lo, n))
+        memo["_obstacle_rows"] = (n[order], m_lo[order], m_hi[order], solve[order], sets)
+    return memo["_obstacle_rows"]
 
 
 def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
-    """Obstacle set of one cell, or None when no disc meets it."""
-    sets = _obstacle_sets(c)
-    i = bisect.bisect_right(sets, (idx.n, idx.m), key=lambda s: (s.n, s.ms.start)) - 1
-    if i >= 0 and sets[i].n == idx.n and idx.m in sets[i].ms:
-        return sets[i].obstacles
-    return None
+    """Obstacle set of one cell, or None when no disc meets it: its
+    generation's cluster or its discs as arrays, which for a cell that one
+    disc meets, lying inside it, are built here."""
+    n, m_lo, m_hi, solve, sets = _obstacle_rows(c)
+    lo, hi = np.searchsorted(n, [idx.n, idx.n + 1]).tolist()
+    k = lo + int(np.searchsorted(m_lo[lo:hi], idx.m, side="right")) - 1
+    if k < lo or idx.m >= m_hi[k]:
+        return None
+    if solve[k] >= 0:
+        return sets[solve[k]]
+    ex, e = spatial_index(c), slice(~solve[k], ~solve[k] + 1)
+    return CellDiscs(ex.exp_x[e], ex.exp_y[e], ex.exp_log_r[e])
 
 
 def _scaled_c2(obstacles, scale: float) -> tuple[float, float, int]:
@@ -924,57 +933,47 @@ def _disc_shapes(discs: CellDiscs) -> list[DiscShape]:
 
 
 def _cell_shape(idx: WhitneyIndex, discs: CellDiscs) -> UnionShape:
-    """The union of the pieces of ``discs`` inside cell ``idx``: whole the
-    discs marked inside it, clipped to it the others, which
-    :func:`log_capacity` decides exactly."""
+    """The union of the pieces of ``discs`` inside cell ``idx``, each disc
+    clipped to the cell: :func:`log_capacity` takes a disc inside it whole."""
     cell = whitney_cell(idx)
-    pieces = zip(_disc_shapes(discs), discs.inside.tolist())
-    return UnionShape(tuple(d if inside else ClippedDiscShape(d, cell) for d, inside in pieces))
+    return UnionShape(tuple(ClippedDiscShape(d, cell) for d in _disc_shapes(discs)))
 
 
-class CellWeight(NamedTuple):
-    """The cells (n, m), m in ``ms``, their log capacity log c(E cap cell)
-    and their weight {log(2^{-n}/c(E cap cell))}^{-1}."""
-
-    n: int
-    ms: range
-    log_capacity: float
-    weight: float
-
-
-def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> list[CellWeight]:
-    """One weight row per obstacle set of generation at most ``n_max``, in
-    (n, ms.start) order.
+def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> CellRows:
+    """The rows of the cells of generation at most ``n_max`` (at most
+    ``c.n_max``, its default) that discs meet, with their log capacities
+    and weights.
 
     One cluster solve gives the shared weight of every run of a ring
-    generation's full cells; every other cell is solved on its own discs,
-    and a cell that one disc meets, lying inside it, has that disc's log
-    radius (the ``exact_disc`` value).  Polar cells have no row.
+    generation's full cells.  The cells that one disc meets, lying inside
+    them, have its log radius (the ``exact_disc`` value), all in one step.
+    Every other cell is solved on its own discs.  Polar cells have no row.
     """
-    keep_n = c.n_max if n_max is None else n_max
-    rows, solved = [], {}
-    for n, ms, obstacles in _obstacle_sets(c):
-        if n > keep_n:
-            break
-        if isinstance(obstacles, GenerationCluster):
-            if n not in solved:
-                solved[n] = cluster_log_capacity(obstacles)
-            log_cap = solved[n]
-        elif len(obstacles.inside) == 1 and obstacles.inside[0]:
-            log_cap = float(obstacles.log_r[0])
-        else:
-            try:
-                est = log_capacity(_cell_shape(WhitneyIndex(n, ms.start), obstacles))
-            except CapacityError as exc:
-                raise CapacityError(f"capacity failed at cell (n={n}, m={ms.start}): {exc}")
-            if est.polar:
-                continue
-            log_cap = est.log_value
-        denom = -n * LOG2 - log_cap
-        if denom <= 0.0:
-            raise CapacityError(f"cell capacity exceeds the cell scale at (n={n}, m={ms.start})")
-        rows.append(CellWeight(n, ms, log_cap, 1.0 / denom))
-    return rows
+    if n_max is not None and n_max > c.n_max:
+        raise CapacityError(f"n_max {n_max} exceeds the configuration's n_max {c.n_max}")
+    n, m_lo, m_hi, solve, sets = _obstacle_rows(c)
+    k = int(np.searchsorted(n, c.n_max if n_max is None else n_max, side="right"))
+    n, m_lo, m_hi, solve = n[:k], m_lo[:k], m_hi[:k], solve[:k]
+    log_cap, shared = np.empty(k), solve >= 0
+    log_cap[~shared] = spatial_index(c).exp_log_r[~solve[~shared]]
+    solved: dict[int, float] = {}
+    for s, g, m in zip(*(a[shared].tolist() for a in (solve, n, m_lo))):
+        if s in solved:
+            continue
+        if isinstance(sets[s], GenerationCluster):
+            solved[s] = cluster_log_capacity(sets[s])
+            continue
+        try:
+            est = log_capacity(_cell_shape(WhitneyIndex(g, m), sets[s]))
+        except CapacityError as exc:
+            raise CapacityError(f"capacity failed at cell (n={g}, m={m}): {exc}")
+        solved[s] = math.nan if est.polar else est.log_value
+    log_cap[shared] = [solved[s] for s in solve[shared].tolist()]
+    denom = -n * LOG2 - log_cap
+    bad = np.flatnonzero(denom <= 0.0)
+    if len(bad):
+        raise CapacityError(f"cell capacity exceeds the cell scale at (n={n[bad[0]]}, m={m_lo[bad[0]]})")
+    return CellRows(n, m_lo, m_hi, log_cap, 1.0 / denom, solve).take(~np.isnan(log_cap))
 
 
 def cell_series_term(n: int, m: int, weight: float, psi: float) -> float:
@@ -985,27 +984,26 @@ def cell_series_term(n: int, m: int, weight: float, psi: float) -> float:
     return 2.0 ** (-2 * n) * weight / chord(1.0, z, psi - theta) ** 2
 
 
-def cell_series_terms(weights: Sequence[CellWeight], psi: float) -> dict[int, np.ndarray]:
-    """:func:`cell_series_term` of every cell of the rows ``weights``, keyed
-    by generation, each generation's cells in row order.  One numpy pass per
+def cell_series_terms(rows: CellRows, psi: float) -> dict[int, np.ndarray]:
+    """:func:`cell_series_term` of every cell of ``rows``, keyed by
+    generation, each generation's cells in row order.  One numpy pass per
     generation repeats the scalar's arithmetic step for step
     (``np.float_power`` for ``**``), so each entry equals the scalar's."""
-    by_generation: dict[int, list[CellWeight]] = {}
-    for row in weights:
-        by_generation.setdefault(row.n, []).append(row)
     terms = {}
-    for n, rows in by_generation.items():
-        m = np.fromiter(itertools.chain.from_iterable(row.ms for row in rows), dtype=np.float64)
-        weight = np.repeat([row.weight for row in rows], [len(row.ms) for row in rows])
+    for n in unique_sorted(rows.n).tolist():
+        gen = rows.take(rows.n == n)
+        size = gen.m_hi - gen.m_lo
+        m = np.arange(size.sum()) + np.repeat(gen.m_lo - (np.cumsum(size) - size), size)
+        weight = np.repeat(gen.weight, size)
         z = 1.0 - 2.0 ** (-n)
-        theta = TWO_PI * m / sector_count(n)
+        theta = TWO_PI * m.astype(np.float64) / sector_count(n)
         d = np.sqrt((1.0 - z) ** 2 + 4.0 * 1.0 * z * np.float_power(np.sin((psi - theta) / 2.0), 2))
         terms[n] = 2.0 ** (-2 * n) * weight / np.float_power(d, 2)
     return terms
 
 
 def cell_capacity_series(
-    c: Configuration, y: BoundaryPoint, weights: list[CellWeight] | None = None
+    c: Configuration, y: BoundaryPoint, weights: CellRows | None = None
 ) -> SeriesReport:
     """Sum over cells of (2^{-n}/|z_{m,n}-y|)^2 {log(2^{-n}/c(E cap cell))}^{-1}.
 
@@ -1016,33 +1014,33 @@ def cell_capacity_series(
     if weights is None:
         weights = cell_capacity_weights(c)
     psi = y.theta
-    full, partial = [], []
-    for row in weights:
-        (full if len(row.ms) == sector_count(row.n) else partial).append(row)
+    whole = weights.m_hi - weights.m_lo == sector_count(weights.n)
+    ns, ring_weights = weights.n[whole].tolist(), weights.weight[whole].tolist()
     totals = equally_spaced_inverse_square_sum(
-        [1.0 - 2.0 ** (-row.n) for row in full], [sector_count(row.n) for row in full], 0.0, psi
+        [1.0 - 2.0 ** (-n) for n in ns], [sector_count(n) for n in ns], 0.0, psi
     )
-    per_gen = {n: terms.tolist() for n, terms in cell_series_terms(partial, psi).items()}
-    for (n, _, _, w), total in zip(full, totals.tolist()):
+    per_gen = {n: terms.tolist() for n, terms in cell_series_terms(weights.take(~whole), psi).items()}
+    for n, w, total in zip(ns, ring_weights, totals.tolist()):
         per_gen.setdefault(n, []).append(2.0 ** (-2 * n) * w * total)
     per = tuple((n, math.fsum(per_gen[n])) for n in sorted(per_gen))
     return SeriesReport.from_generations(y, "cell_capacity", per)
 
 
-def cell_capacity_table(
-    c: Configuration, weights: list[CellWeight], constants: CapacityConstants
-) -> list[tuple[CellWeight, float]]:
-    """Each row of ``weights`` (from :func:`cell_capacity_weights`, whose
-    ``ms`` may be cut short) with the C2 capacity of its obstacle set scaled
-    by ``constants.cell_scale(n)``, solved once for all runs of a cluster."""
-    table, solved = [], {}
-    for row in weights:
-        obstacles = _cell_obstacles(c, WhitneyIndex(row.n, row.ms.start))
-        key = row.n if isinstance(obstacles, GenerationCluster) else (row.n, row.ms.start)
-        if key not in solved:
-            solved[key] = _scaled_c2(obstacles, constants.cell_scale(row.n))[0]
-        table.append((row, solved[key]))
-    return table
+def cell_capacity_table(c: Configuration, weights: CellRows, constants: CapacityConstants) -> np.ndarray:
+    """The C2 capacity of the obstacle set of each row of ``weights`` (from
+    :func:`cell_capacity_weights`, cut short or not), scaled by
+    ``constants.cell_scale(n)``: for one disc inside its cell the closed
+    form 1/(log 2 - log(scale r)) of :func:`c2_disc_system`, for every
+    other set one solve shared by its rows."""
+    log_scale = np.array([math.log(constants.cell_scale(n)) for n in weights.n.tolist()])
+    c2 = 1.0 / (LOG2 - (weights.log_capacity + log_scale))
+    sets, solved = _obstacle_rows(c)[-1], {}
+    for k in np.flatnonzero(weights.solve >= 0).tolist():
+        s = int(weights.solve[k])
+        if s not in solved:
+            solved[s] = _scaled_c2(sets[s], constants.cell_scale(int(weights.n[k])))[0]
+        c2[k] = solved[s]
+    return c2
 
 
 # ---------------------------------------------------------------------------

@@ -362,6 +362,23 @@ def cmd_check(args) -> int:
 # capacity
 
 
+def _first_cells(rows, per_generation: int, total: int):
+    """The first ``per_generation`` cells of each generation of the capacity
+    rows, and of those the first ``total``, in row order: the row that
+    reaches a cap is cut short there and the rows past it are dropped."""
+    import numpy as np
+
+    size = rows.m_hi - rows.m_lo
+    per_generation, total = (min(cap, int(size.sum())) for cap in (per_generation, total))
+    # the cells of the rows before each row in its generation, which starts
+    # at the row that searchsorted finds
+    before = np.cumsum(size) - size
+    before -= before[np.searchsorted(rows.n, rows.n)]
+    take = np.clip(per_generation - before, 0, size)
+    take = np.clip(total - (np.cumsum(take) - take), 0, take)
+    return rows._replace(m_hi=rows.m_lo + take).take(take > 0)
+
+
 def cmd_capacity(args) -> int:
     from .capacity import (
         CapacityConstants,
@@ -385,6 +402,8 @@ def cmd_capacity(args) -> int:
         if value is not None and value < 1:
             raise UsageError(f"--{flag.replace('_', '-')} must be >= 1, got {value}")
     config, input_hash = _load_config(args.config)
+    if args.n_max is not None and args.n_max > config.n_max:
+        raise UsageError(f"--n-max {args.n_max} exceeds the configuration's n_max {config.n_max}")
     constants = CapacityConstants.for_configuration(config)
     weights = cell_capacity_weights(config, n_max=args.n_max)
     y0 = BoundaryPoint(0.0)
@@ -398,19 +417,13 @@ def cmd_capacity(args) -> int:
 
     # the C2 of a row is solved only for the cells written; the rows of one
     # generation share its cap
-    written, count, in_generation = [], 0, {}
-    for row in weights:
-        done = in_generation.get(row.n, 0)
-        ms = row.ms[: max(min(args.max_cells_per_generation - done, args.max_cells - count), 0)]
-        if ms:
-            written.append(row._replace(ms=ms))
-            count += len(ms)
-            in_generation[row.n] = done + len(ms)
-
+    written = _first_cells(weights, args.max_cells_per_generation, args.max_cells)
     sep = None
     rows: list[list] = []
     terms = {n: iter(t.tolist()) for n, t in cell_series_terms(written, y0.theta).items()}
-    for (n, ms, log_cap, _), c2 in cell_capacity_table(config, written, constants):
+    c2_column = cell_capacity_table(config, written, constants)
+    columns = (written.n, written.m_lo, written.m_hi, written.log_capacity, c2_column)
+    for n, m_lo, m_hi, log_cap, c2 in zip(*(a.tolist() for a in columns)):
         quasi = ""
         if args.quasiadditivity:
             if sep is None:
@@ -418,12 +431,12 @@ def cmd_capacity(args) -> int:
             # one value per entry: the cells of a ring generation are congruent
             try:
                 quasi = quasiadditivity_ratio(
-                    quasi_cfg, WhitneyIndex(n, ms.start), constants, sep=sep
+                    quasi_cfg, WhitneyIndex(n, m_lo), constants, sep=sep
                 ).ratio
             except CapacityError:
                 quasi = ""
         cap_value = radius_from_log(log_cap)
-        rows.extend([n, m, log_cap, cap_value, c2, next(terms[n]), quasi] for m in ms)
+        rows.extend([n, m, log_cap, cap_value, c2, next(terms[n]), quasi] for m in range(m_lo, m_hi))
 
     series = cell_capacity_series(config, y0, weights=weights)
     cert = avoidability_certificate(config)

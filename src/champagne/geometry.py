@@ -97,7 +97,8 @@ class Point:
 
 @dataclass(frozen=True)
 class Disc:
-    """A closed obstacle disc strictly inside the unit disc.
+    """A closed obstacle disc strictly inside the unit disc: log r < log(1-|x|),
+    the one bound test that :class:`RingBlock` and :class:`DiscBlock` apply too.
 
     ``log_radius`` is the primary field; ``radius`` is its (possibly
     underflowed) exponential.
@@ -127,8 +128,6 @@ class Disc:
         s = self.boundary_gap
         if s <= 0.0:
             raise GeometryError("disc center must lie inside the unit disc")
-        if self.center.norm() + self.radius >= 1.0:
-            raise GeometryError("closed disc must lie inside the unit disc")
         if self.log_radius >= math.log(s):
             raise GeometryError(
                 "disc radius must be smaller than its distance to the unit circle"
@@ -266,8 +265,9 @@ def cell_center(idx: WhitneyIndex) -> Point:
     return Point(rho * math.cos(theta), rho * math.sin(theta))
 
 
-def cells_intersecting_disc(d: Disc) -> list[WhitneyIndex]:
-    """All cells whose closed cell meets the closed disc, in (n, m) order.
+def cells_intersecting_disc(d: Disc, n_max: int | None = None) -> list[WhitneyIndex]:
+    """All cells of generation at most ``n_max`` (default: every
+    generation) whose closed cell meets the closed disc, in (n, m) order.
 
     Discs wholly inside |x| < 1/2 meet no cells and yield an empty list.
     """
@@ -279,7 +279,7 @@ def cells_intersecting_disc(d: Disc) -> list[WhitneyIndex]:
     # the rounded gaps are widened by one on each side; the exact distance
     # test below decides every candidate cell
     g_hi, g_lo = generations_of(np.array([s_hi, s_lo])).tolist()
-    n_lo, n_hi = max(g_hi - 1, 1), g_lo + 1
+    n_lo, n_hi = max(g_hi - 1, 1), g_lo + 1 if n_max is None else min(g_lo + 1, n_max)
     out: list[WhitneyIndex] = []
     theta_c = d.center.angle()
     rho_c = d.center.norm()

@@ -8,7 +8,7 @@ from champagne import capacity
 from champagne.capacity import (
     CapacityConstants,
     CapacityError,
-    CellWeight,
+    CellRows,
     ClippedDiscShape,
     DiscShape,
     SegmentShape,
@@ -39,7 +39,7 @@ from champagne.capacity import (
     _home_cells,
     _radial_nodes,
     _log_kernel,
-    _obstacle_sets,
+    _obstacle_rows,
 )
 from champagne.criteria import (
     BoundaryPoint,
@@ -74,10 +74,22 @@ from champagne.geometry import (
 def _gathered(cfg) -> dict:
     """_cell_discs of ``cfg`` as (x, y, log_r) per disc, cell by cell."""
     ex = spatial_index(cfg)
-    return {
-        key: list(zip(ex.exp_x[i].tolist(), ex.exp_y[i].tolist(), ex.exp_log_r[i].tolist()))
-        for key, i in _cell_discs(cfg).items()
-    }
+    out: dict = {}
+    for n, m, i in zip(*(a.tolist() for a in _cell_discs(cfg)[:3])):
+        out.setdefault((n, m), []).append((ex.exp_x[i].item(), ex.exp_y[i].item(), ex.exp_log_r[i].item()))
+    return out
+
+
+def _rows(rows) -> list:
+    """(n, range(m_lo, m_hi), log_capacity, weight) per row of a CellRows."""
+    n, m_lo, m_hi, log_cap, weight = (a.tolist() for a in rows[:5])
+    return [(g, range(lo, hi), lc, w) for g, lo, hi, lc, w in zip(n, m_lo, m_hi, log_cap, weight)]
+
+
+def _set_rows(cfg) -> list:
+    """(n, range(m_lo, m_hi), solve) per row of _obstacle_rows."""
+    n, m_lo, m_hi, solve, _ = _obstacle_rows(cfg)
+    return [(g, range(lo, hi), s) for g, lo, hi, s in zip(*(a.tolist() for a in (n, m_lo, m_hi, solve)))]
 
 
 def _floats(discs) -> list:
@@ -413,13 +425,14 @@ class TestClusters:
 
     def test_obstacle_sets_kept_per_configuration(self):
         cfg = self._config()
-        assert _obstacle_sets(cfg) is _obstacle_sets(cfg)
+        assert _obstacle_rows(cfg) is _obstacle_rows(cfg)
         small = shrink(cfg, log_delta=-10.0)
-        assert _obstacle_sets(small) is not _obstacle_sets(cfg)
+        assert _obstacle_rows(small) is not _obstacle_rows(cfg)
         # generation 3 is the only obstacle set: one cluster row
-        (row,), (small_row,) = _obstacle_sets(cfg), _obstacle_sets(small)
-        assert row.n == small_row.n == 3
-        np.testing.assert_allclose(small_row.obstacles.log_rs, row.obstacles.log_rs - 10.0)
+        (row,), (small_row,) = _set_rows(cfg), _set_rows(small)
+        assert row[0] == small_row[0] == 3
+        (cluster,), (small_cluster,) = _obstacle_rows(cfg)[-1], _obstacle_rows(small)[-1]
+        np.testing.assert_allclose(small_cluster.log_rs, cluster.log_rs - 10.0)
 
     @pytest.mark.parametrize("drop_first", [3, 9 * 20 + 4, 9 * 127 + 3, 9 * 127 + 2])
     def test_prefixed_rows_keep_the_cluster(self, drop_first):
@@ -593,10 +606,16 @@ class TestCellSeries:
     def test_ring_config_weights_shared_per_generation(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.2, c0=0.05, n_min=2, n_max=4))
         weights = cell_capacity_weights(cfg)
-        assert [(row.n, row.ms) for row in weights] == [
+        assert [(n, ms) for n, ms, _, _ in _rows(weights)] == [
             (n, range(sector_count(n))) for n in (2, 3, 4)
         ]
-        assert all(row.weight > 0 for row in weights)
+        assert all(w > 0 for _, _, _, w in _rows(weights))
+
+    def test_weights_beyond_the_configuration_refused(self):
+        cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.2, c0=0.05, n_min=2, n_max=4))
+        assert [n for n, *_ in _rows(cell_capacity_weights(cfg, 3))] == [2, 3]
+        with pytest.raises(CapacityError, match="n_max 5 exceeds the configuration's n_max 4"):
+            cell_capacity_weights(cfg, 5)
 
     @pytest.mark.parametrize("beta, n_min, n_max", [(1.2, 1, 4), (1.5, 2, 3), (0.1, 1, 4)])
     def test_ring_series_matches_every_cell_term(self, beta, n_min, n_max):
@@ -605,14 +624,14 @@ class TestCellSeries:
             GeneratorParams.exp_power(beta=beta, c0=0.05, n_min=n_min, n_max=n_max)
         )
         weights = cell_capacity_weights(cfg)
-        assert all(len(row.ms) == sector_count(row.n) for row in weights)
+        assert all(len(ms) == sector_count(n) for n, ms, _, _ in _rows(weights))
         for y in BoundaryPoint.grid(5):
             rep = cell_capacity_series(cfg, y, weights=weights)
-            for (n, value), row in zip(rep.per_generation, weights):
-                brute = math.fsum(cell_series_term(n, m, row.weight, y.theta) for m in row.ms)
+            for (n, value), (_, ms, _, w) in zip(rep.per_generation, _rows(weights)):
+                brute = math.fsum(cell_series_term(n, m, w, y.theta) for m in ms)
                 assert value == pytest.approx(brute, rel=1e-12, abs=0.0)
             brute = math.fsum(
-                cell_series_term(row.n, m, row.weight, y.theta) for row in weights for m in row.ms
+                cell_series_term(n, m, w, y.theta) for n, ms, _, w in _rows(weights) for m in ms
             )
             assert rep.total == pytest.approx(brute, rel=1e-12, abs=0.0)
 
@@ -622,9 +641,11 @@ class TestCellSeries:
         for n in (1, 2, 5, 9, 17, 30):
             for start in rng.integers(0, sector_count(n), size=4).tolist():
                 ms = range(start, min(start + int(rng.integers(1, 40)), sector_count(n)))
-                rows.append(CellWeight(n, ms, 0.0, float(rng.uniform(1e-6, 2.0))))
+                rows.append((n, ms, 0.0, float(rng.uniform(1e-6, 2.0))))
+        columns = [(n, ms.start, ms.stop, lc, w, -1) for n, ms, lc, w in rows]
+        cells = CellRows(*(np.array(a) for a in zip(*columns)))
         for psi in rng.uniform(-7.0, 7.0, size=25).tolist():
-            terms = cell_series_terms(rows, psi)
+            terms = cell_series_terms(cells, psi)
             want = {}
             for n, ms, _, w in rows:
                 want.setdefault(n, []).extend(cell_series_term(n, m, w, psi) for m in ms)
@@ -639,7 +660,7 @@ class TestCellSeries:
         weights = cell_capacity_weights(cfg)
         y = BoundaryPoint(0.7)
         per = {}
-        for n, ms, _, w in weights:
+        for n, ms, _, w in _rows(weights):
             per.setdefault(n, []).extend(cell_series_term(n, m, w, y.theta) for m in ms)
         rep = cell_capacity_series(cfg, y, weights=weights)
         assert rep.per_generation == tuple((n, math.fsum(per[n])) for n in sorted(per))
@@ -681,31 +702,42 @@ class TestObstacleRows:
 
     def test_rows_sorted_and_disjoint(self):
         cfg = self._mixed()
-        sets = _obstacle_sets(cfg)
-        weights = cell_capacity_weights(cfg)
+        sets = _set_rows(cfg)
+        weights = _rows(cell_capacity_weights(cfg))
         for rows in (sets, weights):
-            keys = [(row.n, row.ms.start) for row in rows]
+            keys = [(n, ms.start) for n, ms, *_ in rows]
             assert keys == sorted(keys)
             for a, b in zip(rows, rows[1:]):
-                assert a.n < b.n or a.ms.stop <= b.ms.start
-        assert [(row.n, row.ms) for row in weights] == [(row.n, row.ms) for row in sets]
+                assert a[0] < b[0] or a[1].stop <= b[1].start
+        assert [row[:2] for row in weights] == [row[:2] for row in sets]
         # runs of full cells share their generation's cluster: 6 is cut
         # before cell 5, and the edge disc reaches cells 39 and 40 of 7
-        runs = [(row.n, row.ms) for row in sets if isinstance(row.obstacles, GenerationCluster)]
+        obstacles = [_cell_obstacles(cfg, WhitneyIndex(n, ms.start)) for n, ms, _ in sets]
+        runs = [row[:2] for row, o in zip(sets, obstacles) if isinstance(o, GenerationCluster)]
         assert runs == [(6, range(5, 1024)), (7, range(39)), (7, range(41, 2048)), (8, range(4096))]
         gathered = [
-            (row.n, row.ms.start, len(row.obstacles.x))
-            for row in sets
-            if row.n > 1 and not isinstance(row.obstacles, GenerationCluster)
+            (n, ms.start, len(o.x))
+            for (n, ms, _), o in zip(sets, obstacles)
+            if n > 1 and not isinstance(o, GenerationCluster)
         ]
         assert gathered == [(7, 39, 2), (7, 40, 2)]
 
     def test_cell_lookup(self):
         cfg = self._mixed()
-        sets = _obstacle_sets(cfg)
-        for row in sets:
-            for m in (row.ms.start, row.ms.stop - 1):
-                assert _cell_obstacles(cfg, WhitneyIndex(row.n, m)) is row.obstacles
+        sets, ex = _obstacle_rows(cfg)[-1], spatial_index(cfg)
+        for n, ms, s in _set_rows(cfg):
+            for m in (ms.start, ms.stop - 1):
+                obstacles = _cell_obstacles(cfg, WhitneyIndex(n, m))
+                if s >= 0:
+                    assert obstacles is sets[s]
+                else:
+                    # a cell of one explicit disc, inside it, built on request
+                    assert ms == range(m, m + 1)
+                    got = [obstacles.x, obstacles.y, obstacles.log_r]
+                    want = [ex.exp_x[~s], ex.exp_y[~s], ex.exp_log_r[~s]]
+                    assert [a.tolist() for a in got] == [[v] for v in want]
+                    (disc,) = capacity._disc_shapes(obstacles)
+                    assert _disc_inside_cell(disc, whitney_cell(WhitneyIndex(n, m)))
         for idx in (WhitneyIndex(1, 5), WhitneyIndex(6, 0), WhitneyIndex(6, 4), WhitneyIndex(9, 0)):
             assert _cell_obstacles(cfg, idx) is None
         # the runs on either side of the edge disc share one cluster, and the
@@ -716,7 +748,8 @@ class TestObstacleRows:
         for m in (39, 40):
             discs = _cell_obstacles(cfg, WhitneyIndex(7, m))
             assert discs.log_r.tolist() == [-12.0, cluster.log_rs[0]]
-            assert discs.inside.tolist() == [False, True]
+            cell = whitney_cell(WhitneyIndex(7, m))
+            assert [_disc_inside_cell(d, cell) for d in capacity._disc_shapes(discs)] == [False, True]
 
     def test_scalar_search_only_for_discs_not_inside(self, monkeypatch):
         # a materialised ring file gathers no disc by the scalar test; the
@@ -724,12 +757,43 @@ class TestObstacleRows:
         # each take it once
         calls = []
         real = capacity.cells_intersecting_disc
-        monkeypatch.setattr(capacity, "cells_intersecting_disc", lambda d: calls.append(d) or real(d))
+        monkeypatch.setattr(
+            capacity, "cells_intersecting_disc", lambda d, n_max: calls.append(d) or real(d, n_max)
+        )
         rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
-        sets = _obstacle_sets(rings.materialized())
-        assert len(sets) == rings.disc_count and calls == []
-        _obstacle_sets(self._mixed())
+        n, *_ = _obstacle_rows(rings.materialized())
+        assert len(n) == rings.disc_count and calls == []
+        _obstacle_rows(self._mixed())
         assert [d.log_radius for d in calls] == [-7.0, -12.0]
+
+    @pytest.mark.parametrize("materialized", [False, True])
+    def test_gather_only_cells_not_one_disc_inside(self, monkeypatch, materialized):
+        # the cells that one disc meets, lying inside them, take their rows
+        # from the home-cell pass; of the mixed file, stored as rings or disc
+        # by disc, only the cells of its two explicit discs are gathered,
+        # which lie on a sector edge and on a cell edge
+        cfg = self._mixed().materialized() if materialized else self._mixed()
+        gathered = []
+        real = capacity._gather
+        monkeypatch.setattr(
+            capacity, "_gather", lambda cells, *rest: gathered.extend(cells) or real(cells, *rest)
+        )
+        weights = cell_capacity_weights(cfg)
+        met: dict = {}
+        for d in cfg.materialized().iter_discs():
+            for idx in cells_intersecting_disc(d):
+                met.setdefault((idx.n, idx.m), []).append(d)
+        one_inside = {
+            key for key, discs in met.items()
+            if len(discs) == 1
+            and _disc_inside_cell(DiscShape(discs[0].center, discs[0].log_radius), whitney_cell(WhitneyIndex(*key)))
+        }
+        assert gathered == [(1, 0), (1, 31), (7, 39), (7, 40)] == sorted(met.keys() - one_inside)
+        own, shared = (
+            {(n, m) for n, ms, *_ in _rows(weights.take(keep)) for m in ms}
+            for keep in (weights.solve < 0, weights.solve >= 0)
+        )
+        assert own == one_inside - shared
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -764,10 +828,10 @@ class TestObstacleRows:
             cfg = Configuration(blocks=(explicit,) + rings.blocks, n_max=n_max)
         want = _gathered(cfg.materialized())
         got = {}
-        for n, ms, obstacles in _obstacle_sets(cfg):
+        for n, ms, _ in _set_rows(cfg):
             for m in ms:
                 assert (n, m) not in got
-                got[(n, m)] = obstacles
+                got[(n, m)] = _cell_obstacles(cfg, WhitneyIndex(n, m))
         assert got.keys() == want.keys()
         for key, obstacles in got.items():
             if isinstance(obstacles, GenerationCluster):
@@ -818,7 +882,7 @@ class TestCellGather:
         )
         expect: dict = {}
         for d in cfg.iter_discs():
-            for idx in cells_intersecting_disc(d):
+            for idx in cells_intersecting_disc(d, cfg.n_max):
                 expect.setdefault((idx.n, idx.m), []).append(d)
         assert _gathered(cfg) == {k: _floats(v) for k, v in expect.items()}
 

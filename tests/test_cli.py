@@ -9,6 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import champagne
 from champagne.cli import _walk_params, build_parser, main
@@ -387,8 +388,8 @@ class TestCapacityCommand:
         rows = [line.split(",") for line in (out / "capacity.csv").read_text().splitlines()[1:]]
         keys = [(int(row[0]), int(row[1])) for row in rows]
         weights = cell_capacity_weights(cfg)
-        assert all(len(row.ms) == 1 for row in weights)
-        assert keys == sorted(keys) == [(row.n, row.ms.start) for row in weights]
+        assert (weights.m_hi - weights.m_lo == 1).all()
+        assert keys == sorted(keys) == list(zip(weights.n.tolist(), weights.m_lo.tolist()))
         constants = CapacityConstants.for_configuration(cfg)
         discs = list(cfg.iter_discs())
         for (n, m), row in zip(keys, rows):
@@ -458,6 +459,32 @@ class TestCapacityCommand:
             want = float(twin_rows[key]["log_capacity"])
             assert float(row["log_capacity"]) == pytest.approx(want, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("gap", [1e-4, 1e-12])
+    def test_disc_near_the_circle_stops_at_n_max(self, tmp_path, gap):
+        # a disc of radius 0.1 - gap at x = 0.9 reaches cells of every
+        # generation from 2 on; the rows stop at the file's n_max, 4, and
+        # each is the clipped disc's capacity in a cell that it meets there
+        from champagne.capacity import ClippedDiscShape, DiscShape, log_capacity
+        from champagne.geometry import Disc, Point, cells_intersecting_disc, whitney_cell
+
+        log_r = math.log(1.0 - 0.9 - gap)
+        path, out = tmp_path / "near.json", tmp_path / "cap"
+        path.write_text(json.dumps({"discs": [{"x": 0.9, "y": 0.0, "log_r": log_r}], "n_max": 4}))
+        assert run("capacity", path, "--out-dir", out) == 0
+        with open(out / "capacity.csv", newline="") as fh:
+            rows = {(int(r["n"]), int(r["m"])): r for r in csv.DictReader(fh)}
+        disc = Disc(Point(0.9, 0.0), log_r)
+        if gap == 1e-4:
+            # the unbounded search, which is slow only nearer the circle
+            cells = [idx for idx in cells_intersecting_disc(disc) if idx.n <= 4]
+        else:
+            cells = cells_intersecting_disc(disc, 4)
+        assert list(rows) == [(idx.n, idx.m) for idx in cells]
+        assert {n for n, _ in rows} == {2, 3, 4}
+        for idx in cells[:: max(len(cells) // 4, 1)]:
+            est = log_capacity(ClippedDiscShape(DiscShape(disc.center, log_r), whitney_cell(idx)))
+            assert rows[(idx.n, idx.m)]["log_capacity"] == repr(est.log_value)
+
     def test_cut_cell_alone_is_gathered(self, tmp_path):
         # the flagship n <= 6 less 3000 discs: the prefix ends inside cell 10
         # of generation 4 (p = 8), which is solved on its own discs; every
@@ -489,15 +516,48 @@ class TestCapacityCommand:
                 assert row == full[key]
         cfg = loads_config((tmp_path / "drop3000.json").read_text())
         twin = cfg.materialized()
-        i, ex = _cell_discs(twin)[(4, 10)], spatial_index(twin)
+        (n, m, i, _), ex = _cell_discs(twin), spatial_index(twin)
+        i = i[(n == 4) & (m == 10)]
         assert len(i) == 40
-        # every disc clipped: log_capacity decides each one exactly
-        discs = CellDiscs(ex.exp_x[i], ex.exp_y[i], ex.exp_log_r[i], np.zeros(len(i), dtype=bool))
+        discs = CellDiscs(ex.exp_x[i], ex.exp_y[i], ex.exp_log_r[i])
         est = log_capacity(_cell_shape(WhitneyIndex(4, 10), discs))
         assert cut[(4, 10)]["log_capacity"] == repr(est.log_value)
         scale = CapacityConstants.for_configuration(cfg).cell_scale(4)
         c2, _ = c2_disc_system(discs.x * scale, discs.y * scale, discs.log_r + math.log(scale))
         assert cut[(4, 10)]["c2_scaled"] == repr(c2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        runs=st.lists(st.tuples(st.integers(1, 4), st.integers(1, 30), st.integers(0, 3)), max_size=12),
+        per_generation=st.integers(1, 60) | st.just(10**30),
+        total=st.integers(1, 120) | st.just(10**30),
+    )
+    def test_first_cells_match_the_row_by_row_cut(self, runs, per_generation, total):
+        # rows of 1-30 cells, in generation order with gaps between them,
+        # cut as a loop over the rows cuts them
+        from champagne.capacity import CellRows
+        from champagne.cli import _first_cells
+
+        rows, end = [], {}
+        for n, size, gap in sorted(runs, key=lambda run: run[0]):
+            lo = end.get(n, 0) + gap
+            rows.append((n, range(lo, lo + size)))
+            end[n] = lo + size
+        want, count, in_generation = [], 0, {}
+        for n, ms in rows:
+            done = in_generation.get(n, 0)
+            ms = ms[: max(min(per_generation - done, total - count), 0)]
+            if ms:
+                want.append((n, ms))
+                count += len(ms)
+                in_generation[n] = done + len(ms)
+        n, m_lo, m_hi = (
+            np.array(column, dtype=np.int64)
+            for column in ([n for n, _ in rows], [ms.start for _, ms in rows], [ms.stop for _, ms in rows])
+        )
+        k = len(rows)
+        got = _first_cells(CellRows(n, m_lo, m_hi, np.zeros(k), np.ones(k), np.full(k, -1)), per_generation, total)
+        assert list(zip(got.n.tolist(), map(range, got.m_lo.tolist(), got.m_hi.tolist()))) == want
 
     @pytest.mark.parametrize("storage", ["explicit", "cut", "reached"])
     def test_cells_capped_per_generation(self, tmp_path, storage):
@@ -646,6 +706,33 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {flag} must be >= 1") and "Traceback" not in err
         assert not out.exists()
+
+    def test_capacity_n_max_above_the_file_exits_two(self, cfg_path, tmp_path, capsys):
+        # the file stops at generation 8: rows of generation 9 do not exist
+        out = tmp_path / "k"
+        assert run("capacity", cfg_path, "--n-max", 9, "--out-dir", out) == 2
+        err = capsys.readouterr().err
+        assert err == "error: --n-max 9 exceeds the configuration's n_max 8\n"
+        assert not out.exists()
+
+    def test_disc_one_ulp_below_the_bound_one_exit_code(self, tmp_path, capsys):
+        # |x| + r rounds to 1, but log r < log(1 - |x|): every command takes
+        # the disc, by the one log-space test
+        path = tmp_path / "ulp.json"
+        log_r = math.nextafter(math.log(1.0 - 0.9), -math.inf)
+        path.write_text(json.dumps({"discs": [{"x": 0.9, "y": 0.0, "log_r": log_r}], "n_max": 2}))
+        assert 0.9 + math.exp(log_r) == 1.0
+        codes = {
+            command: run(command, path, *extra, "--out-dir", tmp_path / command)
+            for command, extra in [
+                ("check", ["--y-grid", 4]),
+                ("capacity", []),
+                ("simulate", ["--n-walks", 10]),
+                ("sweep", ["--depths", "1,2", "--n-walks", 10]),
+            ]
+        }
+        assert codes == dict.fromkeys(codes, 0)
+        assert "error" not in capsys.readouterr().err
 
     @pytest.mark.parametrize("command", ["simulate", "sweep"])
     def test_infinite_eps_exits_one(self, cfg_path, tmp_path, capsys, command):

@@ -211,6 +211,19 @@ class TestCellsIntersectingDisc:
             ]
             assert cells_intersecting_disc(d) == expect
 
+    def test_n_max_ends_the_search(self):
+        # the cells of generation at most n_max, in the same order; a disc
+        # tangent to the unit circle within 1e-9 is searched to n_max only
+        rng = np.random.default_rng(12)
+        for _ in range(40):
+            rho, theta = rng.uniform(0.5, 0.995), rng.uniform(0, TWO_PI)
+            d = disc(rho * math.cos(theta), rho * math.sin(theta), (1.0 - rho) * rng.uniform(0.01, 0.8))
+            every = cells_intersecting_disc(d)
+            for n_max in range(0, max(idx.n for idx in every) + 2):
+                assert cells_intersecting_disc(d, n_max) == [idx for idx in every if idx.n <= n_max]
+        near = Disc(Point(0.9, 0.0), math.log(1.0 - 0.9 - 1e-9))
+        assert {idx.n for idx in cells_intersecting_disc(near, 5)} == {2, 3, 4, 5}
+
 
 def _random_explicit_config(rng, count, rmin=1e-5, rmax=1e-3):
     discs = []
