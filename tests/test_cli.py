@@ -843,8 +843,15 @@ class TestConfigurationInput:
             b'{"rings": [{"n": 1, "rho": 0.7, "log_r": -6.0, "count": Infinity}], "n_max": 1}',
             b'{"rings": [], "n_max": 1e999}',
             b'{"discs": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+            b'{"discs": {"x": [0.6, 0.7], "y": [0.0], "log_r": [-5.0, -5.0]}, "n_max": 2}',
+            b'{"discs": {"x": [0.6], "y": ["0.0"], "log_r": [-5.0]}, "n_max": 2}',
+            b'{"discs": {"x": [0.6], "y": [0.0], "r": [0.01]}, "n_max": 2}',
+            b'{"discs": 7, "n_max": 2}',
         ],
-        ids=["not-utf8", "infinite-count", "overflowing-n-max", "too-deep"],
+        ids=[
+            "not-utf8", "infinite-count", "overflowing-n-max", "too-deep",
+            "ragged-columns", "string-entry", "no-log_r-column", "scalar-discs",
+        ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
     def test_malformed_file_exits_two(self, tmp_path, capsys, command, content):
@@ -855,6 +862,19 @@ class TestConfigurationInput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} is not a configuration document")
         assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field", ["x", "y", "log_r"])
+    @pytest.mark.parametrize("command", CONFIG_COMMANDS)
+    def test_nan_in_a_column_exits_one(self, tmp_path, capsys, command, field):
+        columns = {"x": [0.6, 0.5], "y": [0.0, 0.1], "log_r": [-5.0, -6.0]}
+        columns[field][1] = math.nan
+        path = tmp_path / "nan.json"
+        path.write_text(json.dumps({"discs": columns, "n_max": 2}))
+        out = tmp_path / "out"
+        assert run(command, path, *CONFIG_COMMANDS[command], "--out-dir", out) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [f"error: disc block has a non-finite {field}"]
         assert not out.exists()
 
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)

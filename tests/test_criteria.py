@@ -18,6 +18,7 @@ from champagne.criteria import (
     density_bounds,
     density_profile,
     equally_spaced_inverse_square_sum,
+    exact_sum,
     integral_test,
     log_weighted_series,
     poisson_series,
@@ -595,6 +596,94 @@ class TestBudgets:
         cfg = generate_avoidable_ring()
         b = budget_sums(cfg, alpha=1.0)
         assert b.sum_log_inv_1 <= 1.0 / (2.0 * math.log(4.0))
+
+
+class TestExactSum:
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(st.integers(0, 64), st.integers(0, 40_000)),
+        st.integers(0, 2**32 - 1),
+        st.integers(-1074, 1023),
+        st.sampled_from([0, 1, 60, 2100]),
+        st.sampled_from(["positive", "signed", "cancelling"]),
+        st.sampled_from([0.0, 0.3, 1.0]),
+        st.sampled_from(["array", "slice", "rows"]),
+    )
+    def test_equals_fsum_bit_for_bit(self, size, seed, top, spread, signs, zeros, view):
+        # magnitudes below 2^top, spread over `spread` binades and clipped
+        # at the subnormals; near 2^1023 sigma overflows and fsum sums alone
+        rng = np.random.default_rng(seed)
+        exponents = np.maximum(rng.integers(top - spread, top + 1, size), -1074)
+        t = np.ldexp(rng.random(size), exponents)
+        if signs == "signed":
+            t *= rng.choice([-1.0, 1.0], size)
+        elif signs == "cancelling":
+            t[size // 2 :] = -t[: size - size // 2][::-1]
+            rng.shuffle(t)
+        zero = rng.random(size) < zeros
+        t[zero] = rng.choice([-0.0, 0.0], int(zero.sum()))
+        # as the series takes a generation: a slice of the block's terms, or
+        # its rows by index
+        block = rng.random(size + 9)
+        if view == "slice":
+            block[4 : 4 + size] = t
+            t = block[4 : 4 + size]
+        elif view == "rows":
+            rows = np.sort(rng.choice(size + 9, size, replace=False))
+            block[rows] = t
+            t = block[rows]
+        try:
+            want = math.fsum(t.tolist())
+        except OverflowError:
+            with pytest.raises(OverflowError):
+                exact_sum(t)
+            return
+        assert exact_sum(t).hex() == want.hex()
+
+    @pytest.mark.parametrize(
+        "t, want",
+        [
+            ([], 0.0),
+            ([-0.0, -0.0], math.fsum([-0.0, -0.0])),
+            ([2.0**-1074, 2.0**-1074, -(2.0**-1073)], 0.0),
+            ([1e16, 1.0, -1e16], 1.0),
+            ([0.1] * 10, 1.0),
+        ],
+    )
+    def test_edge_cases(self, t, want):
+        assert exact_sum(np.array(t, dtype=np.float64)).hex() == want.hex()
+
+    def test_overflowing_sigma_sums_with_fsum(self, monkeypatch):
+        # 2^1020 among 100 summands needs sigma = 2^(7 + 1021), beyond the doubles
+        t = np.concatenate([[2.0**1020, -(2.0**1020)], np.full(98, 0.5)])
+        calls = []
+        fsum = math.fsum
+        monkeypatch.setattr(math, "fsum", lambda values: calls.append(len(values)) or fsum(values))
+        assert exact_sum(t) == 49.0
+        assert calls == [100]
+        calls.clear()
+        assert exact_sum(t[2:]) == 49.0
+        assert calls and calls[0] < 100
+
+    @pytest.mark.parametrize("canonical", [True, False])
+    @pytest.mark.parametrize("kind", criteria.SERIES_KINDS)
+    def test_explicit_entries_are_fsum_of_their_terms(self, kind, canonical):
+        # canonical order keeps each generation a slice of the block; a
+        # shuffled block takes it by index
+        b = _series_config([], 400, 0, seed=17).blocks[0]
+        order = np.argsort(b.generations, kind="stable") if canonical else np.arange(len(b))
+        cfg = Configuration(blocks=(DiscBlock(b.x[order], b.y[order], b.log_r[order]),), n_max=8)
+        terms = criteria._series_terms(cfg, kind)
+        (x, y, s, w, parts), = terms.explicit
+        assert all(isinstance(rows, slice) == canonical for _, rows in parts)
+        psi = np.array([point.theta for point in BoundaryPoint.grid(7)])
+        values = terms.values(psi)
+        for j, theta in enumerate(psi.tolist()):
+            t = s * s / ((x - math.cos(theta)) ** 2 + (y - math.sin(theta)) ** 2)
+            if w is not None:
+                t = t * w
+            for e, rows in parts:
+                assert values[e, j].hex() == math.fsum(t[rows].tolist()).hex()
 
 
 class TestDensity:

@@ -539,14 +539,75 @@ class TestSerialization:
         c = Configuration.from_discs([disc(0.6, 0.0, 0.01)])
         doc = json.loads(dumps_config(c))
         assert doc["schema_version"] == 1
-        assert set(doc["discs"][0]) == {"x", "y", "r", "log_r"}
+        assert set(doc["discs"]) == {"x", "y", "log_r"}
+        assert doc["discs"] == {"x": [0.6], "y": [0.0], "log_r": [math.log(0.01)]}
 
+    def test_record_and_column_layouts_load_alike(self):
+        # explicit discs ahead of two rings, as a loaded file orders them;
+        # the record file is what every earlier release wrote, ``r`` included
+        c = _random_explicit_config(np.random.default_rng(43), 80)
+        rings = (
+            RingBlock(n=5, rho=1.0 - 0.75 * 2.0**-5, log_r=-40.0, count=512),
+            RingBlock(n=6, rho=1.0 - 0.75 * 2.0**-6, log_r=-50.0, count=1024, a_start=9),
+        )
+        c = Configuration(blocks=(*c.blocks, *rings), n_max=6, provenance={"generator": "test"})
+        columns = dumps_config(c)
+        doc = json.loads(columns)
+        cols = doc["discs"]
+        doc["discs"] = [
+            {"x": x, "y": y, "r": math.exp(lr), "log_r": lr}
+            for x, y, lr in zip(cols["x"], cols["y"], cols["log_r"])
+        ]
+        records = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+        from_columns, from_records = loads_config(columns), loads_config(records)
+        b1, b2 = from_columns.blocks[0], from_records.blocks[0]
+        for name in ("x", "y", "log_r"):
+            assert getattr(b1, name).tobytes() == getattr(b2, name).tobytes()
+        assert from_columns.blocks[1:] == from_records.blocks[1:] == rings
+        i1, i2 = SpatialIndex(from_columns), SpatialIndex(from_records)
+        np.testing.assert_array_equal(i1.exp_ids, i2.exp_ids)
+        px, py = _query_points(43, c, count=200)
+        got, want = i1.distance_many(px, py, with_ids=True), i2.distance_many(px, py, with_ids=True)
+        for g, w in zip(got, want, strict=True):
+            np.testing.assert_array_equal(g, w)
+        # both read back as the column text
+        assert dumps_config(from_columns) == dumps_config(from_records) == columns
+
+    def test_no_explicit_disc_writes_an_empty_list(self):
+        # a ring-only file is the same text in either layout
+        ring = RingBlock(n=4, rho=0.94, log_r=-1.5e7, count=512)
+        assert json.loads(dumps_config(Configuration(blocks=(ring,), n_max=4)))["discs"] == []
+
+    @pytest.mark.parametrize("layout", ["records", "columns"])
     @pytest.mark.parametrize("field", ["x", "y", "log_r"])
-    def test_non_finite_disc_rejected_at_load(self, field):
+    def test_non_finite_disc_rejected_at_load(self, field, layout):
         entry = {"x": 0.6, "y": 0.1, "log_r": -5.0}
         entry[field] = math.nan
+        discs = [entry] if layout == "records" else {k: [v] for k, v in entry.items()}
         with pytest.raises(GeometryError, match=field):
-            loads_config(json.dumps({"discs": [entry], "n_max": 2}))
+            loads_config(json.dumps({"discs": discs, "n_max": 2}))
+
+    @pytest.mark.parametrize(
+        "discs",
+        [
+            {"x": [0.6, 0.7], "y": [0.0], "log_r": [-5.0, -5.0]},
+            {"x": [0.6], "y": ["0.0"], "log_r": [-5.0]},
+            {"x": [0.6], "y": [None], "log_r": [-5.0]},
+            {"x": [0.6], "y": [[0.0]], "log_r": [-5.0]},
+            {"x": 0.6, "y": 0.0, "log_r": -5.0},
+            {"x": [0.6], "y": [0.0]},
+            {"x": [0.6], "y": [0.0], "r": [0.01]},
+            [{"x": 0.6, "y": "0.0", "log_r": -5.0}],
+            7,
+        ],
+        ids=["ragged", "string", "null", "nested", "scalar-columns", "no-log_r", "r-for-log_r",
+             "string-record", "scalar"],
+    )
+    def test_malformed_discs_are_format_errors(self, discs):
+        # ValueError, KeyError and TypeError are what the CLI reports as a
+        # document it cannot read
+        with pytest.raises((ValueError, KeyError, TypeError)):
+            loads_config(json.dumps({"discs": discs, "n_max": 2}))
 
     def test_non_finite_disc_block_rejected(self):
         with pytest.raises(GeometryError):
@@ -638,7 +699,8 @@ class TestConfiguration:
 # ---------------------------------------------------------------------------
 # locality-bounded queries against brute-force scans
 
-from champagne.geometry import _NO_ID, _DiscBand, _find_overlap, _nearest_rows  # noqa: E402
+from champagne.bands import DiscTable, _nearest_rows  # noqa: E402
+from champagne.geometry import _NO_ID, _find_overlap  # noqa: E402
 
 # drawn per band: (generation, disc count, angular centre, angular spread,
 # log10 of r_max / r_min); a band of more than 4w discs, w its window's
@@ -668,6 +730,12 @@ def _explicit_bands(seed, bands, r_top=0.3):
         lrs.append(np.log(r))
     block = DiscBlock(np.concatenate(xs), np.concatenate(ys), np.concatenate(lrs))
     return Configuration(blocks=(block,), n_max=8)
+
+
+def _band_half(index, n):
+    """The window half-width of generation n's band in the index."""
+    table = index._discs
+    return table.half[list(table.n).index(n)]
 
 
 def _query_points(seed, config, count=300):
@@ -822,7 +890,7 @@ class TestLocalityQueries:
             blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), log_r),), n_max=2
         )
         index = SpatialIndex(config)
-        assert index._explicit[2].half == 2
+        assert _band_half(index, 2) == 2
         px, py = np.array([0.874 * math.cos(1.0)]), np.array([0.874 * math.sin(1.0)])
         got = index.distance_many(px, py)
         np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
@@ -837,8 +905,8 @@ class TestLocalityQueries:
             [(np.arange(128) + 0.5) * step, (5.0 + np.linspace(0.1, 0.9, crowd - 1)) * step]
         )
         x, y = 0.9 * np.cos(theta), 0.9 * np.sin(theta)
-        band = _DiscBand(3, x, y, np.full(len(x), 1e-9), np.arange(len(x)))
-        assert band.half == half and band.windowed
+        table = DiscTable(x, y, np.full(len(x), 1e-9), np.arange(len(x)), np.full(len(x), 3))
+        assert table.half[0] == half and table.windowed[0]
 
     @pytest.mark.parametrize("s, count", [(1e-9, 1), (1e-6, 1), (1e-9, 40), (1e-6, 40)])
     def test_deep_generation_band(self, s, count):
@@ -852,7 +920,7 @@ class TestLocalityQueries:
         assert generation_of(s) in (19, 29)
         assert validate_configuration(config).ok
         index = SpatialIndex(config)
-        assert index._explicit[generation_of(s)].half == 2
+        assert _band_half(index, generation_of(s)) == 2
         px, py = _query_points(5, config, count=200)
         got = index.distance_many(px, py)
         np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
@@ -1017,6 +1085,111 @@ def _rings(rng, specs):
             log_r = math.log((1.0 - rho) * 10.0 ** rng.uniform(-12, -0.5))
             rings.append(RingBlock(n=n, rho=rho, log_r=log_r, count=count, a_start=a_start))
     return rings
+
+
+def _grid_discs(seed, count):
+    """Discs of one radius with centres on the 2^-6 grid: a query on the
+    2^-7 grid often has several nearest discs, exactly tied."""
+    rng = np.random.default_rng(seed)
+    centres = np.unique(rng.integers(-62, 63, (4 * count, 2)), axis=0)
+    centres = centres[rng.permutation(len(centres))] / 64.0
+    rho = np.hypot(centres[:, 0], centres[:, 1])
+    centres = centres[(rho > 0.05) & (rho < 0.97)][:count]
+    block = DiscBlock(centres[:, 0], centres[:, 1], np.full(len(centres), math.log(2.0**-9)))
+    return Configuration(blocks=(block,), n_max=8)
+
+
+def _grid_points(seed, count=300):
+    rng = np.random.default_rng(seed + 1)
+    p = rng.integers(-126, 127, (count, 2)) / 128.0
+    p = p[np.hypot(p[:, 0], p[:, 1]) < 0.99]
+    return p[:, 0].copy(), p[:, 1].copy()
+
+
+def _neighbor_scan_within(config, cutoff, centers):
+    """_neighbor_scan with a cutoff: (cutoff, -1) where no other disc is
+    at most cutoff away."""
+    nn, ids = _neighbor_scan(config, centers)
+    cutoff = np.broadcast_to(cutoff, nn.shape)
+    far = ~(nn <= cutoff)
+    return np.where(far, cutoff, nn), np.where(far, -1, ids)
+
+
+class TestDiscTable:
+    """The explicit-disc table against a scan of every disc: distances and
+    lowest ids, per-depth distances against the truncated configuration,
+    and nearest neighbours with a cutoff.  Bands run from one disc,
+    scanned whole, to 400 discs in a few sectors, windows 16 discs wide on
+    either side of the slot."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(
+            st.lists(_band, min_size=1, max_size=4),
+            st.integers(20, 400).map(lambda count: ("grid", count)),
+        ),
+        st.sampled_from(["inf", "scalar", "per-disc"]),
+        st.booleans(),
+    )
+    def test_queries_equal_scan(self, seed, bands, cutoff_kind, centers):
+        if bands[0] == "grid":
+            config = _grid_discs(seed, bands[1])
+            px, py = _grid_points(seed)
+        else:
+            config = _explicit_bands(seed, bands)
+            px, py = _query_points(seed, config)
+        index = SpatialIndex(config)
+        got = index.distance_many(px, py, with_ids=True)
+        for g, w in zip(got, _scan_with_ids(config, px, py), strict=True):
+            np.testing.assert_array_equal(g, w)
+        np.testing.assert_array_equal(index.distance_many(px, py), got[0])
+
+        rng = np.random.default_rng(seed + 2)
+        lo = rng.integers(0, 9, len(px))
+        hi = lo + rng.integers(0, 4, len(px))
+        d_lo, d_hi = index.distance_many(px, py, depths=(lo, hi))
+        for depth, got_d in ((lo, d_lo), (hi, d_hi)):
+            for d in np.unique(depth):
+                at = depth == d
+                want = SpatialIndex(truncate(config, n_max=int(d))).distance_many(px[at], py[at])
+                np.testing.assert_array_equal(got_d[at], want)
+
+        # a cutoff near the typical neighbour distance leaves some discs
+        # without a neighbour within it
+        typical = float(np.median(_neighbor_scan(config, centers)[0]))
+        cutoff = {
+            "inf": math.inf,
+            "scalar": typical,
+            "per-disc": typical * rng.uniform(0.0, 2.0, config.disc_count),
+        }[cutoff_kind]
+        got = index.explicit_neighbors(cutoff=cutoff, centers=centers)
+        for g, w in zip(got, _neighbor_scan_within(config, cutoff, centers), strict=True):
+            np.testing.assert_array_equal(g, w)
+
+    def test_one_disc_band(self):
+        # the annulus oracle's one disc at the origin, alone and beside rings
+        from champagne.walker import concentric_obstacle_config
+
+        alone = concentric_obstacle_config(0.25)
+        ring = RingBlock(n=2, rho=0.8, log_r=math.log(0.01), count=64)
+        for config in (alone, Configuration(blocks=(*alone.blocks, ring), n_max=2)):
+            index = SpatialIndex(config)
+            assert len(index._discs.n) == 1 and not index._discs.windowed[0]
+            px, py = _query_points(7, config, count=400)
+            got, want = index.distance_many(px, py, with_ids=True), _scan_with_ids(config, px, py)
+            for g, w in zip(got, want, strict=True):
+                np.testing.assert_array_equal(g, w)
+            depth = np.arange(len(px)) % 3
+            d_lo, d_hi = index.distance_many(px, py, depths=(depth // 2, depth))
+            for depths, got in ((depth // 2, d_lo), (depth, d_hi)):
+                for d in (0, 1, 2):
+                    at = depths == d
+                    want = SpatialIndex(truncate(config, n_max=d)).distance_many(px[at], py[at])
+                    np.testing.assert_array_equal(got[at], want)
+            for centers in (True, False):
+                d, ids = index.explicit_neighbors(cutoff=0.5, centers=centers)
+                assert (d.tolist(), ids.tolist()) == ([0.5], [-1])
 
 
 class TestNearestIds:

@@ -17,7 +17,9 @@ import champagne
 import champagne.cli as cli
 from champagne.cli import main
 
-SUBMODULES = {f"champagne.{m}" for m in ("capacity", "criteria", "generators", "geometry", "walker")}
+SUBMODULES = {
+    f"champagne.{m}" for m in ("bands", "capacity", "criteria", "generators", "geometry", "walker")
+}
 ERRORS = ("GeometryError", "GeneratorError", "CriteriaError", "CapacityError", "WalkerError")
 
 
@@ -45,16 +47,19 @@ class TestImportBudget:
         assert {m for m in modules if m.startswith("champagne")} == {"champagne", "champagne.cli"}
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, explicit",
         [
-            ["simulate", "--annulus", "0.25", "--start-x", "0.5", "--n-walks", "20", "--out-dir", "w"],
-            ["sweep", "cfg.json", "--depths", "1,2", "--n-walks", "20", "--out-dir", "w"],
+            (["simulate", "--annulus", "0.25", "--start-x", "0.5", "--n-walks", "20", "--out-dir", "w"], True),
+            (["sweep", "cfg.json", "--depths", "1,2", "--n-walks", "20", "--out-dir", "w"], False),
         ],
     )
-    def test_walks_load_geometry_and_walker_only(self, tmp_path, argv):
+    def test_walks_load_geometry_and_walker_only(self, tmp_path, argv, explicit):
+        # the explicit-disc table loads for the annulus's one explicit disc,
+        # and not for a file of rings
         assert main(["generate", "subsquares", "--n-max", "2", "-o", str(tmp_path / "cfg.json")]) == 0
         modules = loaded_by(argv, tmp_path)
-        assert modules & SUBMODULES == {"champagne.geometry", "champagne.walker"}
+        want = {"champagne.geometry", "champagne.walker"} | ({"champagne.bands"} if explicit else set())
+        assert modules & SUBMODULES == want
 
     def test_generate_subsquares_loads_generators_and_geometry_only(self, tmp_path):
         modules = loaded_by(["generate", "subsquares", "--n-max", "2", "-o", "cfg.json"], tmp_path)
