@@ -18,9 +18,16 @@ constant).  Three evaluation paths share that definition:
   the couplings (the radii here are routinely exp(-10^6) or smaller) need
   no special case: the same bordered solve covers them.
 
-The C2 capacity uses the truncated kernel log+(2/|x-y|) and is normalized
-by the sampled minimum of the equilibrium potential, so that the reported
-value is the mass required to push the potential to 1 on the set.
+The C2 capacity uses the truncated kernel log+(2/|x-y|): the mass that
+pushes the equilibrium potential to 1 on the set.  On a set of diameter
+below 2, scaled by ``scale``, that kernel is the log kernel of the unscaled
+set plus the constant s = log 2 - log scale.  Every energy of a probability
+measure moves by exactly s and the equilibrium measure does not change, so
+C2 = 1/(s - log cap) (T. Ransford, Potential Theory in the Complex Plane,
+1995, ch. 5).  :meth:`CapacityConstants.cell_scale` maps every cell below
+diameter 1, so each C2 of a scaled cell set is read off the set's log
+capacity and none is solved.  :func:`c2_disc_system` minimizes the
+truncated-kernel energy itself and is the reference for that identity.
 
 The cell capacity series reads its rows as columns (:class:`CellRows`):
 row k holds the cells (n, m), m_lo <= m < m_hi, of one obstacle set.  Cell
@@ -55,10 +62,6 @@ covers interpolation, is below 2^-52, capped at 10; only generation-1
 clusters of seven rows or more (beta of 5.6 or more) reach the cap, with
 a bound below 5e-12.  rhobar takes only 2R - 1 values for R rows, and when
 that is no more than T + 1 they are the nodes and the fit is exact.
-
-C2 of a scaled cluster uses the same sum: its scaled diameter is below 2
-(checked from the closed-form largest pair distance), where the truncated
-kernel max(log 2 - log(scale d), 0) is exactly (log 2 - log scale) - log d.
 """
 
 from __future__ import annotations
@@ -705,11 +708,10 @@ def cluster_log_capacity(cluster: GenerationCluster) -> float:
 
 
 def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
-    """(C2 of the scaled cluster, potential minimum).
-
-    The cluster is scaled by ``scale`` (so distances multiply);
-    self-energies become log(2/(scale*r)).  Every scaled pair distance must
-    stay below 2, where the truncated kernel is log 2 - log scale - log d.
+    """(C2 of the cluster scaled by ``scale``, its equilibrium potential)
+    from the cluster's log capacity, as the module docstring derives it.
+    Every scaled pair distance must stay below 2, where the truncated
+    kernel is log 2 - log scale - log d.
     """
     p = cluster.columns
     lo, hi = float(cluster.rhos[0]), float(cluster.rhos[-1])
@@ -720,19 +722,14 @@ def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
             f"scaled cluster diameter {scale * diameter:.6g} reaches 2,"
             " where the truncated kernel starts to bind"
         )
-    diag = LOG2 - (cluster.log_rs + math.log(scale))
-    if np.any(diag <= 0.0):
-        raise CapacityError("scaled cluster discs must have radius < 2")
-    inv = 1.0 / diag
-    denom = p * inv.sum()
-    w_row = inv / denom
-    others = p * w_row.sum() - w_row
-    mut = (LOG2 - math.log(scale)) * others[:, None] + _cluster_mutual(cluster, w_row)
-    potential = w_row[:, None] * diag[:, None] + mut
-    u_min = float(potential.min())
-    if u_min <= 0.0:
-        raise CapacityError("degenerate scaled-cluster potential")
-    return 1.0 / u_min, u_min
+    potential = LOG2 - (cluster_log_capacity(cluster) + math.log(scale))
+    return 1.0 / potential, potential
+
+
+def _scaled_cell_c2(log_cap, log_scale):
+    """C2 of a cell set of log capacity ``log_cap`` scaled by exp(log_scale),
+    for floats or arrays: 1/(log 2 - (log_cap + log_scale))."""
+    return 1.0 / (LOG2 - (log_cap + log_scale))
 
 
 # ---------------------------------------------------------------------------
@@ -859,8 +856,8 @@ def _obstacle_rows(c: Configuration) -> tuple:
     inside them meet.
 
     Built once per configuration and kept on it, which is immutable, so
-    that the weights, the table, quasiadditivity and the log bound of one
-    configuration share a single build.
+    that the weights, quasiadditivity and the log bound of one configuration
+    share a single build.
     """
     memo = vars(c)
     if "_obstacle_rows" not in memo:
@@ -913,20 +910,6 @@ def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
     return CellDiscs(ex.exp_x[e], ex.exp_y[e], ex.exp_log_r[e])
 
 
-def _scaled_c2(obstacles, scale: float) -> tuple[float, float, int]:
-    """(C2 of the obstacle set scaled by ``scale``, sum of the scaled
-    per-disc C2 values, disc count) for a generation's cluster or one cell's
-    gathered discs."""
-    if isinstance(obstacles, GenerationCluster):
-        union_c2, _ = cluster_c2(obstacles, scale)
-        diag = LOG2 - (obstacles.log_rs + math.log(scale))
-        parts_sum = float(obstacles.columns * np.sum(1.0 / diag))
-        return union_c2, parts_sum, obstacles.columns * len(obstacles.rhos)
-    lr = obstacles.log_r + math.log(scale)
-    union_c2, _ = c2_disc_system(obstacles.x * scale, obstacles.y * scale, lr)
-    return union_c2, float(np.sum(1.0 / (LOG2 - lr))), len(lr)
-
-
 def _disc_shapes(discs: CellDiscs) -> list[DiscShape]:
     xs, ys, log_rs = discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist()
     return [DiscShape(Point(x, y), log_r) for x, y, log_r in zip(xs, ys, log_rs)]
@@ -937,6 +920,29 @@ def _cell_shape(idx: WhitneyIndex, discs: CellDiscs) -> UnionShape:
     clipped to the cell: :func:`log_capacity` takes a disc inside it whole."""
     cell = whitney_cell(idx)
     return UnionShape(tuple(ClippedDiscShape(d, cell) for d in _disc_shapes(discs)))
+
+
+def _set_log_capacity(obstacles, idx: WhitneyIndex) -> float:
+    """Log capacity of the obstacle set of cell ``idx``, NaN when it is
+    polar: a generation's cluster by :func:`cluster_log_capacity`, gathered
+    discs clipped to the cell by :func:`log_capacity`."""
+    if isinstance(obstacles, GenerationCluster):
+        return cluster_log_capacity(obstacles)
+    try:
+        est = log_capacity(_cell_shape(idx, obstacles))
+    except CapacityError as exc:
+        raise CapacityError(f"capacity failed at cell (n={idx.n}, m={idx.m}): {exc}")
+    return math.nan if est.polar else est.log_value
+
+
+def _cell_log_capacity(c: Configuration, idx: WhitneyIndex) -> tuple:
+    """(log capacity, obstacle set) of cell ``idx``; refuses a cell that no
+    disc meets or that they meet in a polar set."""
+    obstacles = _cell_obstacles(c, idx)
+    log_cap = math.nan if obstacles is None else _set_log_capacity(obstacles, idx)
+    if math.isnan(log_cap):
+        raise CapacityError(f"no discs meet cell {idx} in a set of positive capacity")
+    return log_cap, obstacles
 
 
 def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> CellRows:
@@ -958,16 +964,8 @@ def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> CellRow
     log_cap[~shared] = spatial_index(c).exp_log_r[~solve[~shared]]
     solved: dict[int, float] = {}
     for s, g, m in zip(*(a[shared].tolist() for a in (solve, n, m_lo))):
-        if s in solved:
-            continue
-        if isinstance(sets[s], GenerationCluster):
-            solved[s] = cluster_log_capacity(sets[s])
-            continue
-        try:
-            est = log_capacity(_cell_shape(WhitneyIndex(g, m), sets[s]))
-        except CapacityError as exc:
-            raise CapacityError(f"capacity failed at cell (n={g}, m={m}): {exc}")
-        solved[s] = math.nan if est.polar else est.log_value
+        if s not in solved:
+            solved[s] = _set_log_capacity(sets[s], WhitneyIndex(g, m))
     log_cap[shared] = [solved[s] for s in solve[shared].tolist()]
     denom = -n * LOG2 - log_cap
     bad = np.flatnonzero(denom <= 0.0)
@@ -1026,21 +1024,13 @@ def cell_capacity_series(
     return SeriesReport.from_generations(y, "cell_capacity", per)
 
 
-def cell_capacity_table(c: Configuration, weights: CellRows, constants: CapacityConstants) -> np.ndarray:
-    """The C2 capacity of the obstacle set of each row of ``weights`` (from
+def cell_capacity_table(weights: CellRows, constants: CapacityConstants) -> np.ndarray:
+    """The C2 capacity of the cell set of each row of ``weights`` (from
     :func:`cell_capacity_weights`, cut short or not), scaled by
-    ``constants.cell_scale(n)``: for one disc inside its cell the closed
-    form 1/(log 2 - log(scale r)) of :func:`c2_disc_system`, for every
-    other set one solve shared by its rows."""
+    ``constants.cell_scale(n)``: the closed form of the row's log capacity,
+    with no solve."""
     log_scale = np.array([math.log(constants.cell_scale(n)) for n in weights.n.tolist()])
-    c2 = 1.0 / (LOG2 - (weights.log_capacity + log_scale))
-    sets, solved = _obstacle_rows(c)[-1], {}
-    for k in np.flatnonzero(weights.solve >= 0).tolist():
-        s = int(weights.solve[k])
-        if s not in solved:
-            solved[s] = _scaled_c2(sets[s], constants.cell_scale(int(weights.n[k])))[0]
-        c2[k] = solved[s]
-    return c2
+    return _scaled_cell_c2(weights.log_capacity, log_scale)
 
 
 # ---------------------------------------------------------------------------
@@ -1064,7 +1054,9 @@ def quasiadditivity_ratio(
     constants: CapacityConstants | None = None,
     sep=None,
 ) -> QuasiadditivityReport:
-    """C2(scaled union of the cell's discs) / sum of per-disc C2 values.
+    """C2(scaled cell set) / sum of the scaled per-disc C2 values, the
+    former read off the cell set's log capacity, its discs clipped to the
+    cell, and each of the latter that of one whole disc.
 
     Requires the configuration to satisfy the pair separation floor
     8*sqrt(pi)*c2_bracket*cell_comparability^2 for the radius-log
@@ -1080,16 +1072,20 @@ def quasiadditivity_ratio(
             f"separation {sep.value:.4g} below the quasiadditivity floor "
             f"{constants.separation_floor:.4g}; offending pair {sep.argmin_pair}"
         )
-    obstacles = _cell_obstacles(c, idx)
-    if obstacles is None:
-        raise CapacityError(f"no discs meet cell {idx}")
-    union_c2, parts_sum, count = _scaled_c2(obstacles, constants.cell_scale(idx.n))
+    log_cap, obstacles = _cell_log_capacity(c, idx)
+    log_scale = math.log(constants.cell_scale(idx.n))
+    if isinstance(obstacles, GenerationCluster):
+        log_r, copies = obstacles.log_rs, obstacles.columns
+    else:
+        log_r, copies = obstacles.log_r, 1
+    union_c2 = _scaled_cell_c2(log_cap, log_scale)
+    parts_sum = float(copies * np.sum(_scaled_cell_c2(log_r, log_scale)))
     return QuasiadditivityReport(
         cell=idx,
         ratio=union_c2 / parts_sum,
         union_c2=union_c2,
         parts_c2_sum=parts_sum,
-        disc_count=count,
+        disc_count=copies * len(log_r),
         separation_value=sep.value,
         separation_floor=constants.separation_floor,
     )
@@ -1101,20 +1097,16 @@ def c2_log_bound(
     constants: CapacityConstants | None = None,
 ) -> tuple[float, float]:
     """(lhs, rhs) of the scaled-cell bound
-    C2(scaled open cell set) <= {log(2^{-n}/c(cell set))}^{-1}."""
+    C2(scaled cell set) <= {log(2^{-n}/c(cell set))}^{-1}, both sides read
+    off the one log capacity of the cell set, its discs clipped to the cell.
+    With lhs = 1/(log 2 - log scale - log c) the bound reduces to
+    scale <= 2^(n+1), which ``cell_scale(n)`` meets."""
     constants = constants or CapacityConstants.for_configuration(c)
-    obstacles = _cell_obstacles(c, idx)
-    if obstacles is None:
-        raise CapacityError("polar cell")
-    lhs, _, _ = _scaled_c2(obstacles, constants.cell_scale(idx.n))
-    if isinstance(obstacles, GenerationCluster):
-        log_cap = cluster_log_capacity(obstacles)
-    else:
-        log_cap = log_capacity(UnionShape(tuple(_disc_shapes(obstacles)))).log_value
+    log_cap, _ = _cell_log_capacity(c, idx)
     denom = -idx.n * LOG2 - log_cap
     if denom <= 0.0:
         raise CapacityError("cell capacity exceeds cell scale")
-    return lhs, 1.0 / denom
+    return _scaled_cell_c2(log_cap, math.log(constants.cell_scale(idx.n))), 1.0 / denom
 
 
 # ---------------------------------------------------------------------------

@@ -415,13 +415,12 @@ def cmd_capacity(args) -> int:
             config, constants.separation_floor
         )
 
-    # the C2 of a row is solved only for the cells written; the rows of one
-    # generation share its cap
+    # the rows of one generation share its cap
     written = _first_cells(weights, args.max_cells_per_generation, args.max_cells)
     sep = None
     rows: list[list] = []
     terms = {n: iter(t.tolist()) for n, t in cell_series_terms(written, y0.theta).items()}
-    c2_column = cell_capacity_table(config, written, constants)
+    c2_column = cell_capacity_table(written, constants)
     columns = (written.n, written.m_lo, written.m_hi, written.log_capacity, c2_column)
     for n, m_lo, m_hi, log_cap, c2 in zip(*(a.tolist() for a in columns)):
         quasi = ""

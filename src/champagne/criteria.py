@@ -635,28 +635,28 @@ def check_alpha(alpha: float) -> None:
 
 
 def budget_sums(c: Configuration, alpha: float) -> BudgetSums:
-    """(sum r^alpha, sum {log 1/r}^{-alpha}, sum {log 1/r}^{-1}),
-    compensated-summed in canonical order.
+    """(sum r^alpha, sum {log 1/r}^{-alpha}, sum {log 1/r}^{-1}), each
+    correctly rounded by :func:`exact_sum` over one array of terms: one term
+    per ring block, its slot count times the per-disc value, and one per
+    explicit disc.
     """
     check_alpha(alpha)
-    t_r, t_la, t_l1 = [], [], []
+    rings: list[list[float]] = [[], [], []]
+    explicit: list[list[np.ndarray]] = [[], [], []]
     for b in c.blocks:
         if isinstance(b, RingBlock):
             k = float(len(b))
-            with np.errstate(under="ignore"):
-                t_r.append(k * math.exp(alpha * b.log_r) if alpha * b.log_r > -745 else 0.0)
-            t_la.append(k * (-b.log_r) ** (-alpha))
-            t_l1.append(k / (-b.log_r))
+            rings[0].append(k * math.exp(alpha * b.log_r) if alpha * b.log_r > -745 else 0.0)
+            rings[1].append(k * (-b.log_r) ** (-alpha))
+            rings[2].append(k / (-b.log_r))
         elif len(b):
             with np.errstate(under="ignore"):
-                t_r.extend(np.exp(alpha * b.log_r).tolist())
-            t_la.extend(((-b.log_r) ** (-alpha)).tolist())
-            t_l1.extend((1.0 / (-b.log_r)).tolist())
+                explicit[0].append(np.exp(alpha * b.log_r))
+            explicit[1].append((-b.log_r) ** (-alpha))
+            explicit[2].append(1.0 / (-b.log_r))
+    sums = [exact_sum(np.concatenate([ring, *arrays])) for ring, arrays in zip(rings, explicit)]
     return BudgetSums(
-        sum_r_alpha=math.fsum(t_r),
-        sum_log_inv_alpha=math.fsum(t_la),
-        sum_log_inv_1=math.fsum(t_l1),
-        alpha=alpha,
+        sum_r_alpha=sums[0], sum_log_inv_alpha=sums[1], sum_log_inv_1=sums[2], alpha=alpha
     )
 
 

@@ -36,6 +36,7 @@ from champagne.capacity import (
     _cluster_mutual,
     _disc_inside_cell,
     _disc_system_capacity,
+    _discs_disjoint,
     _home_cells,
     _radial_nodes,
     _log_kernel,
@@ -393,6 +394,32 @@ class TestC2:
         part, _ = c2_disc_system(x[:1], y[:1], lr[:1])
         assert part <= union * (1.0 + 1e-9)
 
+    @settings(max_examples=60, deadline=None)
+    @given(
+        n=st.integers(1, 7),
+        m=st.integers(0, 2**11 - 1),
+        spots=st.lists(
+            st.tuples(st.floats(0.05, 0.95), st.floats(0.05, 0.95), st.floats(-80.0, -12.0)),
+            min_size=1,
+            max_size=8,
+        ),
+    )
+    def test_disc_system_c2_is_the_log_capacity_closed_form(self, n, m, spots):
+        # a scaled cell is below diameter 2, where the truncated kernel is
+        # the log kernel plus s = log 2 - log scale: C2 = 1/(s - log cap)
+        cell = whitney_cell(WhitneyIndex(n, m))
+        parts = []
+        for u, v, log_r in spots:
+            rho = cell.r_inner + u * (cell.r_outer - cell.r_inner)
+            theta = cell.theta_lo + v * cell.angular_width
+            parts.append(DiscShape(Point(rho * math.cos(theta), rho * math.sin(theta)), log_r))
+        assume(all(_disc_inside_cell(d, cell) for d in parts) and _discs_disjoint(parts))
+        scale = CapacityConstants().cell_scale(n)
+        x, y, log_r = (np.array(a) for a in zip(*((d.center.x, d.center.y, d.log_r) for d in parts)))
+        c2, _ = c2_disc_system(x * scale, y * scale, log_r + math.log(scale))
+        s = math.log(2.0) - math.log(scale)
+        assert c2 == pytest.approx(1.0 / (s - _disc_system_capacity(parts).log_value), rel=1e-13)
+
 
 class TestClusters:
     def _config(self, beta=1.2, c0=0.05, n=3):
@@ -422,6 +449,22 @@ class TestClusters:
         est = _disc_system_capacity(parts)
         assert est.method == "disc_system"
         assert log_cap == pytest.approx(est.log_value, rel=1e-9)
+
+    @pytest.mark.parametrize("n", range(2, 8))
+    def test_flagship_c2_matches_the_materialized_cell(self, n):
+        # the closed form of the cluster's log capacity against the
+        # truncated-kernel solve over every disc of one cell
+        cluster = _cluster(1.5, n)
+        scale = CapacityConstants().cell_scale(n)
+        th = (np.arange(cluster.columns) + 0.5) * cluster.delta_theta
+        x = np.outer(cluster.rhos, np.cos(th)).ravel()
+        y = np.outer(cluster.rhos, np.sin(th)).ravel()
+        log_r = np.repeat(cluster.log_rs, cluster.columns)
+        want, _ = c2_disc_system(x * scale, y * scale, log_r + math.log(scale))
+        c2, potential = cluster_c2(cluster, scale)
+        assert c2 == pytest.approx(want, rel=5e-5)
+        assert potential == math.log(2.0) - (cluster_log_capacity(cluster) + math.log(scale))
+        assert c2 == 1.0 / potential
 
     def test_obstacle_sets_kept_per_configuration(self):
         cfg = self._config()
@@ -558,19 +601,6 @@ class TestClusterMutual:
         )
         _assert_mutual_matches_cubic(wide, np.array([0.6, 0.4]))
 
-    def test_c2_matches_truncated_kernel_sum(self):
-        # below scaled diameter 2 the truncated kernel is log 2 - log scale - log d
-        cluster = _cluster(1.5, 6)
-        scale = CapacityConstants().cell_scale(6)
-        union, u_min = cluster_c2(cluster, scale)
-        diag = math.log(2.0) - (cluster.log_rs + math.log(scale))
-        w = (1.0 / diag) / (cluster.columns * np.sum(1.0 / diag))
-        others = cluster.columns * w.sum() - w
-        mut = (math.log(2.0) - math.log(scale)) * others[:, None] + _cubic_mutual(cluster, w)
-        expect = float((w[:, None] * diag[:, None] + mut).min())
-        assert u_min == pytest.approx(expect, rel=1e-13)
-        assert union == pytest.approx(1.0 / expect, rel=1e-13)
-
     def test_c2_rejects_scaled_diameter_of_two(self):
         cluster = _cluster(1.5, 4)
         lo, hi = cluster.rhos[0], cluster.rhos[-1]
@@ -699,6 +729,41 @@ class TestObstacleRows:
             np.array([-7.0, -12.0]),
         )
         return Configuration(blocks=(explicit,) + rings.blocks, n_max=8)
+
+    def test_table_is_the_closed_form_and_calls_no_solver(self, monkeypatch):
+        # clusters, gathered cells and a cell that one disc meets, inside it
+        cell = whitney_cell(WhitneyIndex(3, 5))
+        rho, th = 0.5 * (cell.r_inner + cell.r_outer), 0.5 * (cell.theta_lo + cell.theta_hi)
+        lone = DiscBlock(np.array([rho * math.cos(th)]), np.array([rho * math.sin(th)]), np.array([-20.0]))
+        cfg = Configuration(blocks=(lone,) + self._mixed().blocks, n_max=8)
+        weights = cell_capacity_weights(cfg)
+        sets = _obstacle_rows(cfg)[-1]
+        kinds = {type(sets[s]).__name__ if s >= 0 else "own" for s in weights.solve.tolist()}
+        assert kinds == {"GenerationCluster", "CellDiscs", "own"}
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the C2 table ran a solver")
+
+        for name in ("log_capacity", "cluster_log_capacity", "minimize_simplex_energy"):
+            monkeypatch.setattr(capacity, name, refuse)
+        constants = CapacityConstants.for_configuration(cfg)
+        c2 = cell_capacity_table(weights, constants)
+        assert c2.tolist() == [
+            1.0 / (math.log(2.0) - (log_cap + math.log(constants.cell_scale(n))))
+            for n, log_cap in zip(weights.n.tolist(), weights.log_capacity.tolist())
+        ]
+
+    def test_log_bound_reads_the_row_of_its_cell(self):
+        # both sides come from the row's log capacity, the discs clipped to
+        # the cell: the right side is the row's weight, also in the cells
+        # (1, 0), (1, 31), (7, 39) and (7, 40) that a disc straddles
+        cfg = self._mixed()
+        weights = cell_capacity_weights(cfg)
+        constants = CapacityConstants.for_configuration(cfg)
+        c2 = cell_capacity_table(weights, constants).tolist()
+        rows = zip(weights.n.tolist(), weights.m_lo.tolist(), weights.weight.tolist(), c2)
+        for n, m, weight, c2_row in rows:
+            assert c2_log_bound(cfg, WhitneyIndex(n, m), constants) == (c2_row, weight)
 
     def test_rows_sorted_and_disjoint(self):
         cfg = self._mixed()
@@ -982,7 +1047,7 @@ class TestQuasiadditivity:
         )
         cfg, constants = self._shrunk_config(n_max=4)
         weights = cell_capacity_weights(cfg)
-        cell_capacity_table(cfg, weights, constants)
+        cell_capacity_table(weights, constants)
         for m in range(3):
             quasiadditivity_ratio(cfg, WhitneyIndex(4, m), constants)
         c2_log_bound(cfg, WhitneyIndex(4, 0), constants)

@@ -353,10 +353,16 @@ class TestCapacityCommand:
         doc = json.loads((out / "capacity.json").read_text())
         assert doc["summary"]["certificate"]["issued"] is False
         assert doc["summary"]["shrink_log_delta"] < 0
+        from champagne.capacity import CapacityConstants
+
+        constants = CapacityConstants.for_configuration(loads_config(cfg_path.read_text()))
         for line in lines[1:]:
             cols = line.split(",")
             assert float(cols[2]) < 0.0  # log capacity of a cell set
-            assert float(cols[4]) > 0.0  # scaled-cell truncated capacity
+            # scaled-cell truncated capacity, read off the row's log capacity
+            log_scale = math.log(constants.cell_scale(int(cols[0])))
+            assert cols[4] == repr(1.0 / (math.log(2.0) - (float(cols[2]) + log_scale)))
+            assert float(cols[4]) > 0.0
             if cols[6]:
                 assert 0.0 < float(cols[6]) <= 1.0 + 1e-6
 
@@ -365,6 +371,8 @@ class TestCapacityCommand:
     def test_explicit_storage_one_row_per_cell(self, tmp_path, family):
         from champagne.capacity import (
             CapacityConstants,
+            DiscShape,
+            _disc_inside_cell,
             c2_disc_system,
             cell_capacity_weights,
         )
@@ -392,16 +400,25 @@ class TestCapacityCommand:
         assert keys == sorted(keys) == list(zip(weights.n.tolist(), weights.m_lo.tolist()))
         constants = CapacityConstants.for_configuration(cfg)
         discs = list(cfg.iter_discs())
+        straddled = 0
         for (n, m), row in zip(keys, rows):
             cell = whitney_cell(WhitneyIndex(n, m))
             hits = [d for d in discs if cell.distance_to(d.center) <= d.radius]
             scale = constants.cell_scale(n)
-            c2, _ = c2_disc_system(
+            # C2 is the closed form of the row's own log capacity
+            assert row[4] == repr(1.0 / (math.log(2.0) - (float(row[2]) + math.log(scale))))
+            whole, _ = c2_disc_system(
                 np.array([d.center.x for d in hits]) * scale,
                 np.array([d.center.y for d in hits]) * scale,
                 np.array([d.log_radius for d in hits]) + math.log(scale),
             )
-            assert float(row[4]) == c2
+            if all(_disc_inside_cell(DiscShape(d.center, d.log_radius), cell) for d in hits):
+                assert float(row[4]) == pytest.approx(whole, rel=1e-13)
+            else:
+                # the row's set is the discs clipped to the cell
+                straddled += 1
+                assert float(row[4]) <= whole
+        assert (straddled > 0) == (family == "avoidable-ring")
 
 
     def test_dropped_prefix_matches_materialized_twin(self, tmp_path):
@@ -494,6 +511,7 @@ class TestCapacityCommand:
             CellDiscs,
             _cell_discs,
             _cell_shape,
+            _disc_inside_cell,
             c2_disc_system,
             log_capacity,
         )
@@ -520,11 +538,16 @@ class TestCapacityCommand:
         i = i[(n == 4) & (m == 10)]
         assert len(i) == 40
         discs = CellDiscs(ex.exp_x[i], ex.exp_y[i], ex.exp_log_r[i])
-        est = log_capacity(_cell_shape(WhitneyIndex(4, 10), discs))
+        shape = _cell_shape(WhitneyIndex(4, 10), discs)
+        est = log_capacity(shape)
         assert cut[(4, 10)]["log_capacity"] == repr(est.log_value)
         scale = CapacityConstants.for_configuration(cfg).cell_scale(4)
-        c2, _ = c2_disc_system(discs.x * scale, discs.y * scale, discs.log_r + math.log(scale))
+        c2 = 1.0 / (math.log(2.0) - (est.log_value + math.log(scale)))
         assert cut[(4, 10)]["c2_scaled"] == repr(c2)
+        # the cell's discs lie inside it: the truncated-kernel solve agrees
+        assert all(_disc_inside_cell(part.disc, part.cell) for part in shape.parts)
+        whole, _ = c2_disc_system(discs.x * scale, discs.y * scale, discs.log_r + math.log(scale))
+        assert c2 == pytest.approx(whole, rel=1e-13)
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -583,23 +606,6 @@ class TestCapacityCommand:
             keys = [(int(r["n"]), int(r["m"])) for r in csv.DictReader(fh)]
         first = 5 if storage == "cut" else 0
         assert keys == [(6, m) for m in range(first, first + 10)] + [(7, m) for m in range(10)]
-
-    def test_c2_solved_only_for_rows_written(self, tmp_path, monkeypatch):
-        from champagne import capacity
-
-        grid = tmp_path / "grid.json"
-        assert run("generate", "phi-grid", "--per-cell", 2, "--n-max", 3, "-o", grid) == 0
-        path = tmp_path / "explicit.json"
-        path.write_text(dumps_config(loads_config(grid.read_text()).materialized()))
-        calls = []
-        real = capacity._scaled_c2
-        monkeypatch.setattr(
-            capacity, "_scaled_c2", lambda *a: calls.append(a) or real(*a)
-        )
-        assert run("capacity", path, "--max-cells", 5, "--out-dir", tmp_path / "cap") == 0
-        assert len(calls) == 5
-        lines = (tmp_path / "cap" / "capacity.csv").read_text().splitlines()
-        assert len(lines) == 6
 
 
 class TestExitCodes:
