@@ -1,10 +1,7 @@
-"""The explicit discs of a configuration as one distance table.
-
-:class:`DiscTable` holds the explicitly stored discs that
-:class:`champagne.geometry.SpatialIndex` queries.  The index builds it only
-for a configuration with explicit discs, so a file of rings alone never
-loads this module.
-"""
+"""The explicit discs of a configuration as one distance table,
+:class:`DiscTable`, which :class:`champagne.geometry.SpatialIndex` builds
+only for a configuration with explicit discs: a file of rings alone never
+loads this module."""
 
 from __future__ import annotations
 
@@ -12,33 +9,22 @@ import math
 
 import numpy as np
 
-from .geometry import _CERT_SLACK, _CHUNK, _NO_ID, TWO_PI, _keep_nearest, unique_sorted
+from .geometry import _CERT_SLACK, _CHUNK, _NO_ID, TWO_PI, _keep_nearest, center_cells, unique_sorted
 
-# A band scans at most this many discs on either side of a query's angular
-# slot.
-_HALF_WINDOW = 16
+# The most buckets of one band (its 2^(n+4) sectors, if more): keys fit in int64.
+_BAND_KEYS = 1 << 56
 
 
-def _nearest_rows(
-    px: np.ndarray,
-    py: np.ndarray,
-    x: np.ndarray,
-    y: np.ndarray,
-    rad: np.ndarray | None,
-    gid: np.ndarray | None = None,
-    skip: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray | None]:
+def _nearest_rows(px: np.ndarray, py: np.ndarray, x: np.ndarray, y: np.ndarray, rad: np.ndarray | None,
+                  gid: np.ndarray | None = None, skip: np.ndarray | None = None,
+                  ) -> tuple[np.ndarray, np.ndarray | None]:
     """For each point p_i, the minimum over the discs k of row i (or of
     every disc, for 1-D arrays) of |p_i - x_k| - r_k, or of |p_i - x_k| when
-    ``rad`` is None, leaving out the entries where ``skip`` is set.  Given
-    the disc ids ``gid`` it also returns the lowest id attaining each
-    minimum (_NO_ID where every disc is left out).
-
-    Every entry is evaluated with the expression of a brute-force scan:
-    hypot(dx, dy) - r_k for boundary distances, and sqrt(dx*dx + dy*dy), the
-    expression every separation statistic has been reported with, for
-    center distances.
-    """
+    ``rad`` is None, leaving out the entries where ``skip`` is set, and
+    given the disc ids ``gid`` the lowest id attaining it (_NO_ID where
+    every disc is left out).  Every entry is evaluated with the expression
+    of a brute-force scan: hypot(dx, dy) - r_k, or sqrt(dx*dx + dy*dy), the
+    expression of every separation statistic, for center distances."""
     dx, dy = x - px[:, None], y - py[:, None]
     if rad is None:
         d = dx * dx
@@ -59,73 +45,69 @@ def _nearest_rows(
 
 class DiscTable:
     """Every explicit disc of a configuration, grouped into bands by the
-    dyadic generation n of its center (band 0 is the central region) and
-    sorted by center angle within each band.  Bands ascend in n, so the
-    radii of their centers ascend too.
+    dyadic generation n of its center (band 0 is the central region), each
+    band a cell list (Bentley, Stanat and Williams, 1977).  Bands ascend in
+    n, so the radii of their centers ascend too.
 
-    A point's distance to a band is the least over the 2 * ``half`` discs
-    nearest in angle to its ``searchsorted`` slot, where ``half`` is twice
-    the largest number of the band's discs in one sector of generation n,
-    between 2 and _HALF_WINDOW: a band with one disc per sector scans 4
-    discs.  Every other disc of the band lies at least dtheta away in
-    angle, where dtheta is the angular distance to the nearest disc left
-    out, so its distance is at least sqrt(gap^2 + 4 rho_p rho_min
-    sin^2(dtheta/2)) - r_max, with ``gap`` the distance from rho_p to
-    [rho_min, rho_max], the radii of the band's centers.  A point whose
-    bound does not clear the window's minimum by _CERT_SLACK is scanned
-    against the whole band, as is every point of a band of at most
-    4 * ``half`` discs.  Distances use the expressions of a full scan, so
-    minima and lowest ids are bit-equal to it.
+    Each cell (n, m) that holds a center (see
+    :func:`champagne.geometry.center_cells`) splits into k x k buckets in
+    (rho, theta), k = ceil(sqrt(c)) for the most discs c in one cell of the
+    band.  The discs are stored once, sorted by (band, bucket key), the key
+    running round the turn row by row outward, so a window's row of
+    buckets is one run of keys, or two where it wraps.
 
-    The discs are stored once, each windowed band cyclically padded by
-    ``half + 1`` discs on either side, so that a window is a run of the
-    padded columns.  :meth:`nearest` evaluates each point's home band, the
-    radially nearer of the two bands around its rho, and widens on a side
-    while the bands there could still come nearer, as
-    :class:`champagne.geometry._RingTable` does for ring rows: the (point,
-    band) pairs of one step are gathered in one batch, whatever their bands.
+    A point's distance to a band is the least over a window of buckets
+    round its own, from 3 x 3 (a band of at most 9 discs is one window).  A
+    disc outside lies beyond the window's rows, or at least dtheta away in
+    angle, so at least sqrt(g^2 + 4 rho_p rho_min sin^2(dtheta/2)) away, g
+    the distance from rho_p to [rho_min, rho_max], the radii of the band's
+    centers; less r_max for boundary distances.  A point whose bound does
+    not clear the minimum found by _CERT_SLACK widens its window to the
+    rows and columns that minimum calls for, or doubles it.  Distances use
+    the expressions of a full scan, so minima and lowest ids are bit-equal
+    to it.
+
+    :meth:`nearest` evaluates each point's home band, the radially nearer
+    of the two bands around its rho, and widens on a side while the bands
+    there could still come nearer, as :class:`champagne.geometry._RingTable`
+    does for ring rows: the (point, band) pairs of one step are gathered in
+    one batch, whatever their bands.
     """
 
-    def __init__(
-        self, x: np.ndarray, y: np.ndarray, rad: np.ndarray, gid: np.ndarray, gen: np.ndarray
-    ):
-        theta = np.arctan2(y, x)
-        theta = np.where(theta < 0.0, theta + TWO_PI, theta)
-        order = np.lexsort((theta, gen))
-        gen, theta = gen[order], theta[order]
-        x, y, rad, gid = x[order], y[order], rad[order], gid[order]
-        rho = np.hypot(x, y)
-        first = np.flatnonzero(np.diff(gen, prepend=-1))
-        self.n = gen[first]
-        self.count = np.diff(first, append=len(gen))
-        self.r_max = np.maximum.reduceat(rad, first)
+    def __init__(self, x: np.ndarray, y: np.ndarray, rad: np.ndarray, gid: np.ndarray):
+        rho, gen, m, rel = center_cells(x, y)
+        self.n = unique_sorted(gen)
+        band = np.searchsorted(self.n, gen)
+        sectors = np.left_shift(1, self.n + 4)
+        # the discs of each cell, counted by run length over the sorted cell
+        # numbers: no table of the 2^(n+4) sectors of a deep generation
+        end = np.cumsum(sectors)
+        cells = np.sort(end[band] - sectors[band] + m)
+        runs = np.flatnonzero(np.diff(cells, prepend=-1))
+        crowd = np.zeros(len(self.n), dtype=np.int64)
+        np.maximum.at(crowd, np.searchsorted(end, cells[runs], "right"), np.diff(runs, append=len(cells)))
+        k = np.minimum(np.ceil(np.sqrt(crowd)), np.floor(np.sqrt(_BAND_KEYS / sectors)))
+        self.k = np.maximum(k, 1.0).astype(np.int64)
+        self.turn = sectors * self.k
+        base = np.cumsum(self.turn * self.k) - self.turn * self.k
+        rin = np.where(self.n == 0, 0.0, 1.0 - np.ldexp(1.0, -self.n))
+        drho, dtheta = (1.0 - np.ldexp(1.0, -self.n - 1) - rin) / self.k, TWO_PI / self.turn
+        kb = self.k[band]
+        row = np.clip(np.floor((rho - rin[band]) / drho[band]), 0, kb - 1).astype(np.int64)
+        col = np.clip(np.floor(rel / dtheta[band]), 0, kb - 1).astype(np.int64)
+        key = base[band] + row * self.turn[band] + m * kb + col
+        order = np.argsort(key, kind="stable")
+        self.keys = key[order]
+        self.x, self.y, self.rad, self.gid = x[order], y[order], rad[order], gid[order]
+        rho = rho[order]
+        first = np.searchsorted(self.keys, base)
+        self.r_max = np.maximum.reduceat(self.rad, first)
         self.rho_min = np.minimum.reduceat(rho, first)
         self.rho_max = np.maximum.reduceat(rho, first)
-        # theta is sorted within a band, so each sector's discs form one run;
-        # counting runs needs no histogram over the 2^(n+4) sectors of a deep
-        # generation
-        sectors = (theta * (np.left_shift(1, gen + 4) / TWO_PI)).astype(np.int64)
-        runs = np.flatnonzero((np.diff(sectors, prepend=-1) != 0) | (np.diff(gen, prepend=-1) != 0))
-        crowd = np.maximum.reduceat(np.diff(runs, append=len(gen)), np.searchsorted(runs, first))
-        self.half = np.clip(2 * crowd, 2, _HALF_WINDOW)
-        self.windowed = self.count > 4 * self.half
-        pad = np.where(self.windowed, self.half + 1, 0)
-        # the discs of band b sit at padded positions core[b] ..
-        # core[b] + count[b] - 1, the last pad[b] of them copied before and
-        # the first pad[b] after, their angles shifted by a turn
-        parts, shift = [], []
-        for f, c, p in zip(first.tolist(), self.count.tolist(), pad.tolist()):
-            band = np.arange(f, f + c)
-            parts += [band[c - p :], band, band[:p]]
-            shift += [np.full(p, -TWO_PI), np.zeros(c), np.full(p, TWO_PI)]
-        src = np.concatenate(parts)
-        self.x, self.y, self.rad, self.gid = x[src], y[src], rad[src], gid[src]
-        self.theta = theta[src] + np.concatenate(shift)
-        self.core = np.cumsum(self.count + 2 * pad) - self.count - pad
-        self.first = first
-        # (band, angle) keys in lexicographic order: one searchsorted finds
-        # each pair's slot within its own band, with no rounding of the angle
-        self.keys = np.repeat(np.arange(len(first)), self.count) + 1j * theta
+        # per band, one table of integers and one of floats: a batch of
+        # (point, band) pairs reads its columns with one gather apiece
+        self.ints = np.stack([self.k, self.turn, base, np.diff(first, append=len(key)), first])
+        self.floats = np.stack([rin, drho, dtheta, self.rho_min, self.rho_max, self.r_max])
         inf = np.array([np.inf])
         self.rho_min_above = np.concatenate([self.rho_min, inf])
         self.rho_max_below = np.concatenate([-inf, self.rho_max])
@@ -143,20 +125,10 @@ class DiscTable:
         """For each depth D, the number of bands of generation <= D."""
         return np.searchsorted(self.n, depth, side="right")
 
-    def nearest(
-        self,
-        px: np.ndarray,
-        py: np.ndarray,
-        rho_p: np.ndarray,
-        theta_p: np.ndarray,
-        best: np.ndarray,
-        best_id: np.ndarray | None = None,
-        end: np.ndarray | None = None,
-        best_lo: np.ndarray | None = None,
-        end_lo: np.ndarray | None = None,
-        centers: bool = False,
-        exclude: np.ndarray | None = None,
-    ) -> None:
+    def nearest(self, px: np.ndarray, py: np.ndarray, rho_p: np.ndarray, theta_p: np.ndarray,
+                best: np.ndarray, best_id: np.ndarray | None = None, end: np.ndarray | None = None,
+                best_lo: np.ndarray | None = None, end_lo: np.ndarray | None = None,
+                centers: bool = False, exclude: np.ndarray | None = None) -> None:
         """Lower, in place, each point's ``best`` to its distance to the
         discs of the bands below end[i] (every band when ``end`` is None):
         |p - x_k| - r_k or, with ``centers``, |p - x_k|, skipping the disc
@@ -164,27 +136,22 @@ class DiscTable:
         distance takes the lower id.  Given ``best_lo``, it is lowered by
         the bands below end_lo[i] <= end[i] alone, and a band needs
         evaluating while it may come nearer than ``best_lo``."""
-        if len(self.n) == 1:
-            # the one band is every point's home, and there is nothing to
-            # widen to
-            home = np.zeros(len(px), dtype=np.int64) if end is None else end - 1
-        else:
-            outer = np.searchsorted(self.rho_min, rho_p, side="right")
-            gap_out = self.rho_min_above[outer] - rho_p
-            if end is not None:
-                np.minimum(outer, end, out=outer)
-                gap_out[outer >= end] = np.inf
-            # the radially nearer of the bands outer - 1 and outer; -1 where
-            # there is none
-            home = outer - (rho_p - self.rho_max_below[outer] <= gap_out)
+        outer = np.searchsorted(self.rho_min, rho_p, side="right")
+        gap_out = self.rho_min_above[outer] - rho_p
+        if end is not None:
+            np.minimum(outer, end, out=outer)
+            gap_out[outer >= end] = np.inf
+        # the radially nearer of the bands outer - 1 and outer; -1 where
+        # there is none
+        home = outer - (rho_p - self.rho_max_below[outer] <= gap_out)
         found = home >= 0
         # the home band is evaluated whatever its distance, as the ring
         # table evaluates a point's nearest row
         pts = slice(None) if found.all() else np.flatnonzero(found)  # views of a whole batch
-        self._merge(
-            pts, home[pts], px, py, rho_p, theta_p, best, best_id, best_lo, end_lo, centers, exclude
-        )
+        self._merge(pts, home[pts], px, py, rho_p, theta_p, best, best_id, best_lo, end_lo,
+                    centers, exclude)
         if len(self.n) == 1:
+            # the one band is every point's home, with nothing to widen to
             return
         # bands lo .. hi - 1 are done; the points whose next band inward or
         # outward may still come nearer go on
@@ -248,73 +215,105 @@ class DiscTable:
                 np.minimum(sub, dk, out=sub, where=band[part] < end_lo[k])
                 best_lo[k] = sub
 
-    def _pairs(self, px, py, rho_p, theta_p, band, reach, centers, exclude, with_ids):
+    def _pairs(self, px, py, rho_p, theta_p, band, reach, centers, exclude, with_ids, wr=None, wc=None):
         """(d, ids): for each point i the smallest distance to a disc of
         band[i], and with ``with_ids`` the lowest id attaining it (ids is
         None otherwise).  d is exact wherever it is <= reach[i]; elsewhere
-        it only promises that the band holds nothing within reach[i]."""
-        size = len(px)
-        d = np.empty(size)
-        ids = np.empty(size, dtype=np.int64) if with_ids else None
-        if band.min() == band.max() and not self.windowed[band[0]]:
-            self._scan_band(int(band[0]), None, px, py, centers, exclude, d, ids)
+        it only promises that the band holds nothing within reach[i].  Point
+        i's window spans wr[i] rows and wc[i] columns of buckets on either
+        side of its own, at first 3 x 3, or a whole band of at most 9 discs."""
+        k, turn, base, count, first = self.ints[:, band]
+        if wr is None:
+            small = count <= 9
+            if small.all():
+                return self._evaluate(first[:, None], count[:, None], px, py, centers, exclude, with_ids)
+            wr, wc = np.where(small, k - 1, 1), np.where(small, turn // 2, 1)
+        rin, drho, dtheta, rho_min, rho_max, r_max = self.floats[:, band]
+        # each point's bucket, its row clipped to the band's
+        row = np.maximum(np.minimum(((rho_p - rin) / drho).astype(np.int64), k - 1), 0)
+        col = (theta_p / dtheta).astype(np.int64)
+        lo_row, hi_row = np.maximum(row - wr, 0), np.minimum(row + wr + 1, k)
+        lo_col, hi_col = col - wc, col + wc + 1
+        # each row's buckets in the window are one run of keys, past the
+        # row's first key, and a second run where they wrap round the turn;
+        # keys are searched row by row, so that they mostly ascend
+        rows = lo_row + np.arange(int((hi_row - lo_row).max()))[:, None]
+        start, dead = base + rows * turn, rows >= hi_row
+        def runs(a0, a1, sel=slice(None)):
+            ends = start[:, sel] + np.stack([a0, a1])[:, None]
+            ends[:, dead[:, sel]] = 0
+            pos = np.searchsorted(self.keys, ends)
+            return pos[0].T, (pos[1] - pos[0]).T
+        full = hi_col - lo_col >= turn
+        lo, run = runs(np.where(full, 0, lo_col.clip(0)), np.where(full, turn, np.minimum(hi_col, turn)))
+        wrap = np.flatnonzero(~full & ((lo_col < 0) | (hi_col > turn)))
+        if len(wrap):
+            low, tw = lo_col[wrap] < 0, turn[wrap]
+            l2, r2 = runs(np.where(low, lo_col[wrap] + tw, 0), np.where(low, tw, hi_col[wrap] - tw), wrap)
+            lo, run = np.concatenate([lo, 0 * lo], axis=1), np.concatenate([run, 0 * run], axis=1)
+            lo[wrap, l2.shape[1]:], run[wrap, l2.shape[1]:] = l2, r2
+        d, ids = self._evaluate(lo, run, px, py, centers, exclude, with_ids)
+        # a disc of the band outside the window lies beyond its rows, or at
+        # least dth away in angle
+        beyond = np.minimum(np.where(lo_row > 0, rho_p - (rin + lo_row * drho), np.inf),
+                            np.where(hi_row < k, rin + hi_row * drho - rho_p, np.inf))
+        dth = np.minimum(theta_p - lo_col * dtheta, hi_col * dtheta - theta_p)
+        gap = np.maximum(np.maximum(rho_min - rho_p, rho_p - rho_max), 0.0)
+        ang = np.sqrt(gap * gap + 4.0 * rho_p * rho_min * np.sin(np.minimum(dth, math.pi) / 2.0) ** 2)
+        ang[full] = np.inf
+        t = np.minimum(reach, d) + _CERT_SLACK + (0.0 if centers else r_max)
+        go = np.flatnonzero((np.minimum(beyond, ang) <= t) & ((wr < k - 1) | (wc < turn // 2)))
+        if not len(go):
             return d, ids
-        start = self.core[band]
-        width = self.count[band]
-        win = np.flatnonzero(self.windowed[band])
-        if len(win):
-            b = band[win]
-            # the window of slot k holds the band's discs k - half .. k + half - 1
-            slot = np.searchsorted(self.keys, b + 1j * theta_p[win]) - self.first[b]
-            start[win] += slot - self.half[b]
-            width[win] = 2 * self.half[b]
-        cols = np.arange(width.max())
-        ragged = width.min() < len(cols)
-        step = max(1, _CHUNK // len(cols))
-        for lo in range(0, size, step):
-            s = slice(lo, lo + step)
-            at = start[s, None] + cols
-            skip = None
-            if ragged:
-                # columns past a pair's run are left out
-                skip = cols >= width[s, None]
-                np.minimum(at, len(self.x) - 1, out=at)
-            if exclude is not None:
-                own = self.gid[at] == exclude[s, None]
-                skip = own if skip is None else skip | own
-            d[s], sub = _nearest_rows(
-                px[s], py[s], self.x[at], self.y[at], None if centers else self.rad[at],
-                self.gid[at] if with_ids else None, skip,
-            )
-            if with_ids:
-                ids[s] = sub
-        if len(win):
-            b, tp, rp = band[win], theta_p[win], rho_p[win]
-            left = start[win] - 1
-            dtheta = np.minimum(self.theta[left + width[win] + 1] - tp, tp - self.theta[left])
-            sin2 = np.sin(np.minimum(dtheta, math.pi) / 2.0) ** 2
-            rho_min = self.rho_min[b]
-            gap = np.maximum(0.0, np.maximum(rho_min - rp, rp - self.rho_max[b]))
-            bound = np.sqrt(gap * gap + 4.0 * rp * rho_min * sin2)
-            if not centers:
-                bound -= self.r_max[b]
-            scan = win[bound <= np.minimum(reach[win], d[win]) + _CERT_SLACK]
-            if len(scan):
-                for b in unique_sorted(band[scan]).tolist():
-                    self._scan_band(b, scan[band[scan] == b], px, py, centers, exclude, d, ids)
+        # the rows within t of rho_p, and the columns whose angle to the
+        # point does not clear t, each with a bucket to spare; a point with
+        # nothing in reach, or whose window already meets that need (up to
+        # rounding), doubles its window, so each step widens it
+        rp, t, rin, drho, row, k, turn, wr, wc = (a[go] for a in (rho_p, t, rin, drho, row, k, turn, wr, wc))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            need_r = np.maximum(row - np.maximum(np.floor((rp - t - rin) / drho) - 1.0, 0.0),
+                                np.minimum(np.floor((rp + t - rin) / drho) + 2.0, k) - row - 1.0)
+            sin_half = np.sqrt(np.maximum(t * t - gap[go] ** 2, 0.0) / (4.0 * rp * rho_min[go]))
+            need_c = np.where(sin_half < 1.0, 2.0 * np.arcsin(sin_half) / dtheta[go], np.inf) + 1.0
+        to_r, to_c = np.minimum(np.maximum(need_r, wr), k - 1), np.minimum(np.maximum(need_c, wc), turn // 2)
+        double = np.isinf(t) | ((to_r == wr) & (to_c == wc))
+        wr = np.where(double, np.minimum(2 * wr + 1, k - 1), to_r).astype(np.int64)
+        wc = np.where(double, np.minimum(2 * wc + 1, turn // 2), to_c).astype(np.int64)
+        d[go], sub = self._pairs(px[go], py[go], rp, theta_p[go], band[go], reach[go], centers,
+                                 None if exclude is None else exclude[go], with_ids, wr, wc)
+        if with_ids:
+            ids[go] = sub
         return d, ids
 
-    def _scan_band(self, b, sel, px, py, centers, exclude, d, ids) -> None:
-        """Points sel (None: all) against every disc of band b, into d and
-        ids, in chunks of about _CHUNK distances."""
-        run = slice(self.core[b], self.core[b] + self.count[b])
-        x, y, rad, gid = self.x[run], self.y[run], self.rad[run], self.gid[run]
-        step = max(1, _CHUNK // len(x))
-        for lo in range(0, len(px) if sel is None else len(sel), step):
-            s = slice(lo, lo + step) if sel is None else sel[lo : lo + step]
-            skip = None if exclude is None else gid == exclude[s][:, None]
-            d[s], sub = _nearest_rows(
-                px[s], py[s], x, y, None if centers else rad, gid if ids is not None else None, skip
-            )
-            if ids is not None:
+    def _evaluate(self, lo, count, px, py, centers, exclude, with_ids):
+        """(d, ids) of each point i against the runs of discs lo[i, j] ..
+        lo[i, j] + count[i, j] - 1, in chunks of about _CHUNK distances: a
+        point's runs packed from the left into one row, the columns past
+        them left out, or one row for all where every point has the same
+        one run."""
+        d = np.empty(len(px))
+        ids = np.empty(len(px), dtype=np.int64) if with_ids else None
+        width = count.sum(axis=1)
+        shared = lo.shape[1] == 1 and lo.min() == lo.max() and width.min() == width.max() > 0
+        step = max(1, _CHUNK // max(int(width.max()), 1))
+        for s0 in range(0, len(px), step):
+            s = slice(s0, s0 + step)
+            wd = width[s]
+            cols = np.arange(max(int(wd.max()), 1))
+            skip = None if shared or wd.min() == len(cols) else cols >= wd[:, None]
+            if lo.shape[1] == 1:
+                at = np.minimum((lo[0, 0] if shared else lo[s]) + cols, len(self.keys) - 1)
+            else:
+                cnt, k = count[s].ravel(), np.arange(int(wd.sum()))
+                at = np.zeros((len(wd), len(cols)), dtype=np.int64)
+                at[np.repeat(np.arange(len(wd)), wd), k - np.repeat(np.cumsum(wd) - wd, wd)] = k + np.repeat(
+                    lo[s].ravel() - (np.cumsum(cnt) - cnt), cnt
+                )
+            if exclude is not None:
+                own = self.gid[at] == exclude[s][:, None]
+                skip = own if skip is None else skip | own
+            d[s], sub = _nearest_rows(px[s], py[s], self.x[at], self.y[at], None if centers else self.rad[at],
+                                      self.gid[at] if with_ids else None, skip)
+            if with_ids:
                 ids[s] = sub
+        return d, ids

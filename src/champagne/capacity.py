@@ -66,6 +66,7 @@ that is no more than T + 1 they are the nodes and the fit is exact.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
@@ -88,8 +89,8 @@ from .geometry import (
     WhitneyCell,
     WhitneyIndex,
     cells_intersecting_disc,
+    center_cells,
     chord,
-    generations_of,
     radius_from_log,
     sector_count,
     spatial_index,
@@ -622,6 +623,17 @@ def _fft_length(n: int) -> int:
     return best
 
 
+@functools.cache
+def _cheb_to_mono(size: int) -> np.ndarray:
+    """The size x size matrix whose column j holds the monomial coefficients
+    of the Chebyshev polynomial T_j, built once per fit size, read-only."""
+    to_mono = np.zeros((size, size))
+    for j in range(size):
+        to_mono[: j + 1, j] = np.polynomial.chebyshev.cheb2poly(np.eye(j + 1)[j])
+    to_mono.setflags(write=False)
+    return to_mono
+
+
 def _cluster_mutual(cluster: GenerationCluster, w: np.ndarray) -> np.ndarray:
     """Per-node mutual potential mut[i, j0] = sum over the other nodes
     (i', j') of w[i'] * (-log distance), for row weights ``w``.
@@ -652,10 +664,7 @@ def _cluster_mutual(cluster: GenerationCluster, w: np.ndarray) -> np.ndarray:
     hk2 = (2.0 * half / max(rows - 1, 1) * np.arange(rows)) ** 2
     rho2 = 4.0 * (centre + half * x) ** 2
     to_cheb = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, size - 1))
-    # column j: the monomial coefficients of T_j
-    to_mono = np.zeros((size, size))
-    for j in range(size):
-        to_mono[: j + 1, j] = np.polynomial.chebyshev.cheb2poly(np.eye(j + 1)[j])
+    to_mono = _cheb_to_mono(size)
     nu_pow = np.linspace(-1.0, 1.0, rows)[None, :] ** np.arange(size)[:, None]
     length = _fft_length(2 * rows - 1)
     w_spec = np.fft.rfft(w * nu_pow, n=length)
@@ -751,19 +760,14 @@ def _home_cells(x: np.ndarray, y: np.ndarray, log_r: np.ndarray):
     edges, its distance to their lines."""
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
-    rho = np.hypot(x, y)
-    n = generations_of(1.0 - rho)
-    sectors = np.ldexp(1.0, n + 4)
-    step = TWO_PI / sectors
-    theta = np.mod(np.arctan2(y, x), TWO_PI)
-    m = np.floor(theta / step)
-    rel = theta - m * step
+    rho, n, m, rel = center_cells(x, y)
+    step = TWO_PI / np.ldexp(1.0, n + 4)
     margin = np.minimum(
         np.minimum(rho - (1.0 - np.ldexp(1.0, -n)), 1.0 - np.ldexp(1.0, -n - 1) - rho),
         rho * np.sin(np.minimum(rel, step - rel)),
     )
     inside = (n > 0) & (margin - r > _GATHER_SLACK)
-    return n, np.mod(m, sectors).astype(np.int64), inside
+    return n, m, inside
 
 
 def _cell_discs(c: Configuration) -> tuple:

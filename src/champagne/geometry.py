@@ -169,6 +169,20 @@ def sector_count(n: int) -> int:
     return 1 << (n + 4)
 
 
+def center_cells(x: np.ndarray, y: np.ndarray):
+    """(rho, n, m, rel) per center (x, y): its radius, the cell (n, m) that
+    holds it, n = 0 in the central region (split into 16 sectors as
+    generation 0 would be), and its angle past the cell's lower edge
+    m * step, step = 2 pi / 2^(n+4)."""
+    rho = np.hypot(x, y)
+    n = generations_of(1.0 - rho)
+    sectors = np.ldexp(1.0, n + 4)
+    step = TWO_PI / sectors
+    theta = np.mod(np.arctan2(y, x), TWO_PI)
+    m = np.floor(theta / step)
+    return rho, n, np.mod(m, sectors).astype(np.int64), theta - m * step
+
+
 @dataclass(frozen=True)
 class WhitneyIndex:
     """Index (n, m) of a dyadic polar cell; m is reduced mod 2^{n+4}."""
@@ -942,11 +956,11 @@ class SpatialIndex:
 
     Every ring row, plain or with a dropped prefix, sits in one table sorted
     by rho (see :class:`_RingTable`), and every explicit disc in another,
-    grouped by the dyadic generation of its center and sorted by angle
-    within each generation (see :class:`champagne.bands.DiscTable`).  A
-    query evaluates the radially nearest rows and bands, and further ones
-    only while their radial gap, less the largest radius beyond, leaves
-    them a chance to come nearer.  Results agree exactly with a scan of
+    grouped by the dyadic generation of its center, each generation a grid
+    of buckets in the cells that hold the centers (see
+    :class:`champagne.bands.DiscTable`).  A query evaluates the radially
+    nearest rows and bands, and further ones only while their radial gap,
+    less the largest radius beyond, leaves them a chance to come nearer.  Results agree exactly with a scan of
     every row and every disc.
     """
 
@@ -976,10 +990,9 @@ class SpatialIndex:
             self.exp_ids = np.concatenate(
                 [off + np.arange(len(b), dtype=np.int64) for off, b in explicit]
             )
-            gen = np.concatenate([b.generations for _, b in explicit])
             from .bands import DiscTable
 
-            self._discs = DiscTable(self.exp_x, self.exp_y, self.exp_rad, self.exp_ids, gen)
+            self._discs = DiscTable(self.exp_x, self.exp_y, self.exp_rad, self.exp_ids)
 
     @cached_property
     def exp_polar(self) -> tuple[np.ndarray, np.ndarray]:

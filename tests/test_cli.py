@@ -929,7 +929,7 @@ class TestWithoutScipy:
     @pytest.mark.parametrize("command", [["check"], ["simulate", "--n-walks", "50"]])
     def test_explicit_storage_leaves_scipy_unloaded(self, tmp_path, command):
         # 3,072 explicit discs: validation, separation and walks all take
-        # the windowed band queries
+        # the bucketed band queries
         path = tmp_path / "explicit.json"
         rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
         path.write_text(dumps_config(rings.materialized()))

@@ -703,8 +703,8 @@ from champagne.bands import DiscTable, _nearest_rows  # noqa: E402
 from champagne.geometry import _NO_ID, _find_overlap  # noqa: E402
 
 # drawn per band: (generation, disc count, angular centre, angular spread,
-# log10 of r_max / r_min); a band of more than 4w discs, w its window's
-# half-width (2 to 16), is scanned through the angular window
+# log10 of r_max / r_min); a band crowded into a few sectors splits each cell
+# into many buckets, a band spread round the turn takes one bucket a cell
 _band = st.tuples(
     st.integers(0, 7),
     st.one_of(st.integers(1, 64), st.integers(65, 400)),
@@ -732,10 +732,31 @@ def _explicit_bands(seed, bands, r_top=0.3):
     return Configuration(blocks=(block,), n_max=8)
 
 
-def _band_half(index, n):
-    """The window half-width of generation n's band in the index."""
+# a lattice band as materialised rings lay one out: (generation, rows, slots
+# per sector), every row with its slots at the same angles
+_lattice = st.tuples(st.sampled_from([1, 2]), st.integers(2, 24), st.integers(1, 2))
+
+
+def _lattice_discs(seed, n, rows, per_sector):
+    """rows x slots discs in generation n, slots = per_sector * 2^(n+4):
+    the rows evenly spaced across the generation's annulus and every row at
+    the same slot angles, turned by a random offset, so that each angle
+    holds ``rows`` discs; radii up to a third of the nearer spacing."""
+    rng = np.random.default_rng(seed)
+    slots = per_sector * sector_count(n)
+    s = 2.0 ** (-n - 1) * (1.0 + (np.arange(rows) + 0.5) / rows)
+    theta = rng.uniform(0.0, TWO_PI) + (np.arange(slots) + 0.5) * (TWO_PI / slots)
+    rho, theta = np.meshgrid(1.0 - s, theta, indexing="ij")
+    spacing = min(2.0 ** (-n - 1) / rows, 0.5 * TWO_PI / slots)
+    log_r = np.log(spacing / 3.0) - rng.uniform(0.0, 5.0, rho.size)
+    block = DiscBlock((rho * np.cos(theta)).ravel(), (rho * np.sin(theta)).ravel(), log_r)
+    return Configuration(blocks=(block,), n_max=8)
+
+
+def _band_k(index, n):
+    """The buckets per cell side, k, of generation n's band in the index."""
     table = index._discs
-    return table.half[list(table.n).index(n)]
+    return table.k[list(table.n).index(n)]
 
 
 def _query_points(seed, config, count=300):
@@ -850,7 +871,7 @@ class TestLocalityQueries:
         got = SpatialIndex(config).distance_many(px, py)
         np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
 
-    def test_windowed_band_with_huge_radius_spread(self):
+    def test_bucketed_band_with_huge_radius_spread(self):
         # one disc 10^12 times larger than the rest of its 2000-disc band
         config = _explicit_bands(3, [(4, 2000, 0.0, TWO_PI, 12.0), (4, 1, 1.0, 0.0, 0.0)])
         px, py = _query_points(3, config, count=3000)
@@ -859,10 +880,12 @@ class TestLocalityQueries:
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_nearest_disc_just_outside_the_window(self, side):
-        # the query's 32-disc window (16 on either side of its slot) sits
-        # 0.06 out radially; the nearest disc, 0.05 rad away at the query's
-        # radius, is the first disc left out on one side, and the next ones
-        # out on that side are 0.3 rad away
+        # 32 discs 1e-3 rad apart crowd one sector of generation 2, so its
+        # cells split into 6 x 6 buckets 0.016 rad wide; the query's first
+        # window, 3 x 3 buckets, holds no disc, its rows lying 0.06 inward of
+        # the crowd; the nearest disc, 0.05 rad away at the query's radius,
+        # is the first one left out on one side, and the next ones out on
+        # that side are 0.3 rad away
         window = np.concatenate([-1e-3 * np.arange(1, 17), 1e-3 * np.arange(16)])
         out = np.array([-0.05, -0.3, -0.31, -0.32])
         fillers = np.linspace(0.5, 5.0, 60)
@@ -878,10 +901,11 @@ class TestLocalityQueries:
 
     @pytest.mark.parametrize("side", [1.0, -1.0])
     def test_nearest_disc_just_outside_a_narrow_window(self, side):
-        # one disc in each of the 64 sectors of generation 2, so the query
-        # scans 4 discs, 2 on either side of its slot; those sit 0.12 inward
-        # of it, and the first disc left out on one side, 2.5 sectors away at
-        # the query's own radius, is 0.094 away from its boundary
+        # one disc in each of the 64 sectors of generation 2, so each cell
+        # is one bucket and the query's first window holds 3 discs; those
+        # sit 0.12 inward of it, and the first disc left out on one side, 2.5
+        # sectors away at the query's own radius, is 0.094 away from its
+        # boundary
         step = TWO_PI / sector_count(2)
         theta = 1.0 + side * step * (np.arange(-32, 32) + 0.5)
         rho = np.where(np.arange(-32, 32) == 2, 0.874, 0.751)
@@ -890,28 +914,55 @@ class TestLocalityQueries:
             blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), log_r),), n_max=2
         )
         index = SpatialIndex(config)
-        assert _band_half(index, 2) == 2
+        assert _band_k(index, 2) == 1
         px, py = np.array([0.874 * math.cos(1.0)]), np.array([0.874 * math.sin(1.0)])
         got = index.distance_many(px, py)
         np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
         assert got[0] < 0.1
 
-    @pytest.mark.parametrize("crowd, half", [(1, 2), (2, 4), (3, 6), (8, 16), (20, 16)])
-    def test_window_width_follows_the_most_crowded_sector(self, crowd, half):
+    @pytest.mark.parametrize("side", [1.0, -1.0])
+    def test_nearest_disc_just_beyond_the_window_rows(self, side):
+        # 25 discs crowd one cell of generation 3, so its cells split into
+        # 5 x 5 buckets, 0.0125 deep and 0.0098 rad wide; the query sits at
+        # the top of row 1, so its first window (rows 0 to 2) ends 0.0126
+        # above it, nearer than its angular bound of 0.0131; disc A in row
+        # 2 is 0.0129 away, and disc B, just past the window in row 3, is
+        # 0.0127 away, straight above the query
+        step, dtheta = TWO_PI / sector_count(3), TWO_PI / (sector_count(3) * 5)
+        crowd = np.linspace(0.1, 0.9, 5) * step + 64 * step
+        rho_c, theta_c = np.meshgrid(np.linspace(0.88, 0.93, 5), crowd)
+        theta_p, rho_p = 12.5 * dtheta, 0.8999
+        rho = np.concatenate([rho_c.ravel(), [0.9122, 0.9126]])
+        theta = np.concatenate([theta_c.ravel(), [theta_p + side * 0.004292, theta_p]])
+        config = Configuration(
+            blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), np.full(27, -30.0)),), n_max=3
+        )
+        index = SpatialIndex(config)
+        assert _band_k(index, 3) == 5
+        px, py = np.array([rho_p * math.cos(theta_p)]), np.array([rho_p * math.sin(theta_p)])
+        got, ids = index.distance_many(px, py, with_ids=True)
+        np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
+        assert ids[0] == 26 and got[0] < 0.0128
+
+    @pytest.mark.parametrize("crowd, k", [(1, 1), (2, 2), (3, 2), (8, 3), (20, 5)])
+    def test_buckets_follow_the_most_crowded_cell(self, crowd, k):
         # one disc in each of the 128 sectors of generation 3, and `crowd`
-        # discs in sector 5
+        # discs in sector 5: k = ceil(sqrt(crowd)) buckets a side, and every
+        # disc stored once, in key order
         step = TWO_PI / sector_count(3)
         theta = np.concatenate(
             [(np.arange(128) + 0.5) * step, (5.0 + np.linspace(0.1, 0.9, crowd - 1)) * step]
         )
         x, y = 0.9 * np.cos(theta), 0.9 * np.sin(theta)
-        table = DiscTable(x, y, np.full(len(x), 1e-9), np.arange(len(x)), np.full(len(x), 3))
-        assert table.half[0] == half and table.windowed[0]
+        table = DiscTable(x, y, np.full(len(x), 1e-9), np.arange(len(x)))
+        assert table.k.tolist() == [k] and table.turn.tolist() == [128 * k]
+        assert sorted(table.gid.tolist()) == list(range(len(x)))
+        assert (np.diff(table.keys) >= 0).all()
 
     @pytest.mark.parametrize("s, count", [(1e-9, 1), (1e-6, 1), (1e-9, 40), (1e-6, 40)])
     def test_deep_generation_band(self, s, count):
-        # generations 29 and 19 have 2^33 and 2^23 sectors: the window width
-        # is found without a per-sector table, and the band validates and
+        # generations 29 and 19 have 2^33 and 2^23 sectors: the buckets are
+        # sized without a per-sector table, and the band validates and
         # answers queries like a full scan
         theta = 0.3 + np.arange(count) * (TWO_PI / count)
         discs = [Disc.from_radius(Point((1.0 - s) * math.cos(t), (1.0 - s) * math.sin(t)), s / 4)
@@ -920,7 +971,7 @@ class TestLocalityQueries:
         assert generation_of(s) in (19, 29)
         assert validate_configuration(config).ok
         index = SpatialIndex(config)
-        assert _band_half(index, generation_of(s)) == 2
+        assert _band_k(index, generation_of(s)) == 1
         px, py = _query_points(5, config, count=200)
         got = index.distance_many(px, py)
         np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
@@ -976,9 +1027,16 @@ class TestLocalityQueries:
         np.testing.assert_array_equal(got, _ring_scan(rings, px, py))
 
     @settings(max_examples=40, deadline=None)
-    @given(st.integers(0, 2**32 - 1), st.lists(_band, min_size=1, max_size=3), st.booleans())
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.one_of(st.lists(_band, min_size=1, max_size=3), _lattice.map(lambda spec: ("lattice", spec))),
+        st.booleans(),
+    )
     def test_nearest_neighbours_equal_scan(self, seed, bands, centers):
-        config = _explicit_bands(seed, bands)
+        if bands[0] == "lattice":
+            config = _lattice_discs(seed, *bands[1])
+        else:
+            config = _explicit_bands(seed, bands)
         d, ids = SpatialIndex(config).explicit_neighbors(centers=centers)
         want_d, want_ids = _neighbor_scan(config, centers)
         np.testing.assert_array_equal(d, want_d)
@@ -987,7 +1045,7 @@ class TestLocalityQueries:
     def test_nearest_centre_ties_take_lowest_id(self):
         # disc 0 at angle 0 has two neighbours at exactly the same distance:
         # disc 1 just above the seam and disc 2 just below it, which comes
-        # first in angular order; 100 more discs make the band windowed
+        # first in angular order; 100 more discs fill the band's other cells
         h = 2.0**-10
         far = np.linspace(1.0, 5.0, 100)
         x = np.concatenate([[0.75, 0.75, 0.75], 0.75 * np.cos(far)])
@@ -1118,9 +1176,9 @@ def _neighbor_scan_within(config, cutoff, centers):
 class TestDiscTable:
     """The explicit-disc table against a scan of every disc: distances and
     lowest ids, per-depth distances against the truncated configuration,
-    and nearest neighbours with a cutoff.  Bands run from one disc,
-    scanned whole, to 400 discs in a few sectors, windows 16 discs wide on
-    either side of the slot."""
+    and nearest neighbours with a cutoff.  Bands run from one disc to 400
+    discs in a few sectors, and to lattices of up to 24 rows with every row
+    at the same slot angles, up to 24 discs at one angle."""
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1128,6 +1186,7 @@ class TestDiscTable:
         st.one_of(
             st.lists(_band, min_size=1, max_size=4),
             st.integers(20, 400).map(lambda count: ("grid", count)),
+            _lattice.map(lambda spec: ("lattice", spec)),
         ),
         st.sampled_from(["inf", "scalar", "per-disc"]),
         st.booleans(),
@@ -1136,6 +1195,9 @@ class TestDiscTable:
         if bands[0] == "grid":
             config = _grid_discs(seed, bands[1])
             px, py = _grid_points(seed)
+        elif bands[0] == "lattice":
+            config = _lattice_discs(seed, *bands[1])
+            px, py = _query_points(seed, config)
         else:
             config = _explicit_bands(seed, bands)
             px, py = _query_points(seed, config)
@@ -1175,7 +1237,7 @@ class TestDiscTable:
         ring = RingBlock(n=2, rho=0.8, log_r=math.log(0.01), count=64)
         for config in (alone, Configuration(blocks=(*alone.blocks, ring), n_max=2)):
             index = SpatialIndex(config)
-            assert len(index._discs.n) == 1 and not index._discs.windowed[0]
+            assert index._discs.k.tolist() == [1]
             px, py = _query_points(7, config, count=400)
             got, want = index.distance_many(px, py, with_ids=True), _scan_with_ids(config, px, py)
             for g, w in zip(got, want, strict=True):
@@ -1190,6 +1252,31 @@ class TestDiscTable:
             for centers in (True, False):
                 d, ids = index.explicit_neighbors(cutoff=0.5, centers=centers)
                 assert (d.tolist(), ids.tolist()) == ([0.5], [-1])
+
+
+    def test_crowded_band_evaluates_a_few_discs_per_query(self, monkeypatch):
+        # 12 rows x 768 slots of generation 2: 12 discs at every slot angle
+        # and 144 in every cell, as materialised rings put them; each query
+        # evaluates a few buckets around its own, never the whole band
+        config = _lattice_discs(11, 2, 12, 12)
+        index = SpatialIndex(config)
+        entries = []
+
+        def counted(px, py, x, *args):
+            entries.append(x.size)
+            return _nearest_rows(px, py, x, *args)
+
+        monkeypatch.setattr("champagne.bands._nearest_rows", counted)
+        px, py = _query_points(11, config, count=600)
+        got = index.distance_many(px, py, with_ids=True)
+        assert sum(entries) <= 40 * len(px)
+        for g, w in zip(got, _scan_with_ids(config, px, py), strict=True):
+            np.testing.assert_array_equal(g, w)
+        for centers in (True, False):
+            entries.clear()
+            index.explicit_neighbors(centers=centers)
+            assert sum(entries) <= 40 * config.disc_count
+        assert index._discs.k.tolist() == [12]
 
 
 class TestNearestIds:
@@ -1222,7 +1309,7 @@ class TestNearestIds:
 
     def test_exact_ties_take_lowest_id(self):
         # disc 0 sits just below the seam, disc 1 just above it: both are
-        # exactly h - r from (0.75, 0); 100 more discs make the band windowed
+        # exactly h - r from (0.75, 0); 100 more discs fill the band's other cells
         h = 2.0**-10
         far = np.linspace(1.0, 5.0, 100)
         x = np.concatenate([[0.75, 0.75], 0.75 * np.cos(far)])
