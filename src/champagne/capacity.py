@@ -36,7 +36,11 @@ m of a ring generation of rows of sector_count(n) * p slots holds slots
 and that no explicit disc reaches is one row on the generation's cluster,
 solved once.  A disc inside the cell that holds its centre meets no other,
 and a cell that it meets alone has its log radius.  Every other cell is
-gathered as arrays, explicit discs then ring discs by slot index.
+gathered as arrays, explicit discs then ring discs by slot index, and
+solved on those arrays by the disc-system kernel when its discs are
+disjoint and lie inside it with _GATHER_SLACK to spare.  Only a cell that
+a disc straddles, comes within the slack of, or meets from a centre in
+|x| < 1/2, or whose discs meet, builds shapes for :func:`log_capacity`.
 
 A cluster solve needs the mutual potential of -log d at every one of its
 p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
@@ -347,24 +351,26 @@ def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
     kernel; everything else, overlapping discs included, is discretized and
     minimized.
     """
-    parts = _flatten_parts(shape)
-    parts = [p for p in parts if not _is_empty(p)]
+    # clipped discs that miss their cell are dropped, and those that do not
+    # actually straddle it are plain discs
+    parts = []
+    for p in _flatten_parts(shape):
+        if isinstance(p, ClippedDiscShape):
+            if p.cell.distance_to(p.disc.center) > radius_from_log(p.disc.log_r):
+                continue
+            if _disc_inside_cell(p.disc, p.cell):
+                p = p.disc
+        parts.append(p)
     if not parts:
         return POLAR
-    # clipped discs that do not actually straddle their cell are plain discs
-    parts = [
-        p.disc
-        if isinstance(p, ClippedDiscShape) and _disc_inside_cell(p.disc, p.cell)
-        else p
-        for p in parts
-    ]
-    if len(parts) == 1 and isinstance(parts[0], DiscShape):
-        return CapacityEstimate(log_value=parts[0].log_r, method="exact_disc")
     if len(parts) == 1 and isinstance(parts[0], SegmentShape):
         if parts[0].length < POLAR_DIAMETER:
             return POLAR
-    if all(isinstance(p, DiscShape) for p in parts) and _discs_disjoint(parts):
-        return _disc_system_capacity(parts)
+    if all(isinstance(p, DiscShape) for p in parts):
+        columns = zip(*((p.center.x, p.center.y, p.log_r) for p in parts))
+        est = _disc_system_capacity(*(np.array(a) for a in columns))
+        if est is not None:
+            return est
 
     pts, ell = _boundary_nodes(parts, n_boundary)
     if len(pts) == 0:
@@ -375,13 +381,6 @@ def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
         )
     sol = minimize_simplex_energy(_log_kernel(pts, ell))
     return CapacityEstimate(log_value=-sol.energy, method="energy_minimization")
-
-
-def _is_empty(p: Shape) -> bool:
-    if isinstance(p, ClippedDiscShape):
-        r = radius_from_log(p.disc.log_r)
-        return p.cell.distance_to(p.disc.center) > r
-    return False
 
 
 def _boundary_nodes(parts: Sequence[Shape], n_boundary: int):
@@ -447,23 +446,20 @@ def _log_kernel(pts: np.ndarray, ell: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _discs_disjoint(parts: Sequence[DiscShape]) -> bool:
-    """No two closed discs meet; only then are center charges with
-    self-energies log(1/r_k) the energy of a measure on the union."""
-    x = np.array([p.center.x for p in parts])
-    y = np.array([p.center.y for p in parts])
-    r = np.array([radius_from_log(p.log_r) for p in parts])
+def _disc_system_capacity(x: np.ndarray, y: np.ndarray, log_r: np.ndarray) -> CapacityEstimate | None:
+    """Union of the discs (x, y, exp(log_r)) via center charges with exact
+    self-energies, or None when two closed discs meet: only disjoint discs
+    make those charges the energy of a measure on the union.  One disc is
+    exact."""
+    if len(log_r) == 1:
+        return CapacityEstimate(log_value=float(log_r[0]), method="exact_disc")
     d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
-    np.fill_diagonal(d, np.inf)
-    return bool(np.all(d > r[:, None] + r[None, :]))
-
-
-def _disc_system_capacity(parts: Sequence[DiscShape]) -> CapacityEstimate:
-    """Union of disjoint discs via center charges with exact self-energies."""
-    x = np.array([p.center.x for p in parts])
-    y = np.array([p.center.y for p in parts])
-    log_r = np.array([p.log_r for p in parts])
-    d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
+    with np.errstate(under="ignore"):
+        r = np.exp(log_r)
+    apart = d > r[:, None] + r[None, :]
+    np.fill_diagonal(apart, True)
+    if not apart.all():
+        return None
     np.fill_diagonal(d, 1.0)
     kernel = -np.log(d)
     np.fill_diagonal(kernel, -log_r)
@@ -914,25 +910,28 @@ def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
     return CellDiscs(ex.exp_x[e], ex.exp_y[e], ex.exp_log_r[e])
 
 
-def _disc_shapes(discs: CellDiscs) -> list[DiscShape]:
-    xs, ys, log_rs = discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist()
-    return [DiscShape(Point(x, y), log_r) for x, y, log_r in zip(xs, ys, log_rs)]
-
-
 def _cell_shape(idx: WhitneyIndex, discs: CellDiscs) -> UnionShape:
     """The union of the pieces of ``discs`` inside cell ``idx``, each disc
     clipped to the cell: :func:`log_capacity` takes a disc inside it whole."""
     cell = whitney_cell(idx)
-    return UnionShape(tuple(ClippedDiscShape(d, cell) for d in _disc_shapes(discs)))
+    parts = zip(discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist())
+    return UnionShape(tuple(ClippedDiscShape(DiscShape(Point(x, y), log_r), cell) for x, y, log_r in parts))
 
 
 def _set_log_capacity(obstacles, idx: WhitneyIndex) -> float:
     """Log capacity of the obstacle set of cell ``idx``, NaN when it is
-    polar: a generation's cluster by :func:`cluster_log_capacity`, gathered
-    discs clipped to the cell by :func:`log_capacity`."""
+    polar: a generation's cluster by :func:`cluster_log_capacity`; gathered
+    discs inside the cell (see :func:`_home_cells`) by the disc-system kernel
+    on their arrays, and the others clipped to it by :func:`log_capacity`,
+    which would take those inside it whole to the same value."""
     if isinstance(obstacles, GenerationCluster):
         return cluster_log_capacity(obstacles)
     try:
+        n, m, inside = _home_cells(*obstacles)
+        if len(inside) and (inside & (n == idx.n) & (m == idx.m)).all():
+            est = _disc_system_capacity(*obstacles)
+            if est is not None:
+                return est.log_value
         est = log_capacity(_cell_shape(idx, obstacles))
     except CapacityError as exc:
         raise CapacityError(f"capacity failed at cell (n={idx.n}, m={idx.m}): {exc}")

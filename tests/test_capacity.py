@@ -8,6 +8,7 @@ from champagne import capacity
 from champagne.capacity import (
     CapacityConstants,
     CapacityError,
+    CellDiscs,
     CellRows,
     ClippedDiscShape,
     DiscShape,
@@ -31,16 +32,17 @@ from champagne.capacity import (
     _boundary_nodes,
     _cell_discs,
     _cell_obstacles,
+    _cell_shape,
     _circle_nodes,
     GenerationCluster,
     _cluster_mutual,
     _disc_inside_cell,
     _disc_system_capacity,
-    _discs_disjoint,
     _home_cells,
     _radial_nodes,
     _log_kernel,
     _obstacle_rows,
+    _set_log_capacity,
 )
 from champagne.criteria import (
     BoundaryPoint,
@@ -413,40 +415,39 @@ class TestC2:
             rho = cell.r_inner + u * (cell.r_outer - cell.r_inner)
             theta = cell.theta_lo + v * cell.angular_width
             parts.append(DiscShape(Point(rho * math.cos(theta), rho * math.sin(theta)), log_r))
-        assume(all(_disc_inside_cell(d, cell) for d in parts) and _discs_disjoint(parts))
-        scale = CapacityConstants().cell_scale(n)
         x, y, log_r = (np.array(a) for a in zip(*((d.center.x, d.center.y, d.log_r) for d in parts)))
+        est = _disc_system_capacity(x, y, log_r)
+        assume(all(_disc_inside_cell(d, cell) for d in parts) and est is not None)
+        scale = CapacityConstants().cell_scale(n)
         c2, _ = c2_disc_system(x * scale, y * scale, log_r + math.log(scale))
         s = math.log(2.0) - math.log(scale)
-        assert c2 == pytest.approx(1.0 / (s - _disc_system_capacity(parts).log_value), rel=1e-13)
+        assert c2 == pytest.approx(1.0 / (s - est.log_value), rel=1e-13)
 
 
 class TestClusters:
     def _config(self, beta=1.2, c0=0.05, n=3):
         return generate_subsquares(GeneratorParams.exp_power(beta=beta, c0=c0, n_min=n, n_max=n))
 
+    @staticmethod
+    def _cell_columns(cluster: GenerationCluster) -> tuple:
+        """(x, y, log_r) of every disc of the cluster's first cell."""
+        th = (np.arange(cluster.columns) + 0.5) * cluster.delta_theta
+        x = np.outer(cluster.rhos, np.cos(th)).ravel()
+        y = np.outer(cluster.rhos, np.sin(th)).ravel()
+        return x, y, np.repeat(cluster.log_rs, cluster.columns)
+
     def test_cluster_matches_disc_system(self):
         cfg = self._config()
         cluster = generation_clusters(cfg)[3]
         log_cap = cluster_log_capacity(cluster)
-        parts = []
-        for rho, lr in zip(cluster.rhos, cluster.log_rs):
-            for j in range(cluster.columns):
-                th = (j + 0.5) * cluster.delta_theta
-                parts.append(DiscShape(Point(rho * math.cos(th), rho * math.sin(th)), lr))
-        est = _disc_system_capacity(parts)
+        est = _disc_system_capacity(*self._cell_columns(cluster))
         assert log_cap == pytest.approx(est.log_value, abs=2e-3)
 
     def test_cluster_exact_in_dominant_regime(self):
         cfg = shrink(self._config(), log_delta=-1e9)
         cluster = generation_clusters(cfg)[3]
         log_cap = cluster_log_capacity(cluster)
-        parts = []
-        for rho, lr in zip(cluster.rhos, cluster.log_rs):
-            for j in range(cluster.columns):
-                th = (j + 0.5) * cluster.delta_theta
-                parts.append(DiscShape(Point(rho * math.cos(th), rho * math.sin(th)), lr))
-        est = _disc_system_capacity(parts)
+        est = _disc_system_capacity(*self._cell_columns(cluster))
         assert est.method == "disc_system"
         assert log_cap == pytest.approx(est.log_value, rel=1e-9)
 
@@ -456,10 +457,7 @@ class TestClusters:
         # truncated-kernel solve over every disc of one cell
         cluster = _cluster(1.5, n)
         scale = CapacityConstants().cell_scale(n)
-        th = (np.arange(cluster.columns) + 0.5) * cluster.delta_theta
-        x = np.outer(cluster.rhos, np.cos(th)).ravel()
-        y = np.outer(cluster.rhos, np.sin(th)).ravel()
-        log_r = np.repeat(cluster.log_rs, cluster.columns)
+        x, y, log_r = self._cell_columns(cluster)
         want, _ = c2_disc_system(x * scale, y * scale, log_r + math.log(scale))
         c2, potential = cluster_c2(cluster, scale)
         assert c2 == pytest.approx(want, rel=5e-5)
@@ -801,8 +799,8 @@ class TestObstacleRows:
                     got = [obstacles.x, obstacles.y, obstacles.log_r]
                     want = [ex.exp_x[~s], ex.exp_y[~s], ex.exp_log_r[~s]]
                     assert [a.tolist() for a in got] == [[v] for v in want]
-                    (disc,) = capacity._disc_shapes(obstacles)
-                    assert _disc_inside_cell(disc, whitney_cell(WhitneyIndex(n, m)))
+                    (part,) = _cell_shape(WhitneyIndex(n, m), obstacles).parts
+                    assert _disc_inside_cell(part.disc, part.cell)
         for idx in (WhitneyIndex(1, 5), WhitneyIndex(6, 0), WhitneyIndex(6, 4), WhitneyIndex(9, 0)):
             assert _cell_obstacles(cfg, idx) is None
         # the runs on either side of the edge disc share one cluster, and the
@@ -813,8 +811,8 @@ class TestObstacleRows:
         for m in (39, 40):
             discs = _cell_obstacles(cfg, WhitneyIndex(7, m))
             assert discs.log_r.tolist() == [-12.0, cluster.log_rs[0]]
-            cell = whitney_cell(WhitneyIndex(7, m))
-            assert [_disc_inside_cell(d, cell) for d in capacity._disc_shapes(discs)] == [False, True]
+            parts = _cell_shape(WhitneyIndex(7, m), discs).parts
+            assert [_disc_inside_cell(part.disc, part.cell) for part in parts] == [False, True]
 
     def test_scalar_search_only_for_discs_not_inside(self, monkeypatch):
         # a materialised ring file gathers no disc by the scalar test; the
@@ -859,6 +857,99 @@ class TestObstacleRows:
             for keep in (weights.solve < 0, weights.solve >= 0)
         )
         assert own == one_inside - shared
+
+    @staticmethod
+    def _gathered_cells(cfg) -> list:
+        """(cell index, CellDiscs) of every gathered cell of ``cfg``."""
+        n, m_lo, _, solve, sets = _obstacle_rows(cfg)
+        return [
+            (WhitneyIndex(g, m), sets[s])
+            for g, m, s in zip(n.tolist(), m_lo.tolist(), solve.tolist())
+            if s >= 0 and isinstance(sets[s], CellDiscs)
+        ]
+
+    @staticmethod
+    def _shape_value(idx, discs) -> float:
+        """The reference: the discs clipped to the cell, by log_capacity."""
+        est = log_capacity(_cell_shape(idx, discs))
+        return math.nan if est.polar else est.log_value
+
+    @pytest.mark.parametrize("case", ["flagship-3", "mixed", "flagship-6-drop"])
+    def test_gathered_cells_match_the_shape_path(self, case):
+        # bit for bit on every gathered cell: whole cells of explicit
+        # discs, straddled ones, and the partial cell of ring discs that
+        # dropping 4013 discs of the flagship n <= 6 leaves in generation 4
+        flagship = GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=3)
+        cfg = {
+            "flagship-3": lambda: generate_subsquares(flagship).materialized(),
+            "mixed": lambda: self._mixed().materialized(),
+            "flagship-6-drop": lambda: generate_subsquares(
+                GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=6, drop_first=4013)
+            ),
+        }[case]()
+        cells = self._gathered_cells(cfg)
+        assert cells
+        for idx, discs in cells:
+            assert repr(_set_log_capacity(discs, idx)) == repr(self._shape_value(idx, discs))
+        if case == "flagship-6-drop":
+            assert [(idx.n, len(discs.x)) for idx, discs in cells] == [(4, 51)]
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        n=st.integers(1, 8),
+        m=st.integers(0, 2**12 - 1),
+        spots=st.lists(
+            st.tuples(st.floats(0.02, 0.98), st.floats(0.02, 0.98), st.floats(0.0, 1.0)),
+            min_size=1,
+            max_size=12,
+        ),
+    )
+    def test_discs_inside_one_cell_match_the_shape_path(self, n, m, spots):
+        # 1-12 disjoint discs inside one cell, radii from 1e-300 up to
+        # 2^-(n+3), each cut to 0.9 of its distance to the cell's boundary
+        # and 0.45 of its distance to the nearest other centre
+        idx = WhitneyIndex(n, m)
+        cell = whitney_cell(idx)
+        centres = []
+        for u, v, _ in spots:
+            rho = cell.r_inner + u * (cell.r_outer - cell.r_inner)
+            theta = cell.theta_lo + v * cell.angular_width
+            centres.append(Point(rho * math.cos(theta), rho * math.sin(theta)))
+        log_r = []
+        lo, hi = math.log(1e-300), -(n + 3) * math.log(2.0)
+        for k, (p, (_, _, t)) in enumerate(zip(centres, spots)):
+            rho = p.norm()
+            reach = 0.9 * min(rho - cell.r_inner, cell.r_outer - rho, cell.radial_edge_distance(p))
+            for q in centres[:k] + centres[k + 1 :]:
+                reach = min(reach, 0.45 * math.hypot(p.x - q.x, p.y - q.y))
+            assume(reach > 0.0)
+            log_r.append(min(lo + t * (hi - lo), math.log(reach)))
+        discs = CellDiscs(*(np.array(a) for a in zip(*((p.x, p.y, lr) for p, lr in zip(centres, log_r)))))
+        assert _home_cells(*discs)[2].all()
+        assert _set_log_capacity(discs, idx) == self._shape_value(idx, discs)
+
+    def test_only_straddled_cells_build_shapes(self, monkeypatch):
+        # the materialised flagship n <= 4 gathers 448 cells whose discs all
+        # lie inside them: none is clipped.  The avoidable ring and the
+        # mixed file clip exactly the gathered cells that a disc straddles
+        built = []
+        real = capacity._cell_shape
+        monkeypatch.setattr(
+            capacity, "_cell_shape", lambda idx, discs: built.append(idx) or real(idx, discs)
+        )
+        flagship = generate_subsquares(GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=4))
+        cfg = flagship.materialized()
+        cell_capacity_weights(cfg)
+        assert len(self._gathered_cells(cfg)) == 448 and built == []
+        for cfg, count in ((generate_avoidable_ring(), 16), (self._mixed().materialized(), 4)):
+            built.clear()
+            cell_capacity_weights(cfg)
+            cells = self._gathered_cells(cfg)
+            straddled = [
+                idx for idx, discs in cells
+                if not all(_disc_inside_cell(part.disc, part.cell) for part in real(idx, discs).parts)
+            ]
+            assert len(cells) == count and straddled and built == straddled
 
     @settings(max_examples=40, deadline=None)
     @given(
