@@ -16,7 +16,8 @@ constant).  Three evaluation paths share that definition:
   with self-energies log(1/r_k); minimizing over the charge weights is the
   same simplex program with an analytic kernel.  Self-energies that dwarf
   the couplings (the radii here are routinely exp(-10^6) or smaller) need
-  no special case: the same bordered solve covers them.
+  no special case: the same bordered solve covers them.  A disc cut to a
+  cell (``clipped_disc``) enters with its piece's self-energy.
 
 The C2 capacity uses the truncated kernel log+(2/|x-y|): the mass that
 pushes the equilibrium potential to 1 on the set.  On a set of diameter
@@ -37,10 +38,13 @@ and that no explicit disc reaches is one row on the generation's cluster,
 solved once.  A disc inside the cell that holds its centre meets no other,
 and a cell that it meets alone has its log radius.  Every other cell is
 gathered as arrays, explicit discs then ring discs by slot index, and
-solved on those arrays by the disc-system kernel when its discs are
-disjoint and lie inside it with _GATHER_SLACK to spare.  Only a cell that
-a disc straddles, comes within the slack of, or meets from a centre in
-|x| < 1/2, or whose discs meet, builds shapes for :func:`log_capacity`.
+solved on them by one disc-system call, each disc entering as its piece in
+the cell.  A piece follows one rule, in the disc's own frame u = (z - c)/r:
+the offsets of the cell's edges from the centre, in units of r and formed
+from log r, so that a centre on an edge is at offset 0 at any radius.  An
+edge may miss the disc, which drops out; inside every edge it is whole;
+one cutting edge leaves a circular digon in closed form (a half disc is
+4r/(3 sqrt 3), Ransford, Table 5.1); more are discretised in that frame.
 
 A cluster solve needs the mutual potential of -log d at every one of its
 p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
@@ -286,49 +290,131 @@ def _circle_nodes(center: Point, r: float, n: int) -> tuple[np.ndarray, np.ndarr
     return pts, ell
 
 
-def _clipped_disc_nodes(
-    shape: ClippedDiscShape, n: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Boundary nodes of disc-intersect-cell: circle samples inside the cell
-    plus cell-edge samples inside the disc, with arc-length weights."""
-    d, cell = shape.disc, shape.cell
-    r = radius_from_log(d.log_r)
-    pts_list, ell_list = [], []
-    cpts, cell_ = _circle_nodes(d.center, r, n)
-    keep = np.array([cell.contains(Point(*p), tol=0.0) for p in cpts])
-    if keep.any():
-        pts_list.append(cpts[keep])
-        ell_list.append(cell_[keep])
-    per_edge = max(8, n // 4)
-    for pts, ell in _cell_edge_nodes(cell, per_edge):
-        inside = np.hypot(pts[:, 0] - d.center.x, pts[:, 1] - d.center.y) <= r
-        if inside.any():
-            pts_list.append(pts[inside])
-            ell_list.append(ell[inside])
-    if not pts_list:
+# ---------------------------------------------------------------------------
+# a disc cut to a cell, in the disc's own frame
+
+
+def _over_r(d, log_r):
+    """d / exp(log_r) formed from log_r: exactly 0 where d is 0, at any
+    radius, and +-inf where it overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        return np.copysign(np.exp(np.log(np.abs(d)) - log_r), d)
+
+
+def _radial_edges(cell: WhitneyCell) -> list[np.ndarray]:
+    """Unit vectors along the lower and upper radial edges of ``cell``, at
+    their angles mod 2 pi: a centre on the positive axis lies on both."""
+    return [np.array([math.cos(a), math.sin(a)]) for a in (math.fmod(cell.theta_lo, TWO_PI), math.fmod(cell.theta_hi, TWO_PI))]
+
+
+def _cell_frame(x, y, log_r, cell: WhitneyCell):
+    """(t, lam), each (k, 4): the inner arc, outer arc and lower and upper
+    radial edges of ``cell`` seen from each disc (x, y, exp(log_r)) in its
+    own frame u = (z - c)/r, where c + r u lies in the cell when
+    n.u + lam (|u|^2 - 1)/2 <= t for every edge of outward normal n.  On the
+    unit circle each edge is the line n.u = t, so t <= -1 misses the disc
+    and t >= 1 keeps all of it.  An arc |z| = R has n = -+c/rho,
+    t = +-((rho^2 - R^2)/(2 rho r) + r/(2 rho)) and lam = -+r/rho, whose r
+    terms vanish for an underflowed r: the straight edge."""
+    rho = np.hypot(x, y)
+    with np.errstate(under="ignore"):
+        lam = np.exp(log_r - np.log(rho))
+    (c_lo, s_lo), (c_hi, s_hi) = _radial_edges(cell)
+    gap = [(R - rho) * (R + rho) / (2.0 * rho) for R in (cell.r_inner, cell.r_outer)]
+    t = [_over_r(-gap[0], log_r) + 0.5 * lam, _over_r(gap[1], log_r) - 0.5 * lam]
+    t += [_over_r(c_lo * y - s_lo * x, log_r), _over_r(s_hi * x - c_hi * y, log_r)]
+    zero = np.zeros_like(lam)
+    return np.stack(t, axis=-1), np.stack([-lam, lam, zero, zero], axis=-1)
+
+
+def _digon(t, lam):
+    """log(cap/r) of the unit disc cut by one edge (t, lam) of
+    :func:`_cell_frame`, |t| < 1: a circular digon with vertices
+    v = t n +- h n', h = sqrt(1 - t^2), whose edge crosses the axis sag past
+    t.  zeta = (z - v1)/(z - v2) maps it to a wedge of opening
+    alpha pi = 2 (a2 - a1), a1 = atan2(h, 1 + t), a2 = atan2(h, -sag), and
+    infinity to 1, at the angle beta = a1 + a2 - pi from the bisector of the
+    exterior wedge: cap = (|v1 - v2|/2) / ((2 - alpha) cos(beta/(2 - alpha))).
+    The half disc, t = lam = 0, is 4/(3 sqrt 3)."""
+    h = np.sqrt((1.0 - t) * (1.0 + t))
+    p = 1.0 + lam * t
+    sag = lam * h * h / (p + np.sqrt(p * p + (lam * h) ** 2))
+    a1, a2 = np.arctan2(h, 1.0 + t), np.arctan2(h, -sag)
+    rest = 2.0 - 2.0 * (a2 - a1) / math.pi
+    return np.log(h / (rest * np.cos((a1 + a2 - math.pi) / rest)))
+
+
+def _piece_log_capacity(x, y, log_r, cell: WhitneyCell, n_boundary: int = 512) -> np.ndarray:
+    """Log capacity of each disc (x, y, exp(log_r)) cut to ``cell``: -inf
+    where it misses the cell, log_r where it lies inside, and otherwise
+    log_r plus the closed-form :func:`_digon` where one edge cuts it, or the
+    log capacity of its own-frame nodes (:func:`_piece_nodes`) where more
+    do."""
+    t, lam = _cell_frame(x, y, log_r, cell)
+    cut = np.abs(t) < 1.0
+    log_c = np.where((t <= -1.0).any(axis=1), -np.inf, log_r)
+    count = np.where(log_c > -np.inf, cut.sum(axis=1), 0)
+    one = count == 1
+    log_c[one] += _digon(t[one][cut[one]], lam[one][cut[one]])
+    for k in np.flatnonzero(count > 1).tolist():
+        u, ell = _piece_nodes(x[k], y[k], log_r[k], cell, n_boundary)
+        log_c[k] = log_c[k] - minimize_simplex_energy(_log_kernel(u, ell)).energy if len(u) > 1 else -np.inf
+    return log_c
+
+
+def _piece_nodes(x: float, y: float, log_r: float, cell: WhitneyCell, n: int):
+    """About n boundary nodes (u, ell) of the disc (x, y, exp(log_r)) cut to
+    ``cell``, in its own frame (:func:`_cell_frame`): on the arcs of the
+    unit circle inside every edge, and on each cutting edge inside the unit
+    circle, at one node density.  An edge is u = a n + s n', n' = n turned
+    by +90 degrees, with a = 2C/(1 + sqrt(1 + 2 lam C)) and
+    C = t + lam (1 - s^2)/2.  Each arc or edge has a corner at both ends,
+    where the equilibrium density is singular, so its nodes are graded
+    towards them as 1 - cos.  A disc inside the cell has n circle nodes,
+    one that misses it none."""
+    rho = math.hypot(x, y)
+    if log_r >= math.log(rho):
+        raise CapacityError("a disc clipped to a cell must not cover the origin")
+    t, lam = (a[0] for a in _cell_frame(np.array([x]), np.array([y]), np.array([log_r]), cell))
+    cut = np.abs(t) < 1.0
+    if (t <= -1.0).any():
         return np.empty((0, 2)), np.empty(0)
-    return np.vstack(pts_list), np.concatenate(ell_list)
-
-
-def _cell_edge_nodes(cell: WhitneyCell, n: int):
-    lo, hi = cell.theta_lo, cell.theta_hi
-    for radius in (cell.r_inner, cell.r_outer):
-        th = lo + (hi - lo) * (np.arange(n) + 0.5) / n
-        pts = radius * np.column_stack([np.cos(th), np.sin(th)])
-        yield pts, np.full(n, radius * (hi - lo) / n)
-    for theta in (lo, hi):
-        t = cell.r_inner + (cell.r_outer - cell.r_inner) * (np.arange(n) + 0.5) / n
-        pts = np.column_stack([t * math.cos(theta), t * math.sin(theta)])
-        yield pts, np.full(n, (cell.r_outer - cell.r_inner) / n)
-
-
-def _disc_inside_cell(d: DiscShape, cell: WhitneyCell) -> bool:
-    r = radius_from_log(d.log_r)
-    if not cell.contains(d.center):
-        return False
-    # the distance from the center to the cell's boundary
-    rho = d.center.norm()
-    return min(rho - cell.r_inner, cell.r_outer - rho, cell.radial_edge_distance(d.center)) >= r
+    if not cut.any():
+        return _circle_nodes(Point(0.0, 0.0), 1.0, n)
+    c_hat, e = np.array([x, y]) / rho, _radial_edges(cell)
+    normal = np.array([-c_hat, c_hat, [e[0][1], -e[0][0]], [-e[1][1], e[1][0]]])
+    # the span of s in the cell: along a radial edge, its distance from the
+    # centre's foot between the arcs; along an arc, (R/r) sin d at the angle
+    # d from the centre, (R/rho) t at a radial edge (infinite past 90 degrees)
+    s = [[float(_over_r(R - x * v[0] - y * v[1], log_r)) for R in (cell.r_inner, cell.r_outer)] for v in e]
+    far = [t[2 + j] if c_hat @ e[j] > 0.0 else math.copysign(math.inf, t[2 + j]) for j in (0, 1)]
+    rin, rout = cell.r_inner / rho, cell.r_outer / rho
+    span = [(-rin * far[1], rin * far[0]), (-rout * far[0], rout * far[1]), s[0], (-s[1][1], -s[1][0])]
+    parts = []  # (start, end, points at parameter values)
+    nu, half = np.arctan2(normal[cut, 1], normal[cut, 0]), np.arccos(t[cut])
+    ends = np.sort(np.mod(np.concatenate([nu - half, nu + half]), TWO_PI)).tolist()
+    for a, b in zip(ends, ends[1:] + [ends[0] + TWO_PI]):
+        mid = np.array([math.cos(0.5 * (a + b)), math.sin(0.5 * (a + b))])
+        if b > a and (normal[cut] @ mid <= t[cut]).all():
+            parts.append((a, b, lambda p: np.column_stack([np.cos(p), np.sin(p)])))
+    for k in np.flatnonzero(cut).tolist():
+        h = math.sqrt((1.0 - t[k]) * (1.0 + t[k]))
+        a, b = max(span[k][0], -h), min(span[k][1], h)
+        if b > a:
+            def place(p, k=k):
+                c = t[k] + 0.5 * lam[k] * (1.0 - p * p)
+                a = 2.0 * c / (1.0 + np.sqrt(1.0 + 2.0 * lam[k] * c))
+                return np.outer(a, normal[k]) + np.outer(p, [-normal[k][1], normal[k][0]])
+            parts.append((a, b, place))
+    if not parts:
+        return np.empty((0, 2)), np.empty(0)
+    total = sum(b - a for a, b, _ in parts)
+    nodes = []
+    for a, b, place in parts:
+        count = max(1, round(n * (b - a) / total))
+        p = a + 0.5 * (b - a) * (1.0 - np.cos(np.pi * np.arange(count + 1) / count))
+        nodes.append((place(0.5 * (p[1:] + p[:-1])), np.hypot(*np.diff(place(p), axis=0).T)))
+    return np.vstack([u for u, _ in nodes]), np.concatenate([ell for _, ell in nodes])
 
 
 # ---------------------------------------------------------------------------
@@ -347,28 +433,31 @@ def _flatten_parts(shape: Shape) -> list[Shape]:
 def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
     """Logarithmic capacity estimate of a compact shape.
 
-    Discs are exact; disjoint unions of discs use the analytic disc-system
-    kernel; everything else, overlapping discs included, is discretized and
-    minimized.
+    A disc is exact, and a disc clipped to a cell is its piece there
+    (:func:`_piece_log_capacity`).  Disjoint discs and pieces enter the
+    disc-system kernel, each with its own log capacity; segments, and discs
+    that meet, are discretized and minimized jointly.
     """
-    # clipped discs that miss their cell are dropped, and those that do not
-    # actually straddle it are plain discs
-    parts = []
-    for p in _flatten_parts(shape):
-        if isinstance(p, ClippedDiscShape):
-            if p.cell.distance_to(p.disc.center) > radius_from_log(p.disc.log_r):
-                continue
-            if _disc_inside_cell(p.disc, p.cell):
-                p = p.disc
-        parts.append(p)
+    parts = _flatten_parts(shape)
+    log_c = [p.log_r if isinstance(p, DiscShape) else math.nan for p in parts]
+    # one call per cell, as a gathered cell makes, so that the two agree bit for bit
+    for cell in {p.cell for p in parts if isinstance(p, ClippedDiscShape)}:
+        at = [k for k, p in enumerate(parts) if isinstance(p, ClippedDiscShape) and p.cell == cell]
+        x, y, log_r = (np.array(a) for a in zip(*((parts[k].disc.center.x, parts[k].disc.center.y, parts[k].disc.log_r) for k in at)))
+        for k, c in zip(at, _piece_log_capacity(x, y, log_r, cell, n_boundary).tolist()):
+            log_c[k] = c
+    parts, log_c = [p for p, c in zip(parts, log_c) if c != -math.inf], [c for c in log_c if c != -math.inf]
     if not parts:
         return POLAR
     if len(parts) == 1 and isinstance(parts[0], SegmentShape):
         if parts[0].length < POLAR_DIAMETER:
             return POLAR
-    if all(isinstance(p, DiscShape) for p in parts):
-        columns = zip(*((p.center.x, p.center.y, p.log_r) for p in parts))
-        est = _disc_system_capacity(*(np.array(a) for a in columns))
+    if not any(isinstance(p, SegmentShape) for p in parts):
+        discs = [p if isinstance(p, DiscShape) else p.disc for p in parts]
+        if len(discs) == 1:
+            return CapacityEstimate(log_c[0], "exact_disc" if log_c[0] == discs[0].log_r else "clipped_disc")
+        x, y, log_r = (np.array(a) for a in zip(*((d.center.x, d.center.y, d.log_r) for d in discs)))
+        est = _disc_system_capacity(x, y, log_r, np.array(log_c))
         if est is not None:
             return est
 
@@ -384,28 +473,29 @@ def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
 
 
 def _boundary_nodes(parts: Sequence[Shape], n_boundary: int):
-    """Weighted boundary nodes of a union: points interior to another part
-    are dropped (they cannot carry equilibrium mass) and exact duplicates
-    from shared edges collapse to one node."""
+    """Weighted boundary nodes of a union whose parts meet: points interior
+    to another part are dropped (they cannot carry equilibrium mass) and
+    exact duplicates from shared edges collapse to one node.  A clipped
+    disc's nodes are c + r u, its own-frame nodes (:func:`_piece_nodes`)."""
     per = max(24, n_boundary // max(len(parts), 1))
     pts_list, ell_list, owner_list = [], [], []
     disc_info: list[tuple[int, float, float, float]] = []
     for pi, p in enumerate(parts):
-        if isinstance(p, DiscShape):
-            r = radius_from_log(p.log_r)
+        if isinstance(p, SegmentShape):
+            pts, ell = _segment_nodes(p.a, p.b, per)
+        elif isinstance(p, (DiscShape, ClippedDiscShape)):
+            d = p if isinstance(p, DiscShape) else p.disc
+            r = radius_from_log(d.log_r)
             if r <= 0.0:
                 raise CapacityError(
                     "disc too small to discretize; use a pure disc union"
                 )
-            pts, ell = _circle_nodes(p.center, r, per)
-            disc_info.append((pi, p.center.x, p.center.y, r))
-        elif isinstance(p, SegmentShape):
-            pts, ell = _segment_nodes(p.a, p.b, per)
-        elif isinstance(p, ClippedDiscShape):
-            pts, ell = _clipped_disc_nodes(p, per)
-            disc_info.append(
-                (pi, p.disc.center.x, p.disc.center.y, radius_from_log(p.disc.log_r))
-            )
+            if isinstance(p, DiscShape):
+                pts, ell = _circle_nodes(d.center, r, per)
+            else:
+                u, ell = _piece_nodes(d.center.x, d.center.y, d.log_r, p.cell, per)
+                pts, ell = np.array([d.center.x, d.center.y]) + r * u, r * ell
+            disc_info.append((pi, d.center.x, d.center.y, r))
         else:
             raise CapacityError(f"unsupported shape {type(p).__name__}")
         if len(pts):
@@ -446,13 +536,18 @@ def _log_kernel(pts: np.ndarray, ell: np.ndarray) -> np.ndarray:
     return kernel
 
 
-def _disc_system_capacity(x: np.ndarray, y: np.ndarray, log_r: np.ndarray) -> CapacityEstimate | None:
-    """Union of the discs (x, y, exp(log_r)) via center charges with exact
-    self-energies, or None when two closed discs meet: only disjoint discs
-    make those charges the energy of a measure on the union.  One disc is
-    exact."""
-    if len(log_r) == 1:
-        return CapacityEstimate(log_value=float(log_r[0]), method="exact_disc")
+def _disc_system_capacity(
+    x: np.ndarray, y: np.ndarray, log_r: np.ndarray, log_c: np.ndarray | None = None
+) -> CapacityEstimate | None:
+    """Union of the discs (x, y, exp(log_r)), each cut to a piece of log
+    capacity ``log_c`` (the whole disc by default), via center charges with
+    self-energies -log_c, or None when two closed discs meet: only disjoint
+    discs make those charges the energy of a measure on the union, exactly
+    for whole discs and up to O(r/d) in the couplings for pieces.  One piece
+    is exact."""
+    log_c = log_r if log_c is None else log_c
+    if len(log_c) == 1:
+        return CapacityEstimate(log_value=float(log_c[0]), method="exact_disc")
     d = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :])
     with np.errstate(under="ignore"):
         r = np.exp(log_r)
@@ -462,7 +557,7 @@ def _disc_system_capacity(x: np.ndarray, y: np.ndarray, log_r: np.ndarray) -> Ca
         return None
     np.fill_diagonal(d, 1.0)
     kernel = -np.log(d)
-    np.fill_diagonal(kernel, -log_r)
+    np.fill_diagonal(kernel, -log_c)
     sol = minimize_simplex_energy(kernel)
     return CapacityEstimate(log_value=-sol.energy, method="disc_system")
 
@@ -910,32 +1005,24 @@ def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
     return CellDiscs(ex.exp_x[e], ex.exp_y[e], ex.exp_log_r[e])
 
 
-def _cell_shape(idx: WhitneyIndex, discs: CellDiscs) -> UnionShape:
-    """The union of the pieces of ``discs`` inside cell ``idx``, each disc
-    clipped to the cell: :func:`log_capacity` takes a disc inside it whole."""
-    cell = whitney_cell(idx)
-    parts = zip(discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist())
-    return UnionShape(tuple(ClippedDiscShape(DiscShape(Point(x, y), log_r), cell) for x, y, log_r in parts))
-
-
 def _set_log_capacity(obstacles, idx: WhitneyIndex) -> float:
     """Log capacity of the obstacle set of cell ``idx``, NaN when it is
-    polar: a generation's cluster by :func:`cluster_log_capacity`; gathered
-    discs inside the cell (see :func:`_home_cells`) by the disc-system kernel
-    on their arrays, and the others clipped to it by :func:`log_capacity`,
-    which would take those inside it whole to the same value."""
+    polar: a generation's cluster by :func:`cluster_log_capacity`, and
+    gathered discs by the disc-system kernel on their columns, each disc
+    entering as its piece in the cell (:func:`_piece_log_capacity`)."""
     if isinstance(obstacles, GenerationCluster):
         return cluster_log_capacity(obstacles)
     try:
-        n, m, inside = _home_cells(*obstacles)
-        if len(inside) and (inside & (n == idx.n) & (m == idx.m)).all():
-            est = _disc_system_capacity(*obstacles)
-            if est is not None:
-                return est.log_value
-        est = log_capacity(_cell_shape(idx, obstacles))
+        log_c = _piece_log_capacity(*obstacles, whitney_cell(idx))
+        met = log_c > -np.inf
+        if not met.any():
+            return math.nan
+        est = _disc_system_capacity(*(a[met] for a in obstacles), log_c[met])
+        if est is None:
+            raise CapacityError("two of its discs meet")
     except CapacityError as exc:
         raise CapacityError(f"capacity failed at cell (n={idx.n}, m={idx.m}): {exc}")
-    return math.nan if est.polar else est.log_value
+    return est.log_value
 
 
 def _cell_log_capacity(c: Configuration, idx: WhitneyIndex) -> tuple:

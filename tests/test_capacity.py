@@ -32,11 +32,12 @@ from champagne.capacity import (
     _boundary_nodes,
     _cell_discs,
     _cell_obstacles,
-    _cell_shape,
     _circle_nodes,
     GenerationCluster,
     _cluster_mutual,
-    _disc_inside_cell,
+    _digon,
+    _piece_log_capacity,
+    _piece_nodes,
     _disc_system_capacity,
     _home_cells,
     _radial_nodes,
@@ -93,6 +94,18 @@ def _set_rows(cfg) -> list:
     """(n, range(m_lo, m_hi), solve) per row of _obstacle_rows."""
     n, m_lo, m_hi, solve, _ = _obstacle_rows(cfg)
     return [(g, range(lo, hi), s) for g, lo, hi, s in zip(*(a.tolist() for a in (n, m_lo, m_hi, solve)))]
+
+
+def _whole(x, y, log_r, cell) -> np.ndarray:
+    """Whether each disc lies inside ``cell``: its piece there is the disc."""
+    return _piece_log_capacity(*(np.asarray(a, dtype=float) for a in (x, y, log_r)), cell) == log_r
+
+
+def _clipped(idx, discs) -> UnionShape:
+    """The discs of a gathered cell clipped to the cell, as one shape."""
+    cell = whitney_cell(idx)
+    parts = zip(discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist())
+    return UnionShape(tuple(ClippedDiscShape(DiscShape(Point(x, y), log_r), cell) for x, y, log_r in parts))
 
 
 def _floats(discs) -> list:
@@ -339,6 +352,139 @@ class TestLogCapacity:
             checked += 1
 
 
+HALF_DISC = math.log(4.0 / (3.0 * math.sqrt(3.0)))
+# log(cap/r) of a quarter disc, from own-frame solves at 512-4,096 nodes
+# extrapolated at O(1/n)
+QUARTER_DISC = -0.63275
+
+
+def _rows_by_cell(weights) -> dict:
+    return dict(zip(zip(weights.n.tolist(), weights.m_lo.tolist()), weights.log_capacity.tolist()))
+
+
+class TestPieces:
+    def test_half_disc_oracle(self):
+        # Ransford (1995), Table 5.1: a half disc has capacity 4r/(3 sqrt 3),
+        # also for a centre on the radial edge of a cell at any radius
+        assert abs(float(_digon(np.array([0.0]), np.array([0.0]))[0]) - HALF_DISC) <= 1e-14
+        cell = whitney_cell(WhitneyIndex(3, 0))
+        for log_r in (-7.0, -800.0):
+            got = _piece_log_capacity(np.array([0.9]), np.array([0.0]), np.array([log_r]), cell)[0]
+            assert abs((got - log_r) - HALF_DISC) <= 1e-14 + math.ulp(log_r)
+
+    @settings(max_examples=12, deadline=None)
+    @given(
+        edge=st.sampled_from(["radial", "inner arc", "outer arc"]),
+        t=st.floats(-0.99, 0.99, exclude_min=True, exclude_max=True),
+        log_q=st.floats(math.log(1e-6), math.log(0.6)),
+    )
+    @example(edge="radial", t=-0.99 + 1e-9, log_q=math.log(0.1))
+    @example(edge="outer arc", t=0.0, log_q=math.log(0.6))
+    def test_digon_matches_own_frame_nodes(self, edge, t, log_q):
+        # one edge cuts the unit disc at offset t: a chord, or an arc of
+        # radius R = 1 with r/R = exp(log_q), which bounds the piece from
+        # outside or from inside; the closed form agrees with 2,048 nodes of
+        # the disc's own frame to their O(1/n) discretisation error
+        r = math.exp(log_q)
+        if edge == "radial":
+            x, y, r = 0.5, t * 0.1, 0.1
+            cell = WhitneyCell(index=None, r_inner=0.05, r_outer=100.0, theta_lo=0.0, theta_hi=0.5 * math.pi)
+        elif edge == "outer arc":
+            x, y = -r * t + math.sqrt((r * t) ** 2 + 1.0 - r * r), 0.0
+            cell = WhitneyCell(index=None, r_inner=1e-3, r_outer=1.0, theta_lo=-1.5, theta_hi=1.5)
+        else:
+            x, y = r * t + math.sqrt((r * t) ** 2 + 1.0 - r * r), 0.0
+            cell = WhitneyCell(index=None, r_inner=1.0, r_outer=100.0, theta_lo=-1.5, theta_hi=1.5)
+        columns = np.array([x]), np.array([y]), np.array([math.log(r)])
+        offsets, lam = (a[0] for a in capacity._cell_frame(*columns, cell))
+        cut = np.abs(offsets) < 1.0
+        assume(r < math.hypot(x, y) and cut.sum() == 1)
+        closed = float(_digon(offsets[cut], lam[cut])[0])
+        u, ell = _piece_nodes(x, y, math.log(r), cell, 2048)
+        nodes = -minimize_simplex_energy(_log_kernel(u, ell)).energy
+        assert abs(nodes - closed) <= 3e-4
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        n=st.integers(1, 12),
+        u=st.floats(0.25, 0.75),
+        s=st.floats(0.0, 1.0),
+        corner=st.booleans(),
+    )
+    def test_straddles_scale_with_r(self, n, u, s, corner):
+        # a centre on the positive axis sits exactly on the radial edge of
+        # cells (n, 0) and (n, 2^(n+4) - 1), at any radius: each gets the
+        # half disc log r + log(4/(3 sqrt 3)) bit for bit, for every
+        # log r from -1e6 to log 2^-(n+3).  At the band edge 1 - 2^-n the
+        # centre is on a corner, and each of the four cells gets the same
+        # piece, log r - 0.63275 to its discretisation, while r/rho is
+        # below rounding
+        rho = 1.0 - 2.0**-n + (0.0 if corner else u * 2.0 ** -(n + 1))
+        top = -math.log(2.0) * (n + 3) if not corner else -40.0
+        log_r = -1e6 + s * (top + 1e6)
+        cells = [(n, 0), (n, sector_count(n) - 1)]
+        if corner and n > 1:
+            cells += [(n - 1, 0), (n - 1, sector_count(n - 1) - 1)]
+        columns = np.array([rho]), np.array([0.0]), np.array([log_r])
+        for key in cells:
+            got = _piece_log_capacity(*columns, whitney_cell(WhitneyIndex(*key)))[0]
+            if not corner:
+                assert got == log_r + _digon(np.array([0.0]), np.array([0.0]))[0]
+            else:
+                deep = _piece_log_capacity(np.array([rho]), np.array([0.0]), np.array([-1e6]), whitney_cell(WhitneyIndex(*key)))[0]
+                assert got < log_r
+                assert abs((got - log_r) - (deep + 1e6)) <= 1e-12 + math.ulp(log_r) + math.ulp(1e6)
+                assert abs((got - log_r) - QUARTER_DISC) < 1e-3
+
+    def test_corner_disc_is_a_quarter_disc_at_every_radius(self):
+        # (0.75, 0) is the corner of cells (1, 0), (1, 31), (2, 0) and
+        # (2, 63): each holds a quarter of the disc, also where r underflows
+        offsets = []
+        for log_r in (-30.0, -700.0, -745.5, -800.0, -1e6):
+            cfg = Configuration(blocks=(DiscBlock(np.array([0.75]), np.array([0.0]), np.array([log_r])),), n_max=2)
+            rows = _rows_by_cell(cell_capacity_weights(cfg))
+            assert sorted(rows) == [(1, 0), (1, 31), (2, 0), (2, 63)]
+            assert all(v < log_r for v in rows.values())
+            offsets += [(v - log_r, math.ulp(log_r)) for v in rows.values()]
+        first = offsets[0][0]
+        assert abs(first - QUARTER_DISC) < 1e-3
+        for offset, ulp in offsets:
+            assert abs(offset - first) <= 1e-12 + ulp
+
+    def test_avoidable_ring_rows(self):
+        # the default ring puts its six discs on the generation edge
+        # |z| = 0.75: discs 1 and 4 also on radial edges, at the corners of
+        # four cells, and the others across the arc between two cells
+        cfg = generate_avoidable_ring()
+        log_r = spatial_index(cfg).exp_log_r.tolist()
+        rows = _rows_by_cell(cell_capacity_weights(cfg))
+        halves = {(1, 13): 2, (2, 26): 2, (1, 18): 3, (2, 37): 3, (1, 29): 5, (2, 58): 5}
+        corners = {(1, 7): 1, (1, 8): 1, (2, 15): 1, (2, 16): 1, (1, 23): 4, (1, 24): 4, (2, 47): 4, (2, 48): 4}
+        assert sorted(rows) == sorted([(1, 2), (2, 5), *halves, *corners])
+        for key, k in halves.items():
+            # r is below 1e-19: the arc through the centre is its tangent
+            assert abs(rows[key] - (log_r[k] + HALF_DISC)) <= 1e-12
+        for key, k in corners.items():
+            assert abs(rows[key] - (log_r[k] + QUARTER_DISC)) <= 1e-3
+        # r = 1.5e-5: the arc |z| = 0.75 through the centre cuts a digon
+        # slightly smaller than the half disc inside it and one slightly
+        # larger outside it
+        half = log_r[0] + HALF_DISC
+        assert rows[(1, 2)] < half < rows[(2, 5)]
+        assert abs(rows[(1, 2)] - -11.351979) <= 1e-5 and abs(rows[(2, 5)] - -11.351979) <= 1e-5
+
+    def test_mixed_rows(self):
+        # the disc at (0.6, 0), log r = -7, is a half disc in (1, 0) and
+        # (1, 31); the disc on the edge of cells (7, 39) and (7, 40) is a
+        # half disc next to one whole ring disc, whose joint own-frame solve
+        # at 2,048 nodes gives -8.9272
+        rows = _rows_by_cell(cell_capacity_weights(TestObstacleRows._mixed()))
+        for key in ((1, 0), (1, 31)):
+            assert abs(rows[key] - (-7.0 + HALF_DISC)) <= 1e-12
+        for key in ((7, 39), (7, 40)):
+            assert abs(rows[key] - -8.9272) <= 1e-3
+
+
 class TestC2:
     def test_closed_form_at_half(self):
         est = c2_disc(0.5)
@@ -417,7 +563,7 @@ class TestC2:
             parts.append(DiscShape(Point(rho * math.cos(theta), rho * math.sin(theta)), log_r))
         x, y, log_r = (np.array(a) for a in zip(*((d.center.x, d.center.y, d.log_r) for d in parts)))
         est = _disc_system_capacity(x, y, log_r)
-        assume(all(_disc_inside_cell(d, cell) for d in parts) and est is not None)
+        assume(_whole(x, y, log_r, cell).all() and est is not None)
         scale = CapacityConstants().cell_scale(n)
         c2, _ = c2_disc_system(x * scale, y * scale, log_r + math.log(scale))
         s = math.log(2.0) - math.log(scale)
@@ -713,7 +859,8 @@ class TestCellSeries:
 
 
 class TestObstacleRows:
-    def _mixed(self):
+    @staticmethod
+    def _mixed():
         # rings of generations 6-8 with a dropped prefix in 6, plus explicit
         # discs in generation 1 and on a cell edge of generation 7
         rings = truncate(
@@ -799,8 +946,7 @@ class TestObstacleRows:
                     got = [obstacles.x, obstacles.y, obstacles.log_r]
                     want = [ex.exp_x[~s], ex.exp_y[~s], ex.exp_log_r[~s]]
                     assert [a.tolist() for a in got] == [[v] for v in want]
-                    (part,) = _cell_shape(WhitneyIndex(n, m), obstacles).parts
-                    assert _disc_inside_cell(part.disc, part.cell)
+                    assert _whole(*obstacles, whitney_cell(WhitneyIndex(n, m))).all()
         for idx in (WhitneyIndex(1, 5), WhitneyIndex(6, 0), WhitneyIndex(6, 4), WhitneyIndex(9, 0)):
             assert _cell_obstacles(cfg, idx) is None
         # the runs on either side of the edge disc share one cluster, and the
@@ -811,8 +957,7 @@ class TestObstacleRows:
         for m in (39, 40):
             discs = _cell_obstacles(cfg, WhitneyIndex(7, m))
             assert discs.log_r.tolist() == [-12.0, cluster.log_rs[0]]
-            parts = _cell_shape(WhitneyIndex(7, m), discs).parts
-            assert [_disc_inside_cell(part.disc, part.cell) for part in parts] == [False, True]
+            assert _whole(*discs, whitney_cell(WhitneyIndex(7, m))).tolist() == [False, True]
 
     def test_scalar_search_only_for_discs_not_inside(self, monkeypatch):
         # a materialised ring file gathers no disc by the scalar test; the
@@ -849,7 +994,7 @@ class TestObstacleRows:
         one_inside = {
             key for key, discs in met.items()
             if len(discs) == 1
-            and _disc_inside_cell(DiscShape(discs[0].center, discs[0].log_radius), whitney_cell(WhitneyIndex(*key)))
+            and _whole(*np.array(_floats(discs)).T, whitney_cell(WhitneyIndex(*key))).all()
         }
         assert gathered == [(1, 0), (1, 31), (7, 39), (7, 40)] == sorted(met.keys() - one_inside)
         own, shared = (
@@ -871,7 +1016,7 @@ class TestObstacleRows:
     @staticmethod
     def _shape_value(idx, discs) -> float:
         """The reference: the discs clipped to the cell, by log_capacity."""
-        est = log_capacity(_cell_shape(idx, discs))
+        est = log_capacity(_clipped(idx, discs))
         return math.nan if est.polar else est.log_value
 
     @pytest.mark.parametrize("case", ["flagship-3", "mixed", "flagship-6-drop"])
@@ -928,28 +1073,27 @@ class TestObstacleRows:
         assert _home_cells(*discs)[2].all()
         assert _set_log_capacity(discs, idx) == self._shape_value(idx, discs)
 
-    def test_only_straddled_cells_build_shapes(self, monkeypatch):
+    def test_only_straddled_cells_clip(self, monkeypatch):
         # the materialised flagship n <= 4 gathers 448 cells whose discs all
         # lie inside them: none is clipped.  The avoidable ring and the
-        # mixed file clip exactly the gathered cells that a disc straddles
+        # mixed file clip every gathered cell, each straddled by one disc;
+        # only a disc on a corner, cut by two edges, is discretised, once in
+        # each of its four cells, and every other piece is a closed-form digon
         built = []
-        real = capacity._cell_shape
+        real = capacity._piece_nodes
         monkeypatch.setattr(
-            capacity, "_cell_shape", lambda idx, discs: built.append(idx) or real(idx, discs)
+            capacity, "_piece_nodes", lambda *args: built.append(args[3].index) or real(*args)
         )
         flagship = generate_subsquares(GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=4))
-        cfg = flagship.materialized()
-        cell_capacity_weights(cfg)
-        assert len(self._gathered_cells(cfg)) == 448 and built == []
-        for cfg, count in ((generate_avoidable_ring(), 16), (self._mixed().materialized(), 4)):
+        corners = [(1, 7), (1, 8), (1, 23), (1, 24), (2, 15), (2, 16), (2, 47), (2, 48)]
+        cases = ((flagship.materialized(), 448, 0, []), (generate_avoidable_ring(), 16, 16, corners), (self._mixed().materialized(), 4, 4, []))
+        for cfg, count, clipped, nodes in cases:
             built.clear()
             cell_capacity_weights(cfg)
+            assert sorted((idx.n, idx.m) for idx in built) == nodes
             cells = self._gathered_cells(cfg)
-            straddled = [
-                idx for idx, discs in cells
-                if not all(_disc_inside_cell(part.disc, part.cell) for part in real(idx, discs).parts)
-            ]
-            assert len(cells) == count and straddled and built == straddled
+            straddled = [idx for idx, discs in cells if not _whole(*discs, whitney_cell(idx)).all()]
+            assert (len(cells), len(straddled)) == (count, clipped)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -1093,7 +1237,7 @@ class TestCellGather:
             idx = WhitneyIndex(int(hn), int(hm))
             disc = Disc(Point(x, y), log_r)
             assert cells_intersecting_disc(disc) == [idx]
-            assert _disc_inside_cell(DiscShape(disc.center, log_r), whitney_cell(idx))
+            assert _whole([x], [y], [log_r], whitney_cell(idx)).all()
 
 
 class TestQuasiadditivity:

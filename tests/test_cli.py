@@ -371,8 +371,7 @@ class TestCapacityCommand:
     def test_explicit_storage_one_row_per_cell(self, tmp_path, family):
         from champagne.capacity import (
             CapacityConstants,
-            DiscShape,
-            _disc_inside_cell,
+            _piece_log_capacity,
             c2_disc_system,
             cell_capacity_weights,
         )
@@ -407,12 +406,9 @@ class TestCapacityCommand:
             scale = constants.cell_scale(n)
             # C2 is the closed form of the row's own log capacity
             assert row[4] == repr(1.0 / (math.log(2.0) - (float(row[2]) + math.log(scale))))
-            whole, _ = c2_disc_system(
-                np.array([d.center.x for d in hits]) * scale,
-                np.array([d.center.y for d in hits]) * scale,
-                np.array([d.log_radius for d in hits]) + math.log(scale),
-            )
-            if all(_disc_inside_cell(DiscShape(d.center, d.log_radius), cell) for d in hits):
+            x, y, log_r = (np.array(a) for a in zip(*((d.center.x, d.center.y, d.log_radius) for d in hits)))
+            whole, _ = c2_disc_system(x * scale, y * scale, log_r + math.log(scale))
+            if (_piece_log_capacity(x, y, log_r, cell) == log_r).all():
                 assert float(row[4]) == pytest.approx(whole, rel=1e-13)
             else:
                 # the row's set is the discs clipped to the cell
@@ -509,13 +505,15 @@ class TestCapacityCommand:
         from champagne.capacity import (
             CapacityConstants,
             CellDiscs,
+            ClippedDiscShape,
+            DiscShape,
+            UnionShape,
             _cell_discs,
-            _cell_shape,
-            _disc_inside_cell,
+            _piece_log_capacity,
             c2_disc_system,
             log_capacity,
         )
-        from champagne.geometry import WhitneyIndex, spatial_index
+        from champagne.geometry import Point, WhitneyIndex, spatial_index, whitney_cell
 
         tables = {}
         for drop in (0, 3000):
@@ -538,14 +536,15 @@ class TestCapacityCommand:
         i = i[(n == 4) & (m == 10)]
         assert len(i) == 40
         discs = CellDiscs(ex.exp_x[i], ex.exp_y[i], ex.exp_log_r[i])
-        shape = _cell_shape(WhitneyIndex(4, 10), discs)
-        est = log_capacity(shape)
+        cell = whitney_cell(WhitneyIndex(4, 10))
+        parts = zip(discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist())
+        est = log_capacity(UnionShape(tuple(ClippedDiscShape(DiscShape(Point(x, y), lr), cell) for x, y, lr in parts)))
         assert cut[(4, 10)]["log_capacity"] == repr(est.log_value)
         scale = CapacityConstants.for_configuration(cfg).cell_scale(4)
         c2 = 1.0 / (math.log(2.0) - (est.log_value + math.log(scale)))
         assert cut[(4, 10)]["c2_scaled"] == repr(c2)
         # the cell's discs lie inside it: the truncated-kernel solve agrees
-        assert all(_disc_inside_cell(part.disc, part.cell) for part in shape.parts)
+        assert (_piece_log_capacity(*discs, cell) == discs.log_r).all()
         whole, _ = c2_disc_system(discs.x * scale, discs.y * scale, discs.log_r + math.log(scale))
         assert c2 == pytest.approx(whole, rel=1e-13)
 
