@@ -35,16 +35,16 @@ row k holds the cells (n, m), m_lo <= m < m_hi, of one obstacle set.  Cell
 m of a ring generation of rows of sector_count(n) * p slots holds slots
 [m p, (m + 1) p) of every row.  Each run of cells that keep all their slots
 and that no explicit disc reaches is one row on the generation's cluster,
-solved once.  A disc inside the cell that holds its centre meets no other,
-and a cell that it meets alone has its log radius.  Every other cell is
-gathered as arrays, explicit discs then ring discs by slot index, and
-solved on them by one disc-system call, each disc entering as its piece in
-the cell.  A piece follows one rule, in the disc's own frame u = (z - c)/r:
-the offsets of the cell's edges from the centre, in units of r and formed
-from log r, so that a centre on an edge is at offset 0 at any radius.  An
-edge may miss the disc, which drops out; inside every edge it is whole;
-one cutting edge leaves a circular digon in closed form (a half disc is
-4r/(3 sqrt 3), Ransford, Table 5.1); more are discretised in that frame.
+solved once.  Which other cells a disc meets, and in what piece, follows
+one rule, in the disc's own frame u = (z - c)/r: the offsets of the cell's
+edges from the centre, in units of r and formed from log r, so that a
+centre on an edge is at offset 0 at any radius.  An edge may miss the
+disc; inside every edge the piece is the whole disc; one cutting edge
+leaves a circular digon in closed form (a half disc is 4r/(3 sqrt 3),
+Ransford, Table 5.1); more are discretised in that frame.  A disc whole in
+the cell of its centre meets no other; the rest are cut to the cells near
+them in one call, each piece once.  A cell of one piece has its log
+capacity; any other is one disc-system call on its pieces.
 
 A cluster solve needs the mutual potential of -log d at every one of its
 p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
@@ -90,20 +90,19 @@ from .criteria import (
 )
 from .geometry import (
     Configuration,
-    Disc,
     Point,
     RingBlock,
     TWO_PI,
     WhitneyCell,
     WhitneyIndex,
-    cells_intersecting_disc,
+    candidate_cells,
     center_cells,
     chord,
+    index_ranges,
     radius_from_log,
     sector_count,
     spatial_index,
     unique_sorted,
-    whitney_cell,
 )
 
 LOG2 = math.log(2.0)
@@ -301,26 +300,40 @@ def _over_r(d, log_r):
         return np.copysign(np.exp(np.log(np.abs(d)) - log_r), d)
 
 
-def _radial_edges(cell: WhitneyCell) -> list[np.ndarray]:
-    """Unit vectors along the lower and upper radial edges of ``cell``, at
-    their angles mod 2 pi: a centre on the positive axis lies on both."""
-    return [np.array([math.cos(a), math.sin(a)]) for a in (math.fmod(cell.theta_lo, TWO_PI), math.fmod(cell.theta_hi, TWO_PI))]
+def _bounds(r_inner, r_outer, theta_lo, theta_hi) -> np.ndarray:
+    """Cells as rows, one per (disc, cell) pair: the radii of the inner and
+    outer arcs, then the unit vectors along the lower and upper radial
+    edges, at their angles mod 2 pi, so that a centre on the positive axis
+    lies on both, each by math.cos and math.sin once per distinct angle."""
+    angles, at = np.unique(np.fmod(np.concatenate([theta_lo, theta_hi]), TWO_PI), return_inverse=True)
+    unit = np.array([(math.cos(a), math.sin(a)) for a in angles.tolist()]).reshape(-1, 2)[at.reshape(-1)]
+    return np.column_stack([r_inner, r_outer, unit[: len(theta_lo)], unit[len(theta_lo) :]])
 
 
-def _cell_frame(x, y, log_r, cell: WhitneyCell):
+def _cell_bounds(cells: Sequence[WhitneyCell]) -> np.ndarray:
+    return _bounds(*np.array([(c.r_inner, c.r_outer, c.theta_lo, c.theta_hi) for c in cells]).reshape(-1, 4).T)
+
+
+def _index_bounds(n: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """The cells (n, m), as ``geometry.whitney_cell`` bounds them."""
+    step = TWO_PI / np.ldexp(1.0, n + 4)
+    return _bounds(1.0 - np.ldexp(1.0, -n), 1.0 - np.ldexp(1.0, -n - 1), m * step, (m + 1) * step)
+
+
+def _cell_frame(x, y, log_r, cells: np.ndarray):
     """(t, lam), each (k, 4): the inner arc, outer arc and lower and upper
-    radial edges of ``cell`` seen from each disc (x, y, exp(log_r)) in its
-    own frame u = (z - c)/r, where c + r u lies in the cell when
-    n.u + lam (|u|^2 - 1)/2 <= t for every edge of outward normal n.  On the
-    unit circle each edge is the line n.u = t, so t <= -1 misses the disc
-    and t >= 1 keeps all of it.  An arc |z| = R has n = -+c/rho,
-    t = +-((rho^2 - R^2)/(2 rho r) + r/(2 rho)) and lam = -+r/rho, whose r
-    terms vanish for an underflowed r: the straight edge."""
+    radial edges of each cell (a row of :func:`_bounds`) seen from its disc
+    (x, y, exp(log_r)) in its own frame u = (z - c)/r, where c + r u lies in
+    the cell when n.u + lam (|u|^2 - 1)/2 <= t for every edge of outward
+    normal n.  On the unit circle each edge is the line n.u = t, so t <= -1
+    misses the disc and t >= 1 keeps all of it.  An arc |z| = R has
+    n = -+c/rho, t = +-((rho^2 - R^2)/(2 rho r) + r/(2 rho)) and lam = -+r/rho,
+    whose r terms vanish for an underflowed r: the straight edge."""
     rho = np.hypot(x, y)
     with np.errstate(under="ignore"):
         lam = np.exp(log_r - np.log(rho))
-    (c_lo, s_lo), (c_hi, s_hi) = _radial_edges(cell)
-    gap = [(R - rho) * (R + rho) / (2.0 * rho) for R in (cell.r_inner, cell.r_outer)]
+    r_inner, r_outer, c_lo, s_lo, c_hi, s_hi = cells.T
+    gap = [(R - rho) * (R + rho) / (2.0 * rho) for R in (r_inner, r_outer)]
     t = [_over_r(-gap[0], log_r) + 0.5 * lam, _over_r(gap[1], log_r) - 0.5 * lam]
     t += [_over_r(c_lo * y - s_lo * x, log_r), _over_r(s_hi * x - c_hi * y, log_r)]
     zero = np.zeros_like(lam)
@@ -344,34 +357,40 @@ def _digon(t, lam):
     return np.log(h / (rest * np.cos((a1 + a2 - math.pi) / rest)))
 
 
-def _piece_log_capacity(x, y, log_r, cell: WhitneyCell, n_boundary: int = 512) -> np.ndarray:
-    """Log capacity of each disc (x, y, exp(log_r)) cut to ``cell``: -inf
-    where it misses the cell, log_r where it lies inside, and otherwise
-    log_r plus the closed-form :func:`_digon` where one edge cuts it, or the
-    log capacity of its own-frame nodes (:func:`_piece_nodes`) where more
-    do."""
-    t, lam = _cell_frame(x, y, log_r, cell)
+def _piece_log_capacity(x, y, log_r, cells: np.ndarray, n_boundary: int = 512, index=None) -> np.ndarray:
+    """Log capacity of each disc (x, y, exp(log_r)) cut to its cell of
+    ``cells``: -inf where it misses the cell, log_r where it lies inside,
+    and otherwise log_r plus the closed-form :func:`_digon` where one edge
+    cuts it, or the log capacity of its own-frame nodes (:func:`_piece_nodes`)
+    where more do.  A piece whose nodes fail is refused naming its cell
+    (index[0][k], index[1][k]) when ``index`` is given."""
+    t, lam = _cell_frame(x, y, log_r, cells)
     cut = np.abs(t) < 1.0
     log_c = np.where((t <= -1.0).any(axis=1), -np.inf, log_r)
     count = np.where(log_c > -np.inf, cut.sum(axis=1), 0)
     one = count == 1
     log_c[one] += _digon(t[one][cut[one]], lam[one][cut[one]])
     for k in np.flatnonzero(count > 1).tolist():
-        u, ell = _piece_nodes(x[k], y[k], log_r[k], cell, n_boundary)
-        log_c[k] = log_c[k] - minimize_simplex_energy(_log_kernel(u, ell)).energy if len(u) > 1 else -np.inf
+        try:
+            u, ell = _piece_nodes(x[k], y[k], log_r[k], cells[k], n_boundary)
+            log_c[k] = log_c[k] - minimize_simplex_energy(_log_kernel(u, ell)).energy if len(u) > 1 else -np.inf
+        except CapacityError as exc:
+            if index is None:
+                raise
+            raise CapacityError(f"capacity failed at cell (n={index[0][k]}, m={index[1][k]}): {exc}") from exc
     return log_c
 
 
-def _piece_nodes(x: float, y: float, log_r: float, cell: WhitneyCell, n: int):
+def _piece_nodes(x: float, y: float, log_r: float, cell: np.ndarray, n: int):
     """About n boundary nodes (u, ell) of the disc (x, y, exp(log_r)) cut to
-    ``cell``, in its own frame (:func:`_cell_frame`): on the arcs of the
-    unit circle inside every edge, and on each cutting edge inside the unit
-    circle, at one node density.  An edge is u = a n + s n', n' = n turned
-    by +90 degrees, with a = 2C/(1 + sqrt(1 + 2 lam C)) and
-    C = t + lam (1 - s^2)/2.  Each arc or edge has a corner at both ends,
-    where the equilibrium density is singular, so its nodes are graded
-    towards them as 1 - cos.  A disc inside the cell has n circle nodes,
-    one that misses it none."""
+    the cell ``cell``, a row of :func:`_bounds`, in its own frame
+    (:func:`_cell_frame`): on the arcs of the unit circle inside every edge,
+    and on each cutting edge inside the unit circle, at one node density.
+    An edge is u = a n + s n', n' = n turned by +90 degrees, with
+    a = 2C/(1 + sqrt(1 + 2 lam C)) and C = t + lam (1 - s^2)/2.  Each arc or
+    edge has a corner at both ends, where the equilibrium density is
+    singular, so its nodes are graded towards them as 1 - cos.  A disc
+    inside the cell has n circle nodes, one that misses it none."""
     rho = math.hypot(x, y)
     if log_r >= math.log(rho):
         raise CapacityError("a disc clipped to a cell must not cover the origin")
@@ -381,14 +400,14 @@ def _piece_nodes(x: float, y: float, log_r: float, cell: WhitneyCell, n: int):
         return np.empty((0, 2)), np.empty(0)
     if not cut.any():
         return _circle_nodes(Point(0.0, 0.0), 1.0, n)
-    c_hat, e = np.array([x, y]) / rho, _radial_edges(cell)
+    c_hat, e = np.array([x, y]) / rho, cell[2:].reshape(2, 2)
     normal = np.array([-c_hat, c_hat, [e[0][1], -e[0][0]], [-e[1][1], e[1][0]]])
     # the span of s in the cell: along a radial edge, its distance from the
     # centre's foot between the arcs; along an arc, (R/r) sin d at the angle
     # d from the centre, (R/rho) t at a radial edge (infinite past 90 degrees)
-    s = [[float(_over_r(R - x * v[0] - y * v[1], log_r)) for R in (cell.r_inner, cell.r_outer)] for v in e]
+    s = [[float(_over_r(R - x * v[0] - y * v[1], log_r)) for R in cell[:2]] for v in e]
     far = [t[2 + j] if c_hat @ e[j] > 0.0 else math.copysign(math.inf, t[2 + j]) for j in (0, 1)]
-    rin, rout = cell.r_inner / rho, cell.r_outer / rho
+    rin, rout = cell[:2] / rho
     span = [(-rin * far[1], rin * far[0]), (-rout * far[0], rout * far[1]), s[0], (-s[1][1], -s[1][0])]
     parts = []  # (start, end, points at parameter values)
     nu, half = np.arctan2(normal[cut, 1], normal[cut, 0]), np.arccos(t[cut])
@@ -439,13 +458,11 @@ def log_capacity(shape: Shape, n_boundary: int = 512) -> CapacityEstimate:
     that meet, are discretized and minimized jointly.
     """
     parts = _flatten_parts(shape)
+    clipped = [p for p in parts if isinstance(p, ClippedDiscShape)]
+    x, y, log_r = np.array([(p.disc.center.x, p.disc.center.y, p.disc.log_r) for p in clipped]).reshape(-1, 3).T
+    pieces = iter(_piece_log_capacity(x, y, log_r, _cell_bounds([p.cell for p in clipped]), n_boundary).tolist())
     log_c = [p.log_r if isinstance(p, DiscShape) else math.nan for p in parts]
-    # one call per cell, as a gathered cell makes, so that the two agree bit for bit
-    for cell in {p.cell for p in parts if isinstance(p, ClippedDiscShape)}:
-        at = [k for k, p in enumerate(parts) if isinstance(p, ClippedDiscShape) and p.cell == cell]
-        x, y, log_r = (np.array(a) for a in zip(*((parts[k].disc.center.x, parts[k].disc.center.y, parts[k].disc.log_r) for k in at)))
-        for k, c in zip(at, _piece_log_capacity(x, y, log_r, cell, n_boundary).tolist()):
-            log_c[k] = c
+    log_c = [next(pieces) if isinstance(p, ClippedDiscShape) else c for p, c in zip(parts, log_c)]
     parts, log_c = [p for p, c in zip(parts, log_c) if c != -math.inf], [c for c in log_c if c != -math.inf]
     if not parts:
         return POLAR
@@ -493,7 +510,7 @@ def _boundary_nodes(parts: Sequence[Shape], n_boundary: int):
             if isinstance(p, DiscShape):
                 pts, ell = _circle_nodes(d.center, r, per)
             else:
-                u, ell = _piece_nodes(d.center.x, d.center.y, d.log_r, p.cell, per)
+                u, ell = _piece_nodes(d.center.x, d.center.y, d.log_r, _cell_bounds([p.cell])[0], per)
                 pts, ell = np.array([d.center.x, d.center.y]) + r * u, r * ell
             disc_info.append((pi, d.center.x, d.center.y, r))
         else:
@@ -836,47 +853,27 @@ def _scaled_cell_c2(log_cap, log_scale):
 # the cell capacity series
 
 
-# A disc whose distance to the boundary of the cell holding its centre
-# exceeds its radius by more than this is decided in numpy: far above the
-# rounding of any distance inside the unit disc.  Every other disc takes the
-# exact scalar test.
-_GATHER_SLACK = 1e-12
-
-
-def _home_cells(x: np.ndarray, y: np.ndarray, log_r: np.ndarray):
-    """(n, m, inside) per disc: the cell (n, m) that holds its centre, n = 0
-    in the central region, and whether the disc lies inside that cell with
-    _GATHER_SLACK to spare, when it meets that cell and no other.  The
-    centre is at least rho sin(angle to the nearer edge) from the radial
-    edges, its distance to their lines."""
-    with np.errstate(under="ignore"):
-        r = np.exp(log_r)
-    rho, n, m, rel = center_cells(x, y)
-    step = TWO_PI / np.ldexp(1.0, n + 4)
-    margin = np.minimum(
-        np.minimum(rho - (1.0 - np.ldexp(1.0, -n)), 1.0 - np.ldexp(1.0, -n - 1) - rho),
-        rho * np.sin(np.minimum(rel, step - rel)),
-    )
-    inside = (n > 0) & (margin - r > _GATHER_SLACK)
-    return n, m, inside
-
-
-def _cell_discs(c: Configuration) -> tuple:
-    """(n, m, i, inside) in (n, m, i) order: every pair of a cell (n, m),
-    n <= c.n_max, and an explicit disc i, an index into
-    ``spatial_index(c).exp_*``, whose closed disc meets the closed cell, as
-    :func:`cells_intersecting_disc` finds them.  ``inside`` marks a disc
-    inside its home cell (see :func:`_home_cells`), which it alone meets;
-    every other disc takes the scalar test."""
+def _cell_pieces(c: Configuration) -> tuple:
+    """(n, m, x, y, log_r, log_c) in (n, m, disc) order: each cell (n, m),
+    n <= c.n_max, and explicit disc (x, y, exp(log_r)) whose piece there is
+    not empty, with its log capacity (:func:`_piece_log_capacity`).  A disc
+    whole in the cell that holds its centre meets no other; the rest are cut
+    to their :func:`geometry.candidate_cells` in one call."""
     ex = spatial_index(c)
-    n, m, inside = _home_cells(ex.exp_x, ex.exp_y, ex.exp_log_r)
-    pairs = [np.stack([n, m, np.arange(len(n)), inside])[:, inside & (n <= c.n_max)]]
-    for e in np.flatnonzero(~inside).tolist():
-        d = Disc(Point(float(ex.exp_x[e]), float(ex.exp_y[e])), float(ex.exp_log_r[e]))
-        pairs += [np.array([[idx.n], [idx.m], [e], [0]]) for idx in cells_intersecting_disc(d, c.n_max)]
-    n, m, i, inside = np.concatenate(pairs, axis=1)
+    x, y, log_r = ex.exp_x, ex.exp_y, ex.exp_log_r
+    _, n, m, _ = center_cells(x, y)
+    t, _ = _cell_frame(x, y, log_r, _index_bounds(np.maximum(n, 1), m))
+    whole = (n > 0) & (n <= c.n_max) & (t >= 1.0).all(axis=1)
+    rest = np.flatnonzero(~whole)
+    j, cn, cm = candidate_cells(x[rest], y[rest], ex.exp_rad[rest], c.n_max)
+    j = rest[j]
+    piece = _piece_log_capacity(x[j], y[j], log_r[j], _index_bounds(cn, cm), index=(cn, cm))
+    met = piece > -np.inf
+    i = np.concatenate([np.flatnonzero(whole), j[met]])
+    n, m, log_c = (np.concatenate([a[whole], b[met]]) for a, b in ((n, cn), (m, cm), (log_r, piece)))
     order = np.lexsort((i, m, n))
-    return n[order], m[order], i[order], inside[order].astype(bool)
+    i = i[order]
+    return n[order], m[order], x[i], y[i], log_r[i], log_c[order]
 
 
 # The most discs a gathered cell may hold: each of its solves builds k x k
@@ -885,41 +882,30 @@ _CELL_DISCS = 2048
 
 
 class CellDiscs(NamedTuple):
-    """The discs that meet one gathered cell, as arrays."""
+    """Pieces as arrays: discs (x, y, exp(log_r)) and the log capacity
+    ``log_c`` of each one's piece in its cell."""
 
     x: np.ndarray
     y: np.ndarray
     log_r: np.ndarray
+    log_c: np.ndarray
 
 
-def _gather(cells: list, explicit: dict, rings: dict, ex) -> list[CellDiscs]:
-    """The discs of each cell (n, m) of ``cells``: its explicit ones, the
-    entry (n, m) of ``explicit``, indices into ``ex.exp_*`` of the spatial
-    index ``ex``, then by slot index its ring discs, row by row in block
-    order, placed as :meth:`RingBlock.positions` places them.  Refuses a
-    cell of more than _CELL_DISCS discs."""
-    parts, picks, none = [(ex.exp_x, ex.exp_y, ex.exp_log_r)], [], np.empty(0, dtype=np.int64)
-    size = len(ex.exp_x)
+def _ring_pieces(cells: list, rings: dict) -> tuple:
+    """(n, m, x, y, log_r, log_c): the ring discs of each cell (n, m) of
+    ``cells`` by slot index, row by row in block order, placed as
+    :meth:`RingBlock.positions` places them, and their pieces in the cell."""
+    parts = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 3]
     for n, m in cells:
-        pick = [explicit.get((n, m), none)]
         for r in rings.get(n, ()):
             p = r.count // sector_count(n)
             lo, hi = max(r.a_start, m * p), (m + 1) * p
             if lo < hi:
                 th = (np.arange(lo, hi, dtype=np.float64) + 0.5) * r.step
-                parts.append((r.rho * np.cos(th), r.rho * np.sin(th), np.full(hi - lo, r.log_r)))
-                pick.append(np.arange(size, size + hi - lo))
-                size += hi - lo
-        count = sum(map(len, pick))
-        if count > _CELL_DISCS:
-            raise CapacityError(f"cell (n={n}, m={m}) holds {count} discs, more than {_CELL_DISCS}")
-        picks.append(pick[0] if len(pick) == 1 else np.concatenate(pick))
-    order, sizes = np.concatenate([none, *picks]), [len(p) for p in picks]
-    x, y, log_r = (np.concatenate(a)[order] for a in zip(*parts))
-    for a in (x, y, log_r):
-        a.setflags(write=False)
-    ends = np.cumsum(sizes).tolist()
-    return [CellDiscs(x[lo:hi], y[lo:hi], log_r[lo:hi]) for lo, hi in zip([0] + ends, ends)]
+                cell = np.full((2, hi - lo), [[n], [m]])
+                parts.append((*cell, r.rho * np.cos(th), r.rho * np.sin(th), np.full(hi - lo, r.log_r)))
+    n, m, x, y, log_r = (np.concatenate(a) for a in zip(*parts))
+    return n, m, x, y, log_r, _piece_log_capacity(x, y, log_r, _index_bounds(n, m), index=(n, m))
 
 
 class CellRows(NamedTuple):
@@ -928,7 +914,7 @@ class CellRows(NamedTuple):
     log c(E cap cell) and one weight {log(2^{-n}/c(E cap cell))}^{-1}.
     ``solve`` names the row's obstacle set: s >= 0 is set s of
     :func:`_obstacle_rows`, a generation's cluster or one gathered cell;
-    ~e < 0 is the explicit disc e, alone in the cell and inside it."""
+    ~p < 0 is the piece p of :func:`_obstacle_rows`, alone in its cell."""
 
     n: np.ndarray
     m_lo: np.ndarray
@@ -942,13 +928,14 @@ class CellRows(NamedTuple):
 
 
 def _obstacle_rows(c: Configuration) -> tuple:
-    """(n, m_lo, m_hi, solve, sets): the :class:`CellRows` columns but the
-    capacities, for the cells of generation at most c.n_max that discs meet,
-    and the obstacle sets that ``solve`` indexes: the clusters, then the
-    cells gathered by :func:`_gather`.  Those are the partial cells of a
-    dropped prefix, from floor(min a_start / p) up to the first full cell
-    ceil(max a_start / p), and the cells that several discs or one disc not
-    inside them meet.
+    """(n, m_lo, m_hi, solve, pieces, sets): the :class:`CellRows` columns
+    but the capacities, for the cells of generation at most c.n_max that
+    discs meet; their pieces, cell by cell, as one :class:`CellDiscs`; and
+    the obstacle sets that ``solve`` indexes: the clusters, then the cells
+    of several pieces.  The pieces are explicit (:func:`_cell_pieces`), and
+    ring (:func:`_ring_pieces`) in the partial cells of a dropped prefix,
+    floor(min a_start / p) up to ceil(max a_start / p), and in the cells
+    that explicit discs reach.
 
     Built once per configuration and kept on it, which is immutable, so
     that the weights, quasiadditivity and the log bound of one configuration
@@ -956,68 +943,66 @@ def _obstacle_rows(c: Configuration) -> tuple:
     """
     memo = vars(c)
     if "_obstacle_rows" not in memo:
-        n, m, i, inside = _cell_discs(c)
-        # the cells that explicit discs meet, each the span [first, end) of its pairs
-        first = np.flatnonzero(np.diff(n, prepend=-1) | np.diff(m, prepend=-1))
-        end = np.append(first[1:], len(n))
-        alone = (end - first == 1) & inside[first]
+        explicit = _cell_pieces(c)
+        n, m = explicit[:2]
         clusters, rings = generation_clusters(c), _generation_rows(c)
-        sets, rows, partial = [], [], []
+        sets, rows, ring_cells = [], [], []
         for g in sorted(k for k in rings if k <= c.n_max):
             p, starts = rings[g][0].count // sector_count(g), [r.a_start for r in rings[g]]
             full = -(-max(starts) // p) if g in clusters else sector_count(g)
-            lo, hi = np.searchsorted(n[first], [g, g + 1]).tolist()
-            reached = m[first[lo:hi]]
-            alone[lo:hi] &= reached < min(starts) // p
-            partial += [(g, k) for k in range(min(starts) // p, full)]
+            reached = unique_sorted(m[slice(*np.searchsorted(n, [g, g + 1]))])
+            ring_cells += [(g, k) for k in range(min(starts) // p, full)] + [(g, k) for k in reached.tolist()]
             # the runs of full cells between those that explicit discs reach
             edges = np.concatenate([[full - 1], reached[reached >= full], [sector_count(g)]])
             run = np.flatnonzero(np.diff(edges) > 1)
             if len(run):
                 rows.append(np.stack([np.full_like(run, g), edges[run] + 1, edges[run + 1], np.full_like(run, len(sets))]))
                 sets.append(clusters[g])
-        crowded = zip(first[~alone].tolist(), end[~alone].tolist())
-        explicit = {(int(n[a]), int(m[a])): i[a:b] for a, b in crowded}
-        gathered = sorted(explicit.keys() | set(partial))
-        cells = np.array(gathered, dtype=np.int64).reshape(-1, 2).T
-        rows.append(np.stack([*cells, cells[1] + 1, len(sets) + np.arange(len(gathered))]))
-        sets += _gather(gathered, explicit, rings, spatial_index(c))
-        own = first[alone]
-        rows.append(np.stack([n[own], m[own], m[own] + 1, ~i[own]]))
+        n, m, *columns = (np.concatenate(a) for a in zip(explicit, _ring_pieces(sorted(set(ring_cells)), rings)))
+        # cell by cell, each cell's explicit pieces first: lexsort is stable
+        order = np.flatnonzero(columns[3] > -np.inf)
+        order = order[np.lexsort((m[order], n[order]))]
+        n, m, pieces = n[order], m[order], CellDiscs(*(a[order] for a in columns))
+        for a in pieces:
+            a.setflags(write=False)
+        first = np.flatnonzero(np.diff(n, prepend=-1) | np.diff(m, prepend=-1))
+        size = np.diff(np.append(first, len(n)))
+        if (size > _CELL_DISCS).any():
+            k = int(np.argmax(size > _CELL_DISCS))
+            raise CapacityError(f"cell (n={n[first[k]]}, m={m[first[k]]}) holds {size[k]} discs, more than {_CELL_DISCS}")
+        # a cell of one piece is a row on that piece, any other its own set
+        solve = np.where(size > 1, len(sets) + np.cumsum(size > 1) - 1, ~first)
+        rows.append(np.stack([n[first], m[first], m[first] + 1, solve]))
+        for lo, k in zip(first[size > 1].tolist(), size[size > 1].tolist()):
+            sets.append(CellDiscs(*(a[lo : lo + k] for a in pieces)))
         n, m_lo, m_hi, solve = np.concatenate(rows, axis=1)
         order = np.lexsort((m_lo, n))
-        memo["_obstacle_rows"] = (n[order], m_lo[order], m_hi[order], solve[order], sets)
+        memo["_obstacle_rows"] = (n[order], m_lo[order], m_hi[order], solve[order], pieces, sets)
     return memo["_obstacle_rows"]
 
 
 def _cell_obstacles(c: Configuration, idx: WhitneyIndex):
     """Obstacle set of one cell, or None when no disc meets it: its
-    generation's cluster or its discs as arrays, which for a cell that one
-    disc meets, lying inside it, are built here."""
-    n, m_lo, m_hi, solve, sets = _obstacle_rows(c)
+    generation's cluster or its pieces as arrays, which for a cell of one
+    piece are cut from the pieces here."""
+    n, m_lo, m_hi, solve, pieces, sets = _obstacle_rows(c)
     lo, hi = np.searchsorted(n, [idx.n, idx.n + 1]).tolist()
     k = lo + int(np.searchsorted(m_lo[lo:hi], idx.m, side="right")) - 1
     if k < lo or idx.m >= m_hi[k]:
         return None
     if solve[k] >= 0:
         return sets[solve[k]]
-    ex, e = spatial_index(c), slice(~solve[k], ~solve[k] + 1)
-    return CellDiscs(ex.exp_x[e], ex.exp_y[e], ex.exp_log_r[e])
+    return CellDiscs(*(a[~solve[k] : ~solve[k] + 1] for a in pieces))
 
 
 def _set_log_capacity(obstacles, idx: WhitneyIndex) -> float:
-    """Log capacity of the obstacle set of cell ``idx``, NaN when it is
-    polar: a generation's cluster by :func:`cluster_log_capacity`, and
-    gathered discs by the disc-system kernel on their columns, each disc
-    entering as its piece in the cell (:func:`_piece_log_capacity`)."""
+    """Log capacity of the obstacle set of cell ``idx``: a generation's
+    cluster by :func:`cluster_log_capacity`, and gathered pieces by one
+    disc-system call on their columns."""
     if isinstance(obstacles, GenerationCluster):
         return cluster_log_capacity(obstacles)
     try:
-        log_c = _piece_log_capacity(*obstacles, whitney_cell(idx))
-        met = log_c > -np.inf
-        if not met.any():
-            return math.nan
-        est = _disc_system_capacity(*(a[met] for a in obstacles), log_c[met])
+        est = _disc_system_capacity(*obstacles)
         if est is None:
             raise CapacityError("two of its discs meet")
     except CapacityError as exc:
@@ -1029,10 +1014,9 @@ def _cell_log_capacity(c: Configuration, idx: WhitneyIndex) -> tuple:
     """(log capacity, obstacle set) of cell ``idx``; refuses a cell that no
     disc meets or that they meet in a polar set."""
     obstacles = _cell_obstacles(c, idx)
-    log_cap = math.nan if obstacles is None else _set_log_capacity(obstacles, idx)
-    if math.isnan(log_cap):
+    if obstacles is None:
         raise CapacityError(f"no discs meet cell {idx} in a set of positive capacity")
-    return log_cap, obstacles
+    return _set_log_capacity(obstacles, idx), obstacles
 
 
 def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> CellRows:
@@ -1041,17 +1025,17 @@ def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> CellRow
     and weights.
 
     One cluster solve gives the shared weight of every run of a ring
-    generation's full cells.  The cells that one disc meets, lying inside
-    them, have its log radius (the ``exact_disc`` value), all in one step.
-    Every other cell is solved on its own discs.  Polar cells have no row.
+    generation's full cells.  The cells of one piece have its log capacity,
+    all in one step.  Every other cell is solved on its own pieces.  Polar
+    cells have no row: an empty piece, or one that only touches, is dropped.
     """
     if n_max is not None and n_max > c.n_max:
         raise CapacityError(f"n_max {n_max} exceeds the configuration's n_max {c.n_max}")
-    n, m_lo, m_hi, solve, sets = _obstacle_rows(c)
+    n, m_lo, m_hi, solve, pieces, sets = _obstacle_rows(c)
     k = int(np.searchsorted(n, c.n_max if n_max is None else n_max, side="right"))
     n, m_lo, m_hi, solve = n[:k], m_lo[:k], m_hi[:k], solve[:k]
     log_cap, shared = np.empty(k), solve >= 0
-    log_cap[~shared] = spatial_index(c).exp_log_r[~solve[~shared]]
+    log_cap[~shared] = pieces.log_c[~solve[~shared]]
     solved: dict[int, float] = {}
     for s, g, m in zip(*(a[shared].tolist() for a in (solve, n, m_lo))):
         if s not in solved:
@@ -1061,7 +1045,7 @@ def cell_capacity_weights(c: Configuration, n_max: int | None = None) -> CellRow
     bad = np.flatnonzero(denom <= 0.0)
     if len(bad):
         raise CapacityError(f"cell capacity exceeds the cell scale at (n={n[bad[0]]}, m={m_lo[bad[0]]})")
-    return CellRows(n, m_lo, m_hi, log_cap, 1.0 / denom, solve).take(~np.isnan(log_cap))
+    return CellRows(n, m_lo, m_hi, log_cap, 1.0 / denom, solve)
 
 
 def cell_series_term(n: int, m: int, weight: float, psi: float) -> float:
@@ -1080,9 +1064,8 @@ def cell_series_terms(rows: CellRows, psi: float) -> dict[int, np.ndarray]:
     terms = {}
     for n in unique_sorted(rows.n).tolist():
         gen = rows.take(rows.n == n)
-        size = gen.m_hi - gen.m_lo
-        m = np.arange(size.sum()) + np.repeat(gen.m_lo - (np.cumsum(size) - size), size)
-        weight = np.repeat(gen.weight, size)
+        k, m = index_ranges(gen.m_lo, gen.m_hi)
+        weight = gen.weight[k]
         z = 1.0 - 2.0 ** (-n)
         theta = TWO_PI * m.astype(np.float64) / sector_count(n)
         d = np.sqrt((1.0 - z) ** 2 + 4.0 * 1.0 * z * np.float_power(np.sin((psi - theta) / 2.0), 2))

@@ -278,48 +278,48 @@ def cell_center(idx: WhitneyIndex) -> Point:
     return Point(rho * math.cos(theta), rho * math.sin(theta))
 
 
+def index_ranges(lo: np.ndarray, hi: np.ndarray) -> tuple:
+    """(k, v) over every k and every integer v in [lo[k], hi[k])."""
+    size = np.maximum(hi - lo, 0)
+    k = np.repeat(np.arange(len(size)), size)
+    return k, np.arange(size.sum()) + np.repeat(lo - (np.cumsum(size) - size), size)
+
+
+def candidate_cells(x: np.ndarray, y: np.ndarray, r: np.ndarray, n_max: int | None = None) -> tuple:
+    """(j, n, m): for each disc j (x, y, r), the cells (n, m) of generation
+    at most ``n_max`` (default: every generation it reaches) that it may
+    meet, a superset of those it does, each once.
+
+    Generations come from the boundary gaps 1 - |c| -+ r, which may round
+    onto a band edge 2^-n, so they are widened by one on each side; sectors
+    from the angle the disc subtends, padded by one, or every sector of a
+    generation when the padded range spans it or the disc covers the origin.
+    """
+    rho = np.hypot(x, y)
+    gap = 1.0 - rho
+    g_hi, g_lo = generations_of(np.stack([np.minimum(gap + r, 0.5), np.maximum(gap - r, 1e-300)]))
+    j, n = index_ranges(np.maximum(g_hi - 1, 1), (g_lo + 1 if n_max is None else np.minimum(g_lo + 1, n_max)) + 1)
+    sectors = np.left_shift(1, n + 4)
+    step = TWO_PI / sectors
+    with np.errstate(divide="ignore", invalid="ignore"):
+        reach = np.ceil(np.arcsin(np.minimum(1.0, r[j] / rho[j])) / step).astype(np.int64) + 1
+    lo = np.floor(np.mod(np.arctan2(y, x), TWO_PI)[j] / step).astype(np.int64) - reach
+    every = (rho[j] <= r[j]) | (2 * reach + 2 >= sectors)
+    k, m = index_ranges(np.where(every, 0, lo), np.where(every, sectors, lo + 2 * reach + 2))
+    return j[k], n[k], np.mod(m, sectors[k])
+
+
 def cells_intersecting_disc(d: Disc, n_max: int | None = None) -> list[WhitneyIndex]:
     """All cells of generation at most ``n_max`` (default: every
-    generation) whose closed cell meets the closed disc, in (n, m) order.
+    generation) whose closed cell meets the closed disc, in (n, m) order:
+    the :func:`candidate_cells` within its radius of its centre.
 
     Discs wholly inside |x| < 1/2 meet no cells and yield an empty list.
     """
     r = d.radius
-    s_center = d.boundary_gap
-    s_lo = max(s_center - r, 1e-300)
-    s_hi = min(s_center + r, 0.5)
-    # s_center +- r may round onto a band edge 2^-n, so the generations of
-    # the rounded gaps are widened by one on each side; the exact distance
-    # test below decides every candidate cell
-    g_hi, g_lo = generations_of(np.array([s_hi, s_lo])).tolist()
-    n_lo, n_hi = max(g_hi - 1, 1), g_lo + 1 if n_max is None else min(g_lo + 1, n_max)
-    out: list[WhitneyIndex] = []
-    theta_c = d.center.angle()
-    rho_c = d.center.norm()
-    for n in range(n_lo, n_hi + 1):
-        count = sector_count(n)
-        step = TWO_PI / count
-        # angular half-width subtended by the disc, padded one sector
-        if rho_c > r:
-            half = math.asin(min(1.0, r / rho_c))
-            base = int(math.floor(theta_c / step))
-            reach = int(math.ceil(half / step)) + 1
-            m_candidates = range(base - reach, base + reach + 2)
-        else:
-            m_candidates = range(count)
-        if len(m_candidates) >= count:
-            m_candidates = range(count)
-        seen: set[int] = set()
-        for m_raw in m_candidates:
-            m = m_raw % count
-            if m in seen:
-                continue
-            seen.add(m)
-            cell = whitney_cell(WhitneyIndex(n, m))
-            if cell.distance_to(d.center) <= r:
-                out.append(WhitneyIndex(n, m))
-    out.sort(key=lambda i: (i.n, i.m))
-    return out
+    _, n, m = candidate_cells(np.array([d.center.x]), np.array([d.center.y]), np.array([r]), n_max)
+    cells = [WhitneyIndex(a, b) for a, b in sorted(zip(n.tolist(), m.tolist()))]
+    return [idx for idx in cells if whitney_cell(idx).distance_to(d.center) <= r]
 
 
 # ---------------------------------------------------------------------------

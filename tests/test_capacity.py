@@ -1,3 +1,4 @@
+import functools
 import itertools
 import math
 
@@ -30,7 +31,8 @@ from champagne.capacity import (
     minimize_simplex_energy,
     quasiadditivity_ratio,
     _boundary_nodes,
-    _cell_discs,
+    _cell_bounds,
+    _cell_pieces,
     _cell_obstacles,
     _circle_nodes,
     GenerationCluster,
@@ -39,7 +41,6 @@ from champagne.capacity import (
     _piece_log_capacity,
     _piece_nodes,
     _disc_system_capacity,
-    _home_cells,
     _radial_nodes,
     _log_kernel,
     _obstacle_rows,
@@ -69,18 +70,19 @@ from champagne.geometry import (
     WhitneyCell,
     WhitneyIndex,
     cells_intersecting_disc,
+    center_cells,
     sector_count,
     spatial_index,
+    validate_configuration,
     whitney_cell,
 )
 
 
 def _gathered(cfg) -> dict:
-    """_cell_discs of ``cfg`` as (x, y, log_r) per disc, cell by cell."""
-    ex = spatial_index(cfg)
+    """_cell_pieces of ``cfg`` as (x, y, log_r) per disc, cell by cell."""
     out: dict = {}
-    for n, m, i in zip(*(a.tolist() for a in _cell_discs(cfg)[:3])):
-        out.setdefault((n, m), []).append((ex.exp_x[i].item(), ex.exp_y[i].item(), ex.exp_log_r[i].item()))
+    for n, m, *disc in zip(*(a.tolist() for a in _cell_pieces(cfg)[:5])):
+        out.setdefault((n, m), []).append(tuple(disc))
     return out
 
 
@@ -92,13 +94,19 @@ def _rows(rows) -> list:
 
 def _set_rows(cfg) -> list:
     """(n, range(m_lo, m_hi), solve) per row of _obstacle_rows."""
-    n, m_lo, m_hi, solve, _ = _obstacle_rows(cfg)
+    n, m_lo, m_hi, solve, *_ = _obstacle_rows(cfg)
     return [(g, range(lo, hi), s) for g, lo, hi, s in zip(*(a.tolist() for a in (n, m_lo, m_hi, solve)))]
+
+
+def _piece(x, y, log_r, cell) -> np.ndarray:
+    """_piece_log_capacity of each disc (x, y, exp(log_r)) cut to ``cell``."""
+    x, y, log_r = (np.asarray(a, dtype=float) for a in (x, y, log_r))
+    return _piece_log_capacity(x, y, log_r, _cell_bounds([cell] * len(x)))
 
 
 def _whole(x, y, log_r, cell) -> np.ndarray:
     """Whether each disc lies inside ``cell``: its piece there is the disc."""
-    return _piece_log_capacity(*(np.asarray(a, dtype=float) for a in (x, y, log_r)), cell) == log_r
+    return _piece(x, y, log_r, cell) == log_r
 
 
 def _clipped(idx, discs) -> UnionShape:
@@ -369,7 +377,7 @@ class TestPieces:
         assert abs(float(_digon(np.array([0.0]), np.array([0.0]))[0]) - HALF_DISC) <= 1e-14
         cell = whitney_cell(WhitneyIndex(3, 0))
         for log_r in (-7.0, -800.0):
-            got = _piece_log_capacity(np.array([0.9]), np.array([0.0]), np.array([log_r]), cell)[0]
+            got = _piece([0.9], [0.0], [log_r], cell)[0]
             assert abs((got - log_r) - HALF_DISC) <= 1e-14 + math.ulp(log_r)
 
     @settings(max_examples=12, deadline=None)
@@ -396,11 +404,11 @@ class TestPieces:
             x, y = r * t + math.sqrt((r * t) ** 2 + 1.0 - r * r), 0.0
             cell = WhitneyCell(index=None, r_inner=1.0, r_outer=100.0, theta_lo=-1.5, theta_hi=1.5)
         columns = np.array([x]), np.array([y]), np.array([math.log(r)])
-        offsets, lam = (a[0] for a in capacity._cell_frame(*columns, cell))
+        offsets, lam = (a[0] for a in capacity._cell_frame(*columns, _cell_bounds([cell])))
         cut = np.abs(offsets) < 1.0
         assume(r < math.hypot(x, y) and cut.sum() == 1)
         closed = float(_digon(offsets[cut], lam[cut])[0])
-        u, ell = _piece_nodes(x, y, math.log(r), cell, 2048)
+        u, ell = _piece_nodes(x, y, math.log(r), _cell_bounds([cell])[0], 2048)
         nodes = -minimize_simplex_energy(_log_kernel(u, ell)).energy
         assert abs(nodes - closed) <= 3e-4
 
@@ -411,27 +419,36 @@ class TestPieces:
         s=st.floats(0.0, 1.0),
         corner=st.booleans(),
     )
+    # log r = -1e6 + (top + 1e6) rounds 2.3e-11 above top = log 2^-5: the
+    # disc of centre 0.78125 crosses the inner arc 0.75 by that much, and
+    # two edges cut it
+    @example(n=2, u=0.25, s=1.0, corner=False)
     def test_straddles_scale_with_r(self, n, u, s, corner):
         # a centre on the positive axis sits exactly on the radial edge of
         # cells (n, 0) and (n, 2^(n+4) - 1), at any radius: each gets the
         # half disc log r + log(4/(3 sqrt 3)) bit for bit, for every
-        # log r from -1e6 to log 2^-(n+3).  At the band edge 1 - 2^-n the
-        # centre is on a corner, and each of the four cells gets the same
-        # piece, log r - 0.63275 to its discretisation, while r/rho is
-        # below rounding
+        # log r from -1e6 to log 2^-(n+3), where the disc meets no arc.  A
+        # disc that reaches an arc is discretised, within the 1e-3 of the
+        # own-frame nodes.  At the band edge 1 - 2^-n the centre is on a
+        # corner, and each of the four cells gets the same piece,
+        # log r - 0.63275 to its discretisation, while r/rho is below rounding
         rho = 1.0 - 2.0**-n + (0.0 if corner else u * 2.0 ** -(n + 1))
         top = -math.log(2.0) * (n + 3) if not corner else -40.0
         log_r = -1e6 + s * (top + 1e6)
         cells = [(n, 0), (n, sector_count(n) - 1)]
         if corner and n > 1:
             cells += [(n - 1, 0), (n - 1, sector_count(n - 1) - 1)]
-        columns = np.array([rho]), np.array([0.0]), np.array([log_r])
         for key in cells:
-            got = _piece_log_capacity(*columns, whitney_cell(WhitneyIndex(*key)))[0]
+            cell = whitney_cell(WhitneyIndex(*key))
+            got = _piece([rho], [0.0], [log_r], cell)[0]
             if not corner:
-                assert got == log_r + _digon(np.array([0.0]), np.array([0.0]))[0]
+                offsets, _ = capacity._cell_frame(np.array([rho]), np.array([0.0]), np.array([log_r]), _cell_bounds([cell]))
+                if (offsets[0, :2] >= 1.0).all():
+                    assert got == log_r + _digon(np.array([0.0]), np.array([0.0]))[0]
+                else:
+                    assert abs((got - log_r) - HALF_DISC) <= 1e-3
             else:
-                deep = _piece_log_capacity(np.array([rho]), np.array([0.0]), np.array([-1e6]), whitney_cell(WhitneyIndex(*key)))[0]
+                deep = _piece([rho], [0.0], [-1e6], cell)[0]
                 assert got < log_r
                 assert abs((got - log_r) - (deep + 1e6)) <= 1e-12 + math.ulp(log_r) + math.ulp(1e6)
                 assert abs((got - log_r) - QUARTER_DISC) < 1e-3
@@ -450,6 +467,17 @@ class TestPieces:
         assert abs(first - QUARTER_DISC) < 1e-3
         for offset, ulp in offsets:
             assert abs(offset - first) <= 1e-12 + ulp
+
+    def test_failed_piece_names_its_cell(self, monkeypatch):
+        # the corner disc's four pieces are discretised as the rows are
+        # built; a solve that fails there is refused with the piece's cell
+        def fail(kernel):
+            raise CapacityError("no equilibrium")
+
+        monkeypatch.setattr(capacity, "minimize_simplex_energy", fail)
+        cfg = Configuration(blocks=(DiscBlock(np.array([0.75]), np.array([0.0]), np.array([-30.0])),), n_max=2)
+        with pytest.raises(CapacityError, match=r"capacity failed at cell \(n=(1, m=(0|31)|2, m=(0|63))\): no equilibrium"):
+            cell_capacity_weights(cfg)
 
     def test_avoidable_ring_rows(self):
         # the default ring puts its six discs on the generation edge
@@ -483,6 +511,35 @@ class TestPieces:
             assert abs(rows[key] - (-7.0 + HALF_DISC)) <= 1e-12
         for key in ((7, 39), (7, 40)):
             assert abs(rows[key] - -8.9272) <= 1e-3
+
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_disc_on_a_radial_edge_is_cut_by_one_rule(self, k):
+        # at |x| = 0.6, a disc of log r = -800 centred on the radial edge
+        # theta = k 2 pi / 32 and one of log r = -10 at theta + 0.05, inside
+        # sector k.  Where the centre's cross product with the edge is
+        # exactly 0 (k != 6), the first is a half disc alone in (1, k - 1)
+        # and beside the second in (1, k); at k = 6 it rounds to about
+        # 1e-17, and the first disc is whole in one cell.  Whichever it is,
+        # no cell comes out polar, and each row is the capacity of both
+        # discs clipped to its cell
+        theta = k * (2.0 * math.pi / 32) + np.array([0.0, 0.05])
+        x, y, log_r = 0.6 * np.cos(theta), 0.6 * np.sin(theta), np.array([-800.0, -10.0])
+        cfg = Configuration(blocks=(DiscBlock(x, y, log_r),), n_max=1)
+        weights = cell_capacity_weights(cfg)
+        assert len(weights.n) == len(_obstacle_rows(cfg)[0])
+        rows = _rows_by_cell(weights)
+        assert set(rows) <= {(1, k - 1), (1, k)} and (1, k) in rows
+        discs = [DiscShape(Point(a, b), c) for a, b, c in zip(x.tolist(), y.tolist(), log_r.tolist())]
+        for (n, m), log_cap in rows.items():
+            cell = whitney_cell(WhitneyIndex(n, m))
+            assert repr(log_cap) == repr(log_capacity(UnionShape(tuple(ClippedDiscShape(d, cell) for d in discs))).log_value)
+        # the first disc's piece, whole or a half disc, against the second
+        # disc: two charges, whose simplex minimum is (a b - c^2)/(a + b - 2c)
+        first = -800.0 if k == 6 else -800.0 + HALF_DISC
+        a, b, c = -first, 10.0, -math.log(math.hypot(x[0] - x[1], y[0] - y[1]))
+        assert abs(rows[(1, k)] - -(a * b - c * c) / (a + b - 2.0 * c)) <= 1e-12
+        if k != 6:
+            assert abs(rows[(1, k - 1)] - first) <= 1e-12
 
 
 class TestC2:
@@ -876,7 +933,8 @@ class TestObstacleRows:
         return Configuration(blocks=(explicit,) + rings.blocks, n_max=8)
 
     def test_table_is_the_closed_form_and_calls_no_solver(self, monkeypatch):
-        # clusters, gathered cells and a cell that one disc meets, inside it
+        # clusters, gathered cells, and cells that one piece meets alone:
+        # a disc inside (3, 5), and the half discs of (1, 0) and (1, 31)
         cell = whitney_cell(WhitneyIndex(3, 5))
         rho, th = 0.5 * (cell.r_inner + cell.r_outer), 0.5 * (cell.theta_lo + cell.theta_hi)
         lone = DiscBlock(np.array([rho * math.cos(th)]), np.array([rho * math.sin(th)]), np.array([-20.0]))
@@ -885,6 +943,8 @@ class TestObstacleRows:
         sets = _obstacle_rows(cfg)[-1]
         kinds = {type(sets[s]).__name__ if s >= 0 else "own" for s in weights.solve.tolist()}
         assert kinds == {"GenerationCluster", "CellDiscs", "own"}
+        own = [(n, m) for n, ms, *_ in _rows(weights.take(weights.solve < 0)) for m in ms]
+        assert own == [(1, 0), (1, 31), (3, 5)]
 
         def refuse(*args, **kwargs):
             raise AssertionError("the C2 table ran a solver")
@@ -934,19 +994,20 @@ class TestObstacleRows:
 
     def test_cell_lookup(self):
         cfg = self._mixed()
-        sets, ex = _obstacle_rows(cfg)[-1], spatial_index(cfg)
+        *_, pieces, sets = _obstacle_rows(cfg)
         for n, ms, s in _set_rows(cfg):
             for m in (ms.start, ms.stop - 1):
                 obstacles = _cell_obstacles(cfg, WhitneyIndex(n, m))
                 if s >= 0:
                     assert obstacles is sets[s]
                 else:
-                    # a cell of one explicit disc, inside it, built on request
+                    # a cell that one piece meets alone, built on request:
+                    # the half disc at (0.6, 0) in (1, 0) and (1, 31)
                     assert ms == range(m, m + 1)
-                    got = [obstacles.x, obstacles.y, obstacles.log_r]
-                    want = [ex.exp_x[~s], ex.exp_y[~s], ex.exp_log_r[~s]]
-                    assert [a.tolist() for a in got] == [[v] for v in want]
-                    assert _whole(*obstacles, whitney_cell(WhitneyIndex(n, m))).all()
+                    assert [a.tolist() for a in obstacles] == [[a[~s].item()] for a in pieces]
+                    assert obstacles.x.tolist() == [0.6]
+                    piece = _piece(obstacles.x, obstacles.y, obstacles.log_r, whitney_cell(WhitneyIndex(n, m)))
+                    assert obstacles.log_c.tolist() == piece.tolist() == [-7.0 + HALF_DISC]
         for idx in (WhitneyIndex(1, 5), WhitneyIndex(6, 0), WhitneyIndex(6, 4), WhitneyIndex(9, 0)):
             assert _cell_obstacles(cfg, idx) is None
         # the runs on either side of the edge disc share one cluster, and the
@@ -957,56 +1018,38 @@ class TestObstacleRows:
         for m in (39, 40):
             discs = _cell_obstacles(cfg, WhitneyIndex(7, m))
             assert discs.log_r.tolist() == [-12.0, cluster.log_rs[0]]
-            assert _whole(*discs, whitney_cell(WhitneyIndex(7, m))).tolist() == [False, True]
-
-    def test_scalar_search_only_for_discs_not_inside(self, monkeypatch):
-        # a materialised ring file gathers no disc by the scalar test; the
-        # mixed file's two explicit discs, on a sector edge and a cell edge,
-        # each take it once
-        calls = []
-        real = capacity.cells_intersecting_disc
-        monkeypatch.setattr(
-            capacity, "cells_intersecting_disc", lambda d, n_max: calls.append(d) or real(d, n_max)
-        )
-        rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
-        n, *_ = _obstacle_rows(rings.materialized())
-        assert len(n) == rings.disc_count and calls == []
-        _obstacle_rows(self._mixed())
-        assert [d.log_radius for d in calls] == [-7.0, -12.0]
+            piece = _piece(discs.x, discs.y, discs.log_r, whitney_cell(WhitneyIndex(7, m)))
+            assert discs.log_c.tolist() == piece.tolist()
+            assert (piece == discs.log_r).tolist() == [False, True]
 
     @pytest.mark.parametrize("materialized", [False, True])
-    def test_gather_only_cells_not_one_disc_inside(self, monkeypatch, materialized):
-        # the cells that one disc meets, lying inside them, take their rows
-        # from the home-cell pass; of the mixed file, stored as rings or disc
-        # by disc, only the cells of its two explicit discs are gathered,
-        # which lie on a sector edge and on a cell edge
+    def test_gather_only_cells_not_one_piece_alone(self, materialized):
+        # the cells that one piece meets alone take their rows straight from
+        # it, clipped or whole; of the mixed file, stored as rings or disc by
+        # disc, only the two cells of its edge disc, each with one ring disc,
+        # are gathered, and not the cells of the half disc at (0.6, 0)
         cfg = self._mixed().materialized() if materialized else self._mixed()
-        gathered = []
-        real = capacity._gather
-        monkeypatch.setattr(
-            capacity, "_gather", lambda cells, *rest: gathered.extend(cells) or real(cells, *rest)
-        )
         weights = cell_capacity_weights(cfg)
+        gathered = [(idx.n, idx.m) for idx, _ in self._gathered_cells(cfg)]
         met: dict = {}
-        for d in cfg.materialized().iter_discs():
-            for idx in cells_intersecting_disc(d):
+        pairs = [(d, idx) for d in cfg.materialized().iter_discs() for idx in cells_intersecting_disc(d)]
+        x, y, log_r = (np.array(a) for a in zip(*((d.center.x, d.center.y, d.log_radius) for d, _ in pairs)))
+        piece = _piece_log_capacity(x, y, log_r, _cell_bounds([whitney_cell(idx) for _, idx in pairs]))
+        for (d, idx), log_c in zip(pairs, piece.tolist()):
+            if log_c > -math.inf:
                 met.setdefault((idx.n, idx.m), []).append(d)
-        one_inside = {
-            key for key, discs in met.items()
-            if len(discs) == 1
-            and _whole(*np.array(_floats(discs)).T, whitney_cell(WhitneyIndex(*key))).all()
-        }
-        assert gathered == [(1, 0), (1, 31), (7, 39), (7, 40)] == sorted(met.keys() - one_inside)
+        alone = {key for key, discs in met.items() if len(discs) == 1}
+        assert gathered == [(7, 39), (7, 40)] == sorted(met.keys() - alone)
         own, shared = (
             {(n, m) for n, ms, *_ in _rows(weights.take(keep)) for m in ms}
             for keep in (weights.solve < 0, weights.solve >= 0)
         )
-        assert own == one_inside - shared
+        assert {(1, 0), (1, 31)} <= own == alone - shared
 
     @staticmethod
     def _gathered_cells(cfg) -> list:
         """(cell index, CellDiscs) of every gathered cell of ``cfg``."""
-        n, m_lo, _, solve, sets = _obstacle_rows(cfg)
+        n, m_lo, _, solve, _, sets = _obstacle_rows(cfg)
         return [
             (WhitneyIndex(g, m), sets[s])
             for g, m, s in zip(n.tolist(), m_lo.tolist(), solve.tolist())
@@ -1019,11 +1062,12 @@ class TestObstacleRows:
         est = log_capacity(_clipped(idx, discs))
         return math.nan if est.polar else est.log_value
 
-    @pytest.mark.parametrize("case", ["flagship-3", "mixed", "flagship-6-drop"])
+    @pytest.mark.parametrize("case", ["flagship-3", "mixed", "flagship-6-drop", "ring"])
     def test_gathered_cells_match_the_shape_path(self, case):
         # bit for bit on every gathered cell: whole cells of explicit
         # discs, straddled ones, and the partial cell of ring discs that
-        # dropping 4013 discs of the flagship n <= 6 leaves in generation 4
+        # dropping 4013 discs of the flagship n <= 6 leaves in generation 4;
+        # and on every cell that one piece meets alone, whole or clipped
         flagship = GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=3)
         cfg = {
             "flagship-3": lambda: generate_subsquares(flagship).materialized(),
@@ -1031,13 +1075,19 @@ class TestObstacleRows:
             "flagship-6-drop": lambda: generate_subsquares(
                 GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=6, drop_first=4013)
             ),
+            "ring": generate_avoidable_ring,
         }[case]()
         cells = self._gathered_cells(cfg)
-        assert cells
         for idx, discs in cells:
             assert repr(_set_log_capacity(discs, idx)) == repr(self._shape_value(idx, discs))
         if case == "flagship-6-drop":
             assert [(idx.n, len(discs.x)) for idx, discs in cells] == [(4, 51)]
+        weights = cell_capacity_weights(cfg)
+        alone = weights.take(weights.solve < 0)
+        assert len(cells) + len(alone.n) > 0
+        for n, m, log_cap in zip(alone.n.tolist(), alone.m_lo.tolist(), alone.log_capacity.tolist()):
+            idx = WhitneyIndex(n, m)
+            assert repr(log_cap) == repr(self._shape_value(idx, _cell_obstacles(cfg, idx)))
 
     @settings(max_examples=80, deadline=None)
     @given(
@@ -1069,30 +1119,32 @@ class TestObstacleRows:
                 reach = min(reach, 0.45 * math.hypot(p.x - q.x, p.y - q.y))
             assume(reach > 0.0)
             log_r.append(min(lo + t * (hi - lo), math.log(reach)))
-        discs = CellDiscs(*(np.array(a) for a in zip(*((p.x, p.y, lr) for p, lr in zip(centres, log_r)))))
-        assert _home_cells(*discs)[2].all()
+        x, y, log_r = (np.array(a) for a in zip(*((p.x, p.y, lr) for p, lr in zip(centres, log_r))))
+        discs = CellDiscs(x, y, log_r, _piece(x, y, log_r, cell))
+        assert (discs.log_c == log_r).all()
         assert _set_log_capacity(discs, idx) == self._shape_value(idx, discs)
 
     def test_only_straddled_cells_clip(self, monkeypatch):
         # the materialised flagship n <= 4 gathers 448 cells whose discs all
-        # lie inside them: none is clipped.  The avoidable ring and the
-        # mixed file clip every gathered cell, each straddled by one disc;
-        # only a disc on a corner, cut by two edges, is discretised, once in
-        # each of its four cells, and every other piece is a closed-form digon
+        # lie inside them: none is clipped.  Each of the avoidable ring's 16
+        # cells is met by one piece alone, and none is gathered; the mixed
+        # file gathers the two cells of its edge disc, each with one ring
+        # disc.  Only a disc on a corner, cut by two edges, is discretised,
+        # once in each of its four cells, and every other piece is a
+        # closed-form digon
         built = []
         real = capacity._piece_nodes
-        monkeypatch.setattr(
-            capacity, "_piece_nodes", lambda *args: built.append(args[3].index) or real(*args)
-        )
+        monkeypatch.setattr(capacity, "_piece_nodes", lambda *args: built.append(args[3]) or real(*args))
         flagship = generate_subsquares(GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=4))
         corners = [(1, 7), (1, 8), (1, 23), (1, 24), (2, 15), (2, 16), (2, 47), (2, 48)]
-        cases = ((flagship.materialized(), 448, 0, []), (generate_avoidable_ring(), 16, 16, corners), (self._mixed().materialized(), 4, 4, []))
+        cases = ((flagship.materialized(), 448, 0, []), (generate_avoidable_ring(), 0, 0, corners), (self._mixed().materialized(), 2, 2, []))
         for cfg, count, clipped, nodes in cases:
             built.clear()
             cell_capacity_weights(cfg)
-            assert sorted((idx.n, idx.m) for idx in built) == nodes
+            want = _cell_bounds([whitney_cell(WhitneyIndex(*key)) for key in nodes])
+            assert sorted(b.tolist() for b in built) == sorted(want.tolist())
             cells = self._gathered_cells(cfg)
-            straddled = [idx for idx, discs in cells if not _whole(*discs, whitney_cell(idx)).all()]
+            straddled = [idx for idx, discs in cells if not _whole(*discs[:3], whitney_cell(idx)).all()]
             assert (len(cells), len(straddled)) == (count, clipped)
 
     @settings(max_examples=40, deadline=None)
@@ -1163,12 +1215,35 @@ class TestCellGather:
                     expect[(n, m)] = _floats(hits)
         assert _gathered(cfg) == expect
 
+    @staticmethod
+    @functools.cache
+    def _every_cell(n_max: int) -> tuple:
+        cells = [(n, m) for n in range(1, n_max + 1) for m in range(sector_count(n))]
+        return cells, _cell_bounds([whitney_cell(WhitneyIndex(*key)) for key in cells])
+
+    def _every_piece(self, cfg) -> dict:
+        """The reference: every disc of ``cfg`` cut to every cell of
+        generation at most cfg.n_max, kept where its piece is not empty, as
+        :func:`_gathered` lists them."""
+        cells, bounds = self._every_cell(cfg.n_max)
+        discs = _floats(cfg.iter_discs())
+        x, y, log_r = (np.tile(a, len(cells)) for a in np.array(discs).reshape(-1, 3).T)
+        piece = _piece_log_capacity(x, y, log_r, np.repeat(bounds, len(discs), axis=0))
+        out: dict = {}
+        for k in np.flatnonzero(piece > -np.inf).tolist():
+            out.setdefault(cells[k // len(discs)], []).append(discs[k % len(discs)])
+        return out
+
     @pytest.mark.parametrize("seed", range(3))
-    def test_matches_per_disc_gather(self, seed):
+    def test_matches_every_piece(self, seed, monkeypatch):
         # centers on band edges 1 - 2^-n and on sector edges, radii from
-        # e^-2000 to nearly 1 - |x|: the numpy pass decides the discs inside
-        # their home cell, and every disc must get the cells of the exact
-        # scalar test
+        # e^-2000 to nearly 1 - |x|, in a valid file: each disc drawn is kept
+        # if it misses the origin and every disc kept before it.  Discs
+        # whole in their home cell meet it alone, and the others are cut to
+        # their candidate cells; the pairs must be those of every cell.  The
+        # pairs do not depend on the pieces' values, so each discretised
+        # piece solves a one-node kernel here instead of its 512 nodes
+        monkeypatch.setattr(capacity, "_log_kernel", lambda pts, ell: np.zeros((1, 1)))
         rng = np.random.default_rng(seed)
         count = 300
         rho, theta = rng.uniform(0.3, 0.999, count), rng.uniform(0.0, 2.0 * math.pi, count)
@@ -1177,14 +1252,14 @@ class TestCellGather:
         rho = np.where(on_band_edge, 1.0 - 2.0 ** -n, rho)
         theta = np.where(on_sector_edge, 2.0 * math.pi * rng.integers(0, 2 ** (n + 4)) / 2.0 ** (n + 4), theta)
         log_r = np.log(1.0 - rho) - 10.0 ** rng.uniform(-2.0, 3.3, count)
-        cfg = Configuration(
-            blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), log_r),), n_max=8
-        )
-        expect: dict = {}
-        for d in cfg.iter_discs():
-            for idx in cells_intersecting_disc(d, cfg.n_max):
-                expect.setdefault((idx.n, idx.m), []).append(d)
-        assert _gathered(cfg) == {k: _floats(v) for k, v in expect.items()}
+        x, y, r = rho * np.cos(theta), rho * np.sin(theta), np.exp(log_r)
+        keep: list = []
+        for k in range(count):
+            if r[k] < rho[k] and (np.hypot(x[k] - x[keep], y[k] - y[keep]) > r[k] + r[keep]).all():
+                keep.append(k)
+        cfg = Configuration(blocks=(DiscBlock(x[keep], y[keep], log_r[keep]),), n_max=8)
+        assert validate_configuration(cfg).ok and len(keep) > 100
+        assert _gathered(cfg) == self._every_piece(cfg)
 
     @settings(max_examples=400, deadline=None)
     @given(
@@ -1208,10 +1283,12 @@ class TestCellGather:
         n=3, k=5, radial="band", angular="sector edge", offsets=(0.0, 1e-15),
         signs=(1.0, 1.0), u=0.5, size="tangent", t=0.5,
     )
-    def test_home_cell_inside_meets_it_alone(self, n, k, radial, angular, offsets, signs, u, size, t):
+    def test_home_cell_whole_meets_it_alone(self, n, k, radial, angular, offsets, signs, u, size, t):
         # centres on the band edges 1 - 2^-n and on sector edges, or within
         # 1e-15 to 1e-9 of them; radii from e^-2000 to 0.99 (1 - |x|), and
-        # radii within rounding of the distance to the home cell's boundary
+        # radii within rounding of the distance to the home cell's boundary.
+        # A disc whole in the cell that holds its centre meets no other: of
+        # the cells it reaches, only that one has a piece that is not empty
         step = 2.0 * math.pi / sector_count(n)
         rho = {
             "inner edge": 1.0 - 2.0**-n + signs[0] * offsets[0],
@@ -1225,19 +1302,21 @@ class TestCellGather:
         assume(s > 0.0)
         top = math.log(0.99 * s)
         log_r = {"e^-2000": -2000.0, "log-uniform": -2000.0 + t * (top + 2000.0), "tangent": top}[size]
-        (hn,), (hm,), _ = _home_cells(np.array([x]), np.array([y]), np.array([log_r]))
-        if size == "tangent" and hn > 0:
-            cell = whitney_cell(WhitneyIndex(int(hn), int(hm)))
+        _, (hn,), (hm,), _ = center_cells(np.array([x]), np.array([y]))
+        if hn == 0:
+            return
+        home = whitney_cell(WhitneyIndex(int(hn), int(hm)))
+        if size == "tangent":
             p = Point(x, y)
-            gap = min(p.norm() - cell.r_inner, cell.r_outer - p.norm(), cell.radial_edge_distance(p))
+            gap = min(p.norm() - home.r_inner, home.r_outer - p.norm(), home.radial_edge_distance(p))
             assume(0.0 < gap < 0.99 * s)
             log_r = math.log(gap * (1.0 + (t - 0.5) * 1e-15))
-        _, _, (inside,) = _home_cells(np.array([x]), np.array([y]), np.array([log_r]))
-        if inside:
-            idx = WhitneyIndex(int(hn), int(hm))
-            disc = Disc(Point(x, y), log_r)
-            assert cells_intersecting_disc(disc) == [idx]
-            assert _whole([x], [y], [log_r], whitney_cell(idx)).all()
+        if _whole([x], [y], [log_r], home).all():
+            reached = cells_intersecting_disc(Disc(Point(x, y), log_r))
+            met = [idx for idx in reached if _piece([x], [y], [log_r], whitney_cell(idx))[0] > -np.inf]
+            assert met == [home.index]
+            cfg = Configuration(blocks=(DiscBlock(np.array([x]), np.array([y]), np.array([log_r])),), n_max=30)
+            assert _gathered(cfg) == {(int(hn), int(hm)): [(x, y, log_r)]}
 
 
 class TestQuasiadditivity:

@@ -371,6 +371,7 @@ class TestCapacityCommand:
     def test_explicit_storage_one_row_per_cell(self, tmp_path, family):
         from champagne.capacity import (
             CapacityConstants,
+            _cell_bounds,
             _piece_log_capacity,
             c2_disc_system,
             cell_capacity_weights,
@@ -408,7 +409,7 @@ class TestCapacityCommand:
             assert row[4] == repr(1.0 / (math.log(2.0) - (float(row[2]) + math.log(scale))))
             x, y, log_r = (np.array(a) for a in zip(*((d.center.x, d.center.y, d.log_radius) for d in hits)))
             whole, _ = c2_disc_system(x * scale, y * scale, log_r + math.log(scale))
-            if (_piece_log_capacity(x, y, log_r, cell) == log_r).all():
+            if (_piece_log_capacity(x, y, log_r, _cell_bounds([cell] * len(x))) == log_r).all():
                 assert float(row[4]) == pytest.approx(whole, rel=1e-13)
             else:
                 # the row's set is the discs clipped to the cell
@@ -508,12 +509,13 @@ class TestCapacityCommand:
             ClippedDiscShape,
             DiscShape,
             UnionShape,
-            _cell_discs,
+            _cell_bounds,
+            _cell_pieces,
             _piece_log_capacity,
             c2_disc_system,
             log_capacity,
         )
-        from champagne.geometry import Point, WhitneyIndex, spatial_index, whitney_cell
+        from champagne.geometry import Point, WhitneyIndex, whitney_cell
 
         tables = {}
         for drop in (0, 3000):
@@ -532,10 +534,10 @@ class TestCapacityCommand:
                 assert row == full[key]
         cfg = loads_config((tmp_path / "drop3000.json").read_text())
         twin = cfg.materialized()
-        (n, m, i, _), ex = _cell_discs(twin), spatial_index(twin)
-        i = i[(n == 4) & (m == 10)]
-        assert len(i) == 40
-        discs = CellDiscs(ex.exp_x[i], ex.exp_y[i], ex.exp_log_r[i])
+        n, m, *columns = _cell_pieces(twin)
+        at = (n == 4) & (m == 10)
+        assert at.sum() == 40
+        discs = CellDiscs(*(a[at] for a in columns))
         cell = whitney_cell(WhitneyIndex(4, 10))
         parts = zip(discs.x.tolist(), discs.y.tolist(), discs.log_r.tolist())
         est = log_capacity(UnionShape(tuple(ClippedDiscShape(DiscShape(Point(x, y), lr), cell) for x, y, lr in parts)))
@@ -544,7 +546,8 @@ class TestCapacityCommand:
         c2 = 1.0 / (math.log(2.0) - (est.log_value + math.log(scale)))
         assert cut[(4, 10)]["c2_scaled"] == repr(c2)
         # the cell's discs lie inside it: the truncated-kernel solve agrees
-        assert (_piece_log_capacity(*discs, cell) == discs.log_r).all()
+        assert (_piece_log_capacity(*discs[:3], _cell_bounds([cell] * 40)) == discs.log_r).all()
+        assert (discs.log_c == discs.log_r).all()
         whole, _ = c2_disc_system(discs.x * scale, discs.y * scale, discs.log_r + math.log(scale))
         assert c2 == pytest.approx(whole, rel=1e-13)
 
