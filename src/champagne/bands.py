@@ -1,7 +1,9 @@
 """The explicit discs of a configuration as one distance table,
-:class:`DiscTable`, which :class:`champagne.geometry.SpatialIndex` builds
-only for a configuration with explicit discs: a file of rings alone never
-loads this module."""
+:class:`DiscTable`: its bands are the layers of the radial search in
+:class:`champagne.geometry._Layers`, and this module adds only their
+bucket windows.  :class:`champagne.geometry.SpatialIndex` builds it only
+for a configuration with explicit discs: a file of rings alone never loads
+this module."""
 
 from __future__ import annotations
 
@@ -9,7 +11,7 @@ import math
 
 import numpy as np
 
-from .geometry import _CERT_SLACK, _CHUNK, _NO_ID, TWO_PI, _keep_nearest, center_cells, unique_sorted
+from .geometry import _CERT_SLACK, _CHUNK, _NO_ID, TWO_PI, _Layers, center_cells, unique_sorted
 
 # The most buckets of one band (its 2^(n+4) sectors, if more): keys fit in int64.
 _BAND_KEYS = 1 << 56
@@ -43,7 +45,7 @@ def _nearest_rows(px: np.ndarray, py: np.ndarray, x: np.ndarray, y: np.ndarray, 
     return dmin, ids
 
 
-class DiscTable:
+class DiscTable(_Layers):
     """Every explicit disc of a configuration, grouped into bands by the
     dyadic generation n of its center (band 0 is the central region), each
     band a cell list (Bentley, Stanat and Williams, 1977).  Bands ascend in
@@ -67,11 +69,10 @@ class DiscTable:
     the expressions of a full scan, so minima and lowest ids are bit-equal
     to it.
 
-    :meth:`nearest` evaluates each point's home band, the radially nearer
-    of the two bands around its rho, and widens on a side while the bands
-    there could still come nearer, as :class:`champagne.geometry._RingTable`
-    does for ring rows: the (point, band) pairs of one step are gathered in
-    one batch, whatever their bands.
+    The bands are the layers of :class:`champagne.geometry._Layers`, whose
+    one radial search (:meth:`nearest`) serves ring rows too; this table
+    supplies their radial intervals and :meth:`_pairs`, the window query
+    of a batch of (point, band) pairs, whatever their bands.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, rad: np.ndarray, gid: np.ndarray):
@@ -101,127 +102,25 @@ class DiscTable:
         self.x, self.y, self.rad, self.gid = x[order], y[order], rad[order], gid[order]
         rho = rho[order]
         first = np.searchsorted(self.keys, base)
-        self.r_max = np.maximum.reduceat(self.rad, first)
-        self.rho_min = np.minimum.reduceat(rho, first)
-        self.rho_max = np.maximum.reduceat(rho, first)
+        r_max = np.maximum.reduceat(self.rad, first)
+        rho_min, rho_max = np.minimum.reduceat(rho, first), np.maximum.reduceat(rho, first)
         # per band, one table of integers and one of floats: a batch of
         # (point, band) pairs reads its columns with one gather apiece
         self.ints = np.stack([self.k, self.turn, base, np.diff(first, append=len(key)), first])
-        self.floats = np.stack([rin, drho, dtheta, self.rho_min, self.rho_max, self.r_max])
-        inf = np.array([np.inf])
-        self.rho_min_above = np.concatenate([self.rho_min, inf])
-        self.rho_max_below = np.concatenate([-inf, self.rho_max])
-        # the bands below b lie at least rho_p - inner[b] inward of a point,
-        # the bands from b on at least outer[b] - rho_p outward, less their
-        # radii unless the query is between centers
-        self.edges = {}
-        for centers in (False, True):
-            reach = 0.0 if centers else self.r_max
-            inner = np.maximum.accumulate(self.rho_max + reach)
-            outer = np.minimum.accumulate((self.rho_min - reach)[::-1])[::-1]
-            self.edges[centers] = np.concatenate([-inf, inner]), np.concatenate([outer, inf])
+        self.floats = np.stack([rin, drho, dtheta, rho_min, rho_max, r_max])
+        super().__init__(rho_min, rho_max, r_max, self.n)
 
-    def depth_ends(self, depth: np.ndarray) -> np.ndarray:
-        """For each depth D, the number of bands of generation <= D."""
-        return np.searchsorted(self.n, depth, side="right")
-
-    def nearest(self, px: np.ndarray, py: np.ndarray, rho_p: np.ndarray, theta_p: np.ndarray,
-                best: np.ndarray, best_id: np.ndarray | None = None, end: np.ndarray | None = None,
-                best_lo: np.ndarray | None = None, end_lo: np.ndarray | None = None,
-                centers: bool = False, exclude: np.ndarray | None = None) -> None:
-        """Lower, in place, each point's ``best`` to its distance to the
-        discs of the bands below end[i] (every band when ``end`` is None):
-        |p - x_k| - r_k or, with ``centers``, |p - x_k|, skipping the disc
-        whose id is exclude[i] for point i.  Given ``best_id``, an equal
-        distance takes the lower id.  Given ``best_lo``, it is lowered by
-        the bands below end_lo[i] <= end[i] alone, and a band needs
-        evaluating while it may come nearer than ``best_lo``."""
-        outer = np.searchsorted(self.rho_min, rho_p, side="right")
-        gap_out = self.rho_min_above[outer] - rho_p
-        if end is not None:
-            np.minimum(outer, end, out=outer)
-            gap_out[outer >= end] = np.inf
-        # the radially nearer of the bands outer - 1 and outer; -1 where
-        # there is none
-        home = outer - (rho_p - self.rho_max_below[outer] <= gap_out)
-        found = home >= 0
-        # the home band is evaluated whatever its distance, as the ring
-        # table evaluates a point's nearest row
-        pts = slice(None) if found.all() else np.flatnonzero(found)  # views of a whole batch
-        self._merge(pts, home[pts], px, py, rho_p, theta_p, best, best_id, best_lo, end_lo,
-                    centers, exclude)
-        if len(self.n) == 1:
-            # the one band is every point's home, with nothing to widen to
-            return
-        # bands lo .. hi - 1 are done; the points whose next band inward or
-        # outward may still come nearer go on
-        inner, outer_edge = self.edges[centers]
-        lo, hi = np.maximum(home, 0), home + 1
-        live = np.flatnonzero(found)
-        while len(live):
-            i, o, rp = lo[live], hi[live], rho_p[live]
-            reach_in = best[live]
-            if best_lo is not None:
-                # inward, the bands from end_lo on matter to best alone and
-                # the bands below it to best_lo: where none of the first
-                # can come within best, go on with the second
-                e = end_lo[live]
-                i = np.where((i > e) & ~(rp - inner[i] <= reach_in + _CERT_SLACK), e, i)
-                reach_in = np.where(i > e, reach_in, best_lo[live])
-            # a point with nothing found yet (every disc it met was excluded)
-            # has best = inf, which even the missing band -1 or B would meet
-            go_in = (i > 0) & (rp - inner[i] <= reach_in + _CERT_SLACK)
-            go_out = (o < len(self.n) if end is None else o < end[live]) & (
-                outer_edge[o] - rp <= self._reach(live, o, best, best_lo, end_lo) + _CERT_SLACK
-            )
-            pts = np.concatenate([live[go_in], live[go_out]])
-            bands = np.concatenate([i[go_in] - 1, o[go_out]])
-            self._merge(pts, bands, px, py, rho_p, theta_p, best, best_id, best_lo, end_lo,
-                        centers, exclude, split=int(go_in.sum()))
-            lo[live] = i - go_in
-            hi[live] = o + go_out
-            live = live[go_in | go_out]
-
-    @staticmethod
-    def _reach(pts, band, best, best_lo, end_lo) -> np.ndarray:
-        """How near band[i] must come to matter to point pts[i]."""
-        if best_lo is None:
-            return best[pts]
-        return np.where(band < end_lo[pts], best_lo[pts], best[pts])
-
-    def _merge(self, pts, band, px, py, rho_p, theta_p, best, best_id, best_lo, end_lo,
-               centers, exclude, split=None) -> None:
-        """Evaluate the pairs (pts[i], band[i]) and merge them into the
-        running minima.  A point appears at most once in pts[:split] and
-        once in pts[split:]; pts may be slice(None), every point once."""
-        if not len(band):
-            return
-        reach = self._reach(pts, band, best, best_lo, end_lo)
-        d, ids = self._pairs(
-            px[pts], py[pts], rho_p[pts], theta_p[pts], band, reach, centers,
-            None if exclude is None else exclude[pts], best_id is not None,
-        )
-        halves = (slice(None, split), slice(split, None)) if split is not None else (slice(None),)
-        for part in halves:
-            k, dk = pts if split is None else pts[part], d[part]
-            sub = best[k]
-            sub_id = None if best_id is None else best_id[k]
-            _keep_nearest(sub, sub_id, dk, None if ids is None else ids[part])
-            best[k] = sub
-            if best_id is not None:
-                best_id[k] = sub_id
-            if best_lo is not None:
-                sub = best_lo[k]
-                np.minimum(sub, dk, out=sub, where=band[part] < end_lo[k])
-                best_lo[k] = sub
-
-    def _pairs(self, px, py, rho_p, theta_p, band, reach, centers, exclude, with_ids, wr=None, wc=None):
-        """(d, ids): for each point i the smallest distance to a disc of
-        band[i], and with ``with_ids`` the lowest id attaining it (ids is
-        None otherwise).  d is exact wherever it is <= reach[i]; elsewhere
-        it only promises that the band holds nothing within reach[i].  Point
-        i's window spans wr[i] rows and wc[i] columns of buckets on either
-        side of its own, at first 3 x 3, or a whole band of at most 9 discs."""
+    def _pairs(self, q, band, reach, with_ids, centers, wr=None, wc=None):
+        """(d, ids): for each point i of q = (rho_p, theta_p, px, py[,
+        exclude]) the smallest distance to a disc of band[i] other than the
+        one whose id is exclude[i], and with ``with_ids`` the lowest id
+        attaining it (ids is None otherwise).  d is exact wherever it is <=
+        reach[i] (everywhere when ``reach`` is None); elsewhere it only
+        promises that the band holds nothing within reach[i].  Point i's
+        window spans wr[i] rows and wc[i] columns of buckets on either side
+        of its own, at first 3 x 3, or a whole band of at most 9 discs."""
+        rho_p, theta_p, px, py = q[:4]
+        exclude = q[4] if len(q) > 4 else None
         k, turn, base, count, first = self.ints[:, band]
         if wr is None:
             small = count <= 9
@@ -261,7 +160,7 @@ class DiscTable:
         gap = np.maximum(np.maximum(rho_min - rho_p, rho_p - rho_max), 0.0)
         ang = np.sqrt(gap * gap + 4.0 * rho_p * rho_min * np.sin(np.minimum(dth, math.pi) / 2.0) ** 2)
         ang[full] = np.inf
-        t = np.minimum(reach, d) + _CERT_SLACK + (0.0 if centers else r_max)
+        t = (d if reach is None else np.minimum(reach, d)) + _CERT_SLACK + (0.0 if centers else r_max)
         go = np.flatnonzero((np.minimum(beyond, ang) <= t) & ((wr < k - 1) | (wc < turn // 2)))
         if not len(go):
             return d, ids
@@ -279,8 +178,8 @@ class DiscTable:
         double = np.isinf(t) | ((to_r == wr) & (to_c == wc))
         wr = np.where(double, np.minimum(2 * wr + 1, k - 1), to_r).astype(np.int64)
         wc = np.where(double, np.minimum(2 * wc + 1, turn // 2), to_c).astype(np.int64)
-        d[go], sub = self._pairs(px[go], py[go], rp, theta_p[go], band[go], reach[go], centers,
-                                 None if exclude is None else exclude[go], with_ids, wr, wc)
+        reach = None if reach is None else reach[go]
+        d[go], sub = self._pairs(tuple(a[go] for a in q), band[go], reach, with_ids, centers, wr, wc)
         if with_ids:
             ids[go] = sub
         return d, ids

@@ -761,9 +761,138 @@ _NO_ID = np.iinfo(np.int64).max
 _CHUNK = 1 << 13
 
 
-class _RingTable:
+class _Layers:
+    """Obstacle layers sorted by radius, ring rows or explicit bands, and
+    the one radial search over them.  Layer k holds discs of generation
+    gens[k] whose centres lie at radii in [rho_min[k], rho_max[k]] (one
+    radius for a ring row) and whose radii are at most r_max[k].  A table
+    supplies its layers and ``_pairs(q, layer, reach, with_ids, centers)``,
+    which returns (d, ids) for each point of the batch q against its layer;
+    d must be exact wherever it is <= reach, and everywhere when reach is
+    None.
+
+    :meth:`nearest` evaluates, for each point, the radially nearer of the
+    two layers around its rho, and widens on a side while the next layer
+    there could still come nearer: while the layer's radial gap, less the
+    largest radius of the layers beyond it on that side, is <= best +
+    _CERT_SLACK.  The (point, layer) pairs of one step are gathered in one
+    batch and merged with the one tie rule, so minima and ids are those of
+    every layer's pairs, bit for bit.
+    """
+
+    def __init__(self, rho_min: np.ndarray, rho_max: np.ndarray, r_max: np.ndarray, gens: np.ndarray):
+        inf = np.array([np.inf])
+        self.rho_min = rho_min
+        # each layer's generation, and -1 for layer -1, no layer at all
+        self.gen_of = np.append(gens, -1)
+        self.rho_min_above = np.concatenate([rho_min, inf])
+        self.rho_max_below = np.concatenate([-inf, rho_max])
+        # the layers below k lie at least rho_p - inner[k] inward of a point,
+        # the layers from k on at least outer[k] - rho_p outward, less their
+        # radii unless the query is between centres; the missing layers -1
+        # and count have NaN edges, which fail every comparison
+        self.edges = {}
+        nan = np.array([np.nan])
+        for centers in (False, True):
+            reach = 0.0 if centers else r_max
+            inner = np.maximum.accumulate(rho_max + reach)
+            outer = np.minimum.accumulate((rho_min - reach)[::-1])[::-1]
+            self.edges[centers] = np.concatenate([nan, inner]), np.concatenate([outer, nan])
+        # layers of generation <= D: a prefix of the table when rho order
+        # agrees with generation order, as it does once labels validate;
+        # a circle inside the unit disc has 1 - rho >= 2^-53, so a label
+        # that validates is at most 53
+        self.ordered = bool(np.all(gens[1:] >= gens[:-1])) and gens.max(initial=0) <= 53
+        if self.ordered:
+            self.ends = np.searchsorted(gens, np.arange(55), side="right")
+
+    def depth_ends(self, depth: np.ndarray) -> np.ndarray:
+        """For each depth D >= 0, the number of layers of generation <= D."""
+        if not self.ordered:
+            raise GeometryError("ring generations disagree with their radii")
+        return self.ends.take(depth, mode="clip")
+
+    def nearest(self, q: tuple, best: np.ndarray | None = None, best_id: np.ndarray | None = None,
+                end: np.ndarray | None = None, centers: bool = False, with_ids: bool = False):
+        """(best, best_id, layer): each point's running minimum, lowered in
+        place to its distance to the discs of the layers below end[i] (of
+        every layer when ``end`` is None) or, with ``centers``, to their
+        centres; given ``best_id``, an equal distance takes the lower id.
+        ``best`` None starts from nothing found, with ids if ``with_ids``.
+        q holds the per-point arrays of :meth:`_pairs`, rho_p first.
+        layer[i] is the layer that lowered point i's minimum last, the one
+        attaining it, or -1 where none did."""
+        rho_p = q[0]
+        outer = np.searchsorted(self.rho_min, rho_p, side="right")
+        gap_out = self.rho_min_above[outer] - rho_p
+        if end is not None:
+            np.minimum(outer, end, out=outer)
+            gap_out[outer >= end] = np.inf
+        # the radially nearer of the layers outer - 1 and outer, evaluated
+        # whatever its distance; -1 where there is none
+        home = outer - (rho_p - self.rho_max_below[outer] <= gap_out)
+        i, o = np.maximum(home, 0), home + 1
+        found = home >= 0
+        whole = len(home) > 0 and found.all()
+        if best is None and whole:
+            # a fresh batch takes its home layers' distances as they are
+            best, best_id = self._pairs(q, home, None, with_ids, centers)
+            layer = home
+        else:
+            if best is None:
+                best = np.full(len(rho_p), np.inf)
+                best_id = np.full(len(rho_p), _NO_ID) if with_ids else None
+            layer = np.full(len(rho_p), -1)
+            pts = slice(None) if whole else np.flatnonzero(found)  # views of a whole batch
+            self._merge(q, pts, home[pts], best, best_id, layer, centers)
+        if len(self.rho_min) <= 1:
+            # the one layer is every point's home, with nothing to widen to
+            return best, best_id, layer
+        # layers i .. o - 1 are done; the points whose next layer inward or
+        # outward may still come nearer go on, the first step over the
+        # whole batch.  A point with nothing found yet (every disc it met
+        # was excluded) has best = inf, which only a NaN edge stops; a
+        # point without a home has end 0
+        inner, outer_edge = self.edges[centers]
+        live = slice(None)
+        while True:
+            rp, b = rho_p[live], best[live] + _CERT_SLACK
+            go_in = rp - inner[i] <= b
+            go_out = outer_edge[o] - rp <= b
+            if end is not None:
+                go_out &= o < end[live]
+            step = np.flatnonzero(go_in | go_out)
+            if not len(step):
+                return best, best_id, layer
+            live = step if isinstance(live, slice) else live[step]
+            go_in, go_out, i, o = go_in[step], go_out[step], i[step], o[step]
+            pts = np.concatenate([live[go_in], live[go_out]])
+            layers = np.concatenate([i[go_in] - 1, o[go_out]])
+            self._merge(q, pts, layers, best, best_id, layer, centers, split=int(go_in.sum()))
+            i, o = i - go_in, o + go_out
+
+    def _merge(self, q, pts, layers, best, best_id, layer, centers, split=None) -> None:
+        """Evaluate the pairs (pts[j], layers[j]) and merge them into the
+        running minima, recording the layer that lowers each.  A point
+        appears at most once in pts[:split] and once in pts[split:]; pts
+        may be slice(None), every point once."""
+        if not len(layers):
+            return
+        d, ids = self._pairs(tuple(a[pts] for a in q), layers, best[pts], best_id is not None, centers)
+        for part in (slice(None),) if split is None else (slice(None, split), slice(split, None)):
+            k = pts if split is None else pts[part]
+            dk, idk = d[part], None if ids is None else ids[part]
+            take = _nearer(dk, idk, best[k], None if best_id is None else best_id[k])
+            k = np.flatnonzero(take) if isinstance(k, slice) else k[take]
+            best[k], layer[k] = dk[take], layers[part][take]
+            if best_id is not None:
+                best_id[k] = idk[take]
+
+
+class _RingTable(_Layers):
     """Every ring row of a configuration, sorted by circle radius rho (then
-    generation), one row per :class:`RingBlock`.
+    generation), one row per :class:`RingBlock`, each a layer of
+    :class:`_Layers` whose centres lie at the one radius rho.
 
     :meth:`distance` is the slot kernel: a point's distance to the discs of
     one row is the least over a few candidate slots around its angle.  A row
@@ -773,13 +902,6 @@ class _RingTable:
     (``base - 1`` is a whole slot step farther than ``base``).  A row of any
     other generation takes those two slots reduced mod its count and
     clamped to its first active slot, plus its last slot.
-
-    :meth:`nearest` evaluates, for each point, the radially nearer of the
-    two rows around its rho, and widens on a side while the next row there
-    could still come nearer: while |rho_p - rho_row| - r_max <= best +
-    _CERT_SLACK, with r_max the largest radius of the rows not yet
-    evaluated on that side.  Minima and ids are those of every row's
-    kernel, bit for bit.
     """
 
     def __init__(self, rings: Sequence[tuple[int, RingBlock]]):
@@ -795,29 +917,11 @@ class _RingTable:
         self.any_prefix = not self.plain.all()
         # the canonical id that slot 0 of the row would have
         self.first = np.array([off - rb.a_start for off, rb in rows], dtype=np.int64)
-        # rows k < a lie at least rho_p - inner_edge[a] inward of a point,
-        # rows k >= b at least outer_edge[b] - rho_p outward, less their
-        # radii: each edge carries the largest radius of the rows beyond it
-        inf = np.array([np.inf])
-        self.inner_edge = np.concatenate([-inf, self.rho + np.maximum.accumulate(self.rad)])
-        reach_out = np.maximum.accumulate(self.rad[::-1])[::-1]
-        self.outer_edge = np.concatenate([self.rho - reach_out, inf])
-        self.rho_below = np.concatenate([-inf, self.rho])
-        self.rho_above = np.concatenate([self.rho, inf])
-        # rows of generation <= D: a prefix of the table when rho order
-        # agrees with generation order, as it does once labels validate;
-        # a circle inside the unit disc has 1 - rho >= 2^-53, so a label
-        # that validates is at most 53
-        gens = [rb.n for _, rb in rows]
-        self.ordered = gens == sorted(gens) and max(gens, default=0) <= 53
-        if self.ordered:
-            self.ends = np.searchsorted(np.array(gens, dtype=np.int64), np.arange(55), side="right")
+        super().__init__(self.rho, self.rho, self.rad, np.array([rb.n for _, rb in rows], dtype=np.int64))
 
-    def depth_ends(self, depth: np.ndarray) -> np.ndarray:
-        """For each depth D, the number of rows of generation <= D."""
-        if not self.ordered:
-            raise GeometryError("ring generations disagree with their radii")
-        return self.ends.take(depth, mode="clip")
+    def _pairs(self, q, row, reach, with_ids, centers):
+        """The slot kernel on each point (rho_p, theta_p) of q and its row."""
+        return self.distance(*q, row, with_ids, centers)
 
     def distance(
         self,
@@ -885,71 +989,6 @@ class _RingTable:
             ids[pre] = sub_ids
         return out, ids
 
-    def nearest(
-        self,
-        rho_p: np.ndarray,
-        theta_p: np.ndarray,
-        end: np.ndarray | None = None,
-        with_ids: bool = False,
-    ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-        """(d, ids, row): for each point the smallest distance to a disc of
-        the rows below end[i] (of every row when ``end`` is None), the
-        lowest id attaining it with ``with_ids`` (ids is None otherwise),
-        and a row attaining it (-1 where there is none)."""
-        size = len(rho_p)
-        if not len(self.rho):
-            return np.full(size, np.inf), np.full(size, _NO_ID) if with_ids else None, np.full(size, -1)
-        outer = np.searchsorted(self.rho, rho_p)
-        gap_out = self.rho_above[outer] - rho_p
-        if end is not None:
-            np.minimum(outer, end, out=outer)
-            gap_out[outer >= end] = np.inf
-        # the radially nearer of the rows outer - 1 and outer goes first;
-        # -1 where there is no row
-        row = outer - (rho_p - self.rho_below[outer] <= gap_out)
-        found = row >= 0
-        if found.all():
-            best, best_id = self.distance(rho_p, theta_p, row, with_ids)
-        else:
-            best = np.full(size, np.inf)
-            best_id = np.full(size, _NO_ID) if with_ids else None
-            k = np.flatnonzero(found)
-            best[k], ids = self.distance(rho_p[k], theta_p[k], row[k], with_ids)
-            if with_ids:
-                best_id[k] = ids
-        # rows lo .. hi - 1 have been evaluated; the points whose next row
-        # inward or outward may still come nearer go on
-        lo, hi = np.maximum(row, 0), row + 1
-        b = best + _CERT_SLACK
-        more = rho_p - self.inner_edge[lo] <= b
-        go_out = self.outer_edge[hi] - rho_p <= b
-        if end is not None:
-            go_out &= hi < end
-        more |= go_out
-        live = np.flatnonzero(more & found)
-        while len(live):
-            rp, b = rho_p[live], best[live] + _CERT_SLACK
-            i, o = lo[live], hi[live]
-            go_in = rp - self.inner_edge[i] <= b
-            go_out = self.outer_edge[o] - rp <= b
-            if end is not None:
-                go_out &= o < end[live]
-            for go, j in ((go_in, i - 1), (go_out, o)):
-                if not go.any():
-                    continue
-                k, j = live[go], j[go]
-                d, ids = self.distance(rho_p[k], theta_p[k], j, with_ids)
-                sub = best[k]
-                take = d < sub if ids is None else (d < sub) | ((d == sub) & (ids < best_id[k]))
-                k = k[take]
-                best[k], row[k] = d[take], j[take]
-                if ids is not None:
-                    best_id[k] = ids[take]
-            lo[live] = i - go_in
-            hi[live] = o + go_out
-            live = live[go_in | go_out]
-        return best, best_id, row
-
 
 class SpatialIndex:
     """Immutable distance-query accelerator over a configuration.
@@ -958,10 +997,12 @@ class SpatialIndex:
     by rho (see :class:`_RingTable`), and every explicit disc in another,
     grouped by the dyadic generation of its center, each generation a grid
     of buckets in the cells that hold the centers (see
-    :class:`champagne.bands.DiscTable`).  A query evaluates the radially
-    nearest rows and bands, and further ones only while their radial gap,
-    less the largest radius beyond, leaves them a chance to come nearer.  Results agree exactly with a scan of
-    every row and every disc.
+    :class:`champagne.bands.DiscTable`).  Both tables' rows and bands are
+    layers of one radial search (:class:`_Layers`): a query evaluates the
+    radially nearest layers, and further ones only while their radial gap,
+    less the largest radius beyond, leaves them a chance to come nearer.
+    The band search starts from the ring search's minima.  Results agree
+    exactly with a scan of every row and every disc.
     """
 
     def __init__(self, config: Configuration):
@@ -973,7 +1014,11 @@ class SpatialIndex:
         self.rings: list[tuple[int, RingBlock]] = [
             (off, b) for off, b in zip(offsets, config.blocks) if isinstance(b, RingBlock)
         ]
-        self._ring_table = _RingTable(self.rings)
+        # the tables a query searches in turn, each from the minima of the
+        # one before, with the number of per-point arrays each reads: ring
+        # rows, then explicit bands.  An empty configuration keeps its empty
+        # ring table
+        self._tables = [(_RingTable(self.rings), 2)] if self.rings or not explicit else []
         # the explicit discs in canonical order, with their radii and ids,
         # and in the band table
         self._discs = None
@@ -993,6 +1038,7 @@ class SpatialIndex:
             from .bands import DiscTable
 
             self._discs = DiscTable(self.exp_x, self.exp_y, self.exp_rad, self.exp_ids)
+            self._tables.append((self._discs, 4))
 
     @cached_property
     def exp_polar(self) -> tuple[np.ndarray, np.ndarray]:
@@ -1015,7 +1061,9 @@ class SpatialIndex:
         result is (d_lo, d_hi): its distance to the discs of generation
         <= lo[i] and to those of generation <= hi[i], each bit-equal to a
         query of the configuration truncated at that depth.  Ids are not
-        tracked then.
+        tracked then.  d_hi is one search; only the points whose nearest
+        row or band is of generation > lo[i] are searched again for d_lo,
+        and every other point has d_lo = d_hi.
 
         ``rho``, when given, is the caller's ``np.hypot(px, py)``, used
         instead of computing it again.
@@ -1025,29 +1073,37 @@ class SpatialIndex:
         rho_p = np.hypot(px, py) if rho is None else rho
         theta_p = np.arctan2(py, px)
         theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)
-        table = self._ring_table
-        best_lo = end = end_lo = None
+        q = (rho_p, theta_p, px, py)
         if depths is None:
-            best, best_id, _ = table.nearest(rho_p, theta_p, with_ids=with_ids)
-        else:
-            lo, hi = depths
-            end_lo = table.depth_ends(lo)
-            best, best_id, row = table.nearest(rho_p, theta_p, table.depth_ends(hi))
-            # a point whose nearest row is shallow enough has d_lo == d_hi
-            best_lo = best.copy()
-            again = np.flatnonzero(row >= end_lo)
-            if len(again):
-                best_lo[again] = table.nearest(rho_p[again], theta_p[again], end_lo[again])[0]
-            if self._discs is not None:
-                end, end_lo = self._discs.depth_ends(hi), self._discs.depth_ends(lo)
-        if self._discs is not None:
-            self._discs.nearest(px, py, rho_p, theta_p, best, best_id, end, best_lo, end_lo)
-        if depths is not None:
-            return best_lo, best
-        if not with_ids:
-            return best
-        best_id[best_id == _NO_ID] = -1
-        return best, best_id
+            best, best_id, _ = self._nearest(q, with_ids=with_ids)
+            if not with_ids:
+                return best
+            best_id[best_id == _NO_ID] = -1
+            return best, best_id
+        lo, hi = depths
+        d_hi, _, gen = self._nearest(q, hi)
+        # d_lo == d_hi wherever a row or band of generation <= lo attains d_hi
+        d_lo = d_hi.copy()
+        again = np.flatnonzero(gen > lo)
+        if len(again):
+            d_lo[again] = self._nearest(tuple(a[again] for a in q), lo[again])[0]
+        return d_lo, d_hi
+
+    def _nearest(self, q, depth=None, with_ids=False):
+        """(best, best_id, gen): for each point of q = (rho_p, theta_p, px,
+        py) its distance to the discs of generation <= depth[i] (to every
+        disc when ``depth`` is None), with ``with_ids`` the lowest id
+        attaining it (best_id is None otherwise) and, given ``depth``, the
+        generation of a ring row or band attaining it (-1 where none does).
+        The ring search runs first, and the band search starts from its
+        minima."""
+        best = best_id = gen = None
+        for table, width in self._tables:
+            ends = None if depth is None else table.depth_ends(depth)
+            best, best_id, layer = table.nearest(q[:width], best, best_id, ends, with_ids=with_ids)
+            if depth is not None:
+                gen = table.gen_of[layer] if gen is None else np.where(layer >= 0, table.gen_of[layer], gen)
+        return best, best_id, gen
 
     def explicit_neighbors(
         self, cutoff: float | np.ndarray = math.inf, centers: bool = True
@@ -1067,22 +1123,29 @@ class SpatialIndex:
             # _CHUNK discs at a time keep the query's temporaries small
             for lo in range(0, len(d), _CHUNK):
                 s = slice(lo, lo + _CHUNK)
-                self._discs.nearest(
-                    self.exp_x[s], self.exp_y[s], rho[s], theta[s], d[s], nn[s],
-                    centers=centers, exclude=self.exp_ids[s],
-                )
+                q = (rho[s], theta[s], self.exp_x[s], self.exp_y[s], self.exp_ids[s])
+                self._discs.nearest(q, d[s], nn[s], centers=centers)
         nn[nn == _NO_ID] = -1
         return d, nn
 
 
+def _nearer(d, ids, best, best_id) -> np.ndarray:
+    """Where (d, ids) beats the running (best, best_id): the one tie rule, a
+    smaller distance or an equal one with a lower id; ids and best_id are
+    None when ids are not tracked."""
+    take = d < best
+    if ids is not None:
+        take |= (d == best) & (ids < best_id)
+    return take
+
+
 def _keep_nearest(best, best_id, d, ids) -> None:
     """Merge distances d with their ids into the running (best, best_id) in
-    place, keeping the lowest id on equal distances; best_id is None when
-    ids are not tracked."""
+    place, by :func:`_nearer`; best_id is None when ids are not tracked."""
     if best_id is None:
         np.minimum(best, d, out=best)
         return
-    take = (d < best) | ((d == best) & (ids < best_id))
+    take = _nearer(d, ids, best, best_id)
     best[take], best_id[take] = d[take], np.broadcast_to(ids, d.shape)[take]
 
 

@@ -1173,6 +1173,32 @@ def _neighbor_scan_within(config, cutoff, centers):
     return np.where(far, cutoff, nn), np.where(far, -1, ids)
 
 
+def _assert_depth_rule(config, px, py, lo, hi):
+    """distance_many(depths=(lo, hi)) equals the queries of the truncated
+    configurations, and its second search takes exactly the points whose
+    nearest ring row or band at depth hi is of generation > lo: with no
+    exact ties across generations, the points where d_lo > d_hi."""
+    index = SpatialIndex(config)
+    searched = []
+    search = SpatialIndex._nearest
+
+    def counted(self, q, *args, **kwargs):
+        searched.append(q[0])
+        return search(self, q, *args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(SpatialIndex, "_nearest", counted)
+        d_lo, d_hi = index.distance_many(px, py, depths=(lo, hi))
+    for depth, got in ((lo, d_lo), (hi, d_hi)):
+        for d in np.unique(depth):
+            at = depth == d
+            want = SpatialIndex(truncate(config, n_max=int(d))).distance_many(px[at], py[at])
+            np.testing.assert_array_equal(got[at], want)
+    deep = np.flatnonzero(d_lo > d_hi)
+    assert len(searched) == (2 if len(deep) else 1)
+    np.testing.assert_array_equal(searched[-1], searched[0][deep] if len(deep) else searched[0])
+
+
 class TestDiscTable:
     """The explicit-disc table against a scan of every disc: distances and
     lowest ids, per-depth distances against the truncated configuration,
@@ -1228,6 +1254,47 @@ class TestDiscTable:
         got = index.explicit_neighbors(cutoff=cutoff, centers=centers)
         for g, w in zip(got, _neighbor_scan_within(config, cutoff, centers), strict=True):
             np.testing.assert_array_equal(g, w)
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.integers(0, 2**32 - 1), st.lists(_band, min_size=1, max_size=4))
+    def test_second_search_takes_the_points_nearest_a_deeper_band(self, seed, bands):
+        config = _explicit_bands(seed, bands)
+        px, py = _query_points(seed, config)
+        rng = np.random.default_rng(seed + 2)
+        lo = rng.integers(0, 9, len(px))
+        _assert_depth_rule(config, px, py, lo, lo + rng.integers(0, 4, len(px)))
+
+    def test_centre_queries_widen_by_centre_gaps(self, monkeypatch):
+        # 100 discs of generation 2 on the circle rho = 0.78, about 0.049
+        # apart, and one disc of radius 0.09 at rho = 0.9, of generation 3:
+        # its boundary lies 0.03 outward of the circle and its centre 0.12,
+        # so boundary queries from the circle go on to its band, and centre
+        # queries do not
+        theta = (np.arange(100) + 0.5) * (TWO_PI / 100)
+        x = np.concatenate([0.78 * np.cos(theta), [0.9]])
+        y = np.concatenate([0.78 * np.sin(theta), [0.0]])
+        log_r = np.concatenate([np.full(100, math.log(1e-3)), [math.log(0.09)]])
+        config = Configuration(blocks=(DiscBlock(x, y, log_r),), n_max=3)
+        index = SpatialIndex(config)
+        evaluated = []
+        merge = DiscTable._merge
+
+        def counted(self, q, pts, layers, *args, **kwargs):
+            evaluated.append(np.asarray(layers).copy())
+            return merge(self, q, pts, layers, *args, **kwargs)
+
+        monkeypatch.setattr(DiscTable, "_merge", counted)
+        outer = {}
+        for centers in (True, False):
+            evaluated.clear()
+            got = index.explicit_neighbors(centers=centers)
+            for g, w in zip(got, _neighbor_scan(config, centers), strict=True):
+                np.testing.assert_array_equal(g, w)
+            outer[centers] = int((np.concatenate(evaluated) == 1).sum())
+        # the outer disc's own band is its home; with its own disc left out
+        # it finds its neighbour inward
+        assert outer[True] == 1
+        assert outer[False] > 50
 
     def test_one_disc_band(self):
         # the annulus oracle's one disc at the origin, alone and beside rings
@@ -1453,6 +1520,25 @@ class TestRingTable:
                 at = depth == d
                 want = SpatialIndex(truncate(config, n_max=int(d))).distance_many(px[at], py[at])
                 np.testing.assert_array_equal(got[at], want)
+
+    @settings(max_examples=30, deadline=None)
+    @given(
+        st.integers(0, 2**32 - 1),
+        st.lists(
+            st.tuples(st.integers(1, 4), st.integers(1, 8), st.sampled_from(["plain", "cut", "prefix"]),
+                      st.integers(1, 2)),
+            min_size=1, max_size=3, unique_by=lambda g: g[0],
+        ),
+        st.sampled_from(["rings", "mixed", "explicit"]),
+    )
+    def test_second_search_takes_the_points_nearest_a_deeper_row(self, seed, gens, storage):
+        config, rings = _table_config(seed, gens, False, storage == "mixed")
+        if storage == "explicit":
+            config = config.materialized()
+        px, py = _table_queries(seed, rings)
+        rng = np.random.default_rng(seed + 2)
+        lo = rng.integers(0, 6, len(px))
+        _assert_depth_rule(config, px, py, lo, lo + rng.integers(0, 4, len(px)))
 
     @settings(max_examples=30, deadline=None)
     @given(
