@@ -18,7 +18,14 @@ are byte-identical (no timestamps, sorted keys, shortest-round-trip float
 formatting).  Exit codes: 0 success (including inconclusive diagnostics),
 1 validation failure (a ``ChampagneError``: an invalid configuration,
 parameter or start point), 2 usage or I/O failure, including a
-configuration file or a ``report`` input that does not parse.
+configuration file or a ``report`` input that does not parse, and a stdout
+that cannot be written.
+
+``main(argv)`` returns the exit code.  The ``champagne`` script and
+``python -m champagne.cli`` go through :func:`run`, which ends the process
+at the command's last write with ``os._exit``, after the ``atexit``
+callbacks and a flush of stdout and stderr, unless a tracer or profiler
+watches the process.
 
 Each subcommand imports the champagne modules it runs inside its own
 function, so ``report`` loads neither numpy nor a champagne submodule, and
@@ -37,13 +44,15 @@ artifacts.
 from __future__ import annotations
 
 import argparse
+import atexit
+import contextlib
 import hashlib
 import json
 import math
 import os
 import sys
 from pathlib import Path
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NoReturn
 
 from . import SCHEMA_VERSION, ChampagneError, __version__
 
@@ -796,5 +805,51 @@ def main(argv=None) -> int:
         return EXIT_INVALID
 
 
+def _traced() -> bool:
+    """Whether a tool that reports at exit watches this process: a trace or
+    profile function, or (Python 3.12 and later) a ``sys.monitoring`` tool,
+    which is how cProfile and coverage may hook in there."""
+    monitoring = getattr(sys, "monitoring", None)
+    return (
+        sys.gettrace() is not None
+        or sys.getprofile() is not None
+        # sys.monitoring numbers its tools 0 to 5
+        or (monitoring is not None and any(monitoring.get_tool(i) is not None for i in range(6)))
+    )
+
+
+def run() -> NoReturn:
+    """The ``champagne`` console script and ``python -m champagne.cli``:
+    ``main()``, then end the process at its last write.
+
+    ``main`` has closed every artifact and reaped every walk worker when it
+    returns, so once the ``atexit`` callbacks have run and stdout and stderr
+    are flushed, the process leaves through ``os._exit`` and skips the
+    interpreter's teardown: freeing every module and array, about 25 ms.
+    A flush that fails (a broken pipe, a stdout that cannot be written)
+    ends the command with exit 2 and one ``I/O failure:`` line on stderr.
+    Under a tracer or profiler the process exits normally, so that the tool
+    writes its report; an exception ``main`` does not handle,
+    ``KeyboardInterrupt`` included, propagates as it would without this."""
+    try:
+        code = main()
+    except SystemExit as exc:  # argparse: --help, --version, usage errors
+        code = exc.code
+    traced = _traced()
+    if not traced:
+        atexit._run_exitfuncs()
+    try:
+        for stream in (sys.stdout, sys.stderr):
+            if stream is not None:  # None: the descriptor was closed at start-up
+                stream.flush()
+    except OSError as exc:
+        code = EXIT_IO
+        with contextlib.suppress(OSError):
+            print(f"I/O failure: {exc}", file=sys.stderr, flush=True)
+    if traced:
+        sys.exit(code)
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

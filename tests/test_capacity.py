@@ -1283,6 +1283,12 @@ class TestCellGather:
         n=3, k=5, radial="band", angular="sector edge", offsets=(0.0, 1e-15),
         signs=(1.0, 1.0), u=0.5, size="tangent", t=0.5,
     )
+    # a centre just outside the outer edge of generation 30, whose home
+    # cell (31, 2^35 - 6) lies one generation deeper than the strategy's n
+    @example(
+        n=30, k=0, radial="outer edge", angular="sector edge", offsets=(1e-10, 1e-09),
+        signs=(1.0, -1.0), u=0.5, size="e^-2000", t=0.0,
+    )
     def test_home_cell_whole_meets_it_alone(self, n, k, radial, angular, offsets, signs, u, size, t):
         # centres on the band edges 1 - 2^-n and on sector edges, or within
         # 1e-15 to 1e-9 of them; radii from e^-2000 to 0.99 (1 - |x|), and
@@ -1315,7 +1321,8 @@ class TestCellGather:
             reached = cells_intersecting_disc(Disc(Point(x, y), log_r))
             met = [idx for idx in reached if _piece([x], [y], [log_r], whitney_cell(idx))[0] > -np.inf]
             assert met == [home.index]
-            cfg = Configuration(blocks=(DiscBlock(np.array([x]), np.array([y]), np.array([log_r])),), n_max=30)
+            disc = DiscBlock(np.array([x]), np.array([y]), np.array([log_r]))
+            cfg = Configuration(blocks=(disc,), n_max=max(30, int(hn)))
             assert _gathered(cfg) == {(int(hn), int(hm)): [(x, y, log_r)]}
 
 

@@ -3,6 +3,8 @@ import hashlib
 import json
 import math
 import os
+import pstats
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -913,16 +915,27 @@ class TestConfigurationInput:
         assert json.loads((out / f"{command}.json").read_text())["input_sha256"] == want
 
 
+def _child_env(**overrides) -> dict:
+    """The environment of a new interpreter: this checkout's ``src`` first
+    on PYTHONPATH, with ``overrides`` set, or removed where None."""
+    env = dict(os.environ)
+    src = str(Path(champagne.__file__).resolve().parent.parent)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    for key, value in overrides.items():
+        if value is None:
+            env.pop(key, None)
+        else:
+            env[key] = value
+    return env
+
+
 def _main_in_fresh_process(argv, probe: str) -> list[str]:
     """[exit code, str(probe)] of ``main(argv)`` in a new interpreter, where
     probe is a Python expression read after main returns."""
     code = f"import sys; from champagne.cli import main; rc = main(sys.argv[1:]); print(rc, {probe})"
-    env = dict(os.environ)
-    src = str(Path(champagne.__file__).resolve().parent.parent)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     out = subprocess.run(
         [sys.executable, "-c", code, *map(str, argv)],
-        env=env, capture_output=True, text=True, check=True,
+        env=_child_env(), capture_output=True, text=True, check=True,
     )
     return out.stdout.split()[-2:]
 
@@ -988,3 +1001,137 @@ class TestEnvOverrides:
         run("sweep", cfg_path, "--depths", "6,7", "--n-walks", 2000, "--seed", 5,
             "--eps", 1e-6, "--out-dir", out2)
         assert (out1 / "sweep.json").read_bytes() == (out2 / "sweep.json").read_bytes()
+
+
+# argv of ``python -m champagne.cli``, run in a copy of the files of
+# ``exit_inputs``, and the exit code it ends with
+EXIT_CASES = {
+    "generate": (["generate", "subsquares", "--beta", "0.1", "--c0", "0.3", "--n-min", "6",
+                  "--n-max", "7", "-o", "out/cfg.json"], 0),
+    "check": (["check", "cfg.json", "--y-grid", "4", "--out-dir", "out"], 0),
+    "capacity": (["capacity", "cfg.json", "--quasiadditivity", "--shrink-to-floor",
+                  "--out-dir", "out"], 0),
+    "sweep": (["sweep", "cfg.json", "--depths", "6,7", "--n-walks", "200", "--eps", "1e-6",
+               "--out-dir", "out"], 0),
+    "simulate-annulus": (["simulate", "--annulus", "0.25", "--start-x", "0.5", "--n-walks", "200",
+                          "--out-dir", "out"], 0),
+    "report": (["report", "--check", "check.json", "--sweep", "sweep.json", "--out-dir", "out"], 0),
+    "invalid": (["check", "mislabelled.json", "--out-dir", "out"], 1),
+    "not-utf8": (["check", "latin1.json", "--out-dir", "out"], 2),
+    "y-grid-0": (["check", "cfg.json", "--y-grid", "0", "--out-dir", "out"], 2),
+    "version": (["--version"], 0),
+    "help": (["--help"], 0),
+    "unknown-subcommand": (["bogus"], 2),
+}
+
+
+@pytest.fixture(scope="module")
+def exit_inputs(tmp_path_factory):
+    """A configuration, its check and sweep documents, a configuration that
+    fails validation and one that is not UTF-8."""
+    root = tmp_path_factory.mktemp("exit-inputs")
+    cfg = root / "cfg.json"
+    assert run("generate", "subsquares", "--beta", 0.1, "--c0", 0.3, "--n-min", 6, "--n-max", 7,
+               "-o", cfg) == 0
+    assert run("check", cfg, "--y-grid", 4, "--out-dir", root) == 0
+    assert run("sweep", cfg, "--depths", "6,7", "--n-walks", 200, "--out-dir", root) == 0
+    # ring 1 is labelled n=2 but its circle lies in generation 0
+    rings = (
+        RingBlock(n=1, rho=0.6, log_r=math.log(0.01), count=8),
+        RingBlock(n=2, rho=0.3, log_r=math.log(0.01), count=8),
+    )
+    (root / "mislabelled.json").write_text(dumps_config(Configuration(blocks=rings, n_max=2)))
+    (root / "latin1.json").write_bytes(b'{"n_max": 1, "provenance": {"name": "caf\xe9"}}')
+    return root
+
+
+def _tree(root: Path) -> dict[str, bytes]:
+    return {str(p.relative_to(root)): p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+class TestProcessExit:
+    @pytest.mark.parametrize("case", EXIT_CASES)
+    def test_process_matches_main(self, exit_inputs, tmp_path, monkeypatch, capsys, case):
+        # the process ends through run(): its exit code, redirected stdout,
+        # stderr and artifacts are those of main() in this interpreter; the
+        # width of --help follows COLUMNS
+        argv, want = EXIT_CASES[case]
+        for key in ("CHAMPAGNE_OUT", "CHAMPAGNE_THREADS"):
+            monkeypatch.delenv(key, raising=False)
+        monkeypatch.setenv("COLUMNS", "80")
+        process, in_process = tmp_path / "process", tmp_path / "main"
+        shutil.copytree(exit_inputs, process)
+        shutil.copytree(exit_inputs, in_process)
+        with open(tmp_path / "stdout", "wb") as fh:
+            child = subprocess.run(
+                [sys.executable, "-m", "champagne.cli", *argv],
+                cwd=process, env=_child_env(), stdout=fh, stderr=subprocess.PIPE, timeout=120,
+            )
+        monkeypatch.chdir(in_process)
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        assert child.returncode == code == want
+        assert (tmp_path / "stdout").read_text() == out
+        assert child.stderr.decode() == err
+        assert _tree(process) == _tree(in_process)
+
+    @pytest.mark.parametrize("buffering", ["buffered", "unbuffered"])
+    @pytest.mark.parametrize("stdout", ["broken pipe", "read-only"])
+    def test_unwritable_stdout_exits_two(self, tmp_path, stdout, buffering):
+        # buffered, the lines reach the descriptor only when run() flushes
+        # them; unbuffered, the first print fails inside main()
+        if stdout == "broken pipe":
+            reader, writer = os.pipe()
+            os.close(reader)
+        else:
+            writer = os.open(tmp_path / "read-only", os.O_RDONLY | os.O_CREAT)
+        argv, _ = EXIT_CASES["generate"]
+        env = _child_env(PYTHONUNBUFFERED="1" if buffering == "unbuffered" else None)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "champagne.cli", *argv], cwd=tmp_path, env=env,
+                stdout=writer, stderr=subprocess.PIPE, text=True, timeout=120,
+            )
+        finally:
+            os.close(writer)
+        assert child.returncode == 2
+        lines = child.stderr.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("I/O failure: "), child.stderr
+        assert (tmp_path / "out" / "cfg.json").exists()
+
+    def test_stdout_closed_at_start_up_exits_zero(self, tmp_path):
+        # with descriptor 1 closed the interpreter has no sys.stdout and
+        # drops every print: nothing fails, as in main()
+        argv, _ = EXIT_CASES["generate"]
+        child = subprocess.run(
+            [sys.executable, "-m", "champagne.cli", *argv], cwd=tmp_path, env=_child_env(),
+            preexec_fn=lambda: os.close(1), stderr=subprocess.PIPE, text=True, timeout=120,
+        )
+        assert (child.returncode, child.stderr) == (0, "")
+        assert (tmp_path / "out" / "cfg.json").exists()
+
+    def test_profiler_writes_its_report(self, tmp_path):
+        child = subprocess.run(
+            [sys.executable, "-m", "cProfile", "-o", "prof.out", "-m", "champagne.cli",
+             "report", "--out-dir", "r"],
+            cwd=tmp_path, env=_child_env(), capture_output=True, text=True, timeout=120,
+        )
+        assert child.returncode == 0, child.stderr
+        assert (tmp_path / "r" / "report.json").exists()
+        functions = {name for _, _, name in pstats.Stats(str(tmp_path / "prof.out")).stats}
+        assert "cmd_report" in functions
+
+    def test_atexit_callbacks_run(self, tmp_path):
+        # the callback's line sits in stdout's buffer until run() flushes it
+        code = (
+            "import atexit, sys; from champagne.cli import run; "
+            "atexit.register(print, 'atexit ran'); sys.argv[1:] = ['--version']; run()"
+        )
+        child = subprocess.run(
+            [sys.executable, "-c", code], cwd=tmp_path, env=_child_env(PYTHONUNBUFFERED=None),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert (child.returncode, child.stdout) == (0, f"{champagne.__version__}\natexit ran\n")
