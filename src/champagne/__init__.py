@@ -33,6 +33,7 @@ _EXPORTS = {
         "GeometryError",
         "Point",
         "RingBlock",
+        "RingRows",
         "SpatialIndex",
         "ValidationReport",
         "WhitneyCell",

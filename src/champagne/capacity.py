@@ -91,7 +91,7 @@ from .criteria import (
 from .geometry import (
     Configuration,
     Point,
-    RingBlock,
+    RingRows,
     TWO_PI,
     WhitneyCell,
     WhitneyIndex,
@@ -646,35 +646,28 @@ class GenerationCluster:
     delta_theta: float      # angular spacing between columns
 
 
-def _generation_rows(c: Configuration) -> dict[int, list[RingBlock]]:
-    """The ring blocks of each generation of ``c``, in block order."""
-    rows: dict[int, list[RingBlock]] = {}
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            rows.setdefault(b.n, []).append(b)
-    return rows
-
-
 def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
     """The cluster that each ring generation of ``c`` places in its full
-    cells, whatever prefix its rows drop; explicit blocks are skipped.
+    cells, whatever prefix its rows drop; explicit discs are skipped.
 
     Generation n needs rows of sector_count(n) * p slots, at most p of them.
     p rows must be equally spaced; fewer, whose first rows were dropped
     whole, leave no full cell and no cluster.
     """
     out: dict[int, GenerationCluster] = {}
-    for n, rows in _generation_rows(c).items():
-        p = rows[0].count // sector_count(n)
-        if len(rows) > p or {r.count for r in rows} != {sector_count(n) * p}:
+    rows = c.rings
+    for n, k in rows.generation_rows:
+        count = int(rows.count[k[0]])
+        p = count // sector_count(n)
+        if len(k) > p or np.any(rows.count[k] != sector_count(n) * p):
             raise CapacityError(
                 f"generation clusters need at most p rows of p * {sector_count(n)}"
                 f" slots at generation {n}"
             )
-        if len(rows) < p:
+        if len(k) < p:
             continue
-        rows = sorted(rows, key=lambda r: r.rho)
-        rhos = np.array([r.rho for r in rows])
+        k = k[np.argsort(rows.rho[k], kind="stable")]
+        rhos = rows.rho[k]
         if np.abs(rhos - np.linspace(rhos[0], rhos[-1], p)).max() > _ROW_SPACING_TOL:
             raise CapacityError(
                 f"generation clusters need equally spaced rows at generation {n}"
@@ -682,9 +675,9 @@ def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
         out[n] = GenerationCluster(
             n=n,
             rhos=rhos,
-            log_rs=np.array([r.log_r for r in rows]),
+            log_rs=rows.log_r[k],
             columns=p,
-            delta_theta=TWO_PI / rows[0].count,
+            delta_theta=TWO_PI / count,
         )
     return out
 
@@ -891,20 +884,22 @@ class CellDiscs(NamedTuple):
     log_c: np.ndarray
 
 
-def _ring_pieces(cells: list, rings: dict) -> tuple:
+def _ring_pieces(cells: list, rows: RingRows) -> tuple:
     """(n, m, x, y, log_r, log_c): the ring discs of each cell (n, m) of
-    ``cells`` by slot index, row by row in block order, placed as
-    :meth:`RingBlock.positions` places them, and their pieces in the cell."""
-    parts = [(np.empty(0, dtype=np.int64),) * 2 + (np.empty(0),) * 3]
-    for n, m in cells:
-        for r in rings.get(n, ()):
-            p = r.count // sector_count(n)
-            lo, hi = max(r.a_start, m * p), (m + 1) * p
-            if lo < hi:
-                th = (np.arange(lo, hi, dtype=np.float64) + 0.5) * r.step
-                cell = np.full((2, hi - lo), [[n], [m]])
-                parts.append((*cell, r.rho * np.cos(th), r.rho * np.sin(th), np.full(hi - lo, r.log_r)))
-    n, m, x, y, log_r = (np.concatenate(a) for a in zip(*parts))
+    ``cells``, row by row in row order, each row's slots ascending, placed
+    as :meth:`Configuration.disc_arrays` places them, and their pieces in
+    the cell."""
+    cn, cm = np.array(cells, dtype=np.int64).reshape(-1, 2).T
+    # every cell against every row of its generation
+    by_gen = np.argsort(rows.n, kind="stable")
+    cell, j = index_ranges(*(np.searchsorted(rows.n[by_gen], cn, side=side) for side in ("left", "right")))
+    r = by_gen[j]
+    # the row's slots in the cell: p per cell, less a dropped prefix
+    p = rows.count[r] // np.left_shift(1, cn[cell] + 4)
+    pair, a = index_ranges(np.maximum(rows.a_start[r], cm[cell] * p), (cm[cell] + 1) * p)
+    cell, r = cell[pair], r[pair]
+    th = (a.astype(np.float64) + 0.5) * rows.step[r]
+    n, m, x, y, log_r = cn[cell], cm[cell], rows.rho[r] * np.cos(th), rows.rho[r] * np.sin(th), rows.log_r[r]
     return n, m, x, y, log_r, _piece_log_capacity(x, y, log_r, _index_bounds(n, m), index=(n, m))
 
 
@@ -945,10 +940,12 @@ def _obstacle_rows(c: Configuration) -> tuple:
     if "_obstacle_rows" not in memo:
         explicit = _cell_pieces(c)
         n, m = explicit[:2]
-        clusters, rings = generation_clusters(c), _generation_rows(c)
+        clusters, rings = generation_clusters(c), c.rings
         sets, rows, ring_cells = [], [], []
-        for g in sorted(k for k in rings if k <= c.n_max):
-            p, starts = rings[g][0].count // sector_count(g), [r.a_start for r in rings[g]]
+        for g, idx in rings.generation_rows:
+            if g > c.n_max:
+                break
+            p, starts = int(rings.count[idx[0]]) // sector_count(g), rings.a_start[idx].tolist()
             full = -(-max(starts) // p) if g in clusters else sector_count(g)
             reached = unique_sorted(m[slice(*np.searchsorted(n, [g, g + 1]))])
             ring_cells += [(g, k) for k in range(min(starts) // p, full)] + [(g, k) for k in reached.tolist()]

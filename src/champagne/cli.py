@@ -158,8 +158,9 @@ def _load_config(path: Path) -> tuple[Configuration, str]:
     data = path.read_bytes()
     input_hash = hashlib.sha256(data).hexdigest()
     try:
-        # a non-UTF-8 file fails to decode (ValueError); a count or n_max of
-        # Infinity or 1e999 parses as inf, which int() refuses (OverflowError);
+        # a non-UTF-8 file fails to decode (ValueError); an integer field
+        # such as a ring's count that holds a fraction, a boolean or a value
+        # beyond int64 (1e30, or 1e999, which parses as inf) is a ValueError;
         # json gives up on arrays nested too deep for the stack (RecursionError)
         text = data.decode()
         # the parse is the command's memory peak: kept, the bytes would add
@@ -231,13 +232,9 @@ def cmd_generate(args) -> int:
     out = Path(args.output)
     out.parent.mkdir(parents=True, exist_ok=True)
     out.write_text(dumps_config(config) + "\n")
-    counts: dict[int, int] = {}
-    for b in config.blocks:
-        if hasattr(b, "n"):
-            counts[b.n] = counts.get(b.n, 0) + len(b)
-        else:
-            for g in b.generations:
-                counts[int(g)] = counts.get(int(g), 0) + 1
+    counts = {n: len(k) for n, k in config.discs.generation_rows}
+    for n, k in config.rings.generation_rows:
+        counts[n] = counts.get(n, 0) + int(config.rings.sizes[k].sum())
     for n in sorted(counts):
         print(f"generation {n}: {counts[n]} discs")
     print(f"total {config.disc_count} discs -> {out}")

@@ -41,11 +41,10 @@ from . import ChampagneError
 from .geometry import (
     Configuration,
     Point,
-    RingBlock,
     TWO_PI,
     _RingTable,
-    chord,
-    ring_min_center_distance,
+    _within,
+    ring_pair_distance,
     spatial_index,
     unique_sorted,
 )
@@ -145,18 +144,13 @@ class _RingRows:
 
     @classmethod
     def build(cls, rho, count, phase, a_start) -> "_RingRows":
-        num, den, q, prefixes = [], [], [], []
-        for i, (r, j, ph, a0) in enumerate(zip(rho, count, phase, a_start)):
-            r, j, ph, a0 = float(r), int(j), float(ph), int(a0)
-            log_q = j * math.log(r)
-            qi = math.exp(log_q) if log_q > -745.0 else 0.0
-            num.append(j * (1.0 - qi * qi))
-            den.append(1.0 - r * r)
-            q.append(qi)
-            if a0:
-                prefixes.append((i, r, ph, j, a0))
-        arrays = (np.asarray(v, dtype=np.float64) for v in (count, phase, num, den, q))
-        return cls(*arrays, prefixes=tuple(prefixes))
+        rho, phase = (np.asarray(v, dtype=np.float64) for v in (rho, phase))
+        count, a_start = (np.asarray(v, dtype=np.int64) for v in (count, a_start))
+        rows = list(zip(rho.tolist(), phase.tolist(), count.tolist(), a_start.tolist()))
+        log_q = [j * math.log(r) for r, _, j, _ in rows]
+        q = np.array([math.exp(v) if v > -745.0 else 0.0 for v in log_q], dtype=np.float64)
+        prefixes = tuple((i, *rows[i]) for i in np.flatnonzero(a_start).tolist())
+        return cls(count.astype(np.float64), phase, count * (1.0 - q * q), 1.0 - rho * rho, q, prefixes)
 
     def sums(self, psi: np.ndarray) -> np.ndarray:
         """(rows, angles): sum over the active slots of each row of
@@ -224,10 +218,10 @@ class _SeriesTerms:
     """A configuration's series terms with the boundary point left free.
 
     The summands of each per-generation compensated sum are its entries, in
-    canonical block order: one per ring row, and one per generation of each
-    explicit block, itself a compensated sum over that block's discs.
-    Entry e of a ring row is weight * s^2 * (closed-form row sum); entry e of
-    an explicit block's generation sums weight * s^2 / |y - x_k|^2.
+    canonical order: one per generation of the explicit discs, itself a
+    compensated sum over those discs, then one per ring row.  Entry e of a
+    ring row is weight * s^2 * (closed-form row sum); entry e of an explicit
+    generation sums weight * s^2 / |y - x_k|^2.
     """
 
     gens: tuple[int, ...]
@@ -237,8 +231,9 @@ class _SeriesTerms:
     ring_entry: np.ndarray
     ring_s2: np.ndarray
     ring_weight: np.ndarray
-    # (x, y, s, weight or None, ((entry, disc slice or indices), ...)) per explicit block
-    explicit: tuple
+    # (x, y, s, weight or None, ((entry, disc slice or indices), ...)) of
+    # the explicit discs, or None without any
+    explicit: tuple | None
 
     def values(self, psi: np.ndarray) -> np.ndarray:
         """(entries, points) at the boundary angles ``psi``."""
@@ -246,14 +241,16 @@ class _SeriesTerms:
         if len(self.ring_entry):
             row_sums = self.rings.sums(psi)
             out[self.ring_entry] = self.ring_weight[:, None] * (self.ring_s2[:, None] * row_sums)
+        if self.explicit is None:
+            return out
+        x, y, s, w, parts = self.explicit
         for j, theta in enumerate(psi.tolist()):
             yx, yy = math.cos(theta), math.sin(theta)
-            for x, y, s, w, parts in self.explicit:
-                terms = s * s / ((x - yx) ** 2 + (y - yy) ** 2)
-                if w is not None:
-                    terms = terms * w
-                for e, rows in parts:
-                    out[e, j] = exact_sum(terms[rows])
+            terms = s * s / ((x - yx) ** 2 + (y - yy) ** 2)
+            if w is not None:
+                terms = terms * w
+            for e, rows in parts:
+                out[e, j] = exact_sum(terms[rows])
         return out
 
 
@@ -310,43 +307,30 @@ def _build_series_terms(c: Configuration, kind: str) -> _SeriesTerms:
     if kind not in SERIES_KINDS:
         raise CriteriaError(f"unknown series kind {kind!r}")
     weighted = kind == "log_weighted"
-    entry_gen: list[int] = []  # the generation of each entry, in block order
-    rings: list[RingBlock] = []
-    ring_entry, ring_weight, explicit = [], [], []
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            rings.append(b)
-            ring_weight.append(1.0 / (math.log(b.boundary_gap) - b.log_r) if weighted else 1.0)
-            ring_entry.append(len(entry_gen))
-            entry_gen.append(b.n)
-        elif len(b):
-            s = b.boundary_gap
-            w = 1.0 / (np.log(s) - b.log_r) if weighted else None
-            parts = []
-            for n, rows in b.generation_rows:
-                if rows[-1] - rows[0] == len(rows) - 1:
-                    # a canonical block keeps each generation contiguous: a
-                    # slice takes its terms as a view
-                    rows = slice(int(rows[0]), int(rows[-1]) + 1)
-                parts.append((len(entry_gen), rows))
-                entry_gen.append(n)
-            explicit.append((b.x, b.y, s, w, tuple(parts)))
-    gen_of = np.array(entry_gen, dtype=np.int64)
-    gens = tuple(sorted(set(entry_gen)))
+    discs, rows = c.discs, c.rings
+    explicit = None
+    parts = []
+    if len(discs):
+        s = discs.boundary_gap
+        for n, idx in discs.generation_rows:
+            if idx[-1] - idx[0] == len(idx) - 1:
+                # canonical discs keep each generation contiguous: a slice
+                # takes its terms as a view
+                idx = slice(int(idx[0]), int(idx[-1]) + 1)
+            parts.append((len(parts), idx))
+        explicit = (discs.x, discs.y, s, 1.0 / (np.log(s) - discs.log_r) if weighted else None, tuple(parts))
+    # the generation of each entry: the explicit discs' generations, then the rows'
+    gen_of = np.concatenate([np.array([n for n, _ in discs.generation_rows], dtype=np.int64), rows.n])
+    gens = unique_sorted(gen_of).tolist()
     return _SeriesTerms(
-        gens=gens,
+        gens=tuple(gens),
         entries=tuple(np.flatnonzero(gen_of == n) for n in gens),
-        n_entries=len(entry_gen),
-        rings=_RingRows.build(
-            [b.rho for b in rings],
-            [b.count for b in rings],
-            [b.step / 2.0 for b in rings],
-            [b.a_start for b in rings],
-        ),
-        ring_entry=np.array(ring_entry, dtype=np.int64),
-        ring_s2=np.array([b.boundary_gap * b.boundary_gap for b in rings], dtype=np.float64),
-        ring_weight=np.array(ring_weight, dtype=np.float64),
-        explicit=tuple(explicit),
+        n_entries=len(gen_of),
+        rings=_RingRows.build(rows.rho, rows.count, rows.step / 2.0, rows.a_start),
+        ring_entry=len(parts) + np.arange(len(rows)),
+        ring_s2=rows.boundary_gap * rows.boundary_gap,
+        ring_weight=1.0 / (rows.log_gap - rows.log_r) if weighted else np.ones(len(rows)),
+        explicit=explicit,
     )
 
 
@@ -420,29 +404,38 @@ def affine_growth(
 # separation statistics
 
 
-def _ring_weight(b: RingBlock, kind: str, phi: PhiSpec | None) -> float:
-    s = b.boundary_gap
+def _weights(kind: str, phi: PhiSpec | None, s, rho, log_gap, log_r) -> np.ndarray:
+    """The separation weight W_k of discs with boundary gap s, center
+    radius rho and log radius log_r, log_gap being log s."""
     if kind == "plain":
         return 1.0 / s
     if kind == "phi_log" and phi is not None:
-        return math.sqrt(-float(phi.log_phi(b.rho))) / s
-    return math.sqrt(math.log(s) - b.log_r) / s
+        return np.sqrt(-np.asarray(phi.log_phi(rho))) / s
+    return np.sqrt(log_gap - log_r) / s
 
 
 @dataclass(frozen=True)
 class _NeighborStructure:
     """Nearest-neighbor center distances, one entry per explicit disc and
-    one shared entry per ring (all slots of a ring have the same nearest
+    one shared entry per ring row (all slots of a row have the same nearest
     neighbor distance up to the excluded-prefix edge cases handled in the
-    candidate sets)."""
+    candidate sets), the rows in radial order."""
 
-    exp_ids: np.ndarray
-    exp_s: np.ndarray
-    exp_log_r: np.ndarray
-    exp_rho: np.ndarray
-    exp_nn: np.ndarray
+    exp_nn: np.ndarray  # per explicit disc, in id order
     exp_nn_id: np.ndarray
-    rings: tuple  # (offset, RingBlock, d_nn, pair)
+    ring_order: np.ndarray  # the rows by rho, ties in row order
+    ring_nn: np.ndarray  # per row of ring_order
+    ring_pair: list  # per row of ring_order: the pair attaining ring_nn, or None
+
+    def parts(self, c: Configuration) -> tuple:
+        """(s, rho, log s, log_r, nearest-neighbor distance) of the
+        explicit discs in id order, then of the ring rows in radial order."""
+        discs, rows, order = c.discs, c.rings, self.ring_order
+        s = discs.boundary_gap
+        return (
+            (s, np.hypot(discs.x, discs.y), np.log(s), discs.log_r, self.exp_nn),
+            (rows.boundary_gap[order], rows.rho[order], rows.log_gap[order], rows.log_r[order], self.ring_nn),
+        )
 
 
 def _neighbor_structure(c: Configuration) -> _NeighborStructure:
@@ -457,53 +450,52 @@ def _neighbor_structure(c: Configuration) -> _NeighborStructure:
 
 def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
     index = spatial_index(c)
-    rings = index.rings
+    rows, base = c.rings, len(c.discs)
+    first, rho_l, size_l, gap_l = (a.tolist() for a in (base + rows.starts, rows.rho, rows.sizes, rows.slot_gap))
 
-    # each ring's nearest explicit disc: (center distance, pair)
-    ring_to_explicit: list[tuple[float, tuple[int, int]]] = []
-    ids = index.exp_ids
-    if len(ids):
-        nn, nn_j = index.explicit_neighbors()
-        rho, theta = index.exp_polar
-        for roff, rb in rings:
-            # center distance from every explicit disc to the ring's nearest slot
-            d, slot = _RingTable([(roff, rb)]).distance(rho, theta, 0, with_ids=True, centers=True)
-            take = d < nn
-            nn[take], nn_j[take] = d[take], slot[take]
-            i = int(np.argmin(d))
-            ring_to_explicit.append((float(d[i]), (int(ids[i]), int(slot[i]))))
-        exp_part = (ids, 1.0 - rho, index.exp_log_r, rho, nn, nn_j)
-    else:
-        z = np.empty(0)
-        exp_part = (z.astype(int), z, z, z, z, z.astype(int))
-
-    # rings scanned in radial order, pruned by |rho - rho'| which lower
+    # rows scanned in radial order, pruned by |rho - rho'| which lower
     # bounds every cross-ring distance
-    ring_entries = []
-    order = sorted(range(len(rings)), key=lambda t: rings[t][1].rho)
-    for pos, t in enumerate(order):
-        roff, rb = rings[t]
-        d_nn = math.inf
-        pair: tuple[int, int] | None = None
-        if len(rb) >= 2:
-            d_nn = chord(rb.rho, rb.rho, rb.step)
-            pair = (roff + 1, roff)
+    order = np.argsort(rows.rho, kind="stable")
+    radial = order.tolist()
+    ring_nn, ring_pair = [], []
+    for pos, t in enumerate(radial):
+        d_nn, pair = math.inf, None
+        if size_l[t] >= 2:
+            d_nn, pair = gap_l[t], (first[t] + 1, first[t])
         for direction in (-1, 1):
             q = pos + direction
-            while 0 <= q < len(order):
-                roff2, rb2 = rings[order[q]]
-                if abs(rb2.rho - rb.rho) >= d_nn:
+            while 0 <= q < len(radial):
+                u = radial[q]
+                if abs(rho_l[u] - rho_l[t]) >= d_nn:
                     break
-                d = ring_min_center_distance(rb, rb2)
+                d = ring_pair_distance(rows, t, u)
                 if d < d_nn:
-                    d_nn = d
-                    pair = (roff2, roff)
+                    d_nn, pair = d, (first[u], first[t])
                 q += direction
-        if ring_to_explicit and ring_to_explicit[t][0] < d_nn:
-            d_nn, pair = ring_to_explicit[t]
-        ring_entries.append((roff, rb, d_nn, pair))
+        ring_nn.append(d_nn)
+        ring_pair.append(pair)
+    ring_nn = np.array(ring_nn, dtype=np.float64)
 
-    return _NeighborStructure(*exp_part, rings=tuple(ring_entries))
+    nn, nn_j = index.explicit_neighbors()
+    if not (len(nn) and len(rows)):
+        return _NeighborStructure(nn, nn_j, order, ring_nn, ring_pair)
+    rho, theta = index.exp_polar
+    # every explicit disc's nearest ring slot, lowest id on ties, where it
+    # beats the disc's nearest explicit neighbour
+    table = _RingTable(rows, base, alone=True)
+    table.nearest((rho, theta), nn, nn_j, centers=True)
+    # each row's nearest explicit disc, lowest id on ties, where it beats
+    # the row's nearest ring slot: only a disc radially that close can
+    where = np.empty(len(rows), dtype=np.int64)
+    where[table.row] = np.arange(len(rows))
+    t, k = _within(rows.rho[order], ring_nn, rho)
+    d, slot = table.distance(rho[k], theta[k], where[order[t]], with_ids=True, centers=True)
+    pick = np.lexsort((k, d, t))
+    pick = pick[np.flatnonzero(np.diff(t[pick], prepend=-1))]
+    for i in np.flatnonzero(d[pick] < ring_nn[t[pick]]).tolist():
+        j = pick[i]
+        ring_nn[t[j]], ring_pair[t[j]] = d[j], (int(k[j]), int(slot[j]))
+    return _NeighborStructure(nn, nn_j, order, ring_nn, ring_pair)
 
 
 def separation(
@@ -526,28 +518,15 @@ def separation(
         return SeparationReport(kind=kind, value=math.inf, argmin_pair=None)
 
     ns = _neighbor_structure(c)
-    best = math.inf
-    best_pair: tuple[int, int] | None = None
-
-    if len(ns.exp_ids):
-        if kind == "plain":
-            ws = 1.0 / ns.exp_s
-        elif kind == "phi_log" and phi is not None:
-            ws = np.sqrt(-np.asarray(phi.log_phi(ns.exp_rho))) / ns.exp_s
-        else:
-            ws = np.sqrt(np.log(ns.exp_s) - ns.exp_log_r) / ns.exp_s
-        vals = ws * ns.exp_nn
-        i = int(np.argmin(vals))
-        if vals[i] < best:
-            best = float(vals[i])
-            best_pair = (int(ns.exp_nn_id[i]), int(ns.exp_ids[i]))
-
-    for roff, rb, d_nn, pair in ns.rings:
-        w = _ring_weight(rb, kind, phi)
-        if w * d_nn < best:
-            best = w * d_nn
-            best_pair = pair
-    return SeparationReport(kind=kind, value=best, argmin_pair=best_pair)
+    # the first least value, explicit discs first: an explicit disc's id is
+    # its index
+    vals = np.concatenate([_weights(kind, phi, *part[:4]) * part[4] for part in ns.parts(c)])
+    i = int(np.argmin(vals))
+    if vals[i] == math.inf:
+        return SeparationReport(kind=kind, value=math.inf, argmin_pair=None)
+    explicit = len(c.discs)
+    pair = (int(ns.exp_nn_id[i]), i) if i < explicit else ns.ring_pair[i - explicit]
+    return SeparationReport(kind=kind, value=float(vals[i]), argmin_pair=pair)
 
 
 def shrink_for_separation(
@@ -565,17 +544,12 @@ def shrink_for_separation(
 
     if threshold <= 0.0:
         return c, 0.0
-    ns = _neighbor_structure(c)
-    need = 0.0
-    if len(ns.exp_ids):
-        target = (threshold * margin * ns.exp_s / ns.exp_nn) ** 2
-        have = np.log(ns.exp_s) - ns.exp_log_r
-        need = max(need, float(np.max(target - have)))
-    for _, rb, d_nn, _ in ns.rings:
-        s = rb.boundary_gap
-        target = (threshold * margin * s / d_nn) ** 2
-        have = math.log(s) - rb.log_r
-        need = max(need, target - have)
+    (s, _, log_gap, log_r, d_nn), rings = _neighbor_structure(c).parts(c)
+    need = float(np.max((threshold * margin * s / d_nn) ** 2 - (log_gap - log_r), initial=0.0))
+    # the rows in Python arithmetic: x ** 2 is the C library's pow, which
+    # is not x * x in the last bit on some arguments
+    for s, _, log_gap, log_r, d_nn in zip(*(a.tolist() for a in rings)):
+        need = max(need, (threshold * margin * s / d_nn) ** 2 - (log_gap - log_r))
     if need <= 0.0:
         return c, 0.0
     return _shrink(c, log_delta=-need), -need
@@ -637,24 +611,21 @@ def check_alpha(alpha: float) -> None:
 def budget_sums(c: Configuration, alpha: float) -> BudgetSums:
     """(sum r^alpha, sum {log 1/r}^{-alpha}, sum {log 1/r}^{-1}), each
     correctly rounded by :func:`exact_sum` over one array of terms: one term
-    per ring block, its slot count times the per-disc value, and one per
-    explicit disc.
+    per ring row, its slot count times the per-disc value, and one per
+    explicit disc.  The per-row values are evaluated with ``math``, as a
+    scalar evaluation gives them.
     """
     check_alpha(alpha)
-    rings: list[list[float]] = [[], [], []]
-    explicit: list[list[np.ndarray]] = [[], [], []]
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            k = float(len(b))
-            rings[0].append(k * math.exp(alpha * b.log_r) if alpha * b.log_r > -745 else 0.0)
-            rings[1].append(k * (-b.log_r) ** (-alpha))
-            rings[2].append(k / (-b.log_r))
-        elif len(b):
-            with np.errstate(under="ignore"):
-                explicit[0].append(np.exp(alpha * b.log_r))
-            explicit[1].append((-b.log_r) ** (-alpha))
-            explicit[2].append(1.0 / (-b.log_r))
-    sums = [exact_sum(np.concatenate([ring, *arrays])) for ring, arrays in zip(rings, explicit)]
+    log_r, rows = c.discs.log_r, c.rings
+    k = rows.sizes.astype(np.float64)
+    row_log_r = rows.log_r.tolist()
+    with np.errstate(under="ignore"):
+        terms = (
+            (np.exp(alpha * log_r), k * np.array([math.exp(alpha * v) if alpha * v > -745 else 0.0 for v in row_log_r])),
+            ((-log_r) ** (-alpha), k * np.array([(-v) ** (-alpha) for v in row_log_r])),
+            (1.0 / (-log_r), k / (-rows.log_r)),
+        )
+    sums = [exact_sum(np.concatenate([ring, explicit])) for explicit, ring in terms]
     return BudgetSums(
         sum_r_alpha=sums[0], sum_log_inv_alpha=sums[1], sum_log_inv_1=sums[2], alpha=alpha
     )
@@ -686,16 +657,10 @@ def avoidability_certificate(c: Configuration) -> AvoidabilityCertificate:
             reason="empty configuration",
         )
     sums = budget_sums(c, alpha=1.0)
-    outside = True
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            if b.rho - b.radius <= 0.5:
-                outside = False
-        else:
-            rho = np.hypot(b.x, b.y)
-            with np.errstate(under="ignore"):
-                if np.any(rho - np.exp(b.log_r) <= 0.5):
-                    outside = False
+    discs, rows = c.discs, c.rings
+    outside = not (
+        np.any(np.hypot(discs.x, discs.y) - discs.radius <= 0.5) or np.any(rows.rho - rows.radius <= 0.5)
+    )
     issued = outside and sums.sum_log_inv_1 <= AVOIDABLE_BUDGET + 1e-15
     if issued:
         reason = "reciprocal-log budget within threshold and discs outside |x|<=1/2"
@@ -730,62 +695,32 @@ def count_centers_within(c: Configuration, center: Point, radius: float) -> int:
     """Number of obstacle centers in the open disc B(center, radius)."""
     if radius <= 0.0:
         return 0
-    total = 0
-    rho_p = center.norm()
-    theta_p = center.angle()
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            total += _ring_count_within(b, rho_p, theta_p, radius)
-        elif len(b):
-            d2 = (b.x - center.x) ** 2 + (b.y - center.y) ** 2
-            total += int(np.count_nonzero(d2 < radius * radius))
-    return total
+    discs, rows = c.discs, c.rings
+    total = int(np.count_nonzero((discs.x - center.x) ** 2 + (discs.y - center.y) ** 2 < radius * radius))
+    # the rows that the disc reaches, and on each the slots a whose angle
+    # (a + 1/2) * step lies strictly within the half-width w of the angle
+    # subtended around the center's
+    rho_p, theta_p = center.norm(), center.angle()
+    dr2 = (rho_p - rows.rho) ** 2
+    near = np.flatnonzero(dr2 < radius * radius)
+    rho, step, count, a_start = rows.rho[near], rows.step[near], rows.count[near], rows.a_start[near]
+    q = (radius * radius - dr2[near]) / (4.0 * rho_p * rho) if rho_p > 0 else np.full(len(near), 2.0)
+    # math.asin row by row: np.arcsin may differ from it in the last bit
+    w = 2.0 * np.array([math.asin(math.sqrt(v)) for v in np.minimum(q, 1.0).tolist()])
+    a_lo = np.floor((theta_p - w) / step - 0.5).astype(np.int64) + 1
+    a_hi = np.ceil((theta_p + w) / step - 0.5).astype(np.int64) - 1
+    inside = np.maximum(a_hi - a_lo + 1, 0)
+    # less the slots whose index mod count falls in the excluded prefix
+    inside -= _count_below(a_hi + 1 - a_lo // count * count, count, a_start)
+    inside += _count_below(a_lo % count, count, a_start)
+    whole = (q >= 1.0) | (a_hi - a_lo + 1 >= count)
+    return total + int(np.where(whole, rows.sizes[near], np.where(a_hi < a_lo, 0, inside)).sum())
 
 
-def _ring_count_within(rb: RingBlock, rho_p: float, theta_p: float, radius: float) -> int:
-    dr2 = (rho_p - rb.rho) ** 2
-    if dr2 >= radius * radius:
-        return 0
-    q = (radius * radius - dr2) / (4.0 * rho_p * rb.rho) if rho_p > 0 else 2.0
-    if q >= 1.0:
-        lo, hi = theta_p - math.pi, theta_p + math.pi
-        full_circle = True
-    else:
-        w = 2.0 * math.asin(math.sqrt(q))
-        lo, hi = theta_p - w, theta_p + w
-        full_circle = False
-    step = rb.step
-    if full_circle:
-        return len(rb)
-    # integer slots a with angle (a + 1/2) * step strictly inside (lo, hi)
-    u_lo = lo / step - 0.5
-    u_hi = hi / step - 0.5
-    a_lo = math.floor(u_lo) + 1
-    a_hi = math.ceil(u_hi) - 1
-    if a_hi < a_lo:
-        return 0
-    count = a_hi - a_lo + 1
-    if count >= rb.count:
-        return len(rb)
-    if rb.a_start == 0:
-        return count
-    # subtract slots whose wrapped index falls in the excluded prefix
-    excluded = _count_mod_in_prefix(a_lo, a_hi, rb.count, rb.a_start)
-    return count - excluded
-
-
-def _count_mod_in_prefix(a_lo: int, a_hi: int, modulus: int, prefix: int) -> int:
-    """#{a in [a_lo, a_hi] : a mod modulus < prefix}."""
-
-    def count_below(n: int) -> int:
-        # over [0, n)
-        if n <= 0:
-            return 0
-        full, rem = divmod(n, modulus)
-        return full * prefix + min(rem, prefix)
-
-    base = (a_lo // modulus) * modulus
-    return count_below(a_hi + 1 - base) - count_below(a_lo - base)
+def _count_below(n: np.ndarray, modulus: np.ndarray, prefix: np.ndarray) -> np.ndarray:
+    """#{a in [0, n) : a mod modulus < prefix}, 0 where n <= 0."""
+    full, rem = np.divmod(np.maximum(n, 0), modulus)
+    return full * prefix + np.minimum(rem, prefix)
 
 
 def density_profile(

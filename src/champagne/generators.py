@@ -32,11 +32,9 @@ import numpy as np
 from . import ChampagneError
 from .geometry import (
     Configuration,
-    Disc,
     DiscBlock,
     GeometryError,
-    Point,
-    RingBlock,
+    RingRows,
     TWO_PI,
     check_id_range,
     generations_of,
@@ -222,7 +220,7 @@ def _row_gaps(n: int, p: int) -> np.ndarray:
 
 def _grid_rings(
     phi: PhiSpec, p_of_n: Callable[[int], int], n_min: int, n_max: int, drop_first: int = 0
-) -> list[RingBlock]:
+) -> RingRows:
     """The p_n rows of each generation, less a canonical prefix of
     ``drop_first`` discs (see :func:`_apply_drop`)."""
     # generation n holds sector_count(n) * p_n^2 discs: refuse before a row
@@ -231,61 +229,52 @@ def _grid_rings(
     for n in range(n_min, n_max + 1):
         total += sector_count(n) * p_of_n(n) ** 2
         check_id_range(total)
-    rings: list[RingBlock] = []
-    for n in range(n_min, n_max + 1):
-        p = p_of_n(n)
-        count = sector_count(n) * p
-        for s in _row_gaps(n, p):
-            rho = 1.0 - s
-            log_r = math.log(s) + float(phi.log_phi(rho))
-            rings.append(RingBlock(n=n, rho=rho, log_r=log_r, count=count))
-    return _apply_drop(rings, drop_first)
+    gens = range(n_min, n_max + 1)
+    p = [p_of_n(n) for n in gens]
+    s = np.concatenate([_row_gaps(n, k) for n, k in zip(gens, p)])
+    rho = 1.0 - s
+    # per row, as scalars: np.log and array powers differ from scalar
+    # evaluation in the last bit on some arguments
+    log_r = [math.log(v) + float(phi.log_phi(r)) for v, r in zip(s.tolist(), rho.tolist())]
+    n = np.repeat(gens, p)
+    rows = RingRows(n, rho, log_r, np.left_shift(np.repeat(p, p), n + 4), np.zeros(len(n)))
+    return _apply_drop(rows, drop_first)
 
 
-def _apply_drop(rings: list[RingBlock], drop_first: int) -> list[RingBlock]:
-    """Drop the first ``drop_first`` discs in canonical (n, m, row, col) order.
+def _apply_drop(rows: RingRows, drop_first: int) -> RingRows:
+    """Drop the first ``drop_first`` discs in canonical (n, m, row, col)
+    order from rows of ascending generation.
 
     Within one generation with subdivision p, the disc at cell m, row i,
     col j occupies ring-(n, i) slot a = m*p + j; dropping a canonical prefix
     therefore excludes a per-ring slot prefix.
     """
     if drop_first == 0:
-        return rings
-    by_gen: dict[int, list[RingBlock]] = {}
-    for r in rings:
-        by_gen.setdefault(r.n, []).append(r)
-    out: list[RingBlock] = []
+        return rows
+    a_start = np.zeros(len(rows), dtype=np.int64)
+    keep = np.ones(len(rows), dtype=bool)
     remaining = drop_first
-    for n in sorted(by_gen):
-        rows = by_gen[n]
-        p = len(rows)
-        cells = rows[0].count // p
-        total = cells * p * p
+    for n, k in rows.generation_rows:
+        p = len(k)
+        total = int(rows.count[k[0]]) * p
         if remaining >= total:
             remaining -= total
-            continue
-        if remaining == 0:
-            out.extend(rows)
+            keep[k] = False
             continue
         whole_cells, rem = divmod(remaining, p * p)
         full_rows, cols = divmod(rem, p)
-        for i, r in enumerate(rows):
-            if i < full_rows:
-                start = whole_cells * p + p
-            elif i == full_rows:
-                start = whole_cells * p + cols
-            else:
-                start = whole_cells * p
-            if start < r.count:
-                out.append(RingBlock(r.n, r.rho, r.log_r, r.count, start))
+        i = np.arange(p)
+        a_start[k] = whole_cells * p + np.where(i < full_rows, p, np.where(i == full_rows, cols, 0))
+        keep[k] = a_start[k] < rows.count[k]
         remaining = 0
+        break
     if remaining > 0:
         raise GeneratorError("drop_first exceeds the number of generated discs")
-    return out
+    return RingRows(rows.n[keep], rows.rho[keep], rows.log_r[keep], rows.count[keep], a_start[keep])
 
 
-def _finish(blocks: Sequence[RingBlock], n_max: int, provenance: dict) -> Configuration:
-    config = Configuration(blocks=tuple(blocks), n_max=n_max, provenance=provenance)
+def _finish(rows: RingRows, n_max: int, provenance: dict) -> Configuration:
+    config = Configuration(blocks=(rows,), n_max=n_max, provenance=provenance)
     report = validate_configuration(config)
     if not report.ok:
         first = report.violations[0]
@@ -421,35 +410,21 @@ def generate_avoidable_ring(
 def truncate(c: Configuration, n_max: int | None = None, drop_first: int = 0) -> Configuration:
     """Keep discs of generation <= n_max, then drop a canonical-order prefix."""
     keep_n = c.n_max if n_max is None else int(n_max)
-    blocks: list = []
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            if b.n <= keep_n:
-                blocks.append(b)
-        else:
-            sel = b.generations <= keep_n
-            if sel.all():
-                blocks.append(b)
-            elif sel.any():
-                blocks.append(DiscBlock(b.x[sel], b.y[sel], b.log_r[sel]))
-    remaining = drop_first
-    out: list = []
-    for b in blocks:
-        if remaining == 0:
-            out.append(b)
-        elif remaining >= len(b):
-            remaining -= len(b)
-        elif isinstance(b, RingBlock):
-            out.append(RingBlock(b.n, b.rho, b.log_r, b.count, b.a_start + remaining))
-            remaining = 0
-        else:
-            out.append(DiscBlock(b.x[remaining:], b.y[remaining:], b.log_r[remaining:]))
-            remaining = 0
-    if remaining > 0:
+    discs, rows = c.discs.take(c.discs.generations <= keep_n), c.rings.take(c.rings.n <= keep_n)
+    # the prefix runs through the explicit discs, then the ring rows' slots
+    cut = min(drop_first, len(discs))
+    discs, remaining = discs.take(slice(cut, None)), drop_first - cut
+    if remaining > rows.disc_count:
         raise GeneratorError("drop_first exceeds the number of stored discs")
+    if remaining:
+        ends = np.cumsum(rows.sizes)
+        r = int(np.searchsorted(ends, remaining, side="right"))
+        a_start = rows.a_start.copy()
+        a_start[r:r + 1] += remaining - (int(ends[r - 1]) if r else 0)
+        rows = RingRows(rows.n, rows.rho, rows.log_r, rows.count, a_start).take(slice(r, None))
     provenance = dict(c.provenance)
     provenance["truncated"] = {"n_max": keep_n, "drop_first": drop_first}
-    return Configuration(blocks=tuple(out), n_max=min(c.n_max, keep_n), provenance=provenance)
+    return Configuration(blocks=(discs, rows), n_max=min(c.n_max, keep_n), provenance=provenance)
 
 
 def shrink(
@@ -464,15 +439,14 @@ def shrink(
         log_delta = math.log(delta)
     if log_delta > 0.0:
         raise GeneratorError("log_delta must be <= 0")
-    blocks: list = []
-    for b in c.blocks:
-        if isinstance(b, RingBlock):
-            blocks.append(RingBlock(b.n, b.rho, b.log_r + log_delta, b.count, b.a_start))
-        else:
-            blocks.append(DiscBlock(b.x, b.y, b.log_r + log_delta))
+    discs, rows = c.discs, c.rings
+    blocks = (
+        DiscBlock(discs.x, discs.y, discs.log_r + log_delta),
+        RingRows(rows.n, rows.rho, rows.log_r + log_delta, rows.count, rows.a_start),
+    )
     provenance = dict(c.provenance)
     provenance["shrink_log_delta"] = provenance.get("shrink_log_delta", 0.0) + log_delta
-    return Configuration(blocks=tuple(blocks), n_max=c.n_max, provenance=provenance)
+    return Configuration(blocks=blocks, n_max=c.n_max, provenance=provenance)
 
 
 def closed_form_budget_bound(alpha: float, beta: float, c0: float, n_min: int, n_max: int) -> float:

@@ -97,7 +97,7 @@ class Point:
 @dataclass(frozen=True)
 class Disc:
     """A closed obstacle disc strictly inside the unit disc: log r < log(1-|x|),
-    the one bound test that :class:`RingBlock` and :class:`DiscBlock` apply too.
+    the one bound test that :class:`RingRows` and :class:`DiscBlock` apply too.
 
     ``log_radius`` is the primary field; ``radius`` is its (possibly
     underflowed) exponential.
@@ -332,10 +332,14 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
     return a
 
 
+# the explicit-disc columns of a block and of a configuration document
+_DISC_COLUMNS = ("x", "y", "log_r")
+
+
 @dataclass(frozen=True)
 class DiscBlock:
     """Explicitly stored discs (coordinates plus log radii).  Like
-    :class:`Disc` and :class:`RingBlock`, the block refuses a disc with
+    :class:`Disc` and :class:`RingRows`, the block refuses a disc with
     r >= 1-|x|, so every criterion may take log((1-|x_k|)/r_k) > 0."""
 
     x: np.ndarray
@@ -360,6 +364,10 @@ class DiscBlock:
     def __len__(self) -> int:
         return len(self.x)
 
+    def take(self, keep) -> "DiscBlock":
+        """The discs that the mask, indices or slice ``keep`` select."""
+        return DiscBlock(self.x[keep], self.y[keep], self.log_r[keep])
+
     # the block is immutable, so its derived arrays are computed once and
     # handed out read-only
 
@@ -376,8 +384,7 @@ class DiscBlock:
     @cached_property
     def generation_rows(self) -> tuple[tuple[int, np.ndarray], ...]:
         """(n, indices of the discs of generation n), ascending in n."""
-        gens = self.generations
-        return tuple((int(n), np.flatnonzero(gens == n)) for n in unique_sorted(gens))
+        return _groups(self.generations)
 
     @property
     def radius(self) -> np.ndarray:
@@ -388,13 +395,131 @@ class DiscBlock:
         return Disc(Point(float(self.x[i]), float(self.y[i])), float(self.log_r[i]))
 
 
+def _groups(labels: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
+    """(label, the ascending indices that hold it) per distinct label,
+    ascending."""
+    return tuple((int(n), np.flatnonzero(labels == n)) for n in unique_sorted(labels))
+
+
+# the ring-row columns, in the order of RingBlock's fields
+_RING_COLUMNS = ("n", "rho", "log_r", "count", "a_start")
+_INT_COLUMNS = ("n", "count", "a_start")
+
+
+@dataclass(frozen=True, eq=False)
+class RingRows:
+    """Ring rows as columns.  Row i holds ``count[i] - a_start[i]`` discs of
+    log radius ``log_r[i]``, equally spaced on the circle of radius
+    ``rho[i]`` and labelled with generation ``n[i]``: slot a, a_start <= a
+    < count, sits at angle (a + 1/2) * 2*pi / count, a half-step phase that
+    keeps every disc strictly inside its angular sector.  Canonical ids
+    count through the rows in order, each row's active slots ascending.
+
+    The columns are read-only and checked in one pass: n >= 1,
+    0 < rho < 1, 0 <= a_start < count, finite log_r and the one log-space
+    bound log r < log(1 - rho); the first bad row is named.  The per-row
+    constants that reach a result (``log_gap``, ``radius``, ``slot_gap``)
+    are evaluated with ``math`` row by row, as a scalar evaluation gives
+    them: ``np.log`` and ``np.exp`` differ from ``math`` in the last bit on
+    some arguments.
+    """
+
+    n: np.ndarray
+    rho: np.ndarray
+    log_r: np.ndarray
+    count: np.ndarray
+    a_start: np.ndarray
+    # log(1 - rho); NaN on a row whose rho is out of range
+    log_gap: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self) -> None:
+        for name in _RING_COLUMNS:
+            a = np.array(getattr(self, name), dtype=np.int64 if name in _INT_COLUMNS else np.float64)
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+        if not len(self.n) == len(self.rho) == len(self.log_r) == len(self.count) == len(self.a_start):
+            raise GeometryError("ring row columns must have equal length")
+        gap = np.array([math.log(1.0 - r) if 0.0 < r < 1.0 else math.nan for r in self.rho.tolist()])
+        gap.setflags(write=False)
+        object.__setattr__(self, "log_gap", gap)
+        checks = (
+            (self.n >= 1, "ring generation must be >= 1"),
+            ((self.rho > 0.0) & (self.rho < 1.0), "ring radius must lie in (0, 1)"),
+            ((self.a_start >= 0) & (self.a_start < self.count), "ring slot range is empty or invalid"),
+            (np.isfinite(self.log_r) & (self.log_r < gap), "ring disc radius invalid for its circle radius"),
+        )
+        bad = ~np.stack([ok for ok, _ in checks])
+        rows = np.flatnonzero(bad.any(axis=0))
+        if len(rows):
+            row = int(rows[0])
+            raise GeometryError(f"ring row {row}: {checks[int(np.argmax(bad[:, row]))][1]}")
+
+    @classmethod
+    def of(cls, rows: Sequence) -> "RingRows":
+        """The rows of a sequence of ring rows and records, in order."""
+        if len(rows) == 1 and isinstance(rows[0], RingRows):
+            return rows[0]
+        return cls(
+            *(np.concatenate([np.atleast_1d(getattr(r, name)) for r in rows] or [np.empty(0)])
+              for name in _RING_COLUMNS)
+        )
+
+    def __len__(self) -> int:
+        """The number of rows."""
+        return len(self.n)
+
+    def take(self, keep) -> "RingRows":
+        """The rows that the mask, indices or slice ``keep`` select."""
+        return RingRows(*(getattr(self, name)[keep] for name in _RING_COLUMNS))
+
+    @cached_property
+    def sizes(self) -> np.ndarray:
+        """The number of discs of each row."""
+        return self.count - self.a_start
+
+    @cached_property
+    def disc_count(self) -> int:
+        # summed as Python ints: the total may leave int64 (see check_id_range)
+        return sum(self.sizes.tolist())
+
+    @cached_property
+    def starts(self) -> np.ndarray:
+        """The canonical id of each row's first active slot, counted from
+        the first row's."""
+        return np.cumsum(self.sizes) - self.sizes
+
+    @cached_property
+    def step(self) -> np.ndarray:
+        return TWO_PI / self.count
+
+    @cached_property
+    def boundary_gap(self) -> np.ndarray:
+        return 1.0 - self.rho
+
+    @cached_property
+    def radius(self) -> np.ndarray:
+        return np.array([radius_from_log(v) for v in self.log_r.tolist()])
+
+    @cached_property
+    def slot_gap(self) -> np.ndarray:
+        """The centre distance between neighbouring slots of each row."""
+        return np.array([chord(r, r, s) for r, s in zip(self.rho.tolist(), self.step.tolist())])
+
+    @cached_property
+    def generation_rows(self) -> tuple[tuple[int, np.ndarray], ...]:
+        """(n, indices of the rows of generation n), ascending in n."""
+        return _groups(self.n)
+
+    def row(self, i: int) -> "RingBlock":
+        """Row i as a one-row value."""
+        return RingBlock(*(getattr(self, name)[i].item() for name in _RING_COLUMNS))
+
+
 @dataclass(frozen=True)
 class RingBlock:
-    """``count - a_start`` discs of one log-radius, equally spaced on a circle.
-
-    Slot a (a_start <= a < count) sits at angle (a + 1/2) * 2*pi / count.
-    The half-step phase keeps every disc strictly inside its angular sector.
-    """
+    """One ring row as a value, checked as :class:`RingRows` checks its
+    rows: ``count - a_start`` discs of one log-radius, equally spaced on a
+    circle."""
 
     n: int
     rho: float
@@ -403,14 +528,7 @@ class RingBlock:
     a_start: int = 0
 
     def __post_init__(self) -> None:
-        if self.n < 1:
-            raise GeometryError("ring generation must be >= 1")
-        if not (0.0 < self.rho < 1.0):
-            raise GeometryError("ring radius must lie in (0, 1)")
-        if self.count < 1 or not (0 <= self.a_start < self.count):
-            raise GeometryError("ring slot range is empty or invalid")
-        if not math.isfinite(self.log_r) or self.log_r >= math.log(1.0 - self.rho):
-            raise GeometryError("ring disc radius invalid for its circle radius")
+        RingRows.of([self])
 
     def __len__(self) -> int:
         return self.count - self.a_start
@@ -433,16 +551,9 @@ class RingBlock:
     def angles(self) -> np.ndarray:
         return (np.arange(self.a_start, self.count, dtype=np.float64) + 0.5) * self.step
 
-    def positions(self) -> tuple[np.ndarray, np.ndarray]:
-        th = self.angles()
-        return self.rho * np.cos(th), self.rho * np.sin(th)
-
     def disc(self, a: int) -> Disc:
         th = self.angle_of(a)
         return Disc(Point(self.rho * math.cos(th), self.rho * math.sin(th)), self.log_r)
-
-
-Block = DiscBlock | RingBlock
 
 
 def chord(rho1: float, rho2: float, dtheta: float) -> float:
@@ -455,24 +566,31 @@ def chord(rho1: float, rho2: float, dtheta: float) -> float:
 def ring_min_center_distance(r1: RingBlock, r2: RingBlock) -> float:
     """Exact minimal center distance between two distinct rings, symmetric
     in its arguments."""
-    j1, j2 = r1.count, r2.count
+    return ring_pair_distance(RingRows.of((r1, r2)), 0, 1)
+
+
+def ring_pair_distance(rows: RingRows, i: int, j: int) -> float:
+    """:func:`ring_min_center_distance` of rows i and j of ``rows``."""
+    (rho1, j1, s1), (rho2, j2, s2) = (
+        (float(rows.rho[k]), int(rows.count[k]), int(rows.a_start[k])) for k in (i, j)
+    )
     g = math.gcd(j1, j2)
-    if r1.a_start == 0 and r2.a_start == 0:
+    if s1 == 0 and s2 == 0:
         # angle difference = pi * ((2a+1) j2 - (2b+1) j1) / (j1 j2); the
         # integer numerator ranges over g * (2k + (j2 - j1) / g) as (a, b)
         # range over full rings
-        return chord(r1.rho, r2.rho, math.pi * g * ((j2 - j1) // g % 2) / (j1 * j2))
+        return chord(rho1, rho2, math.pi * g * ((j2 - j1) // g % 2) / (j1 * j2))
     # a slot pair's angle difference repeats when a advances by j1/g and b
-    # by j2/g, so some nearest pair has a within one period of r1's first
-    # active slot or b within one period of r2's: each such window is
-    # queried against the other ring through the slot kernel
+    # by j2/g, so some nearest pair has a within one period of row i's
+    # first active slot or b within one period of row j's: each such window
+    # is queried against the other row through the slot kernel
     best = math.inf
-    for ring, other in ((r1, r2), (r2, r1)):
-        table = _RingTable([(0, other)])
-        end = min(ring.count, ring.a_start + ring.count // g)
-        for lo in range(ring.a_start, end, _CHUNK):
-            theta = (np.arange(lo, min(lo + _CHUNK, end), dtype=np.float64) + 0.5) * ring.step
-            d, _ = table.distance(np.full(len(theta), ring.rho), theta, 0, centers=True)
+    for (rho, count, start), other in (((rho1, j1, s1), j), ((rho2, j2, s2), i)):
+        table = _RingTable(rows.take([other]), alone=True)
+        end = min(count, start + count // g)
+        for lo in range(start, end, _CHUNK):
+            theta = (np.arange(lo, min(lo + _CHUNK, end), dtype=np.float64) + 0.5) * (TWO_PI / count)
+            d, _ = table.distance(np.full(len(theta), rho), theta, 0, centers=True)
             best = min(best, float(d.min()))
     return best
 
@@ -481,19 +599,46 @@ def ring_min_center_distance(r1: RingBlock, r2: RingBlock) -> float:
 # configurations
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False)
 class Configuration:
     """A finite truncation of an obstacle configuration inside the unit disc.
 
-    ``blocks`` are kept in the order given, and canonical disc ids count
-    through them in that order.  Nothing sorts or checks that order: the
-    generators emit ascending generation and rings by radial row, while a
-    loaded file puts its explicit discs first, then its rings in file order.
+    It is stored in two parts: ``discs``, the explicit discs, and
+    ``rings``, the ring rows.  Canonical disc ids count through the
+    explicit discs (0 .. D-1), then through the ring rows in row order
+    (from D), by construction.  ``blocks`` takes explicit disc blocks
+    followed by ring rows (:class:`RingBlock`) and records
+    (:class:`RingRows`), each part kept in the order given; an explicit
+    block after a ring is refused.  The generators emit ascending
+    generation and rings by radial row.
     """
 
-    blocks: tuple[Block, ...]
+    discs: DiscBlock
+    rings: RingRows
     n_max: int
-    provenance: Mapping[str, object] = field(default_factory=dict)
+    provenance: Mapping[str, object]
+
+    def __init__(
+        self, blocks: Sequence = (), n_max: int = 0, provenance: Mapping[str, object] | None = None
+    ):
+        blocks = tuple(blocks)
+        ring = [isinstance(b, (RingBlock, RingRows)) for b in blocks]
+        if ring != sorted(ring):
+            raise GeometryError("an explicit disc block follows a ring block: explicit discs come first")
+        k = ring.count(False)
+        explicit = [b for b in blocks[:k] if len(b)]
+        if len(explicit) != 1:
+            explicit = [DiscBlock(*(np.concatenate([np.empty(0)] + [getattr(b, name) for b in explicit])
+                                    for name in _DISC_COLUMNS))]
+        object.__setattr__(self, "discs", explicit[0])
+        object.__setattr__(self, "rings", RingRows.of(blocks[k:]))
+        object.__setattr__(self, "n_max", n_max)
+        object.__setattr__(self, "provenance", {} if provenance is None else provenance)
+
+    @property
+    def blocks(self) -> tuple:
+        """The non-empty storage parts, in id order."""
+        return tuple(part for part in (self.discs, self.rings) if len(part))
 
     @classmethod
     def from_discs(
@@ -526,22 +671,19 @@ class Configuration:
 
     @property
     def disc_count(self) -> int:
-        return sum(len(b) for b in self.blocks)
+        return len(self.discs) + self.rings.disc_count
 
     # the configuration is immutable: validation and the capacity constants
-    # share one pass over its blocks
+    # share one pass over its columns
     @cached_property
     def log_ratio_sup(self) -> float:
         """log of sup r_k / (1 - |x_k|); -inf for an empty configuration."""
-        best = -math.inf
-        for b in self.blocks:
-            if isinstance(b, RingBlock):
-                if len(b):
-                    best = max(best, b.log_r - math.log(b.boundary_gap))
-            elif len(b):
-                s = b.boundary_gap
-                best = max(best, float(np.max(b.log_r - np.log(s))))
-        return best
+        best = [-math.inf]
+        if len(self.discs):
+            best.append(float(np.max(self.discs.log_r - np.log(self.discs.boundary_gap))))
+        if len(self.rings):
+            best.append(float(np.max(self.rings.log_r - self.rings.log_gap)))
+        return max(best)
 
     @property
     def ratio_sup(self) -> float:
@@ -549,59 +691,43 @@ class Configuration:
         return 0.0 if lr == -math.inf else radius_from_log(lr)
 
     def iter_discs(self) -> Iterator[Disc]:
-        for b in self.blocks:
-            if isinstance(b, RingBlock):
-                for a in range(b.a_start, b.count):
-                    yield b.disc(a)
-            else:
-                for i in range(len(b)):
-                    yield b.disc(i)
+        x, y, log_r = self.disc_arrays()
+        for args in zip(x.tolist(), y.tolist(), log_r.tolist()):
+            yield Disc(Point(*args[:2]), args[2])
 
     def disc_arrays(self, limit: int = 2_000_000) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Materialize (x, y, log_r) arrays; refuses above ``limit`` discs."""
+        """Materialize (x, y, log_r) arrays, explicit discs then ring slots
+        in canonical order; refuses above ``limit`` discs."""
         if self.disc_count > limit:
             raise ConfigurationTooLarge(
                 f"{self.disc_count} discs exceed materialization limit {limit}"
             )
-        xs, ys, lrs = [], [], []
-        for b in self.blocks:
-            if isinstance(b, RingBlock):
-                bx, by = b.positions()
-                xs.append(bx)
-                ys.append(by)
-                lrs.append(np.full(len(b), b.log_r))
-            else:
-                xs.append(b.x)
-                ys.append(b.y)
-                lrs.append(b.log_r)
-        if not xs:
-            return (np.empty(0), np.empty(0), np.empty(0))
-        return np.concatenate(xs), np.concatenate(ys), np.concatenate(lrs)
+        rows = self.rings
+        row, a = index_ranges(rows.a_start, rows.count)
+        theta = (a.astype(np.float64) + 0.5) * rows.step[row]
+        rho = rows.rho[row]
+        return (
+            np.concatenate([self.discs.x, rho * np.cos(theta)]),
+            np.concatenate([self.discs.y, rho * np.sin(theta)]),
+            np.concatenate([self.discs.log_r, rows.log_r[row]]),
+        )
 
     def materialized(self, limit: int = 2_000_000) -> "Configuration":
         """Equivalent configuration with a single explicit block."""
         x, y, lr = self.disc_arrays(limit)
         return Configuration(
-            blocks=(DiscBlock(x, y, lr),) if len(x) else (),
-            n_max=self.n_max,
-            provenance=dict(self.provenance),
+            blocks=(DiscBlock(x, y, lr),), n_max=self.n_max, provenance=dict(self.provenance)
         )
 
     def generations_present(self) -> list[int]:
-        gens: set[int] = set()
-        for b in self.blocks:
-            if isinstance(b, RingBlock):
-                gens.add(b.n)
-            elif len(b):
-                gens.update(int(g) for g in unique_sorted(b.generations))
-        return sorted(gens)
+        return unique_sorted(np.concatenate([self.discs.generations, self.rings.n])).tolist()
 
     def rotated(self, angle: float) -> "Configuration":
-        """Rigid rotation; ring blocks fall back to explicit storage."""
+        """Rigid rotation; ring rows fall back to explicit storage."""
         x, y, lr = self.disc_arrays()
         c, s = math.cos(angle), math.sin(angle)
         return Configuration(
-            blocks=(DiscBlock(c * x - s * y, s * x + c * y, lr),) if len(x) else (),
+            blocks=(DiscBlock(c * x - s * y, s * x + c * y, lr),),
             n_max=self.n_max,
             provenance=dict(self.provenance),
         )
@@ -628,34 +754,24 @@ class ValidationReport:
         return self.ok
 
 
-def _block_offsets(config: Configuration) -> list[int]:
-    offsets, total = [], 0
-    for b in config.blocks:
-        offsets.append(total)
-        total += len(b)
-    check_id_range(total)
-    return offsets
-
-
 def validate_configuration(c: Configuration) -> ValidationReport:
     """Report-style check of the invariants that span a configuration: ring
     labels, overlap and the origin.  The per-disc invariants (finite values,
-    r < 1-|x|) are checked where the blocks are built."""
+    r < 1-|x|) are checked where the storage parts are built."""
+    check_id_range(c.disc_count)
     violations: list[Violation] = []
-    offsets = _block_offsets(c)
     # depth queries take the rows of generation <= D as a prefix of the rho
     # order, which needs every ring's label to match its circle
-    rings = [(bi, b) for bi, b in enumerate(c.blocks) if isinstance(b, RingBlock)]
-    ring_gens = generations_of([b.boundary_gap for _, b in rings]).tolist()
-    for (bi, b), g in zip(rings, ring_gens):
-        if g != b.n:
-            violations.append(
-                Violation(
-                    "generation",
-                    f"ring block {bi} is labelled n={b.n} but its circle lies in generation {g}",
-                    (offsets[bi],),
-                )
+    rows = c.rings
+    gens = generations_of(rows.boundary_gap)
+    for i in np.flatnonzero(gens != rows.n).tolist():
+        violations.append(
+            Violation(
+                "generation",
+                f"ring row {i} is labelled n={rows.n[i]} but its circle lies in generation {gens[i]}",
+                (len(c.discs) + int(rows.starts[i]),),
             )
+        )
 
     index = spatial_index(c)
     overlap = _find_overlap(index)
@@ -679,74 +795,75 @@ def _find_overlap(index: "SpatialIndex") -> tuple[int, int] | None:
     """A pair of canonical indices whose closed discs intersect, if any.
 
     Among explicit discs the pair is the lowest-id disc that meets another,
-    with the lowest-id disc it meets.
+    with the lowest-id disc it meets; between an explicit disc and a ring
+    row, the first row that one meets, with the lowest-id disc meeting it.
     """
-    rings = index.rings
-    if len(index.exp_ids):
-        xs, ys, radii, ids = index.exp_x, index.exp_y, index.exp_rad, index.exp_ids
+    rows, base = index.config.rings, len(index.config.discs)
+    xs, ys, radii = index.exp_x, index.exp_y, index.exp_rad
+    if base:
         # disc i can meet disc j only if its center comes within r_i of disc
         # j's boundary (up to rounding); the few discs that do are checked
-        # exactly against every explicit disc
+        # exactly against every explicit disc.  An explicit disc's id is its
+        # index
         _, near = index.explicit_neighbors(cutoff=radii + _CERT_SLACK, centers=False)
-        for i in np.flatnonzero(near >= 0):
+        for i in np.flatnonzero(near >= 0).tolist():
             hit = np.hypot(xs - xs[i], ys - ys[i]) <= radii + radii[i]
             hit[i] = False
             if hit.any():
-                a, bb = int(ids[i]), int(ids[np.argmax(hit)])
-                return (min(a, bb), max(a, bb))
+                j = int(np.argmax(hit))
+                return (min(i, j), max(i, j))
 
-        # explicit against rings: center distance to the nearest ring slot
+    if base and len(rows):
+        # explicit against rings: each center against the nearest slot of
+        # every row within reach of it radially
+        table = _RingTable(rows, base, alone=True)
         rho_pts, theta_pts = index.exp_polar
-        for off, rb in rings:
-            rr = rb.radius
-            k = np.flatnonzero(np.abs(rho_pts - rb.rho) <= radii + rr)
-            if not len(k):
-                continue
-            d, slot = _RingTable([(off, rb)]).distance(
-                rho_pts[k], theta_pts[k], 0, with_ids=True, centers=True
-            )
-            hit = np.flatnonzero(d <= radii[k] + rr)
-            if len(hit):
-                a, bb = int(ids[k[hit[0]]]), int(slot[hit[0]])
-                return (min(a, bb), max(a, bb))
+        k, t = _within(rho_pts, radii + table.rad.max(), table.rho)
+        reach = radii[k] + table.rad[t]
+        k, t, reach = (a[np.abs(rho_pts[k] - table.rho[t]) <= reach] for a in (k, t, reach))
+        d, slot = table.distance(rho_pts[k], theta_pts[k], t, with_ids=True, centers=True)
+        hit = np.flatnonzero(d <= reach)
+        if len(hit):
+            j = hit[np.lexsort((k[hit], table.row[t[hit]]))[0]]
+            return (int(k[j]), int(slot[j]))
 
     # rings: adjacent slots within one ring, then cross pairs
-    for off, rb in rings:
-        if len(rb) >= 2:
-            gap = chord(rb.rho, rb.rho, rb.step)
-            if gap <= 2.0 * rb.radius:
-                return (off, off + 1)
-    for i, j in _ring_pair_candidates(
-        np.array([rb.rho for _, rb in rings]), np.array([rb.radius for _, rb in rings])
-    ):
-        off, rb = rings[i]
-        off2, rb2 = rings[j]
-        if ring_min_center_distance(rb, rb2) <= rb.radius + rb2.radius:
-            return (off, off2)
+    first = base + rows.starts
+    rad = rows.radius
+    within = np.flatnonzero((rows.sizes >= 2) & (rows.slot_gap <= 2.0 * rad))
+    if len(within):
+        off = int(first[within[0]])
+        return (off, off + 1)
+    for i, j in zip(*(a.tolist() for a in _ring_pair_candidates(rows.rho, rad))):
+        if ring_pair_distance(rows, i, j) <= rad[i] + rad[j]:
+            return (int(first[i]), int(first[j]))
     return None
 
 
-def _ring_pair_candidates(rho: np.ndarray, rad: np.ndarray):
+def _within(rho: np.ndarray, reach: np.ndarray, rho_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(i, j): every pair with |rho[i] - rho_b[j]| <= reach[i], and a few
+    more within _CERT_SLACK of it, i ascending.  Each i searches a window
+    of the sorted rho_b, so memory stays with the pairs found."""
+    order = np.argsort(rho_b, kind="stable")
+    lo = np.searchsorted(rho_b[order], rho - reach - _CERT_SLACK, side="left")
+    hi = np.searchsorted(rho_b[order], rho + reach + _CERT_SLACK, side="right")
+    i, j = index_ranges(lo, hi)
+    return i, order[j]
+
+
+def _ring_pair_candidates(rho: np.ndarray, rad: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pairs (i, j), i < j in row-major order, of rings whose radial gap
     |rho_i - rho_j| is at most rad_i + rad_j.
 
-    Ring i's partners lie within rad_i + max(rad) of rho_i, so each ring
-    searches a window of the rho-sorted rings: memory stays O(rings), and
-    with the tiny radii this package generates almost every window holds
-    the ring alone.
+    Ring i's partners lie within rad_i + max(rad) of rho_i; with the tiny
+    radii this package generates almost every such window holds the ring
+    alone.
     """
-    if len(rho) < 2:
-        return
-    order = np.argsort(rho, kind="stable")
-    sorted_rho = rho[order]
-    reach = rad + rad.max() + _CERT_SLACK
-    lo = np.searchsorted(sorted_rho, rho - reach, side="left")
-    hi = np.searchsorted(sorted_rho, rho + reach, side="right")
-    for i in np.flatnonzero(hi - lo > 1).tolist():
-        js = order[lo[i] : hi[i]]
-        js = np.sort(js[(js > i) & (np.abs(rho[i] - rho[js]) <= rad[i] + rad[js])])
-        for j in js.tolist():
-            yield i, j
+    i, j = _within(rho, rad + rad.max(initial=0.0), rho)
+    keep = (j > i) & (np.abs(rho[i] - rho[j]) <= rad[i] + rad[j])
+    i, j = i[keep], j[keep]
+    order = np.lexsort((j, i))
+    return i[order], j[order]
 
 
 # ---------------------------------------------------------------------------
@@ -890,34 +1007,35 @@ class _Layers:
 
 
 class _RingTable(_Layers):
-    """Every ring row of a configuration, sorted by circle radius rho (then
-    generation), one row per :class:`RingBlock`, each a layer of
-    :class:`_Layers` whose centres lie at the one radius rho.
+    """The ring rows of a :class:`RingRows` record, sorted by circle radius
+    rho (then generation), each a layer of :class:`_Layers` whose centres
+    lie at the one radius rho; ``row`` maps each back to its record row,
+    and ids count from ``base``.
 
     :meth:`distance` is the slot kernel: a point's distance to the discs of
     one row is the least over a few candidate slots around its angle.  A row
     is *plain* when every row of its generation keeps all its slots and
-    shares its slot count; its candidates are the slots ``base`` and
-    ``base + 1`` on either side of the point's angle, at unwrapped angles
-    (``base - 1`` is a whole slot step farther than ``base``).  A row of any
-    other generation takes those two slots reduced mod its count and
-    clamped to its first active slot, plus its last slot.
+    shares its slot count (with ``alone``, when it keeps all its slots, as
+    if it were the table's one row); its candidates are the slots ``base``
+    and ``base + 1`` on either side of the point's angle, at unwrapped
+    angles (``base - 1`` is a whole slot step farther than ``base``).  Any
+    other row takes those two slots reduced mod its count and clamped to
+    its first active slot, plus its last slot.
     """
 
-    def __init__(self, rings: Sequence[tuple[int, RingBlock]]):
-        counts: dict[int, set[int]] = {}
-        for _, rb in rings:
-            counts.setdefault(rb.n, set()).add(rb.count if rb.a_start == 0 else -1)
-        rows = sorted(rings, key=lambda row: (row[1].rho, row[1].n))
-        table = np.array(
-            [(rb.rho, rb.radius, rb.step, rb.count, rb.a_start) for _, rb in rows], dtype=np.float64
-        ).reshape(-1, 5)
-        self.rho, self.rad, self.step, self.count, self.a_start = table.T.copy()
-        self.plain = np.array([counts[rb.n] == {rb.count} for _, rb in rows], dtype=bool)
+    def __init__(self, rows: RingRows, base: int = 0, alone: bool = False):
+        self.row = np.lexsort((rows.n, rows.rho))
+        self.rho, self.rad, self.step = (a[self.row] for a in (rows.rho, rows.radius, rows.step))
+        self.count, self.a_start = (a[self.row].astype(np.float64) for a in (rows.count, rows.a_start))
+        plain = rows.a_start == 0
+        if not alone:
+            for _, k in rows.generation_rows:
+                plain[k] = plain[k].all() and (rows.count[k] == rows.count[k[0]]).all()
+        self.plain = plain[self.row]
         self.any_prefix = not self.plain.all()
         # the canonical id that slot 0 of the row would have
-        self.first = np.array([off - rb.a_start for off, rb in rows], dtype=np.int64)
-        super().__init__(self.rho, self.rho, self.rad, np.array([rb.n for _, rb in rows], dtype=np.int64))
+        self.first = (base + rows.starts - rows.a_start)[self.row]
+        super().__init__(self.rho, self.rho, self.rad, rows.n[self.row])
 
     def _pairs(self, q, row, reach, with_ids, centers):
         """The slot kernel on each point (rho_p, theta_p) of q and its row."""
@@ -1007,34 +1125,20 @@ class SpatialIndex:
 
     def __init__(self, config: Configuration):
         self.config = config
-        offsets = _block_offsets(config)
-        explicit = [
-            (off, b) for off, b in zip(offsets, config.blocks) if isinstance(b, DiscBlock) and len(b)
-        ]
-        self.rings: list[tuple[int, RingBlock]] = [
-            (off, b) for off, b in zip(offsets, config.blocks) if isinstance(b, RingBlock)
-        ]
+        check_id_range(config.disc_count)
+        discs = config.discs
         # the tables a query searches in turn, each from the minima of the
         # one before, with the number of per-point arrays each reads: ring
         # rows, then explicit bands.  An empty configuration keeps its empty
         # ring table
-        self._tables = [(_RingTable(self.rings), 2)] if self.rings or not explicit else []
+        self._tables = [(_RingTable(config.rings, len(discs)), 2)] if len(config.rings) or not len(discs) else []
         # the explicit discs in canonical order, with their radii and ids,
         # and in the band table
         self._discs = None
-        self.exp_x = self.exp_y = self.exp_log_r = self.exp_rad = np.empty(0)
-        self.exp_ids = np.empty(0, dtype=np.int64)
-        if explicit:
-            # a single block's read-only arrays serve as they are
-            join = np.concatenate if len(explicit) > 1 else lambda parts: parts[0]
-            self.exp_x = join([b.x for _, b in explicit])
-            self.exp_y = join([b.y for _, b in explicit])
-            self.exp_log_r = join([b.log_r for _, b in explicit])
-            with np.errstate(under="ignore"):
-                self.exp_rad = np.exp(self.exp_log_r)
-            self.exp_ids = np.concatenate(
-                [off + np.arange(len(b), dtype=np.int64) for off, b in explicit]
-            )
+        self.exp_x, self.exp_y, self.exp_log_r = discs.x, discs.y, discs.log_r
+        self.exp_rad = discs.radius
+        self.exp_ids = np.arange(len(discs), dtype=np.int64)
+        if len(discs):
             from .bands import DiscTable
 
             self._discs = DiscTable(self.exp_x, self.exp_y, self.exp_rad, self.exp_ids)
@@ -1176,10 +1280,6 @@ def distance_to_obstacles(p: Point, idx: SpatialIndex) -> tuple[float, int | Non
 # serialization
 
 
-# the explicit-disc columns of a configuration document
-_DISC_COLUMNS = ("x", "y", "log_r")
-
-
 def config_to_document(c: Configuration) -> dict:
     """JSON-style document: explicit discs in canonical order, rings as rows.
 
@@ -1193,47 +1293,41 @@ def config_to_document(c: Configuration) -> dict:
     one ``{"x", "y", "log_r"}`` object per disc, which
     :func:`document_to_config` reads too.
     """
-    explicit = [b for b in c.blocks if isinstance(b, DiscBlock) and len(b)]
     discs: dict | list = []
-    if explicit:
-        discs = {
-            name: np.concatenate([getattr(b, name) for b in explicit]).tolist()
-            for name in _DISC_COLUMNS
-        }
-    rings = [
-        {
-            "n": b.n,
-            "rho": float(b.rho),
-            "log_r": float(b.log_r),
-            "count": b.count,
-            "a_start": b.a_start,
-        }
-        for b in c.blocks
-        if isinstance(b, RingBlock)
-    ]
+    if len(c.discs):
+        discs = {name: getattr(c.discs, name).tolist() for name in _DISC_COLUMNS}
+    columns = [getattr(c.rings, name).tolist() for name in _RING_COLUMNS]
     return {
         "schema_version": SCHEMA_VERSION,
         "discs": discs,
-        "rings": rings,
+        "rings": [dict(zip(_RING_COLUMNS, row)) for row in zip(*columns)],
         "n_max": c.n_max,
         "provenance": dict(c.provenance),
     }
 
 
-def _disc_column(name: str, values) -> np.ndarray:
-    """One explicit-disc column as float64; ValueError, a format error, for
-    anything but a flat list of numbers."""
+def _column(what: str, values, integer: bool = False) -> np.ndarray:
+    """A flat list of numbers as float64, or with ``integer`` of integers
+    as int64; ValueError, a format error, for anything else.  A float
+    without a fraction is an integer; a boolean, a fraction or a value
+    outside int64 is refused, not rounded or wrapped."""
     a = np.array(values)
-    if a.ndim != 1 or a.dtype.kind not in "fi":
-        raise ValueError(f"disc column {name!r} is not a list of numbers")
-    return a.astype(np.float64, copy=False)
+    if a.ndim == 1 and a.dtype.kind in "fi" and set(map(type, values)) <= {int, float}:
+        if not integer:
+            return a.astype(np.float64, copy=False)
+        with np.errstate(invalid="ignore"):
+            if a.dtype.kind == "i" or ((a == np.floor(a)) & (a >= -(2.0**63)) & (a < 2.0**63)).all():
+                return a.astype(np.int64)
+    raise ValueError(f"{what} must hold {'integers within int64' if integer else 'numbers'}")
 
 
 def document_to_config(doc: Mapping) -> Configuration:
     """The configuration of a document in either layout of its explicit
     discs (see :func:`config_to_document`).  In the record layout a disc
-    without ``log_r`` takes the log of its ``r``."""
-    blocks: list[Block] = []
+    without ``log_r`` takes the log of its ``r``.  Ring rows are read
+    field by field into columns; ``n``, ``count``, ``a_start`` and
+    ``n_max`` must be integers within int64."""
+    blocks: list = []
     discs = doc.get("discs", [])
     if isinstance(discs, Mapping):
         columns = [discs[name] for name in _DISC_COLUMNS]
@@ -1244,26 +1338,18 @@ def document_to_config(doc: Mapping) -> Configuration:
             [d["log_r"] if "log_r" in d else math.log(d["r"]) for d in discs],
         ]
     if discs:
-        x, y, lr = (_disc_column(name, col) for name, col in zip(_DISC_COLUMNS, columns))
+        x, y, lr = (_column(f"disc column {name!r}", col) for name, col in zip(_DISC_COLUMNS, columns))
         if not len(x) == len(y) == len(lr):
             raise ValueError(
                 f"disc columns differ in length: x {len(x)}, y {len(y)}, log_r {len(lr)}"
             )
-        if len(x):
-            blocks.append(DiscBlock(x, y, lr))
-    for r in doc.get("rings", []):
-        blocks.append(
-            RingBlock(
-                n=int(r["n"]),
-                rho=float(r["rho"]),
-                log_r=float(r["log_r"]),
-                count=int(r["count"]),
-                a_start=int(r.get("a_start", 0)),
-            )
-        )
+        blocks.append(DiscBlock(x, y, lr))
+    rings = doc.get("rings", [])
+    fields = {name: [r.get(name, 0) if name == "a_start" else r[name] for r in rings] for name in _RING_COLUMNS}
+    blocks.append(RingRows(*(_column(f"ring field {k!r}", v, k in _INT_COLUMNS) for k, v in fields.items())))
     return Configuration(
         blocks=tuple(blocks),
-        n_max=int(doc.get("n_max", 0)),
+        n_max=int(_column("n_max", [doc.get("n_max", 0)], integer=True)[0]),
         provenance=dict(doc.get("provenance", {})),
     )
 

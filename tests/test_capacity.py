@@ -687,7 +687,7 @@ class TestClusters:
             GeneratorParams.exp_power(beta=1.2, c0=0.05, n_min=3, n_max=3, drop_first=drop_first)
         )
         clusters = generation_clusters(cut)
-        if len(cut.blocks) < full.columns:
+        if len(cut.rings) < full.columns:
             assert clusters == {}
             return
         assert full.columns == clusters[3].columns == 3
@@ -703,10 +703,10 @@ class TestClusters:
         np.testing.assert_array_equal(clusters[3].rhos, generation_clusters(cfg)[3].rhos)
 
     def test_rejects_more_rows_than_p(self):
-        rows = self._config().blocks
-        extra = RingBlock(3, 0.5 * (rows[0].rho + rows[1].rho), -50.0, rows[0].count)
+        rows = self._config().rings
+        extra = RingBlock(3, 0.5 * (rows.rho[0] + rows.rho[1]), -50.0, int(rows.count[0]))
         with pytest.raises(CapacityError, match="at most p rows"):
-            generation_clusters(Configuration(blocks=rows + (extra,), n_max=3))
+            generation_clusters(Configuration(blocks=(rows, extra), n_max=3))
 
     def test_rejects_unequally_spaced_rows(self):
         rows = generation_clusters(self._config())[3].rhos
@@ -924,7 +924,7 @@ class TestObstacleRows:
             generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=8)),
             drop_first=5,
         )
-        theta, rho = 2.0 * math.pi * 40 / sector_count(7), rings.blocks[1].rho
+        theta, rho = 2.0 * math.pi * 40 / sector_count(7), rings.rings.rho[1]
         explicit = DiscBlock(
             np.array([0.6, rho * math.cos(theta)]),
             np.array([0.0, rho * math.sin(theta)]),
@@ -1170,7 +1170,7 @@ class TestObstacleRows:
         )
         cfg = rings
         if edge is not None:
-            gens = sorted({b.n for b in rings.blocks})
+            gens = sorted(set(rings.rings.n.tolist()))
             n = gens[edge % len(gens)]
             theta = 2.0 * math.pi * (edge // len(gens) % sector_count(n)) / sector_count(n)
             rho = 1.0 - 0.75 * 2.0**-n

@@ -450,7 +450,7 @@ class TestCapacityCommand:
         # edge between the generation-6 cells 99 and 100, which reaches
         # that ring generation and sends it cell by cell
         rings = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=7))
-        theta, rho = 2.0 * math.pi * 100 / sector_count(6), rings.blocks[0].rho
+        theta, rho = 2.0 * math.pi * 100 / sector_count(6), rings.rings.rho[0]
         explicit = DiscBlock(
             np.array([0.6, rho * math.cos(theta)]),
             np.array([0.0, rho * math.sin(theta)]),
@@ -598,7 +598,7 @@ class TestCapacityCommand:
         )
         cfg = rings.materialized() if storage == "explicit" else rings
         if storage == "reached":
-            theta, rho = 2.0 * math.pi * 100 / sector_count(6), rings.blocks[0].rho
+            theta, rho = 2.0 * math.pi * 100 / sector_count(6), rings.rings.rho[0]
             edge = DiscBlock(
                 np.array([rho * math.cos(theta)]), np.array([rho * math.sin(theta)]), np.array([-11.5])
             )
@@ -669,7 +669,7 @@ class TestExitCodes:
         path.write_text(dumps_config(Configuration(blocks=rings, n_max=2)))
         extra = ["--n-walks", 10] if command in ("simulate", "sweep") else []
         assert run(command, path, *extra, "--out-dir", tmp_path / "out") == 1
-        assert "invalid: generation ring block 1" in capsys.readouterr().err
+        assert "invalid: generation ring row 1" in capsys.readouterr().err
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("command", ["check", "capacity", "simulate"])
@@ -845,6 +845,18 @@ CONFIG_COMMANDS = {
 }
 
 
+# ring integer fields that int() would round, or that leave int64: a
+# format error, not another configuration or a traceback
+BAD_RING_INTEGERS = {
+    f"{name}-count": b'{"rings": [{"n": 1, "rho": 0.7, "log_r": -6.0, %s}], "n_max": 1}' % fields
+    for name, fields in (
+        ("fractional", b'"count": 64.7, "a_start": 0.9'),
+        ("boolean", b'"count": true, "a_start": 0'),
+        ("1e30", b'"count": 1e30, "a_start": 0'),
+    )
+}
+
+
 class TestConfigurationInput:
     @pytest.mark.parametrize(
         "content",
@@ -857,10 +869,12 @@ class TestConfigurationInput:
             b'{"discs": {"x": [0.6], "y": ["0.0"], "log_r": [-5.0]}, "n_max": 2}',
             b'{"discs": {"x": [0.6], "y": [0.0], "r": [0.01]}, "n_max": 2}',
             b'{"discs": 7, "n_max": 2}',
+            *BAD_RING_INTEGERS.values(),
         ],
         ids=[
             "not-utf8", "infinite-count", "overflowing-n-max", "too-deep",
             "ragged-columns", "string-entry", "no-log_r-column", "scalar-discs",
+            *BAD_RING_INTEGERS,
         ],
     )
     @pytest.mark.parametrize("command", CONFIG_COMMANDS)
@@ -871,7 +885,7 @@ class TestConfigurationInput:
         assert run(command, path, *CONFIG_COMMANDS[command], "--out-dir", out) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: {path} is not a configuration document")
-        assert "Traceback" not in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
         assert not out.exists()
 
     @pytest.mark.parametrize("field", ["x", "y", "log_r"])
@@ -1018,6 +1032,7 @@ EXIT_CASES = {
     "report": (["report", "--check", "check.json", "--sweep", "sweep.json", "--out-dir", "out"], 0),
     "invalid": (["check", "mislabelled.json", "--out-dir", "out"], 1),
     "not-utf8": (["check", "latin1.json", "--out-dir", "out"], 2),
+    **{case: (["check", f"{case}.json", "--out-dir", "out"], 2) for case in BAD_RING_INTEGERS},
     "y-grid-0": (["check", "cfg.json", "--y-grid", "0", "--out-dir", "out"], 2),
     "version": (["--version"], 0),
     "help": (["--help"], 0),
@@ -1028,7 +1043,8 @@ EXIT_CASES = {
 @pytest.fixture(scope="module")
 def exit_inputs(tmp_path_factory):
     """A configuration, its check and sweep documents, a configuration that
-    fails validation and one that is not UTF-8."""
+    fails validation, one that is not UTF-8 and ones whose ring integer
+    fields are not integers."""
     root = tmp_path_factory.mktemp("exit-inputs")
     cfg = root / "cfg.json"
     assert run("generate", "subsquares", "--beta", 0.1, "--c0", 0.3, "--n-min", 6, "--n-max", 7,
@@ -1042,6 +1058,8 @@ def exit_inputs(tmp_path_factory):
     )
     (root / "mislabelled.json").write_text(dumps_config(Configuration(blocks=rings, n_max=2)))
     (root / "latin1.json").write_bytes(b'{"n_max": 1, "provenance": {"name": "caf\xe9"}}')
+    for case, content in BAD_RING_INTEGERS.items():
+        (root / f"{case}.json").write_bytes(content)
     return root
 
 

@@ -236,16 +236,8 @@ def _flagship8(drop_first=0):
 
 def _scan_series(cfg, kind, ys):
     """Per-generation sums over every materialised disc, one dict per point."""
-    xs, ys_, gens, lrs = [], [], [], []
-    for b in cfg.blocks:
-        if isinstance(b, RingBlock):
-            x, y = b.positions()
-            n = np.full(len(b), b.n)
-            lr = np.full(len(b), b.log_r)
-        else:
-            x, y, n, lr = b.x, b.y, b.generations, b.log_r
-        xs.append(x), ys_.append(y), gens.append(n), lrs.append(lr)
-    x, y, n, lr = (np.concatenate(v) if v else np.empty(0) for v in (xs, ys_, gens, lrs))
+    x, y, lr = cfg.disc_arrays()
+    n = np.concatenate([cfg.discs.generations, np.repeat(cfg.rings.n, cfg.rings.sizes)])
     s = 1.0 - np.hypot(x, y)
     w = 1.0 / (np.log(s) - lr) if kind == "log_weighted" else np.ones(len(x))
     out = []
@@ -267,7 +259,7 @@ _series_row = st.tuples(
 )
 
 
-def _series_config(rows, n_explicit, explicit_at, seed):
+def _series_config(rows, n_explicit, seed):
     blocks = []
     for n, frac, per_gap, drop, log_ratio in rows:
         s = 2.0 ** (-n - 1) * (1.0 + frac)
@@ -280,7 +272,7 @@ def _series_config(rows, n_explicit, explicit_at, seed):
         theta = rng.uniform(0.0, TWO_PI, n_explicit)
         log_r = np.log(s) - rng.uniform(0.5, 18.0, n_explicit)
         block = DiscBlock((1.0 - s) * np.cos(theta), (1.0 - s) * np.sin(theta), log_r)
-        blocks.insert(min(explicit_at, len(blocks)), block)
+        blocks.insert(0, block)
     return Configuration(blocks=tuple(blocks), n_max=8)
 
 
@@ -289,14 +281,15 @@ class TestSeriesGrid:
     @pytest.mark.parametrize("kind", criteria.SERIES_KINDS)
     def test_rows_bit_equal_to_scalar_closed_form(self, kind, drop_first):
         cfg = _flagship8(drop_first)
-        assert all(isinstance(b, RingBlock) for b in cfg.blocks)
+        assert not len(cfg.discs)
         ys = BoundaryPoint.grid(64)
         reports = series_over_grid(cfg, kind, y_count=64)
-        # entries of a ring-only configuration are its rows, in block order
+        # entries of a ring-only configuration are its rows, in row order
         per_row = criteria._series_terms(cfg, kind).values(np.array([y.theta for y in ys]))
+        rows = [cfg.rings.row(i) for i in range(len(cfg.rings))]
         for j, (y, rep) in enumerate(zip(ys, reports)):
             per_gen = {}
-            for i, b in enumerate(cfg.blocks):
+            for i, b in enumerate(rows):
                 s = b.boundary_gap
                 w = 1.0 / (math.log(s) - b.log_r) if kind == "log_weighted" else 1.0
                 row = scalar_inverse_square_sum(b.rho, b.count, b.step / 2.0, y.theta, b.a_start)
@@ -309,13 +302,12 @@ class TestSeriesGrid:
     @given(
         st.lists(_series_row, max_size=6),
         st.integers(0, 60),
-        st.integers(0, 6),
         st.integers(0, 2**32 - 1),
         st.integers(1, 150),
         st.sampled_from(criteria.SERIES_KINDS),
     )
-    def test_matches_disc_scan(self, rows, n_explicit, explicit_at, seed, y_count, kind):
-        cfg = _series_config(rows, n_explicit, explicit_at, seed)
+    def test_matches_disc_scan(self, rows, n_explicit, seed, y_count, kind):
+        cfg = _series_config(rows, n_explicit, seed)
         reports = series_over_grid(cfg, kind, y_count=y_count)
         ys = BoundaryPoint.grid(y_count)
         assert [rep.y for rep in reports] == ys
@@ -330,7 +322,7 @@ class TestSeriesGrid:
             assert one(cfg, ys[k]) == reports[k]
 
     def test_chunking_does_not_change_reports(self, monkeypatch):
-        cfg = _series_config([(3, 0.2, 2, 0.3, -3.0), (3, 0.7, 1, 0.0, -5.0)], 20, 1, 7)
+        cfg = _series_config([(3, 0.2, 2, 0.3, -3.0), (3, 0.7, 1, 0.0, -5.0)], 20, 7)
         whole = series_over_grid(cfg, "log_weighted", y_count=50)
         monkeypatch.setattr(criteria, "SERIES_CHUNK", 7)
         assert series_over_grid(cfg, "log_weighted", y_count=50) == whole
@@ -419,7 +411,7 @@ class TestSeparation:
         )
         rng = np.random.default_rng(int(drop_first + 10 * side) % 97)
         row = rng.integers(0, 2, 30)
-        rb = [rings.blocks[k] for k in row]
+        rb = [rings.rings.row(k) for k in row]
         a = np.array([rng.integers(0, b.count) for b in rb])
         theta = np.array([b.angle_of(int(k)) for b, k in zip(rb, a)])
         spacing = np.array([b.rho * b.step for b in rb])
@@ -670,11 +662,11 @@ class TestExactSum:
     def test_explicit_entries_are_fsum_of_their_terms(self, kind, canonical):
         # canonical order keeps each generation a slice of the block; a
         # shuffled block takes it by index
-        b = _series_config([], 400, 0, seed=17).blocks[0]
+        b = _series_config([], 400, seed=17).discs
         order = np.argsort(b.generations, kind="stable") if canonical else np.arange(len(b))
         cfg = Configuration(blocks=(DiscBlock(b.x[order], b.y[order], b.log_r[order]),), n_max=8)
         terms = criteria._series_terms(cfg, kind)
-        (x, y, s, w, parts), = terms.explicit
+        x, y, s, w, parts = terms.explicit
         assert all(isinstance(rows, slice) == canonical for _, rows in parts)
         psi = np.array([point.theta for point in BoundaryPoint.grid(7)])
         values = terms.values(psi)
@@ -684,6 +676,50 @@ class TestExactSum:
                 t = t * w
             for e, rows in parts:
                 assert values[e, j].hex() == math.fsum(t[rows].tolist()).hex()
+
+
+def _row_constant_families():
+    walk = GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=6, n_max=12, drop_first=5)
+    return {
+        "flagship": generate_subsquares(GeneratorParams.exp_power(beta=1.5, c0=0.05, n_max=8)),
+        "walk-drop": generate_subsquares(walk),
+        "avoidable": generate_avoidable_ring(),
+    }
+
+
+class TestRowConstants:
+    """The per-row constants read from the ring columns are the scalar
+    ``math`` evaluations, bit for bit: np.exp and np.log differ from math
+    in the last bit on some arguments, so a row constant that reaches an
+    artifact is evaluated row by row."""
+
+    @pytest.mark.parametrize("family", ["flagship", "walk-drop", "avoidable"])
+    def test_row_constants_equal_scalar_math(self, family):
+        cfg = _row_constant_families()[family]
+        rows = cfg.rings
+        assert len(rows) or family == "avoidable"
+        weighted = criteria._series_terms(cfg, "log_weighted")
+        plain = criteria._series_terms(cfg, "poisson")
+        for i in range(len(rows)):
+            rho, log_r, count = float(rows.rho[i]), float(rows.log_r[i]), int(rows.count[i])
+            s, step = 1.0 - rho, TWO_PI / count
+            log_q = count * math.log(rho)
+            q = math.exp(log_q) if log_q > -745.0 else 0.0
+            want = {
+                "radius": (rows.radius[i], math.exp(log_r) if log_r >= -745.0 else 0.0),
+                "step": (rows.step[i], step),
+                "log_gap": (rows.log_gap[i], math.log(s)),
+                "slot_gap": (rows.slot_gap[i], math.sqrt(4.0 * rho * rho * math.sin(step / 2.0) ** 2)),
+                "q": (weighted.rings.q[i], q),
+                "num": (weighted.rings.num[i], count * (1.0 - q * q)),
+                "den": (weighted.rings.den[i], 1.0 - rho * rho),
+                "phase": (weighted.rings.phase[i], step / 2.0),
+                "s2": (weighted.ring_s2[i], s * s),
+                "weight": (weighted.ring_weight[i], 1.0 / (math.log(s) - log_r)),
+                "poisson_weight": (plain.ring_weight[i], 1.0),
+            }
+            for name, (got, scalar) in want.items():
+                assert float(got).hex() == float(scalar).hex(), (name, i)
 
 
 class TestDensity:

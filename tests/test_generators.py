@@ -20,11 +20,15 @@ from champagne.generators import (
 )
 from champagne.geometry import (
     Configuration,
-    RingBlock,
     dumps_config,
     sector_count,
     validate_configuration,
 )
+
+
+def _rows(cfg):
+    """The ring rows of ``cfg`` as one-row values."""
+    return [cfg.rings.row(i) for i in range(len(cfg.rings))]
 
 
 class TestPhiSpec:
@@ -81,8 +85,8 @@ class TestSubsquares:
 
     def test_rows_stay_inside_their_band(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.5, n_min=1, n_max=6))
-        for b in cfg.blocks:
-            assert isinstance(b, RingBlock)
+        assert not len(cfg.discs)
+        for b in _rows(cfg):
             s = b.boundary_gap
             assert 2.0 ** (-b.n - 1) < s < 2.0 ** (-b.n)
 
@@ -118,7 +122,7 @@ class TestSubsquares:
         params = GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=6)
         cfg = generate_subsquares(params)
         total = 0.0
-        for b in cfg.blocks:
+        for b in _rows(cfg):
             total += len(b) * (1.0 / (-b.log_r)) ** 2
         bound = closed_form_budget_bound(2.0, 1.5, 0.05, 1, 6)
         assert total <= bound
@@ -137,7 +141,7 @@ class TestSubsquares:
         full = generate_subsquares(
             GeneratorParams.exp_power(beta=beta, c0=0.05, n_min=n, n_max=n)
         )
-        rows = {i: b for i, b in enumerate(full.blocks)}
+        rows = dict(enumerate(_rows(full)))
         kept = set()
         rank = 0
         for m in range(cells):
@@ -148,7 +152,7 @@ class TestSubsquares:
                         kept.add((i, round(theta, 12)))
                     rank += 1
         got = set()
-        for b in cfg.blocks:
+        for b in _rows(cfg):
             i = [k for k, rb in rows.items() if abs(rb.rho - b.rho) < 1e-15][0]
             for a in range(b.a_start, b.count):
                 got.add((i, round(b.angle_of(a), 12)))
@@ -168,7 +172,7 @@ class TestPhiGrid:
             knots_log_phi=(-3.0, -6.0, -12.0),
         )
         cfg = generate_phi_grid(phi, per_cell=2, n_min=1, n_max=5)
-        rows = sorted(cfg.blocks, key=lambda b: b.rho)
+        rows = sorted(_rows(cfg), key=lambda b: b.rho)
         log_r = [b.log_r for b in rows]
         assert all(a >= b for a, b in zip(log_r, log_r[1:]))
 
@@ -223,13 +227,13 @@ class TestTransforms:
         cfg = generate_subsquares(GeneratorParams.exp_power(n_min=1, n_max=5))
         cut = truncate(cfg, n_max=3)
         assert cut.disc_count < cfg.disc_count
-        assert all(b.n <= 3 for b in cut.blocks)
+        assert all(b.n <= 3 for b in _rows(cut))
 
     def test_truncate_budget_monotone(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(n_min=1, n_max=5))
         cut = truncate(cfg, n_max=3)
-        full_sum = sum(len(b) / (-b.log_r) for b in cfg.blocks)
-        cut_sum = sum(len(b) / (-b.log_r) for b in cut.blocks)
+        full_sum = sum(len(b) / (-b.log_r) for b in _rows(cfg))
+        cut_sum = sum(len(b) / (-b.log_r) for b in _rows(cut))
         assert cut_sum <= full_sum
 
     def test_truncate_drop_on_explicit(self):
@@ -246,7 +250,7 @@ class TestTransforms:
     def test_shrink_scales_log_radius(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(n_min=1, n_max=3))
         small = shrink(cfg, delta=0.5)
-        for b0, b1 in zip(cfg.blocks, small.blocks):
+        for b0, b1 in zip(_rows(cfg), _rows(small), strict=True):
             assert b1.log_r == pytest.approx(b0.log_r + math.log(0.5))
 
     def test_shrink_huge_log_delta(self):
@@ -265,11 +269,12 @@ class TestTransforms:
 class TestStructuredScale:
     def test_deep_configuration_is_cheap(self):
         # generation 12 alone holds ~1.7e10 discs; the ring representation
-        # stores one block per radial row
+        # stores one row per radial row, all in one record
         params = GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=12)
         cfg = generate_subsquares(params)
         assert cfg.disc_count > 10**10
-        assert len(cfg.blocks) == sum(subdivision_count(n, 1.5) for n in range(1, 13))
+        assert cfg.blocks == (cfg.rings,)
+        assert len(cfg.rings) == sum(subdivision_count(n, 1.5) for n in range(1, 13))
 
     def test_materialized_matches_rings_shallow(self):
         params = GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=3)
@@ -277,5 +282,5 @@ class TestStructuredScale:
         flat = cfg.materialized()
         assert flat.disc_count == cfg.disc_count
         gens = flat.blocks[0].generations
-        ring_gens = np.concatenate([[b.n] * len(b) for b in cfg.blocks])
+        ring_gens = np.repeat(cfg.rings.n, cfg.rings.sizes)
         assert sorted(gens.tolist()) == sorted(ring_gens.tolist())

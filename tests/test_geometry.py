@@ -532,7 +532,7 @@ class TestSerialization:
         ring = RingBlock(n=4, rho=0.94, log_r=-1.5e7, count=512, a_start=9)
         c = Configuration(blocks=(ring,), n_max=4, provenance={"generator": "test"})
         c2 = loads_config(dumps_config(c))
-        assert c2.blocks == (ring,)
+        assert [c2.rings.row(i) for i in range(len(c2.rings))] == [ring]
         assert c2.provenance == {"generator": "test"}
 
     def test_document_schema_fields(self):
@@ -560,10 +560,10 @@ class TestSerialization:
         ]
         records = json.dumps(doc, sort_keys=True, separators=(",", ":"))
         from_columns, from_records = loads_config(columns), loads_config(records)
-        b1, b2 = from_columns.blocks[0], from_records.blocks[0]
         for name in ("x", "y", "log_r"):
-            assert getattr(b1, name).tobytes() == getattr(b2, name).tobytes()
-        assert from_columns.blocks[1:] == from_records.blocks[1:] == rings
+            assert getattr(from_columns.discs, name).tobytes() == getattr(from_records.discs, name).tobytes()
+        for loaded in (from_columns, from_records):
+            assert [loaded.rings.row(i) for i in range(len(loaded.rings))] == list(rings)
         i1, i2 = SpatialIndex(from_columns), SpatialIndex(from_records)
         np.testing.assert_array_equal(i1.exp_ids, i2.exp_ids)
         px, py = _query_points(43, c, count=200)
@@ -608,6 +608,41 @@ class TestSerialization:
         # document it cannot read
         with pytest.raises((ValueError, KeyError, TypeError)):
             loads_config(json.dumps({"discs": discs, "n_max": 2}))
+
+    @pytest.mark.parametrize(
+        "fields",
+        [
+            {"count": 64.7, "a_start": 0.9},
+            {"a_start": 0.9},
+            {"n": 1.5},
+            {"count": True},
+            {"a_start": False},
+            {"count": 1e30},
+            {"count": 2.0**63},
+            {"count": 2**64},
+            {"count": "64"},
+            {"n_max": 1.5},
+            {"n_max": True},
+            {"n_max": 1e30},
+        ],
+        ids=["fraction", "fractional-a_start", "fractional-n", "true-count", "false-a_start",
+             "1e30-count", "2^63-count", "2^64-count", "string-count", "fractional-n_max",
+             "true-n_max", "1e30-n_max"],
+    )
+    def test_ring_integer_fields_are_integers(self, fields):
+        # int() would round 64.7 down or wrap 1e30 later: each is refused
+        # where the file is read, a format error
+        ring = {"n": 1, "rho": 0.7, "log_r": -6.0, "count": 64, "a_start": 0}
+        doc = {"rings": [ring], "n_max": fields.pop("n_max", 1)}
+        ring.update(fields)
+        with pytest.raises(ValueError, match="integers within int64") as info:
+            loads_config(json.dumps(doc))
+        assert not isinstance(info.value, GeometryError)
+
+    def test_integral_floats_are_integers(self):
+        ring = {"n": 1.0, "rho": 0.7, "log_r": -6.0, "count": 64.0, "a_start": 3.0}
+        c = loads_config(json.dumps({"rings": [ring], "n_max": 1.0}))
+        assert (c.rings.n.tolist(), c.rings.count.tolist(), c.rings.a_start.tolist(), c.n_max) == ([1], [64], [3], 1)
 
     def test_non_finite_disc_block_rejected(self):
         with pytest.raises(GeometryError):
@@ -1102,12 +1137,10 @@ def _scan_with_ids(config, px, py):
     rho_p = np.hypot(px, py)
     theta_p = np.arctan2(py, px)
     theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)[:, None]
-    columns = [np.full((len(px), 1), np.inf)]
-    rings = [b for b in config.blocks if isinstance(b, RingBlock)]
-    for b in config.blocks:
-        if isinstance(b, DiscBlock):
-            columns.append(np.hypot(px[:, None] - b.x, py[:, None] - b.y) - np.exp(b.log_r))
-            continue
+    discs = config.discs
+    columns = [np.full((len(px), 1), np.inf), np.hypot(px[:, None] - discs.x, py[:, None] - discs.y) - discs.radius]
+    rings = [config.rings.row(i) for i in range(len(config.rings))]
+    for b in rings:
         a = np.arange(b.a_start, b.count, dtype=np.float64)
         if all(r.a_start == 0 and r.count == b.count for r in rings if r.n == b.n):
             u = theta_p / b.step - 0.5
@@ -1373,6 +1406,26 @@ class TestNearestIds:
         want_d, want_ids = _scan_with_ids(config, px, py)
         np.testing.assert_array_equal(got_d, want_d)
         np.testing.assert_array_equal(got_ids, want_ids)
+        # the file keeps the canonical order: the discs, bit for bit, the
+        # ids of every query and the separation's argmin pair
+        loaded = loads_config(dumps_config(config))
+        for got, want in zip(loaded.disc_arrays(), config.disc_arrays(), strict=True):
+            assert got.tobytes() == want.tobytes()
+        for got, want in zip(SpatialIndex(loaded).distance_many(px, py, with_ids=True), (got_d, got_ids)):
+            np.testing.assert_array_equal(got, want)
+        from champagne.criteria import separation
+
+        for kind in ("plain", "radius_log"):
+            assert separation(loaded, kind=kind) == separation(config, kind=kind)
+
+    def test_explicit_discs_after_rings_refused(self):
+        explicit = DiscBlock(np.array([0.6]), np.array([0.0]), np.array([-30.0]))
+        ring = RingBlock(n=2, rho=0.8, log_r=-30.0, count=64)
+        Configuration(blocks=(explicit, ring), n_max=2)
+        with pytest.raises(GeometryError, match="explicit discs come first"):
+            Configuration(blocks=(ring, explicit), n_max=2)
+        with pytest.raises(GeometryError, match="explicit discs come first"):
+            Configuration(blocks=(explicit, ring, explicit), n_max=2)
 
     def test_exact_ties_take_lowest_id(self):
         # disc 0 sits just below the seam, disc 1 just above it: both are
@@ -1632,7 +1685,8 @@ class TestMixedOverlap:
         # the first ring block met by an explicit disc, its lowest such disc
         # and the slot that disc meets
         want = None
-        for lo, hi in ((30, 30 + len(config.blocks[1])), (30 + len(config.blocks[1]), len(x))):
+        first = (30 + config.rings.starts).tolist()
+        for lo, hi in zip(first, first[1:] + [len(x)]):
             hits = meets[:30, lo:hi]
             if hits.any():
                 i = int(np.argmax(hits.any(axis=1)))
@@ -1710,5 +1764,5 @@ class TestRingPairPrefilter:
         rings = [(int(off), b) for off, b in zip(offsets, blocks)]
         rho = np.array([b.rho for b in blocks])
         rad = np.array([b.radius for b in blocks])
-        assert list(_ring_pair_candidates(rho, rad)) == _dense_ring_pairs(rho, rad)
+        assert list(zip(*(a.tolist() for a in _ring_pair_candidates(rho, rad)))) == _dense_ring_pairs(rho, rad)
         assert _find_overlap(SpatialIndex(config)) == _dense_ring_overlap(rings)

@@ -324,14 +324,9 @@ class TestAnnulusHelpers:
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from champagne.geometry import DiscBlock, RingBlock  # noqa: E402
+from champagne.geometry import RingBlock  # noqa: E402
 
 _FAMILY = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=4, n_max=7))
-
-
-def _explicit(rb: RingBlock) -> DiscBlock:
-    x, y = rb.positions()
-    return DiscBlock(x, y, np.full(len(x), rb.log_r))
 
 
 def _interleaved() -> Configuration:
@@ -346,7 +341,7 @@ def _interleaved() -> Configuration:
 
 def _storage(kind: str) -> Configuration:
     """The n = 4..7 family as plain rings, rings with a dropped prefix,
-    explicit discs, or generations 5 and 7 explicit beside rings 4 and 6;
+    explicit discs, or generations 5 and 7 explicit ahead of rings 4 and 6;
     or the interleaved rings."""
     if kind == "interleaved":
         return _interleaved()
@@ -356,8 +351,9 @@ def _storage(kind: str) -> Configuration:
         return truncate(_FAMILY, drop_first=100)
     if kind == "explicit":
         return _FAMILY.materialized()
-    blocks = tuple(_explicit(b) if b.n % 2 else b for b in _FAMILY.blocks)
-    return Configuration(blocks=blocks, n_max=_FAMILY.n_max)
+    odd = _FAMILY.rings.n % 2 == 1
+    explicit = Configuration(blocks=(_FAMILY.rings.take(odd),)).materialized().discs
+    return Configuration(blocks=(explicit, _FAMILY.rings.take(~odd)), n_max=_FAMILY.n_max)
 
 
 STORAGE = ("plain", "prefix", "explicit", "mixed", "interleaved")
@@ -408,7 +404,7 @@ class TestCoupledDepths:
         _assert_rows_match_per_depth_walks(_storage("prefix"), (7, 4, 5), params)
 
     def test_start_in_a_disc_below_every_depth_is_allowed(self):
-        deep = next(b for b in _FAMILY.blocks if b.n == 7).disc(3).center
+        deep = _FAMILY.rings.row(int(np.flatnonzero(_FAMILY.rings.n == 7)[0])).disc(3).center
         params = WalkParams(eps_shell=1e-8, seed=1, n_walks=50, start=deep)
         _assert_rows_match_per_depth_walks(_FAMILY, (4, 6), params)
         with pytest.raises(WalkerError):
