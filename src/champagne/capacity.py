@@ -46,26 +46,30 @@ the cell of its centre meets no other; the rest are cut to the cells near
 them in one call, each piece once.  A cell of one piece has its log
 capacity; any other is one disc-system call on its pieces.
 
-A cluster solve needs the mutual potential of -log d at every one of its
-p^2 nodes, which a direct sum gets from p^3 kernel values.  The rows are
-equally spaced in radius, h apart, so with k = i - i' and
-S = sin^2(delta * dtheta / 2) the squared distance between node (i, j) and
-node (i', j + delta) is h^2 k^2 (1 - S) + 4 rhobar^2 S, where rhobar is the
-mean radius of the two rows.  Only rhobar ties the kernel to the rows
-themselves, and it varies by a small fraction of the cell.
-:func:`_cluster_mutual` therefore fits -log d by a polynomial of degree T in
+A cluster's log capacity needs the mutual energy of its p rows of p
+nodes: every pair's -log d, weighted by its rows' weights, which a direct
+sum gets from p^4 kernel values.  The rows are equally spaced in radius,
+h apart, so with k = i - i' and S = sin^2(delta * dtheta / 2) the squared
+distance between node (i, j) and node (i', j + delta) is
+h^2 k^2 (1 - S) + 4 rhobar^2 S, where rhobar is the mean radius of the two
+rows.  The columns enter only through the offset delta, which p ordered
+column pairs have at delta = 0 and 2 (p - delta) at every other offset, and
+only rhobar ties the kernel to the rows themselves; it varies by a small
+fraction of the cell.  :func:`_cluster_energy` therefore sums -log d over
+the offsets with those counts; fits the sum by a polynomial of degree T in
 nu = (rhobar - rho_c) / H, the mean row position mapped onto [-1, 1],
 interpolating at T + 1 nodes; expands nu^m = ((nu_i + nu_i') / 2)^m
-binomially; and is left with, for every column and power, a sum over rows
-i' that is a symmetric Toeplitz product in k, done by FFT.  That costs
-O(T p^2) logarithms, O(T p^2 log p) for the FFTs and O(T^2 p^2) for their
-products, with memory O(p^2) for the result.
+binomially; and is left with symmetric Toeplitz quadratic forms in k, one
+correlation of two weighted rows each.  That costs O(T p^2) logarithms and
+O(T^2 p^2) for the correlations, with memory O(T p) for each batch of
+offsets and no array of p^2.
 
 T is read off the Chebyshev tail.  In nu, every kernel row is
 -log rhobar, or -log of the product of two conjugate linear factors, plus
 a constant, so its Chebyshev coefficients are at most 2 / (j b^j) with
 b = r + sqrt(r^2 - 1) and r = rho_c / H (for a generation-n grid r is
-about 2^(n+2)).  T is the least degree whose doubled tail bound, which
+about 2^(n+2)); the offset sum's are at most that times the total of its
+pair counts.  T is the least degree whose doubled tail bound, which
 covers interpolation, is below 2^-52, capped at 10; only generation-1
 clusters of seven rows or more (beta of 5.6 or more) reach the cap, with
 a bound below 5e-12.  rhobar takes only 2R - 1 values for R rows, and when
@@ -76,12 +80,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import ChampagneError
+from ._record import record
 from .criteria import (
     BoundaryPoint,
     SeriesReport,
@@ -116,7 +120,7 @@ class CapacityError(ChampagneError):
 # constants shared by the capacity estimates
 
 
-@dataclass(frozen=True)
+@record
 class CapacityConstants:
     """Comparability constants used by thresholds and scalings.
 
@@ -156,13 +160,13 @@ class CapacityConstants:
 # shapes
 
 
-@dataclass(frozen=True)
+@record
 class DiscShape:
     center: Point
     log_r: float
 
 
-@dataclass(frozen=True)
+@record
 class SegmentShape:
     a: Point
     b: Point
@@ -172,13 +176,13 @@ class SegmentShape:
         return math.hypot(self.b.x - self.a.x, self.b.y - self.a.y)
 
 
-@dataclass(frozen=True)
+@record
 class ClippedDiscShape:
     disc: DiscShape
     cell: WhitneyCell
 
 
-@dataclass(frozen=True)
+@record
 class UnionShape:
     parts: tuple
 
@@ -186,7 +190,7 @@ class UnionShape:
 Shape = DiscShape | SegmentShape | ClippedDiscShape | UnionShape
 
 
-@dataclass(frozen=True)
+@record
 class CapacityEstimate:
     """log_value is log of the capacity (always finite for nonpolar sets);
     value is its exponential and may underflow to 0.0."""
@@ -209,7 +213,7 @@ POLAR = CapacityEstimate(log_value=None, method="polar", polar=True)
 POLAR_DIAMETER = 1e-30
 
 
-@dataclass(frozen=True)
+@record
 class C2Estimate:
     value: float
     lower: float
@@ -220,7 +224,7 @@ class C2Estimate:
 # simplex energy minimization
 
 
-@dataclass(frozen=True)
+@record
 class EnergySolution:
     weights: np.ndarray
     energy: float
@@ -635,7 +639,7 @@ def c2_disc_system(
 # per-generation clusters of grid configurations
 
 
-@dataclass(frozen=True)
+@record
 class GenerationCluster:
     """The congruent disc cluster that one generation places in each cell."""
 
@@ -684,9 +688,9 @@ def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
 
 # rows may sit off their equally spaced positions by rounding alone
 _ROW_SPACING_TOL = 1e-14
-# the largest degree of the radial fit in _cluster_mutual
+# the largest degree of the radial fit in _cluster_energy
 _MAX_DEGREE = 10
-# column offsets per FFT batch, which bounds the batch's memory
+# column offsets per batch, which bounds the batch's memory
 _COLUMN_CHUNK = 32
 
 
@@ -708,22 +712,6 @@ def _radial_nodes(rows: int, ratio: float) -> np.ndarray:
     return np.cos(np.pi * (np.arange(degree + 1) + 0.5) / (degree + 1))
 
 
-def _fft_length(n: int) -> int:
-    """Least 2^a 3^b 5^c >= n."""
-    best = 1 << (n - 1).bit_length()
-    f5 = 1
-    while f5 < best:
-        f35 = f5
-        while f35 < best:
-            m = f35
-            while m < n:
-                m *= 2
-            best = min(best, m)
-            f35 *= 3
-        f5 *= 5
-    return best
-
-
 @functools.cache
 def _cheb_to_mono(size: int) -> np.ndarray:
     """The size x size matrix whose column j holds the monomial coefficients
@@ -735,26 +723,24 @@ def _cheb_to_mono(size: int) -> np.ndarray:
     return to_mono
 
 
-def _cluster_mutual(cluster: GenerationCluster, w: np.ndarray) -> np.ndarray:
-    """Per-node mutual potential mut[i, j0] = sum over the other nodes
-    (i', j') of w[i'] * (-log distance), for row weights ``w``.
+def _cluster_energy(cluster: GenerationCluster, w: np.ndarray) -> float:
+    """Mutual energy of the cluster's nodes for row weights ``w``: the sum
+    over ordered pairs of distinct nodes (i, j), (i', j') of
+    w[i] w[i'] (-log distance).
 
-    With the radial fit of the module docstring,
-    -log d = sum_m a_m(k, delta) nu^m, where nu = (nu_i + nu_i') / 2 and the
-    node itself has a_m = 0.  Summing over the offsets up to delta gives
-    cumulative coefficients A_m(k, delta), computed at the fit nodes and
-    carried from one batch of offsets to the next.  Writing
-    nu^m = 2^-m sum_s C(m, s) nu_i^s nu_i'^(m-s), the row sum for offset
-    delta is part[i, delta] = sum_s nu_i^s sum_m 2^-m C(m, s)
-    (T_m (w nu^(m-s)))[i], where T_m is the symmetric Toeplitz matrix of
-    A_m(., delta) over k = i - i'.  The products run in Fourier space, one
-    inverse FFT per power s.  The offsets j' - j0 of base column j0 sweep
-    [-j0, p-1-j0] and the kernel is even in the offset, so
-    mut[:, j0] = part[:, j0] + part[:, p-1-j0] - part[:, 0].  The node values
+    The pair's kernel depends on the columns only through the offset
+    delta = |j' - j|, which p ordered column pairs have at delta = 0 and
+    2 (p - delta) at every other offset.  Contracting over delta with those
+    counts leaves b(nu, k), the radial fit of the module docstring taken of
+    the contracted kernel: with the node itself zeroed,
+    sum_delta c_delta (-log d) = sum_m B_m(k) nu^m, nu = (nu_i + nu_i') / 2.
+    Writing nu^m = 2^-m sum_s C(m, s) nu_i^s nu_i'^(m-s), the energy is
+    sum_m 2^-m sum_s C(m, s) sum_k B_m(|k|) corr_k(w nu^s, w nu^(m-s)),
+    symmetric Toeplitz quadratic forms in k = i - i'.  The node values
     become Chebyshev coefficients before monomial ones, so that rounding
     enters as a small change of the fitted function rather than through the
-    ill-conditioned monomial Vandermonde matrix.  Memory is the output plus
-    one batch: O(p^2 + T L batch) for FFT length L >= 2 rows - 1.
+    ill-conditioned monomial Vandermonde matrix.  Memory is one batch of
+    offsets, O(T rows batch).
     """
     rhos, p = cluster.rhos, cluster.columns
     rows = len(rhos)
@@ -762,22 +748,11 @@ def _cluster_mutual(cluster: GenerationCluster, w: np.ndarray) -> np.ndarray:
     x = _radial_nodes(rows, centre / half if rows > 1 else math.inf)
     size = len(x)
     sin2 = np.sin(np.arange(p) * (cluster.delta_theta / 2.0)) ** 2
+    pairs = 2.0 * (p - np.arange(p))
+    pairs[0] = p
     hk2 = (2.0 * half / max(rows - 1, 1) * np.arange(rows)) ** 2
     rho2 = 4.0 * (centre + half * x) ** 2
-    to_cheb = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, size - 1))
-    to_mono = _cheb_to_mono(size)
-    nu_pow = np.linspace(-1.0, 1.0, rows)[None, :] ** np.arange(size)[:, None]
-    length = _fft_length(2 * rows - 1)
-    w_spec = np.fft.rfft(w * nu_pow, n=length)
-    # mix[s, m] = 2^-m C(m, s) times the spectrum of w nu^(m-s), then laid
-    # out as real rows over imaginary rows for one real product per frequency
-    mix = np.zeros((size, size, length // 2 + 1), dtype=complex)
-    for m in range(size):
-        for s in range(m + 1):
-            mix[s, m] = math.comb(m, s) * 0.5**m * w_spec[m - s]
-    mix = np.concatenate([mix.real, mix.imag]).transpose(2, 0, 1).copy()
-    part = np.empty((rows, p))
-    carry = np.zeros((size, rows))
+    b = np.zeros((size, rows))
     for start in range(0, p, _COLUMN_CHUNK):
         delta = slice(start, min(start + _COLUMN_CHUNK, p))
         sb = sin2[delta]
@@ -785,22 +760,18 @@ def _cluster_mutual(cluster: GenerationCluster, w: np.ndarray) -> np.ndarray:
         if start == 0:
             csum[:, 0, 0] = 1.0  # the node itself: log 1 = 0
         np.log(csum, out=csum)
-        csum *= -0.5
-        csum[:, 0] += carry
-        np.cumsum(csum, axis=1, out=csum)
-        carry = csum[:, -1]
-        coef = np.tensordot(to_mono, np.tensordot(to_cheb, csum, 1), 1)
-        kernel = np.zeros(coef.shape[:2] + (length,))
-        kernel[..., :rows] = coef
-        kernel[..., length - rows + 1 :] = coef[..., :0:-1]
-        # an even sequence has a real spectrum
-        spec = np.fft.rfft(kernel).real
-        prod = mix @ spec.transpose(2, 0, 1)
-        out = np.fft.irfft(prod[:, :size] + 1j * prod[:, size:], n=length, axis=0)
-        part[:, delta] = np.einsum("si,isc->ic", nu_pow, out[:rows])
-    mut = part + part[:, ::-1]
-    mut -= part[:, :1]
-    return mut
+        b += pairs[delta] @ csum
+    to_cheb = np.linalg.inv(np.polynomial.chebyshev.chebvander(x, size - 1))
+    coef = _cheb_to_mono(size) @ (to_cheb @ (-0.5 * b))
+    # B_m over the lags -(rows - 1) .. rows - 1 of a full correlation
+    even = np.concatenate([coef[:, :0:-1], coef], axis=1)
+    wnu = w * np.linspace(-1.0, 1.0, rows)[None, :] ** np.arange(size)[:, None]
+    energy = 0.0
+    for m in range(size):
+        for s in range(m + 1):
+            corr = np.correlate(wnu[s], wnu[m - s], "full")
+            energy += math.comb(m, s) * 0.5**m * float(even[m] @ corr)
+    return energy
 
 
 def cluster_log_capacity(cluster: GenerationCluster) -> float:
@@ -813,8 +784,7 @@ def cluster_log_capacity(cluster: GenerationCluster) -> float:
     inv = 1.0 / self_energy
     denom = p * inv.sum()
     w_row = inv / denom
-    mut = _cluster_mutual(cluster, w_row)
-    return -(1.0 / denom + float(np.sum(w_row[:, None] * mut)))
+    return -(1.0 / denom + _cluster_energy(cluster, w_row))
 
 
 def cluster_c2(cluster: GenerationCluster, scale: float) -> tuple[float, float]:
@@ -1107,7 +1077,7 @@ def cell_capacity_table(weights: CellRows, constants: CapacityConstants) -> np.n
 # quasiadditivity and the log bound
 
 
-@dataclass(frozen=True)
+@record
 class QuasiadditivityReport:
     cell: WhitneyIndex
     ratio: float

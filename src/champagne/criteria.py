@@ -31,13 +31,13 @@ brute-force summation in the test suite.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss
 
 from . import ChampagneError
+from ._record import record
 from .geometry import (
     Configuration,
     Point,
@@ -59,7 +59,7 @@ class SingularIntegrandError(CriteriaError):
     """The integral test hit a non-integrable singularity inside [0, T]."""
 
 
-@dataclass(frozen=True)
+@record
 class BoundaryPoint:
     """A point on the unit circle, stored by its angle."""
 
@@ -74,7 +74,7 @@ class BoundaryPoint:
         return [cls(TWO_PI * i / count) for i in range(count)]
 
 
-@dataclass(frozen=True)
+@record
 class SeriesReport:
     y: BoundaryPoint
     kind: str
@@ -103,14 +103,14 @@ class SeriesReport:
         return total
 
 
-@dataclass(frozen=True)
+@record
 class SeparationReport:
     kind: str
     value: float
     argmin_pair: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
+@record
 class BudgetSums:
     sum_r_alpha: float
     sum_log_inv_alpha: float
@@ -122,7 +122,7 @@ class BudgetSums:
 # ring closed forms
 
 
-@dataclass(frozen=True)
+@record
 class _RingRows:
     """Equally spaced rows, slot a of a row at angle phase + a*2pi/count for
     a_start <= a < count, with the constants of their closed form.
@@ -213,7 +213,7 @@ SERIES_KINDS = ("log_weighted", "poisson")
 SERIES_CHUNK = 64
 
 
-@dataclass(frozen=True)
+@record
 class _SeriesTerms:
     """A configuration's series terms with the boundary point left free.
 
@@ -414,7 +414,7 @@ def _weights(kind: str, phi: PhiSpec | None, s, rho, log_gap, log_r) -> np.ndarr
     return np.sqrt(log_gap - log_r) / s
 
 
-@dataclass(frozen=True)
+@record
 class _NeighborStructure:
     """Nearest-neighbor center distances, one entry per explicit disc and
     one shared entry per ring row (all slots of a row have the same nearest
@@ -631,7 +631,7 @@ def budget_sums(c: Configuration, alpha: float) -> BudgetSums:
     )
 
 
-@dataclass(frozen=True)
+@record
 class AvoidabilityCertificate:
     issued: bool
     budget: float

@@ -24,12 +24,12 @@ serialized configurations.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
 from . import ChampagneError
+from ._record import field, record
 from .geometry import (
     Configuration,
     DiscBlock,
@@ -56,7 +56,7 @@ class GeneratorError(ChampagneError):
 # radius profiles and growth bounds
 
 
-@dataclass(frozen=True)
+@record
 class PhiSpec:
     """Decreasing radius profile phi: [0,1) -> (0,1), evaluated in log space.
 
@@ -112,7 +112,7 @@ class PhiSpec:
         return d
 
 
-@dataclass(frozen=True)
+@record
 class MSpec:
     """Increasing center-density bound M(t) = (1-t)^{-beta}, M >= 1.
 
@@ -145,7 +145,7 @@ class MSpec:
         return float(np.max(np.abs(ratio - self.doubling_c)))
 
 
-@dataclass(frozen=True)
+@record
 class GeneratorParams:
     """Parameters for the depth-growing subsquare construction."""
 

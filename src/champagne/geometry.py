@@ -18,13 +18,13 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 import numpy as np
 
 from . import SCHEMA_VERSION, ChampagneError
+from ._record import field, record
 
 TWO_PI = 2.0 * math.pi
 
@@ -71,7 +71,7 @@ def radius_from_log(log_r: float) -> float:
 # points and discs
 
 
-@dataclass(frozen=True)
+@record
 class Point:
     x: float
     y: float
@@ -94,7 +94,7 @@ class Point:
             raise GeometryError(f"non-finite point ({self.x}, {self.y})")
 
 
-@dataclass(frozen=True)
+@record
 class Disc:
     """A closed obstacle disc strictly inside the unit disc: log r < log(1-|x|),
     the one bound test that :class:`RingRows` and :class:`DiscBlock` apply too.
@@ -183,7 +183,7 @@ def center_cells(x: np.ndarray, y: np.ndarray):
     return rho, n, np.mod(m, sectors).astype(np.int64), theta - m * step
 
 
-@dataclass(frozen=True)
+@record
 class WhitneyIndex:
     """Index (n, m) of a dyadic polar cell; m is reduced mod 2^{n+4}."""
 
@@ -198,7 +198,7 @@ class WhitneyIndex:
         object.__setattr__(self, "m", self.m % sector_count(self.n))
 
 
-@dataclass(frozen=True)
+@record
 class WhitneyCell:
     """Closed polar rectangle: r in [r_inner, r_outer], theta in [lo, hi]."""
 
@@ -336,7 +336,7 @@ def _as_readonly(a: np.ndarray) -> np.ndarray:
 _DISC_COLUMNS = ("x", "y", "log_r")
 
 
-@dataclass(frozen=True)
+@record
 class DiscBlock:
     """Explicitly stored discs (coordinates plus log radii).  Like
     :class:`Disc` and :class:`RingRows`, the block refuses a disc with
@@ -406,7 +406,7 @@ _RING_COLUMNS = ("n", "rho", "log_r", "count", "a_start")
 _INT_COLUMNS = ("n", "count", "a_start")
 
 
-@dataclass(frozen=True, eq=False)
+@record(eq=False)
 class RingRows:
     """Ring rows as columns.  Row i holds ``count[i] - a_start[i]`` discs of
     log radius ``log_r[i]``, equally spaced on the circle of radius
@@ -515,7 +515,7 @@ class RingRows:
         return RingBlock(*(getattr(self, name)[i].item() for name in _RING_COLUMNS))
 
 
-@dataclass(frozen=True)
+@record
 class RingBlock:
     """One ring row as a value, checked as :class:`RingRows` checks its
     rows: ``count - a_start`` discs of one log-radius, equally spaced on a
@@ -599,7 +599,7 @@ def ring_pair_distance(rows: RingRows, i: int, j: int) -> float:
 # configurations
 
 
-@dataclass(frozen=True, init=False, eq=False)
+@record(init=False, eq=False)
 class Configuration:
     """A finite truncation of an obstacle configuration inside the unit disc.
 
@@ -737,14 +737,14 @@ class Configuration:
 # validation
 
 
-@dataclass(frozen=True)
+@record
 class Violation:
     kind: str
     detail: str
     indices: tuple[int, ...] = ()
 
 
-@dataclass(frozen=True)
+@record
 class ValidationReport:
     ok: bool
     violations: tuple[Violation, ...]

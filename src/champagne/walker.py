@@ -51,12 +51,12 @@ import math
 import mmap
 import os
 import signal
-from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
 
 from . import ChampagneError
+from ._record import field, record
 from .geometry import (
     Configuration,
     Point,
@@ -115,7 +115,7 @@ CENSORED = "censored"
 OUTCOMES = (ESCAPED, HIT, CENSORED)
 
 
-@dataclass(frozen=True)
+@record
 class WalkParams:
     eps_shell: float = 1e-4
     max_steps: int = 1_000_000
@@ -141,7 +141,7 @@ class WalkParams:
             raise WalkerError("processes must be >= 1")
 
 
-@dataclass(frozen=True)
+@record
 class EscapeEstimate:
     p_escape: float
     ci95_halfwidth: float
@@ -442,7 +442,7 @@ def estimate_escape(params: WalkParams, config: Configuration) -> EscapeEstimate
 # depth sweeps and the annulus oracle
 
 
-@dataclass(frozen=True)
+@record
 class DepthRow:
     n_max: int
     estimate: EscapeEstimate

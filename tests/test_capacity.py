@@ -36,7 +36,7 @@ from champagne.capacity import (
     _cell_obstacles,
     _circle_nodes,
     GenerationCluster,
-    _cluster_mutual,
+    _cluster_energy,
     _digon,
     _piece_log_capacity,
     _piece_nodes,
@@ -737,34 +737,53 @@ def _cubic_mutual(cluster: GenerationCluster, w: np.ndarray, rows=None) -> np.nd
     return np.array(mut)
 
 
+def _contracted_energy(cluster: GenerationCluster, w: np.ndarray) -> float:
+    """Reference for deep clusters: sum over column offsets delta, counted
+    c_0 = p and c_delta = 2 (p - delta) times, of
+    sum_{i, i'} w_i w_i' (-log d), every pair distance from the stored row
+    radii, one row i and the rows i' >= i at a time."""
+    p, rho = cluster.columns, cluster.rhos
+    sin2 = np.sin(np.arange(p, dtype=np.float64) * cluster.delta_theta / 2.0) ** 2
+    pairs = 2.0 * (p - np.arange(p))
+    pairs[0] = p
+    total = 0.0
+    for i in range(len(rho)):
+        d2 = (rho[i] - rho[i:, None]) ** 2 + 4.0 * rho[i] * rho[i:, None] * sin2[None, :]
+        d2[0, 0] = 1.0  # the node itself: log 1 = 0
+        g = np.log(d2) @ pairs
+        total += w[i] * (w[i] * g[0] + 2.0 * float(w[i + 1 :] @ g[1:]))
+    return -0.5 * total
+
+
 def _cluster(beta: float, n: int) -> GenerationCluster:
     cfg = generate_subsquares(GeneratorParams.exp_power(beta=beta, c0=0.05, n_min=n, n_max=n))
     return generation_clusters(cfg)[n]
 
 
-def _assert_mutual_matches_cubic(cluster, w, rows=None):
-    fast = _cluster_mutual(cluster, w)
-    rows = range(len(cluster.rhos)) if rows is None else rows
-    ref = _cubic_mutual(cluster, w, rows)
-    assert np.abs(fast[list(rows)] - ref).max() <= 1e-12 * np.abs(ref).max()
+def _assert_energy_matches_direct(cluster, w):
+    # the cubic sum costs p^2 per row: deep clusters take the contracted sum
+    if len(cluster.rhos) <= 128:
+        ref = float(w @ _cubic_mutual(cluster, w).sum(axis=1))
+    else:
+        ref = _contracted_energy(cluster, w)
+    assert abs(_cluster_energy(cluster, w) - ref) <= 1e-12 * abs(ref)
 
 
-class TestClusterMutual:
+class TestClusterEnergy:
     @pytest.mark.parametrize(
         "beta,n",
         [(b, n) for b in (1.2, 1.5, 2.0) for n in range(1, 11)] + [(1.5, 11), (1.5, 12)],
     )
-    def test_matches_cubic_sum(self, beta, n):
+    def test_matches_direct_sum(self, beta, n):
         cluster = _cluster(beta, n)
-        size = len(cluster.rhos)
         rng = np.random.default_rng([int(10 * beta), n])
-        w = rng.uniform(0.05, 1.0, size)
-        # the reference costs p^2 per row: deep clusters check a sample of
-        # rows that includes both edges and a neighbouring pair
-        rows = None
-        if size > 64:
-            rows = sorted({0, 1, size // 2, size - 1, *rng.integers(0, size, 4).tolist()})
-        _assert_mutual_matches_cubic(cluster, w, rows)
+        _assert_energy_matches_direct(cluster, rng.uniform(0.05, 1.0, len(cluster.rhos)))
+
+    def test_contracted_reference_is_the_cubic_sum(self):
+        cluster = _cluster(1.5, 6)
+        w = np.random.default_rng(6).uniform(0.05, 1.0, len(cluster.rhos))
+        ref = float(w @ _cubic_mutual(cluster, w).sum(axis=1))
+        assert _contracted_energy(cluster, w) == pytest.approx(ref, rel=1e-13)
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -772,35 +791,34 @@ class TestClusterMutual:
         st.integers(1, 4),
         st.lists(st.floats(1e-3, 1.0), min_size=64, max_size=64),
     )
-    def test_matches_cubic_sum_on_wide_clusters(self, beta, n, weights):
+    def test_matches_direct_sum_on_wide_clusters(self, beta, n, weights):
         # steep subdivisions put many rows across a shallow cell: exact nodes,
         # Chebyshev nodes and the degree cap all occur here
         assume(subdivision_count(n, beta) <= 64)
         cluster = _cluster(beta, n)
-        _assert_mutual_matches_cubic(cluster, np.array(weights[: len(cluster.rhos)]))
+        _assert_energy_matches_direct(cluster, np.array(weights[: len(cluster.rhos)]))
 
     def test_single_row(self):
-        # one row: mut is w times the column sum of -log(2 rho sin(delta dth / 2))
+        # one row: the energy is w^2 times the sum over ordered column pairs
+        # of -log(2 rho sin(delta dth / 2))
         rho, p, dth = 0.9, 7, 0.05
         cluster = GenerationCluster(n=3, rhos=np.array([rho]), log_rs=np.array([-50.0]), columns=p, delta_theta=dth)
-        mut = _cluster_mutual(cluster, np.array([0.3]))
-        expect = [
-            0.3 * sum(-math.log(2.0 * rho * math.sin(abs(j - j0) * dth / 2.0)) for j in range(p) if j != j0)
-            for j0 in range(p)
-        ]
-        np.testing.assert_allclose(mut[0], expect, rtol=1e-14)
+        expect = 0.09 * math.fsum(
+            -math.log(2.0 * rho * math.sin(abs(j - j0) * dth / 2.0)) for j in range(p) for j0 in range(p) if j != j0
+        )
+        assert _cluster_energy(cluster, np.array([0.3])) == pytest.approx(expect, rel=1e-14)
         single = GenerationCluster(n=1, rhos=np.array([rho]), log_rs=np.array([-50.0]), columns=1, delta_theta=dth)
-        assert _cluster_mutual(single, np.array([1.0])).tolist() == [[0.0]]
+        assert _cluster_energy(single, np.array([1.0])) == 0.0
 
     def test_two_rows(self):
         # two rows: the three values of the mean radius are the fit's nodes
         np.testing.assert_array_equal(_radial_nodes(2, 10.0), [-1.0, 0.0, 1.0])
         assert len(_cluster(2.0, 1).rhos) == 2
-        _assert_mutual_matches_cubic(_cluster(2.0, 1), np.array([0.2, 0.7]))
+        _assert_energy_matches_direct(_cluster(2.0, 1), np.array([0.2, 0.7]))
         wide = GenerationCluster(
             n=2, rhos=np.array([0.8, 0.85]), log_rs=np.array([-50.0, -60.0]), columns=9, delta_theta=0.01
         )
-        _assert_mutual_matches_cubic(wide, np.array([0.6, 0.4]))
+        _assert_energy_matches_direct(wide, np.array([0.6, 0.4]))
 
     def test_c2_rejects_scaled_diameter_of_two(self):
         cluster = _cluster(1.5, 4)

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import os
 import sys
@@ -498,7 +497,7 @@ class TestProcesses:
     def _cli_pools_of_500(monkeypatch):
         walk_params = cli._walk_params
         monkeypatch.setattr(
-            cli, "_walk_params", lambda args: dataclasses.replace(walk_params(args), chunk_size=500)
+            cli, "_walk_params", lambda args: WalkParams(**{**vars(walk_params(args)), "chunk_size": 500})
         )
 
     @pytest.mark.parametrize("depths", [None, (4, 5, 6, 7)])
