@@ -32,7 +32,6 @@ _EXPORTS = {
         "DiscBlock",
         "GeometryError",
         "Point",
-        "RingBlock",
         "RingRows",
         "SpatialIndex",
         "ValidationReport",

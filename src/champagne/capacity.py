@@ -105,7 +105,6 @@ from .geometry import (
     index_ranges,
     radius_from_log,
     sector_count,
-    spatial_index,
     unique_sorted,
 )
 
@@ -654,12 +653,14 @@ def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
     """The cluster that each ring generation of ``c`` places in its full
     cells, whatever prefix its rows drop; explicit discs are skipped.
 
-    Generation n needs rows of sector_count(n) * p slots, at most p of them.
+    Generation n needs rows of sector_count(n) * p slots, at most p of them,
+    whose discs each lie in the cell of their slot (:func:`_refuse_straddling`).
     p rows must be equally spaced; fewer, whose first rows were dropped
     whole, leave no full cell and no cluster.
     """
     out: dict[int, GenerationCluster] = {}
     rows = c.rings
+    _refuse_straddling(rows)
     for n, k in rows.generation_rows:
         count = int(rows.count[k[0]])
         p = count // sector_count(n)
@@ -684,6 +685,25 @@ def generation_clusters(c: Configuration) -> dict[int, GenerationCluster]:
             delta_theta=TWO_PI / count,
         )
     return out
+
+
+def _refuse_straddling(rows: RingRows) -> None:
+    """Refuse the first ring row whose discs cross an edge of their slots'
+    cells, whose pieces the clusters and :func:`_ring_pieces` would miss.
+    A row's discs stay inside the band of its generation n when r is at
+    most the gaps 2^-n - (1 - rho) and (1 - rho) - 2^-(n+1) to its arcs,
+    exact in floating point once n labels the circle; and inside their
+    sectors when r is at most rho sin(step / 2), the distance from its
+    last slot, which every row keeps, to the radial edge at angle 2 pi.
+    r is compared in log space, so that an underflowed radius is tested
+    exactly, and a disc that touches an edge is inside."""
+    gap, n = rows.boundary_gap, rows.n
+    room = np.minimum.reduce([np.ldexp(1.0, -n) - gap, gap - np.ldexp(1.0, -n - 1), rows.rho * np.sin(rows.step / 2.0)])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        bad = np.flatnonzero(~(rows.log_r <= np.log(room)))
+    if len(bad):
+        k = int(bad[0])
+        raise CapacityError(f"ring row {k} (n={rows.n[k]}): its discs cross an edge of their slots' cells")
 
 
 # rows may sit off their equally spaced positions by rounding alone
@@ -822,13 +842,13 @@ def _cell_pieces(c: Configuration) -> tuple:
     not empty, with its log capacity (:func:`_piece_log_capacity`).  A disc
     whole in the cell that holds its centre meets no other; the rest are cut
     to their :func:`geometry.candidate_cells` in one call."""
-    ex = spatial_index(c)
-    x, y, log_r = ex.exp_x, ex.exp_y, ex.exp_log_r
+    discs = c.discs
+    x, y, log_r = discs.x, discs.y, discs.log_r
     _, n, m, _ = center_cells(x, y)
     t, _ = _cell_frame(x, y, log_r, _index_bounds(np.maximum(n, 1), m))
     whole = (n > 0) & (n <= c.n_max) & (t >= 1.0).all(axis=1)
     rest = np.flatnonzero(~whole)
-    j, cn, cm = candidate_cells(x[rest], y[rest], ex.exp_rad[rest], c.n_max)
+    j, cn, cm = candidate_cells(x[rest], y[rest], discs.radius[rest], c.n_max)
     j = rest[j]
     piece = _piece_log_capacity(x[j], y[j], log_r[j], _index_bounds(cn, cm), index=(cn, cm))
     met = piece > -np.inf

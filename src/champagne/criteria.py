@@ -123,7 +123,7 @@ class BudgetSums:
 
 
 @record
-class _RingRows:
+class _RowSums:
     """Equally spaced rows, slot a of a row at angle phase + a*2pi/count for
     a_start <= a < count, with the constants of their closed form.
 
@@ -143,7 +143,7 @@ class _RingRows:
     prefixes: tuple[tuple[int, float, float, int, int], ...]
 
     @classmethod
-    def build(cls, rho, count, phase, a_start) -> "_RingRows":
+    def build(cls, rho, count, phase, a_start) -> "_RowSums":
         rho, phase = (np.asarray(v, dtype=np.float64) for v in (rho, phase))
         count, a_start = (np.asarray(v, dtype=np.int64) for v in (count, a_start))
         rows = list(zip(rho.tolist(), phase.tolist(), count.tolist(), a_start.tolist()))
@@ -195,7 +195,7 @@ def equally_spaced_inverse_square_sum(rho, count, phase, psi, a_start=0):
     size = {len(v) for v in row_args if np.ndim(v)}
     if len(size) > 1:
         raise CriteriaError("row arguments must have equal lengths")
-    rows = _RingRows.build(*(v if np.ndim(v) else [v] * max(size, default=1) for v in row_args))
+    rows = _RowSums.build(*(v if np.ndim(v) else [v] * max(size, default=1) for v in row_args))
     out = rows.sums(np.atleast_1d(np.asarray(psi, dtype=np.float64)))
     if np.ndim(psi) == 0:
         out = out[:, 0]
@@ -227,7 +227,7 @@ class _SeriesTerms:
     gens: tuple[int, ...]
     entries: tuple[np.ndarray, ...]  # per generation in ``gens``, its entries
     n_entries: int
-    rings: _RingRows
+    rings: _RowSums
     ring_entry: np.ndarray
     ring_s2: np.ndarray
     ring_weight: np.ndarray
@@ -326,7 +326,7 @@ def _build_series_terms(c: Configuration, kind: str) -> _SeriesTerms:
         gens=tuple(gens),
         entries=tuple(np.flatnonzero(gen_of == n) for n in gens),
         n_entries=len(gen_of),
-        rings=_RingRows.build(rows.rho, rows.count, rows.step / 2.0, rows.a_start),
+        rings=_RowSums.build(rows.rho, rows.count, rows.step / 2.0, rows.a_start),
         ring_entry=len(parts) + np.arange(len(rows)),
         ring_s2=rows.boundary_gap * rows.boundary_gap,
         ring_weight=1.0 / (rows.log_gap - rows.log_r) if weighted else np.ones(len(rows)),
@@ -479,7 +479,7 @@ def _build_neighbor_structure(c: Configuration) -> _NeighborStructure:
     nn, nn_j = index.explicit_neighbors()
     if not (len(nn) and len(rows)):
         return _NeighborStructure(nn, nn_j, order, ring_nn, ring_pair)
-    rho, theta = index.exp_polar
+    rho, theta = c.discs.polar
     # every explicit disc's nearest ring slot, lowest id on ties, where it
     # beats the disc's nearest explicit neighbour
     table = _RingTable(rows, base, alone=True)

@@ -237,7 +237,7 @@ def _grid_rings(
     # evaluation in the last bit on some arguments
     log_r = [math.log(v) + float(phi.log_phi(r)) for v, r in zip(s.tolist(), rho.tolist())]
     n = np.repeat(gens, p)
-    rows = RingRows(n, rho, log_r, np.left_shift(np.repeat(p, p), n + 4), np.zeros(len(n)))
+    rows = RingRows(n, rho, log_r, np.left_shift(np.repeat(p, p), n + 4))
     return _apply_drop(rows, drop_first)
 
 
@@ -274,7 +274,7 @@ def _apply_drop(rows: RingRows, drop_first: int) -> RingRows:
 
 
 def _finish(rows: RingRows, n_max: int, provenance: dict) -> Configuration:
-    config = Configuration(blocks=(rows,), n_max=n_max, provenance=provenance)
+    config = Configuration(rings=rows, n_max=n_max, provenance=provenance)
     report = validate_configuration(config)
     if not report.ok:
         first = report.violations[0]
@@ -376,7 +376,7 @@ def generate_avoidable_ring(
     if not (0.5 < ring_radius < 1.0):
         raise GeneratorError("ring radius must lie in (1/2, 1)")
     k = len(log_r)
-    blocks: tuple = ()
+    block = DiscBlock()
     if k:
         theta = TWO_PI * (np.arange(k, dtype=np.float64) + 0.5) / k
         x = ring_radius * np.cos(theta)
@@ -386,7 +386,7 @@ def generate_avoidable_ring(
         if np.any(ring_radius - radii <= 0.5):
             raise GeometryError("a scheduled disc reaches into |x| <= 1/2")
         order = np.argsort(theta)
-        blocks = (DiscBlock(x[order], y[order], log_r[order]),)
+        block = DiscBlock(x[order], y[order], log_r[order])
     n_max = int(generations_of(np.array([1.0 - ring_radius]))[0]) if k else 0
     provenance = {
         "generator": "avoidable_ring",
@@ -395,7 +395,7 @@ def generate_avoidable_ring(
         "log_radius_schedule": [float(v) for v in log_r],
         "budget": budget,
     }
-    config = Configuration(blocks=blocks, n_max=n_max, provenance=provenance)
+    config = Configuration(block, n_max=n_max, provenance=provenance)
     report = validate_configuration(config)
     if not report.ok:
         first = report.violations[0]
@@ -424,7 +424,7 @@ def truncate(c: Configuration, n_max: int | None = None, drop_first: int = 0) ->
         rows = RingRows(rows.n, rows.rho, rows.log_r, rows.count, a_start).take(slice(r, None))
     provenance = dict(c.provenance)
     provenance["truncated"] = {"n_max": keep_n, "drop_first": drop_first}
-    return Configuration(blocks=(discs, rows), n_max=min(c.n_max, keep_n), provenance=provenance)
+    return Configuration(discs, rows, n_max=min(c.n_max, keep_n), provenance=provenance)
 
 
 def shrink(
@@ -440,13 +440,14 @@ def shrink(
     if log_delta > 0.0:
         raise GeneratorError("log_delta must be <= 0")
     discs, rows = c.discs, c.rings
-    blocks = (
-        DiscBlock(discs.x, discs.y, discs.log_r + log_delta),
-        RingRows(rows.n, rows.rho, rows.log_r + log_delta, rows.count, rows.a_start),
-    )
     provenance = dict(c.provenance)
     provenance["shrink_log_delta"] = provenance.get("shrink_log_delta", 0.0) + log_delta
-    return Configuration(blocks=blocks, n_max=c.n_max, provenance=provenance)
+    return Configuration(
+        DiscBlock(discs.x, discs.y, discs.log_r + log_delta),
+        RingRows(rows.n, rows.rho, rows.log_r + log_delta, rows.count, rows.a_start),
+        n_max=c.n_max,
+        provenance=provenance,
+    )
 
 
 def closed_form_budget_bound(alpha: float, beta: float, c0: float, n_min: int, n_max: int) -> float:

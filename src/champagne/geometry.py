@@ -315,6 +315,8 @@ def cells_intersecting_disc(d: Disc, n_max: int | None = None) -> list[WhitneyIn
     the :func:`candidate_cells` within its radius of its centre.
 
     Discs wholly inside |x| < 1/2 meet no cells and yield an empty list.
+    It stays public as the per-disc reference that the tests hold the
+    vectorised gather of ``capacity`` to.
     """
     r = d.radius
     _, n, m = candidate_cells(np.array([d.center.x]), np.array([d.center.y]), np.array([r]), n_max)
@@ -338,13 +340,14 @@ _DISC_COLUMNS = ("x", "y", "log_r")
 
 @record
 class DiscBlock:
-    """Explicitly stored discs (coordinates plus log radii).  Like
-    :class:`Disc` and :class:`RingRows`, the block refuses a disc with
-    r >= 1-|x|, so every criterion may take log((1-|x_k|)/r_k) > 0."""
+    """Explicitly stored discs (coordinates plus log radii); ``DiscBlock()``
+    holds none.  Like :class:`Disc` and :class:`RingRows`, the block refuses
+    a disc with r >= 1-|x|, so every criterion may take
+    log((1-|x_k|)/r_k) > 0."""
 
-    x: np.ndarray
-    y: np.ndarray
-    log_r: np.ndarray
+    x: np.ndarray = ()
+    y: np.ndarray = ()
+    log_r: np.ndarray = ()
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "x", _as_readonly(self.x))
@@ -386,10 +389,16 @@ class DiscBlock:
         """(n, indices of the discs of generation n), ascending in n."""
         return _groups(self.generations)
 
-    @property
+    @cached_property
     def radius(self) -> np.ndarray:
         with np.errstate(under="ignore"):
-            return np.exp(self.log_r)
+            return _as_readonly(np.exp(self.log_r))
+
+    @cached_property
+    def polar(self) -> tuple[np.ndarray, np.ndarray]:
+        """(rho, theta in [0, 2 pi)) of the centres."""
+        theta = np.arctan2(self.y, self.x)
+        return _as_readonly(np.hypot(self.x, self.y)), _as_readonly(np.where(theta < 0.0, theta + TWO_PI, theta))
 
     def disc(self, i: int) -> Disc:
         return Disc(Point(float(self.x[i]), float(self.y[i])), float(self.log_r[i]))
@@ -401,7 +410,7 @@ def _groups(labels: np.ndarray) -> tuple[tuple[int, np.ndarray], ...]:
     return tuple((int(n), np.flatnonzero(labels == n)) for n in unique_sorted(labels))
 
 
-# the ring-row columns, in the order of RingBlock's fields
+# the ring-row columns, in the order of RingRows' fields
 _RING_COLUMNS = ("n", "rho", "log_r", "count", "a_start")
 _INT_COLUMNS = ("n", "count", "a_start")
 
@@ -414,6 +423,8 @@ class RingRows:
     < count, sits at angle (a + 1/2) * 2*pi / count, a half-step phase that
     keeps every disc strictly inside its angular sector.  Canonical ids
     count through the rows in order, each row's active slots ascending.
+    ``RingRows()`` has no rows, and ``a_start`` defaults to every slot
+    active.
 
     The columns are read-only and checked in one pass: n >= 1,
     0 < rho < 1, 0 <= a_start < count, finite log_r and the one log-space
@@ -424,15 +435,17 @@ class RingRows:
     some arguments.
     """
 
-    n: np.ndarray
-    rho: np.ndarray
-    log_r: np.ndarray
-    count: np.ndarray
-    a_start: np.ndarray
+    n: np.ndarray = ()
+    rho: np.ndarray = ()
+    log_r: np.ndarray = ()
+    count: np.ndarray = ()
+    a_start: np.ndarray | None = None
     # log(1 - rho); NaN on a row whose rho is out of range
     log_gap: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
+        if self.a_start is None:
+            object.__setattr__(self, "a_start", np.zeros(len(self.n)))
         for name in _RING_COLUMNS:
             a = np.array(getattr(self, name), dtype=np.int64 if name in _INT_COLUMNS else np.float64)
             a.setflags(write=False)
@@ -453,16 +466,6 @@ class RingRows:
         if len(rows):
             row = int(rows[0])
             raise GeometryError(f"ring row {row}: {checks[int(np.argmax(bad[:, row]))][1]}")
-
-    @classmethod
-    def of(cls, rows: Sequence) -> "RingRows":
-        """The rows of a sequence of ring rows and records, in order."""
-        if len(rows) == 1 and isinstance(rows[0], RingRows):
-            return rows[0]
-        return cls(
-            *(np.concatenate([np.atleast_1d(getattr(r, name)) for r in rows] or [np.empty(0)])
-              for name in _RING_COLUMNS)
-        )
 
     def __len__(self) -> int:
         """The number of rows."""
@@ -510,51 +513,6 @@ class RingRows:
         """(n, indices of the rows of generation n), ascending in n."""
         return _groups(self.n)
 
-    def row(self, i: int) -> "RingBlock":
-        """Row i as a one-row value."""
-        return RingBlock(*(getattr(self, name)[i].item() for name in _RING_COLUMNS))
-
-
-@record
-class RingBlock:
-    """One ring row as a value, checked as :class:`RingRows` checks its
-    rows: ``count - a_start`` discs of one log-radius, equally spaced on a
-    circle."""
-
-    n: int
-    rho: float
-    log_r: float
-    count: int
-    a_start: int = 0
-
-    def __post_init__(self) -> None:
-        RingRows.of([self])
-
-    def __len__(self) -> int:
-        return self.count - self.a_start
-
-    @property
-    def step(self) -> float:
-        return TWO_PI / self.count
-
-    @property
-    def boundary_gap(self) -> float:
-        return 1.0 - self.rho
-
-    @property
-    def radius(self) -> float:
-        return radius_from_log(self.log_r)
-
-    def angle_of(self, a: int) -> float:
-        return (a + 0.5) * self.step
-
-    def angles(self) -> np.ndarray:
-        return (np.arange(self.a_start, self.count, dtype=np.float64) + 0.5) * self.step
-
-    def disc(self, a: int) -> Disc:
-        th = self.angle_of(a)
-        return Disc(Point(self.rho * math.cos(th), self.rho * math.sin(th)), self.log_r)
-
 
 def chord(rho1: float, rho2: float, dtheta: float) -> float:
     """Distance between points at polar (rho1, 0) and (rho2, dtheta)."""
@@ -563,14 +521,9 @@ def chord(rho1: float, rho2: float, dtheta: float) -> float:
     )
 
 
-def ring_min_center_distance(r1: RingBlock, r2: RingBlock) -> float:
-    """Exact minimal center distance between two distinct rings, symmetric
-    in its arguments."""
-    return ring_pair_distance(RingRows.of((r1, r2)), 0, 1)
-
-
 def ring_pair_distance(rows: RingRows, i: int, j: int) -> float:
-    """:func:`ring_min_center_distance` of rows i and j of ``rows``."""
+    """Exact minimal centre distance between the discs of rows i and j of
+    ``rows``, symmetric in i and j."""
     (rho1, j1, s1), (rho2, j2, s2) = (
         (float(rows.rho[k]), int(rows.count[k]), int(rows.a_start[k])) for k in (i, j)
     )
@@ -599,41 +552,21 @@ def ring_pair_distance(rows: RingRows, i: int, j: int) -> float:
 # configurations
 
 
-@record(init=False, eq=False)
+@record(eq=False)
 class Configuration:
     """A finite truncation of an obstacle configuration inside the unit disc.
 
-    It is stored in two parts: ``discs``, the explicit discs, and
-    ``rings``, the ring rows.  Canonical disc ids count through the
-    explicit discs (0 .. D-1), then through the ring rows in row order
-    (from D), by construction.  ``blocks`` takes explicit disc blocks
-    followed by ring rows (:class:`RingBlock`) and records
-    (:class:`RingRows`), each part kept in the order given; an explicit
-    block after a ring is refused.  The generators emit ascending
-    generation and rings by radial row.
+    It is stored in two parts, each empty by default: ``discs``, the
+    explicit discs, and ``rings``, the ring rows.  Canonical disc ids count
+    through the explicit discs (0 .. D-1), then through the ring rows in
+    row order (from D).  The generators emit ascending generation and rings
+    by radial row.
     """
 
-    discs: DiscBlock
-    rings: RingRows
-    n_max: int
-    provenance: Mapping[str, object]
-
-    def __init__(
-        self, blocks: Sequence = (), n_max: int = 0, provenance: Mapping[str, object] | None = None
-    ):
-        blocks = tuple(blocks)
-        ring = [isinstance(b, (RingBlock, RingRows)) for b in blocks]
-        if ring != sorted(ring):
-            raise GeometryError("an explicit disc block follows a ring block: explicit discs come first")
-        k = ring.count(False)
-        explicit = [b for b in blocks[:k] if len(b)]
-        if len(explicit) != 1:
-            explicit = [DiscBlock(*(np.concatenate([np.empty(0)] + [getattr(b, name) for b in explicit])
-                                    for name in _DISC_COLUMNS))]
-        object.__setattr__(self, "discs", explicit[0])
-        object.__setattr__(self, "rings", RingRows.of(blocks[k:]))
-        object.__setattr__(self, "n_max", n_max)
-        object.__setattr__(self, "provenance", {} if provenance is None else provenance)
+    discs: DiscBlock = field(default_factory=DiscBlock)
+    rings: RingRows = field(default_factory=RingRows)
+    n_max: int = 0
+    provenance: Mapping[str, object] = field(default_factory=dict)
 
     @property
     def blocks(self) -> tuple:
@@ -648,7 +581,7 @@ class Configuration:
         provenance: Mapping[str, object] | None = None,
     ) -> "Configuration":
         if not discs:
-            return cls(blocks=(), n_max=int(n_max or 0), provenance=dict(provenance or {}))
+            return cls(n_max=int(n_max or 0), provenance=dict(provenance or {}))
         gens = generations_of([d.boundary_gap for d in discs]).tolist()
         order = sorted(
             range(len(discs)),
@@ -664,7 +597,7 @@ class Configuration:
         y = np.array([discs[i].center.y for i in order])
         lr = np.array([discs[i].log_radius for i in order])
         return cls(
-            blocks=(DiscBlock(x, y, lr),),
+            DiscBlock(x, y, lr),
             n_max=int(n_max if n_max is not None else max(gens)),
             provenance=dict(provenance or {}),
         )
@@ -715,9 +648,7 @@ class Configuration:
     def materialized(self, limit: int = 2_000_000) -> "Configuration":
         """Equivalent configuration with a single explicit block."""
         x, y, lr = self.disc_arrays(limit)
-        return Configuration(
-            blocks=(DiscBlock(x, y, lr),), n_max=self.n_max, provenance=dict(self.provenance)
-        )
+        return Configuration(DiscBlock(x, y, lr), n_max=self.n_max, provenance=dict(self.provenance))
 
     def generations_present(self) -> list[int]:
         return unique_sorted(np.concatenate([self.discs.generations, self.rings.n])).tolist()
@@ -727,7 +658,7 @@ class Configuration:
         x, y, lr = self.disc_arrays()
         c, s = math.cos(angle), math.sin(angle)
         return Configuration(
-            blocks=(DiscBlock(c * x - s * y, s * x + c * y, lr),),
+            DiscBlock(c * x - s * y, s * x + c * y, lr),
             n_max=self.n_max,
             provenance=dict(self.provenance),
         )
@@ -798,8 +729,8 @@ def _find_overlap(index: "SpatialIndex") -> tuple[int, int] | None:
     with the lowest-id disc it meets; between an explicit disc and a ring
     row, the first row that one meets, with the lowest-id disc meeting it.
     """
-    rows, base = index.config.rings, len(index.config.discs)
-    xs, ys, radii = index.exp_x, index.exp_y, index.exp_rad
+    discs, rows = index.config.discs, index.config.rings
+    base, xs, ys, radii = len(discs), discs.x, discs.y, discs.radius
     if base:
         # disc i can meet disc j only if its center comes within r_i of disc
         # j's boundary (up to rounding); the few discs that do are checked
@@ -817,7 +748,7 @@ def _find_overlap(index: "SpatialIndex") -> tuple[int, int] | None:
         # explicit against rings: each center against the nearest slot of
         # every row within reach of it radially
         table = _RingTable(rows, base, alone=True)
-        rho_pts, theta_pts = index.exp_polar
+        rho_pts, theta_pts = discs.polar
         k, t = _within(rho_pts, radii + table.rad.max(), table.rho)
         reach = radii[k] + table.rad[t]
         k, t, reach = (a[np.abs(rho_pts[k] - table.rho[t]) <= reach] for a in (k, t, reach))
@@ -1132,23 +1063,14 @@ class SpatialIndex:
         # rows, then explicit bands.  An empty configuration keeps its empty
         # ring table
         self._tables = [(_RingTable(config.rings, len(discs)), 2)] if len(config.rings) or not len(discs) else []
-        # the explicit discs in canonical order, with their radii and ids,
-        # and in the band table
+        # the ids of the explicit discs, and the discs in the band table
         self._discs = None
-        self.exp_x, self.exp_y, self.exp_log_r = discs.x, discs.y, discs.log_r
-        self.exp_rad = discs.radius
         self.exp_ids = np.arange(len(discs), dtype=np.int64)
         if len(discs):
             from .bands import DiscTable
 
-            self._discs = DiscTable(self.exp_x, self.exp_y, self.exp_rad, self.exp_ids)
+            self._discs = DiscTable(discs.x, discs.y, discs.radius, self.exp_ids)
             self._tables.append((self._discs, 4))
-
-    @cached_property
-    def exp_polar(self) -> tuple[np.ndarray, np.ndarray]:
-        """(rho, theta in [0, 2 pi)) of the explicit discs' centers."""
-        theta = np.arctan2(self.exp_y, self.exp_x)
-        return np.hypot(self.exp_x, self.exp_y), np.where(theta < 0.0, theta + TWO_PI, theta)
 
     # -- batched query (hot path for the walker) ----------------------------
 
@@ -1223,11 +1145,12 @@ class SpatialIndex:
         d = np.array(np.broadcast_to(cutoff, self.exp_ids.shape), dtype=np.float64)
         nn = np.full(len(d), _NO_ID)
         if self._discs is not None:
-            rho, theta = self.exp_polar
+            discs = self.config.discs
+            rho, theta = discs.polar
             # _CHUNK discs at a time keep the query's temporaries small
             for lo in range(0, len(d), _CHUNK):
                 s = slice(lo, lo + _CHUNK)
-                q = (rho[s], theta[s], self.exp_x[s], self.exp_y[s], self.exp_ids[s])
+                q = (rho[s], theta[s], discs.x[s], discs.y[s], self.exp_ids[s])
                 self._discs.nearest(q, d[s], nn[s], centers=centers)
         nn[nn == _NO_ID] = -1
         return d, nn
@@ -1327,7 +1250,7 @@ def document_to_config(doc: Mapping) -> Configuration:
     without ``log_r`` takes the log of its ``r``.  Ring rows are read
     field by field into columns; ``n``, ``count``, ``a_start`` and
     ``n_max`` must be integers within int64."""
-    blocks: list = []
+    block = DiscBlock()
     discs = doc.get("discs", [])
     if isinstance(discs, Mapping):
         columns = [discs[name] for name in _DISC_COLUMNS]
@@ -1343,12 +1266,12 @@ def document_to_config(doc: Mapping) -> Configuration:
             raise ValueError(
                 f"disc columns differ in length: x {len(x)}, y {len(y)}, log_r {len(lr)}"
             )
-        blocks.append(DiscBlock(x, y, lr))
+        block = DiscBlock(x, y, lr)
     rings = doc.get("rings", [])
     fields = {name: [r.get(name, 0) if name == "a_start" else r[name] for r in rings] for name in _RING_COLUMNS}
-    blocks.append(RingRows(*(_column(f"ring field {k!r}", v, k in _INT_COLUMNS) for k, v in fields.items())))
     return Configuration(
-        blocks=tuple(blocks),
+        block,
+        RingRows(*(_column(f"ring field {k!r}", v, k in _INT_COLUMNS) for k, v in fields.items())),
         n_max=int(_column("n_max", [doc.get("n_max", 0)], integer=True)[0]),
         provenance=dict(doc.get("provenance", {})),
     )

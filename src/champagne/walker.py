@@ -498,9 +498,8 @@ def concentric_obstacle_config(r0: float) -> Configuration:
         raise WalkerError("annulus obstacle radius must lie in (0, 1)")
     from .geometry import DiscBlock
 
-    block = DiscBlock(np.array([0.0]), np.array([0.0]), np.array([math.log(r0)]))
     return Configuration(
-        blocks=(block,),
+        DiscBlock(np.array([0.0]), np.array([0.0]), np.array([math.log(r0)])),
         n_max=0,
         provenance={"generator": "annulus", "r0": r0},
     )

@@ -66,13 +66,12 @@ from champagne.geometry import (
     Disc,
     DiscBlock,
     Point,
-    RingBlock,
+    RingRows,
     WhitneyCell,
     WhitneyIndex,
     cells_intersecting_disc,
     center_cells,
     sector_count,
-    spatial_index,
     validate_configuration,
     whitney_cell,
 )
@@ -458,7 +457,7 @@ class TestPieces:
         # (2, 63): each holds a quarter of the disc, also where r underflows
         offsets = []
         for log_r in (-30.0, -700.0, -745.5, -800.0, -1e6):
-            cfg = Configuration(blocks=(DiscBlock(np.array([0.75]), np.array([0.0]), np.array([log_r])),), n_max=2)
+            cfg = Configuration(DiscBlock(np.array([0.75]), np.array([0.0]), np.array([log_r])), n_max=2)
             rows = _rows_by_cell(cell_capacity_weights(cfg))
             assert sorted(rows) == [(1, 0), (1, 31), (2, 0), (2, 63)]
             assert all(v < log_r for v in rows.values())
@@ -475,7 +474,7 @@ class TestPieces:
             raise CapacityError("no equilibrium")
 
         monkeypatch.setattr(capacity, "minimize_simplex_energy", fail)
-        cfg = Configuration(blocks=(DiscBlock(np.array([0.75]), np.array([0.0]), np.array([-30.0])),), n_max=2)
+        cfg = Configuration(DiscBlock(np.array([0.75]), np.array([0.0]), np.array([-30.0])), n_max=2)
         with pytest.raises(CapacityError, match=r"capacity failed at cell \(n=(1, m=(0|31)|2, m=(0|63))\): no equilibrium"):
             cell_capacity_weights(cfg)
 
@@ -484,7 +483,7 @@ class TestPieces:
         # |z| = 0.75: discs 1 and 4 also on radial edges, at the corners of
         # four cells, and the others across the arc between two cells
         cfg = generate_avoidable_ring()
-        log_r = spatial_index(cfg).exp_log_r.tolist()
+        log_r = cfg.discs.log_r.tolist()
         rows = _rows_by_cell(cell_capacity_weights(cfg))
         halves = {(1, 13): 2, (2, 26): 2, (1, 18): 3, (2, 37): 3, (1, 29): 5, (2, 58): 5}
         corners = {(1, 7): 1, (1, 8): 1, (2, 15): 1, (2, 16): 1, (1, 23): 4, (1, 24): 4, (2, 47): 4, (2, 48): 4}
@@ -524,7 +523,7 @@ class TestPieces:
         # discs clipped to its cell
         theta = k * (2.0 * math.pi / 32) + np.array([0.0, 0.05])
         x, y, log_r = 0.6 * np.cos(theta), 0.6 * np.sin(theta), np.array([-800.0, -10.0])
-        cfg = Configuration(blocks=(DiscBlock(x, y, log_r),), n_max=1)
+        cfg = Configuration(DiscBlock(x, y, log_r), n_max=1)
         weights = cell_capacity_weights(cfg)
         assert len(weights.n) == len(_obstacle_rows(cfg)[0])
         rows = _rows_by_cell(weights)
@@ -698,22 +697,65 @@ class TestClusters:
     def test_skips_explicit_blocks(self):
         cfg = self._config()
         explicit = DiscBlock(np.array([0.6]), np.zeros(1), np.array([-9.0]))
-        clusters = generation_clusters(Configuration(blocks=(explicit,) + cfg.blocks, n_max=3))
+        clusters = generation_clusters(Configuration(explicit, cfg.rings, n_max=3))
         assert list(clusters) == [3]
         np.testing.assert_array_equal(clusters[3].rhos, generation_clusters(cfg)[3].rhos)
 
     def test_rejects_more_rows_than_p(self):
         rows = self._config().rings
-        extra = RingBlock(3, 0.5 * (rows.rho[0] + rows.rho[1]), -50.0, int(rows.count[0]))
+        extra = RingRows(
+            n=np.append(rows.n, 3),
+            rho=np.append(rows.rho, 0.5 * (rows.rho[0] + rows.rho[1])),
+            log_r=np.append(rows.log_r, -50.0),
+            count=np.append(rows.count, rows.count[0]),
+            a_start=np.append(rows.a_start, 0),
+        )
         with pytest.raises(CapacityError, match="at most p rows"):
-            generation_clusters(Configuration(blocks=(rows, extra), n_max=3))
+            generation_clusters(Configuration(rings=extra, n_max=3))
 
     def test_rejects_unequally_spaced_rows(self):
         rows = generation_clusters(self._config())[3].rhos
         count = sector_count(3) * len(rows)
-        moved = [RingBlock(3, rho + (1e-6 if i == 1 else 0.0), -50.0, count) for i, rho in enumerate(rows)]
+        rho = rows.copy()
+        rho[1] += 1e-6
+        moved = RingRows(n=[3] * len(rho), rho=rho, log_r=[-50.0] * len(rho), count=[count] * len(rho))
         with pytest.raises(CapacityError, match="equally spaced"):
-            generation_clusters(Configuration(blocks=tuple(moved), n_max=3))
+            generation_clusters(Configuration(rings=moved, n_max=3))
+
+    # (generation, 1 - rho, log r, first active slot) of a row of
+    # 2^(n+4) slots whose discs cross an arc outward; inward; with the
+    # centre on it at an underflowed radius; by 1e-12 in log r past a gap
+    # of 2^-40; or, one slot alone, the radial edge at 2 pi.  Each row's
+    # twin just inside its cell follows it
+    @pytest.mark.parametrize(
+        "n, gap, log_r, a_start, inside",
+        [
+            (1, 0.2501, math.log(0.001), 0, math.log(0.00005)),
+            (1, 0.4995, math.log(0.001), 0, math.log(0.0004)),
+            (2, 0.25, -1000.0, 0, None),
+            (1, 0.25 + 2.0**-40, math.log(2.0**-40) + 1e-12, 0, math.log(2.0**-40) - 1e-12),
+            (1, 0.375, math.log(0.07), 31, math.log(0.06)),
+        ],
+    )
+    def test_ring_discs_across_a_cell_edge_refused(self, n, gap, log_r, a_start, inside):
+        def config(log_r):
+            # row 0, a plain generation-3 row, is inside its cells
+            rows = RingRows(
+                n=[3, n], rho=[0.9, 1.0 - gap], log_r=[-30.0, log_r], count=[128, sector_count(n)], a_start=[0, a_start]
+            )
+            return Configuration(rings=rows, n_max=3)
+
+        with pytest.raises(CapacityError, match=rf"ring row 1 \(n={n}\): its discs cross an edge"):
+            cell_capacity_weights(config(log_r))
+        if inside is not None:
+            ok = config(inside)
+            got, want = (
+                {(g, m): lc for g, ms, lc, _ in _rows(cell_capacity_weights(c)) for m in ms}
+                for c in (ok, ok.materialized())
+            )
+            assert sorted(got) == sorted(want)
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, abs=1e-9)
 
 
 def _cubic_mutual(cluster: GenerationCluster, w: np.ndarray, rows=None) -> np.ndarray:
@@ -833,7 +875,7 @@ class TestClusterEnergy:
 
 class TestCellSeries:
     def test_empty_configuration(self):
-        rep = cell_capacity_series(Configuration(blocks=(), n_max=0), BoundaryPoint(0.0))
+        rep = cell_capacity_series(Configuration(), BoundaryPoint(0.0))
         assert rep.total == 0.0
 
     def test_single_interior_disc_single_term(self):
@@ -948,15 +990,18 @@ class TestObstacleRows:
             np.array([0.0, rho * math.sin(theta)]),
             np.array([-7.0, -12.0]),
         )
-        return Configuration(blocks=(explicit,) + rings.blocks, n_max=8)
+        return Configuration(explicit, rings.rings, n_max=8)
 
     def test_table_is_the_closed_form_and_calls_no_solver(self, monkeypatch):
         # clusters, gathered cells, and cells that one piece meets alone:
         # a disc inside (3, 5), and the half discs of (1, 0) and (1, 31)
         cell = whitney_cell(WhitneyIndex(3, 5))
         rho, th = 0.5 * (cell.r_inner + cell.r_outer), 0.5 * (cell.theta_lo + cell.theta_hi)
-        lone = DiscBlock(np.array([rho * math.cos(th)]), np.array([rho * math.sin(th)]), np.array([-20.0]))
-        cfg = Configuration(blocks=(lone,) + self._mixed().blocks, n_max=8)
+        mixed = self._mixed()
+        # the lone disc ahead of the mixed configuration's explicit discs
+        lone = (rho * math.cos(th), rho * math.sin(th), -20.0)
+        x, y, log_r = (np.insert(getattr(mixed.discs, k), 0, v) for k, v in zip(("x", "y", "log_r"), lone))
+        cfg = Configuration(DiscBlock(x, y, log_r), mixed.rings, n_max=8)
         weights = cell_capacity_weights(cfg)
         sets = _obstacle_rows(cfg)[-1]
         kinds = {type(sets[s]).__name__ if s >= 0 else "own" for s in weights.solve.tolist()}
@@ -1195,7 +1240,7 @@ class TestObstacleRows:
             explicit = DiscBlock(
                 np.array([rho * math.cos(theta)]), np.array([rho * math.sin(theta)]), np.array([-9.0 - n])
             )
-            cfg = Configuration(blocks=(explicit,) + rings.blocks, n_max=n_max)
+            cfg = Configuration(explicit, rings.rings, n_max=n_max)
         want = _gathered(cfg.materialized())
         got = {}
         for n, ms, _ in _set_rows(cfg):
@@ -1275,7 +1320,7 @@ class TestCellGather:
         for k in range(count):
             if r[k] < rho[k] and (np.hypot(x[k] - x[keep], y[k] - y[keep]) > r[k] + r[keep]).all():
                 keep.append(k)
-        cfg = Configuration(blocks=(DiscBlock(x[keep], y[keep], log_r[keep]),), n_max=8)
+        cfg = Configuration(DiscBlock(x[keep], y[keep], log_r[keep]), n_max=8)
         assert validate_configuration(cfg).ok and len(keep) > 100
         assert _gathered(cfg) == self._every_piece(cfg)
 
@@ -1340,7 +1385,7 @@ class TestCellGather:
             met = [idx for idx in reached if _piece([x], [y], [log_r], whitney_cell(idx))[0] > -np.inf]
             assert met == [home.index]
             disc = DiscBlock(np.array([x]), np.array([y]), np.array([log_r]))
-            cfg = Configuration(blocks=(disc,), n_max=max(30, int(hn)))
+            cfg = Configuration(disc, n_max=max(30, int(hn)))
             assert _gathered(cfg) == {(int(hn), int(hm)): [(x, y, log_r)]}
 
 
@@ -1488,7 +1533,7 @@ class TestGreenBoundAndCertificate:
         assert cert.budget <= cert.threshold
 
     def test_certificate_empty(self):
-        cert = avoidability_certificate(Configuration(blocks=(), n_max=0))
+        cert = avoidability_certificate(Configuration())
         assert cert.issued
 
     def test_certificate_refused_large_budget(self):

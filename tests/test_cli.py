@@ -21,7 +21,7 @@ from champagne.geometry import (
     Disc,
     DiscBlock,
     Point,
-    RingBlock,
+    RingRows,
     SpatialIndex,
     dumps_config,
     loads_config,
@@ -32,6 +32,12 @@ from champagne.walker import OUTCOMES, WalkParams, annulus_escape_probability, e
 
 def run(*argv) -> int:
     return main([str(a) for a in argv])
+
+
+# ring 1 is labelled n=2 but its circle lies in generation 0
+MISLABELLED = RingRows(n=[1, 2], rho=[0.6, 0.3], log_r=[math.log(0.01)] * 2, count=[8, 8])
+# one row whose discs cross the arc 1 - rho = 1/4 between generations 1 and 2
+STRADDLING = RingRows(n=[1], rho=[1.0 - 0.2501], log_r=[math.log(0.001)], count=[32])
 
 
 @pytest.fixture
@@ -456,7 +462,7 @@ class TestCapacityCommand:
             np.array([0.0, rho * math.sin(theta)]),
             np.array([math.log(1e-3), math.log(1e-5)]),
         )
-        cfg = Configuration(blocks=(explicit,) + rings.blocks, n_max=7)
+        cfg = Configuration(explicit, rings.rings, n_max=7)
         path, twin = tmp_path / "mixed.json", tmp_path / "twin.json"
         path.write_text(dumps_config(cfg))
         twin.write_text(dumps_config(cfg.materialized()))
@@ -602,7 +608,7 @@ class TestCapacityCommand:
             edge = DiscBlock(
                 np.array([rho * math.cos(theta)]), np.array([rho * math.sin(theta)]), np.array([-11.5])
             )
-            cfg = Configuration(blocks=(edge,) + rings.blocks, n_max=7)
+            cfg = Configuration(edge, rings.rings, n_max=7)
         path, out = tmp_path / "cfg.json", tmp_path / "cap"
         path.write_text(dumps_config(cfg))
         assert run("capacity", path, "--max-cells-per-generation", 10, "--out-dir", out) == 0
@@ -630,6 +636,23 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("error: cell (n=8, m=0) holds 4095 discs") and "Traceback" not in err
         assert not (tmp_path / "cap").exists()
+
+    def test_ring_disc_across_a_cell_edge_exits_one(self, tmp_path, capsys):
+        # discs of radius 0.001 at 1 - rho = 0.2501 reach past the arc
+        # 1 - rho = 1/4 into generation 2: taken whole in their cells they
+        # would give 32 rows where the materialised twin has 32 clipped
+        # pieces and 64 slivers in generation 2
+        config = Configuration(rings=STRADDLING, n_max=2)
+        path, twin = tmp_path / "ring.json", tmp_path / "twin.json"
+        path.write_text(dumps_config(config))
+        twin.write_text(dumps_config(config.materialized()))
+        assert run("capacity", path, "--out-dir", tmp_path / "cap") == 1
+        assert capsys.readouterr().err == "error: ring row 0 (n=1): its discs cross an edge of their slots' cells\n"
+        assert not (tmp_path / "cap").exists()
+        assert run("capacity", twin, "--out-dir", tmp_path / "twin") == 0
+        with open(tmp_path / "twin" / "capacity.csv", newline="") as fh:
+            gens = [int(r["n"]) for r in csv.DictReader(fh)]
+        assert (gens.count(1), gens.count(2)) == (32, 64)
 
     @pytest.mark.parametrize(
         "flag, value",
@@ -661,12 +684,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", ["check", "capacity", "simulate", "sweep"])
     def test_mislabelled_ring_exits_one(self, tmp_path, capsys, command):
         # ring 1 is labelled n=2 but its circle lies in generation 0
-        rings = (
-            RingBlock(n=1, rho=0.6, log_r=math.log(0.01), count=8),
-            RingBlock(n=2, rho=0.3, log_r=math.log(0.01), count=8),
-        )
         path = tmp_path / "mislabelled.json"
-        path.write_text(dumps_config(Configuration(blocks=rings, n_max=2)))
+        path.write_text(dumps_config(Configuration(rings=MISLABELLED, n_max=2)))
         extra = ["--n-walks", 10] if command in ("simulate", "sweep") else []
         assert run(command, path, *extra, "--out-dir", tmp_path / "out") == 1
         assert "invalid: generation ring row 1" in capsys.readouterr().err
@@ -678,11 +697,8 @@ class TestExitCodes:
         # slot 180 of the first ring and slot 123 of the second sit on one
         # ray, 0.01 apart, and their discs of radius 0.006 meet; the
         # verdict does not depend on block order or storage
-        rings = (
-            RingBlock(n=1, rho=0.7, log_r=math.log(0.006), count=190),
-            RingBlock(n=1, rho=0.71, log_r=math.log(0.006), count=130, a_start=113),
-        )
-        config = Configuration(blocks=rings[::-1] if storage == "reversed" else rings, n_max=1)
+        rings = RingRows(n=[1, 1], rho=[0.7, 0.71], log_r=[math.log(0.006)] * 2, count=[190, 130], a_start=[0, 113])
+        config = Configuration(rings=rings.take([1, 0]) if storage == "reversed" else rings, n_max=1)
         if storage == "materialized":
             config = config.materialized()
         path = tmp_path / "pair.json"
@@ -808,7 +824,7 @@ class TestExitCodes:
         if not provenance:
             path = tmp_path / "plain.json"
             block = DiscBlock(np.array([0.7]), np.array([0.0]), np.array([-8.0]))
-            path.write_text(dumps_config(Configuration(blocks=(block,), n_max=2)))
+            path.write_text(dumps_config(Configuration(block, n_max=2)))
         out = tmp_path / "c"
         argv = ("check", path, "--criteria", criteria, flag, value, "--out-dir", out)
         assert run(*argv) == 1
@@ -1031,6 +1047,7 @@ EXIT_CASES = {
                           "--out-dir", "out"], 0),
     "report": (["report", "--check", "check.json", "--sweep", "sweep.json", "--out-dir", "out"], 0),
     "invalid": (["check", "mislabelled.json", "--out-dir", "out"], 1),
+    "straddling": (["capacity", "straddling.json", "--out-dir", "out"], 1),
     "not-utf8": (["check", "latin1.json", "--out-dir", "out"], 2),
     **{case: (["check", f"{case}.json", "--out-dir", "out"], 2) for case in BAD_RING_INTEGERS},
     "y-grid-0": (["check", "cfg.json", "--y-grid", "0", "--out-dir", "out"], 2),
@@ -1043,20 +1060,16 @@ EXIT_CASES = {
 @pytest.fixture(scope="module")
 def exit_inputs(tmp_path_factory):
     """A configuration, its check and sweep documents, a configuration that
-    fails validation, one that is not UTF-8 and ones whose ring integer
-    fields are not integers."""
+    fails validation, one whose ring discs cross a cell edge, one that is
+    not UTF-8 and ones whose ring integer fields are not integers."""
     root = tmp_path_factory.mktemp("exit-inputs")
     cfg = root / "cfg.json"
     assert run("generate", "subsquares", "--beta", 0.1, "--c0", 0.3, "--n-min", 6, "--n-max", 7,
                "-o", cfg) == 0
     assert run("check", cfg, "--y-grid", 4, "--out-dir", root) == 0
     assert run("sweep", cfg, "--depths", "6,7", "--n-walks", 200, "--out-dir", root) == 0
-    # ring 1 is labelled n=2 but its circle lies in generation 0
-    rings = (
-        RingBlock(n=1, rho=0.6, log_r=math.log(0.01), count=8),
-        RingBlock(n=2, rho=0.3, log_r=math.log(0.01), count=8),
-    )
-    (root / "mislabelled.json").write_text(dumps_config(Configuration(blocks=rings, n_max=2)))
+    (root / "mislabelled.json").write_text(dumps_config(Configuration(rings=MISLABELLED, n_max=2)))
+    (root / "straddling.json").write_text(dumps_config(Configuration(rings=STRADDLING, n_max=2)))
     (root / "latin1.json").write_bytes(b'{"n_max": 1, "provenance": {"name": "caf\xe9"}}')
     for case, content in BAD_RING_INTEGERS.items():
         (root / f"{case}.json").write_bytes(content)

@@ -43,7 +43,7 @@ from champagne.geometry import (
     DiscBlock,
     GeometryError,
     Point,
-    RingBlock,
+    RingRows,
     chord,
     dumps_config,
     loads_config,
@@ -117,7 +117,7 @@ class TestRingClosedForm:
 
 class TestSeriesExamples:
     def test_empty_configuration(self):
-        rep = log_weighted_series(Configuration(blocks=(), n_max=0), Y0)
+        rep = log_weighted_series(Configuration(), Y0)
         assert rep.total == 0.0
         assert rep.per_generation == ()
 
@@ -260,20 +260,20 @@ _series_row = st.tuples(
 
 
 def _series_config(rows, n_explicit, seed):
-    blocks = []
+    columns = []
     for n, frac, per_gap, drop, log_ratio in rows:
         s = 2.0 ** (-n - 1) * (1.0 + frac)
         count = math.ceil(per_gap * TWO_PI / s)
         log_r = math.log(s) + log_ratio * math.log(10.0)
-        blocks.append(RingBlock(n=n, rho=1.0 - s, log_r=log_r, count=count, a_start=int(drop * count)))
+        columns.append((n, 1.0 - s, log_r, count, int(drop * count)))
+    discs = DiscBlock()
     if n_explicit:
         rng = np.random.default_rng(seed)
         s = np.exp(rng.uniform(math.log(2.0**-8), math.log(0.5), n_explicit))
         theta = rng.uniform(0.0, TWO_PI, n_explicit)
         log_r = np.log(s) - rng.uniform(0.5, 18.0, n_explicit)
-        block = DiscBlock((1.0 - s) * np.cos(theta), (1.0 - s) * np.sin(theta), log_r)
-        blocks.insert(0, block)
-    return Configuration(blocks=tuple(blocks), n_max=8)
+        discs = DiscBlock((1.0 - s) * np.cos(theta), (1.0 - s) * np.sin(theta), log_r)
+    return Configuration(discs, RingRows(*zip(*columns)), n_max=8)
 
 
 class TestSeriesGrid:
@@ -286,15 +286,17 @@ class TestSeriesGrid:
         reports = series_over_grid(cfg, kind, y_count=64)
         # entries of a ring-only configuration are its rows, in row order
         per_row = criteria._series_terms(cfg, kind).values(np.array([y.theta for y in ys]))
-        rows = [cfg.rings.row(i) for i in range(len(cfg.rings))]
+        rows = cfg.rings
+        names = ("n", "rho", "log_r", "count", "a_start", "step")
+        columns = list(zip(*(getattr(rows, name).tolist() for name in names)))
         for j, (y, rep) in enumerate(zip(ys, reports)):
             per_gen = {}
-            for i, b in enumerate(rows):
-                s = b.boundary_gap
-                w = 1.0 / (math.log(s) - b.log_r) if kind == "log_weighted" else 1.0
-                row = scalar_inverse_square_sum(b.rho, b.count, b.step / 2.0, y.theta, b.a_start)
+            for i, (n, rho, log_r, count, a_start, step) in enumerate(columns):
+                s = 1.0 - rho
+                w = 1.0 / (math.log(s) - log_r) if kind == "log_weighted" else 1.0
+                row = scalar_inverse_square_sum(rho, count, step / 2.0, y.theta, a_start)
                 assert per_row[i, j] == w * (s * s * row)
-                per_gen.setdefault(b.n, []).append(w * (s * s * row))
+                per_gen.setdefault(n, []).append(w * (s * s * row))
             assert rep.y == y and rep.kind == kind
             assert rep.per_generation == tuple((n, math.fsum(v)) for n, v in sorted(per_gen.items()))
 
@@ -411,14 +413,14 @@ class TestSeparation:
         )
         rng = np.random.default_rng(int(drop_first + 10 * side) % 97)
         row = rng.integers(0, 2, 30)
-        rb = [rings.rings.row(k) for k in row]
-        a = np.array([rng.integers(0, b.count) for b in rb])
-        theta = np.array([b.angle_of(int(k)) for b, k in zip(rb, a)])
-        spacing = np.array([b.rho * b.step for b in rb])
-        rho = np.array([b.rho for b in rb]) + side * rng.uniform(0.1, 0.4, 30) * spacing
+        rows = rings.rings
+        a = np.array([rng.integers(0, count) for count in rows.count[row].tolist()])
+        theta = (a + 0.5) * rows.step[row]
+        spacing = rows.rho[row] * rows.step[row]
+        rho = rows.rho[row] + side * rng.uniform(0.1, 0.4, 30) * spacing
         theta = theta + rng.uniform(-0.05, 0.05, 30) * spacing
         explicit = DiscBlock(rho * np.cos(theta), rho * np.sin(theta), np.full(30, -20.0))
-        config = Configuration(blocks=(explicit, *rings.blocks), n_max=6)
+        config = Configuration(explicit, rows, n_max=6)
 
         rep = separation(config, kind=kind)
         x, y, lr = config.disc_arrays()
@@ -450,14 +452,12 @@ class TestSeparation:
     @pytest.mark.parametrize("order", [1, -1])
     @pytest.mark.parametrize("kind", ["plain", "radius_log"])
     def test_prefix_rings_match_materialized(self, rings, radius, order, kind):
-        blocks = tuple(
-            RingBlock(n=n, rho=rho, log_r=math.log(radius), count=count, a_start=a_start)
-            for n, rho, count, a_start in rings
-        )[::order]
-        config = Configuration(blocks=blocks, n_max=3)
+        n, rho, count, a_start = zip(*rings[::order])
+        rows = RingRows(n, rho, [math.log(radius)] * 2, count, a_start)
+        config = Configuration(rings=rows, n_max=3)
         rep = separation(config, kind=kind)
         # a pair across the two rings sets the minimum
-        assert sorted(rep.argmin_pair) == [0, len(blocks[0])]
+        assert sorted(rep.argmin_pair) == [0, rows.sizes[0]]
         assert rep.value == pytest.approx(separation(config.materialized(), kind=kind).value, rel=1e-12)
 
     def test_shrink_increases_radius_log_value(self):
@@ -558,7 +558,7 @@ class TestIntegralTest:
 
 class TestBudgets:
     def test_empty(self):
-        b = budget_sums(Configuration(blocks=(), n_max=0), alpha=2.0)
+        b = budget_sums(Configuration(), alpha=2.0)
         assert (b.sum_r_alpha, b.sum_log_inv_alpha, b.sum_log_inv_1) == (0.0, 0.0, 0.0)
 
     def test_single_disc_substitution(self):
@@ -664,7 +664,7 @@ class TestExactSum:
         # shuffled block takes it by index
         b = _series_config([], 400, seed=17).discs
         order = np.argsort(b.generations, kind="stable") if canonical else np.arange(len(b))
-        cfg = Configuration(blocks=(DiscBlock(b.x[order], b.y[order], b.log_r[order]),), n_max=8)
+        cfg = Configuration(DiscBlock(b.x[order], b.y[order], b.log_r[order]), n_max=8)
         terms = criteria._series_terms(cfg, kind)
         x, y, s, w, parts = terms.explicit
         assert all(isinstance(rows, slice) == canonical for _, rows in parts)

@@ -26,11 +26,6 @@ from champagne.geometry import (
 )
 
 
-def _rows(cfg):
-    """The ring rows of ``cfg`` as one-row values."""
-    return [cfg.rings.row(i) for i in range(len(cfg.rings))]
-
-
 class TestPhiSpec:
     def test_exp_power_log_values(self):
         phi = PhiSpec(form="exp_power", c0=0.05, beta=1.5)
@@ -86,9 +81,9 @@ class TestSubsquares:
     def test_rows_stay_inside_their_band(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(beta=1.5, n_min=1, n_max=6))
         assert not len(cfg.discs)
-        for b in _rows(cfg):
-            s = b.boundary_gap
-            assert 2.0 ** (-b.n - 1) < s < 2.0 ** (-b.n)
+        rows = cfg.rings
+        s, n = rows.boundary_gap, rows.n.astype(np.float64)
+        assert np.all((2.0 ** (-n - 1.0) < s) & (s < 2.0 ** (-n)))
 
     def test_deterministic_serialization(self):
         params = GeneratorParams.exp_power(beta=1.5, n_min=1, n_max=4)
@@ -122,8 +117,8 @@ class TestSubsquares:
         params = GeneratorParams.exp_power(beta=1.5, c0=0.05, n_min=1, n_max=6)
         cfg = generate_subsquares(params)
         total = 0.0
-        for b in _rows(cfg):
-            total += len(b) * (1.0 / (-b.log_r)) ** 2
+        for size, log_r in zip(cfg.rings.sizes.tolist(), cfg.rings.log_r.tolist()):
+            total += size * (1.0 / (-log_r)) ** 2
         bound = closed_form_budget_bound(2.0, 1.5, 0.05, 1, 6)
         assert total <= bound
 
@@ -141,21 +136,22 @@ class TestSubsquares:
         full = generate_subsquares(
             GeneratorParams.exp_power(beta=beta, c0=0.05, n_min=n, n_max=n)
         )
-        rows = dict(enumerate(_rows(full)))
+        rows = full.rings
         kept = set()
         rank = 0
         for m in range(cells):
             for i in range(p):
                 for j in range(p):
                     if rank >= drop:
-                        theta = rows[i].angle_of(m * p + j)
+                        theta = float((m * p + j + 0.5) * rows.step[i])
                         kept.add((i, round(theta, 12)))
                     rank += 1
         got = set()
-        for b in _rows(cfg):
-            i = [k for k, rb in rows.items() if abs(rb.rho - b.rho) < 1e-15][0]
-            for a in range(b.a_start, b.count):
-                got.add((i, round(b.angle_of(a), 12)))
+        cut = cfg.rings
+        for k in range(len(cut)):
+            i = int(np.flatnonzero(np.abs(rows.rho - cut.rho[k]) < 1e-15)[0])
+            for a in range(cut.a_start[k], cut.count[k]):
+                got.add((i, round(float((a + 0.5) * cut.step[k]), 12)))
         assert got == kept
 
 
@@ -172,8 +168,7 @@ class TestPhiGrid:
             knots_log_phi=(-3.0, -6.0, -12.0),
         )
         cfg = generate_phi_grid(phi, per_cell=2, n_min=1, n_max=5)
-        rows = sorted(_rows(cfg), key=lambda b: b.rho)
-        log_r = [b.log_r for b in rows]
+        log_r = cfg.rings.log_r[np.argsort(cfg.rings.rho, kind="stable")].tolist()
         assert all(a >= b for a, b in zip(log_r, log_r[1:]))
 
     def test_rejects_bad_per_cell(self):
@@ -227,13 +222,15 @@ class TestTransforms:
         cfg = generate_subsquares(GeneratorParams.exp_power(n_min=1, n_max=5))
         cut = truncate(cfg, n_max=3)
         assert cut.disc_count < cfg.disc_count
-        assert all(b.n <= 3 for b in _rows(cut))
+        assert np.all(cut.rings.n <= 3)
 
     def test_truncate_budget_monotone(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(n_min=1, n_max=5))
         cut = truncate(cfg, n_max=3)
-        full_sum = sum(len(b) / (-b.log_r) for b in _rows(cfg))
-        cut_sum = sum(len(b) / (-b.log_r) for b in _rows(cut))
+        full_sum, cut_sum = (
+            sum(size / (-log_r) for size, log_r in zip(c.rings.sizes.tolist(), c.rings.log_r.tolist()))
+            for c in (cfg, cut)
+        )
         assert cut_sum <= full_sum
 
     def test_truncate_drop_on_explicit(self):
@@ -243,15 +240,12 @@ class TestTransforms:
 
     def test_shrink_identity(self):
         cfg = generate_avoidable_ring(k_discs=4)
-        assert shrink(cfg, delta=1.0).blocks[0].log_r == pytest.approx(
-            cfg.blocks[0].log_r
-        )
+        assert shrink(cfg, delta=1.0).discs.log_r == pytest.approx(cfg.discs.log_r)
 
     def test_shrink_scales_log_radius(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(n_min=1, n_max=3))
         small = shrink(cfg, delta=0.5)
-        for b0, b1 in zip(_rows(cfg), _rows(small), strict=True):
-            assert b1.log_r == pytest.approx(b0.log_r + math.log(0.5))
+        assert small.rings.log_r.tolist() == pytest.approx((cfg.rings.log_r + math.log(0.5)).tolist())
 
     def test_shrink_huge_log_delta(self):
         cfg = generate_subsquares(GeneratorParams.exp_power(n_min=1, n_max=3))
@@ -281,6 +275,6 @@ class TestStructuredScale:
         cfg = generate_subsquares(params)
         flat = cfg.materialized()
         assert flat.disc_count == cfg.disc_count
-        gens = flat.blocks[0].generations
+        gens = flat.discs.generations
         ring_gens = np.repeat(cfg.rings.n, cfg.rings.sizes)
         assert sorted(gens.tolist()) == sorted(ring_gens.tolist())

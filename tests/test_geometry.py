@@ -14,7 +14,7 @@ from champagne.geometry import (
     DiscBlock,
     GeometryError,
     Point,
-    RingBlock,
+    RingRows,
     SpatialIndex,
     TWO_PI,
     WhitneyIndex,
@@ -26,7 +26,7 @@ from champagne.geometry import (
     dumps_config,
     generations_of,
     loads_config,
-    ring_min_center_distance,
+    ring_pair_distance,
     sector_count,
     unique_sorted,
     validate_configuration,
@@ -40,6 +40,16 @@ def disc(x, y, r):
 
 def generation_of(s: float) -> int:
     return int(generations_of([s])[0])
+
+
+def slot_angles(rows: RingRows, i: int) -> np.ndarray:
+    """The angles of the active slots of row i of ``rows``."""
+    return (np.arange(rows.a_start[i], rows.count[i], dtype=np.float64) + 0.5) * rows.step[i]
+
+
+def row_columns(rows: RingRows) -> list:
+    """The columns of ``rows`` as lists, to compare rows by value."""
+    return [getattr(rows, name).tolist() for name in ("n", "rho", "log_r", "count", "a_start")]
 
 
 def _assert_generation_rule(s: np.ndarray) -> None:
@@ -245,7 +255,7 @@ def _random_explicit_config(rng, count, rmin=1e-5, rmax=1e-3):
 
 class TestValidation:
     def test_empty_configuration_valid(self):
-        report = validate_configuration(Configuration(blocks=(), n_max=0))
+        report = validate_configuration(Configuration())
         assert report.ok
 
     def test_overlap_names_pair(self):
@@ -268,39 +278,34 @@ class TestValidation:
         assert validate_configuration(c).ok
 
     def test_ring_blocks_validated(self):
-        ring = RingBlock(n=2, rho=0.8, log_r=math.log(1e-4), count=sector_count(2))
-        c = Configuration(blocks=(ring,), n_max=2)
+        ring = RingRows(n=[2], rho=[0.8], log_r=[math.log(1e-4)], count=[sector_count(2)])
+        c = Configuration(rings=ring, n_max=2)
         assert validate_configuration(c).ok
 
     def test_mislabelled_ring_generation_reported(self):
         # the second ring is labelled n=2, but 1 - rho = 0.7 lies in the
         # central region: generation 0
-        rings = (
-            RingBlock(n=1, rho=0.6, log_r=math.log(0.01), count=8),
-            RingBlock(n=2, rho=0.3, log_r=math.log(0.01), count=8),
-        )
-        c = Configuration(blocks=rings, n_max=2)
+        rings = RingRows(n=[1, 2], rho=[0.6, 0.3], log_r=[math.log(0.01)] * 2, count=[8, 8])
+        c = Configuration(rings=rings, n_max=2)
         report = validate_configuration(c)
         assert [(v.kind, v.indices) for v in report.violations] == [("generation", (8,))]
         # a query without depths reads every row whatever its label: at the
         # centre of a slot of the rho = 0.3 ring it lies 0.01 inside a disc
-        th = rings[1].angle_of(3)
+        th = slot_angles(rings, 1)[3]
         px, py = np.array([0.3 * math.cos(th)]), np.array([0.3 * math.sin(th)])
         assert SpatialIndex(c).distance_many(px, py)[0] == pytest.approx(-0.01, abs=1e-12)
         # generation prefixes need labels that agree with the radii
         with pytest.raises(GeometryError, match="generations"):
             SpatialIndex(c).distance_many(px, py, depths=(np.array([1]), np.array([2])))
         # a label that no circle can carry is reported the same way
-        far = RingBlock(n=10**12, rho=0.6, log_r=math.log(0.01), count=8)
-        report = validate_configuration(Configuration(blocks=(far,), n_max=2))
+        far = RingRows(n=[10**12], rho=[0.6], log_r=[math.log(0.01)], count=[8])
+        report = validate_configuration(Configuration(rings=far, n_max=2))
         assert [v.kind for v in report.violations] == ["generation"]
 
     def test_ids_beyond_int64_refused_before_the_index(self):
         # two rows of 2^62 slots: the last canonical id would be 2^63
-        rings = tuple(
-            RingBlock(n=2, rho=rho, log_r=-100.0, count=2**62) for rho in (0.8, 0.82)
-        )
-        c = Configuration(blocks=rings, n_max=2)
+        rings = RingRows(n=[2, 2], rho=[0.8, 0.82], log_r=[-100.0] * 2, count=[2**62] * 2)
+        c = Configuration(rings=rings, n_max=2)
         with pytest.raises(ConfigurationTooLarge, match="int64"):
             validate_configuration(c)
         with pytest.raises(ConfigurationTooLarge, match="int64"):
@@ -326,7 +331,7 @@ class TestDistance:
         assert k == 0
 
     def test_empty_configuration(self):
-        idx = SpatialIndex(Configuration(blocks=(), n_max=0))
+        idx = SpatialIndex(Configuration())
         d, k = distance_to_obstacles(Point(0.3, 0.2), idx)
         assert math.isinf(d) and k is None
 
@@ -396,8 +401,8 @@ class TestDistance:
         np.testing.assert_array_equal(idx.distance_many(px, py), brute)
 
     def test_ring_block_matches_materialized(self):
-        ring = RingBlock(n=3, rho=0.9, log_r=math.log(2e-5), count=sector_count(3) * 3)
-        cfg_ring = Configuration(blocks=(ring,), n_max=3)
+        ring = RingRows(n=[3], rho=[0.9], log_r=[math.log(2e-5)], count=[sector_count(3) * 3])
+        cfg_ring = Configuration(rings=ring, n_max=3)
         cfg_flat = cfg_ring.materialized()
         i_ring, i_flat = SpatialIndex(cfg_ring), SpatialIndex(cfg_flat)
         rng = np.random.default_rng(2)
@@ -410,11 +415,11 @@ class TestDistance:
         )
 
     def test_ring_prefix_exclusion(self):
-        ring = RingBlock(n=2, rho=0.8, log_r=math.log(1e-6), count=64, a_start=5)
-        cfg = Configuration(blocks=(ring,), n_max=2)
+        ring = RingRows(n=[2], rho=[0.8], log_r=[math.log(1e-6)], count=[64], a_start=[5])
+        cfg = Configuration(rings=ring, n_max=2)
         idx = SpatialIndex(cfg)
         # a point sitting on an excluded slot must see the nearest active one
-        theta_excluded = ring.angle_of(2)
+        theta_excluded = 2.5 * ring.step[0]
         p = Point(0.8 * math.cos(theta_excluded), 0.8 * math.sin(theta_excluded))
         d, _ = distance_to_obstacles(p, idx)
         flat = SpatialIndex(cfg.materialized())
@@ -444,11 +449,8 @@ def _ring_pair(draw):
     rho1 = draw(st.floats(0.2, 0.95))
     rho2 = draw(st.one_of(st.just(rho1), st.floats(0.2, 0.95)))
 
-    def ring(count, rho):
-        a_start = draw(st.one_of(st.just(0), st.integers(0, count - 1)))
-        return RingBlock(n=1, rho=rho, log_r=-60.0, count=count, a_start=a_start)
-
-    return ring(j1, rho1), ring(j2, rho2)
+    a_start = [draw(st.one_of(st.just(0), st.integers(0, count - 1))) for count in (j1, j2)]
+    return RingRows(n=[1, 1], rho=[rho1, rho2], log_r=[-60.0] * 2, count=[j1, j2], a_start=a_start)
 
 
 class TestRingHelpers:
@@ -459,25 +461,21 @@ class TestRingHelpers:
     # of the second ring's first active slot, but nine periods (19 slots
     # each) past the first ring's first slot
     @example(
-        (
-            RingBlock(n=1, rho=0.7, log_r=math.log(0.006), count=190),
-            RingBlock(n=1, rho=0.71, log_r=math.log(0.006), count=130, a_start=113),
-        )
+        RingRows(n=[1, 1], rho=[0.7, 0.71], log_r=[math.log(0.006)] * 2, count=[190, 130], a_start=[0, 113])
     )
-    def test_min_center_distance_is_the_slot_pair_minimum(self, rings):
-        r1, r2 = rings
-        got = ring_min_center_distance(r1, r2)
-        assert got == ring_min_center_distance(r2, r1)
-        dth = r1.angles()[:, None] - r2.angles()[None, :]
-        brute = np.sqrt((r1.rho - r2.rho) ** 2 + 4.0 * r1.rho * r2.rho * np.sin(dth / 2.0) ** 2)
+    def test_min_center_distance_is_the_slot_pair_minimum(self, rows):
+        got = ring_pair_distance(rows, 0, 1)
+        assert got == ring_pair_distance(rows, 1, 0)
+        dth = slot_angles(rows, 0)[:, None] - slot_angles(rows, 1)[None, :]
+        rho1, rho2 = rows.rho
+        brute = np.sqrt((rho1 - rho2) ** 2 + 4.0 * rho1 * rho2 * np.sin(dth / 2.0) ** 2)
         # the absolute term covers slot pairs that coincide in exact
         # arithmetic, whose rounded angles differ by about 1e-15
         assert got == pytest.approx(float(brute.min()), rel=1e-12, abs=1e-12)
 
     def test_same_grid_rings_align_radially(self):
-        r1 = RingBlock(n=2, rho=0.80, log_r=-50.0, count=64)
-        r2 = RingBlock(n=2, rho=0.82, log_r=-50.0, count=64)
-        assert ring_min_center_distance(r1, r2) == pytest.approx(0.02)
+        rows = RingRows(n=[2, 2], rho=[0.80, 0.82], log_r=[-50.0] * 2, count=[64, 64])
+        assert ring_pair_distance(rows, 0, 1) == pytest.approx(0.02)
 
     def test_cross_generation_alignment_matches_bruteforce(self):
         rng = np.random.default_rng(31)
@@ -486,11 +484,10 @@ class TestRingHelpers:
             j2 = int(rng.integers(8, 200))
             if j1 == j2:
                 continue
-            r1 = RingBlock(n=2, rho=0.80, log_r=-60.0, count=j1)
-            r2 = RingBlock(n=3, rho=0.87, log_r=-60.0, count=j2)
-            got = ring_min_center_distance(r1, r2)
-            th1 = r1.angles()
-            th2 = r2.angles()
+            rows = RingRows(n=[2, 3], rho=[0.80, 0.87], log_r=[-60.0] * 2, count=[j1, j2])
+            got = ring_pair_distance(rows, 0, 1)
+            th1 = slot_angles(rows, 0)
+            th2 = slot_angles(rows, 1)
             dth = np.abs(
                 np.remainder(th1[:, None] - th2[None, :] + math.pi, TWO_PI) - math.pi
             )
@@ -502,10 +499,9 @@ class TestRingHelpers:
             assert got == pytest.approx(float(brute), rel=1e-12)
 
     def test_prefixed_ring_distance_matches_bruteforce(self):
-        r1 = RingBlock(n=2, rho=0.80, log_r=-60.0, count=48, a_start=7)
-        r2 = RingBlock(n=3, rho=0.84, log_r=-60.0, count=80, a_start=3)
-        got = ring_min_center_distance(r1, r2)
-        th1, th2 = r1.angles(), r2.angles()
+        rows = RingRows(n=[2, 3], rho=[0.80, 0.84], log_r=[-60.0] * 2, count=[48, 80], a_start=[7, 3])
+        got = ring_pair_distance(rows, 0, 1)
+        th1, th2 = slot_angles(rows, 0), slot_angles(rows, 1)
         dth = np.abs(
             np.remainder(th1[:, None] - th2[None, :] + math.pi, TWO_PI) - math.pi
         )
@@ -529,10 +525,10 @@ class TestSerialization:
         assert dumps_config(c2) == text
 
     def test_ring_round_trip(self):
-        ring = RingBlock(n=4, rho=0.94, log_r=-1.5e7, count=512, a_start=9)
-        c = Configuration(blocks=(ring,), n_max=4, provenance={"generator": "test"})
+        ring = RingRows(n=[4], rho=[0.94], log_r=[-1.5e7], count=[512], a_start=[9])
+        c = Configuration(rings=ring, n_max=4, provenance={"generator": "test"})
         c2 = loads_config(dumps_config(c))
-        assert [c2.rings.row(i) for i in range(len(c2.rings))] == [ring]
+        assert row_columns(c2.rings) == row_columns(ring)
         assert c2.provenance == {"generator": "test"}
 
     def test_document_schema_fields(self):
@@ -546,11 +542,14 @@ class TestSerialization:
         # explicit discs ahead of two rings, as a loaded file orders them;
         # the record file is what every earlier release wrote, ``r`` included
         c = _random_explicit_config(np.random.default_rng(43), 80)
-        rings = (
-            RingBlock(n=5, rho=1.0 - 0.75 * 2.0**-5, log_r=-40.0, count=512),
-            RingBlock(n=6, rho=1.0 - 0.75 * 2.0**-6, log_r=-50.0, count=1024, a_start=9),
+        rings = RingRows(
+            n=[5, 6],
+            rho=[1.0 - 0.75 * 2.0**-5, 1.0 - 0.75 * 2.0**-6],
+            log_r=[-40.0, -50.0],
+            count=[512, 1024],
+            a_start=[0, 9],
         )
-        c = Configuration(blocks=(*c.blocks, *rings), n_max=6, provenance={"generator": "test"})
+        c = Configuration(c.discs, rings, n_max=6, provenance={"generator": "test"})
         columns = dumps_config(c)
         doc = json.loads(columns)
         cols = doc["discs"]
@@ -563,7 +562,7 @@ class TestSerialization:
         for name in ("x", "y", "log_r"):
             assert getattr(from_columns.discs, name).tobytes() == getattr(from_records.discs, name).tobytes()
         for loaded in (from_columns, from_records):
-            assert [loaded.rings.row(i) for i in range(len(loaded.rings))] == list(rings)
+            assert row_columns(loaded.rings) == row_columns(rings)
         i1, i2 = SpatialIndex(from_columns), SpatialIndex(from_records)
         np.testing.assert_array_equal(i1.exp_ids, i2.exp_ids)
         px, py = _query_points(43, c, count=200)
@@ -575,8 +574,8 @@ class TestSerialization:
 
     def test_no_explicit_disc_writes_an_empty_list(self):
         # a ring-only file is the same text in either layout
-        ring = RingBlock(n=4, rho=0.94, log_r=-1.5e7, count=512)
-        assert json.loads(dumps_config(Configuration(blocks=(ring,), n_max=4)))["discs"] == []
+        ring = RingRows(n=[4], rho=[0.94], log_r=[-1.5e7], count=[512])
+        assert json.loads(dumps_config(Configuration(rings=ring, n_max=4)))["discs"] == []
 
     @pytest.mark.parametrize("layout", ["records", "columns"])
     @pytest.mark.parametrize("field", ["x", "y", "log_r"])
@@ -681,7 +680,7 @@ class TestSerialization:
         assert d.radius == 0.0
         c = Configuration.from_discs([d])
         c2 = loads_config(dumps_config(c))
-        assert c2.blocks[0].log_r[0] == -1.0e6
+        assert c2.discs.log_r[0] == -1.0e6
 
 
 class TestConfiguration:
@@ -689,11 +688,11 @@ class TestConfiguration:
         d_deep = disc(0.9, 0.0, 1e-4)
         d_shallow = disc(0.6, 0.0, 1e-4)
         c = Configuration.from_discs([d_deep, d_shallow])
-        gens = c.blocks[0].generations
+        gens = c.discs.generations
         assert list(gens) == sorted(gens)
 
     def test_disc_block_derived_arrays_kept_read_only(self):
-        b = _random_explicit_config(np.random.default_rng(3), 60).blocks[0]
+        b = _random_explicit_config(np.random.default_rng(3), 60).discs
         assert b.boundary_gap is b.boundary_gap and b.generations is b.generations
         assert not b.boundary_gap.flags.writeable and not b.generations.flags.writeable
         rows = b.generation_rows
@@ -720,10 +719,24 @@ class TestConfiguration:
         assert len(calls) == 1
 
     def test_disc_count_with_rings(self):
-        ring = RingBlock(n=2, rho=0.8, log_r=-50.0, count=64, a_start=10)
-        c = Configuration(blocks=(ring,), n_max=2)
+        ring = RingRows(n=[2], rho=[0.8], log_r=[-50.0], count=[64], a_start=[10])
+        c = Configuration(rings=ring, n_max=2)
         assert c.disc_count == 54
         assert len(list(c.iter_discs())) == 54
+
+    def test_blocks_are_the_non_empty_parts_in_id_order(self):
+        # the benchmark's generators.blocks counter reads len(blocks): one
+        # part for a generated ring file, none for an empty configuration
+        from champagne.generators import GeneratorParams, generate_subsquares
+
+        explicit = DiscBlock(np.array([0.6]), np.array([0.0]), np.array([-30.0]))
+        ring = RingRows(n=[2], rho=[0.8], log_r=[-30.0], count=[64])
+        assert Configuration().blocks == ()
+        assert Configuration(explicit).blocks == (explicit,)
+        assert Configuration(rings=ring).blocks == (ring,)
+        assert Configuration(explicit, ring).blocks == (explicit, ring)
+        generated = generate_subsquares(GeneratorParams.exp_power(n_max=4))
+        assert generated.blocks == (generated.rings,)
 
     def test_chord_stability(self):
         assert chord(0.5, 0.5, 0.0) == 0.0
@@ -764,7 +777,7 @@ def _explicit_bands(seed, bands, r_top=0.3):
         ys.append((1.0 - s) * np.sin(theta))
         lrs.append(np.log(r))
     block = DiscBlock(np.concatenate(xs), np.concatenate(ys), np.concatenate(lrs))
-    return Configuration(blocks=(block,), n_max=8)
+    return Configuration(block, n_max=8)
 
 
 # a lattice band as materialised rings lay one out: (generation, rows, slots
@@ -785,7 +798,7 @@ def _lattice_discs(seed, n, rows, per_sector):
     spacing = min(2.0 ** (-n - 1) / rows, 0.5 * TWO_PI / slots)
     log_r = np.log(spacing / 3.0) - rng.uniform(0.0, 5.0, rho.size)
     block = DiscBlock((rho * np.cos(theta)).ravel(), (rho * np.sin(theta)).ravel(), log_r)
-    return Configuration(blocks=(block,), n_max=8)
+    return Configuration(block, n_max=8)
 
 
 def _band_k(index, n):
@@ -822,11 +835,11 @@ def _ring_scan(rings, px, py):
     theta_p = np.arctan2(py, px)
     theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)[:, None]
     best = np.full(len(px), np.inf)
-    for rb in rings:
-        a = np.arange(rb.a_start, rb.count)
-        sin2 = np.sin((theta_p - (a + 0.5) * rb.step) / 2.0) ** 2
-        d = np.sqrt((rho_p[:, None] - rb.rho) ** 2 + 4.0 * rho_p[:, None] * rb.rho * sin2)
-        best = np.minimum(best, (d - rb.radius).min(axis=1))
+    for i in range(len(rings)):
+        a = np.arange(rings.a_start[i], rings.count[i])
+        sin2 = np.sin((theta_p - (a + 0.5) * rings.step[i]) / 2.0) ** 2
+        d = np.sqrt((rho_p[:, None] - rings.rho[i]) ** 2 + 4.0 * rho_p[:, None] * rings.rho[i] * sin2)
+        best = np.minimum(best, (d - rings.radius[i]).min(axis=1))
     return best
 
 
@@ -927,7 +940,7 @@ class TestLocalityQueries:
         theta = 1.0 + side * np.concatenate([window, out, fillers])
         rho = np.concatenate([np.full(32, 0.86), [0.8], np.full(63, 0.86)])
         x, y = rho * np.cos(theta), rho * np.sin(theta)
-        config = Configuration(blocks=(DiscBlock(x, y, np.full(96, -30.0)),), n_max=2)
+        config = Configuration(DiscBlock(x, y, np.full(96, -30.0)), n_max=2)
         q = 1.0 - side * 5e-4
         px, py = np.array([0.8 * math.cos(q)]), np.array([0.8 * math.sin(q)])
         got = SpatialIndex(config).distance_many(px, py)
@@ -945,9 +958,7 @@ class TestLocalityQueries:
         theta = 1.0 + side * step * (np.arange(-32, 32) + 0.5)
         rho = np.where(np.arange(-32, 32) == 2, 0.874, 0.751)
         log_r = np.where(np.arange(-32, 32) == 2, math.log(0.12), -30.0)
-        config = Configuration(
-            blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), log_r),), n_max=2
-        )
+        config = Configuration(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), log_r), n_max=2)
         index = SpatialIndex(config)
         assert _band_k(index, 2) == 1
         px, py = np.array([0.874 * math.cos(1.0)]), np.array([0.874 * math.sin(1.0)])
@@ -969,9 +980,7 @@ class TestLocalityQueries:
         theta_p, rho_p = 12.5 * dtheta, 0.8999
         rho = np.concatenate([rho_c.ravel(), [0.9122, 0.9126]])
         theta = np.concatenate([theta_c.ravel(), [theta_p + side * 0.004292, theta_p]])
-        config = Configuration(
-            blocks=(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), np.full(27, -30.0)),), n_max=3
-        )
+        config = Configuration(DiscBlock(rho * np.cos(theta), rho * np.sin(theta), np.full(27, -30.0)), n_max=3)
         index = SpatialIndex(config)
         assert _band_k(index, 3) == 5
         px, py = np.array([rho_p * math.cos(theta_p)]), np.array([rho_p * math.sin(theta_p)])
@@ -1022,7 +1031,7 @@ class TestLocalityQueries:
         theta = np.linspace(math.pi + 0.1, TWO_PI - 0.01, fillers)
         x = np.concatenate([near[0], 0.45 * np.cos(theta)])
         y = np.concatenate([near[1], 0.45 * np.sin(theta)])
-        config = Configuration(blocks=(DiscBlock(x, y, np.full(len(x), -20.0)),), n_max=0)
+        config = Configuration(DiscBlock(x, y, np.full(len(x), -20.0)), n_max=0)
         px, py = np.array([p[0]]), np.array([p[1]])
         got = SpatialIndex(config).distance_many(px, py)
         np.testing.assert_array_equal(got, _explicit_scan(config, px, py))
@@ -1040,15 +1049,16 @@ class TestLocalityQueries:
         # slots stay active, so most queries land on the dropped arc
         rng = np.random.default_rng(seed)
         lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
-        rings = []
+        columns = []
         for row in rows:
             a_start = int(rng.integers(0, count)) if keep == 0 else max(0, count - keep - row)
             rho = 1.0 - rng.uniform(lo, hi)
             log_r = math.log((1.0 - rho) * 10.0 ** rng.uniform(-12, -0.5))
-            rings.append(RingBlock(n=n, rho=rho, log_r=log_r, count=count, a_start=a_start))
-        config = Configuration(blocks=tuple(rings), n_max=n)
+            columns.append((n, rho, log_r, count, a_start))
+        rings = RingRows(*zip(*columns))
+        config = Configuration(rings=rings, n_max=n)
         # half the queries around the arc endpoints, some on the seam
-        ends = np.concatenate([[rb.angle_of(rb.a_start), rb.angle_of(rb.count - 1)] for rb in rings])
+        ends = np.concatenate([slot_angles(rings, i)[[0, -1]] for i in range(len(rings))])
         theta = np.concatenate(
             [
                 ends[rng.integers(0, len(ends), 150)] + rng.normal(0.0, 3.0 * TWO_PI / count, 150),
@@ -1085,7 +1095,7 @@ class TestLocalityQueries:
         far = np.linspace(1.0, 5.0, 100)
         x = np.concatenate([[0.75, 0.75, 0.75], 0.75 * np.cos(far)])
         y = np.concatenate([[0.0, h, -h], 0.75 * np.sin(far)])
-        config = Configuration(blocks=(DiscBlock(x, y, np.full(len(x), -30.0)),), n_max=2)
+        config = Configuration(DiscBlock(x, y, np.full(len(x), -30.0)), n_max=2)
         d, ids = SpatialIndex(config).explicit_neighbors()
         assert (d[0], ids[0]) == (h, 1)
         want_d, want_ids = _neighbor_scan(config)
@@ -1096,7 +1106,7 @@ class TestLocalityQueries:
         # disc 1 (generation 2) is 1/16 from disc 2 in its own band and from
         # disc 0 in generation 1, which is searched second
         x = np.array([0.6875, 0.75, 0.8125])
-        config = Configuration(blocks=(DiscBlock(x, np.zeros(3), np.full(3, -30.0)),), n_max=2)
+        config = Configuration(DiscBlock(x, np.zeros(3), np.full(3, -30.0)), n_max=2)
         d, ids = SpatialIndex(config).explicit_neighbors()
         assert (d[1], ids[1]) == (0.0625, 0)
 
@@ -1111,11 +1121,11 @@ class TestLocalityQueries:
         config = _explicit_bands(seed, bands, r_top=r_top)
         if tangent:
             # a disc placed to touch disc 0 exactly, as far as rounding allows
-            b = config.blocks[0]
+            b = config.discs
             r0, r1 = float(np.exp(b.log_r[0])), 1e-7
             x = np.append(b.x, b.x[0] + (r0 + r1) * 0.6)
             y = np.append(b.y, b.y[0] + (r0 + r1) * 0.8)
-            config = Configuration(blocks=(DiscBlock(x, y, np.append(b.log_r, math.log(r1))),), n_max=8)
+            config = Configuration(DiscBlock(x, y, np.append(b.log_r, math.log(r1))), n_max=8)
         x, y, lr = config.disc_arrays()
         r = np.exp(lr)
         meets = np.hypot(x[:, None] - x[None, :], y[:, None] - y[None, :]) <= r[:, None] + r[None, :]
@@ -1137,17 +1147,17 @@ def _scan_with_ids(config, px, py):
     rho_p = np.hypot(px, py)
     theta_p = np.arctan2(py, px)
     theta_p = np.where(theta_p < 0.0, theta_p + TWO_PI, theta_p)[:, None]
-    discs = config.discs
+    discs, rows = config.discs, config.rings
     columns = [np.full((len(px), 1), np.inf), np.hypot(px[:, None] - discs.x, py[:, None] - discs.y) - discs.radius]
-    rings = [config.rings.row(i) for i in range(len(config.rings))]
-    for b in rings:
-        a = np.arange(b.a_start, b.count, dtype=np.float64)
-        if all(r.a_start == 0 and r.count == b.count for r in rings if r.n == b.n):
-            u = theta_p / b.step - 0.5
-            a = a + b.count * np.round((u - a) / b.count)
-        sin2 = np.sin((theta_p - (a + 0.5) * b.step) / 2.0) ** 2
-        d = np.sqrt((rho_p[:, None] - b.rho) ** 2 + 4.0 * rho_p[:, None] * b.rho * sin2)
-        columns.append(d - b.radius)
+    for i in range(len(rows)):
+        a = np.arange(rows.a_start[i], rows.count[i], dtype=np.float64)
+        same = rows.n == rows.n[i]
+        if (rows.a_start[same] == 0).all() and (rows.count[same] == rows.count[i]).all():
+            u = theta_p / rows.step[i] - 0.5
+            a = a + rows.count[i] * np.round((u - a) / rows.count[i])
+        sin2 = np.sin((theta_p - (a + 0.5) * rows.step[i]) / 2.0) ** 2
+        d = np.sqrt((rho_p[:, None] - rows.rho[i]) ** 2 + 4.0 * rho_p[:, None] * rows.rho[i] * sin2)
+        columns.append(d - rows.radius[i])
     d = np.concatenate(columns, axis=1)
     nearest = d.min(axis=1)
     # column 0 is the inf placeholder, so ids are shifted by one
@@ -1162,7 +1172,7 @@ _ring_spec = st.tuples(
 
 
 def _rings(rng, specs):
-    rings = []
+    columns = []
     for n, count, rows, keep in specs:
         lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
         for row in range(rows):
@@ -1174,8 +1184,8 @@ def _rings(rng, specs):
                 a_start = max(1, count - keep - row)
             rho = 1.0 - rng.uniform(lo, hi)
             log_r = math.log((1.0 - rho) * 10.0 ** rng.uniform(-12, -0.5))
-            rings.append(RingBlock(n=n, rho=rho, log_r=log_r, count=count, a_start=a_start))
-    return rings
+            columns.append((n, rho, log_r, count, a_start))
+    return RingRows(*zip(*columns))
 
 
 def _grid_discs(seed, count):
@@ -1187,7 +1197,7 @@ def _grid_discs(seed, count):
     rho = np.hypot(centres[:, 0], centres[:, 1])
     centres = centres[(rho > 0.05) & (rho < 0.97)][:count]
     block = DiscBlock(centres[:, 0], centres[:, 1], np.full(len(centres), math.log(2.0**-9)))
-    return Configuration(blocks=(block,), n_max=8)
+    return Configuration(block, n_max=8)
 
 
 def _grid_points(seed, count=300):
@@ -1307,7 +1317,7 @@ class TestDiscTable:
         x = np.concatenate([0.78 * np.cos(theta), [0.9]])
         y = np.concatenate([0.78 * np.sin(theta), [0.0]])
         log_r = np.concatenate([np.full(100, math.log(1e-3)), [math.log(0.09)]])
-        config = Configuration(blocks=(DiscBlock(x, y, log_r),), n_max=3)
+        config = Configuration(DiscBlock(x, y, log_r), n_max=3)
         index = SpatialIndex(config)
         evaluated = []
         merge = DiscTable._merge
@@ -1334,8 +1344,8 @@ class TestDiscTable:
         from champagne.walker import concentric_obstacle_config
 
         alone = concentric_obstacle_config(0.25)
-        ring = RingBlock(n=2, rho=0.8, log_r=math.log(0.01), count=64)
-        for config in (alone, Configuration(blocks=(*alone.blocks, ring), n_max=2)):
+        ring = RingRows(n=[2], rho=[0.8], log_r=[math.log(0.01)], count=[64])
+        for config in (alone, Configuration(alone.discs, ring, n_max=2)):
             index = SpatialIndex(config)
             assert index._discs.k.tolist() == [1]
             px, py = _query_points(7, config, count=400)
@@ -1388,18 +1398,18 @@ class TestNearestIds:
     )
     def test_ids_equal_scan_on_every_storage_kind(self, seed, bands, ring_specs):
         rng = np.random.default_rng(seed)
-        blocks = _explicit_bands(seed, bands).blocks if bands else ()
+        discs = _explicit_bands(seed, bands).discs if bands else DiscBlock()
         rings = _rings(rng, ring_specs)
-        config = Configuration(blocks=(*blocks, *rings), n_max=8)
+        config = Configuration(discs, rings, n_max=8)
         if config.disc_count:
             px, py = _query_points(seed, config)
         else:
             px, py = np.array([0.0, 0.3]), np.array([0.0, -0.2])
         # half turns of queries around both ends of every active arc
-        ends = [rb.angle_of(a) for rb in rings if rb.a_start for a in (rb.a_start, rb.count - 1)]
+        ends = [slot_angles(rings, i)[k] for i in np.flatnonzero(rings.a_start) for k in (0, -1)]
         if ends:
             theta = rng.choice(ends, 100) + rng.normal(0.0, 3.0 * TWO_PI / 300, 100)
-            rho = np.array([rb.rho for rb in rings])[rng.integers(0, len(rings), 100)]
+            rho = rings.rho[rng.integers(0, len(rings), 100)]
             rho = rho + rng.normal(0.0, 1e-3, 100)
             px, py = np.concatenate([px, rho * np.cos(theta)]), np.concatenate([py, rho * np.sin(theta)])
         got_d, got_ids = SpatialIndex(config).distance_many(px, py, with_ids=True)
@@ -1418,15 +1428,6 @@ class TestNearestIds:
         for kind in ("plain", "radius_log"):
             assert separation(loaded, kind=kind) == separation(config, kind=kind)
 
-    def test_explicit_discs_after_rings_refused(self):
-        explicit = DiscBlock(np.array([0.6]), np.array([0.0]), np.array([-30.0]))
-        ring = RingBlock(n=2, rho=0.8, log_r=-30.0, count=64)
-        Configuration(blocks=(explicit, ring), n_max=2)
-        with pytest.raises(GeometryError, match="explicit discs come first"):
-            Configuration(blocks=(ring, explicit), n_max=2)
-        with pytest.raises(GeometryError, match="explicit discs come first"):
-            Configuration(blocks=(explicit, ring, explicit), n_max=2)
-
     def test_exact_ties_take_lowest_id(self):
         # disc 0 sits just below the seam, disc 1 just above it: both are
         # exactly h - r from (0.75, 0); 100 more discs fill the band's other cells
@@ -1437,20 +1438,21 @@ class TestNearestIds:
         explicit = DiscBlock(x, y, np.full(len(x), -30.0))
         # every slot of a ring is equally far from the origin: the lowest
         # active slot wins, with or without a dropped prefix
-        plain = RingBlock(n=1, rho=0.6, log_r=-30.0, count=64)
-        prefix = RingBlock(n=3, rho=0.9, log_r=-30.0, count=128, a_start=7)
+        plain = RingRows(n=[1], rho=[0.6], log_r=[-30.0], count=[64])
+        prefix = RingRows(n=[3], rho=[0.9], log_r=[-30.0], count=[128], a_start=[7])
         # disc 0 (generation 2) is 0.6875 from the origin, exactly as far as
         # disc 1 (generation 1, searched first) and as generation 2's bound
         # 0.75 - r_max, so its band must not be pruned
-        inner_edge = DiscBlock(np.array([0.75]), np.array([0.0]), np.array([math.log(2.0**-4)]))
-        farther = DiscBlock(np.array([0.0]), np.array([0.71875]), np.array([math.log(2.0**-5)]))
-        for blocks, point, want in (
-            ((explicit,), (0.75, 0.0), 0),
-            ((explicit, plain), (0.0, 0.0), 102),
-            ((prefix,), (0.0, 0.0), 0),
-            ((inner_edge, farther), (0.0, 0.0), 0),
+        inner_edge_then_farther = DiscBlock(
+            np.array([0.75, 0.0]), np.array([0.0, 0.71875]), np.array([math.log(2.0**-4), math.log(2.0**-5)])
+        )
+        for discs, rings, point, want in (
+            (explicit, RingRows(), (0.75, 0.0), 0),
+            (explicit, plain, (0.0, 0.0), 102),
+            (DiscBlock(), prefix, (0.0, 0.0), 0),
+            (inner_edge_then_farther, RingRows(), (0.0, 0.0), 0),
         ):
-            config = Configuration(blocks=blocks, n_max=3)
+            config = Configuration(discs, rings, n_max=3)
             _, ids = SpatialIndex(config).distance_many(
                 np.array([point[0]]), np.array([point[1]]), with_ids=True
             )
@@ -1458,7 +1460,7 @@ class TestNearestIds:
             assert distance_to_obstacles(Point(*point), SpatialIndex(config))[1] == want
 
     def test_empty_configuration_has_no_ids(self):
-        d, ids = SpatialIndex(Configuration(blocks=(), n_max=0)).distance_many(
+        d, ids = SpatialIndex(Configuration()).distance_many(
             np.array([0.0, 0.5]), np.array([0.0, 0.1]), with_ids=True
         )
         assert np.all(np.isinf(d)) and list(ids) == [-1, -1]
@@ -1485,7 +1487,7 @@ def _table_config(seed, gens, big, explicit):
     rows of tiny discs; with ``explicit`` discs beside random slots.  Discs
     may overlap: a distance query does not need a valid configuration."""
     rng = np.random.default_rng(seed)
-    rings = []
+    columns = []
     for n, rows, storage, per in gens:
         count = sector_count(n) * per
         lo, hi = 2.0 ** (-n - 1), 2.0 ** (-n)
@@ -1494,23 +1496,23 @@ def _table_config(seed, gens, big, explicit):
             if storage == "prefix" or (storage == "cut" and row == 0):
                 a_start = int(rng.integers(1, count))
             log_r = math.log(s) + math.log(0.2) - rng.uniform(0.0, 30.0)
-            rings.append(RingBlock(n=n, rho=1.0 - s, log_r=log_r, count=count, a_start=a_start))
+            columns.append((n, 1.0 - s, log_r, count, a_start))
     if big:
         n = min(g[0] for g in gens)
         s = 2.0 ** (-n) * 0.9
-        rings.append(RingBlock(n=n, rho=1.0 - s, log_r=math.log(0.45 * s), count=sector_count(n)))
-    blocks = tuple(rings)
+        columns.append((n, 1.0 - s, math.log(0.45 * s), sector_count(n), 0))
+    rings, discs = RingRows(*zip(*columns)), DiscBlock()
     if explicit:
-        near = [rings[k] for k in rng.integers(0, len(rings), 12)]
-        slot = [rb.a_start + int(rng.integers(0, len(rb))) for rb in near]
-        theta = np.array([rb.angle_of(a) for rb, a in zip(near, slot)])
-        rho = np.array([rb.rho for rb in near]) + rng.normal(0.0, 1e-3, len(near))
-        r = np.array([(1.0 - rb.rho) * 1e-3 for rb in near])
+        near = rng.integers(0, len(rings), 12)
+        slot = np.array([rings.a_start[k] + int(rng.integers(0, rings.sizes[k])) for k in near])
+        theta = (slot + 0.5) * rings.step[near]
+        rho = rings.rho[near] + rng.normal(0.0, 1e-3, len(near))
+        r = (1.0 - rings.rho[near]) * 1e-3
         phi = rng.uniform(0.0, TWO_PI, len(near))
         x = rho * np.cos(theta) + 3.0 * r * np.cos(phi)
         y = rho * np.sin(theta) + 3.0 * r * np.sin(phi)
-        blocks = (DiscBlock(x, y, np.log(r)), *rings)
-    return Configuration(blocks=blocks, n_max=6), rings
+        discs = DiscBlock(x, y, np.log(r))
+    return Configuration(discs, rings, n_max=6), rings
 
 
 def _table_queries(seed, rings, count=160):
@@ -1518,11 +1520,11 @@ def _table_queries(seed, rings, count=160):
     their slots, some on or near the seam theta = 0 = 2 pi, and points
     anywhere."""
     rng = np.random.default_rng(seed + 1)
-    rows = [rings[k] for k in rng.integers(0, len(rings), count)]
-    s = np.array([1.0 - rb.rho for rb in rows])
+    rows = rng.integers(0, len(rings), count)
+    s = 1.0 - rings.rho[rows]
     rho = 1.0 - s * (1.0 + rng.normal(0.0, 0.2, count))
-    slot = np.array([rng.integers(0, rb.count) for rb in rows], dtype=np.float64)
-    step = np.array([rb.step for rb in rows])
+    slot = np.array([rng.integers(0, c) for c in rings.count[rows].tolist()], dtype=np.float64)
+    step = rings.step[rows]
     theta = (slot + 0.5 + rng.normal(0.0, 1.0, count)) * step
     theta[: count // 4] = rng.uniform(0.0, TWO_PI, count // 4)
     theta[count // 4 : count // 2] = np.mod(rng.normal(0.0, 2.0, count // 4) * step[: count // 4], TWO_PI)
@@ -1621,13 +1623,12 @@ class TestRingTable:
     def test_rows_at_equal_distance_take_the_lowest_id(self):
         # the point lies midway between the rows, on a slot of both: the
         # inner row is evaluated first, the outer one holds the lower ids
-        outer = RingBlock(3, 0.875, math.log(1e-3), 64)
-        inner = RingBlock(2, 0.75, math.log(1e-3), 64)
-        config = Configuration(blocks=(outer, inner), n_max=3)
-        th = outer.angle_of(3)
+        rows = RingRows(n=[3, 2], rho=[0.875, 0.75], log_r=[math.log(1e-3)] * 2, count=[64, 64])
+        config = Configuration(rings=rows, n_max=3)
+        th = slot_angles(rows, 0)[3]
         px, py = np.array([0.8125 * math.cos(th)]), np.array([0.8125 * math.sin(th)])
         d, ids = SpatialIndex(config).distance_many(px, py, with_ids=True)
-        assert (d[0], ids[0]) == (0.0625 - outer.radius, 3)
+        assert (d[0], ids[0]) == (0.0625 - rows.radius[0], 3)
 
     def test_far_row_reaches_across_rows_of_tiny_discs(self):
         # the point lies 0.005 from a disc of the generation-2 row at
@@ -1635,10 +1636,14 @@ class TestRingTable:
         # disc of radius 1e-9 of the generation-3 row just outside it; the
         # next row inward, at 1 - rho = 0.124, lies 0.019 away radially, so
         # only the radius of the row beyond it sends the query on
-        tiny = [RingBlock(3, 1.0 - s, math.log(1e-9), 1024) for s in (0.124, 0.1, 0.08)]
-        far = RingBlock(2, 0.8, math.log(0.09), 64)
-        config = Configuration(blocks=(far, *tiny), n_max=3)
-        th = far.angle_of(5)
+        rows = RingRows(
+            n=[2, 3, 3, 3],
+            rho=[0.8, *(1.0 - s for s in (0.124, 0.1, 0.08))],
+            log_r=[math.log(0.09), *[math.log(1e-9)] * 3],
+            count=[64, 1024, 1024, 1024],
+        )
+        config = Configuration(rings=rows, n_max=3)
+        th = slot_angles(rows, 0)[5]
         px, py = np.array([0.895 * math.cos(th)]), np.array([0.895 * math.sin(th)])
         d, ids = SpatialIndex(config).distance_many(px, py, with_ids=True)
         assert ids[0] == 5 and d[0] == pytest.approx(0.005, abs=1e-12)
@@ -1653,22 +1658,21 @@ def _mixed_config(seed, drop_prefix, overlap):
     disc when ``overlap``; explicit discs never meet each other."""
     rng = np.random.default_rng(seed)
     a_start = 40 if drop_prefix else 0
-    rings = [
-        RingBlock(n=3, rho=0.9, log_r=math.log(1e-4), count=128, a_start=a_start),
-        RingBlock(n=3, rho=0.91, log_r=math.log(2e-4), count=128, a_start=a_start),
-    ]
+    rings = RingRows(
+        n=[3, 3], rho=[0.9, 0.91], log_r=[math.log(1e-4), math.log(2e-4)], count=[128, 128], a_start=[a_start] * 2
+    )
     slots = rng.choice(128, 30, replace=False)
     row = rng.integers(0, 2, 30)
     r_e = 1e-4
     gap = rng.uniform(0.2, 1.0, 30) if overlap else rng.uniform(1.1, 3.0, 30)
-    reach = np.array([rings[k].radius for k in row]) + r_e
+    reach = rings.radius[row] + r_e
     phi = rng.uniform(0.0, TWO_PI, 30)
     theta = (slots + 0.5) * TWO_PI / 128
-    rho = np.array([rings[k].rho for k in row])
+    rho = rings.rho[row]
     x = rho * np.cos(theta) + gap * reach * np.cos(phi)
     y = rho * np.sin(theta) + gap * reach * np.sin(phi)
     explicit = DiscBlock(x, y, np.full(30, math.log(r_e)))
-    return Configuration(blocks=(explicit, *rings), n_max=3)
+    return Configuration(explicit, rings, n_max=3)
 
 
 class TestMixedOverlap:
@@ -1711,17 +1715,15 @@ def _dense_ring_pairs(rho, rad):
     return [(int(i), int(j)) for i, j in cand if i < j]
 
 
-def _dense_ring_overlap(rings):
+def _dense_ring_overlap(rows):
     """The ring part of the overlap check with the dense prefilter."""
-    for off, rb in rings:
-        if len(rb) >= 2 and chord(rb.rho, rb.rho, rb.step) <= 2.0 * rb.radius:
-            return (off, off + 1)
-    rho = np.array([rb.rho for _, rb in rings])
-    rad = np.array([rb.radius for _, rb in rings])
+    off, rho, rad = rows.starts.tolist(), rows.rho, rows.radius
+    for i in range(len(rows)):
+        if rows.sizes[i] >= 2 and chord(rho[i], rho[i], rows.step[i]) <= 2.0 * rad[i]:
+            return (off[i], off[i] + 1)
     for i, j in _dense_ring_pairs(rho, rad):
-        (off, rb), (off2, rb2) = rings[i], rings[j]
-        if ring_min_center_distance(rb, rb2) <= rb.radius + rb2.radius:
-            return (off, off2)
+        if ring_pair_distance(rows, i, j) <= rad[i] + rad[j]:
+            return (off[i], off[j])
     return None
 
 
@@ -1747,22 +1749,19 @@ class TestRingPairPrefilter:
     @settings(max_examples=150, deadline=None)
     @given(st.lists(_pair_ring, min_size=1, max_size=12))
     def test_window_returns_the_dense_pair(self, specs):
-        blocks = []
+        columns = []
         for place, rho, rad, count, drop in specs:
-            if blocks and place != "free":
-                prev = blocks[-1]
+            if columns and place != "free":
+                _, prev_rho, prev_log_r, _, _ = columns[-1]
+                prev_rad = math.exp(prev_log_r)
                 rho = {
-                    "touch": prev.rho + (prev.radius + math.exp(math.log(rad))),
-                    "nested": prev.rho + 0.5 * prev.radius,
-                    "same": prev.rho,
+                    "touch": prev_rho + (prev_rad + math.exp(math.log(rad))),
+                    "nested": prev_rho + 0.5 * prev_rad,
+                    "same": prev_rho,
                 }[place]
-            blocks.append(
-                RingBlock(n=1, rho=rho, log_r=math.log(rad), count=count, a_start=int(drop * count))
-            )
-        config = Configuration(blocks=tuple(blocks), n_max=1)
-        offsets = np.concatenate([[0], np.cumsum([len(b) for b in blocks])[:-1]])
-        rings = [(int(off), b) for off, b in zip(offsets, blocks)]
-        rho = np.array([b.rho for b in blocks])
-        rad = np.array([b.radius for b in blocks])
+            columns.append((1, rho, math.log(rad), count, int(drop * count)))
+        rows = RingRows(*zip(*columns))
+        config = Configuration(rings=rows, n_max=1)
+        rho, rad = rows.rho, rows.radius
         assert list(zip(*(a.tolist() for a in _ring_pair_candidates(rho, rad)))) == _dense_ring_pairs(rho, rad)
-        assert _find_overlap(SpatialIndex(config)) == _dense_ring_overlap(rings)
+        assert _find_overlap(SpatialIndex(config)) == _dense_ring_overlap(rows)

@@ -174,7 +174,7 @@ class TestRecords:
         rows = RingRows([1], [0.6], [-50.0], [32], [0])
         assert rows != RingRows([1], [0.6], [-50.0], [32], [0]) and rows == rows
         assert "log_gap=" not in repr(rows) and rows.log_gap[0] == math.log(1.0 - 0.6)
-        config = Configuration(blocks=(rows,), n_max=1)
+        config = Configuration(rings=rows, n_max=1)
         assert config.ratio_sup > 0.0 and "log_ratio_sup" in vars(config)
         assert not hasattr(config, "__dataclass_fields__")
 

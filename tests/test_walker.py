@@ -33,7 +33,7 @@ from champagne.walker import (
     walk_uniforms,
 )
 
-EMPTY = Configuration(blocks=(), n_max=0)
+EMPTY = Configuration()
 
 
 def _first_jump(cfg, start, eps, n_walks=64, seed=0):
@@ -323,7 +323,7 @@ class TestAnnulusHelpers:
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
-from champagne.geometry import RingBlock  # noqa: E402
+from champagne.geometry import RingRows  # noqa: E402
 
 _FAMILY = generate_subsquares(GeneratorParams.exp_power(beta=0.1, c0=0.3, n_min=4, n_max=7))
 
@@ -334,8 +334,8 @@ def _interleaved() -> Configuration:
     generation often, so particles of five or six depth columns split with
     distances between their ends that differ from both."""
     rows = [(3, 0.0626, 24), (4, 0.0313, 40), (5, 0.0157, 56), (6, 0.0079, 72), (7, 0.0078, 88), (8, 0.0039, 104)]
-    blocks = tuple(RingBlock(n, 1.0 - s, math.log(2e-4), count) for n, s, count in rows)
-    return Configuration(blocks=blocks, n_max=8)
+    n, s, count = zip(*rows)
+    return Configuration(rings=RingRows(n, 1.0 - np.array(s), [math.log(2e-4)] * len(n), count), n_max=8)
 
 
 def _storage(kind: str) -> Configuration:
@@ -351,8 +351,8 @@ def _storage(kind: str) -> Configuration:
     if kind == "explicit":
         return _FAMILY.materialized()
     odd = _FAMILY.rings.n % 2 == 1
-    explicit = Configuration(blocks=(_FAMILY.rings.take(odd),)).materialized().discs
-    return Configuration(blocks=(explicit, _FAMILY.rings.take(~odd)), n_max=_FAMILY.n_max)
+    explicit = Configuration(rings=_FAMILY.rings.take(odd)).materialized().discs
+    return Configuration(explicit, _FAMILY.rings.take(~odd), n_max=_FAMILY.n_max)
 
 
 STORAGE = ("plain", "prefix", "explicit", "mixed", "interleaved")
@@ -403,7 +403,10 @@ class TestCoupledDepths:
         _assert_rows_match_per_depth_walks(_storage("prefix"), (7, 4, 5), params)
 
     def test_start_in_a_disc_below_every_depth_is_allowed(self):
-        deep = _FAMILY.rings.row(int(np.flatnonzero(_FAMILY.rings.n == 7)[0])).disc(3).center
+        rows = _FAMILY.rings
+        i = int(np.flatnonzero(rows.n == 7)[0])
+        th = 3.5 * rows.step[i]
+        deep = Point(rows.rho[i] * math.cos(th), rows.rho[i] * math.sin(th))
         params = WalkParams(eps_shell=1e-8, seed=1, n_walks=50, start=deep)
         _assert_rows_match_per_depth_walks(_FAMILY, (4, 6), params)
         with pytest.raises(WalkerError):
